@@ -23,6 +23,7 @@ from repro.bench.harness import (
 )
 from repro.core.ptgraph import build_pt_graph
 from repro.core.runner import RunConfig, _scan  # noqa: SLF001 - example introspection
+from repro.core.transfer import ExecContext
 from repro.plan.joingraph import build_join_graph
 from repro.tpch import generate_tpch
 from repro.tpch.queries import Q5_JOIN_ORDERS, get_query
@@ -36,8 +37,9 @@ def print_graphs(catalog, sf: float) -> None:
     for u, v, data in join_graph.edges(data=True):
         keys = ", ".join(f"{a}={b}" for a, b in data["keys"])
         print(f"  {u} -- {v}  on {keys}")
-    scanned, rows = _scan(spec, catalog, RunConfig())
-    sizes = {a: len(r) for a, r in rows.items()}
+    ctx = ExecContext()
+    _scan(ctx, spec, catalog, RunConfig())
+    sizes = ctx.row_counts()
     pt = build_pt_graph(join_graph, sizes)
     print("\nPredicate transfer graph (Figure 1b; small table -> big table):")
     for src, dst in sorted(pt.digraph.edges):

@@ -7,16 +7,14 @@ Commands
 ``fig4``     Regenerate the paper's Figure 4 table at a chosen SF.
 ``q5``       Regenerate the Q5 case study (Tables 1–2, Figures 5–6).
 ``bench``    Measure wall-clock/transfer-phase/filter-memory per query
-             and strategy; ``--json`` writes the machine-readable record
-             (the repo's ``BENCH_*.json`` perf-trajectory artifacts).
+             and strategy; ``--json`` writes the machine-readable record.
 ``workload`` Cold/warm replay of a mixed TPC-H+SSB stream through the
-             service Engine (the ``BENCH_PR3.json`` artifact);
+             service Engine;
              ``--append-mix N`` interleaves transactional appends into
              the warm pass every N queries (``repro-bench/v8``).
 ``ingest``   Warm the cache, then alternate transactional delta
              appends with full re-queries and record commit latency,
-             re-query wall time and the cache's extension counters
-             (the ``BENCH_PR10.json`` artifact).
+             re-query wall time and the cache's extension counters.
 ``cache``    ``stats`` / ``clear`` on the process-wide filter cache.
 ``serve``    Serve the stock query registry over TCP (length-prefixed
              JSON frames) until SIGTERM, then drain gracefully.
@@ -24,8 +22,8 @@ Commands
              typed errors and saturation backoff.
 ``loadtest`` Closed-loop concurrent driver against a server (or a
              ``--spawn``ed in-process one); p50/p90/p95/p99 + outcome
-             histogram + digest verdict (the ``BENCH_PR7.json``
-             artifact via ``--spawn --cold-warm``).
+             histogram + digest verdict (``--spawn --cold-warm`` embeds
+             a cold and a warm pass).
 ``stats``    Fetch a running server's ``METRICS``/``STATS`` frames and
              pretty-print them (``--prom`` dumps the raw Prometheus
              exposition for piping).
@@ -54,7 +52,7 @@ chunked kernels on N workers (results stay byte-identical to the
 serial default) and ``--partition-rows`` overrides the storage chunk
 size behind zone-map pruning.  ``bench --parallel-compare N`` runs the
 full TPC-H+SSB suite serial *and* with N threads and embeds the
-comparison (the ``BENCH_PR5.json`` artifact).
+comparison.
 
 The same four commands take the per-query resilience knobs:
 ``--timeout-ms`` (deadline; past it the query aborts with a typed
@@ -77,16 +75,15 @@ Examples::
     python -m repro ssb --query 1.1,2.1 --no-filter-cache
     python -m repro fig4 --sf 0.05
     python -m repro q5 --sf 0.1
-    python -m repro bench --sf 0.02 --queries 5 --json BENCH.json \
-        --compare BENCH_PR1.json
-    python -m repro bench --sf 0.05 --parallel-compare 4 --json BENCH_PR5.json
+    python -m repro bench --sf 0.02 --queries 5 --json bench.json
+    python -m repro bench --sf 0.05 --parallel-compare 4 --json parallel.json
     python -m repro workload --sf 0.02 --repeats 2 --threads 4 \
-        --json BENCH_PR3.json
+        --json workload.json
     python -m repro cache stats
     python -m repro serve --sf 0.02 --port 7531 --workers 4 \
         --metrics-port 9090 --slow-query-ms 500
     python -m repro client --query 5 --strategy predtrans --timeout-ms 5000
-    python -m repro loadtest --spawn --sf 0.02 --cold-warm --json BENCH_PR7.json
+    python -m repro loadtest --spawn --sf 0.02 --cold-warm --json loadtest.json
     python -m repro stats --url 127.0.0.1:7531
     python -m repro trace --sf 0.02 --query q5 --strategy predtrans
     python -m repro check --all --sf 0.01
@@ -115,7 +112,6 @@ from .bench.harness import (
     time_query,
     write_bench_json,
 )
-from .bench.compare import compare_payloads, format_comparison, load_bench
 from .bench.report import format_table
 from .cache import default_filter_cache
 from .core.runner import STRATEGIES, RunConfig
@@ -354,12 +350,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     strategies = args.strategies if args.strategies else STRATEGIES
     config = _run_config(args)
     if args.parallel_compare:
-        if args.compare:
-            # The serial-vs-parallel record has no per-pair overlap
-            # with a regular bench baseline; refuse rather than write
-            # a record the user thinks embeds a baseline diff.
-            print("--compare cannot be combined with --parallel-compare")
-            return 2
         # Explicitly narrowed TPC-H scope narrows SSB out too (the
         # full-suite default covers both benchmarks).
         ssb_ids = args.ssb_queries if args.ssb_queries else (
@@ -404,18 +394,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     print(format_table(headers, rows, title=f"bench (SF={args.sf})"))
     payload = suite_to_json(suite, args.repeats, args.seed, config)
-    if args.compare:
-        try:
-            baseline = load_bench(args.compare)
-            payload["comparison"] = compare_payloads(baseline, payload)
-        except (ValueError, OSError, KeyError) as exc:
-            # Never lose a finished sweep to a bad baseline: skip the
-            # comparison but still write the record below.
-            print(f"\nbench compare skipped: {exc}")
-        else:
-            payload["comparison"]["baseline_file"] = args.compare
-            print()
-            print(format_comparison(payload["comparison"]))
     if args.json:
         write_bench_json(args.json, payload)
         print(f"\nwrote {args.json}")
@@ -970,11 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int, default=3)
     bench.add_argument("--json", help="write machine-readable results here")
     bench.add_argument(
-        "--compare",
-        help="baseline BENCH_*.json; embeds a before/after comparison "
-        "block into the output and prints the summary",
-    )
-    bench.add_argument(
         "--parallel-compare",
         type=int,
         default=None,
@@ -1257,7 +1230,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         dest="cold_warm",
         help="with --spawn: run the pass twice (cold then warm cache) "
-        "and embed both (the BENCH_PR7.json shape)",
+        "and embed both",
     )
     loadtest.add_argument("--json", help="write the v7 record here")
     loadtest.set_defaults(func=_cmd_loadtest)

@@ -146,10 +146,8 @@ def measurement_to_json(m: Measurement) -> dict:
     | ``cancelled`` | ``rejected`` | ``budget`` from the typed error),
     ``filters_degraded`` (exact→Bloom fallbacks under a memory
     budget), ``memory_budget_bytes`` (0 = unlimited) and
-    ``mem_peak_bytes`` (the charged high-water mark).  All-default
-    fields mean the measurement ran unrestricted, so v5 records
-    compare cleanly against v1–v4 baselines (the comparator only
-    reads per-pair ``seconds``).
+    ``mem_peak_bytes`` (the charged high-water mark, recorded with or
+    without a budget).
     """
     t = m.stats.transfer
     return {

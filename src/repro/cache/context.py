@@ -321,7 +321,7 @@ class QueryCache:
         self, alias: str, key_columns: tuple[str, ...], kind: str, params: str
     ) -> object | None:
         key = self.aliases[alias]
-        if key.base is None or kind not in ("bloom", "exact", "exact-semi"):
+        if key.base is None or kind not in ("bloom", "exact"):
             return None
         stripped = tuple(strip_alias(c, alias) for c in key_columns)
         if any(c not in key.base for c in stripped):

@@ -153,8 +153,8 @@ def filter_fingerprint(
     """Key of a cached transferable filter.
 
     ``key_columns`` must already be table-relative (alias-stripped);
-    ``kind`` names the filter family (``"bloom"`` / ``"exact"`` /
-    ``"exact-semi"``); ``params`` carries sizing knobs such as the fpp.
+    ``kind`` names the filter family (``"bloom"`` / ``"exact"``);
+    ``params`` carries sizing knobs such as the fpp.
     """
     return fingerprint(
         "filter", table, str(version), predicate, ",".join(key_columns), kind, params

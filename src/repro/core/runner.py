@@ -1,17 +1,28 @@
 """Query runner: the four execution strategies of the paper's evaluation.
 
-* ``nopredtrans`` — local predicates only, then plain hash joins.
-* ``bloomjoin``  — one-hop Bloom filtering inside each join (build side
-  constructs a Bloom filter applied to the probe side).
-* ``yannakakis`` — exact semi-join forward/backward passes over a BFS
-  join tree, then plain hash joins.
-* ``predtrans``  — the paper's contribution: Bloom-filter transfer over
-  the whole predicate transfer graph, then plain hash joins.
+A strategy is a *schedule* — which filters are shipped along which join
+edges, in what order, of what kind — over the one filter-shipping
+kernel in :mod:`repro.core.transfer`:
+
+* ``nopredtrans`` — the empty schedule: local predicates only.
+* ``bloomjoin``  — one Bloom filter per join, shipped from the join's
+  build side to its probe side as the join runs.
+* ``yannakakis`` — a bottom-up and a top-down pass of exact key-set
+  filters over a BFS join tree (:mod:`repro.core.yannakakis`).
+* ``predtrans``  — the paper's contribution: a forward and a backward
+  pass of Bloom filters over the whole predicate transfer graph.
 
 All strategies share the scanner, the join phase (left-deep over a
-deterministic order) and the post-operator pipeline, so measured
-differences are attributable to pre-filtering alone — mirroring the
-paper's single-executor methodology.
+deterministic order, plain hash joins) and the post-operator pipeline,
+so measured differences are attributable to pre-filtering alone —
+mirroring the paper's single-executor methodology.
+
+One :class:`~repro.core.transfer.ExecContext` is created per
+:func:`run_query` call and handed to every phase.  It carries the
+query's statistics, deadline/budget context, cross-query cache
+binding, key-hash and build-sort memos and worker pool; all of them are
+always there, and an unconfigured one does nothing (no deadline, no
+budget, nothing cacheable, serial).
 
 Query shapes
 ------------
@@ -79,16 +90,19 @@ fingerprints over (table name, data version, canonical predicate, …):
 
 * local-predicate **scan selection vectors** (skips predicate
   re-evaluation on warm runs);
-* **pristine-vertex filters** inside the transfer / semi-join /
-  BloomJoin phases (skips hash + build work);
+* **pristine-vertex filters** shipped by any strategy's schedule
+  (skips hash + build work; an exact filter is shared between
+  ``yannakakis`` and ``predtrans`` with ``filter_type="exact"``, a
+  Bloom filter between ``bloomjoin`` and ``predtrans``);
 * the **whole pre-filter phase result** for an exactly repeated query
   shape (skips the transfer phase outright).
 
 Every cached artifact is a pure function of base-table contents and
 the query's predicate shape, so warm results are byte-identical to
 cold runs and to the eager oracle; a catalog data-version bump (table
-append/replace) orphans all stale entries.  ``filter_cache=None`` (the
-default) preserves the uncached executor exactly.
+append/replace) orphans all stale entries.  Without a configured
+cache the query's cache binding names no relation, so nothing is
+looked up or stored.
 """
 
 from __future__ import annotations
@@ -99,25 +113,19 @@ from dataclasses import dataclass, field, replace
 import networkx as nx
 import numpy as np
 
-from ..cache.context import QueryCache, build_query_cache
+from ..cache.context import build_query_cache
 from ..cache.fingerprint import canonical_expr
 from ..cache.store import FilterCache
 from ..context import QueryContext
 from ..engine.aggregate import AggSpec, GroupKey, group_aggregate
-from ..engine.hashjoin import BuildSortCache, cross_join, hash_join
-from ..engine.parallel import (
-    ParallelContext,
-    get_parallel,
-    parallel_bloom_build,
-    parallel_membership,
-)
+from ..engine.hashjoin import cross_join, hash_join
+from ..engine.parallel import ParallelContext, get_parallel
 from ..engine.sort import limit, sort_table
 from ..engine.stats import QueryStats
 from ..errors import PlanError
 from ..expr.eval import evaluate, evaluate_mask
 from ..expr.nodes import And, Expr
 from ..filters.hashcache import KeyHashCache
-from ..filters.hashing import bloom_keys
 from ..optimizer.cardinality import NdvCache
 from ..optimizer.joinorder import greedy_join_order
 from ..plan.joingraph import build_join_graph, edge_keys_for
@@ -128,9 +136,14 @@ from ..storage.catalog import Catalog
 from ..storage.partition import DEFAULT_PARTITION_ROWS, get_layout, slice_table
 from ..storage.table import Table
 from ..storage.view import AnyTable, TableView, materialize
-from ..testing.faults import fault_point
 from .ptgraph import build_pt_graph
-from .transfer import TransferConfig, run_transfer_rows
+from .transfer import (
+    ExecContext,
+    TransferConfig,
+    build_filter,
+    probe_filter,
+    run_transfer_rows,
+)
 from .yannakakis import run_semi_join_rows
 
 STRATEGIES = ("nopredtrans", "bloomjoin", "yannakakis", "predtrans")
@@ -142,13 +155,15 @@ MATERIALIZE_MODES = ("lazy", "eager")
 class RunConfig:
     """Execution options shared by all strategies.
 
+    ``transfer`` holds the predicate-transfer schedule's knobs; its
+    ``fpp`` is also the false-positive rate of BloomJoin's filters.
+
     ``filter_cache`` switches on cross-query artifact reuse (see the
     module docstring); ``shared_hashes`` lets a long-lived owner (the
     service :class:`~repro.service.engine.Engine`) share one
     :class:`~repro.filters.hashcache.KeyHashCache` across queries for
-    the pre-filter phases — sound because those phases hash only
-    immutable base-table columns, keyed by object identity.  Both
-    default to ``None`` = the uncached single-query executor.
+    the transfer schedules — sound because those hash only immutable
+    base-table columns, keyed by object identity.
 
     ``threads`` switches on intra-query parallelism: chunked kernels
     (scan predicate evaluation, Bloom build/probe, semi-join probes,
@@ -174,7 +189,6 @@ class RunConfig:
 
     strategy: str = "predtrans"
     transfer: TransferConfig = field(default_factory=TransferConfig)
-    bloom_fpp: float = 0.01
     replan: bool = False
     yannakakis_root: str | None = None
     materialize: str = "lazy"
@@ -232,140 +246,105 @@ def run_query(
     elif strategy is not None and strategy != config.strategy:
         config = replace(config, strategy=strategy)
 
-    # Resilience context: deadline / cancellation / memory budget.
-    # Built here (deadline starts at query start) unless the owner
-    # passed one in; threaded into ``config`` so pre-stages share the
-    # whole query's deadline and budget instead of restarting them.
-    qctx = config.context
-    if qctx is None and (
-        config.timeout is not None or config.memory_budget is not None
-    ):
-        qctx = QueryContext.start(
-            timeout=config.timeout, memory_budget=config.memory_budget
-        )
-        config = replace(config, context=qctx)
+    # One resilience context per query: deadline / cancellation / memory
+    # budget (all three absent = a context that never fires).  Built
+    # here — the deadline starts at query start — unless the owner
+    # passed one in; pre-stages share it, so the whole query runs under
+    # one deadline and one budget instead of restarting them per stage.
+    qctx = config.context or QueryContext.start(
+        timeout=config.timeout, memory_budget=config.memory_budget
+    )
 
     scoped = catalog.scoped()
     stats = QueryStats(strategy=config.strategy, query=spec.name)
-    # Observability anchors: one wall-clock read per query; the trace
-    # id only when the context carries one (tracing off ⇒ "" and no
-    # minting here — the hot path stays free of obs work).
+    # Observability anchors: one wall-clock read per query, and the
+    # trace id the context carries ("" when tracing is off).
     stats.started_unix = time.time()
-    if qctx is not None and qctx.trace_id is not None:
-        stats.trace_id = qctx.trace_id
+    stats.trace_id = qctx.trace_id or ""
 
-    # Per-query view of the intra-query worker pool: shares the
+    # The per-query view of the intra-query worker pool shares the
     # process-wide executor for this thread count (or the injected
-    # service context) while counting this query's dispatched chunks.
-    # The query context rides along so chunk kernels check it too.
-    base_parallel = (
-        config.parallel if config.parallel is not None
-        else get_parallel(config.threads)
+    # service context) while counting this query's dispatched chunks;
+    # the query context rides along so chunk kernels check it too.
+    ctx = ExecContext(
+        stats=stats,
+        qctx=qctx,
+        parallel=(config.parallel or get_parallel(config.threads)).scoped(qctx),
     )
-    ctx = base_parallel.scoped(qctx)
+    # A service engine may supply a cross-query hash memo.  It is sound
+    # for the transfer schedules, which hash only immutable base-table
+    # columns; BloomJoin hashes per-query gathered view columns, which
+    # a cross-query memo would pin forever, so it keeps a private one.
+    if config.shared_hashes is not None and config.strategy != "bloomjoin":
+        ctx.hashes = config.shared_hashes
 
-    for stage in spec.pre_stages:
-        if qctx is not None:
+    if spec.pre_stages:
+        stage_config = replace(config, context=qctx)
+        for stage in spec.pre_stages:
             qctx.check("pre-stage")
-        sub = run_query(stage.spec, scoped, config=config)
-        scoped.register(sub.table, stage.output)
-        stats.stage_stats.append(sub.stats)
+            sub = run_query(stage.spec, scoped, config=stage_config)
+            scoped.register(sub.table, stage.output)
+            stats.stage_stats.append(sub.stats)
 
     resolved = _resolve_spec(fold_self_edges(spec), scoped)
     graph = build_join_graph(resolved)
 
-    # Per-query binding of the cross-query filter cache (None = the
-    # uncached executor).  Built from the *resolved* spec so scalar
-    # subquery values participate in fingerprints as literals.
-    qcache = (
-        build_query_cache(resolved, scoped, config.filter_cache)
-        if config.filter_cache is not None
-        else None
-    )
+    # Bind the cross-query filter cache, from the *resolved* spec so
+    # scalar subquery values participate in fingerprints as literals.
+    if config.filter_cache is not None:
+        ctx.cache = build_query_cache(resolved, scoped, config.filter_cache)
 
     # ------------------------------------------------------------------
     # Scan phase: wrap (pruned) base columns, apply local predicates.
     # ------------------------------------------------------------------
-    if qctx is not None:
-        qctx.check("scan")
+    qctx.check("scan")
     t0 = time.perf_counter()
-    scanned, rows = _scan(resolved, scoped, config, qcache, stats, ctx)
-    local_sizes = {a: len(r) for a, r in rows.items()}
+    _scan(ctx, resolved, scoped, config)
+    local_sizes = ctx.row_counts()
     stats.scan_seconds = time.perf_counter() - t0
 
     # ------------------------------------------------------------------
-    # Pre-filter phase: strategy-specific whole-graph filtering over
-    # sorted row-index vectors.
+    # Pre-filter phase: the strategy's schedule over the sorted
+    # row-index vectors (BloomJoin's runs inside the join phase).
     # ------------------------------------------------------------------
-    if qctx is not None:
-        qctx.check("pre-filter")
+    qctx.check("pre-filter")
     t1 = time.perf_counter()
-    # Query-wide caches: key hashing (shared by transfer / semi-join /
-    # BloomJoin prefilters) and build-side sorts (shared by all joins).
-    # A service engine may supply a cross-query hash cache for the
-    # pre-filter phases (they only touch immutable base columns); the
-    # join phase always uses a query-private one, since it hashes
-    # per-query gathered view columns that must not be pinned forever.
-    hashes = KeyHashCache()
-    prefilter_hashes = (
-        config.shared_hashes if config.shared_hashes is not None else hashes
-    )
-    build_cache = BuildSortCache()
-
     prefilter_fp = None
     cached_rows = None
-    if qcache is not None and config.strategy in ("yannakakis", "predtrans"):
-        if qcache.covers(rows):
-            prefilter_fp = qcache.prefilter_fp(
-                _edge_forms(resolved), config.strategy, _prefilter_config_form(config)
-            )
-            cached_rows = qcache.get_prefilter(prefilter_fp)
+    if config.strategy in ("yannakakis", "predtrans") and ctx.cache.covers(ctx.rows):
+        prefilter_fp = ctx.cache.prefilter_fp(
+            _edge_forms(resolved), config.strategy, _prefilter_config_form(config)
+        )
+        cached_rows = ctx.cache.get_prefilter(prefilter_fp)
 
     if cached_rows is not None:
         # Warm hit: the whole pre-filter phase is served from cache.
-        rows = cached_rows
-        stats.transfer.rows_before = dict(local_sizes)
-        stats.transfer.rows_after = {a: len(r) for a, r in rows.items()}
+        ctx.rows = cached_rows
     elif config.strategy == "yannakakis":
-        rows, stats.transfer = run_semi_join_rows(
-            graph, scanned, rows, config.yannakakis_root,
-            hashes=prefilter_hashes, cache=qcache, parallel=ctx, qctx=qctx,
-        )
-        if prefilter_fp is not None:
-            qcache.put_prefilter(prefilter_fp, rows)
+        run_semi_join_rows(ctx, graph, config.yannakakis_root)
     elif config.strategy == "predtrans":
-        ptgraph = build_pt_graph(graph, local_sizes)
-        rows, stats.transfer = run_transfer_rows(
-            ptgraph, scanned, rows, config.transfer,
-            hashes=prefilter_hashes, cache=qcache, parallel=ctx, qctx=qctx,
-        )
-        if prefilter_fp is not None:
-            qcache.put_prefilter(prefilter_fp, rows)
-    else:
-        stats.transfer.rows_before = dict(local_sizes)
-        stats.transfer.rows_after = dict(local_sizes)
+        run_transfer_rows(ctx, build_pt_graph(graph, local_sizes), config.transfer)
+    if prefilter_fp is not None and cached_rows is None:
+        ctx.cache.put_prefilter(prefilter_fp, ctx.rows)
+    stats.transfer.rows_before = local_sizes
+    stats.transfer.rows_after = ctx.row_counts()
     stats.transfer_seconds = time.perf_counter() - t1
 
     # ------------------------------------------------------------------
     # Join phase: selection vectors become the views' row selections
     # (lazy) or full-width filtered copies (eager oracle).
     # ------------------------------------------------------------------
-    if qctx is not None:
-        qctx.check("join")
+    qctx.check("join")
     t2 = time.perf_counter()
-    reduced = _reduce(scanned, rows, config, stats, qctx)
+    reduced = _reduce(ctx, config)
     order = _choose_order(resolved, graph, reduced, local_sizes, config, join_order)
-    current = _execute_join_phase(
-        resolved, graph, reduced, order, config, stats, build_cache, hashes,
-        qcache, ctx, qctx,
-    )
+    current = _execute_join_phase(ctx, resolved, graph, reduced, order, config)
     stats.join_seconds = time.perf_counter() - t2
 
     # ------------------------------------------------------------------
     # Post-operator pipeline (aggregation, having, order by, ...).
     # ------------------------------------------------------------------
-    if qctx is not None:
-        qctx.check("post")
+    qctx.check("post")
     t3 = time.perf_counter()
     result = _apply_post(resolved, current)
     stats.post_seconds = time.perf_counter() - t3
@@ -374,28 +353,24 @@ def run_query(
     # Output materialization: one gather per output column (no-op when
     # the post pipeline already produced a concrete table).
     # ------------------------------------------------------------------
-    if qctx is not None:
-        qctx.check("materialize")
+    qctx.check("materialize")
     t4 = time.perf_counter()
     table = materialize(result)
     if table is not result:
         stats.materialize_seconds += time.perf_counter() - t4
         stats.bytes_materialized += _table_nbytes(table)
-        if qctx is not None:
-            qctx.charge(_table_nbytes(table), "output materialization")
+        qctx.charge(_table_nbytes(table), "output materialization")
     stats.output_rows = table.num_rows
-    stats.parallel_tasks = ctx.tasks
-    if qctx is not None:
-        # Cumulative across pre-stages (which share the context):
-        # reported on the outermost stats consumers actually read.
-        stats.filters_degraded = qctx.filters_degraded
-        stats.mem_peak_bytes = qctx.mem_peak
-        stats.memory_budget_bytes = qctx.memory_budget or 0
-    if qcache is not None:
-        stats.filter_cache_hits = qcache.hits
-        stats.filter_cache_misses = qcache.misses
-        stats.filter_cache_errors = qcache.errors
-        stats.filter_cache_bytes = config.filter_cache.total_bytes
+    stats.parallel_tasks = ctx.parallel.tasks
+    # Cumulative across pre-stages (which share the context): reported
+    # on the outermost stats consumers actually read.
+    stats.filters_degraded = qctx.filters_degraded
+    stats.mem_peak_bytes = qctx.mem_peak
+    stats.memory_budget_bytes = qctx.memory_budget or 0
+    stats.filter_cache_hits = ctx.cache.hits
+    stats.filter_cache_misses = ctx.cache.misses
+    stats.filter_cache_errors = ctx.cache.errors
+    stats.filter_cache_bytes = ctx.cache.cache.total_bytes
     return QueryResult(table, stats)
 
 
@@ -471,35 +446,26 @@ def _resolve_spec(spec: QuerySpec, catalog: Catalog) -> QuerySpec:
 
 
 def _scan(
-    spec: QuerySpec,
-    catalog: Catalog,
-    config: RunConfig,
-    qcache: QueryCache | None = None,
-    stats: QueryStats | None = None,
-    ctx: ParallelContext | None = None,
-) -> tuple[dict[str, AnyTable], dict[str, np.ndarray]]:
+    ctx: ExecContext, spec: QuerySpec, catalog: Catalog, config: RunConfig
+) -> None:
     """Scan every relation and apply local predicates.
 
-    Lazy mode wraps only each alias's live columns in a zero-copy
-    rename view; eager mode keeps the classical full-width
-    ``prefixed()`` table.  Either way the survivors come back as sorted
-    row-index vectors.  Local predicates run through the base table's
-    partition layout: zone maps skip chunks that provably contain no
-    qualifying row, and surviving chunks evaluate (in parallel when
-    configured) into per-chunk index vectors concatenated in partition
-    order — byte-identical to a full-table evaluation.  With a query
-    cache, the selection vector of a versioned relation's local
-    predicate is served from / stored into the cross-query cache
-    (cached vectors are never mutated downstream, and are valid across
-    partition sizes and thread counts because selection vectors never
-    depend on either).
+    Fills ``ctx.tables`` and ``ctx.rows``.  Lazy mode wraps only each
+    alias's live columns in a zero-copy rename view; eager mode keeps
+    the classical full-width ``prefixed()`` table.  Either way the
+    survivors are sorted row-index vectors.  Local predicates run
+    through the base table's partition layout: zone maps skip chunks
+    that provably contain no qualifying row, and surviving chunks
+    evaluate (over the worker pool when parallel) into per-chunk index
+    vectors concatenated in partition order — byte-identical to a
+    full-table evaluation.  The selection vector of a versioned
+    relation's local predicate is served from / stored into the
+    cross-query cache (cached vectors are never mutated downstream,
+    and are valid across partition sizes and thread counts because
+    selection vectors never depend on either).
     """
     lazy = config.materialize == "lazy"
     live = live_columns(spec) if lazy else None
-    stats = stats or QueryStats()
-    ctx = ctx or ParallelContext()
-    scanned: dict[str, AnyTable] = {}
-    rows: dict[str, np.ndarray] = {}
     for relation in spec.relations:
         base = catalog.get(relation.table)
         if lazy:
@@ -508,20 +474,20 @@ def _scan(
             )
         else:
             table = base.prefixed(relation.alias)
-        scanned[relation.alias] = table
+        ctx.tables[relation.alias] = table
         if relation.predicate is None:
-            rows[relation.alias] = np.arange(table.num_rows)
+            ctx.rows[relation.alias] = np.arange(table.num_rows)
             continue
-        cacheable = qcache is not None and qcache.cacheable(relation.alias)
-        selected = qcache.get_scan(relation.alias) if cacheable else None
+        cacheable = ctx.cache.cacheable(relation.alias)
+        selected = ctx.cache.get_scan(relation.alias) if cacheable else None
         if selected is None:
             selected = _scan_selection(
-                base, relation.alias, relation.predicate, table, config, ctx, stats
+                base, relation.alias, relation.predicate, table, config,
+                ctx.parallel, ctx.stats,
             )
             if cacheable:
-                qcache.put_scan(relation.alias, selected)
-        rows[relation.alias] = selected
-    return scanned, rows
+                ctx.cache.put_scan(relation.alias, selected)
+        ctx.rows[relation.alias] = selected
 
 
 def _qualified_mapping(base: Table, alias: str) -> dict[str, str]:
@@ -590,13 +556,7 @@ def _scan_view(base: Table, alias: str, live: set[str] | None) -> TableView:
     return TableView.over(base, name=alias, columns=mapping)
 
 
-def _reduce(
-    scanned: dict[str, AnyTable],
-    rows: dict[str, np.ndarray],
-    config: RunConfig,
-    stats: QueryStats,
-    qctx: QueryContext | None = None,
-) -> dict[str, AnyTable]:
+def _reduce(ctx: ExecContext, config: RunConfig) -> dict[str, AnyTable]:
     """Attach pre-filter survivors to the scanned relations.
 
     Lazy: the index vectors become the views' selection vectors (no
@@ -605,26 +565,25 @@ def _reduce(
     classical full-width ``filter()`` copy, timed and sized into the
     materialization stats it exists to attribute.
     """
+    scanned = ctx.tables
     if config.materialize == "lazy":
         return {
             alias: scanned[alias]
             if len(r) == scanned[alias].num_rows
             else scanned[alias].with_rows(r)
-            for alias, r in rows.items()
+            for alias, r in ctx.rows.items()
         }
     t0 = time.perf_counter()
     reduced: dict[str, AnyTable] = {}
-    for alias, r in rows.items():
-        if qctx is not None:
-            qctx.check("reduce")
+    for alias, r in ctx.rows.items():
+        ctx.qctx.check("reduce")
         mask = np.zeros(scanned[alias].num_rows, dtype=np.bool_)
         mask[r] = True
         reduced[alias] = scanned[alias].filter(mask)
         nbytes = _table_nbytes(reduced[alias])
-        stats.bytes_materialized += nbytes
-        if qctx is not None:
-            qctx.charge(nbytes, f"eager reduction of {alias}")
-    stats.materialize_seconds += time.perf_counter() - t0
+        ctx.stats.bytes_materialized += nbytes
+        ctx.qctx.charge(nbytes, f"eager reduction of {alias}")
+    ctx.stats.materialize_seconds += time.perf_counter() - t0
     return reduced
 
 
@@ -689,17 +648,12 @@ def _component_orders(graph, order: list[str]) -> list[list[str]]:
 
 
 def _execute_join_phase(
+    ctx: ExecContext,
     spec: QuerySpec,
     graph,
     reduced: dict[str, AnyTable],
     order: list[str],
     config: RunConfig,
-    stats: QueryStats,
-    build_cache: BuildSortCache | None = None,
-    hashes: KeyHashCache | None = None,
-    qcache: QueryCache | None = None,
-    ctx: ParallelContext | None = None,
-    qctx: QueryContext | None = None,
 ) -> AnyTable:
     """Left-deep joins per connected component, then cross-join combine.
 
@@ -710,17 +664,10 @@ def _execute_join_phase(
     columns are available, which for cross-component residuals is right
     after the cross join that brings both sides together.
     """
-    hashes = hashes or KeyHashCache()
-    ctx = ctx or ParallelContext()
-    # Only stable base tables go through the query-wide caches:
-    # intermediate join results are fresh objects that can never
-    # produce a cache hit, and caching them would pin their columns
-    # (plus full-size hash/sort arrays) until query end.
-    stable_ids = {id(t) for t in reduced.values()}
-    # BloomJoin's build sides are always at their local-predicate
-    # survivors (no transfer phase ran), so their filters are
-    # cross-query cacheable under the owning alias's fingerprint.
-    alias_of = {id(t): a for a, t in reduced.items()}
+    # Only these stable inputs go through the query-wide memos (key
+    # hashes, build sorts) and the cross-query cache.
+    ctx.alias_of = {id(t): a for a, t in reduced.items()}
+    stats = ctx.stats
     pending = list(spec.residuals)
     join_index = 0
 
@@ -730,8 +677,7 @@ def _execute_join_phase(
         joined = {comp_order[0]}
         current = _apply_ready_residuals(current, pending)
         for alias in comp_order[1:]:
-            if qctx is not None:
-                qctx.check("join")
+            ctx.qctx.check("join")
             neighbors = sorted(n for n in graph.neighbors(alias) if n in joined)
             if not neighbors:
                 raise PlanError(
@@ -749,9 +695,8 @@ def _execute_join_phase(
             probe_rows = None
             if config.strategy == "bloomjoin" and how in ("inner", "semi"):
                 probe_rows = _bloom_prefilter(
-                    probe_table, build_table, probe_on, build_on, config, stats,
-                    hashes, stable_ids, qcache, alias_of.get(id(build_table)),
-                    ctx, qctx,
+                    ctx, probe_table, build_table, probe_on, build_on,
+                    config.transfer.fpp,
                 )
 
             join_index += 1
@@ -764,8 +709,10 @@ def _execute_join_phase(
                 residual=residual,
                 label=f"Join {join_index}",
                 probe_rows=probe_rows,
-                build_cache=build_cache if id(build_table) in stable_ids else None,
-                parallel=ctx,
+                build_cache=(
+                    ctx.build_cache if id(build_table) in ctx.alias_of else None
+                ),
+                parallel=ctx.parallel,
             )
             stats.joins.append(jstat)
             joined.add(alias)
@@ -824,72 +771,33 @@ def _gather_edges(graph, neighbors: list[str], alias: str):
 
 
 def _bloom_prefilter(
+    ctx: ExecContext,
     probe_table: AnyTable,
     build_table: AnyTable,
     probe_on: list[str],
     build_on: list[str],
-    config: RunConfig,
-    stats: QueryStats,
-    hashes: KeyHashCache,
-    stable_ids: set[int],
-    qcache: QueryCache | None = None,
-    build_alias: str | None = None,
-    ctx: ParallelContext | None = None,
-    qctx: QueryContext | None = None,
+    fpp: float,
 ) -> np.ndarray:
-    """BloomJoin's one-hop filter: build side filters probe side.
+    """BloomJoin's schedule: one filter, from build side to probe side.
 
-    Returns the surviving probe row indices, which the join consumes
-    directly (no intermediate materialization — the Bloom test touches
-    only the key columns, as a real engine's runtime filter would).
-    Hashing of stable base tables goes through the query-wide cache,
-    so a table serving as build side of several joins is hashed once;
-    intermediate join results are hashed directly (caching them could
-    never hit and would pin their columns until query end).  When the
-    build side is a versioned base relation, its filter additionally
-    goes through the cross-query cache.  Under a parallel context the
-    build is partition-parallel (per-chunk filters OR-merged word-wise
-    — bit-identical to a serial build, so cached filters stay valid
-    across thread counts) and the probe is chunked.
+    Ships a Bloom filter over the build side's keys through the shared
+    kernel and returns the surviving probe row indices, which the join
+    consumes directly (no intermediate materialization — the Bloom
+    test touches only the key columns, as a real engine's runtime
+    filter would).  A side that is one of the join phase's stable
+    inputs is hashed through the query-wide memo, and — its rows being
+    exactly its local-predicate survivors, since no transfer phase ran
+    — its filter goes through the cross-query cache; a side that is an
+    intermediate join result gets neither.
     """
-    ctx = ctx or ParallelContext()
-
-    def side_keys(table: Table, cols: list) -> np.ndarray:
-        if id(table) in stable_ids:
-            return hashes.bloom_keys(cols)
-        return bloom_keys(cols)
-
-    cacheable = (
-        qcache is not None
-        and build_alias is not None
-        and qcache.cacheable(build_alias)
+    bloom = build_filter(
+        ctx, ctx.alias_of.get(id(build_table)), build_table, None,
+        tuple(build_on), "bloom", fpp,
     )
-    params = f"fpp={config.bloom_fpp!r}"
-    bloom = None
-    if cacheable:
-        bloom = qcache.get_filter(build_alias, tuple(build_on), "bloom", params)
-    if bloom is None:
-        build_cols = [build_table.column(c) for c in build_on]
-        bloom = parallel_bloom_build(
-            ctx,
-            side_keys(build_table, build_cols),
-            capacity=build_table.num_rows,
-            fpp=config.bloom_fpp,
-        )
-        stats.transfer.bloom_inserts += build_table.num_rows
-        # Build-then-commit ordering: an injected build failure (or a
-        # budget overrun) propagates before the cache put, so a
-        # half-trusted filter never lands in the shared cache.
-        fault_point("filter.build")
-        if qctx is not None:
-            qctx.charge(bloom.size_bytes(), "bloomjoin filter")
-        if cacheable:
-            qcache.put_filter(build_alias, tuple(build_on), "bloom", params, bloom)
-    probe_cols = [probe_table.column(c) for c in probe_on]
-    keep = parallel_membership(ctx, bloom, side_keys(probe_table, probe_cols))
-    stats.transfer.bloom_probes += len(keep)
-    stats.transfer.filters_built += 1
-    stats.transfer.filter_bytes += bloom.size_bytes()
+    keep = probe_filter(
+        ctx, bloom, ctx.alias_of.get(id(probe_table)), probe_table,
+        tuple(probe_on), None,
+    )
     return np.flatnonzero(keep)
 
 

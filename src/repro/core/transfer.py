@@ -1,62 +1,82 @@
-"""The predicate transfer phase (paper §3.2).
+"""The filter-shipping kernel and the predicate transfer schedule (§3.2).
 
-Given scanned relations (with local predicates already applied as row
-masks) and a :class:`~repro.core.ptgraph.PTGraph`, this engine runs the
-paper's two-pass schedule:
+Every pre-filtering strategy in this engine is a *schedule* over one
+kernel.  The kernel is three functions:
 
-* **Forward pass** — vertices are visited in topological order of the
-  PT DAG.  Each vertex first applies every incoming filter to its
-  current surviving rows (the single-scan *filter transformation* of
-  Fig. 2: incoming keys are probed, survivors feed the outgoing key
-  columns), then builds one outgoing filter per out-edge from the
-  surviving rows.
-* **Backward pass** — all reversible edges are flipped and the same
-  procedure runs in reverse topological order, starting from the row
-  masks the forward pass left behind (Fig. 3b).
+* :func:`build_filter` — build, or fetch from the cross-query cache,
+  the filter over one relation's surviving join keys (exact→Bloom
+  degradation under a memory budget, fault point, budget charge and
+  cache commit all live here and nowhere else);
+* :func:`probe_filter` — the chunked membership probe of a relation's
+  keys against a shipped filter;
+* :func:`run_pass` — visit vertices in a given order along a given set
+  of directed edges: each vertex first applies every filter parked at
+  it (the single-scan *filter transformation* of Fig. 2), then builds
+  one outgoing filter per out-edge from its survivors.
+
+A strategy picks the graph, the passes and the filter kind:
+
+* **predicate transfer** (:func:`run_transfer_rows`, this module) — a
+  forward pass in topological order of the PT DAG, then a backward
+  pass over the flipped reversible edges in reverse order, starting
+  from the rows the forward pass left behind (Fig. 3b); Bloom filters
+  by default, exact key sets for the §3.2 "Filter Type" ablation.
+* **Yannakakis** (:mod:`repro.core.yannakakis`) — a bottom-up and a
+  top-down pass over a join tree with exact filters.
+* **BloomJoin** (:mod:`repro.core.runner`) — one Bloom filter per
+  join, shipped from its build side to its probe side.
 
 Incoming filters are applied most-selective-first (LIP-style ordering,
 paper §3.2, citing [39]) using the observed reduction at the producing
 vertex as the selectivity estimate; this is ablatable via
 :class:`TransferConfig`.
 
-Filter representation is pluggable: Bloom filters (the paper's choice)
-or exact key sets (which turns a transfer into a semi-join).
+The state the kernel works on is one :class:`ExecContext` per query:
+the scanned relations and their surviving rows, plus the statistics,
+deadline/budget context, cross-query cache binding, key-hash memo,
+build-sort memo and worker pool every phase shares.  Each of those is
+always present — an unconfigured one is a no-op (no deadline, no
+budget, nothing cacheable, serial) — so no phase tests for them.
 
-Hot-path note: all hashing is memoized in a query-scoped
+Hot-path note: all hashing is memoized in the context's
 :class:`~repro.filters.hashcache.KeyHashCache` — each ``(alias,
-key_columns)`` pair is normalized and splitmix64-hashed once, and every
+key_columns)`` pair is normalized and hashed once, and every
 subsequent edge/pass/round serves row subsets by index gather.  Bloom
-filters consume the cached hash pair directly via their ``*_hashes``
+filters consume the cached hashes directly via their ``*_hashes``
 entry points, so no per-edge re-hashing happens at all.
 
-Cross-query caching: when a :class:`~repro.cache.context.QueryCache`
-is supplied, filters built at **pristine** vertices — vertices whose
-surviving rows still equal the local-predicate survivors, i.e. no
-incoming filter has shrunk them yet — are looked up / stored under
+Cross-query caching: filters built at **pristine** vertices — vertices
+whose surviving rows still equal the local-predicate survivors, i.e.
+no incoming filter has shrunk them yet — are looked up / stored under
 deterministic fingerprints.  A pristine build is a pure function of
 (table contents, local predicate, key columns, filter kind, fpp), so a
 cache hit returns a filter byte-identical to what this query would
-have built; non-pristine vertices always build from scratch.
+have built; shrunk vertices always build from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
+from ..cache.context import QueryCache
+from ..cache.store import FilterCache
 from ..context import QueryContext
+from ..engine.hashjoin import BuildSortCache
 from ..engine.parallel import (
     ParallelContext,
     parallel_bloom_build,
     parallel_membership,
 )
-from ..engine.stats import TransferStats
+from ..engine.stats import QueryStats, TransferStats
 from ..errors import FilterError
 from ..filters.bloom import BloomFilter
 from ..filters.exact import ExactFilter
 from ..filters.hashcache import KeyHashCache
-from ..storage.table import Table
+from ..filters.hashing import bloom_keys
+from ..storage.view import AnyTable
 from ..testing.faults import fault_point
 from .ptgraph import PTEdge, PTGraph
 
@@ -138,220 +158,188 @@ class _IncomingFilter:
 
 
 @dataclass
-class TransferState:
-    """Mutable per-query transfer state.
+class ExecContext:
+    """Everything the phases of one query execution share.
+
+    Created once per query by the runner (or with all defaults by the
+    mask-form wrappers: serial, uncached, no deadline, no budget) and
+    handed to every phase, which reads its inputs from it and leaves
+    its outputs on it: the scan fills ``tables`` and ``rows``, a
+    pre-filter schedule shrinks ``rows``, every phase accounts into
+    ``stats``.
 
     Survivors are tracked as **sorted row-index vectors** (not boolean
-    masks): every consumer of the transfer loop needs the index form
-    anyway (hash gathers, filter builds), and index vectors shrink with
-    the survivors while masks would keep costing O(base rows) to scan,
-    sum and rebuild on every touch.  The runner consumes the vectors
-    directly as join-phase selection vectors; masks exist only behind
-    the :func:`run_transfer` compatibility wrapper.
+    masks): every consumer of the kernel needs the index form anyway
+    (hash gathers, filter builds), and index vectors shrink with the
+    survivors while masks would keep costing O(base rows) to scan, sum
+    and rebuild on every touch.  The join phase consumes the vectors
+    directly as selection vectors; masks exist only behind the
+    mask-form wrappers.
     """
 
-    tables: dict[str, Table]
-    rows: dict[str, np.ndarray]
-    pending: dict[str, list[_IncomingFilter]] = field(default_factory=dict)
-    hashes: KeyHashCache = field(default_factory=KeyHashCache)
-    # Cross-query filter cache hookup: aliases whose surviving rows
-    # still equal the local-predicate survivors (cacheable builds).
-    cache: object | None = None
-    pristine: set[str] = field(default_factory=set)
-    # Intra-query parallel dispatch (serial by default); chunked
-    # kernels stay byte-identical to serial execution, so the filter
-    # cache's pristine-vertex entries remain valid across thread counts.
+    stats: QueryStats = field(default_factory=QueryStats)
+    # Deadline / cancellation checks and memory-budget charging.
+    qctx: QueryContext = field(default_factory=QueryContext)
+    # This query's window onto the cross-query cache.  The default
+    # binds no alias, so nothing is cacheable and its store is never
+    # read or written: the uncached executor.
+    cache: QueryCache = field(
+        default_factory=lambda: QueryCache(FilterCache(), {})
+    )
+    # Chunked kernels stay byte-identical to serial execution, so
+    # cached filters remain valid across thread counts.
     parallel: ParallelContext = field(default_factory=ParallelContext)
-    # Resilience: deadline/cancellation checks per vertex, memory-budget
-    # charging (with exact→Bloom degradation) per built filter.
-    qctx: QueryContext | None = None
+    hashes: KeyHashCache = field(default_factory=KeyHashCache)
+    build_cache: BuildSortCache = field(default_factory=BuildSortCache)
+    tables: dict[str, AnyTable] = field(default_factory=dict)
+    rows: dict[str, np.ndarray] = field(default_factory=dict)
+    # Aliases an incoming filter has reduced below their
+    # local-predicate survivors; filters built there are not cacheable.
+    shrunk: set[str] = field(default_factory=set)
+    # id(join-phase input relation) -> alias.  Join intermediates are
+    # absent: they are fresh objects no memo lookup could hit, and a
+    # memo would pin their columns (plus full-size hash/sort arrays)
+    # until query end.
+    alias_of: dict[int, str] = field(default_factory=dict)
 
-    def selected_count(self, alias: str) -> int:
-        """Rows currently surviving at ``alias``."""
-        return len(self.rows[alias])
+    def row_counts(self) -> dict[str, int]:
+        """Rows currently surviving per alias."""
+        return {alias: len(r) for alias, r in self.rows.items()}
 
-    def selectivity(self, alias: str) -> float:
-        """Fraction of base rows surviving at ``alias``."""
-        total = self.tables[alias].num_rows
-        return len(self.rows[alias]) / total if total else 1.0
+    def key_hashes(
+        self,
+        alias: str | None,
+        table: AnyTable,
+        key_columns: tuple[str, ...],
+        rows: np.ndarray | None,
+    ) -> np.ndarray:
+        """Mixed 64-bit join-key hashes of ``rows`` (``None`` = all).
 
-    def masks(self) -> dict[str, np.ndarray]:
-        """Materialize the surviving rows as boolean masks."""
-        return rows_to_masks(
-            self.rows, {a: t.num_rows for a, t in self.tables.items()}
-        )
+        A relation known by ``alias`` is hashed once over its full key
+        columns and served by index gather thereafter (gather-free
+        while every row is alive); a join intermediate (``alias`` is
+        ``None``) is hashed directly.
+        """
+        columns = [table.column(c) for c in key_columns]
+        if rows is not None and len(rows) == table.num_rows:
+            rows = None
+        if alias is not None:
+            return self.hashes.bloom_keys(columns, rows)
+        keys = bloom_keys(columns)
+        return keys if rows is None else keys[rows]
 
 
 def run_transfer_rows(
-    ptgraph: PTGraph,
-    tables: dict[str, Table],
-    rows: dict[str, np.ndarray],
-    config: TransferConfig | None = None,
-    hashes: KeyHashCache | None = None,
-    cache=None,
-    parallel: ParallelContext | None = None,
-    qctx: QueryContext | None = None,
-) -> tuple[dict[str, np.ndarray], TransferStats]:
-    """Run the predicate transfer phase on sorted row-index vectors.
+    state: ExecContext, ptgraph: PTGraph, config: TransferConfig
+) -> None:
+    """Run the predicate transfer schedule over ``state.rows``.
 
-    This is the native entry point: survivors come in and go out as
-    sorted row-index vectors (the transfer loop's internal form), which
-    the late-materializing executor feeds straight into join-phase
-    selection vectors — no boolean mask is ever materialized.
-
-    Parameters
-    ----------
-    ptgraph:
-        The oriented transfer DAG.
-    tables:
-        Alias → scanned table (columns qualified ``alias.col``).  Any
-        object with ``column``/``num_rows`` works (tables or views).
-    rows:
-        Alias → sorted surviving row indices (local predicates
-        pre-applied).  Input vectors are never mutated.
-    hashes:
-        Optional query-scoped hash cache to share with other phases
-        (the runner passes one so BloomJoin/scan hashing is reused); a
-        private cache is created when omitted.
-    cache:
-        Optional :class:`~repro.cache.context.QueryCache` enabling
-        cross-query reuse of filters built at pristine vertices.
-    parallel:
-        Optional :class:`~repro.engine.parallel.ParallelContext`;
-        Bloom builds run partition-parallel (per-chunk filters
-        OR-merged word-wise) and every filter probe is chunked, with
-        results byte-identical to serial execution.  Omitted = the
-        serial executor.
-    qctx:
-        Optional :class:`~repro.context.QueryContext`: checked per
-        vertex (deadline/cancellation) and charged per built filter
-        (memory budget; exact filters degrade to Bloom before failing).
-
-    Returns the reduced row vectors and phase statistics.
+    This is the native entry point: survivors stay sorted row-index
+    vectors throughout, which the late-materializing executor feeds
+    straight into join-phase selection vectors — no boolean mask is
+    ever materialized.  The vectors bound on entry are never mutated;
+    ``state.rows`` is rebound to the reduced ones and the filter
+    statistics land in ``state.stats.transfer``.
     """
-    config = config or TransferConfig()
-    state = TransferState(
-        tables=tables,
-        rows=dict(rows),
-        hashes=hashes or KeyHashCache(),
-        cache=cache,
-        pristine=set(rows) if cache is not None else set(),
-        parallel=parallel or ParallelContext(),
-        qctx=qctx,
-    )
-    stats = TransferStats()
-    for alias in rows:
-        stats.rows_before[alias] = state.selected_count(alias)
-
     order = ptgraph.topological_order()
     for round_index in range(config.rounds):
-        survivors_before = sum(state.selected_count(a) for a in rows)
+        survivors_before = sum(map(len, state.rows.values()))
         if config.forward:
-            _run_pass(state, order, ptgraph.forward_edges(), config, stats)
+            run_pass(state, order, ptgraph.forward_edges(), config)
         if config.backward:
-            _run_pass(
-                state, list(reversed(order)), ptgraph.backward_edges(), config, stats
-            )
+            run_pass(state, list(reversed(order)), ptgraph.backward_edges(), config)
         # Extra rounds stop early once a fixpoint is reached.
         if round_index and survivors_before == sum(
-            state.selected_count(a) for a in rows
+            map(len, state.rows.values())
         ):
             break
 
-    for alias in rows:
-        stats.rows_after[alias] = state.selected_count(alias)
-    return state.rows, stats
+
+def run_on_masks(
+    schedule: Callable[[ExecContext], None],
+    tables: dict[str, AnyTable],
+    masks: dict[str, np.ndarray],
+) -> tuple[dict[str, np.ndarray], TransferStats]:
+    """Run a pre-filter schedule on boolean survivor masks.
+
+    The body of the mask-form wrappers, kept for callers (and tests)
+    that think in masks; the runner itself uses the row-vector form.
+    The schedule runs under a default context — serial, uncached, no
+    deadline, no budget.  ``masks`` (local predicates pre-applied) is
+    not mutated; reduced copies come back with the phase statistics.
+    """
+    state = ExecContext(tables=tables, rows=masks_to_rows(masks))
+    stats = state.stats.transfer
+    stats.rows_before = state.row_counts()
+    schedule(state)
+    stats.rows_after = state.row_counts()
+    lengths = {a: len(m) for a, m in masks.items()}
+    return rows_to_masks(state.rows, lengths), stats
 
 
 def run_transfer(
     ptgraph: PTGraph,
-    tables: dict[str, Table],
+    tables: dict[str, AnyTable],
     masks: dict[str, np.ndarray],
-    config: TransferConfig | None = None,
-    hashes: KeyHashCache | None = None,
+    config: TransferConfig = TransferConfig(),
 ) -> tuple[dict[str, np.ndarray], TransferStats]:
-    """Boolean-mask wrapper around :func:`run_transfer_rows`.
-
-    Kept for callers (and tests) that think in masks; the runner itself
-    uses the row-vector form.  ``masks`` is not mutated.
-    """
-    out_rows, stats = run_transfer_rows(
-        ptgraph, tables, masks_to_rows(masks), config, hashes
+    """Boolean-mask wrapper around :func:`run_transfer_rows`."""
+    return run_on_masks(
+        lambda state: run_transfer_rows(state, ptgraph, config), tables, masks
     )
-    lengths = {a: len(m) for a, m in masks.items()}
-    return rows_to_masks(out_rows, lengths), stats
 
 
-def _run_pass(
-    state: TransferState,
+def run_pass(
+    state: ExecContext,
     order: list[str],
     edges: list[PTEdge],
     config: TransferConfig,
-    stats: TransferStats,
 ) -> None:
     """One pass: visit vertices in ``order`` along the given edges."""
+    stats = state.stats.transfer
     out_edges: dict[str, list[PTEdge]] = {}
     for e in edges:
         out_edges.setdefault(e.src, []).append(e)
-    state.pending = {alias: [] for alias in order}
+    parked: dict[str, list[_IncomingFilter]] = {alias: [] for alias in order}
 
     for alias in order:
-        if state.qctx is not None:
-            state.qctx.check("predicate transfer")
-        _apply_incoming(state, alias, config, stats)
+        state.qctx.check("transfer pass")
+        rows = _apply_incoming(state, alias, parked[alias], config.lip_reorder)
         emit = out_edges.get(alias, [])
         if not emit:
             continue
-        selectivity = state.selectivity(alias)
+        table = state.tables[alias]
+        selectivity = len(rows) / table.num_rows if table.num_rows else 1.0
         if (
             config.prune_selectivity is not None
             and selectivity >= config.prune_selectivity
         ):
             stats.edges_pruned += len(emit)
             continue
-        rows = state.rows[alias]
         for e in sorted(emit, key=lambda x: x.dst):
-            filt = _build_filter(state, alias, rows, e.src_keys, config, stats)
-            state.pending[e.dst].append(
-                _IncomingFilter(filt, e.dst_keys, selectivity)
+            filt = build_filter(
+                state, alias, table, rows, e.src_keys, config.filter_type, config.fpp
             )
-            stats.filters_built += 1
-            stats.edges_traversed += 1
+            parked[e.dst].append(_IncomingFilter(filt, e.dst_keys, selectivity))
 
 
 def _apply_incoming(
-    state: TransferState, alias: str, config: TransferConfig, stats: TransferStats
-) -> None:
-    incoming = state.pending.get(alias, [])
-    if not incoming:
-        return
-    if config.lip_reorder:
+    state: ExecContext, alias: str, incoming: list[_IncomingFilter], lip_reorder: bool
+) -> np.ndarray:
+    """Shrink ``alias``'s survivors by the filters parked at it."""
+    if lip_reorder:
         incoming = sorted(incoming, key=lambda f: f.producer_selectivity)
     table = state.tables[alias]
     rows = state.rows[alias]
-    # All rows alive: serve the cached full-column hashes gather-free.
-    gather = rows if len(rows) < table.num_rows else None
     for inc in incoming:
         if len(rows) == 0:
             break
-        columns = [table.column(c) for c in inc.key_columns]
-        keys = state.hashes.bloom_keys(columns, gather)
-        keep = parallel_membership(state.parallel, inc.filt, keys)
-        if isinstance(inc.filt, BloomFilter):
-            stats.bloom_probes += len(rows)
-        else:
-            stats.hash_probes += len(rows)
+        keep = probe_filter(state, inc.filt, alias, table, inc.key_columns, rows)
         if not keep.all():
-            if gather is None:
-                rows = np.flatnonzero(keep)
-            else:
-                rows = rows[keep]
-            gather = rows
-            # Rows no longer equal the local-predicate survivors, so
-            # filters built here stop being cross-query cacheable.
-            state.pristine.discard(alias)
+            rows = rows[keep]
+            state.shrunk.add(alias)
     state.rows[alias] = rows
-    state.pending[alias] = []
+    return rows
 
 
 def exact_bytes_estimate(n_keys: int) -> int:
@@ -367,61 +355,84 @@ def exact_bytes_estimate(n_keys: int) -> int:
     return size * 9
 
 
-def _build_filter(
-    state: TransferState,
-    alias: str,
-    rows: np.ndarray,
+def build_filter(
+    state: ExecContext,
+    alias: str | None,
+    table: AnyTable,
+    rows: np.ndarray | None,
     key_columns: tuple[str, ...],
-    config: TransferConfig,
-    stats: TransferStats,
+    kind: str,
+    fpp: float,
 ):
-    cacheable = (
-        state.cache is not None
-        and alias in state.pristine
-        and state.cache.cacheable(alias)
-    )
-    params = f"fpp={config.fpp!r}" if config.filter_type == "bloom" else ""
+    """The ``kind`` filter over the ``key_columns`` of ``rows``.
+
+    ``rows`` are ``table``'s surviving row indices (``None`` = all);
+    ``alias`` names the relation for memoized hashing and cross-query
+    caching, and is ``None`` for a join intermediate.  The filter is
+    fetched from the cache when ``alias`` is pristine and versioned,
+    built (and committed back) otherwise.
+    """
+    stats = state.stats.transfer
+    n_keys = table.num_rows if rows is None else len(rows)
+    cacheable = alias not in state.shrunk and state.cache.cacheable(alias)
+    params = f"fpp={fpp!r}" if kind == "bloom" else ""
+    filt = None
     if cacheable:
-        cached = state.cache.get_filter(
-            alias, key_columns, config.filter_type, params
-        )
-        if cached is not None:
-            stats.filter_bytes += cached.size_bytes()
-            return cached
-    qctx = state.qctx
-    kind = config.filter_type
-    if (
-        kind == "exact"
-        and qctx is not None
-        and qctx.would_exceed(exact_bytes_estimate(len(rows)))
-    ):
-        # Graceful degradation: a Bloom filter at the configured fpp is
-        # ~an order of magnitude smaller and — having no false
-        # negatives — keeps results byte-identical; it just pre-filters
-        # less precisely.  Degraded filters are never cached: they
-        # would poison the exact-kind fingerprint for future queries.
-        kind = "bloom"
-        cacheable = False
-        qctx.note_degraded()
-    table = state.tables[alias]
-    columns = [table.column(c) for c in key_columns]
-    gather = rows if len(rows) < table.num_rows else None
-    keys = state.hashes.bloom_keys(columns, gather)
-    if kind == "bloom":
-        filt = parallel_bloom_build(
-            state.parallel, keys, capacity=len(rows), fpp=config.fpp
-        )
-        stats.bloom_inserts += len(rows)
-    else:
-        filt = ExactFilter.from_keys(keys)
-        stats.hash_inserts += len(rows)
-    # The fault point sits between build and commit: an injected build
-    # failure propagates before the put below, so a partially-trusted
-    # filter is never committed to the shared cache.
-    fault_point("filter.build")
-    if qctx is not None:
-        qctx.charge(filt.size_bytes(), f"transfer filter at {alias}")
+        filt = state.cache.get_filter(alias, key_columns, kind, params)
+    if filt is None:
+        build_kind = kind
+        if kind == "exact" and state.qctx.would_exceed(
+            exact_bytes_estimate(n_keys)
+        ):
+            # Graceful degradation: a Bloom filter is ~an order of
+            # magnitude smaller and — having no false negatives — keeps
+            # results byte-identical; it just pre-filters less
+            # precisely.  Degraded filters are never cached: they would
+            # poison the exact-kind fingerprint for future queries.
+            build_kind = "bloom"
+            cacheable = False
+            state.qctx.note_degraded()
+        keys = state.key_hashes(alias, table, key_columns, rows)
+        if build_kind == "bloom":
+            filt = parallel_bloom_build(
+                state.parallel, keys, capacity=n_keys, fpp=fpp
+            )
+            stats.bloom_inserts += n_keys
+        else:
+            filt = ExactFilter.from_keys(keys)
+            stats.hash_inserts += n_keys
+        # The fault point sits between build and commit: an injected
+        # build failure (or a budget overrun on the charge) propagates
+        # before the put below, so a partially-trusted filter is never
+        # committed to the shared cache.
+        fault_point("filter.build")
+        state.qctx.charge(filt.size_bytes(), f"filter at {alias or 'join input'}")
+        if cacheable:
+            state.cache.put_filter(alias, key_columns, kind, params, filt)
+    stats.filters_built += 1
     stats.filter_bytes += filt.size_bytes()
-    if cacheable:
-        state.cache.put_filter(alias, key_columns, config.filter_type, params, filt)
+    stats.edges_traversed += 1
     return filt
+
+
+def probe_filter(
+    state: ExecContext,
+    filt,
+    alias: str | None,
+    table: AnyTable,
+    key_columns: tuple[str, ...],
+    rows: np.ndarray | None,
+) -> np.ndarray:
+    """Membership mask of ``rows``' join keys against a shipped filter.
+
+    Same ``alias`` / ``rows`` conventions as :func:`build_filter`; the
+    probe is chunked over the context's worker pool.
+    """
+    stats = state.stats.transfer
+    keys = state.key_hashes(alias, table, key_columns, rows)
+    keep = parallel_membership(state.parallel, filt, keys)
+    if isinstance(filt, BloomFilter):
+        stats.bloom_probes += len(keys)
+    else:
+        stats.hash_probes += len(keys)
+    return keep

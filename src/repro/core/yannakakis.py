@@ -1,19 +1,30 @@
-"""The Yannakakis baseline (paper §2.2 and §4.1).
+"""The Yannakakis baseline (paper §2.2 and §4.1) as a transfer schedule.
 
-The semi-join phase of the Yannakakis algorithm, implemented with exact
-key-set filters (each semi-join builds a hash set of the child's keys
-and probes the parent — unit-cost hash ops in the paper's cost model).
+Yannakakis' semi-join phase is predicate transfer over a join *tree*
+with exact filters (§3.2 "Filter Type"), so this module holds no
+filter code of its own: it picks a rooted spanning tree of the join
+graph and hands the shared kernel (:func:`repro.core.transfer.run_pass`)
+two passes —
+
+* **bottom-up**: every vertex ships an exact key-set filter to its
+  parent (each vertex is reduced by its children);
+* **top-down**: every vertex ships one to each child.
+
+Each shipped filter is a semi-join: a hash set of the source's
+surviving keys probed by the destination — unit-cost hash ops in the
+paper's cost model.
 
 Per the paper's setup, two extensions make it applicable to all TPC-H
 queries:
 
 * non-inner edges adopt the same direction-blocking rules as predicate
-  transfer (a semi-join along a blocked direction is skipped);
+  transfer (a blocked direction's edge is left out of its pass, so it
+  ships nothing);
 * cyclic join graphs fall back to a spanning-tree plan with
   **residual-edge post-verification**: a root is picked, the BFS tree
-  drives the two semi-join passes, and every edge off the tree — the
-  source of classical Yannakakis' filtering loss on cyclic queries
-  like Q5 (§4.3) — is then verified as an extra semi-join in each
+  drives the two passes, and every edge off the tree — the source of
+  classical Yannakakis' filtering loss on cyclic queries like Q5
+  (§4.3) — is then verified as an extra two-vertex pass in each
   allowed direction.  Verification only removes rows that provably
   have no partner on the cycle edge, so it is always sound; the exact
   Yannakakis guarantee (every survivor participates in the join
@@ -31,21 +42,14 @@ from dataclasses import dataclass, field
 import networkx as nx
 import numpy as np
 
-from ..context import QueryContext
-from ..engine.parallel import ParallelContext, parallel_membership
 from ..engine.stats import TransferStats
-from ..filters.bloom import BloomFilter
-from ..filters.exact import ExactFilter
-from ..filters.hashcache import KeyHashCache
 from ..plan.joingraph import edge_keys_for
-from ..storage.table import Table
-from ..testing.faults import fault_point
-from .ptgraph import allowed_directions
-from .transfer import exact_bytes_estimate, masks_to_rows, rows_to_masks
+from ..storage.view import AnyTable
+from .ptgraph import PTEdge, allowed_directions
+from .transfer import ExecContext, TransferConfig, run_on_masks, run_pass
 
-#: Target fpp for semi-join filters degraded exact→Bloom under a
-#: memory budget (the paper's default transfer fpp).
-DEGRADED_FPP = 0.01
+#: Semi-joins are transfers with exact key-set filters.
+SEMI_JOIN = TransferConfig(filter_type="exact")
 
 
 @dataclass
@@ -82,175 +86,56 @@ def build_join_tree(join_graph: nx.Graph, root: str | None = None) -> JoinTree:
     return JoinTree(root=root, tree=tree, dropped_edges=dropped)
 
 
-def _direction_allowed(join_graph: nx.Graph, src: str, dst: str) -> bool:
-    """May a semi-join filter flow from ``src`` into ``dst``?"""
+def _allowed_edge(join_graph: nx.Graph, src: str, dst: str) -> list[PTEdge]:
+    """The ``src``→``dst`` transfer edge, or nothing if that direction
+    of the join edge is blocked (left/anti joins, §3.4)."""
     data = join_graph.edges[src, dst]
     l2r, r2l = allowed_directions(data)
-    if data["syntactic_left"] == src:
-        return l2r
-    return r2l
-
-
-def _semi_join(
-    join_graph: nx.Graph,
-    tables: dict[str, Table],
-    rows: dict[str, np.ndarray],
-    src: str,
-    dst: str,
-    stats: TransferStats,
-    hashes: KeyHashCache,
-    cache=None,
-    pristine: set[str] | None = None,
-    parallel: ParallelContext | None = None,
-    qctx: QueryContext | None = None,
-) -> None:
-    """Filter ``dst`` to rows whose key matches a surviving ``src`` row."""
-    if qctx is not None:
-        qctx.check("semi-join")
-    keys_src_dst = edge_keys_for(join_graph, src, dst)
-    src_rows = rows[src]
-    dst_rows = rows[dst]
-    if len(dst_rows) == 0:
-        return
-    # Cross-query reuse: a semi-join filter built while ``src`` is still
-    # at its local-predicate survivors is a pure function of (table
-    # contents, predicate, key columns) and therefore cacheable.
-    src_key_cols = tuple(a for a, _ in keys_src_dst)
-    cacheable = (
-        cache is not None
-        and pristine is not None
-        and src in pristine
-        and cache.cacheable(src)
-    )
-    filt = None
-    if cacheable:
-        filt = cache.get_filter(src, src_key_cols, "exact-semi", "")
-    if filt is None:
-        src_cols = [tables[src].column(a) for a, _ in keys_src_dst]
-        src_keys = hashes.bloom_keys(src_cols, src_rows)
-        if (
-            qctx is not None
-            and qctx.would_exceed(exact_bytes_estimate(len(src_rows)))
-        ):
-            # Memory-budget degradation: a Bloom filter keeps the
-            # semi-join sound (no false negatives — only extra
-            # survivors the join phase re-checks), at a fraction of the
-            # exact set's footprint.  Never cached: the "exact-semi"
-            # fingerprint promises an exact filter.
-            filt = BloomFilter(capacity=len(src_rows), fpp=DEGRADED_FPP)
-            filt.add_hashes(src_keys)
-            stats.bloom_inserts += len(src_rows)
-            qctx.note_degraded()
-            cacheable = False
-        else:
-            filt = ExactFilter.from_keys(src_keys)
-            stats.hash_inserts += len(src_rows)
-        fault_point("filter.build")
-        if qctx is not None:
-            qctx.charge(filt.size_bytes(), f"semi-join filter at {src}")
-        if cacheable:
-            cache.put_filter(src, src_key_cols, "exact-semi", "", filt)
-    dst_cols = [tables[dst].column(b) for _, b in keys_src_dst]
-    keep = parallel_membership(
-        parallel or ParallelContext(),
-        filt,
-        hashes.bloom_keys(dst_cols, dst_rows),
-    )
-    if isinstance(filt, BloomFilter):
-        stats.bloom_probes += len(dst_rows)
-    else:
-        stats.hash_probes += len(dst_rows)
-    if not keep.all():
-        rows[dst] = dst_rows[keep]
-        if pristine is not None:
-            pristine.discard(dst)
-    stats.edges_traversed += 1
+    if not (l2r if data["syntactic_left"] == src else r2l):
+        return []
+    keys = edge_keys_for(join_graph, src, dst)
+    return [
+        PTEdge(src, dst, tuple(a for a, _ in keys), tuple(b for _, b in keys), True)
+    ]
 
 
 def run_semi_join_rows(
-    join_graph: nx.Graph,
-    tables: dict[str, Table],
-    rows: dict[str, np.ndarray],
-    root: str | None = None,
-    hashes: KeyHashCache | None = None,
-    cache=None,
-    parallel: ParallelContext | None = None,
-    qctx: QueryContext | None = None,
-) -> tuple[dict[str, np.ndarray], TransferStats]:
-    """Yannakakis semi-join passes over sorted row-index vectors.
+    state: ExecContext, join_graph: nx.Graph, root: str | None = None
+) -> None:
+    """Run the Yannakakis schedule over ``state.rows``.
 
-    Native entry point of the late-materializing executor: survivors
-    stay in index-vector form throughout (shrinking with each
-    semi-join), ready to serve as join-phase selection vectors.  Input
-    vectors are never mutated.  ``hashes`` memoizes key hashing per
-    column set, so each vertex's key columns are normalized once across
-    the forward and backward passes.  ``cache`` (an optional
-    :class:`~repro.cache.context.QueryCache`) enables cross-query reuse
-    of semi-join filters built while the source vertex is still at its
-    local-predicate survivors.  ``parallel`` chunks the semi-join
-    probes over the intra-query pool (byte-identical merge order).
+    Same contract as :func:`repro.core.transfer.run_transfer_rows`:
+    survivors stay sorted row-index vectors, the vectors bound on entry
+    are never mutated, ``state.rows`` is rebound to the reduced ones
+    and the filter statistics land in ``state.stats.transfer``.
     """
-    rows = dict(rows)
-    stats = TransferStats()
-    hashes = hashes or KeyHashCache()
-    parallel = parallel or ParallelContext()
-    pristine: set[str] | None = set(rows) if cache is not None else None
-    for alias in rows:
-        stats.rows_before[alias] = len(rows[alias])
-
     for component in nx.connected_components(join_graph):
         if len(component) < 2:
             continue
-        subgraph = join_graph.subgraph(component)
-        component_root = root if root in component else None
-        jtree = build_join_tree(subgraph, component_root)
-        # Forward pass (bottom-up): each vertex is reduced by its children.
-        for parent in jtree.bottom_up():
-            for child in jtree.tree.successors(parent):
-                if _direction_allowed(join_graph, child, parent):
-                    _semi_join(
-                        join_graph, tables, rows, child, parent, stats,
-                        hashes, cache, pristine, parallel, qctx,
-                    )
-        # Backward pass (top-down): each child is reduced by its parent.
-        for parent in jtree.top_down():
-            for child in jtree.tree.successors(parent):
-                if _direction_allowed(join_graph, parent, child):
-                    _semi_join(
-                        join_graph, tables, rows, parent, child, stats,
-                        hashes, cache, pristine, parallel, qctx,
-                    )
+        jtree = build_join_tree(
+            join_graph.subgraph(component), root if root in component else None
+        )
+        up = [e for p, c in jtree.tree.edges for e in _allowed_edge(join_graph, c, p)]
+        down = [e for p, c in jtree.tree.edges for e in _allowed_edge(join_graph, p, c)]
+        run_pass(state, jtree.bottom_up(), up, SEMI_JOIN)
+        run_pass(state, jtree.top_down(), down, SEMI_JOIN)
         # Residual-edge post-verification (the cyclic fallback): edges
         # the spanning tree skipped still constrain the final join, so
-        # probe them as extra semi-joins in every allowed direction.
+        # ship a filter across them in every allowed direction.
         for u, v in sorted(jtree.dropped_edges):
             for src, dst in ((u, v), (v, u)):
-                if _direction_allowed(join_graph, src, dst):
-                    _semi_join(
-                        join_graph, tables, rows, src, dst, stats,
-                        hashes, cache, pristine, parallel, qctx,
-                    )
-                    stats.edges_verified += 1
-
-    for alias in rows:
-        stats.rows_after[alias] = len(rows[alias])
-    return rows, stats
+                for e in _allowed_edge(join_graph, src, dst):
+                    run_pass(state, [src, dst], [e], SEMI_JOIN)
+                    state.stats.transfer.edges_verified += 1
 
 
 def run_semi_join_phase(
     join_graph: nx.Graph,
-    tables: dict[str, Table],
+    tables: dict[str, AnyTable],
     masks: dict[str, np.ndarray],
     root: str | None = None,
-    hashes: KeyHashCache | None = None,
 ) -> tuple[dict[str, np.ndarray], TransferStats]:
-    """Boolean-mask wrapper around :func:`run_semi_join_rows`.
-
-    ``masks`` (local predicates pre-applied) is not mutated; reduced
-    copies are returned together with hash-op statistics.
-    """
-    out_rows, stats = run_semi_join_rows(
-        join_graph, tables, masks_to_rows(masks), root, hashes
+    """Boolean-mask wrapper around :func:`run_semi_join_rows`."""
+    return run_on_masks(
+        lambda state: run_semi_join_rows(state, join_graph, root), tables, masks
     )
-    lengths = {a: len(m) for a, m in masks.items()}
-    return rows_to_masks(out_rows, lengths), stats

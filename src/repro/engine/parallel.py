@@ -103,7 +103,8 @@ class ParallelContext:
     ) -> None:
         self.threads = max(1, min(int(threads), MAX_THREADS))
         self.tasks = 0
-        self.qctx = qctx
+        # Checked between chunk kernels; the default never fires.
+        self.qctx = qctx or QueryContext()
         self._executor = executor
 
     # ------------------------------------------------------------------
@@ -140,8 +141,7 @@ class ParallelContext:
         if not self.parallel or len(work) <= 1:
             out = []
             for item in work:
-                if qctx is not None:
-                    qctx.check("chunk kernel")
+                qctx.check("chunk kernel")
                 fault_point("chunk.kernel")
                 out.append(fn(item))
             return out
@@ -151,8 +151,7 @@ class ParallelContext:
             # Runs on a pool worker: a failed check raises there and
             # surfaces through the ordered merge below, so the whole
             # phase aborts within one morsel.
-            if qctx is not None:
-                qctx.check("chunk kernel")
+            qctx.check("chunk kernel")
             fault_point("chunk.kernel")
             return fn(item)
 

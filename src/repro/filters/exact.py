@@ -1,21 +1,14 @@
 """Exact (semi-join-precise) transferable filter.
 
 Answers membership exactly, so a transfer using it is a genuine
-semi-join — the Yannakakis baseline builds directly on it, and the
-transfer engine can be switched to it for the §3.2 "Filter Type"
-ablation.
+semi-join — the Yannakakis schedule ships these, and the transfer
+schedule can be switched to them for the §3.2 "Filter Type" ablation.
 
-Two backends:
-
-* ``"hash"`` (default) — a linear-probing hash table
-  (:class:`~repro.filters.hashset.VectorHashSet`).  This is the faithful
-  backend: the paper's §3.5 cost model charges a unit per hash-table
-  insert/probe, and the random-access slot traffic of a real hash table
-  is what makes the Yannakakis semi-join phase expensive relative to
-  Bloom transfer.
-* ``"sorted"`` — a sorted distinct-key array probed by binary search.
-  Cheaper in vectorized NumPy; provided as an ablation to show how much
-  of Yannakakis' measured penalty is the hash-table access pattern.
+The key store is a linear-probing hash table
+(:class:`~repro.filters.hashset.VectorHashSet`): the paper's §3.5 cost
+model charges a unit per hash-table insert/probe, and the random-access
+slot traffic of a real hash table is what makes the Yannakakis
+semi-join phase expensive relative to Bloom transfer.
 
 Cost accounting matches the paper's model: one hash insert per input
 key on build, one hash probe per key on lookup.
@@ -27,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FilterError
 from .base import TransferableFilter
 from .hashset import VectorHashSet
 
@@ -36,19 +28,14 @@ from .hashset import VectorHashSet
 class ExactFilter(TransferableFilter):
     """A precise key-set filter over ``uint64`` keys."""
 
-    backend: str = "hash"
-
     def __post_init__(self) -> None:
         super().__init__()
-        if self.backend not in ("hash", "sorted"):
-            raise FilterError(f"unknown exact-filter backend {self.backend!r}")
         self._set: VectorHashSet | None = None
-        self._sorted_keys = np.empty(0, dtype=np.uint64)
 
     @staticmethod
-    def from_keys(keys: np.ndarray, backend: str = "hash") -> "ExactFilter":
+    def from_keys(keys: np.ndarray) -> "ExactFilter":
         """Build a filter containing exactly ``keys``."""
-        filt = ExactFilter(backend=backend)
+        filt = ExactFilter()
         filt.add_keys(keys)
         return filt
 
@@ -59,10 +46,9 @@ class ExactFilter(TransferableFilter):
         inserts into the clone — the shared cached payload (checksummed
         at insertion) is never mutated.
         """
-        other = ExactFilter(backend=self.backend)
+        other = ExactFilter()
         if self._set is not None:
             other._set = self._set.clone()
-        other._sorted_keys = self._sorted_keys.copy()
         other.ops.inserts = self.ops.inserts
         other.ops.probes = self.ops.probes
         return other
@@ -71,31 +57,17 @@ class ExactFilter(TransferableFilter):
         """Insert keys (deduplicated)."""
         if len(keys) == 0:
             return
-        if self.backend == "hash":
-            if self._set is None:
-                self._set = VectorHashSet(capacity=len(keys))
-            self._set.insert(keys)
-        else:
-            if len(self._sorted_keys) == 0:
-                self._sorted_keys = np.unique(keys)
-            else:
-                self._sorted_keys = np.unique(
-                    np.concatenate([self._sorted_keys, keys])
-                )
+        if self._set is None:
+            self._set = VectorHashSet(capacity=len(keys))
+        self._set.insert(keys)
         self.ops.inserts += len(keys)
 
     def contains_keys(self, keys: np.ndarray) -> np.ndarray:
         """Exact membership mask."""
         self.ops.probes += len(keys)
-        if self.backend == "hash":
-            if self._set is None:
-                return np.zeros(len(keys), dtype=np.bool_)
-            return self._set.contains(keys)
-        if len(self._sorted_keys) == 0:
+        if self._set is None:
             return np.zeros(len(keys), dtype=np.bool_)
-        pos = np.searchsorted(self._sorted_keys, keys)
-        pos = np.minimum(pos, len(self._sorted_keys) - 1)
-        return self._sorted_keys[pos] == keys
+        return self._set.contains(keys)
 
     @property
     def exact(self) -> bool:
@@ -103,14 +75,10 @@ class ExactFilter(TransferableFilter):
         return True
 
     def __len__(self) -> int:
-        if self.backend == "hash":
-            return 0 if self._set is None else len(self._set)
-        return len(self._sorted_keys)
+        return 0 if self._set is None else len(self._set)
 
     def size_bytes(self) -> int:
         """Memory footprint of the key store."""
-        if self.backend == "hash":
-            if self._set is None:
-                return 0
-            return self._set._slots.nbytes + self._set._occupied.nbytes
-        return self._sorted_keys.nbytes
+        if self._set is None:
+            return 0
+        return self._set._slots.nbytes + self._set._occupied.nbytes

@@ -7,7 +7,7 @@ The serving layer grown on top of the single-query executor:
   :class:`Session` (per-client handle with history);
 * :mod:`.workload` — mixed TPC-H/SSB stream construction (repeated,
   shuffled, parameter-varied) and cold/warm replay, backing the
-  ``repro workload`` CLI and the ``BENCH_PR3.json`` artifact;
+  ``repro workload`` CLI;
 * :mod:`.protocol` — the length-prefixed JSON wire protocol (frame
   codecs, request/response constructors, error-code ↔ exception
   mapping);
@@ -17,7 +17,7 @@ The serving layer grown on top of the single-query executor:
 * :mod:`.client` — the resilient blocking :class:`ReproClient`
   (typed errors, saturation backoff via :class:`RetryPolicy`);
 * :mod:`.loadtest` — the closed-loop :func:`run_loadtest` driver
-  behind ``repro loadtest`` and the ``BENCH_PR7.json`` artifact.
+  behind ``repro loadtest``.
 """
 
 from __future__ import annotations

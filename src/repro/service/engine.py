@@ -382,7 +382,9 @@ class Engine:
     # ------------------------------------------------------------------
     # Query execution
     # ------------------------------------------------------------------
-    def _effective_config(self, config: RunConfig | None) -> RunConfig:
+    def _effective_config(
+        self, config: RunConfig | None, qctx: QueryContext
+    ) -> RunConfig:
         base = config or self._default_config
         parallel = (
             self._parallel
@@ -394,6 +396,7 @@ class Engine:
             filter_cache=self.filter_cache,
             shared_hashes=self._hashes,
             parallel=parallel,
+            context=qctx,
         )
 
     def _build_context(
@@ -452,10 +455,7 @@ class Engine:
         return min(5.0, max(self._retry_after_floor, avg * queued / self._workers))
 
     def _run(
-        self,
-        spec: QuerySpec,
-        config: RunConfig | None,
-        qctx: QueryContext | None = None,
+        self, spec: QuerySpec, config: RunConfig | None, qctx: QueryContext
     ) -> tuple[QueryResult, float]:
         """Execute one query; recording happens in :meth:`_resolve`.
 
@@ -466,9 +466,7 @@ class Engine:
         burst).  Now the stats mutation and the slot release are one
         critical section.
         """
-        effective = self._effective_config(config)
-        if qctx is not None:
-            effective = replace(effective, context=qctx)
+        effective = self._effective_config(config, qctx)
         t0 = time.perf_counter()
         result = run_query(spec, self.catalog, config=effective)
         return result, time.perf_counter() - t0

@@ -15,9 +15,9 @@ cache's warm-path behavior:
   or via its worker pool, recording per-item stats, wall time and a
   result digest;
 * :func:`cold_warm` replays the same stream twice against a fresh
-  engine — cold (empty cache) then warm — and emits the JSON payload
-  behind the repo's ``BENCH_PR3.json`` artifact, including a per-query
-  cold/warm comparison and a byte-identity verdict.
+  engine — cold (empty cache) then warm — and emits a JSON payload
+  including a per-query cold/warm comparison and a byte-identity
+  verdict.
 """
 
 from __future__ import annotations
@@ -576,8 +576,7 @@ def ingest_bench(
 ) -> dict:
     """Measure re-query cost after transactional appends (``v8`` payload).
 
-    The scenario behind the repo's ``BENCH_PR10.json`` artifact: warm
-    the filter cache once over ``tpch_ids``, then alternate *ingest a
+    Warm the filter cache once over ``tpch_ids``, then alternate *ingest a
     delta batch into each of* :data:`INGEST_TABLES` *and re-run the
     whole query mix*, ``batches`` times.  Each round records the commit
     latency, the re-query wall time, and the cache's cumulative

@@ -237,15 +237,12 @@ def _payload_arrays(payload: object) -> list[np.ndarray]:
         arr = getattr(payload, attr, None)
         if isinstance(arr, np.ndarray):
             out.append(arr)
-    backing = getattr(payload, "_set", None)  # ExactFilter (hash backend)
+    backing = getattr(payload, "_set", None)  # ExactFilter
     if backing is not None:
         for attr in ("_slots", "_occupied"):
             arr = getattr(backing, attr, None)
             if isinstance(arr, np.ndarray):
                 out.append(arr)
-    arr = getattr(payload, "_sorted_keys", None)  # ExactFilter (sorted)
-    if isinstance(arr, np.ndarray):
-        out.append(arr)
     return out
 
 

@@ -146,37 +146,6 @@ def test_write_bench_json(tmp_path, suite):
     assert json.loads(path.read_text())["schema"] == "repro-bench/v5"
 
 
-def test_compare_accepts_v1_through_v4_and_rejects_unknown():
-    from repro.bench.compare import compare_payloads
-
-    def doc(schema, seconds):
-        payload = {
-            "meta": {"sf": 0.01},
-            "measurements": [
-                {"query": "q5", "strategy": "predtrans", "seconds": seconds}
-            ],
-        }
-        if schema is not None:
-            payload["schema"] = schema
-        return payload
-
-    # Any v1..v6 mix (and schema-less pre-v1 drafts) compares cleanly.
-    for old_schema in (None, "repro-bench/v1", "repro-bench/v3", "repro-bench/v6"):
-        block = compare_payloads(doc(old_schema, 1.0), doc("repro-bench/v5", 0.5))
-        assert block["pairs_compared"] == 1
-        assert block["speedup_over_baseline"]["predtrans"] == 2.0
-    # Unknown future generations are refused, not silently misread.
-    import pytest
-
-    with pytest.raises(ValueError, match="unknown schema"):
-        compare_payloads(doc("repro-bench/v9", 1.0), doc("repro-bench/v5", 1.0))
-    # v6 *kinds* without per-query measurements (loadtest, chaos) get a
-    # pointed refusal instead of a KeyError.
-    bad = {"schema": "repro-bench/v6", "kind": "loadtest", "meta": {"sf": 0.01}}
-    with pytest.raises(ValueError, match="no 'measurements'"):
-        compare_payloads(bad, doc("repro-bench/v5", 1.0))
-
-
 def test_parallel_comparison_payload():
     from repro.bench.harness import parallel_comparison
 

@@ -128,67 +128,6 @@ def test_bench_json_smoke(tmp_path, capsys):
             assert m["filters_built"] > 0 and m["filter_bytes"] > 0
 
 
-def test_bench_compare_embeds_comparison(tmp_path, capsys):
-    base_path = tmp_path / "base.json"
-    code = main(
-        [
-            "bench", "--sf", "0.003", "--queries", "5",
-            "--strategies", "predtrans", "--repeats", "1",
-            "--json", str(base_path),
-        ]
-    )
-    assert code == 0
-    out_path = tmp_path / "new.json"
-    code = main(
-        [
-            "bench", "--sf", "0.003", "--queries", "5",
-            "--strategies", "predtrans", "--repeats", "1",
-            "--json", str(out_path), "--compare", str(base_path),
-        ]
-    )
-    assert code == 0
-    assert "speedup" in capsys.readouterr().out
-
-    import json
-
-    doc = json.loads(out_path.read_text())
-    block = doc["comparison"]
-    assert block["baseline_file"] == str(base_path)
-    assert block["pairs_compared"] == 1
-    assert "predtrans" in block["speedup_over_baseline"]
-
-
-def test_bench_compare_cli_warn_only(tmp_path, capsys):
-    import json
-
-    from repro.bench.compare import main as compare_main
-
-    def record(path, seconds, sf=0.01):
-        json.dump(
-            {
-                "schema": "repro-bench/v2",
-                "meta": {"sf": sf},
-                "measurements": [
-                    {"query": "q5", "strategy": "predtrans", "seconds": seconds}
-                ],
-            },
-            open(path, "w"),
-        )
-
-    old, new = tmp_path / "old.json", tmp_path / "new.json"
-    record(old, 0.1)
-    record(new, 0.2)  # 2x slower: beyond the 1.3x threshold
-    code = compare_main([str(old), str(new), "--github"])
-    assert code == 0  # warn-only: never fails
-    out = capsys.readouterr().out
-    assert "::warning" in out and "q5/predtrans" in out
-
-    # Cross-SF comparison is refused but still exits 0.
-    record(new, 0.2, sf=0.02)
-    assert compare_main([str(old), str(new)]) == 0
-    assert "skipped" in capsys.readouterr().out
-
-
 def test_cyclic_query_ids_accepted():
     parser = build_parser()
     assert parser.parse_args(["tpch", "--query", "3,c1"]).query == (3, "c1")

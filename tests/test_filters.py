@@ -223,20 +223,18 @@ def test_hashset_rejects_negative_capacity():
 # ----------------------------------------------------------------------
 # Exact filter
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["hash", "sorted"])
-def test_exact_filter_is_exact(backend):
+def test_exact_filter_is_exact():
     rng = np.random.default_rng(1)
     members = rng.integers(0, 10**9, size=5000).astype(np.uint64)
     probes = rng.integers(0, 10**9, size=5000).astype(np.uint64)
-    filt = ExactFilter.from_keys(members, backend=backend)
+    filt = ExactFilter.from_keys(members)
     assert np.array_equal(filt.contains_keys(probes), np.isin(probes, members))
     assert filt.contains_keys(members).all()
     assert filt.exact is True
 
 
-@pytest.mark.parametrize("backend", ["hash", "sorted"])
-def test_exact_filter_incremental(backend):
-    filt = ExactFilter(backend=backend)
+def test_exact_filter_incremental():
+    filt = ExactFilter()
     filt.add_keys(np.array([1, 2], dtype=np.uint64))
     filt.add_keys(np.array([2, 3], dtype=np.uint64))
     assert len(filt) == 3
@@ -248,11 +246,6 @@ def test_exact_filter_empty():
     filt = ExactFilter()
     assert not filt.contains_keys(np.array([1], dtype=np.uint64)).any()
     assert filt.size_bytes() == 0
-
-
-def test_exact_filter_unknown_backend():
-    with pytest.raises(FilterError):
-        ExactFilter(backend="btree")
 
 
 def test_exact_filter_cost_counters():

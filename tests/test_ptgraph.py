@@ -127,12 +127,14 @@ def test_q5_pt_graph_matches_paper_figure(small_catalog):
     {supplier, customer}, supplier->{customer, lineitem},
     customer->orders->lineitem."""
     from repro.core.runner import RunConfig, _scan
+    from repro.core.transfer import ExecContext
     from repro.tpch.queries import get_query
 
     spec = get_query(5, sf=0.01)
     jg = build_join_graph(spec)
-    scanned, rows = _scan(spec, small_catalog, RunConfig())
-    sizes = {a: len(r) for a, r in rows.items()}
+    ctx = ExecContext()
+    _scan(ctx, spec, small_catalog, RunConfig())
+    sizes = ctx.row_counts()
     pt = build_pt_graph(jg, sizes)
     expected = {
         ("r", "n"), ("n", "s"), ("n", "c"), ("s", "c"),

@@ -13,8 +13,10 @@ import time
 
 import pytest
 
+from repro.cache.context import build_query_cache
 from repro.context import CancelToken, QueryContext
 from repro.core.runner import RunConfig, run_query
+from repro.core.transfer import TransferConfig
 from repro.errors import (
     EngineSaturated,
     MemoryBudgetExceeded,
@@ -22,6 +24,8 @@ from repro.errors import (
     QueryCancelled,
     QueryTimeout,
 )
+from repro.filters.exact import ExactFilter
+from repro.plan.joingraph import build_join_graph, edge_keys_for
 from repro.service import Engine, RetryPolicy
 from repro.service.workload import replay, result_digest
 from repro.storage.catalog import Catalog
@@ -45,6 +49,11 @@ def q5():
 @pytest.fixture(scope="module")
 def q3():
     return get_query(3, sf=SF)
+
+
+@pytest.fixture(scope="module")
+def q9():
+    return get_query(9, sf=SF)
 
 
 # ----------------------------------------------------------------------
@@ -88,37 +97,63 @@ def test_tiny_budget_fails_typed(catalog, q5):
     assert "100" in str(err.value)  # reports the budget
 
 
-def test_degradation_keeps_results_byte_identical(catalog, q5):
+# Both strategies that ship exact filters degrade through the same
+# kernel, so they run through the same tight budget (on Q9, whose
+# exact filters overrun it under either schedule).
+EXACT_STRATEGIES = {
+    "yannakakis": dict(strategy="yannakakis"),
+    "predtrans-exact": dict(
+        strategy="predtrans", transfer=TransferConfig(filter_type="exact")
+    ),
+}
+TIGHT_BUDGET = 100_000
+
+
+@pytest.mark.parametrize("exact", EXACT_STRATEGIES.values(), ids=EXACT_STRATEGIES)
+def test_degradation_keeps_results_byte_identical(catalog, q9, exact):
     # A huge budget tracks the true peak without ever binding.
-    free = run_query(
-        q5,
-        catalog,
-        config=RunConfig(strategy="yannakakis", memory_budget=1 << 40),
-    )
-    budget = 100_000
-    assert free.stats.mem_peak_bytes > budget  # budget actually binds
+    free = run_query(q9, catalog, config=RunConfig(**exact, memory_budget=1 << 40))
+    assert free.stats.mem_peak_bytes > TIGHT_BUDGET  # budget actually binds
     tight = run_query(
-        q5,
-        catalog,
-        config=RunConfig(strategy="yannakakis", memory_budget=budget),
+        q9, catalog, config=RunConfig(**exact, memory_budget=TIGHT_BUDGET)
     )
     assert tight.stats.filters_degraded >= 1
     assert tight.stats.outcome == "degraded"
-    assert tight.stats.mem_peak_bytes <= budget
-    # Bloom fallback has no false negatives: same bytes out.
+    assert tight.stats.mem_peak_bytes <= TIGHT_BUDGET
+    # Degraded builds are Bloom builds: counted as such, and (having no
+    # false negatives) they leave the same bytes out.
+    assert tight.stats.transfer.bloom_inserts > 0
+    assert free.stats.transfer.bloom_inserts == 0
     assert result_digest(tight.table) == result_digest(free.table)
     assert free.stats.outcome == "ok"
+    assert free.stats.filters_degraded == 0
 
 
-def test_degraded_filters_are_not_cached(catalog, q5):
+@pytest.mark.parametrize("exact", EXACT_STRATEGIES.values(), ids=EXACT_STRATEGIES)
+def test_degraded_filters_are_not_cached(catalog, q9, exact):
     # A degraded (Bloom) filter must never be committed under the
     # exact-kind fingerprint: the next unrestricted run would serve it.
-    config = RunConfig(strategy="yannakakis", memory_budget=100_000)
+    config = RunConfig(**exact, memory_budget=TIGHT_BUDGET)
     with Engine(catalog, config=config) as engine:
-        engine.execute(q5)
-        assert engine.filter_cache is not None
-        cached_after_degraded = len(engine.filter_cache)
-        free = engine.execute(q5, RunConfig(strategy="yannakakis"))
+        degraded = engine.execute(q9)
+        cache = engine.filter_cache
+        assert cache is not None
+        cached_after_degraded = len(cache)
+        # Every exact-kind entry q9 could have written holds an exact
+        # filter (the ones that fit) or nothing (the ones that degraded).
+        binding = build_query_cache(q9, engine.catalog, cache)
+        graph = build_join_graph(q9)
+        stored = []
+        for u, v in graph.edges:
+            for src, dst in ((u, v), (v, u)):
+                keys = tuple(a for a, _ in edge_keys_for(graph, src, dst))
+                fp = binding.filter_fp(src, keys, "exact", "")
+                if fp in cache:
+                    stored.append(cache.get(fp))
+        free = engine.execute(q9, RunConfig(**exact))
+    assert degraded.stats.filters_degraded >= 1
+    assert all(isinstance(filt, ExactFilter) for filt in stored)
+    assert len(stored) < 2 * graph.number_of_edges()
     assert free.stats.filters_degraded == 0
     assert free.stats.filter_cache_hits_total <= cached_after_degraded
 

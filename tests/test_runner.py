@@ -66,6 +66,12 @@ def test_inner_join_all_strategies(catalog, strategy):
     assert got == [(1, "eng"), (2, "eng"), (3, "ops")]
     assert res.stats.strategy == strategy
     assert len(res.stats.joins) == 1
+    # Every strategy accounts its shipped filters through the one
+    # kernel: a filter per traversed edge, sized, none without a phase.
+    transfer = res.stats.transfer
+    shipped = {"nopredtrans": 0, "bloomjoin": 1, "yannakakis": 2, "predtrans": 2}
+    assert transfer.filters_built == transfer.edges_traversed == shipped[strategy]
+    assert (transfer.filter_bytes > 0) == (shipped[strategy] > 0)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

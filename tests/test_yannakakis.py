@@ -1,12 +1,22 @@
 """Unit tests for the Yannakakis semi-join baseline."""
 
-import numpy as np
+from dataclasses import replace
 
+import networkx as nx
+import numpy as np
+import pytest
+
+from repro.core.runner import RunConfig, _scan, run_query
+from repro.core.transfer import ExecContext, rows_to_masks
 from repro.core.yannakakis import build_join_tree, run_semi_join_phase
 from repro.engine.hashjoin import hash_join
 from repro.plan.joingraph import build_join_graph
 from repro.plan.query import QuerySpec, Relation, edge
+from repro.storage.catalog import Catalog
+from repro.storage.column import Column
 from repro.storage.table import Table
+from repro.tpch import BENCH_QUERY_IDS, generate_tpch
+from repro.tpch.queries import get_query
 
 
 def _setup(tables, edges):
@@ -163,3 +173,85 @@ def test_acyclic_query_has_no_verified_edges():
     jg, scanned, masks = _chain()
     _, stats = run_semi_join_phase(jg, scanned, masks)
     assert stats.edges_verified == 0
+
+
+@pytest.mark.parametrize("root", ["c", "o"])
+@pytest.mark.parametrize("how", ["left", "anti"])
+def test_blocked_direction_ships_nothing(how, root):
+    """A left/anti edge takes part in one pass only: the blocked
+    direction's filter is never built, whichever side is the root."""
+    c = Table.from_pydict("c", {"k": [1, 2, 3]})
+    o = Table.from_pydict("o", {"k": [1, 1, 4]})
+    jg, scanned, masks = _setup(
+        {"c": c, "o": o}, [edge("c", "o", ("k", "k"), how=how)]
+    )
+    reduced, stats = run_semi_join_phase(jg, scanned, masks, root=root)
+    # Only c -> o shipped: c's three keys inserted, o's three rows probed.
+    assert stats.filters_built == stats.edges_traversed == 1
+    assert (stats.hash_inserts, stats.hash_probes) == (3, 3)
+    assert reduced["c"].all()
+    assert reduced["o"].tolist() == [True, True, False]
+    # The same edge as an inner join ships in both directions.
+    jg, scanned, masks = _setup({"c": c, "o": o}, [edge("c", "o", ("k", "k"))])
+    _, stats = run_semi_join_phase(jg, scanned, masks, root=root)
+    assert stats.filters_built == stats.edges_traversed == 2
+
+
+# ----------------------------------------------------------------------
+# Full-reducer property on TPC-H (checked from row ids)
+# ----------------------------------------------------------------------
+FULL_REDUCER_SF = 0.003
+
+
+def _is_plain_acyclic(spec: QuerySpec) -> bool:
+    """Single-block, acyclic, inner equi-joins only, no residuals: the
+    queries on which Yannakakis is a full reducer."""
+    return (
+        len(spec.relations) > 1
+        and not spec.pre_stages
+        and not spec.residuals
+        and all(e.how == "inner" and e.residual is None for e in spec.edges)
+        and nx.is_tree(build_join_graph(spec))
+    )
+
+
+FULL_REDUCER_IDS = [
+    q for q in BENCH_QUERY_IDS if _is_plain_acyclic(get_query(q, sf=FULL_REDUCER_SF))
+]
+
+
+@pytest.fixture(scope="module")
+def rid_catalog():
+    """TPC-H with a ``rid`` (row position) column on every table."""
+    base = generate_tpch(sf=FULL_REDUCER_SF, seed=0)
+    catalog = Catalog()
+    for name in base.names():
+        table = base.get(name)
+        rid = Column.from_ints(np.arange(table.num_rows))
+        catalog.register(table.with_column("rid", rid))
+    return catalog
+
+
+def test_full_reducer_queries_selected():
+    assert {3, 10} <= set(FULL_REDUCER_IDS)
+
+
+@pytest.mark.parametrize("query_id", FULL_REDUCER_IDS)
+def test_full_reducer_on_acyclic_tpch(rid_catalog, query_id):
+    """After the semi-join phase every surviving row of every alias
+    appears in the join result, and every participating row survived.
+    The oracle is the ``nopredtrans`` join of the same relations, read
+    back as row ids — it never touches the transfer code."""
+    spec = replace(get_query(query_id, sf=FULL_REDUCER_SF), post=[])
+    config = RunConfig(strategy="nopredtrans", materialize="eager")
+    joined = run_query(spec, rid_catalog, config=config).table
+
+    ctx = ExecContext()
+    _scan(ctx, spec, rid_catalog, config)
+    lengths = {a: t.num_rows for a, t in ctx.tables.items()}
+    reduced, _ = run_semi_join_phase(
+        build_join_graph(spec), ctx.tables, rows_to_masks(ctx.rows, lengths)
+    )
+    for alias, mask in reduced.items():
+        participating = np.unique(joined.column(f"{alias}.rid").data)
+        assert np.array_equal(np.flatnonzero(mask), participating), alias
