@@ -1,10 +1,54 @@
 """Vectorized grouped and scalar aggregation.
 
-Group keys are factorized column-by-column and packed into dense group
-ids (re-densified after each column so the packing can never overflow);
-aggregates are then computed with ``bincount`` / ``ufunc.at`` scatter
-kernels.  Null inputs (which arise only after outer joins) are excluded
-from every aggregate, matching SQL semantics; ``COUNT(*)`` counts rows.
+``GROUP BY``, ``COUNT(DISTINCT)`` and ``DISTINCT`` all group rows with one
+kernel, :func:`repro.engine.factorize.group_rows`, and compute their
+aggregates over its dense group ids with ``bincount`` / ``ufunc.at``
+scatters.
+
+**The kernel.**  Key columns are folded left to right into ``(gid,
+first)``: a dense group id per row and the first row of each group.  For
+each column it takes the cheapest step its input allows:
+
+1. *Skip.*  A column that is constant within every group so far (one
+   gather and one compare, after a 1 024-row sample) cannot split a
+   group and is not factorized at all -- the ``c_custkey, c_name,
+   c_acctbal, ...`` shape of Q3/Q10/Q18.  Once every row is its own
+   group, every remaining column is skipped.
+2. *Codes without a sort.*  Dictionary codes for STRING, 0/1 for BOOL,
+   ``value - min`` for INT64/DATE (the value itself when it is small and
+   non-negative).  Codes are order-preserving and packed with the groups
+   so far as ``gid * cardinality + code``.
+3. *Direct address.*  When the packed space has at most
+   ``DIRECT_ADDRESS_SLOTS_PER_ROW`` (4) slots per input row, a presence
+   bitmap over it, its ``cumsum`` as the remap table and a
+   ``minimum.at`` scatter for the first rows densify it in a few linear
+   passes.
+4. *Sort.*  A sparser space is sorted: integers with their row number in
+   the low bits, so a plain in-place sort is stable and carries its own
+   permutation; ``np.unique`` only where no row tag fits beside the key
+   or no integer code exists (FLOAT64, INT64 spanning over 62 bits).
+
+Which step runs depends only on what the kernel observes in the column
+(type, span, validity, row and group counts); the result does not.
+
+**The bound.**  Direct-address tables cost one presence byte and one
+remap word per slot, so at 4 slots per row they stay under 36 bytes per
+input row -- what ``np.unique`` spends on its argsort, sorted copy and
+inverse -- and are freed before any aggregate runs.  A 100-row input
+with keys up to 10**9 therefore sorts 100 rows; it never allocates 10**9
+slots.
+
+**Ordering.**  Groups come out in ascending key order, column by column
+(dictionary-code order for strings, NaN after every number, ``-0.0``
+with ``0.0``), and each output key is the value at the group's first
+row.
+
+**NULLs.**  A NULL key is one more code of its column, after every
+value: NULL rows form their own group, sorted last (like
+:func:`~repro.engine.sort.sort_table`), and the output key is NULL.
+What sits in the data slot under a NULL is never read.  NULL aggregate
+inputs (which arise only after outer joins) are excluded from every
+aggregate, matching SQL; ``COUNT(*)`` counts rows.
 """
 
 from __future__ import annotations
@@ -16,8 +60,9 @@ import numpy as np
 from ..errors import ExecutionError
 from ..expr.eval import evaluate
 from ..expr.nodes import ColumnRef, Expr
-from ..storage.column import Column, DType
+from ..storage.column import Column
 from ..storage.table import Table
+from .factorize import group_rows
 
 _AGG_FUNCS = ("sum", "count", "count_star", "avg", "min", "max", "count_distinct")
 
@@ -49,69 +94,6 @@ class AggSpec:
             raise ExecutionError(f"aggregate {self.func!r} needs an input")
 
 
-def _factorize(column: Column) -> tuple[np.ndarray, int]:
-    """Non-negative integer codes + code-space cardinality for one key.
-
-    STRING columns reuse their dictionary codes directly (possibly
-    sparse after filtering — sparsity only widens the packed key space,
-    never changes grouping or group order, because codes are monotone
-    in dictionary rank).  Other types pay one ``np.unique`` pass.
-    """
-    if column.dtype is DType.STRING:
-        return column.data, max(len(column.dictionary), 1)
-    return _dense_factorize(column)
-
-
-def _dense_factorize(column: Column) -> tuple[np.ndarray, int]:
-    """Dense codes (overflow fallback: minimal code space)."""
-    codes, inverse = np.unique(column.data, return_inverse=True)
-    return inverse, max(len(codes), 1)
-
-
-def _group_ids(key_columns: list[Column], n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense group ids and first-occurrence row index per group.
-
-    All key columns are packed into one ``int64`` key and densified
-    with a *single* ``np.unique`` pass that also yields the
-    first-occurrence indices.  Only when the packed code space cannot
-    fit 63 bits (pathological cardinalities) does it fall back to the
-    densify-after-every-column scheme.
-    """
-    if not key_columns:
-        gid = np.zeros(n_rows, dtype=np.int64)
-        first = np.zeros(1 if n_rows else 0, dtype=np.int64)
-        return gid, (first if n_rows else np.zeros(0, dtype=np.int64))
-
-    parts: list[tuple[np.ndarray, int]] = []
-    total = 1
-    for column in key_columns:
-        codes, card = _factorize(column)
-        parts.append((codes, card))
-        total *= card
-        if total >= 2**62:
-            break
-
-    if total < 2**62:
-        combined = np.zeros(n_rows, dtype=np.int64)
-        for codes, card in parts:
-            combined = combined * card + codes
-        _, first, gid = np.unique(
-            combined, return_index=True, return_inverse=True
-        )
-        return gid.reshape(-1).astype(np.int64, copy=False), first
-
-    # Packed key space overflows: densify after every column so the
-    # running cardinality stays at the true number of groups.
-    gid = np.zeros(n_rows, dtype=np.int64)
-    for column in key_columns:
-        codes, card = _dense_factorize(column)
-        combined = gid * card + codes
-        _, gid = np.unique(combined, return_inverse=True)
-        gid = gid.reshape(-1).astype(np.int64)
-    _, first = np.unique(gid, return_index=True)
-    return gid, first
-
-
 def group_aggregate(
     table: Table,
     keys: list[GroupKey],
@@ -123,91 +105,68 @@ def group_aggregate(
     With no keys this is a scalar aggregation producing exactly one row
     (even over empty input, matching SQL).
     """
-    n_rows = table.num_rows
     key_columns = [evaluate(k.resolved_expr(), table) for k in keys]
-    gid, first = _group_ids(key_columns, n_rows)
-    n_groups = len(first) if (keys or n_rows) else 0
-    if not keys:
-        n_groups = 1  # scalar aggregate: always one output row
+    gid, first = group_rows(key_columns, table.num_rows)
+    n_groups = len(first) if keys else 1
 
     out: dict[str, Column] = {}
     for key, column in zip(keys, key_columns):
-        if n_rows:
-            out[key.name] = column.take(first)
-        else:
-            out[key.name] = column  # empty column, schema-preserving
+        out[key.name] = column.take(first)
 
+    # Aggregates over one expression (Q1's three uses of the discounted
+    # price) share its evaluation.  Keyed by ``repr`` because node
+    # equality conflates ``lit(1)``, ``lit(1.0)`` and ``lit(True)``.
+    inputs: dict[str, Column] = {}
     for agg in aggs:
-        out[agg.name] = _compute_agg(agg, table, gid, n_groups, n_rows)
+        column: Column | None = None
+        if agg.input is not None:
+            memo = repr(agg.input)
+            if memo not in inputs:
+                inputs[memo] = evaluate(agg.input, table)
+            column = inputs[memo]
+        out[agg.name] = _compute_agg(agg.func, column, gid, first, n_groups)
     return Table(result_name, out)
 
 
-def _agg_input(agg: AggSpec, table: Table) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the aggregate input; returns (values, valid_mask)."""
-    column = evaluate(agg.input, table)
-    return column, column.validity()
-
-
 def _compute_agg(
-    agg: AggSpec, table: Table, gid: np.ndarray, n_groups: int, n_rows: int
+    func: str,
+    column: Column | None,
+    gid: np.ndarray,
+    first: np.ndarray,
+    n_groups: int,
 ) -> Column:
-    if agg.func == "count_star":
-        counts = np.bincount(gid, minlength=n_groups) if n_rows else np.zeros(
-            n_groups, dtype=np.int64
-        )
-        return Column.from_ints(counts)
+    if column is None:  # count_star
+        return Column.from_ints(np.bincount(gid, minlength=n_groups))
+    valid = column.valid
+    row_gid = gid if valid is None else gid[valid]
 
-    column, valid = _agg_input(agg, table)
-    use = valid if column.valid is not None else None
+    if func == "count":
+        return Column.from_ints(np.bincount(row_gid, minlength=n_groups))
+    if func == "count_distinct":
+        # Distinct (group, value) pairs are the groups of a finer
+        # grouping; each is counted once, at its first row.
+        _, pair_first = group_rows([column], len(gid), within=(gid, first))
+        if valid is not None:
+            pair_first = pair_first[valid[pair_first]]
+        return Column.from_ints(np.bincount(gid[pair_first], minlength=n_groups))
 
-    if agg.func == "count":
-        if n_rows == 0:
-            return Column.from_ints(np.zeros(n_groups, dtype=np.int64))
-        weights = valid.astype(np.int64)
-        return Column.from_ints(np.bincount(gid, weights=weights, minlength=n_groups).astype(np.int64))
-
-    if agg.func == "count_distinct":
-        return Column.from_ints(_count_distinct(column, gid, n_groups, use))
-
-    values = column.data.astype(np.float64)
-    row_gid, row_vals = (gid, values) if use is None else (gid[use], values[use])
-
-    if agg.func == "sum":
+    values = column.data.astype(np.float64, copy=False)
+    row_vals = values if valid is None else values[valid]
+    if func == "sum":
         sums = np.bincount(row_gid, weights=row_vals, minlength=n_groups)
         return Column.from_floats(sums)
-    if agg.func == "avg":
+    if func == "avg":
         sums = np.bincount(row_gid, weights=row_vals, minlength=n_groups)
         counts = np.bincount(row_gid, minlength=n_groups)
         with np.errstate(invalid="ignore", divide="ignore"):
             return Column.from_floats(sums / counts)
-    if agg.func in ("min", "max"):
-        init = np.inf if agg.func == "min" else -np.inf
+    if func in ("min", "max"):
+        init = np.inf if func == "min" else -np.inf
         acc = np.full(n_groups, init, dtype=np.float64)
-        scatter = np.minimum if agg.func == "min" else np.maximum
+        scatter = np.minimum if func == "min" else np.maximum
         scatter.at(acc, row_gid, row_vals)
         return Column.from_floats(acc)
-    raise ExecutionError(f"unknown aggregate {agg.func!r}")  # pragma: no cover
-
-
-def _count_distinct(
-    column: Column, gid: np.ndarray, n_groups: int, use: np.ndarray | None
-) -> np.ndarray:
-    if len(gid) == 0:
-        return np.zeros(n_groups, dtype=np.int64)
-    vcodes, card = _factorize(column)
-    if n_groups * card >= 2**62:  # sparse-code overflow guard
-        vcodes, card = _dense_factorize(column)
-    row_gid, row_codes = (gid, vcodes) if use is None else (gid[use], vcodes[use])
-    pairs = row_gid.astype(np.int64) * card + row_codes
-    if len(pairs) == 0:
-        return np.zeros(n_groups, dtype=np.int64)
-    # Sort + run-boundary scan beats np.unique's hash path on the wide
-    # int64 pair keys this produces (measured ~10x on 100k-row groups).
-    pairs.sort()
-    heads = np.empty(len(pairs), dtype=np.bool_)
-    heads[0] = True
-    np.not_equal(pairs[1:], pairs[:-1], out=heads[1:])
-    return np.bincount(pairs[heads] // card, minlength=n_groups).astype(np.int64)
+    raise ExecutionError(f"unknown aggregate {func!r}")  # pragma: no cover
 
 
 def distinct(table: Table, columns: list[str], result_name: str = "distinct") -> Table:

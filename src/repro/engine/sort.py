@@ -9,26 +9,38 @@ from ..storage.column import Column, DType
 from ..storage.table import Table
 
 
-def _sort_key(column: Column) -> np.ndarray:
-    """Numeric sort key for a column (lexicographic rank for strings).
+def _sort_key(column: Column, descending: bool) -> np.ndarray:
+    """One ``lexsort`` key for a column, in its own physical width.
 
-    Nulls sort last regardless of direction by mapping them to +inf rank
-    after direction negation (handled in :func:`sort_table`).
+    Integer, date and boolean keys stay integers (a detour through
+    ``float64`` misorders INT64 values above 2**53); strings sort by
+    the lexicographic rank of their dictionary entry.  Descending order
+    is ``~key`` for integers, which reverses them without the overflow
+    negation has at the minimum value.  The value under a NULL is
+    replaced by a constant so that NULL rows tie and fall through to the
+    next key; :func:`sort_table` places them last.
     """
+    key = column.data
     if column.dtype is DType.STRING:
+        assert column.dictionary is not None
         # Dictionary entries are not guaranteed sorted after code-space
         # surgery, so rank them explicitly.
         order = np.argsort(column.dictionary.astype(str), kind="stable")
         ranks = np.empty(len(order), dtype=np.int64)
         ranks[order] = np.arange(len(order))
-        return ranks[column.data].astype(np.float64)
-    return column.data.astype(np.float64)
+        key = ranks[key]
+    if descending:
+        key = -key if column.dtype is DType.FLOAT64 else ~key
+    if column.valid is not None:
+        key = np.where(column.valid, key, key.dtype.type(0))
+    return key
 
 
 def sort_table(table: Table, by: list[tuple[str, str]]) -> Table:
     """Sort by a list of ``(column, "asc"|"desc")`` specs (stable).
 
-    The first spec is the primary key, as in SQL ``ORDER BY``.
+    The first spec is the primary key, as in SQL ``ORDER BY``.  NULLs
+    sort last in either direction.
     """
     if table.num_rows == 0 or not by:
         return table
@@ -37,15 +49,10 @@ def sort_table(table: Table, by: list[tuple[str, str]]) -> Table:
         if direction not in ("asc", "desc"):
             raise ExecutionError(f"bad sort direction {direction!r}")
         column = table.column(name)
-        key = _sort_key(column)
-        if direction == "desc":
-            key = -key
+        keys.append(_sort_key(column, direction == "desc"))
         if column.valid is not None:
-            # Nulls last: give invalid rows a rank beyond every real key.
-            key = np.where(column.valid, key, np.inf)
-        keys.append(key)
-    order = np.lexsort(keys)
-    return table.take(order)
+            keys.append(~column.valid)  # outranks the key itself: NULLs last
+    return table.take(np.lexsort(keys))
 
 
 def top_k(table: Table, by: list[tuple[str, str]], k: int) -> Table:

@@ -243,6 +243,9 @@ STRICT_PATHS = [
     "src/repro/plan",
     "src/repro/cache",
     "src/repro/analysis",
+    "src/repro/engine/aggregate.py",
+    "src/repro/engine/factorize.py",
+    "src/repro/engine/sort.py",
 ]
 
 

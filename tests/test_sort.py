@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.engine.hashjoin import hash_join
 from repro.engine.sort import limit, sort_table, top_k
-from repro.storage.column import Column
+from repro.storage.column import Column, DType
 from repro.storage.table import Table
 
 
@@ -85,3 +85,45 @@ def test_sort_empty_table():
 def test_sort_no_keys_is_identity():
     t = _t(a=[2, 1])
     assert sort_table(t, []).to_rows() == [(2,), (1,)]
+
+
+def test_int64_keys_beyond_float_precision():
+    # 2**53 + 1 is not a float64: a float sort key ties it with 2**53.
+    base = 2**53
+    t = _t(a=[base + 1, base, base + 3, base + 2], tag=[1, 0, 3, 2])
+    for direction, want in (("asc", [0, 1, 2, 3]), ("desc", [3, 2, 1, 0])):
+        rows = sort_table(t, [("a", direction)]).to_rows()
+        assert [r[1] for r in rows] == want
+
+
+def test_descending_int64_extremes():
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    t = _t(a=np.array([0, lo, hi, -1], dtype=np.int64))
+    rows = sort_table(t, [("a", "desc")]).to_rows()
+    assert [r[0] for r in rows] == [hi, 0, -1, lo]
+
+
+def test_null_rows_tie_and_fall_through_to_the_next_key():
+    # The slots under the NULLs hold 9 and 1: they must not order them.
+    v = Column(
+        np.array([9, 4, 1, 6], dtype=np.int64),
+        DType.INT64,
+        valid=np.array([False, True, False, True]),
+    )
+    t = Table("t", {"v": v, "tag": Column.from_ints([0, 1, 2, 3])})
+    for direction, want in (("asc", [1, 3, 2, 0]), ("desc", [3, 1, 2, 0])):
+        rows = sort_table(t, [("v", direction), ("tag", "desc")]).to_rows()
+        assert [r[1] for r in rows] == want
+
+
+def test_bool_and_date_keys_descending():
+    t = _t(
+        b=[True, False, True],
+        d=Column.from_dates(["1995-01-01", "1993-06-01", "1994-01-01"]),
+    )
+    rows = sort_table(t, [("b", "desc"), ("d", "desc")]).to_rows()
+    assert rows == [
+        (True, "1995-01-01"),
+        (True, "1994-01-01"),
+        (False, "1993-06-01"),
+    ]
