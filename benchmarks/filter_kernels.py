@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""ns/key of the pre-filter kernel's steps (README, "Pre-filter kernel").
+
+    python3 benchmarks/filter_kernels.py [KEYS]
+
+Hashes KEYS (default 3 000 000) INT64 join keys, builds Bloom filters
+of 27 000 and 750 000 keys (a dimension's and ``orders``' survivors at
+SF 0.5) and probes the KEYS against each — once as one whole-array call
+per step and once as the morsel loop the engine runs (hash a slice,
+use it, next slice).  Min of 5.  Then the measured false-positive rate
+at three targets.
+"""
+
+from __future__ import annotations
+
+import pathlib
+import sys
+import time
+from typing import Callable
+
+import numpy as np
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from repro.engine.parallel import morsels  # noqa: E402
+from repro.filters.bloom import MORSEL_KEYS, BloomFilter  # noqa: E402
+from repro.filters.hashing import bloom_keys  # noqa: E402
+from repro.storage.column import Column  # noqa: E402
+
+
+Step = Callable[[], object]
+
+
+def best_ns(fn: Step, keys: int, repeats: int = 5) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best / keys * 1e9
+
+
+def main() -> None:
+    n = int(sys.argv[1]) if len(sys.argv) > 1 else 3_000_000
+    rng = np.random.default_rng(0)
+    probe_column = [Column.from_ints(rng.integers(1, n, n))]
+    whole = slice(0, n)
+    print(f"{n} keys, morsel = {MORSEL_KEYS} keys; ns/key, whole-array | morsel loop")
+
+    def row(name: str, one_call: Step, loop: Step, keys: int) -> None:
+        print(f"{name:44s} {best_ns(one_call, keys):6.1f} | {best_ns(loop, keys):6.1f}")
+
+    row(
+        "hash",
+        lambda: bloom_keys(probe_column, whole),
+        lambda: [bloom_keys(probe_column, span) for span in morsels(0, n)],
+        n,
+    )
+    for members in (27_000, 750_000):
+        build_column = [Column.from_ints(rng.integers(1, n, members))]
+        build_hashes = bloom_keys(build_column)
+        probe_hashes = bloom_keys(probe_column)
+
+        def build_loop() -> BloomFilter:
+            filt = BloomFilter(capacity=members, fpp=0.01)
+            for span in morsels(0, members):
+                filt.add_hashes(build_hashes[span])
+            return filt
+
+        filt = build_loop()
+        row(
+            f"build, {members} keys",
+            lambda: BloomFilter(capacity=members, fpp=0.01).add_hashes(build_hashes),
+            build_loop,
+            members,
+        )
+        row(
+            f"probe, {members}-key filter",
+            lambda: filt.contains_hashes(probe_hashes),
+            lambda: [filt.contains_hashes(probe_hashes[span]) for span in morsels(0, n)],
+            n,
+        )
+        row(
+            f"hash + probe, {members}-key filter",
+            lambda: filt.contains_hashes(bloom_keys(probe_column, whole)),
+            lambda: [
+                filt.contains_hashes(bloom_keys(probe_column, span))
+                for span in morsels(0, n)
+            ],
+            n,
+        )
+
+    members = rng.integers(0, 2**62, 200_000).astype(np.uint64)
+    others = (rng.integers(0, 2**62, 2_000_000) | (1 << 62)).astype(np.uint64)
+    for target in (0.05, 0.01, 0.001):
+        filt = BloomFilter.from_keys(members, fpp=target)
+        measured = filt.contains_keys(others).mean()
+        print(
+            f"fpp target {target:<6} measured {measured:.4f}   "
+            f"k = {filt.num_hashes}, {filt.size_bytes() * 8 / len(members):.1f} bits/key"
+        )
+
+
+if __name__ == "__main__":
+    main()

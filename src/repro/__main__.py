@@ -116,7 +116,6 @@ from .bench.report import format_table
 from .cache import default_filter_cache
 from .core.runner import STRATEGIES, RunConfig
 from .errors import QueryAborted
-from .filters.hashcache import KeyHashCache
 from .service.workload import (
     DEFAULT_SSB_IDS,
     DEFAULT_TPCH_IDS,
@@ -201,9 +200,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     """The command's execution config: cached by default, plain on
     ``--no-filter-cache``; ``--threads`` / ``--partition-rows`` map to
     the intra-query parallelism knobs and ``--timeout-ms`` /
-    ``--memory-budget-mb`` to the per-query resilience knobs.  One
-    per-invocation hash cache is shared by all of the command's
-    queries (it only holds base-column hashes)."""
+    ``--memory-budget-mb`` to the per-query resilience knobs."""
     kwargs: dict = {"threads": max(1, getattr(args, "threads", 1) or 1)}
     partition_rows = getattr(args, "partition_rows", None)
     if partition_rows is not None:
@@ -213,9 +210,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     kwargs["timeout"] = _timeout_seconds(args)
     kwargs["memory_budget"] = _memory_budget_bytes(args)
     if not getattr(args, "no_filter_cache", False):
-        kwargs.update(
-            filter_cache=default_filter_cache(), shared_hashes=KeyHashCache()
-        )
+        kwargs["filter_cache"] = default_filter_cache()
     return RunConfig(**kwargs)
 
 

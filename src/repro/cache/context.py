@@ -269,22 +269,14 @@ class QueryCache:
         return rows_at + np.flatnonzero(evaluate_mask(key.expr, chunk))
 
     def _delta_keys(
-        self, key: AliasKey, stripped: tuple[str, ...], delta_rows: np.ndarray,
-        rows_at: int,
+        self, key: AliasKey, stripped: tuple[str, ...], delta_rows: np.ndarray
     ) -> np.ndarray:
-        """Join-key hashes of the delta's qualifying rows.
-
-        Hashing is per-row (:func:`~repro.filters.hashing.bloom_keys`
-        mixes each row independently), so hashing the delta slice and
-        gathering qualifiers equals hashing the full column and
-        gathering — immune to ``concat``'s dictionary re-encoding,
-        which changes codes but not values.
-        """
+        """Join-key hashes of the delta's qualifying rows — the same
+        per-row values a from-scratch build over the merged table
+        hashes, and only those rows are touched."""
         base = key.base
         assert base is not None
-        cols = [base.column(c).slice(rows_at, base.num_rows) for c in stripped]
-        keys = bloom_keys(cols)
-        return keys[delta_rows - rows_at]
+        return bloom_keys([base.column(c) for c in stripped], delta_rows)
 
     def _extend_scan(self, alias: str) -> np.ndarray | None:
         key = self.aliases[alias]
@@ -341,7 +333,7 @@ class QueryCache:
                 if delta is None:
                     self.cache.count_extension_rebuild()
                     return None
-                keys = self._delta_keys(key, stripped, delta, rows_at)
+                keys = self._delta_keys(key, stripped, delta)
                 extended = self._extend_payload(older, keys)
                 if extended is None:
                     self.cache.count_extension_rebuild()

@@ -125,7 +125,6 @@ from ..engine.stats import QueryStats
 from ..errors import PlanError
 from ..expr.eval import evaluate, evaluate_mask
 from ..expr.nodes import And, Expr
-from ..filters.hashcache import KeyHashCache
 from ..optimizer.cardinality import NdvCache
 from ..optimizer.joinorder import greedy_join_order
 from ..plan.joingraph import build_join_graph, edge_keys_for
@@ -159,11 +158,7 @@ class RunConfig:
     ``fpp`` is also the false-positive rate of BloomJoin's filters.
 
     ``filter_cache`` switches on cross-query artifact reuse (see the
-    module docstring); ``shared_hashes`` lets a long-lived owner (the
-    service :class:`~repro.service.engine.Engine`) share one
-    :class:`~repro.filters.hashcache.KeyHashCache` across queries for
-    the transfer schedules — sound because those hash only immutable
-    base-table columns, keyed by object identity.
+    module docstring).
 
     ``threads`` switches on intra-query parallelism: chunked kernels
     (scan predicate evaluation, Bloom build/probe, semi-join probes,
@@ -193,7 +188,6 @@ class RunConfig:
     yannakakis_root: str | None = None
     materialize: str = "lazy"
     filter_cache: FilterCache | None = None
-    shared_hashes: KeyHashCache | None = None
     threads: int = 1
     partition_rows: int = DEFAULT_PARTITION_ROWS
     parallel: ParallelContext | None = None
@@ -271,13 +265,6 @@ def run_query(
         qctx=qctx,
         parallel=(config.parallel or get_parallel(config.threads)).scoped(qctx),
     )
-    # A service engine may supply a cross-query hash memo.  It is sound
-    # for the transfer schedules, which hash only immutable base-table
-    # columns; BloomJoin hashes per-query gathered view columns, which
-    # a cross-query memo would pin forever, so it keeps a private one.
-    if config.shared_hashes is not None and config.strategy != "bloomjoin":
-        ctx.hashes = config.shared_hashes
-
     if spec.pre_stages:
         stage_config = replace(config, context=qctx)
         for stage in spec.pre_stages:
@@ -664,8 +651,8 @@ def _execute_join_phase(
     columns are available, which for cross-component residuals is right
     after the cross join that brings both sides together.
     """
-    # Only these stable inputs go through the query-wide memos (key
-    # hashes, build sorts) and the cross-query cache.
+    # Only these stable inputs go through the query-wide build-sort
+    # memo and the cross-query cache.
     ctx.alias_of = {id(t): a for a, t in reduced.items()}
     stats = ctx.stats
     pending = list(spec.residuals)
@@ -784,20 +771,16 @@ def _bloom_prefilter(
     kernel and returns the surviving probe row indices, which the join
     consumes directly (no intermediate materialization — the Bloom
     test touches only the key columns, as a real engine's runtime
-    filter would).  A side that is one of the join phase's stable
-    inputs is hashed through the query-wide memo, and — its rows being
-    exactly its local-predicate survivors, since no transfer phase ran
-    — its filter goes through the cross-query cache; a side that is an
-    intermediate join result gets neither.
+    filter would).  A build side that is one of the join phase's stable
+    inputs has exactly its local-predicate survivors as rows, since no
+    transfer phase ran, so its filter goes through the cross-query
+    cache; an intermediate join result's does not.
     """
     bloom = build_filter(
         ctx, ctx.alias_of.get(id(build_table)), build_table, None,
         tuple(build_on), "bloom", fpp,
     )
-    keep = probe_filter(
-        ctx, bloom, ctx.alias_of.get(id(probe_table)), probe_table,
-        tuple(probe_on), None,
-    )
+    keep = probe_filter(ctx, bloom, probe_table, tuple(probe_on), None)
     return np.flatnonzero(keep)
 
 

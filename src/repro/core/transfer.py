@@ -33,17 +33,22 @@ vertex as the selectivity estimate; this is ablatable via
 
 The state the kernel works on is one :class:`ExecContext` per query:
 the scanned relations and their surviving rows, plus the statistics,
-deadline/budget context, cross-query cache binding, key-hash memo,
+deadline/budget context, cross-query cache binding, key normalizer,
 build-sort memo and worker pool every phase shares.  Each of those is
 always present — an unconfigured one is a no-op (no deadline, no
 budget, nothing cacheable, serial) — so no phase tests for them.
 
-Hot-path note: all hashing is memoized in the context's
-:class:`~repro.filters.hashcache.KeyHashCache` — each ``(alias,
-key_columns)`` pair is normalized and hashed once, and every
-subsequent edge/pass/round serves row subsets by index gather.  Bloom
-filters consume the cached hashes directly via their ``*_hashes``
-entry points, so no per-edge re-hashing happens at all.
+Hot-path note: building and probing are one **morsel loop**.  Both
+walk the surviving row vector in slices of
+:data:`~repro.filters.bloom.MORSEL_KEYS` keys; each slice is gathered,
+normalized and hashed (:class:`_RowKeys` →
+:meth:`~repro.filters.hashcache.KeyHashCache.bloom_keys`) and fed
+straight to the filter's ``add_hashes`` / ``contains_hashes`` (or an
+exact set's ``contains_keys``) while it is still cache-resident.  Only
+rows a filter actually touches are hashed — a relation its local
+predicate cut to 2 % costs 2 % of a column pass — and no hash array
+outlives its morsel.  Worker-pool chunks
+(:mod:`repro.engine.parallel`) each run the same loop over their range.
 
 Cross-query caching: filters built at **pristine** vertices — vertices
 whose surviving rows still equal the local-predicate survivors, i.e.
@@ -67,6 +72,7 @@ from ..context import QueryContext
 from ..engine.hashjoin import BuildSortCache
 from ..engine.parallel import (
     ParallelContext,
+    morsels,
     parallel_bloom_build,
     parallel_membership,
 )
@@ -75,7 +81,6 @@ from ..errors import FilterError
 from ..filters.bloom import BloomFilter
 from ..filters.exact import ExactFilter
 from ..filters.hashcache import KeyHashCache
-from ..filters.hashing import bloom_keys
 from ..storage.view import AnyTable
 from ..testing.faults import fault_point
 from .ptgraph import PTEdge, PTGraph
@@ -198,7 +203,7 @@ class ExecContext:
     shrunk: set[str] = field(default_factory=set)
     # id(join-phase input relation) -> alias.  Join intermediates are
     # absent: they are fresh objects no memo lookup could hit, and a
-    # memo would pin their columns (plus full-size hash/sort arrays)
+    # memo would pin their columns (plus full-size sort arrays)
     # until query end.
     alias_of: dict[int, str] = field(default_factory=dict)
 
@@ -206,27 +211,39 @@ class ExecContext:
         """Rows currently surviving per alias."""
         return {alias: len(r) for alias, r in self.rows.items()}
 
-    def key_hashes(
+
+class _RowKeys:
+    """Mixed 64-bit join-key hashes of ``rows`` of ``table`` (``None``
+    = all), computed per slice.
+
+    Slicing ``[lo:hi]`` gathers, normalizes and hashes just those rows
+    (a plain slice of the columns when every row is alive), which is
+    what lets the chunked filter kernels hash each morsel right before
+    they use it.
+    """
+
+    __slots__ = ("_hashes", "_columns", "_rows", "_n")
+
+    def __init__(
         self,
-        alias: str | None,
+        hashes: KeyHashCache,
         table: AnyTable,
         key_columns: tuple[str, ...],
         rows: np.ndarray | None,
-    ) -> np.ndarray:
-        """Mixed 64-bit join-key hashes of ``rows`` (``None`` = all).
-
-        A relation known by ``alias`` is hashed once over its full key
-        columns and served by index gather thereafter (gather-free
-        while every row is alive); a join intermediate (``alias`` is
-        ``None``) is hashed directly.
-        """
-        columns = [table.column(c) for c in key_columns]
+    ) -> None:
         if rows is not None and len(rows) == table.num_rows:
-            rows = None
-        if alias is not None:
-            return self.hashes.bloom_keys(columns, rows)
-        keys = bloom_keys(columns)
-        return keys if rows is None else keys[rows]
+            rows = None  # a full sorted row vector is the identity
+        self._hashes = hashes
+        self._columns = [table.column(c) for c in key_columns]
+        self._rows = rows
+        self._n = table.num_rows if rows is None else len(rows)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, span: slice) -> np.ndarray:
+        rows = span if self._rows is None else self._rows[span]
+        return self._hashes.bloom_keys(self._columns, rows)
 
 
 def run_transfer_rows(
@@ -334,7 +351,7 @@ def _apply_incoming(
     for inc in incoming:
         if len(rows) == 0:
             break
-        keep = probe_filter(state, inc.filt, alias, table, inc.key_columns, rows)
+        keep = probe_filter(state, inc.filt, table, inc.key_columns, rows)
         if not keep.all():
             rows = rows[keep]
             state.shrunk.add(alias)
@@ -367,8 +384,8 @@ def build_filter(
     """The ``kind`` filter over the ``key_columns`` of ``rows``.
 
     ``rows`` are ``table``'s surviving row indices (``None`` = all);
-    ``alias`` names the relation for memoized hashing and cross-query
-    caching, and is ``None`` for a join intermediate.  The filter is
+    ``alias`` names the relation for cross-query caching, and is
+    ``None`` for a join intermediate.  The filter is
     fetched from the cache when ``alias`` is pristine and versioned,
     built (and committed back) otherwise.
     """
@@ -392,14 +409,19 @@ def build_filter(
             build_kind = "bloom"
             cacheable = False
             state.qctx.note_degraded()
-        keys = state.key_hashes(alias, table, key_columns, rows)
+        keys = _RowKeys(state.hashes, table, key_columns, rows)
         if build_kind == "bloom":
             filt = parallel_bloom_build(
                 state.parallel, keys, capacity=n_keys, fpp=fpp
             )
             stats.bloom_inserts += n_keys
         else:
-            filt = ExactFilter.from_keys(keys)
+            # The set dedups and sizes itself from all keys at once;
+            # the array is survivor-sized and dies with this call.
+            hashed = np.empty(n_keys, dtype=np.uint64)
+            for span in morsels(0, n_keys):
+                hashed[span] = keys[span]
+            filt = ExactFilter.from_keys(hashed)
             stats.hash_inserts += n_keys
         # The fault point sits between build and commit: an injected
         # build failure (or a budget overrun on the charge) propagates
@@ -418,18 +440,17 @@ def build_filter(
 def probe_filter(
     state: ExecContext,
     filt,
-    alias: str | None,
     table: AnyTable,
     key_columns: tuple[str, ...],
     rows: np.ndarray | None,
 ) -> np.ndarray:
     """Membership mask of ``rows``' join keys against a shipped filter.
 
-    Same ``alias`` / ``rows`` conventions as :func:`build_filter`; the
-    probe is chunked over the context's worker pool.
+    Same ``rows`` convention as :func:`build_filter`; the probe runs a
+    morsel at a time, chunked over the context's worker pool.
     """
     stats = state.stats.transfer
-    keys = state.key_hashes(alias, table, key_columns, rows)
+    keys = _RowKeys(state.hashes, table, key_columns, rows)
     keep = parallel_membership(state.parallel, filt, keys)
     if isinstance(filt, BloomFilter):
         stats.bloom_probes += len(keys)

@@ -43,12 +43,13 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, Protocol, TypeVar
 
 import numpy as np
 
 from ..context import QueryContext
-from ..filters.bloom import BloomFilter
+from ..filters.base import TransferableFilter
+from ..filters.bloom import MORSEL_KEYS, BloomFilter
 from ..testing.faults import fault_point
 
 T = TypeVar("T")
@@ -185,52 +186,74 @@ def get_parallel(threads: int) -> ParallelContext:
 # ----------------------------------------------------------------------
 # Shared chunked filter kernels
 # ----------------------------------------------------------------------
+class HashSource(Protocol):
+    """Pre-mixed 64-bit key hashes, produced a slice at a time.
+
+    A plain ``uint64`` array is one; the pre-filter kernel passes a
+    lazy source whose slices gather, normalize and hash the rows they
+    cover, so no hash array longer than a morsel ever exists.
+    """
+
+    def __len__(self) -> int: ...
+
+    def __getitem__(self, rows: slice, /) -> np.ndarray: ...
+
+
+def morsels(lo: int, hi: int) -> Iterator[slice]:
+    """``[lo, hi)`` cut into cache-sized slices."""
+    for start in range(lo, hi, MORSEL_KEYS):
+        yield slice(start, min(start + MORSEL_KEYS, hi))
+
+
 def parallel_bloom_build(
-    ctx: ParallelContext, hashes: np.ndarray, capacity: int, fpp: float
+    ctx: ParallelContext, hashes: HashSource, capacity: int, fpp: float
 ) -> BloomFilter:
     """Build a Bloom filter from pre-mixed hashes, partition-parallel.
 
     Each chunk populates a private filter of identical geometry
-    (geometry depends only on ``capacity``/``fpp``); the parts are then
-    OR-merged word-wise.  Insertion is a monotone OR-scatter, so the
-    merged word array is bit-identical to a serial single-filter build
-    regardless of chunking — which keeps cross-query cached filters
-    valid across thread counts.
+    (geometry depends only on ``capacity``/``fpp``) a morsel at a time;
+    the parts are then OR-merged word-wise.  Insertion is a monotone
+    OR-scatter, so the merged word array is bit-identical to a serial
+    single-filter build regardless of chunking or morsel size — which
+    keeps cross-query cached filters valid across thread counts.
     """
-    filt = BloomFilter(capacity=capacity, fpp=fpp)
-    bounds = ctx.task_bounds(len(hashes))
-    if len(bounds) <= 1:
-        filt.add_hashes(hashes)
-        return filt
 
     def build(chunk: tuple[int, int]) -> BloomFilter:
         part = BloomFilter(capacity=capacity, fpp=fpp)
-        part.add_hashes(hashes[chunk[0] : chunk[1]])
+        for rows in morsels(*chunk):
+            part.add_hashes(hashes[rows])
         return part
 
-    for part in ctx.map(build, bounds):
+    bounds = ctx.task_bounds(len(hashes))
+    if len(bounds) <= 1:
+        return build((0, len(hashes)))
+    parts = ctx.map(build, bounds)
+    filt = parts[0]
+    for part in parts[1:]:
         filt.merge_words(part)
     return filt
 
 
-def parallel_membership(ctx: ParallelContext, filt, keys: np.ndarray) -> np.ndarray:
+def parallel_membership(
+    ctx: ParallelContext, filt: TransferableFilter, keys: HashSource
+) -> np.ndarray:
     """Chunked membership probe against any transferable filter.
 
-    Bloom filters consume the pre-mixed hash array directly
-    (``contains_hashes``); exact filters probe by key.  Chunk results
-    concatenate in chunk order, byte-identical to one whole-array
-    probe.
+    Bloom filters consume the pre-mixed hashes directly
+    (``contains_hashes``); exact filters probe by key.  Every chunk
+    walks its range a morsel at a time and writes its own slice of the
+    result, byte-identical to one whole-array probe.
     """
+    keep = np.empty(len(keys), dtype=np.bool_)
+    probe = filt.contains_hashes if isinstance(filt, BloomFilter) else filt.contains_keys
+
+    def run(chunk: tuple[int, int]) -> None:
+        for rows in morsels(*chunk):
+            keep[rows] = probe(keys[rows])
+
     bounds = ctx.task_bounds(len(keys))
     if len(bounds) <= 1:
-        return _membership(filt, keys)
-    parts = ctx.map(
-        lambda chunk: _membership(filt, keys[chunk[0] : chunk[1]]), bounds
-    )
-    return np.concatenate(parts)
-
-
-def _membership(filt, keys: np.ndarray) -> np.ndarray:
-    if isinstance(filt, BloomFilter):
-        return filt.contains_hashes(keys)
-    return filt.contains_keys(keys)
+        run((0, len(keys)))
+    else:
+        ctx.map(run, bounds)
+    return keep

@@ -3,8 +3,8 @@
 Two Bloom layouts live here: the packed register-blocked
 :class:`BloomFilter` (the production hot-path filter) and the
 byte-per-bit :class:`ReferenceBloomFilter` it is equivalence-tested
-against.  :class:`KeyHashCache` memoizes key normalization and Bloom
-hashing per query.
+against.  :class:`KeyHashCache` is the per-query key normalizer and
+hasher the pre-filter loop calls once per morsel.
 """
 
 from .base import FilterOpCounts, TransferableFilter

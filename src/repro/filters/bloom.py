@@ -13,31 +13,76 @@ pre-mixed 64-bit hash** (the output of ``mix64`` /
 :func:`~repro.filters.hashing.bloom_keys`), the same single-hash scheme
 Parquet's split-block filters use:
 
-* the **block** is chosen by the high 32 hash bits via a
-  multiply-shift range reduction (no modulo on the hot path);
-* one **word** inside the block is chosen by three further hash bits —
+* the **word** is chosen by the high 32 hash bits via one multiply-shift
+  range reduction over all words (no modulo on the hot path): the top
+  product bits pick the block, the bits below them the word inside it —
   so every probe touches exactly one cache line *and* one register;
-* all k probe bits land in that word, their positions derived through
-  k salted multiplicative hashes of the full 64 bits, pre-combined
-  into a **single 64-bit mask word**.
+* all k probe bits land in that word, pre-combined into a **single
+  64-bit mask word**.
 
-A probe is therefore one gather plus ``(word & mask) == mask`` —
-compare the reference layout's k scattered byte gathers.  An insert is
-one scatter-OR of the same mask.
+Mask derivation
+---------------
+The mask is **table-driven**: one salted multiply of the hash, whose
+top 24 product bits split into two disjoint 12-bit fields; each field
+indexes a 4 096-entry table of precomputed bit patterns
+(:func:`_pattern_table`: ⌈k/2⌉ bits in the first table, ⌊k/2⌋ in the
+second, positions drawn from a fixed splitmix64 stream so every process
+derives identical tables) and the two patterns are OR-ed.  That is 7
+array passes for any k, against ~4 per probe bit for computing each
+position arithmetically (shift, mask, ``1 << pos``, OR) — 2.5 vs
+6.7 ns/key at k = 7 on the development box.  The two tables are 64 KB
+together and stay cache-resident.  4 096² pattern pairs are far more
+distinct masks than a 64-bit word can tell apart at these fill levels:
+the measured false-positive rate is 0.0362 / 0.0116 / 0.0015 at
+targets 0.05 / 0.01 / 0.001, against 0.0359 / 0.0114 / 0.0015 for
+arithmetic positions (``benchmarks/filter_kernels.py`` prints them).
+Sizing (geometry, ``size_bytes``) does not depend on the derivation.
 
-Register blocking trades a little precision for that locality: with all
-k bits confined to 64 bits, per-word occupancy variance raises the
+Probe and insert
+----------------
+A probe is **branch-free**: gather the word, build the mask,
+``(word & mask) == mask``.  An earlier version tested the first bit
+alone and built full masks only for the keys that passed it; once the
+inputs are cache-resident (below) the compaction (``flatnonzero``, two
+more gathers, a scatter) costs more than the arithmetic it skips at
+every pass rate — 9.2 / 15.4 / 17.1 ns/key at 1 % / 25 % / 100 % of
+keys passing, against 8.6 / 10.0 / 11.5 for the straight mask over the
+same arithmetic masks and 4.5 / 5.9 / 7.2 with the tables.  An insert
+is one scatter-OR of the same mask.
+
+Morsels
+-------
+The ``*_hashes`` entry points take pre-mixed hashes and are meant to be
+called on **cache-sized slices**: the pre-filter loop
+(:mod:`repro.core.transfer` over :mod:`repro.engine.parallel`) cuts a
+relation's surviving rows into morsels of :data:`MORSEL_KEYS` keys and,
+per morsel, gathers + normalizes + hashes the keys and probes (or
+inserts) them before moving on.  A probe is ~13 NumPy passes; over a
+whole 3 M-key column each pass streams 24 MB temporaries through
+memory, over a 32 K-key morsel (256 KB per temporary) they all stay in
+L2.  Measured at 3 M keys against a 750 K-key filter: hash 3.0 → 1.6,
+probe 9.7 → 6.3, hash + probe 12.0 → 7.6 ns/key, whole-array call →
+morsel loop (``benchmarks/filter_kernels.py``).  Single-threaded,
+hash + probe is flat from 8 K to 32 K keys (7.4 / 7.1 / 7.6 ns/key at
+8 K / 16 K / 32 K); below 8 K the fixed cost per NumPy call (~1 µs ×
+~20 calls per morsel) shows (9.3 at 4 K), above 64 K the temporaries
+start leaving L2 (8.1 at 64 K, 13.5 whole-column).  Within that flat
+range the largest size wins under the serving engine: every NumPy call
+drops and retakes the interpreter lock, so two worker threads running
+morsel loops hand it back and forth once per call, and 32 K over 16 K
+measured +8 % requests/s and −11 % first-occurrence latency on the
+``serve_mixed`` benchmark workload for −2 % on single-threaded
+``tpch_predtrans``.  The constant is also the granularity of the
+benchmark tracer's spans (one per morsel per step).
+
+Register blocking trades a little precision for locality: with all k
+bits confined to 64 bits, per-word occupancy variance raises the
 false-positive rate above the textbook formula.  Sizing pads the
 textbook bit count by 25% to compensate (Putze et al.'s measured regime
 for one-word blocks), growing the pad as the target shrinks, which
 keeps the measured FPP within ~1.5× of target while still shrinking
 memory ~6× versus the byte-per-bit
 :class:`~repro.filters.reference.ReferenceBloomFilter`.
-
-The ``*_hashes`` entry points accept the pre-mixed hash array directly
-so a query-scoped :class:`~repro.filters.hashcache.KeyHashCache` can
-hash each key column set once and serve every edge of every transfer
-pass by row-index gather — zero hashing on the per-edge hot path.
 """
 
 from __future__ import annotations
@@ -49,19 +94,47 @@ import numpy as np
 
 from ..errors import FilterError
 from .base import TransferableFilter
-from .hashing import mix64
+from .hashing import mix64, splitmix64
 
 _U64 = np.uint64
 _BLOCK_WORDS = 8  # 512-bit cache-line blocks
-# Odd multiplicative salts deriving the in-word bit positions; each
-# salted product yields two 6-bit positions (see _mask), so these four
-# salts cover up to 8 hashes.
-_SALTS = (
-    _U64(0x47B6137B44974D91),
-    _U64(0x8824AD5BA2B7289D),
-    _U64(0x705495C72DF1424B),
-    _U64(0x9EFC49475C6BFB31),
-)
+
+#: Keys per morsel of the pre-filter loop (see the module docstring).
+MORSEL_KEYS = 32768
+
+# The k probe bits of a key are the OR of two precomputed patterns,
+# each chosen by its own 12-bit field of one salted product of the
+# hash (the product's top 24 bits, its best-mixed ones).
+_PATTERN_BITS = 12
+_SALT = _U64(0x47B6137B44974D91)  # odd
+_FIELD_A = _U64(64 - _PATTERN_BITS)  # product bits 52..63
+_FIELD_B = _U64(64 - 2 * _PATTERN_BITS)  # product bits 40..51
+_FIELD_MASK = _U64((1 << _PATTERN_BITS) - 1)
+_MAX_HASHES = 8  # at most 4 + 4 pattern bits
+
+
+def _pattern_table(bits: int, salt: int) -> np.ndarray:
+    """4 096 words with 1..``bits`` set bits each (none for ``bits=0``).
+
+    Entry ``i`` ORs ``bits`` positions read from consecutive 6-bit
+    fields of ``splitmix64(i + salt * 4096)`` — a pure function of its
+    arguments, so every process derives the same tables and a filter's
+    words mean the same thing wherever they were built.
+    """
+    size = 1 << _PATTERN_BITS
+    mixed = splitmix64(np.arange(size, dtype=_U64) + _U64(salt * size))
+    table = np.zeros(size, dtype=_U64)
+    for i in range(bits):
+        table |= _U64(1) << ((mixed >> _U64(6 * i)) & _U64(63))
+    table.setflags(write=False)
+    return table
+
+
+# Indexed by the number of bits the half contributes (0..4); a filter
+# with k hashes reads _PATTERNS_A[ceil(k/2)] and _PATTERNS_B[floor(k/2)].
+_PATTERNS_A = tuple(_pattern_table(b, 1) for b in range(_MAX_HASHES // 2 + 1))
+_PATTERNS_B = tuple(_pattern_table(b, 2) for b in range(_MAX_HASHES // 2 + 1))
+
 # Blocked-layout sizing pad over the textbook bit count (see module
 # docstring); keeps measured FPP near target despite register blocking.
 # The penalty is tail-loaded (overfull words dominate the FPP), so it
@@ -98,7 +171,7 @@ class BloomFilter(TransferableFilter):
         n = max(1, self.capacity)
         bits = -n * math.log(self.fpp) / (math.log(2) ** 2)
         self.num_hashes = max(
-            1, min(2 * len(_SALTS), round(bits / n * math.log(2)))
+            1, min(_MAX_HASHES, round(bits / n * math.log(2)))
         )
         pad = _BLOCK_PAD + _BLOCK_PAD_PER_DECADE * max(
             0.0, -math.log10(self.fpp) - 2.0
@@ -121,36 +194,21 @@ class BloomFilter(TransferableFilter):
         """Flat index of each key's word, via one multiply-shift range
         reduction of the high 32 hash bits over all words: the top
         product bits pick the 512-bit block, the fractional bits below
-        them pick the word inside it.  In-place after the first shift —
-        this runs over full probe columns."""
+        them pick the word inside it."""
         idx = hashes >> _U64(32)  # fresh array; mutated below
-        with np.errstate(over="ignore"):
-            idx *= _U64(self.num_blocks * _BLOCK_WORDS)
+        idx *= _U64(self.num_blocks * _BLOCK_WORDS)
         idx >>= _U64(32)
-        return idx.astype(np.intp)
+        return idx.view(np.intp)  # < 2**32, so the reinterpret is exact
 
     def _mask(self, hashes: np.ndarray) -> np.ndarray:
-        """The combined k-bit probe mask word of each key.
-
-        Each salted multiply yields 12 well-mixed top product bits —
-        enough for two 6-bit positions — so k bits cost ⌈k/2⌉ multiplies.
-        """
-        one = _U64(1)
-        with np.errstate(over="ignore"):
-            product = hashes * _SALTS[0]
-            mask = one << (product >> _U64(58))
-            remaining = self.num_hashes - 1
-            salt = 1
-            while remaining > 0:
-                product >>= _U64(52)
-                product &= _U64(63)
-                mask |= one << product
-                remaining -= 1
-                if remaining > 0:
-                    product = hashes * _SALTS[salt]
-                    salt += 1
-                    mask |= one << (product >> _U64(58))
-                    remaining -= 1
+        """The combined k-bit probe mask word of each key: two pattern
+        table lookups OR-ed (⌈k/2⌉ + ⌊k/2⌋ bits)."""
+        product = hashes * _SALT  # fresh array; mutated below
+        field = product >> _FIELD_A
+        mask = _PATTERNS_A[(self.num_hashes + 1) // 2].take(field.view(np.intp))
+        product >>= _FIELD_B
+        product &= _FIELD_MASK
+        mask |= _PATTERNS_B[self.num_hashes // 2].take(product.view(np.intp))
         return mask
 
     # ------------------------------------------------------------------
@@ -168,28 +226,16 @@ class BloomFilter(TransferableFilter):
         self.add_hashes(mix64(keys))
 
     def contains_hashes(self, hashes: np.ndarray) -> np.ndarray:
-        """Membership mask given pre-mixed 64-bit hashes."""
+        """Membership mask given pre-mixed 64-bit hashes (branch-free:
+        gather word, build mask, compare)."""
         n = len(hashes)
         if n == 0:
             return np.zeros(0, dtype=np.bool_)
         self.ops.probes += n
-        words = self._words[self._word_index(hashes)]
-        one = _U64(1)
-        with np.errstate(over="ignore"):
-            first = hashes * _SALTS[0]
-        first >>= _U64(58)
-        first = one << first
-        first &= words
-        result = first != 0
-        if self.num_hashes > 1:
-            # Short-circuit: the full mask is only built for keys whose
-            # first probe bit hit (words are already gathered).
-            alive = np.flatnonzero(result)
-            if len(alive):
-                mask = self._mask(hashes[alive])
-                ok = (words[alive] & mask) == mask
-                result[alive[~ok]] = False
-        return result
+        words = self._words.take(self._word_index(hashes))
+        mask = self._mask(hashes)
+        words &= mask
+        return words == mask
 
     def merge_words(self, other: "BloomFilter") -> None:
         """OR-merge another filter of identical geometry into this one.

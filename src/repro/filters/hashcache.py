@@ -1,26 +1,20 @@
-"""Query-scoped key-hash caching.
+"""Query-scoped join-key normalizer.
 
-The transfer phase probes and rebuilds filters over the *same* key
-columns for every edge of every pass of every round, and BloomJoin
-re-hashes its build sides likewise.  Before this cache, each of those
-touches re-ran ``column_to_u64`` (dictionary FNV, dtype reinterpret)
-plus one or two ``splitmix64`` passes over the full column.
+The pre-filter kernel hashes join keys a morsel at a time: each call to
+:meth:`KeyHashCache.bloom_keys` gathers, normalizes and mixes **only the
+rows it is handed** (a slice of a surviving row vector), while they sit
+in cache.  Nothing the length of a column is ever computed or kept —
+hashing a 2 % survivor set costs 2 % of the column, and a hash array
+lives no longer than the morsel that consumes it.
 
-:class:`KeyHashCache` memoizes, per query, two derivations keyed by
-column identity (columns are immutable, so object identity is a sound
-cache key; the cache holds a strong reference to every column it has
-hashed, which pins identities for the cache's query-long lifetime):
-
-* ``column_u64`` — the u64 normalization of one column;
-* ``bloom_keys`` — the combined mixed key of a column set.  This
-  array is *already uniformly mixed*, so it doubles as the pre-mixed
-  hash the blocked Bloom filter's ``*_hashes`` entry points consume —
-  one cached array serves exact filters (as the key) and Bloom filters
-  (as the hash).
-
-Both are computed over the **full** column once and served to row
-subsets by index gather, so repeat visits cost one gather instead of a
-hash pipeline.
+The one derivation that is *not* per row, and therefore worth
+remembering between morsels, is a STRING key's dictionary: its distinct
+texts are FNV-hashed once per query and every morsel maps its codes
+through that array.  The memo is keyed by dictionary identity
+(dictionaries are immutable and shared by every column sliced or
+gathered from the same base column) and holds a strong reference to
+each dictionary it hashed, which pins the identity for the cache's
+query-long lifetime — a few KB per string key column, never row data.
 """
 
 from __future__ import annotations
@@ -28,45 +22,36 @@ from __future__ import annotations
 import numpy as np
 
 from ..storage.column import Column
-from .hashing import column_to_u64, hash_combine, mix64
+from .hashing import Rows, column_to_u64, combine_keys, fnv1a_texts
 
 
 class KeyHashCache:
-    """Memo of per-column and per-column-set hash derivations."""
+    """Per-query key hashing with remembered string-dictionary hashes."""
 
-    __slots__ = ("_u64", "_sets")
+    __slots__ = ("_dict_hashes",)
 
     def __init__(self) -> None:
-        # id(column) -> (column, u64 normalization)
-        self._u64: dict[int, tuple[Column, np.ndarray]] = {}
-        # (id(c) per column) -> (columns, combined mixed key)
-        self._sets: dict[tuple[int, ...], tuple[list[Column], np.ndarray]] = {}
+        # id(dictionary) -> (dictionary, FNV-1a hash of each entry)
+        self._dict_hashes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    # ------------------------------------------------------------------
-    def column_u64(self, column: Column) -> np.ndarray:
-        """Cached ``column_to_u64`` of one column."""
-        entry = self._u64.get(id(column))
+    def dictionary_hashes(self, column: Column) -> np.ndarray | None:
+        """FNV-1a hashes of a STRING column's dictionary, hashed once;
+        ``None`` for every other column type."""
+        dictionary = column.dictionary
+        if dictionary is None:  # exactly the non-STRING columns
+            return None
+        entry = self._dict_hashes.get(id(dictionary))
         if entry is None:
-            entry = (column, column_to_u64(column))
-            self._u64[id(column)] = entry
+            entry = (dictionary, fnv1a_texts(dictionary))
+            self._dict_hashes[id(dictionary)] = entry
         return entry[1]
 
-    # ------------------------------------------------------------------
-    def bloom_keys(
-        self, columns: list[Column], rows: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Combined Bloom key of a column set, optionally row-gathered.
+    def bloom_keys(self, columns: list[Column], rows: Rows = None) -> np.ndarray:
+        """Combined Bloom key of ``rows`` of a column set.
 
-        Same values as :func:`repro.filters.hashing.bloom_keys` — but
-        hashed once per column set and gathered thereafter.
+        Same values as :func:`repro.filters.hashing.bloom_keys`; only
+        ``rows`` are hashed.
         """
-        key = tuple(id(c) for c in columns)
-        entry = self._sets.get(key)
-        if entry is None:
-            acc = mix64(self.column_u64(columns[0]))
-            for column in columns[1:]:
-                acc = hash_combine(acc, mix64(self.column_u64(column)))
-            entry = (list(columns), acc)
-            self._sets[key] = entry
-        keys = entry[1]
-        return keys if rows is None else keys[rows]
+        return combine_keys(
+            [column_to_u64(c, rows, self.dictionary_hashes(c)) for c in columns]
+        )

@@ -19,9 +19,11 @@ Two distinct needs are served:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from ..storage.column import Column, DType
+from ..storage.column import Column
 
 _UINT64 = np.uint64
 # splitmix64 constants (Steele et al.), the standard 64-bit finalizer.
@@ -96,7 +98,7 @@ def fnv1a_text(text: str) -> int:
 _FNV_PRIME_INV = pow(_FNV_PRIME, -1, 2**64)
 
 
-def fnv1a_texts(texts) -> np.ndarray:
+def fnv1a_texts(texts: Sequence[str] | np.ndarray) -> np.ndarray:
     """Vectorized 64-bit FNV-1a over a sequence of strings.
 
     FNV-1a is sequential in the *bytes* of one string but independent
@@ -141,40 +143,54 @@ def fnv1a_texts(texts) -> np.ndarray:
     return acc
 
 
-def column_to_u64(column: Column) -> np.ndarray:
-    """Normalize a single column to ``uint64`` identity keys.
+#: Rows of a column to hash: an index array, a slice, or ``None`` (all).
+Rows = np.ndarray | slice | None
+
+
+def column_to_u64(
+    column: Column, rows: Rows = None, dict_hashes: np.ndarray | None = None
+) -> np.ndarray:
+    """Normalize ``rows`` of a single column to ``uint64`` identity keys.
 
     Integer-like columns map injectively (two's-complement reinterpret);
     floats map via their bit pattern; strings map via an FNV-1a hash of
-    each distinct dictionary entry gathered through the codes.
+    each distinct dictionary entry gathered through the codes
+    (``dict_hashes`` supplies those hashes when the caller already has
+    them — hashing a dictionary costs a pass over its text).
+
+    ``rows`` is taken from the physical data **first**, so widening a
+    32-bit column or mapping string codes touches only the rows asked
+    for, never the whole column.
     """
-    if column.dtype is DType.STRING:
-        dict_hashes = fnv1a_texts(column.dictionary)
-        return dict_hashes[column.data]
-    if column.dtype is DType.FLOAT64:
-        return column.data.view(np.uint64)
-    if column.data.dtype == np.int64:
-        return column.data.view(np.uint64)  # zero-copy reinterpret
-    return column.data.astype(np.int64).view(np.uint64)
+    data = column.data if rows is None else column.data[rows]
+    dictionary = column.dictionary
+    if dictionary is not None:  # STRING: data holds dictionary codes
+        if dict_hashes is None:
+            dict_hashes = fnv1a_texts(dictionary)
+        return dict_hashes[data]
+    if data.dtype.itemsize == 8:  # INT64 / FLOAT64: zero-copy reinterpret
+        return data.view(np.uint64)
+    return data.astype(np.int64).view(np.uint64)
 
 
-def bloom_keys(columns: list[Column], rows: np.ndarray | None = None) -> np.ndarray:
-    """Build Bloom-ready hashed keys from one or more key columns.
+def combine_keys(parts: list[np.ndarray]) -> np.ndarray:
+    """Mixed 64-bit key of one or more aligned ``uint64`` key parts.
 
-    Single integer columns are passed through the :func:`mix64`
-    bijection directly (collision-free); multi-column keys are
-    hash-combined left to right.  ``rows`` limits the computation to a
-    row subset (selection indices).  Must stay consistent with
-    :meth:`repro.filters.hashcache.KeyHashCache.bloom_keys`, the cached
-    equivalent.
+    A single part goes through the :func:`mix64` bijection directly
+    (collision-free); further parts are hash-combined left to right.
     """
-    parts = []
-    for column in columns:
-        u = column_to_u64(column)
-        if rows is not None:
-            u = u[rows]
-        parts.append(u)
     acc = mix64(parts[0])
     for part in parts[1:]:
         acc = hash_combine(acc, mix64(part))
     return acc
+
+
+def bloom_keys(columns: list[Column], rows: Rows = None) -> np.ndarray:
+    """Build Bloom-ready hashed keys from one or more key columns.
+
+    ``rows`` limits the computation to a row subset (selection indices
+    or a slice); only those rows are gathered, normalized and hashed.
+    Same values as :meth:`repro.filters.hashcache.KeyHashCache.bloom_keys`,
+    which additionally remembers string-dictionary hashes between calls.
+    """
+    return combine_keys([column_to_u64(column, rows) for column in columns])

@@ -7,8 +7,6 @@ a single query:
   through :meth:`Engine.register`, which bumps the data version and
   invalidates cache entries derived from the table);
 * one :class:`~repro.cache.store.FilterCache` shared by every query;
-* one cross-query :class:`~repro.filters.hashcache.KeyHashCache` for
-  the pre-filter phases (keyed on immutable base-column identity);
 * a worker thread pool that bounds concurrent query execution.
 
 Thread-safety and eviction guarantees
@@ -73,7 +71,6 @@ from ..core.runner import QueryResult, RunConfig, run_query
 from ..engine.parallel import get_parallel
 from ..engine.stats import QueryStats
 from ..errors import EngineSaturated, QueryCancelled
-from ..filters.hashcache import KeyHashCache
 from ..obs.adapters import EngineObserver
 from ..obs.metrics import MetricsRegistry
 from ..obs.slowlog import SlowQueryLog, plan_fingerprint
@@ -298,8 +295,8 @@ class Engine:
         The base catalog to serve (mutate only via :meth:`register`).
     config:
         Default :class:`RunConfig` for queries that don't bring their
-        own; its ``filter_cache`` / ``shared_hashes`` fields are always
-        overridden with the engine's shared instances.
+        own; its ``filter_cache`` field is always overridden with the
+        engine's shared instance.
     cache_bytes:
         Filter-cache byte budget (``None`` disables caching entirely).
     workers:
@@ -351,7 +348,6 @@ class Engine:
         self.filter_cache = (
             FilterCache(max_bytes=cache_bytes) if cache_bytes else None
         )
-        self._hashes = KeyHashCache() if cache_bytes else None
         self._default_config = config or RunConfig()
         # One shared intra-query context for the engine's configured
         # thread count (see "Nested intra-query parallelism" above);
@@ -394,7 +390,6 @@ class Engine:
         return replace(
             base,
             filter_cache=self.filter_cache,
-            shared_hashes=self._hashes,
             parallel=parallel,
             context=qctx,
         )
@@ -683,9 +678,9 @@ class Engine:
         """Register/replace a table and invalidate derived state.
 
         Bumps the name's **base** data version (so every fingerprint
-        minted against the old contents is orphaned), eagerly drops the
-        table's cache entries, and swaps in a fresh pre-filter hash
-        cache.  In-flight queries keep their immutable snapshot.
+        minted against the old contents is orphaned) and eagerly drops
+        the table's cache entries.  In-flight queries keep their
+        immutable snapshot.
         Appends should use :meth:`ingest` instead, which keeps cached
         artifacts extendable rather than wiping them.
         """
@@ -694,7 +689,6 @@ class Engine:
             self.catalog.register(table, key)
             if self.filter_cache is not None:
                 self.filter_cache.invalidate_table(key)
-                self._hashes = KeyHashCache()
 
     def ingest(self, deltas: dict[str, Table]) -> dict[str, str]:
         """Atomically append delta rows to one or more base tables.
@@ -707,10 +701,11 @@ class Engine:
         Returns the committed version string per table name.
 
         Unlike :meth:`register`, nothing is invalidated: an append only
-        bumps the delta sequence, cached artifacts for the old contents
-        remain reachable for delta extension, and the key-hash cache
-        stays valid because it memoizes by column object identity and
-        appended tables carry new column objects.
+        bumps the delta sequence and cached artifacts for the old
+        contents remain reachable for delta extension.  The engine
+        keeps no reference to a superseded table (cached artifacts are
+        filters and row vectors, never columns): once the queries that
+        pinned it finish, it is garbage.
         """
         batch = self.catalog.begin_ingest()
         try:
@@ -736,9 +731,6 @@ class Engine:
         """Drop every cached artifact (correctness-neutral)."""
         if self.filter_cache is not None:
             self.filter_cache.clear()
-        with self._lock:
-            if self._hashes is not None:
-                self._hashes = KeyHashCache()
 
     def stats(self) -> EngineStats:
         """Aggregate serving statistics snapshot."""

@@ -26,9 +26,8 @@ such sources through :meth:`Column.take_nullable`.
 ``column()`` memoizes gathered columns on the view instance.  Besides
 avoiding repeat gathers (a residual and a join key touching the same
 column pay once), this gives gathered columns a *stable identity* per
-view, which keeps the query-wide ``KeyHashCache`` / ``BuildSortCache``
-(both keyed on column ``id``) effective even though base columns are
-never copied up front.
+view, which keeps the query-wide ``BuildSortCache`` (keyed on column
+``id``) effective even though base columns are never copied up front.
 """
 
 from __future__ import annotations

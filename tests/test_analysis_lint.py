@@ -246,6 +246,9 @@ STRICT_PATHS = [
     "src/repro/engine/aggregate.py",
     "src/repro/engine/factorize.py",
     "src/repro/engine/sort.py",
+    "src/repro/filters/bloom.py",
+    "src/repro/filters/hashing.py",
+    "src/repro/filters/hashcache.py",
 ]
 
 

@@ -10,11 +10,18 @@ capacity/fpp (≥ 4× smaller after block rounding and the blocked-layout
 sizing pad).
 """
 
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.filters import bloom as bloom_module
 from repro.filters.bloom import BloomFilter
 from repro.filters.hashcache import KeyHashCache
 from repro.filters.hashing import bloom_keys, mix64
@@ -123,21 +130,79 @@ def test_hashcache_keys_serve_as_bloom_hashes():
     assert bloom.contains_hashes(cache.bloom_keys([col], rows)).all()
 
 
-def test_hashcache_computes_each_column_once(monkeypatch):
+@pytest.mark.parametrize(
+    "column",
+    [
+        Column.from_days(np.arange(9000, 9100)),
+        Column.from_strings([f"name-{i % 37}" for i in range(100)]),
+        Column.from_bools(np.arange(100) % 3 == 0),
+    ],
+    ids=["date", "string", "bool"],
+)
+def test_row_subsets_and_slices_hash_like_the_full_column(column):
+    """Keys are normalized after the gather: hashing a row subset or a
+    slice gives exactly the full-column hashes at those rows."""
+    other = Column.from_ints(np.arange(100) * 7)
+    subset = np.array([3, 4, 50, 98, 99])
+    for columns in ([column], [other, column]):
+        full = bloom_keys(columns)
+        for hasher in (bloom_keys, KeyHashCache().bloom_keys):
+            assert np.array_equal(hasher(columns, subset), full[subset])
+            assert np.array_equal(hasher(columns, slice(10, 60)), full[10:60])
+            assert len(hasher(columns, subset[:0])) == 0
+
+
+def test_hashcache_hashes_a_string_dictionary_once(monkeypatch):
     import repro.filters.hashcache as hc
 
     calls = {"n": 0}
-    real = hc.column_to_u64
+    real = hc.fnv1a_texts
 
-    def counting(column):
+    def counting(texts):
         calls["n"] += 1
-        return real(column)
+        return real(texts)
 
-    monkeypatch.setattr(hc, "column_to_u64", counting)
+    monkeypatch.setattr(hc, "fnv1a_texts", counting)
     cache = KeyHashCache()
-    col = Column.from_ints([1, 2, 3])
+    col = Column.from_strings(["x", "y", "x", "z"])
     for _ in range(5):
         cache.bloom_keys([col])
-        cache.bloom_keys([col], np.array([0, 1]))
-        cache.column_u64(col)
+        cache.bloom_keys([col.slice(1, 3)], np.array([0, 1]))
     assert calls["n"] == 1
+
+
+# ----------------------------------------------------------------------
+# Pattern tables
+# ----------------------------------------------------------------------
+def test_pattern_tables_have_the_advertised_bit_counts():
+    for tables in (bloom_module._PATTERNS_A, bloom_module._PATTERNS_B):
+        assert not tables[0].any()
+        for bits, table in enumerate(tables[1:], start=1):
+            assert table.shape == (4096,) and not table.flags.writeable
+            counts = np.bitwise_count(table)
+            assert counts.min() >= 1 and counts.max() == bits
+    for k in range(1, 9):
+        filt = BloomFilter(capacity=1000, fpp=0.01)
+        filt.num_hashes = k
+        counts = np.bitwise_count(filt._mask(mix64(np.arange(5000, dtype=np.uint64))))
+        assert counts.min() >= 1 and counts.max() == k
+
+
+def test_pattern_tables_are_the_same_in_another_process():
+    """A cached or shipped filter's words must mean the same thing in
+    whichever process probes them."""
+    script = (
+        "import hashlib; from repro.filters import bloom; "
+        "print(hashlib.sha256(b''.join(t.tobytes() for t in "
+        "bloom._PATTERNS_A + bloom._PATTERNS_B)).hexdigest())"
+    )
+    src = str(pathlib.Path(bloom_module.__file__).parents[2])
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    here = hashlib.sha256(
+        b"".join(t.tobytes() for t in bloom_module._PATTERNS_A + bloom_module._PATTERNS_B)
+    ).hexdigest()
+    assert out.stdout.strip() == here
