@@ -20,7 +20,7 @@ mirroring the paper's single-executor methodology.
 One :class:`~repro.core.transfer.ExecContext` is created per
 :func:`run_query` call and handed to every phase.  It carries the
 query's statistics, deadline/budget context, cross-query cache
-binding, key-hash and build-sort memos and worker pool; all of them are
+binding, key-hash memo and worker pool; all of them are
 always there, and an unconfigured one does nothing (no deadline, no
 budget, nothing cacheable, serial).
 
@@ -74,7 +74,7 @@ that provably cannot satisfy a local predicate (``partitions_pruned``
 in :class:`~repro.engine.stats.QueryStats`), and with ``threads > 1``
 the chunked kernels — scan predicate evaluation, Bloom build
 (per-chunk filters OR-merged word-wise), Bloom/hash-set probes, and
-hash-join probes against a shared build sort — fan out over the
+hash-join probes against a shared build index — fan out over the
 process-wide worker pool for that thread count
 (:mod:`repro.engine.parallel`).  Every merge is an ordered
 concatenation or a commutative OR, so results are **byte-identical**
@@ -651,8 +651,7 @@ def _execute_join_phase(
     columns are available, which for cross-component residuals is right
     after the cross join that brings both sides together.
     """
-    # Only these stable inputs go through the query-wide build-sort
-    # memo and the cross-query cache.
+    # Only these stable inputs go through the cross-query cache.
     ctx.alias_of = {id(t): a for a, t in reduced.items()}
     stats = ctx.stats
     pending = list(spec.residuals)
@@ -696,9 +695,6 @@ def _execute_join_phase(
                 residual=residual,
                 label=f"Join {join_index}",
                 probe_rows=probe_rows,
-                build_cache=(
-                    ctx.build_cache if id(build_table) in ctx.alias_of else None
-                ),
                 parallel=ctx.parallel,
             )
             stats.joins.append(jstat)

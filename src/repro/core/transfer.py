@@ -33,8 +33,8 @@ vertex as the selectivity estimate; this is ablatable via
 
 The state the kernel works on is one :class:`ExecContext` per query:
 the scanned relations and their surviving rows, plus the statistics,
-deadline/budget context, cross-query cache binding, key normalizer,
-build-sort memo and worker pool every phase shares.  Each of those is
+deadline/budget context, cross-query cache binding, key normalizer
+and worker pool every phase shares.  Each of those is
 always present — an unconfigured one is a no-op (no deadline, no
 budget, nothing cacheable, serial) — so no phase tests for them.
 
@@ -69,7 +69,6 @@ import numpy as np
 from ..cache.context import QueryCache
 from ..cache.store import FilterCache
 from ..context import QueryContext
-from ..engine.hashjoin import BuildSortCache
 from ..engine.parallel import (
     ParallelContext,
     morsels,
@@ -195,16 +194,14 @@ class ExecContext:
     # cached filters remain valid across thread counts.
     parallel: ParallelContext = field(default_factory=ParallelContext)
     hashes: KeyHashCache = field(default_factory=KeyHashCache)
-    build_cache: BuildSortCache = field(default_factory=BuildSortCache)
     tables: dict[str, AnyTable] = field(default_factory=dict)
     rows: dict[str, np.ndarray] = field(default_factory=dict)
     # Aliases an incoming filter has reduced below their
     # local-predicate survivors; filters built there are not cacheable.
     shrunk: set[str] = field(default_factory=set)
     # id(join-phase input relation) -> alias.  Join intermediates are
-    # absent: they are fresh objects no memo lookup could hit, and a
-    # memo would pin their columns (plus full-size sort arrays)
-    # until query end.
+    # absent: their rows depend on the joins before them, so a filter
+    # built from one is not cacheable.
     alias_of: dict[int, str] = field(default_factory=dict)
 
     def row_counts(self) -> dict[str, int]:

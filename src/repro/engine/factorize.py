@@ -4,6 +4,11 @@
 ``COUNT(DISTINCT)`` and ``DISTINCT``.  The steps it chooses between, the
 bound on its tables and its ordering and NULL contract are described in
 :mod:`repro.engine.aggregate`.
+
+Its building blocks — the value span of integer keys, the density bound
+on direct-address tables, the row-tagged sort, the presence table — are
+shared with the join kernel (:mod:`repro.engine.hashjoin`,
+:mod:`repro.engine.keys`) and the optimizer's distinct counts.
 """
 
 from __future__ import annotations
@@ -15,11 +20,52 @@ import numpy as np
 from ..storage.column import Column, DType
 
 # A direct-address table may hold at most this many slots per input row
-# (a presence byte and a remap word each: under 36 bytes per row).
+# (grouping: a presence byte and a remap word each, under 36 bytes per
+# row; the join: a count and a row number each, 48).
 DIRECT_ADDRESS_SLOTS_PER_ROW = 4
 
 # Packed keys are int64: a code space must stay below this to be packed.
-_PACK_LIMIT = 2**62
+PACK_LIMIT = 2**62
+
+
+def int_span(*arrays: np.ndarray) -> tuple[int, int]:
+    """``(low, span)`` of the integers in ``arrays``: every value is
+    ``low + code`` with ``0 <= code < span``.
+
+    Python ints, so a span of int64 extremes does not wrap; callers
+    compare it with their bound before subtracting ``low`` from anything.
+    ``(0, 1)`` when there is no value at all.
+    """
+    filled = [a for a in arrays if len(a)]
+    if not filled:
+        return 0, 1
+    low = min(int(a.min()) for a in filled)
+    return low, max(int(a.max()) for a in filled) - low + 1
+
+
+def count_distinct(values: np.ndarray) -> int:
+    """Exact number of distinct values: a presence table over the span
+    of densely spread integers, a sort of anything else."""
+    if len(values) == 0:
+        return 0
+    if values.dtype.kind in "iu":
+        low, span = int_span(values)
+        if span <= DIRECT_ADDRESS_SLOTS_PER_ROW * len(values):
+            return int(np.count_nonzero(_present(values - low, span)))
+    ordered = np.sort(values)
+    return int(np.count_nonzero(ordered[1:] != ordered[:-1])) + 1
+
+
+def tagged_sort(packed: np.ndarray, row_bits: int) -> np.ndarray:
+    """``packed << row_bits | row``, sorted: each key tagged with its row
+    number, so that one plain in-place sort is stable and carries its
+    own permutation (an argsort of the same keys costs several times
+    more).  The caller checks that the shifted keys fit in an int64.
+    """
+    tagged = np.left_shift(packed, row_bits, dtype=np.int64)
+    tagged |= np.arange(len(packed), dtype=np.int64)
+    tagged.sort()
+    return tagged
 
 
 def group_rows(
@@ -47,7 +93,7 @@ def group_rows(
         if n_groups == n_rows or _determined(column, gid, first):
             continue
         codes, card = _codes(column)
-        if n_groups * card >= _PACK_LIMIT:
+        if n_groups * card >= PACK_LIMIT:
             codes, code_rows = _densify(codes, card, n_rows)
             card = len(code_rows)
         packed = codes if n_groups == 1 else gid * card + codes
@@ -97,24 +143,30 @@ def _numeric_codes(column: Column) -> tuple[np.ndarray, int]:
     data = column.data
     values = data if column.valid is None else data[column.valid]
     if column.dtype is not DType.FLOAT64 and len(values):
-        low, high = int(values.min()), int(values.max())
-        if 0 <= low and high < DIRECT_ADDRESS_SLOTS_PER_ROW * len(data):
-            return data, high + 1  # addressable as it is
-        if high - low < _PACK_LIMIT:
-            return data - low, high - low + 1
-    codes, code_rows = _densify(data, _PACK_LIMIT, len(data))
+        low, span = int_span(values)
+        if 0 <= low and low + span <= DIRECT_ADDRESS_SLOTS_PER_ROW * len(data):
+            return data, low + span  # addressable as it is
+        if span <= PACK_LIMIT:
+            return data - low, span
+    codes, code_rows = _densify(data, PACK_LIMIT, len(data))
     return codes, len(code_rows)
+
+
+def _present(codes: np.ndarray, space: int) -> np.ndarray:
+    """Which of the codes ``[0, space)`` occur."""
+    present = np.zeros(space, dtype=np.bool_)
+    present[codes] = True
+    return present
 
 
 def _densify(
     packed: np.ndarray, space: int, n_rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense ids of ``packed`` (values in ``[0, space)``, or anything
-    sortable when ``space`` is ``_PACK_LIMIT``) and each id's first row."""
+    sortable when ``space`` is ``PACK_LIMIT``) and each id's first row."""
     row_bits = n_rows.bit_length()
     if space <= DIRECT_ADDRESS_SLOTS_PER_ROW * n_rows:
-        present = np.zeros(space, dtype=np.bool_)
-        present[packed] = True
+        present = _present(packed, space)
         n_ids = int(np.count_nonzero(present))
         if n_ids == space:
             ids = packed.astype(np.intp, copy=False)
@@ -123,15 +175,10 @@ def _densify(
         first = np.full(n_ids, n_rows, dtype=np.intp)
         np.minimum.at(first, ids, np.arange(n_rows, dtype=np.intp))
         return ids, first
-    if space << row_bits < 2 * _PACK_LIMIT:
-        # Sparse integers: tag each key with its row number, so that one
-        # plain in-place sort is stable and carries its own permutation
-        # (an argsort of the same keys costs several times more).
-        rows = np.arange(n_rows, dtype=np.int64)
-        tagged = np.left_shift(packed, row_bits, dtype=np.int64)
-        tagged |= rows
-        tagged.sort()
-        np.bitwise_and(tagged, (1 << row_bits) - 1, out=rows)
+    if space << row_bits < 2 * PACK_LIMIT:
+        # Sparse integers.
+        tagged = tagged_sort(packed, row_bits)
+        rows = tagged & ((1 << row_bits) - 1)
         tagged >>= row_bits
         heads = np.empty(n_rows, dtype=np.bool_)
         heads[0] = True

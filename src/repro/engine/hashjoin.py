@@ -1,22 +1,45 @@
-"""Vectorized equi-join.
+"""Vectorized equi-join: a bucket-addressed hash join.
 
-The matching kernel (:func:`join_indices`) sorts the build side once and
-binary-searches every probe key into it, then expands duplicate matches
-with a counts/offsets trick — the NumPy equivalent of a hash join's
-build/probe structure, with identical input-size accounting (``HT`` =
-build rows, ``PR`` = probe rows) so the paper's Tables 1–2 can be
-reproduced exactly.
+The matching kernel (:class:`BuildIndex`, :func:`join_indices`) is a
+hash table laid out as arrays.  ``HT`` = build rows inserted, ``PR`` =
+probe rows looked up, exactly the paper's Tables 1–2 accounting.
 
-Two hot-path optimizations:
+**Bucket function.**  With ``low``/``span`` the build keys' minimum and
+value range, ``bucket(key) = key - low`` when ``span`` is at most
+:data:`~repro.engine.factorize.DIRECT_ADDRESS_SLOTS_PER_ROW` × (build +
+probe rows) — surrogate keys, dates, packed composites of those: one
+slot per possible key, so equal buckets mean equal keys.  Anything
+sparser takes the top bits of :func:`~repro.filters.hashing.mix64` over
+a power-of-two table of at least 2 × build rows; buckets then collide,
+so candidate pairs are confirmed by comparing the keys themselves.  The
+span is compared with the bound in Python ints before any ``key - low``
+is formed; probe keys outside the span land (through the unsigned
+wrap of that difference) on one extra, always-empty slot.  Either way
+the tables hold at most that many slots per input row and die with the
+call.
 
-* **Unique-build fast path** — when the build keys are distinct (the
-  common case: joining against a key column), each probe has at most
-  one match, so the kernel answers with one binary search plus an
-  equality check and skips the repeat-expansion machinery entirely.
-* **Build-sort reuse** — sorting the build side dominates build cost;
-  a query-scoped :class:`BuildSortCache` keyed on build-column identity
-  re-serves the argsort when the same table+key is the build side more
-  than once in a query (self-join patterns, replayed sub-plans).
+**Layout.**  One ``bincount`` of the build buckets gives every slot's
+row count.  Existence probes (``semi``/``anti`` without a residual,
+one-key-per-slot buckets) read that table and nothing else is built.
+When no slot holds two rows the index is a slot → row scatter and a
+probe is one gather.  Otherwise it is CSR: ``offsets`` (the counts'
+prefix sum) and ``order``, the build rows sorted by bucket — left out
+when the buckets already arrive non-decreasing (``lineitem`` by
+``l_orderkey``), a row-tagged sort otherwise; a probe gathers its
+slot's two offsets and expands the runs.
+
+**Order.**  Pairs come out in ascending probe position and, within one
+probe row, ascending build row — what a stable sort of the build side
+followed by a binary search per probe key produces (the reference kept
+in ``tests/test_hashjoin.py``), so results are byte-identical for any
+chunking of the probe side: a :class:`ParallelContext` probes chunks
+against the one shared, read-only index.
+
+The index is built per call and never kept.  A build side recurs within
+a query only in self-join shapes, and then with other survivors: the
+per-query memo of sorted build sides this module once carried measured
+zero hits over the whole benchmark suite, while pinning full-size arrays
+until the query ended.
 
 Join kinds: ``inner``, ``left`` (null-extending), ``semi``, ``anti``.
 ``right`` joins are executed as mirrored ``left`` joins by the planner.
@@ -27,28 +50,32 @@ query shapes used here.
 NULL join keys follow SQL semantics: a row whose key tuple contains a
 null (e.g. the null-extended side of an upstream left join) **never**
 matches anything.  Physically such rows carry a canonical zero
-placeholder under a ``valid=False`` mask (:meth:`Column.take_nullable`),
-so the matching kernel's raw key comparison can still produce bogus
-pairs (zero is a perfectly matchable value); :func:`hash_join`
-therefore post-filters every matched pair by the conjunction of both
-sides' key-column validity masks.  Null-keyed probe rows then count
-zero matches — dropped by ``inner``/``semi``, kept by ``anti`` (SQL
-``NOT EXISTS``), null-extended by ``left``.
+placeholder under a ``valid=False`` mask (:meth:`Column.take_nullable`)
+— a perfectly matchable value — so :func:`hash_join` keeps them out of
+the kernel altogether: null-keyed build rows are not inserted and
+null-keyed probe rows are not looked up.  The latter count zero
+matches — dropped by ``inner``/``semi``, kept by ``anti`` (SQL ``NOT
+EXISTS``), null-extended by ``left``.  FLOAT64 keys compare by value
+(``0.0 = -0.0``, see :func:`~repro.filters.hashing.column_to_u64`); a
+NaN is just a bit pattern to the kernel, so a missing float must be a
+NULL, which the rule above keeps from matching.
 """
 
 from __future__ import annotations
 
 import time
-from typing import NamedTuple
+from collections.abc import Callable
 
 import numpy as np
 
 from ..errors import ExecutionError
 from ..expr.eval import evaluate_mask
 from ..expr.nodes import Expr
+from ..filters.hashing import mix64
 from ..storage.column import Column
 from ..storage.table import Table
 from ..storage.view import AnyTable, TableView, join_views
+from .factorize import DIRECT_ADDRESS_SLOTS_PER_ROW, PACK_LIMIT, int_span, tagged_sort
 from .keys import normalize_join_keys
 from .parallel import ParallelContext
 from .stats import JoinStat
@@ -56,137 +83,191 @@ from .stats import JoinStat
 _JOIN_KINDS = ("inner", "left", "semi", "anti")
 
 
-class BuildSort(NamedTuple):
-    """The sorted build side: permutation, sorted keys, uniqueness."""
+class BuildIndex:
+    """The build side's keys indexed by bucket (see the module docstring).
 
-    order: np.ndarray
-    sorted_keys: np.ndarray
-    unique: bool
-
-
-def sort_build_keys(build_keys: np.ndarray) -> BuildSort:
-    """Sort the build keys and detect whether they are distinct."""
-    order = np.argsort(build_keys, kind="stable")
-    sorted_keys = build_keys[order]
-    unique = bool((sorted_keys[1:] != sorted_keys[:-1]).all())
-    return BuildSort(order, sorted_keys, unique)
-
-
-class BuildSortCache:
-    """Query-scoped reuse of build-side sorts.
-
-    Keyed on the identity of the single build key column (multi-column
-    keys are factorized against the probe side, so their normalized
-    values are not a pure function of the build side and cannot be
-    cached here).  Holds strong column references so ids stay valid for
-    the cache's lifetime.
+    ``pairs=False`` asks for existence only; it is honoured when one
+    bucket means one key, since colliding buckets have to be resolved
+    pair by pair anyway.  Read-only once built.
     """
 
-    __slots__ = ("_entries", "hits")
+    __slots__ = ("keys", "low", "span", "shift", "counts", "rows", "offsets", "order")
 
-    def __init__(self) -> None:
-        self._entries: dict[int, tuple[Column, BuildSort]] = {}
-        self.hits = 0
-
-    def get_or_sort(self, column: Column, build_keys: np.ndarray) -> BuildSort:
-        """Return the cached sort of ``column``'s keys, computing once."""
-        entry = self._entries.get(id(column))
-        if entry is None:
-            entry = (column, sort_build_keys(build_keys))
-            self._entries[id(column)] = entry
+    def __init__(self, keys: np.ndarray, n_probe: int, pairs: bool = True) -> None:
+        n = len(keys)
+        self.keys = keys
+        self.low, self.span = int_span(keys)
+        self.shift: int | None = None  # of a hashed key down to its bucket
+        self.counts: np.ndarray | None = None  # slot -> rows, existence only
+        self.rows: np.ndarray | None = None  # slot -> its one row, or -1
+        self.offsets: np.ndarray | None = None  # slot -> start in `order`
+        self.order: np.ndarray | None = None  # None = the build order itself
+        bound = DIRECT_ADDRESS_SLOTS_PER_ROW * (n + n_probe)
+        if 0 <= self.low and self.low + self.span <= bound:
+            # Keys that address the table as they are need no offset pass.
+            self.low, self.span = 0, self.low + self.span
+        if self.span <= bound:
+            slots = self.span + 1  # the last one takes out-of-span probes
         else:
-            self.hits += 1
-        return entry[1]
+            bits = (2 * n - 1).bit_length()
+            self.shift, slots = 64 - bits, 1 << bits
+        buckets = self._buckets(keys)
+        counts = np.bincount(buckets, minlength=slots)
+        if self.shift is None and not pairs:
+            self.counts = counts
+            return
+        row_type = np.int32 if n < 2**31 else np.int64
+        if counts.max() <= 1:
+            self.rows = np.full(slots, -1, dtype=row_type)
+            self.rows[buckets] = np.arange(n, dtype=row_type)
+            return
+        self.offsets = np.zeros(slots + 1, dtype=row_type)
+        np.cumsum(counts, out=self.offsets[1:])
+        if not (buckets[1:] >= buckets[:-1]).all():
+            row_bits = n.bit_length()
+            if slots << row_bits < 2 * PACK_LIMIT:
+                self.order = tagged_sort(buckets, row_bits)
+                self.order &= (1 << row_bits) - 1
+            else:
+                self.order = np.argsort(buckets, kind="stable")
+            if self.shift is not None:
+                self.keys = keys[self.order]  # candidates are confirmed in place
+
+    def _buckets(self, keys: np.ndarray) -> np.ndarray:
+        """Slot of every key, as non-negative ``int64``."""
+        if self.shift is not None:
+            hashed = mix64(keys.view(np.uint64))
+            hashed >>= np.uint64(self.shift)
+            return hashed.view(np.int64)
+        if (
+            self.low == 0
+            and len(keys)
+            and int(keys.min()) >= 0
+            and int(keys.max()) < self.span
+        ):
+            return keys
+        # key - low modulo 2**64, read unsigned, is below the span
+        # exactly for the keys inside it — however far outside the
+        # others lie.
+        offset = keys - self.low
+        unsigned = offset.view(np.uint64)
+        np.minimum(unsigned, np.uint64(self.span), out=unsigned)
+        return offset
+
+    def matched(
+        self, probe_keys: np.ndarray, parallel: ParallelContext | None = None
+    ) -> np.ndarray:
+        """Which probe keys have at least one match."""
+        if self.counts is None:
+            return self.probe(probe_keys, parallel)[2] > 0
+        counts = self.counts
+
+        def chunk(lo: int, hi: int) -> tuple[np.ndarray, ...]:
+            return (counts[self._buckets(probe_keys[lo:hi])] > 0,)
+
+        return _chunked(chunk, len(probe_keys), parallel)[0]
+
+    def probe(
+        self, probe_keys: np.ndarray, parallel: ParallelContext | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(probe_idx, build_idx, counts)`` as :func:`join_indices`."""
+
+        def chunk(lo: int, hi: int) -> tuple[np.ndarray, ...]:
+            probe_idx, build_idx, counts = self._probe(probe_keys[lo:hi])
+            if lo:
+                probe_idx += lo
+            return probe_idx, build_idx, counts
+
+        probe_idx, build_idx, counts = _chunked(chunk, len(probe_keys), parallel)
+        return probe_idx, build_idx, counts
+
+    def _probe(
+        self, probe_keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        buckets = self._buckets(probe_keys)
+        verify = self.shift is not None
+        if self.rows is not None:
+            rows = self.rows[buckets]
+            hit = rows >= 0
+            if verify:
+                hit &= self.keys[rows] == probe_keys
+            probe_idx = np.flatnonzero(hit)
+            if len(probe_idx) < len(rows):
+                rows = rows[probe_idx]
+            return probe_idx, rows.astype(np.intp), hit.view(np.int8)
+
+        assert self.offsets is not None
+        starts = self.offsets[buckets]
+        counts = self.offsets[1:][buckets]
+        counts -= starts
+        probe_idx = np.repeat(np.arange(len(probe_keys)), counts)
+        # Position in `order` of every pair: its probe row's run start
+        # plus its rank within the run (global arange minus the
+        # exclusive prefix sum of counts).
+        run_shift = np.cumsum(counts)
+        run_shift -= counts
+        np.subtract(starts, run_shift, out=run_shift)
+        build_idx = np.arange(len(probe_idx))
+        build_idx += np.repeat(run_shift, counts)
+        if verify:
+            equal = self.keys[build_idx] == probe_keys[probe_idx]
+            probe_idx, build_idx = probe_idx[equal], build_idx[equal]
+            counts = np.bincount(probe_idx, minlength=len(probe_keys))
+        if self.order is not None:
+            build_idx = self.order[build_idx]
+        return probe_idx, build_idx, counts
 
 
 def join_indices(
     probe_keys: np.ndarray,
     build_keys: np.ndarray,
-    build_sort: BuildSort | None = None,
+    parallel: ParallelContext | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All matching (probe, build) index pairs plus per-probe match counts.
 
     Returns ``(probe_idx, build_idx, counts)`` where the first two arrays
-    enumerate every matching pair and ``counts[i]`` is the number of
-    matches of probe row ``i``.  ``build_sort`` supplies a precomputed
-    build-side sort (see :class:`BuildSortCache`).
+    enumerate every matching pair — ascending probe position, then
+    ascending build row — and ``counts[i]`` is the number of matches of
+    probe row ``i`` (in whatever integer type the index produced).  With
+    a ``parallel`` context the probe keys are chunked over its pool.
     """
-    if len(build_keys) == 0:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty, np.zeros(len(probe_keys), dtype=np.int64)
-    if build_sort is None:
-        build_sort = sort_build_keys(build_keys)
-    order, sorted_build, unique = build_sort
-
-    if unique:
-        # Fast path: at most one match per probe — one binary search
-        # plus an equality check, no repeat expansion.
-        pos = np.searchsorted(sorted_build, probe_keys, side="left")
-        pos_safe = np.minimum(pos, len(sorted_build) - 1)
-        matched = sorted_build[pos_safe] == probe_keys
-        probe_idx = np.flatnonzero(matched)
-        build_idx = order[pos_safe[probe_idx]]
-        return probe_idx, build_idx, matched.astype(np.int64)
-
-    lo = np.searchsorted(sorted_build, probe_keys, side="left")
-    hi = np.searchsorted(sorted_build, probe_keys, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    probe_idx = np.repeat(np.arange(len(probe_keys)), counts)
-    starts = np.repeat(lo, counts)
-    # Position within each probe row's match run: global arange minus the
-    # run's starting offset (exclusive prefix sum of counts).
-    run_offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    build_idx = order[starts + (np.arange(total) - run_offsets)]
-    return probe_idx, build_idx, counts
+    return BuildIndex(build_keys, len(probe_keys)).probe(probe_keys, parallel)
 
 
-def _join_indices_parallel(
-    probe_keys: np.ndarray,
-    build_keys: np.ndarray,
-    build_sort: BuildSort | None,
-    parallel: ParallelContext,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partitioned probe: chunk the probe keys, share the build sort.
-
-    Each chunk runs the serial matching kernel against the same sorted
-    build side; per-chunk pair lists are offset back to global probe
-    positions and concatenated **in chunk order**.  The kernel
-    enumerates matches in ascending probe position either way, so the
-    merged ``(probe_idx, build_idx, counts)`` triple is byte-identical
-    to one whole-array :func:`join_indices` call.
-    """
-    bounds = parallel.task_bounds(len(probe_keys))
-    if len(bounds) <= 1 or len(build_keys) == 0:
-        return join_indices(probe_keys, build_keys, build_sort)
-    if build_sort is None:
-        # Sort once, outside the fan-out: the build side is shared.
-        build_sort = sort_build_keys(build_keys)
-
-    def probe_chunk(chunk: tuple[int, int]):
-        start, stop = chunk
-        p, b, c = join_indices(probe_keys[start:stop], build_keys, build_sort)
-        return p + start, b, c
-
-    parts = parallel.map(probe_chunk, bounds)
-    probe_idx = np.concatenate([p for p, _, _ in parts])
-    build_idx = np.concatenate([b for _, b, _ in parts])
-    counts = np.concatenate([c for _, _, c in parts])
-    return probe_idx, build_idx, counts
+def _chunked(
+    kernel: Callable[[int, int], tuple[np.ndarray, ...]],
+    n_rows: int,
+    parallel: ParallelContext | None,
+) -> tuple[np.ndarray, ...]:
+    """``kernel(start, stop)`` over ``[0, n_rows)``, chunked over the
+    intra-query pool when there is one, the chunks' arrays concatenated
+    **in chunk order**."""
+    bounds = [] if parallel is None else parallel.task_bounds(n_rows)
+    if parallel is None or len(bounds) <= 1:
+        return kernel(0, n_rows)
+    chunks = parallel.map(lambda chunk: kernel(*chunk), bounds)
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
-def _key_validity(columns: list[Column]) -> np.ndarray | None:
-    """Per-row validity of a key tuple: AND of the columns' masks.
+def _valid_rows(
+    columns: list[Column], rows: np.ndarray | None
+) -> np.ndarray | None:
+    """``rows`` (``None`` = all) less those whose key tuple holds a NULL.
 
-    ``None`` (the common case: no column carries a mask) means every
-    row's key is non-null.
+    Returned unchanged in the common case: no column carries a validity
+    mask, or no masked row is among ``rows``.
     """
     valid: np.ndarray | None = None
     for column in columns:
-        if column.valid is None:
-            continue
-        valid = column.valid if valid is None else (valid & column.valid)
-    return valid
+        if column.valid is not None:
+            valid = column.valid if valid is None else (valid & column.valid)
+    if valid is None:
+        return rows
+    if rows is not None:
+        valid = valid[rows]
+    if valid.all():
+        return rows
+    return np.flatnonzero(valid) if rows is None else rows[valid]
 
 
 def _merge_columns(
@@ -232,7 +313,6 @@ def hash_join(
     residual: Expr | None = None,
     label: str | None = None,
     probe_rows: np.ndarray | None = None,
-    build_cache: BuildSortCache | None = None,
     parallel: ParallelContext | None = None,
 ) -> tuple[AnyTable, JoinStat]:
     """Join ``probe`` against ``build`` on equality of the key columns.
@@ -261,13 +341,10 @@ def hash_join(
         passes the surviving rows here; the ``PR`` statistic then counts
         only them, as in the paper's Tables 1–2).  Only valid for
         ``inner`` and ``semi`` joins.
-    build_cache:
-        Optional query-scoped :class:`BuildSortCache`; single-column
-        build sides re-serve their sort from it.
     parallel:
         Optional :class:`~repro.engine.parallel.ParallelContext`: the
         probe side is partitioned over the intra-query pool against a
-        shared build sort, with per-chunk results concatenated in
+        shared build index, with per-chunk results concatenated in
         chunk order — byte-identical to the serial kernel.
     """
     if how not in _JOIN_KINDS:
@@ -278,46 +355,35 @@ def hash_join(
     probe_cols = [probe.column(c) for c in probe_on]
     build_cols = [build.column(c) for c in build_on]
     probe_keys, build_keys = normalize_join_keys(probe_cols, build_cols)
-    probe_valid = _key_validity(probe_cols)
-    build_valid = _key_validity(build_cols)
+    pr_rows = probe.num_rows if probe_rows is None else len(probe_rows)
+    # Null-keyed rows never match (SQL semantics): they stay out of the
+    # kernel, which would compare their placeholder values.
+    probe_rows = _valid_rows(probe_cols, probe_rows)
+    build_rows = _valid_rows(build_cols, None)
     if probe_rows is not None:
         probe_keys = probe_keys[probe_rows]
-        if probe_valid is not None:
-            probe_valid = probe_valid[probe_rows]
-    build_sort = None
-    if build_cache is not None and len(build_cols) == 1 and len(build_keys):
-        build_sort = build_cache.get_or_sort(build_cols[0], build_keys)
-    if parallel is not None and parallel.parallel:
-        probe_idx, build_idx, counts = _join_indices_parallel(
-            probe_keys, build_keys, build_sort, parallel
-        )
+    if build_rows is not None:
+        build_keys = build_keys[build_rows]
+
+    enumerate_pairs = how in ("inner", "left") or residual is not None
+    index = BuildIndex(build_keys, len(probe_keys), pairs=enumerate_pairs)
+    probe_idx = build_idx = np.empty(0, dtype=np.intp)
+    if enumerate_pairs:
+        probe_idx, build_idx, counts = index.probe(probe_keys, parallel)
+        if build_rows is not None:
+            build_idx = build_rows[build_idx]
     else:
-        probe_idx, build_idx, counts = join_indices(
-            probe_keys, build_keys, build_sort
-        )
-    if probe_valid is not None or build_valid is not None:
-        # Null-keyed rows never match (SQL semantics); the kernel
-        # compared their placeholder values, so drop those pairs here.
-        keep = None if probe_valid is None else probe_valid[probe_idx]
-        if build_valid is not None:
-            bk = build_valid[build_idx]
-            keep = bk if keep is None else keep & bk
-        if not keep.all():
-            probe_idx = probe_idx[keep]
-            build_idx = build_idx[keep]
-            counts = np.bincount(probe_idx, minlength=len(probe_keys))
+        counts = index.matched(probe_keys, parallel)
     if probe_rows is not None:
         probe_idx = probe_rows[probe_idx]
+        restricted, counts = counts, np.zeros(probe.num_rows, dtype=counts.dtype)
+        counts[probe_rows] = restricted
 
     if residual is not None and len(probe_idx) > 0:
         # On views this gathers only the columns the residual touches.
         pair_table = _merge(probe, build, probe_idx, build_idx, False)
         keep = evaluate_mask(residual, pair_table)
         probe_idx, build_idx = probe_idx[keep], build_idx[keep]
-        counts = np.bincount(probe_idx, minlength=probe.num_rows)
-    elif residual is not None:
-        counts = np.zeros(probe.num_rows, dtype=np.int64)
-    elif probe_rows is not None:
         counts = np.bincount(probe_idx, minlength=probe.num_rows)
 
     if how == "inner":
@@ -326,21 +392,19 @@ def hash_join(
         result = probe.filter(counts > 0)
     elif how == "anti":
         result = probe.filter(counts == 0)
-    else:  # left outer
-        unmatched = np.flatnonzero(counts == 0)
-        all_probe = np.concatenate([probe_idx, unmatched])
-        all_build = np.concatenate(
-            [build_idx, np.full(len(unmatched), -1, dtype=build_idx.dtype)]
-        )
-        order = np.argsort(all_probe, kind="stable")
-        result = _merge(
-            probe, build, all_probe[order], all_build[order], True
-        )
+    else:
+        # Left outer: max(count, 1) rows per probe row, the pairs (already
+        # in probe order) written over the slots of the matched ones.
+        slots = np.maximum(counts, 1)
+        all_probe = np.repeat(np.arange(probe.num_rows), slots)
+        all_build = np.full(len(all_probe), -1, dtype=np.intp)
+        all_build[np.repeat(counts > 0, slots)] = build_idx
+        result = _merge(probe, build, all_probe, all_build, True)
 
     stat = JoinStat(
         label=label or f"{build.name}->{probe.name}",
         ht_rows=build.num_rows,
-        pr_rows=len(probe_keys),
+        pr_rows=pr_rows,
         out_rows=result.num_rows,
         seconds=time.perf_counter() - start,
     )

@@ -153,10 +153,14 @@ def column_to_u64(
     """Normalize ``rows`` of a single column to ``uint64`` identity keys.
 
     Integer-like columns map injectively (two's-complement reinterpret);
-    floats map via their bit pattern; strings map via an FNV-1a hash of
-    each distinct dictionary entry gathered through the codes
-    (``dict_hashes`` supplies those hashes when the caller already has
-    them — hashing a dictionary costs a pass over its text).
+    floats map via their bit pattern, ``-0.0`` first folded into ``0.0``
+    so that values SQL calls equal get equal keys; strings map via an
+    FNV-1a hash of each distinct dictionary entry gathered through the
+    codes (``dict_hashes`` supplies those hashes when the caller already
+    has them — hashing a dictionary costs a pass over its text).  NaNs
+    keep their bit patterns and so may or may not equal one another:
+    missing floats belong under the validity mask, whose rows never
+    match whatever their key.
 
     ``rows`` is taken from the physical data **first**, so widening a
     32-bit column or mapping string codes touches only the rows asked
@@ -168,7 +172,9 @@ def column_to_u64(
         if dict_hashes is None:
             dict_hashes = fnv1a_texts(dictionary)
         return dict_hashes[data]
-    if data.dtype.itemsize == 8:  # INT64 / FLOAT64: zero-copy reinterpret
+    if data.dtype.kind == "f":
+        data = data + 0.0  # -0.0 + 0.0 is 0.0; every other value is kept
+    if data.dtype.itemsize == 8:  # INT64: zero-copy reinterpret
         return data.view(np.uint64)
     return data.astype(np.int64).view(np.uint64)
 

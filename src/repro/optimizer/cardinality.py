@@ -11,19 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..engine.factorize import count_distinct
 from ..storage.column import Column
 from ..storage.table import Table
 
 
 def ndv(column: Column, rows: np.ndarray | None = None) -> int:
     """Exact number of distinct values in a column (or a row subset)."""
-    data = column.data if rows is None else column.data[rows]
-    if len(data) == 0:
-        return 0
-    # Sort-based distinct count: one copy-sort plus a boundary scan is
-    # measurably faster than np.unique's hash path on these key columns.
-    ordered = np.sort(data)
-    return int((ordered[1:] != ordered[:-1]).sum()) + 1
+    return count_distinct(column.data if rows is None else column.data[rows])
 
 
 class NdvCache:

@@ -23,11 +23,8 @@ Null extension (outer joins) is represented by ``-1`` entries in a
 source's index vector plus a ``nullable`` flag; materialization routes
 such sources through :meth:`Column.take_nullable`.
 
-``column()`` memoizes gathered columns on the view instance.  Besides
-avoiding repeat gathers (a residual and a join key touching the same
-column pay once), this gives gathered columns a *stable identity* per
-view, which keeps the query-wide ``BuildSortCache`` (keyed on column
-``id``) effective even though base columns are never copied up front.
+``column()`` memoizes gathered columns on the view instance: a
+residual and a join key touching the same column pay for one gather.
 """
 
 from __future__ import annotations

@@ -245,6 +245,8 @@ STRICT_PATHS = [
     "src/repro/analysis",
     "src/repro/engine/aggregate.py",
     "src/repro/engine/factorize.py",
+    "src/repro/engine/hashjoin.py",
+    "src/repro/engine/keys.py",
     "src/repro/engine/sort.py",
     "src/repro/filters/bloom.py",
     "src/repro/filters/hashing.py",

@@ -97,6 +97,21 @@ def test_bloom_keys_row_subset():
     assert sub[0] == full[2] and sub[1] == full[0]
 
 
+def test_bloom_keys_float_zeros_hash_equal():
+    # 0.0 = -0.0 in SQL: a filter built from one must not drop the other.
+    signed = Column.from_floats([-0.0, 0.0, 1.5, -1.5])
+    keys = bloom_keys([signed])
+    assert keys[0] == keys[1] and keys[2] != keys[3]
+    assert np.array_equal(bloom_keys([signed], rows=np.array([1, 0])), keys[:2])
+    assert np.signbit(signed.data[0])  # the column itself is left alone
+    filt = BloomFilter(capacity=4, fpp=0.01)
+    filt.add_hashes(bloom_keys([Column.from_floats([0.0])]))
+    assert filt.contains_hashes(bloom_keys([Column.from_floats([-0.0])])).all()
+    from repro.filters.hashcache import KeyHashCache
+
+    assert np.array_equal(KeyHashCache().bloom_keys([signed], None), keys)
+
+
 # ----------------------------------------------------------------------
 # Bloom filters (packed blocked production layout + byte-per-bit
 # reference; both must satisfy the same contract)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.engine.hashjoin import hash_join, join_indices
 from repro.errors import ExecutionError
 from repro.expr.nodes import col, lit
+from repro.storage.column import Column
 from repro.storage.table import Table
 
 small_keys = st.lists(
@@ -223,27 +224,110 @@ def test_join_kinds_match_reference(probe_list, build_list):
 
 
 # ----------------------------------------------------------------------
-# Unique-build fast path and build-sort reuse
+# The bucket kernel against a sort + binary-search reference
 # ----------------------------------------------------------------------
-def test_join_indices_unique_fast_path_matches_general():
-    rng = np.random.default_rng(3)
-    build = rng.permutation(1000).astype(np.int64)  # distinct keys
-    probe = rng.integers(-50, 1100, 5000).astype(np.int64)
-    from repro.engine.hashjoin import sort_build_keys
+_I64 = np.iinfo(np.int64)
 
-    sort = sort_build_keys(build)
-    assert sort.unique
-    pi, bi, counts = join_indices(probe, build, sort)
-    # Oracle: force the general path with a non-unique flag.
-    general = sort._replace(unique=False)
-    gpi, gbi, gcounts = join_indices(probe, build, general)
-    assert np.array_equal(pi, gpi)
-    assert np.array_equal(bi, gbi)
-    assert np.array_equal(counts, gcounts)
+
+def _sorted_reference(probe, build):
+    """Stable sort of the build side, one binary search per probe key:
+    the kernel this module had before the bucket join, kept as the
+    reference that pins the pair order."""
+    order = np.argsort(build, kind="stable")
+    sorted_build = build[order]
+    lo = np.searchsorted(sorted_build, probe, side="left")
+    hi = np.searchsorted(sorted_build, probe, side="right")
+    counts = hi - lo
+    probe_idx = np.repeat(np.arange(len(probe)), counts)
+    starts = np.repeat(lo, counts)
+    run_offsets = np.repeat(np.cumsum(counts) - counts, counts)
+    build_idx = order[starts + (np.arange(int(counts.sum())) - run_offsets)]
+    return probe_idx, build_idx, counts
+
+
+def _assert_matches_reference(probe, build, parallel=None):
+    probe = np.asarray(probe, dtype=np.int64)
+    build = np.asarray(build, dtype=np.int64)
+    got = join_indices(probe, build, parallel)
+    for mine, reference in zip(got, _sorted_reference(probe, build)):
+        assert np.array_equal(mine, reference)
+    # ...and, as a set of pairs, a dict nested-loop oracle.
+    rows_of = {}
+    for j, key in enumerate(build.tolist()):
+        rows_of.setdefault(key, []).append(j)
+    oracle = {(i, j) for i, key in enumerate(probe.tolist()) for j in rows_of.get(key, ())}
+    pairs = list(zip(got[0].tolist(), got[1].tolist()))
+    assert len(pairs) == len(oracle) and set(pairs) == oracle
+    return got
+
+
+def _key_lists(elements):
+    return st.lists(elements, min_size=0, max_size=40)
+
+
+# Each family decides a bucket function: small ranges address the table
+# directly, wide ones hash; extremes must not wrap on the way there.
+_key_families = st.one_of(
+    st.tuples(*[_key_lists(st.integers(0, 8))] * 2),  # duplicate-heavy
+    st.tuples(*[_key_lists(st.integers(-30, 30))] * 2),  # negative
+    st.tuples(*[_key_lists(st.integers(-3, 3).map(lambda v: v * 10**15))] * 2),
+    st.tuples(*[_key_lists(st.integers(_I64.min, _I64.max))] * 2),
+    st.tuples(*[_key_lists(st.sampled_from([_I64.min, _I64.min + 1, -1, 0, _I64.max - 1, _I64.max]))] * 2),
+    st.tuples(_key_lists(st.integers(-10, 50)), _key_lists(st.integers(10, 20))),  # probe outside
+    st.tuples(_key_lists(st.integers(-10**12, 10**12)), _key_lists(st.just(7))),  # all equal
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_key_families, st.sampled_from(["as is", "sorted", "reversed"]))
+def test_join_indices_equals_sorted_reference(keys, build_order):
+    probe, build = keys
+    if build_order != "as is":
+        build = sorted(build, reverse=build_order == "reversed")
+    _assert_matches_reference(probe, build)
+
+
+def test_join_indices_every_index_layout():
+    rng = np.random.default_rng(3)
+    unique = rng.permutation(1000)
+    duplicated = rng.integers(0, 300, 1000)
+    probe = rng.integers(-50, 1100, 5000)
+    for spread in (1, 10**13):  # direct-address buckets, hashed buckets
+        for build in (unique, np.sort(duplicated), duplicated, duplicated[::-1]):
+            _assert_matches_reference(probe * spread, build * spread)
+    # Hashed buckets none of which holds two rows: the slot -> row table
+    # with the keys confirmed.
+    _assert_matches_reference([5 * 10**17, 1, 9 * 10**17], [1, 9 * 10**17])
+    # Unique and duplicate builds of the same keys agree on what matches.
+    once = join_indices(probe, unique)
+    twice = join_indices(probe, np.concatenate([unique, unique]))
+    assert np.array_equal(twice[2], 2 * once[2])
+
+
+def test_join_indices_bucket_order_by_argsort(monkeypatch):
+    # Inputs too large to tag each bucket with its row in one int64
+    # (beyond 2**30 rows) order the build side with a stable argsort.
+    monkeypatch.setattr("repro.engine.hashjoin.PACK_LIMIT", 1)
+    rng = np.random.default_rng(5)
+    build, probe = rng.integers(0, 300, 1000), rng.integers(-50, 400, 3000)
+    _assert_matches_reference(probe, build)
+    _assert_matches_reference(probe * 10**13, build * 10**13)
+
+
+def test_join_indices_extreme_spans_do_not_wrap():
+    # max - min overflows int64; so does probe - min.
+    build = [_I64.min, _I64.max, 0, _I64.max]
+    probe = [_I64.max, -1, _I64.min, 0, 1]
+    _, _, counts = _assert_matches_reference(probe, build)
+    assert counts.tolist() == [2, 0, 1, 1, 0]
+    # A dense build whose out-of-span probes sit 2**63 away.
+    build = [_I64.max - 2, _I64.max - 1, _I64.max - 1]
+    probe = [_I64.min, _I64.max - 1, 0, _I64.max, _I64.max - 3] * 3
+    _assert_matches_reference(probe, build)
+    _assert_matches_reference([_I64.max, 5, _I64.min], [_I64.min + 1, _I64.min] * 2)
 
 
 def test_join_indices_unique_probe_key_above_all_build_keys():
-    # searchsorted lands past the end; the fast path must clamp safely.
     build = np.array([1, 2, 3], dtype=np.int64)
     probe = np.array([99, 3, -7], dtype=np.int64)
     pi, bi, counts = join_indices(probe, build)
@@ -251,29 +335,197 @@ def test_join_indices_unique_probe_key_above_all_build_keys():
     assert counts.tolist() == [0, 1, 0]
 
 
-def test_build_sort_cache_reuses_sort_for_same_column():
-    from repro.engine.hashjoin import BuildSortCache
+@pytest.mark.parametrize("n_probe, chunks", [(20_000, 2), (40_000, 4)])
+def test_chunked_probe_returns_the_serial_triple(n_probe, chunks):
+    from repro.engine.parallel import ParallelContext
 
+    rng = np.random.default_rng(n_probe)
+    probe = rng.integers(-100, 5000, n_probe)
+    for build in (rng.permutation(4000), rng.integers(0, 900, 4000)):
+        for spread in (1, 10**13):
+            parallel = ParallelContext(threads=2)
+            serial = join_indices(probe * spread, build * spread)
+            chunked = _assert_matches_reference(probe * spread, build * spread, parallel)
+            assert parallel.tasks == chunks
+            for a, b in zip(serial, chunked):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_repeated_build_side_gives_identical_results():
     build = _t("b", bk=[3, 1, 2], v=[30, 10, 20])
     probe = _t("p", pk=[2, 3], w=[200, 300])
-    cache = BuildSortCache()
-    r1, _ = hash_join(probe, build, ["pk"], ["bk"], build_cache=cache)
-    r2, _ = hash_join(probe, build, ["pk"], ["bk"], build_cache=cache)
-    assert cache.hits == 1
-    assert r1.column("v").to_pylist() == r2.column("v").to_pylist() == [20, 30]
+    r1, s1 = hash_join(probe, build, ["pk"], ["bk"])
+    r2, s2 = hash_join(probe, build, ["pk"], ["bk"])
+    assert r1.to_rows() == r2.to_rows() == [(2, 200, 2, 20), (3, 300, 3, 30)]
+    assert (s1.ht_rows, s1.pr_rows, s1.out_rows) == (s2.ht_rows, s2.pr_rows, s2.out_rows)
 
 
-def test_build_sort_cache_not_used_for_multi_key():
-    from repro.engine.hashjoin import BuildSortCache
+# ----------------------------------------------------------------------
+# hash_join against a row-at-a-time oracle: composite keys, NULLs,
+# residuals, probe_rows
+# ----------------------------------------------------------------------
+def _key_column(values, kind):
+    """A key column of ``kind`` holding ``values`` (ints, None = NULL).
 
-    build = _t("b", bk1=[1, 1], bk2=[2, 3], v=[10, 20])
-    probe = _t("p", pk1=[1], pk2=[3], w=[99])
-    cache = BuildSortCache()
-    out, _ = hash_join(
-        probe, build, ["pk1", "pk2"], ["bk1", "bk2"], build_cache=cache
+    A NULL carries a placeholder another row really has, so only the
+    validity mask keeps it from matching.
+    """
+    valid = np.array([v is not None for v in values], dtype=np.bool_)
+    present = [v for v in values if v is not None]
+    filled = [present[0] if v is None else v for v in values] if present else [0] * len(values)
+    if kind == "date":
+        column = Column.from_days(np.asarray(filled, dtype=np.int64) % 20000)
+    elif kind == "string":
+        column = Column.from_strings([f"s{v}" for v in filled])
+    elif kind == "float":
+        column = Column.from_floats(np.asarray(filled, dtype=np.float64))
+    else:
+        column = Column.from_ints(np.asarray(filled, dtype=np.int64))
+    if not valid.all():
+        column = Column(column.data, column.dtype, column.dictionary, valid)
+    return column
+
+
+def _sides(probe_keys, build_keys, kinds):
+    """Probe and build tables: key columns plus a row id and a payload."""
+    def table(name, rows, payload):
+        columns = {
+            f"{name}k{c}": _key_column([row[c] for row in rows], kind)
+            for c, kind in enumerate(kinds)
+        }
+        columns[f"{name}id"] = Column.from_ints(np.arange(len(rows)))
+        columns[payload] = Column.from_ints(np.arange(len(rows)) % 3)
+        return Table(name, columns)
+
+    return table("p", probe_keys, "a"), table("b", build_keys, "c")
+
+
+def _logical(row, kinds):
+    """What a key tuple compares as (DATE keys are stored mod 20000)."""
+    if any(v is None for v in row):
+        return None
+    return tuple(v % 20000 if kind == "date" else v for v, kind in zip(row, kinds))
+
+
+def _expected(probe_keys, build_keys, kinds, how, residual, probe_rows):
+    """(probe id, build id or None) rows, in the kernel's order."""
+    rows = range(len(probe_keys)) if probe_rows is None else probe_rows
+    out = []
+    for i in range(len(probe_keys)):
+        key = _logical(probe_keys[i], kinds)
+        matches = [
+            j for j, other in enumerate(build_keys)
+            if i in rows and key is not None and key == _logical(other, kinds)
+            and (not residual or i % 3 > j % 3)
+        ]
+        if how == "inner":
+            out += [(i, j) for j in matches]
+        elif how == "left":
+            out += [(i, j) for j in matches] or [(i, None)]
+        elif (how == "semi") == bool(matches):
+            out.append((i, None))
+    return out
+
+
+def _check_against_oracle(probe_keys, build_keys, kinds, probe_rows=None):
+    probe, build = _sides(probe_keys, build_keys, kinds)
+    on = [f"pk{c}" for c in range(len(kinds))], [f"bk{c}" for c in range(len(kinds))]
+    for how in ("inner", "left", "semi", "anti"):
+        for residual in (None, col("a").gt(col("c"))):
+            restrict = probe_rows if how in ("inner", "semi") else None
+            out, stat = hash_join(
+                probe, build, *on, how=how, residual=residual,
+                probe_rows=None if restrict is None else np.asarray(restrict, dtype=np.intp),
+            )
+            got_build = (
+                out.column("bid").to_pylist() if how in ("inner", "left")
+                else [None] * out.num_rows
+            )
+            got = list(zip(out.column("pid").to_pylist(), got_build))
+            want = _expected(probe_keys, build_keys, kinds, how, residual, restrict)
+            assert got == want, (how, residual is not None, restrict)
+            assert stat.ht_rows == len(build_keys)
+            assert stat.pr_rows == (len(probe_keys) if restrict is None else len(restrict))
+
+
+_nullable = st.one_of(st.none(), st.integers(0, 3))
+_tuples = {
+    arity: st.lists(st.tuples(*[_nullable] * arity), min_size=0, max_size=12)
+    for arity in (1, 2, 3)
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([("int",), ("int", "int"), ("date", "int"), ("int", "string"),
+                     ("float", "int"), ("int", "date", "string")]).flatmap(
+        lambda kinds: st.tuples(st.just(kinds), _tuples[len(kinds)], _tuples[len(kinds)])
+    ),
+    st.data(),
+)
+def test_hash_join_matches_row_oracle(case, data):
+    kinds, probe_keys, build_keys = case
+    probe_rows = data.draw(
+        st.none() | st.lists(st.integers(0, max(len(probe_keys) - 1, 0)), unique=True)
+        .map(sorted).filter(lambda rows: len(probe_keys) > 0 or not rows)
     )
-    assert out.column("v").to_pylist() == [20]
-    assert cache.hits == 0 and not cache._entries
+    _check_against_oracle(probe_keys, build_keys, kinds, probe_rows)
+
+
+def test_composite_keys_with_a_constant_column():
+    probe_keys = [(7, 1), (7, 2), (7, 2), (7, 5)]
+    build_keys = [(7, 2), (7, 3), (7, 1), (7, 2)]
+    _check_against_oracle(probe_keys, build_keys, ("int", "int"))
+    _check_against_oracle([(7, a, 7) for _, a in probe_keys],
+                          [(7, a, 7) for _, a in build_keys], ("int", "int", "date"))
+
+
+@pytest.mark.parametrize("span", [2**31 - 1, 2**31], ids=["below 2**62", "at 2**62"])
+def test_composite_keys_either_side_of_the_packing_limit(span):
+    # Value ranges of 2**31 and `span`: their product is just below the
+    # packing limit (offset packing) or on it (the dictionary route).
+    from repro.engine.factorize import PACK_LIMIT
+
+    assert (2**31 * span >= PACK_LIMIT) == (span == 2**31)
+    wide, high = 2**31 - 1, span - 1
+    probe_keys = [(0, high), (wide, 0), (wide, high), (5, 5), (0, 0), (wide, None)]
+    build_keys = [(wide, high), (0, high), (0, 0), (wide, high), (None, 0)]
+    _check_against_oracle(probe_keys, build_keys, ("int", "int"))
+
+
+def test_left_join_row_order_is_the_sorted_kernels():
+    # Unmatched probe rows first, last and interleaved; duplicate matches.
+    build_keys = [(4,), (2,), (4,), (9,)]
+    for probe_keys in (
+        [(0,), (1,), (4,), (2,)],
+        [(4,), (2,), (0,), (1,)],
+        [(0,), (4,), (1,), (2,), (3,), (4,), (8,)],
+    ):
+        probe, build = _sides(probe_keys, build_keys, ("int",))
+        out, _ = hash_join(probe, build, ["pk0"], ["bk0"], how="left")
+        # The parent's construction: pairs and unmatched rows
+        # concatenated, then a stable sort by probe position.
+        keys = lambda rows: np.array([k for (k,) in rows], dtype=np.int64)
+        probe_idx, build_idx, counts = _sorted_reference(keys(probe_keys), keys(build_keys))
+        unmatched = np.flatnonzero(counts == 0)
+        all_probe = np.concatenate([probe_idx, unmatched])
+        all_build = np.concatenate([build_idx, np.full(len(unmatched), -1)])
+        order = np.argsort(all_probe, kind="stable")
+        assert out.column("pid").to_pylist() == all_probe[order].tolist()
+        assert out.column("bid").to_pylist() == [
+            None if j < 0 else j for j in all_build[order].tolist()
+        ]
+
+
+def test_float_zero_and_negative_zero_join():
+    probe = _t("p", pk=np.array([0.0, 1.5, -0.0]))
+    build = _t("b", bk=np.array([-0.0, 1.5]))
+    inner, _ = hash_join(probe, build, ["pk"], ["bk"])
+    assert inner.num_rows == 3
+    semi, _ = hash_join(probe, build, ["pk"], ["bk"], how="semi")
+    assert semi.num_rows == 3
+    anti, _ = hash_join(probe, build, ["pk"], ["bk"], how="anti")
+    assert anti.num_rows == 0
 
 
 # ----------------------------------------------------------------------

@@ -92,15 +92,53 @@ def test_multi_key_equivalence_property(left_pairs, right_pairs):
             assert (lk[i] == rk[j]) == (lp == rp)
 
 
-def test_huge_cardinality_falls_back_to_hashing():
-    # Two columns whose cardinality product exceeds 2^62 triggers the
-    # hash-combine fallback; matching pairs must still collide.
+def test_wide_spans_take_the_dictionary_route():
+    # Two columns spread over 2**62 each: the span product overflows,
+    # the 100 x 100 distinct values pack as dense codes instead.
     rng = np.random.default_rng(0)
     a = rng.integers(0, 2**62, size=100)
     b = rng.integers(0, 2**62, size=100)
-    la, lb = Column.from_ints(a), Column.from_ints(b)
-    lk, rk = normalize_join_keys([la, lb], [la, lb])
-    assert np.array_equal(lk, rk)
+    la, lb, rb = Column.from_ints(a), Column.from_ints(b), Column.from_ints(b[::-1])
+    lk, rk = normalize_join_keys([la, lb], [la, rb])
+    assert np.array_equal(lk[:, None] == rk[None, :],
+                          (a[:, None] == a[None, :]) & (b[:, None] == b[::-1][None, :]))
+    assert 0 <= lk.min() and lk.max() < 200 * 200
+
+
+def test_huge_cardinality_falls_back_to_hashing():
+    # Eight wide columns of 256 distinct values each: neither the spans
+    # nor the cardinalities (256**8 = 2**64) fit, so the codes are
+    # hash-combined; equal tuples still get equal keys, others differ.
+    rng = np.random.default_rng(1)
+    values = [rng.integers(0, 256, size=300) << 50 for _ in range(8)]
+    values[0][:256] = np.arange(256) << 50
+    left = [Column.from_ints(v) for v in values]
+    right = [Column.from_ints(v[::-1]) for v in values]
+    lk, rk = normalize_join_keys(left, right)
+    assert np.array_equal(lk, rk[::-1])
+    tuples = set(zip(*(v.tolist() for v in values)))
+    assert len(np.unique(lk)) == len(tuples)
+
+
+def test_packing_negative_and_three_columns():
+    rng = np.random.default_rng(2)
+    cols = [rng.integers(-5, 5, 60), rng.integers(-10**9, 10**9, 60) // 10**8, rng.integers(0, 3, 60)]
+    left = [Column.from_ints(c[:40]) for c in cols]
+    right = [Column.from_ints(c[20:]) for c in cols]
+    lk, rk = normalize_join_keys(left, right)
+    rows = list(zip(*(c.tolist() for c in cols)))
+    for i, lrow in enumerate(rows[:40]):
+        for j, rrow in enumerate(rows[20:]):
+            assert (lk[i] == rk[j]) == (lrow == rrow)
+
+
+def test_packing_with_an_empty_side():
+    empty = Column.from_ints(np.empty(0, dtype=np.int64))
+    some = Column.from_ints([3, 4])
+    lk, rk = normalize_join_keys([empty, empty], [some, some])
+    assert len(lk) == 0 and rk[0] != rk[1]
+    lk, rk = normalize_join_keys([empty, empty], [empty, empty])
+    assert len(lk) == len(rk) == 0
 
 
 def test_single_key_i64_strings():

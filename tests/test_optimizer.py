@@ -8,6 +8,7 @@ from repro.optimizer.cardinality import NdvCache, estimate_join_rows, ndv
 from repro.optimizer.joinorder import greedy_join_order
 from repro.plan.joingraph import build_join_graph
 from repro.plan.query import QuerySpec, Relation, edge
+from repro.storage.column import Column
 from repro.storage.table import Table
 
 
@@ -17,6 +18,64 @@ def test_ndv_exact():
     assert ndv(t.column("a"), rows=np.array([0, 1])) == 1
     empty = Table.from_pydict("t", {"a": np.empty(0, dtype=np.int64)})
     assert ndv(empty.column("a")) == 0
+
+
+def test_ndv_exact_on_every_physical_type():
+    rng = np.random.default_rng(0)
+    dense = rng.integers(-40, 40, 500)
+    columns = {
+        "dense ints (presence table)": Column.from_ints(dense),
+        "sparse ints (sort)": Column.from_ints(dense * 10**12),
+        "int64 extremes": Column.from_ints(
+            [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, 0]
+        ),
+        "dates": Column.from_days(dense % 30 + 9000),
+        "string codes": Column.from_strings([f"s{v}" for v in dense]),
+        "floats": Column.from_floats(dense / 4),
+        "bools": Column.from_bools(dense > 0),
+    }
+    rows = rng.integers(0, len(dense), 60)
+    for name, column in columns.items():
+        assert ndv(column) == len(set(column.to_pylist())), name
+        if len(column) == len(dense):
+            assert ndv(column, rows) == len(set(column.take(rows).to_pylist())), name
+
+
+def test_join_orders_unchanged_by_the_distinct_count(monkeypatch):
+    """Every registered query orders its joins as it does under a
+    plain sort-based distinct count."""
+    from repro.core import runner
+    from repro.ssb import ALL_SSB_QUERY_IDS, generate_ssb, get_ssb_query
+    from repro.tpch import ALL_QUERY_IDS, generate_tpch, get_query
+    from repro.tpch.queries import CYCLIC_QUERY_IDS
+
+    sf = 0.02
+    tpch, ssb = generate_tpch(sf=sf, seed=1), generate_ssb(sf=sf, seed=1)
+    cases = [(get_query(q, sf=sf), tpch) for q in ALL_QUERY_IDS + CYCLIC_QUERY_IDS]
+    cases += [(get_ssb_query(q), ssb) for q in ALL_SSB_QUERY_IDS]
+    orders = []
+    greedy = runner.greedy_join_order
+
+    def recording(*args):
+        orders.append(greedy(*args))
+        return orders[-1]
+
+    def by_sorting(values):
+        return len(np.unique(values))
+
+    def all_orders():
+        orders.clear()
+        for spec, catalog in cases:
+            # replan: the optimizer orders even the queries that pin one.
+            config = runner.RunConfig(strategy="predtrans", replan=True)
+            runner.run_query(spec, catalog, config=config)
+        return list(orders)
+
+    monkeypatch.setattr(runner, "greedy_join_order", recording)
+    fast = all_orders()
+    monkeypatch.setattr("repro.optimizer.cardinality.count_distinct", by_sorting)
+    assert fast == all_orders()
+    assert len(fast) >= len(cases)
 
 
 def test_ndv_cache_memoizes():
