@@ -13,12 +13,21 @@ prints its comparison so EXPERIMENTS.md can cite the numbers.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.bench.harness import time_query
 from repro.bench.report import format_table
-from repro.core.runner import RunConfig
-from repro.core.transfer import TransferConfig
+from repro.core.ptgraph import build_pt_graph
+from repro.core.runner import RunConfig, _scan  # noqa: SLF001 - the scan alone
+from repro.core.transfer import (
+    ExecContext,
+    TransferConfig,
+    proven_cover,
+    run_pass,
+)
+from repro.plan.joingraph import build_join_graph
 from repro.tpch.queries import get_query
 
 from .conftest import SF_LARGE
@@ -94,24 +103,37 @@ def test_ablation_fpp_sweep(catalog_large):
 
 
 def test_ablation_pruning(catalog_large):
-    """Pruning skips transfers from unselective vertices; results stay
-    identical (checked in tests/) and transfer work drops."""
-    plain = _run(catalog_large, 9, RunConfig(strategy="predtrans"))
-    pruned = _run(
-        catalog_large,
-        9,
-        RunConfig(
-            strategy="predtrans",
-            transfer=TransferConfig(prune_selectivity=0.8),
-        ),
+    """Transfer-path pruning as shipped: the proven-cover gate against
+    the ungated ``run_pass`` (every edge ships, as in the paper) on Q9.
+    The gate skips the edges out of ``nation``, ``supplier`` and
+    ``orders`` — complete relations whose keys cover their neighbours' —
+    and leaves exactly the same survivors."""
+    spec = get_query(9, sf=SF_LARGE)
+    graph = build_join_graph(spec)
+    outcomes = {}
+    for label, gate in (("ungated", None), ("gated", proven_cover)):
+        state = ExecContext()
+        _scan(state, spec, catalog_large, RunConfig())
+        ptgraph = build_pt_graph(graph, state.row_counts())
+        order = ptgraph.topological_order()
+        started = time.perf_counter()
+        run_pass(state, order, ptgraph.forward_edges(), TransferConfig(), gate)
+        run_pass(state, order[::-1], ptgraph.backward_edges(), TransferConfig(), gate)
+        outcomes[label] = (
+            time.perf_counter() - started, state.stats.transfer, state.row_counts()
+        )
+    (plain_s, plain, plain_rows), (gated_s, gated, gated_rows) = (
+        outcomes["ungated"], outcomes["gated"],
     )
     print(
-        f"\nAblation pruning (q9): plain {plain.seconds:.4f}s "
-        f"({plain.stats.transfer.filters_built} filters) vs pruned "
-        f"{pruned.seconds:.4f}s ({pruned.stats.transfer.filters_built} filters, "
-        f"{pruned.stats.transfer.edges_pruned} pruned)"
+        f"\nAblation pruning (q9): ungated {plain_s:.4f}s "
+        f"({plain.filters_built} filters) vs gated {gated_s:.4f}s "
+        f"({gated.filters_built} filters, {gated.edges_pruned} skipped: "
+        f"{[f'{e.src}->{e.dst}' for e in gated.edges if not e.shipped]})"
     )
-    assert pruned.stats.transfer.filters_built <= plain.stats.transfer.filters_built
+    assert gated_rows == plain_rows
+    assert (plain.filters_built, plain.edges_pruned) == (14, 0)
+    assert (gated.filters_built, gated.edges_pruned) == (10, 4)
 
 
 def test_ablation_passes(catalog_large):

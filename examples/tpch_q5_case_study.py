@@ -1,20 +1,24 @@
 """TPC-H Q5 case study (paper §4.3, Figures 1, 5 and 6, Tables 1–2).
 
 Generates a TPC-H instance, prints the Q5 join graph and predicate
-transfer graph (Figure 1), the per-join HT/PR table (Tables 1–2), the
-phase breakdown (Figure 5), and the join-order robustness grid
-(Figure 6).
+transfer graph (Figure 1), what every transfer edge did — for Q5 as
+written, and with its local predicates stripped, where most edges carry
+no information and the schedule's gate skips them — the per-join HT/PR
+table (Tables 1–2), the phase breakdown (Figure 5), and the join-order
+robustness grid (Figure 6).
 
 Run:  python examples/tpch_q5_case_study.py [scale_factor]
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 from repro.bench.harness import (
     breakdown,
     format_breakdown,
+    format_edges,
     format_join_orders,
     format_join_sizes,
     join_order_runtimes,
@@ -22,7 +26,11 @@ from repro.bench.harness import (
     total_join_input_reduction,
 )
 from repro.core.ptgraph import build_pt_graph
-from repro.core.runner import RunConfig, _scan  # noqa: SLF001 - example introspection
+from repro.core.runner import (
+    RunConfig,
+    _scan,  # noqa: SLF001 - example introspection
+    run_query,
+)
 from repro.core.transfer import ExecContext
 from repro.plan.joingraph import build_join_graph
 from repro.tpch import generate_tpch
@@ -46,12 +54,32 @@ def print_graphs(catalog, sf: float) -> None:
         print(f"  {src} ({sizes[src]} rows) -> {dst} ({sizes[dst]} rows)")
 
 
+def print_edges(catalog, sf: float) -> None:
+    """The mechanism, edge by edge (``repro tpch --query 5 --analyze``)."""
+    spec = get_query(5, sf=sf)
+    stripped = dataclasses.replace(
+        spec,
+        name="q5_stripped",
+        relations=[dataclasses.replace(r, predicate=None) for r in spec.relations],
+    )
+    for variant in (spec, stripped):
+        stats = run_query(variant, catalog, strategy="predtrans").stats
+        print()
+        print(format_edges(stats, title=f"Transfer edges of {variant.name}"))
+        print(
+            f"{stats.transfer.filters_built} filters shipped, "
+            f"{stats.transfer.edges_pruned} edges skipped, "
+            f"{stats.transfer.reduction():.1%} of rows pre-filtered"
+        )
+
+
 def main() -> None:
     sf = float(sys.argv[1]) if len(sys.argv) > 1 else 0.05
     print(f"Generating TPC-H at SF={sf} ...")
     catalog = generate_tpch(sf=sf, seed=0)
 
     print_graphs(catalog, sf)
+    print_edges(catalog, sf)
 
     sizes = join_size_table(catalog, sf=sf)
     print()

@@ -2,7 +2,9 @@
 
 Commands
 --------
-``tpch``     Run TPC-H queries under one or more strategies.
+``tpch``     Run TPC-H queries under one or more strategies;
+             ``--analyze`` prints what every transfer edge did (shipped
+             or skipped, keys in, rows probed, pass rate, bytes, ms).
 ``ssb``      Run SSB queries likewise.
 ``fig4``     Regenerate the paper's Figure 4 table at a chosen SF.
 ``q5``       Regenerate the Q5 case study (Tables 1–2, Figures 5–6).
@@ -71,6 +73,8 @@ self-join / cross-product extras are addressed by string id: TPC-H
 Examples::
 
     python -m repro tpch --sf 0.02 --query 3,5 --strategy predtrans
+    python -m repro tpch --sf 0.1 --query 9 --strategy predtrans \
+        --analyze --no-filter-cache
     python -m repro tpch --sf 0.05 --query 6 --threads 4
     python -m repro ssb --query 1.1,2.1 --no-filter-cache
     python -m repro fig4 --sf 0.05
@@ -99,9 +103,11 @@ import sys
 from .bench.harness import (
     breakdown,
     format_breakdown,
+    format_edges,
     format_fig4,
     format_join_orders,
     format_join_sizes,
+    Measurement,
     format_parallel_comparison,
     join_order_runtimes,
     join_size_table,
@@ -135,6 +141,15 @@ from .tpch.queries import (
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sf", type=float, default=0.01, help="scale factor")
     parser.add_argument("--seed", type=int, default=0, help="generator seed")
+
+
+def _add_analyze_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--analyze",
+        action="store_true",
+        help="after each query, print what every transfer edge did: "
+        "shipped or skipped, keys in, rows probed, pass rate, bytes, ms",
+    )
 
 
 def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
@@ -214,6 +229,13 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**kwargs)
 
 
+def _print_analysis(args: argparse.Namespace, m: Measurement) -> None:
+    """``--analyze``: the measured run's transfer edges, one per line."""
+    if args.analyze:
+        print(format_edges(m.stats, title=f"  transfer edges of {m.query} ({m.strategy})"))
+        print()
+
+
 def _cmd_tpch(args: argparse.Namespace) -> int:
     catalog = generate_tpch(sf=args.sf, seed=args.seed)
     queries = list(args.query) if args.query else list(BENCH_QUERY_IDS)
@@ -236,6 +258,7 @@ def _cmd_tpch(args: argparse.Namespace) -> int:
                 f"rows={m.output_rows}  "
                 f"prefiltered={m.stats.transfer.reduction():.1%}"
             )
+            _print_analysis(args, m)
     return 1 if aborted else 0
 
 
@@ -259,6 +282,7 @@ def _cmd_ssb(args: argparse.Namespace) -> int:
             print(
                 f"Q{qid:<4s} {strategy:12s} {m.seconds:9.4f}s  rows={m.output_rows}"
             )
+            _print_analysis(args, m)
     return 1 if aborted else 0
 
 
@@ -897,6 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tpch.add_argument("--strategy", choices=STRATEGIES)
     tpch.add_argument("--repeats", type=int, default=2)
+    _add_analyze_flag(tpch)
     _add_cache_flag(tpch)
     _add_parallel_args(tpch)
     _add_resilience_args(tpch)
@@ -911,6 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ssb.add_argument("--strategy", choices=STRATEGIES)
     ssb.add_argument("--repeats", type=int, default=2)
+    _add_analyze_flag(ssb)
     _add_cache_flag(ssb)
     _add_parallel_args(ssb)
     _add_resilience_args(ssb)

@@ -448,6 +448,38 @@ def format_breakdown(parts: dict[str, tuple[float, float]], title: str) -> str:
     return f"{table}\n\n{chart}"
 
 
+def format_edges(stats: QueryStats, title: str) -> str:
+    """Render what each transfer edge did, pass by pass, pre-stages
+    first (``--analyze``): the mechanism behind Figure 5's pre-filter
+    bar and Tables 1–2's reduced join inputs."""
+    headers = [
+        "stage", "pass", "edge", "keys", "decision", "filter", "keys_in",
+        "probed", "pass_rate", "KiB", "build_ms", "probe_ms",
+    ]
+    rows: list[list[object]] = []
+
+    def walk(stage: QueryStats) -> None:
+        for sub in stage.stage_stats:
+            walk(sub)
+        for e in stage.transfer.edges:
+            row: list[object] = [
+                stage.query, e.pass_index, f"{e.src} -> {e.dst}",
+                ",".join(e.key_columns), e.decision,
+            ]
+            if e.shipped:
+                row += [
+                    f"{e.kind} ({e.provenance})", e.keys_inserted, e.rows_probed,
+                    f"{e.pass_rate:.3f}", f"{e.filter_bytes / 1024:.1f}",
+                    f"{e.build_seconds * 1e3:.2f}", f"{e.probe_seconds * 1e3:.2f}",
+                ]
+            else:
+                row += ["-"] * 7
+            rows.append(row)
+
+    walk(stats)
+    return format_table(headers, rows, title=title)
+
+
 # ----------------------------------------------------------------------
 # Figure 6: join-order robustness
 # ----------------------------------------------------------------------

@@ -110,7 +110,7 @@ class QueryCache:
     propagate — those are the caller's to handle.
     """
 
-    __slots__ = ("cache", "aliases", "hits", "misses", "errors")
+    __slots__ = ("cache", "aliases", "hits", "misses", "errors", "extensions")
 
     def __init__(self, cache: FilterCache, aliases: dict[str, AliasKey]) -> None:
         self.cache = cache
@@ -118,6 +118,9 @@ class QueryCache:
         self.hits = 0
         self.misses = 0
         self.errors = 0
+        # Artifacts this query got by delta extension (the store counts
+        # them engine-wide; this tells a caller its own lookup was one).
+        self.extensions = 0
 
     # ------------------------------------------------------------------
     def cacheable(self, alias: str) -> bool:
@@ -296,6 +299,7 @@ class QueryCache:
                     self.cache.count_extension_rebuild()
                     return None
                 self.cache.count_extension()
+                self.extensions += 1
                 # Cached vectors are sorted and < rows_at; delta indices
                 # are >= rows_at and sorted — concatenation is exactly
                 # the fresh full-scan vector (and a fresh array, never
@@ -339,6 +343,7 @@ class QueryCache:
                     self.cache.count_extension_rebuild()
                     return None
                 self.cache.count_extension()
+                self.extensions += 1
                 return extended
         except (QueryAborted, CacheCorruption):
             raise

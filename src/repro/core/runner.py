@@ -264,6 +264,7 @@ def run_query(
         stats=stats,
         qctx=qctx,
         parallel=(config.parallel or get_parallel(config.threads)).scoped(qctx),
+        partition_rows=config.partition_rows,
     )
     if spec.pre_stages:
         stage_config = replace(config, context=qctx)
@@ -772,11 +773,15 @@ def _bloom_prefilter(
     transfer phase ran, so its filter goes through the cross-query
     cache; an intermediate join result's does not.
     """
-    bloom = build_filter(
-        ctx, ctx.alias_of.get(id(build_table)), build_table, None,
-        tuple(build_on), "bloom", fpp,
+    alias = ctx.alias_of.get(id(build_table))
+    transfer = ctx.stats.transfer
+    # Each join's filter is a pass of its own, one edge long.
+    edge = transfer.new_edge(
+        transfer.next_pass, alias or build_table.name, probe_table.name,
+        tuple(build_on),
     )
-    keep = probe_filter(ctx, bloom, probe_table, tuple(probe_on), None)
+    bloom = build_filter(ctx, edge, alias, build_table, None, "bloom", fpp)
+    keep = probe_filter(ctx, edge, bloom, probe_table, tuple(probe_on), None)
     return np.flatnonzero(keep)
 
 

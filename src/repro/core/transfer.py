@@ -12,7 +12,15 @@ kernel.  The kernel is three functions:
 * :func:`run_pass` — visit vertices in a given order along a given set
   of directed edges: each vertex first applies every filter parked at
   it (the single-scan *filter transformation* of Fig. 2), then builds
-  one outgoing filter per out-edge from its survivors.
+  one outgoing filter per out-edge from its survivors — unless the
+  schedule's *gate* vouches that the filter can remove no row.
+
+Every edge of every pass leaves one
+:class:`~repro.engine.stats.EdgeStat` in ``stats.transfer.edges`` —
+shipped or skipped, keys inserted, rows probed and passed, bytes,
+seconds, cache provenance — opened by the schedule that decides the
+edge and filled in by :func:`build_filter` and :func:`probe_filter`;
+the query-level counts are derived from that list.
 
 A strategy picks the graph, the passes and the filter kind:
 
@@ -25,6 +33,47 @@ A strategy picks the graph, the passes and the filter kind:
   top-down pass over a join tree with exact filters.
 * **BloomJoin** (:mod:`repro.core.runner`) — one Bloom filter per
   join, shipped from its build side to its probe side.
+
+The proven-cover gate
+---------------------
+The paper ships a filter along every edge and leaves "pruning transfer
+paths" to future work (§3.2).  Predicate transfer here passes
+:func:`proven_cover` to :func:`run_pass`, which skips an edge
+``src → dst`` *before the build* when all three hold:
+
+1. ``src`` is **complete**: its surviving rows are all of its base
+   rows — no local predicate removed one and no incoming filter has;
+2. the edge has a single ``INT64``/``DATE`` key column on each side,
+   and ``src``'s has no NULL and **no gap**: it holds every integer
+   between its minimum and maximum (distinct values = max − min + 1);
+3. ``dst``'s key column has no NULL and its minimum and maximum lie
+   **inside** ``src``'s.
+
+Then every key ``dst`` could probe with is an integer of ``src``'s
+range, hence a key ``src`` would insert, and a filter — Bloom or
+exact, neither has false negatives — passes every probed row.  Not
+shipping it changes no survivor, so every later filter, every join
+input and the query result are those of the ungated schedule: the gate
+is exact, not a heuristic, and has no threshold.  The typical skipped
+edge is a dimension table without a predicate feeding a foreign key
+(``nation → supplier``), or a fact table reflecting nothing back
+(``lineitem → orders`` when nothing filtered ``lineitem``).  Composite
+and ``STRING`` keys, sparse key domains, NULL-bearing keys and any
+vertex that lost a row ship as before; so does a filter that *does*
+remove rows but costs more than it saves — that takes a cost model,
+not a proof.
+
+The three numbers come from the base table's partition layout
+(:meth:`~repro.storage.partition.PartitionLayout.key_range`,
+:meth:`~repro.storage.partition.PartitionLayout.gap_free`): the range
+off the zone maps, the gap test counted once per table version, and
+only for a complete *source*.  Pre-stage outputs are tables like any
+other and get theirs on first use.
+
+Yannakakis and BloomJoin pass no gate.  Yannakakis' full-reducer
+guarantee is a statement about shipping every tree edge, and keeping
+both byte-for-byte as they were makes the ungated :func:`run_pass`
+the test oracle for the gated one, with no option to select it.
 
 Incoming filters are applied most-selective-first (LIP-style ordering,
 paper §3.2, citing [39]) using the observed reduction at the producing
@@ -61,8 +110,9 @@ have built; shrunk vertices always build from scratch.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Union
 
 import numpy as np
 
@@ -75,14 +125,18 @@ from ..engine.parallel import (
     parallel_bloom_build,
     parallel_membership,
 )
-from ..engine.stats import QueryStats, TransferStats
+from ..engine.stats import SKIPPED_COVERED, EdgeStat, QueryStats, TransferStats
 from ..errors import FilterError
 from ..filters.bloom import BloomFilter
 from ..filters.exact import ExactFilter
 from ..filters.hashcache import KeyHashCache
+from ..storage.partition import DEFAULT_PARTITION_ROWS, PartitionLayout, get_layout
 from ..storage.view import AnyTable
 from ..testing.faults import fault_point
 from .ptgraph import PTEdge, PTGraph
+
+#: A shipped filter.
+Filter = Union[BloomFilter, ExactFilter]
 
 
 @dataclass(frozen=True)
@@ -100,12 +154,6 @@ class TransferConfig:
         Enable the respective pass (both on in the paper).
     lip_reorder:
         Apply incoming filters most-selective-first.
-    prune_selectivity:
-        Transfer-path pruning threshold (extension; §3.2 lists pruning
-        as future work and the paper's prototype uses ``None`` = never
-        prune).  A vertex whose surviving-row fraction is above the
-        threshold does not emit filters — its filter would remove
-        little downstream but still cost probe time.
     rounds:
         Number of forward+backward round trips (extension; §3.2 notes
         transfers "can happen back and forth").  The paper's prototype
@@ -118,7 +166,6 @@ class TransferConfig:
     forward: bool = True
     backward: bool = True
     lip_reorder: bool = True
-    prune_selectivity: float | None = None
     rounds: int = 1
 
     def __post_init__(self) -> None:
@@ -144,7 +191,7 @@ def rows_to_masks(
     rows: dict[str, np.ndarray], lengths: dict[str, int]
 ) -> dict[str, np.ndarray]:
     """Sorted row-index vectors -> boolean masks of the given lengths."""
-    out = {}
+    out: dict[str, np.ndarray] = {}
     for alias, selected in rows.items():
         mask = np.zeros(lengths[alias], dtype=np.bool_)
         mask[selected] = True
@@ -156,9 +203,10 @@ def rows_to_masks(
 class _IncomingFilter:
     """A filter parked at a vertex, waiting to be applied."""
 
-    filt: object
+    filt: Filter
     key_columns: tuple[str, ...]
     producer_selectivity: float
+    edge: EdgeStat
 
 
 @dataclass
@@ -194,6 +242,9 @@ class ExecContext:
     # cached filters remain valid across thread counts.
     parallel: ParallelContext = field(default_factory=ParallelContext)
     hashes: KeyHashCache = field(default_factory=KeyHashCache)
+    # Chunk size of the storage layouts the scan pruned with; the gate
+    # reads its key statistics off the same layouts.
+    partition_rows: int = DEFAULT_PARTITION_ROWS
     tables: dict[str, AnyTable] = field(default_factory=dict)
     rows: dict[str, np.ndarray] = field(default_factory=dict)
     # Aliases an incoming filter has reduced below their
@@ -239,7 +290,7 @@ class _RowKeys:
         return self._n
 
     def __getitem__(self, span: slice) -> np.ndarray:
-        rows = span if self._rows is None else self._rows[span]
+        rows: slice | np.ndarray = span if self._rows is None else self._rows[span]
         return self._hashes.bloom_keys(self._columns, rows)
 
 
@@ -259,9 +310,12 @@ def run_transfer_rows(
     for round_index in range(config.rounds):
         survivors_before = sum(map(len, state.rows.values()))
         if config.forward:
-            run_pass(state, order, ptgraph.forward_edges(), config)
+            run_pass(state, order, ptgraph.forward_edges(), config, proven_cover)
         if config.backward:
-            run_pass(state, list(reversed(order)), ptgraph.backward_edges(), config)
+            run_pass(
+                state, list(reversed(order)), ptgraph.backward_edges(), config,
+                proven_cover,
+            )
         # Extra rounds stop early once a fixpoint is reached.
         if round_index and survivors_before == sum(
             map(len, state.rows.values())
@@ -303,14 +357,25 @@ def run_transfer(
     )
 
 
+#: Decides, before the build, that an edge's filter need not be shipped.
+Gate = Callable[[ExecContext, PTEdge], bool]
+
+
 def run_pass(
     state: ExecContext,
     order: list[str],
     edges: list[PTEdge],
     config: TransferConfig,
+    gate: Gate | None = None,
 ) -> None:
-    """One pass: visit vertices in ``order`` along the given edges."""
+    """One pass: visit vertices in ``order`` along the given edges.
+
+    Without a ``gate`` every edge ships its filter.  With one, an edge
+    the gate vouches for is recorded as skipped and neither built nor
+    probed.
+    """
     stats = state.stats.transfer
+    pass_index = stats.next_pass
     out_edges: dict[str, list[PTEdge]] = {}
     for e in edges:
         out_edges.setdefault(e.src, []).append(e)
@@ -324,17 +389,15 @@ def run_pass(
             continue
         table = state.tables[alias]
         selectivity = len(rows) / table.num_rows if table.num_rows else 1.0
-        if (
-            config.prune_selectivity is not None
-            and selectivity >= config.prune_selectivity
-        ):
-            stats.edges_pruned += len(emit)
-            continue
         for e in sorted(emit, key=lambda x: x.dst):
+            edge = stats.new_edge(pass_index, e.src, e.dst, e.src_keys)
+            if gate is not None and gate(state, e):
+                edge.decision = SKIPPED_COVERED
+                continue
             filt = build_filter(
-                state, alias, table, rows, e.src_keys, config.filter_type, config.fpp
+                state, edge, alias, table, rows, config.filter_type, config.fpp
             )
-            parked[e.dst].append(_IncomingFilter(filt, e.dst_keys, selectivity))
+            parked[e.dst].append(_IncomingFilter(filt, e.dst_keys, selectivity, edge))
 
 
 def _apply_incoming(
@@ -348,12 +411,61 @@ def _apply_incoming(
     for inc in incoming:
         if len(rows) == 0:
             break
-        keep = probe_filter(state, inc.filt, table, inc.key_columns, rows)
-        if not keep.all():
+        keep = probe_filter(state, inc.edge, inc.filt, table, inc.key_columns, rows)
+        if inc.edge.rows_passed < len(rows):
             rows = rows[keep]
             state.shrunk.add(alias)
     state.rows[alias] = rows
     return rows
+
+
+# ----------------------------------------------------------------------
+# The proven-cover gate
+# ----------------------------------------------------------------------
+def _key_statistics(
+    state: ExecContext, alias: str, column: str
+) -> tuple[PartitionLayout, str] | None:
+    """The storage layout holding the statistics of ``alias``'s key
+    ``column``, and the column's name there (``None`` when the relation
+    is not a whole base table)."""
+    base = state.tables[alias].base_column(column)
+    if base is None:
+        return None
+    return get_layout(base[0], state.partition_rows), base[1]
+
+
+def proven_cover(state: ExecContext, edge: PTEdge) -> bool:
+    """Is ``edge``'s filter proven to pass every row it would probe?
+
+    True when the source still holds every base row, its single integer
+    key column has no NULL and no gap, and the destination's NULL-free
+    key column lies inside the source's value range: then every
+    destination key is a source key (module docstring).  Cheapest test
+    first; the source's distinct count is taken last, once per table
+    version.
+    """
+    if (
+        len(edge.src_keys) != 1
+        or len(state.rows[edge.src]) != state.tables[edge.src].num_rows
+    ):
+        return False
+    src = _key_statistics(state, edge.src, edge.src_keys[0])
+    dst = _key_statistics(state, edge.dst, edge.dst_keys[0])
+    if src is None or dst is None:
+        return False
+    (src_layout, src_key), (dst_layout, dst_key) = src, dst
+    if (
+        src_layout.table.column(src_key).dtype
+        != dst_layout.table.column(dst_key).dtype
+    ):
+        return False
+    src_range = src_layout.key_range(src_key)
+    dst_range = dst_layout.key_range(dst_key)
+    if src_range is None or dst_range is None:
+        return False
+    (src_low, src_high), (dst_low, dst_high) = src_range, dst_range
+    inside = dst_low > dst_high or (src_low <= dst_low and dst_high <= src_high)
+    return inside and src_layout.gap_free(src_key)
 
 
 def exact_bytes_estimate(n_keys: int) -> int:
@@ -371,28 +483,43 @@ def exact_bytes_estimate(n_keys: int) -> int:
 
 def build_filter(
     state: ExecContext,
+    edge: EdgeStat,
     alias: str | None,
     table: AnyTable,
     rows: np.ndarray | None,
-    key_columns: tuple[str, ...],
     kind: str,
     fpp: float,
-):
-    """The ``kind`` filter over the ``key_columns`` of ``rows``.
+) -> Filter:
+    """The ``kind`` filter over ``edge``'s key columns of ``rows``.
 
     ``rows`` are ``table``'s surviving row indices (``None`` = all);
     ``alias`` names the relation for cross-query caching, and is
     ``None`` for a join intermediate.  The filter is
     fetched from the cache when ``alias`` is pristine and versioned,
-    built (and committed back) otherwise.
+    built (and committed back) otherwise; either way ``edge`` records
+    what was shipped.
     """
-    stats = state.stats.transfer
+    started = time.perf_counter()
+    key_columns = edge.key_columns
     n_keys = table.num_rows if rows is None else len(rows)
-    cacheable = alias not in state.shrunk and state.cache.cacheable(alias)
+    # The alias to cache under: a pristine, versioned relation's.
+    cache_as = (
+        alias
+        if alias is not None
+        and alias not in state.shrunk
+        and state.cache.cacheable(alias)
+        else None
+    )
     params = f"fpp={fpp!r}" if kind == "bloom" else ""
-    filt = None
-    if cacheable:
-        filt = state.cache.get_filter(alias, key_columns, kind, params)
+    filt: Filter | None = None
+    if cache_as is not None:
+        extensions = state.cache.extensions
+        cached = state.cache.get_filter(cache_as, key_columns, kind, params)
+        if isinstance(cached, (BloomFilter, ExactFilter)):
+            filt = cached
+            edge.provenance = (
+                "extended" if state.cache.extensions > extensions else "cache"
+            )
     if filt is None:
         build_kind = kind
         if kind == "exact" and state.qctx.would_exceed(
@@ -404,14 +531,13 @@ def build_filter(
             # precisely.  Degraded filters are never cached: they would
             # poison the exact-kind fingerprint for future queries.
             build_kind = "bloom"
-            cacheable = False
+            cache_as = None
             state.qctx.note_degraded()
         keys = _RowKeys(state.hashes, table, key_columns, rows)
         if build_kind == "bloom":
             filt = parallel_bloom_build(
                 state.parallel, keys, capacity=n_keys, fpp=fpp
             )
-            stats.bloom_inserts += n_keys
         else:
             # The set dedups and sizes itself from all keys at once;
             # the array is survivor-sized and dies with this call.
@@ -419,24 +545,26 @@ def build_filter(
             for span in morsels(0, n_keys):
                 hashed[span] = keys[span]
             filt = ExactFilter.from_keys(hashed)
-            stats.hash_inserts += n_keys
         # The fault point sits between build and commit: an injected
         # build failure (or a budget overrun on the charge) propagates
         # before the put below, so a partially-trusted filter is never
         # committed to the shared cache.
         fault_point("filter.build")
         state.qctx.charge(filt.size_bytes(), f"filter at {alias or 'join input'}")
-        if cacheable:
-            state.cache.put_filter(alias, key_columns, kind, params, filt)
-    stats.filters_built += 1
-    stats.filter_bytes += filt.size_bytes()
-    stats.edges_traversed += 1
+        if cache_as is not None:
+            state.cache.put_filter(cache_as, key_columns, kind, params, filt)
+        edge.provenance = "built"
+    edge.kind = "exact" if filt.exact else "bloom"
+    edge.keys_inserted = n_keys
+    edge.filter_bytes = filt.size_bytes()
+    edge.build_seconds = time.perf_counter() - started
     return filt
 
 
 def probe_filter(
     state: ExecContext,
-    filt,
+    edge: EdgeStat,
+    filt: Filter,
     table: AnyTable,
     key_columns: tuple[str, ...],
     rows: np.ndarray | None,
@@ -444,13 +572,13 @@ def probe_filter(
     """Membership mask of ``rows``' join keys against a shipped filter.
 
     Same ``rows`` convention as :func:`build_filter`; the probe runs a
-    morsel at a time, chunked over the context's worker pool.
+    morsel at a time, chunked over the context's worker pool, and
+    ``edge`` records how many rows it saw and let through.
     """
-    stats = state.stats.transfer
+    started = time.perf_counter()
     keys = _RowKeys(state.hashes, table, key_columns, rows)
     keep = parallel_membership(state.parallel, filt, keys)
-    if isinstance(filt, BloomFilter):
-        stats.bloom_probes += len(keys)
-    else:
-        stats.hash_probes += len(keys)
+    edge.rows_probed = len(keys)
+    edge.rows_passed = int(np.count_nonzero(keep))
+    edge.probe_seconds = time.perf_counter() - started
     return keep

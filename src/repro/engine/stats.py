@@ -7,8 +7,10 @@ collected here so the benchmark harness can print paper-style tables:
   i.e. the build side) and ``PR`` (rows probing it), as in Tables 1–2;
 * per-phase wall time — pre-filter (transfer / semi-join) time versus
   join-phase time, as in Figure 5;
-* filter operation counts (hash vs Bloom inserts/probes), backing the
-  §3.5 cost-model ablations.
+* what every transfer edge did — shipped or skipped, keys inserted,
+  rows probed and passed, bytes, seconds (:class:`EdgeStat`) — from
+  which the filter operation counts (hash vs Bloom inserts/probes)
+  backing the §3.5 cost-model ablations are derived.
 """
 
 from __future__ import annotations
@@ -27,24 +29,130 @@ class JoinStat:
     seconds: float = 0.0
 
 
+#: ``EdgeStat.decision`` values.
+SHIPPED = "shipped"
+SKIPPED_COVERED = "skipped: covered"
+
+
+@dataclass
+class EdgeStat:
+    """One transfer edge of one pass: what was shipped and what it did.
+
+    The schedule creates the record (which pass, from where to where,
+    on which keys, shipped or skipped); :func:`repro.core.transfer
+    .build_filter` and :func:`~repro.core.transfer.probe_filter` — the
+    only places a filter is built or probed — fill in the rest.
+
+    ``kind`` is the filter actually shipped (``"bloom"`` for an exact
+    filter degraded under a memory budget); ``keys_inserted`` is the
+    number of keys it was built over, whatever its ``provenance``: ``"built"``
+    by this query, fetched whole from the cross-query ``"cache"``, or
+    ``"extended"`` there over appended rows.  A skipped edge (see the
+    gate in :mod:`repro.core.transfer`) keeps the zero defaults, and so
+    do the probe fields of a shipped filter whose destination was
+    already empty.
+    """
+
+    pass_index: int
+    src: str
+    dst: str
+    key_columns: tuple[str, ...]
+    decision: str = SHIPPED
+    kind: str = ""
+    provenance: str = ""
+    keys_inserted: int = 0
+    filter_bytes: int = 0
+    build_seconds: float = 0.0
+    rows_probed: int = 0
+    rows_passed: int = 0
+    probe_seconds: float = 0.0
+
+    @property
+    def shipped(self) -> bool:
+        return self.decision == SHIPPED
+
+    @property
+    def pass_rate(self) -> float:
+        """Fraction of probed rows the filter let through (1 when it
+        probed nothing)."""
+        return self.rows_passed / self.rows_probed if self.rows_probed else 1.0
+
+
+def _keys_built(edges: list[EdgeStat]) -> int:
+    return sum(e.keys_inserted for e in edges if e.provenance == "built")
+
+
 @dataclass
 class TransferStats:
-    """What the pre-filter phase did."""
+    """What the pre-filter phase did: one :class:`EdgeStat` per transfer
+    edge and pass, in the order the schedule decided them.  Every
+    query-level count is derived from that list."""
 
-    filters_built: int = 0
-    filter_bytes: int = 0
-    bloom_inserts: int = 0
-    bloom_probes: int = 0
-    hash_inserts: int = 0
-    hash_probes: int = 0
+    edges: list[EdgeStat] = field(default_factory=list)
     rows_before: dict[str, int] = field(default_factory=dict)
     rows_after: dict[str, int] = field(default_factory=dict)
-    edges_traversed: int = 0
-    edges_pruned: int = 0
     # Off-tree (cycle) edges re-checked by Yannakakis' residual-edge
     # post-verification pass (0 for acyclic inputs and all other
     # strategies).
     edges_verified: int = 0
+
+    def new_edge(
+        self, pass_index: int, src: str, dst: str, key_columns: tuple[str, ...]
+    ) -> EdgeStat:
+        """Append and return the record of one more edge."""
+        edge = EdgeStat(pass_index, src, dst, key_columns)
+        self.edges.append(edge)
+        return edge
+
+    @property
+    def next_pass(self) -> int:
+        """The index of a pass starting now: passes are numbered in the
+        order they decided their first edge."""
+        return self.edges[-1].pass_index + 1 if self.edges else 0
+
+    def shipped(self, kind: str | None = None) -> list[EdgeStat]:
+        """Edges a filter (of ``kind``, when given) travelled along."""
+        return [
+            e for e in self.edges if e.shipped and (kind is None or e.kind == kind)
+        ]
+
+    @property
+    def filters_built(self) -> int:
+        """Filters shipped (built here or served from the cache)."""
+        return len(self.shipped())
+
+    @property
+    def edges_traversed(self) -> int:
+        """One per shipped filter."""
+        return self.filters_built
+
+    @property
+    def edges_pruned(self) -> int:
+        """Edges the schedule's gate skipped."""
+        return len(self.edges) - self.filters_built
+
+    @property
+    def filter_bytes(self) -> int:
+        return sum(e.filter_bytes for e in self.shipped())
+
+    @property
+    def bloom_inserts(self) -> int:
+        """Keys this query inserted into Bloom filters (a filter served
+        from the cache inserted none)."""
+        return _keys_built(self.shipped("bloom"))
+
+    @property
+    def hash_inserts(self) -> int:
+        """Keys this query inserted into exact key sets."""
+        return _keys_built(self.shipped("exact"))
+
+    @property
+    def bloom_probes(self) -> int:
+        return sum(e.rows_probed for e in self.shipped("bloom"))
+
+    @property
+    def hash_probes(self) -> int:
+        return sum(e.rows_probed for e in self.shipped("exact"))
 
     def total_rows_before(self) -> int:
         """Total base rows entering the pre-filter phase."""

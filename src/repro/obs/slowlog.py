@@ -21,6 +21,7 @@ import hashlib
 import json
 import threading
 import time
+from dataclasses import asdict
 from typing import IO, Callable
 
 from ..cache.fingerprint import canonical_expr
@@ -169,6 +170,8 @@ class SlowQueryLog:
                 "hits": stats.filter_cache_hits_total,
                 "misses": stats.filter_cache_misses_total,
             }
+            record["filters_built"] = stats.transfer.filters_built
+            record["edges"] = [asdict(e) for e in stats.transfer.edges]
             record["output_rows"] = stats.output_rows
             record["partitions_pruned"] = stats.partitions_pruned_all
             record["filters_degraded"] = stats.filters_degraded

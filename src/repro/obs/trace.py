@@ -21,7 +21,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import IO, Iterable
 
 from ..engine.stats import QueryStats
@@ -126,6 +126,7 @@ def _emit_stage(
         elif name == "transfer":
             attrs = {
                 "filters_built": stats.transfer.filters_built,
+                "edges": [asdict(e) for e in stats.transfer.edges],
                 "cache_hits": stats.filter_cache_hits,
                 "cache_misses": stats.filter_cache_misses,
                 "rows_reduction": round(stats.transfer.reduction(), 6),
@@ -201,15 +202,21 @@ def format_span_tree(spans: Iterable[Span]) -> str:
 
     def walk(parent: str | None, depth: int) -> None:
         for span in by_parent.get(parent, []):
+            # Scalars ride the span's own line; a list-valued attribute
+            # (the transfer phase's per-edge records) gets a line per item.
+            scalars = {k: v for k, v in span.attrs.items() if not isinstance(v, list)}
             attrs = ""
-            if span.attrs:
-                attrs = "  " + " ".join(
-                    f"{k}={v}" for k, v in span.attrs.items()
-                )
+            if scalars:
+                attrs = "  " + " ".join(f"{k}={v}" for k, v in scalars.items())
             lines.append(
                 f"{'  ' * depth}{span.name:<12s} {span.seconds * 1e3:9.3f} ms"
                 f"{attrs}"
             )
+            for key, items in span.attrs.items():
+                if isinstance(items, list):
+                    for item in items:
+                        fields = " ".join(f"{k}={v}" for k, v in item.items())
+                        lines.append(f"{'  ' * (depth + 1)}{key}: {fields}")
             walk(span.span_id, depth + 1)
 
     walk(None, 0)

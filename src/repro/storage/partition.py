@@ -10,6 +10,19 @@ NULL`` and ``YEAR()`` comparisons), and the intra-query parallel
 kernels (:mod:`repro.engine.parallel`) use the same chunk boundaries as
 morsel units.
 
+Beside the zone maps the layout keeps **key-domain statistics** for
+NULL-free ``INT64``/``DATE`` columns: the value range
+(:meth:`PartitionLayout.key_range`, read off the zone map) and whether
+the column holds every integer of that range
+(:meth:`PartitionLayout.gap_free`, i.e. number of distinct values = max
+− min + 1).  The predicate transfer schedule uses them to prove that a
+filter over the column would pass every key of another column and need
+not be built (:func:`repro.core.transfer.proven_cover`).  Like a zone
+map, the gap test is computed on first request — by the query that
+asks, never by an ingest commit, so never under the catalog's lock —
+and remembered for the table's lifetime; a range wider than the table
+has rows is answered without reading the column.
+
 Determinism and invalidation guarantees
 ---------------------------------------
 * Pruning is **conservative**: a partition is skipped only when its
@@ -37,7 +50,12 @@ Determinism and invalidation guarantees
   only for ``INT64``/``FLOAT64``/``DATE`` columns, whose
   ``concat`` is a plain ``np.concatenate`` of data and validity —
   prefix values are byte-identical (``STRING`` concat re-encodes
-  dictionary codes, but strings are never zoned).
+  dictionary codes, but strings are never zoned).  A column known to
+  be gap-free carries that over with its old range: the prefix already
+  holds every integer of it, so the new layout only has to check that
+  the appended rows' values outside the old range fill the rest of the
+  new one — O(appended rows).  A column known *not* to be gap-free is
+  recounted when next asked (appended rows may have filled the gap).
 * Zone maps are a pure function of table contents; nothing about the
   layout (partition size, partition count) participates in cross-query
   cache fingerprints, so cached artifacts stay valid across partition
@@ -65,6 +83,9 @@ DEFAULT_PARTITION_ROWS = 32768
 
 #: Column types that carry zone maps (min/max are meaningful and cheap).
 _ZONED = (DType.INT64, DType.FLOAT64, DType.DATE)
+
+#: Column types whose values are integers of a key domain.
+_KEYED = (DType.INT64, DType.DATE)
 
 
 @dataclass(frozen=True)
@@ -97,6 +118,7 @@ class PartitionLayout:
     __slots__ = (
         "table", "partition_rows", "starts", "stops",
         "_zones", "_inherited", "reused_chunks", "_lock",
+        "_dense", "_inherited_dense",
     )
 
     def __init__(self, table: Table, partition_rows: int = DEFAULT_PARTITION_ROWS) -> None:
@@ -114,6 +136,12 @@ class PartitionLayout:
         # docstring for why prefix reuse is sound.
         self._inherited: tuple[dict[str, ZoneMap], int] | None = None
         self.reused_chunks = 0  # guarded-by: _lock
+        # Key-domain statistics (see gap_free()): per column asked
+        # about, the value range it is gap-free over, or None.
+        self._dense: dict[str, tuple[int, int] | None] = {}  # guarded-by: _lock
+        # From a pre-append layout: (the gap-free columns' ranges there,
+        # its row count).  Set only by extend_layout().
+        self._inherited_dense: tuple[dict[str, tuple[int, int]], int] | None = None
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -209,6 +237,62 @@ class PartitionLayout:
             null_counts=nulls,
             valid_counts=valid_counts,
         )
+
+    # ------------------------------------------------------------------
+    # Key-domain statistics
+    # ------------------------------------------------------------------
+    def key_range(self, column: str) -> tuple[int, int] | None:
+        """``(min, max)`` of a NULL-free ``INT64``/``DATE`` column, read
+        off its zone map; ``None`` for any other column.  A column with
+        no rows has the empty range ``(0, -1)``."""
+        if self.table.column(column).dtype not in _KEYED:
+            return None
+        if self.num_partitions == 0:
+            return 0, -1
+        zone = self.zone(column)
+        if zone is None or zone.null_counts.any():
+            return None
+        return int(zone.mins.min()), int(zone.maxs.max())
+
+    def gap_free(self, column: str) -> bool:
+        """Does ``column`` hold *every* integer of its :meth:`key_range`
+        (number of distinct values = max − min + 1)?
+
+        False for a column that has no key range.  Counted once per
+        column — O(rows), or O(appended rows) on a layout that
+        inherited the answer from its pre-append predecessor — and then
+        remembered beside the zone maps.
+        """
+        with self._lock:
+            if column in self._dense:
+                return self._dense[column] is not None
+        counted = self._dense_range(column)
+        with self._lock:
+            return self._dense.setdefault(column, counted) is not None
+
+    def _dense_range(self, column: str) -> tuple[int, int] | None:
+        """``column``'s key range if it is gap-free, else ``None``."""
+        bounds = self.key_range(column)
+        if bounds is None:
+            return None
+        low, high = bounds
+        span = high - low + 1
+        if span > self.table.num_rows:
+            return None  # fewer rows than integers to cover
+        data = self.table.column(column).data
+        inherited = self._inherited_dense
+        if inherited is not None and column in inherited[0]:
+            # The pre-append rows hold every integer of their range, so
+            # the appended ones must supply exactly the rest.
+            old_low, old_high = inherited[0][column]
+            tail = data[inherited[1]:]
+            beyond = tail[(tail < old_low) | (tail > old_high)]
+            covered = len(np.unique(beyond)) == span - (old_high - old_low + 1)
+        else:
+            present = np.zeros(span, dtype=np.bool_)
+            present[data - low] = True
+            covered = bool(present.all())
+        return bounds if covered else None
 
     # ------------------------------------------------------------------
     # Predicate pruning
@@ -435,8 +519,11 @@ def extend_layout(old: PartitionLayout, table: Table) -> PartitionLayout:
     reusable = old.table.num_rows // old.partition_rows
     with old._lock:
         zones = {name: z for name, z in old._zones.items() if z is not None}
+        dense = {name: r for name, r in old._dense.items() if r is not None}
     if reusable > 0 and zones:
         new._inherited = (zones, reusable)
+    if dense:
+        new._inherited_dense = (dense, old.table.num_rows)
     return new
 
 

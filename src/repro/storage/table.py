@@ -99,6 +99,11 @@ class Table:
                 f"available: {sorted(self.columns)}"
             ) from None
 
+    def base_column(self, name: str) -> "tuple[Table, str] | None":
+        """Where per-table statistics about column ``name`` live: here
+        (duck-compatible with :meth:`TableView.base_column`)."""
+        return self, name
+
     def schema(self) -> dict[str, DType]:
         """Mapping of column name to logical type."""
         return {name: col.dtype for name, col in self.columns.items()}

@@ -151,6 +151,14 @@ class TableView:
         self._gathered[name] = col
         return col
 
+    def base_column(self, name: str) -> tuple[Table, str] | None:
+        """The base table and column behind ``name`` when this view
+        exposes every row of that table in order — where per-table
+        statistics about the column live — else ``None``."""
+        src_i, src_name = self._fields[name]
+        table, rows, _ = self._sources[src_i]
+        return (table, src_name) if rows is None else None
+
     # ------------------------------------------------------------------
     # Row selection (index-vector composition only; zero data movement)
     # ------------------------------------------------------------------

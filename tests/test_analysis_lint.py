@@ -243,11 +243,13 @@ STRICT_PATHS = [
     "src/repro/plan",
     "src/repro/cache",
     "src/repro/analysis",
+    "src/repro/core/transfer.py",
     "src/repro/engine/aggregate.py",
     "src/repro/engine/factorize.py",
     "src/repro/engine/hashjoin.py",
     "src/repro/engine/keys.py",
     "src/repro/engine/sort.py",
+    "src/repro/engine/stats.py",
     "src/repro/filters/bloom.py",
     "src/repro/filters/hashing.py",
     "src/repro/filters/hashcache.py",

@@ -77,6 +77,21 @@ def test_tpch_single_query(capsys):
     assert "q5" in out and "predtrans" in out and "prefiltered" in out
 
 
+def test_tpch_analyze_prints_the_edge_table(capsys):
+    argv = ["tpch", "--sf", "0.003", "--query", "9", "--strategy", "predtrans",
+            "--repeats", "1", "--no-filter-cache"]
+    assert main(argv) == 0
+    assert "transfer edges" not in capsys.readouterr().out
+    assert main(argv + ["--analyze"]) == 0
+    out = capsys.readouterr().out
+    assert "transfer edges of q9 (predtrans)" in out
+    # Q9: nation, supplier and orders keep every row and cover their
+    # neighbours' keys; part carries the predicate and ships.
+    assert "n -> s  | n.n_nationkey               | skipped: covered" in out
+    assert "p -> l  | p.p_partkey                 | shipped" in out
+    assert build_parser().parse_args(["ssb", "--analyze"]).analyze is True
+
+
 def test_ssb_single_query(capsys):
     code = main(
         [
@@ -125,7 +140,8 @@ def test_bench_json_smoke(tmp_path, capsys):
         assert m["seconds"] > 0
         assert m["transfer_seconds"] >= 0
         if m["strategy"] == "predtrans":
-            assert m["filters_built"] > 0 and m["filter_bytes"] > 0
+            # Q5 as written: every vertex is filtered, the gate skips none.
+            assert m["filters_built"] == 14 and m["filter_bytes"] > 0
 
 
 def test_cyclic_query_ids_accepted():

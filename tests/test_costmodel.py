@@ -12,7 +12,7 @@ from repro.core.costmodel import (
     predtrans_cost,
     yannakakis_cost,
 )
-from repro.engine.stats import JoinStat, QueryStats, TransferStats
+from repro.engine.stats import EdgeStat, JoinStat, QueryStats, TransferStats
 from repro.errors import ReproError
 
 
@@ -68,9 +68,16 @@ def test_strategy_cost_formulas_order_as_paper():
     assert pred < yann < base
 
 
+def _edge(kind, inserted, probed):
+    return EdgeStat(
+        0, "a", "b", ("a.k",), kind=kind, provenance="built",
+        keys_inserted=inserted, rows_probed=probed, rows_passed=probed,
+    )
+
+
 def test_cost_from_stats_charges_beta_for_bloom():
     stats = QueryStats(strategy="predtrans", query="q")
-    stats.transfer = TransferStats(bloom_inserts=100, bloom_probes=900)
+    stats.transfer = TransferStats(edges=[_edge("bloom", 100, 900)])
     stats.joins.append(JoinStat("Join 1", ht_rows=10, pr_rows=90, out_rows=5))
     cost = cost_from_stats(stats, CostParams(beta=0.1))
     assert cost == pytest.approx(0.1 * 1000 + 100)
@@ -78,7 +85,7 @@ def test_cost_from_stats_charges_beta_for_bloom():
 
 def test_cost_from_stats_charges_unit_for_hash():
     stats = QueryStats(strategy="yannakakis", query="q")
-    stats.transfer = TransferStats(hash_inserts=100, hash_probes=900)
+    stats.transfer = TransferStats(edges=[_edge("exact", 100, 900)])
     stats.joins.append(JoinStat("Join 1", ht_rows=10, pr_rows=90, out_rows=5))
     assert cost_from_stats(stats) == pytest.approx(1000 + 100)
 

@@ -33,6 +33,9 @@ def test_filter_transformation_demo(capsys):
 def test_tpch_q5_case_study(capsys):
     out = _run("tpch_q5_case_study.py", ["0.003"], capsys)
     assert "Predicate transfer graph" in out
+    # The edge table, as written (all 14 ship) and stripped (the gate).
+    assert "14 filters shipped, 0 edges skipped" in out
+    assert "Transfer edges of q5_stripped" in out and "skipped: covered" in out
     assert "Q5 join sizes" in out
     assert "max/min" in out
 

@@ -36,7 +36,7 @@ from repro.obs import (
     render_varz,
     spans_from_stats,
 )
-from repro.engine.stats import QueryStats
+from repro.engine.stats import SKIPPED_COVERED, QueryStats
 from repro.tpch.queries import get_query
 
 
@@ -228,6 +228,11 @@ def _stats() -> QueryStats:
     s.post_seconds = 0.05
     s.materialize_seconds = 0.05
     s.output_rows = 42
+    shipped = s.transfer.new_edge(0, "n", "s", ("n.n_nationkey",))
+    shipped.kind, shipped.provenance = "bloom", "built"
+    shipped.keys_inserted, shipped.filter_bytes = 25, 64
+    shipped.rows_probed, shipped.rows_passed = 100, 40
+    s.transfer.new_edge(1, "s", "n", ("s.s_nationkey",)).decision = SKIPPED_COVERED
     return s
 
 
@@ -264,6 +269,15 @@ def test_trace_sink_writes_json_lines():
     assert len(lines) == sink.emitted == 6
     parsed = [json.loads(line) for line in lines]
     assert {p["name"] for p in parsed} >= {"query", "scan", "join"}
+    # The transfer phase carries the mechanism, edge by edge.
+    (transfer,) = [p for p in parsed if p["name"] == "transfer"]
+    assert transfer["attrs"]["filters_built"] == 1
+    shipped, skipped = transfer["attrs"]["edges"]
+    assert (shipped["src"], shipped["dst"], shipped["decision"]) == ("n", "s", "shipped")
+    assert (shipped["keys_inserted"], shipped["rows_probed"], shipped["rows_passed"]) == (
+        25, 100, 40,
+    )
+    assert (skipped["pass_index"], skipped["decision"]) == (1, "skipped: covered")
     sink.close()  # borrowed stream stays open
     assert not buf.closed
 
@@ -272,6 +286,9 @@ def test_format_span_tree_indents_children():
     text = format_span_tree(spans_from_stats(_stats()))
     assert text.splitlines()[0].startswith("query")
     assert any(line.startswith("  scan") for line in text.splitlines())
+    # One line per transfer edge, under the transfer phase.
+    edges = [line for line in text.splitlines() if line.startswith("    edges: ")]
+    assert len(edges) == 2 and "decision=skipped: covered" in edges[1]
 
 
 # ----------------------------------------------------------------------
@@ -297,6 +314,8 @@ def test_slow_log_fires_only_at_or_above_threshold():
     assert record["trace_id"] == "abc"
     assert record["phases"]["prefilter_s"] == pytest.approx(0.3)
     assert record["phases"]["joinphase_s"] == pytest.approx(0.4)
+    assert record["filters_built"] == 1
+    assert [e["decision"] for e in record["edges"]] == ["shipped", "skipped: covered"]
 
 
 def test_slow_log_rate_limit_fires_exactly_once_per_token():

@@ -22,6 +22,7 @@ import pytest
 
 from repro.core.runner import run_query
 from repro.core.transfer import ExecContext, build_filter, probe_filter
+from repro.engine.stats import EdgeStat
 from repro.filters.bloom import MORSEL_KEYS, BloomFilter
 from repro.filters.exact import ExactFilter
 from repro.filters.hashing import bloom_keys
@@ -56,7 +57,8 @@ def test_morsel_loop_equals_one_whole_array_call(n, key_kind, filter_kind):
     subset = np.flatnonzero(rng.random(n) < 0.6)
     for rows in (None, subset, subset[:0]):
         state = ExecContext(tables={"t": table})
-        built = build_filter(state, None, table, rows, keys, filter_kind, 0.01)
+        edge = EdgeStat(0, "t", "t", keys)
+        built = build_filter(state, edge, None, table, rows, filter_kind, 0.01)
         hashes = bloom_keys(columns, rows)
         if filter_kind == "bloom":
             whole = BloomFilter(capacity=len(hashes), fpp=0.01)
@@ -72,13 +74,19 @@ def test_morsel_loop_equals_one_whole_array_call(n, key_kind, filter_kind):
             if filter_kind == "bloom"
             else whole.contains_keys(probe_all)
         )
-        got = probe_filter(state, built, table, keys, None)
+        got = probe_filter(state, edge, built, table, keys, None)
         assert got.dtype == np.bool_ and np.array_equal(got, expected)
+        assert (edge.rows_probed, edge.rows_passed) == (n, int(expected.sum()))
         if rows is not None:
-            got = probe_filter(state, built, table, keys, rows)
+            got = probe_filter(state, edge, built, table, keys, rows)
             assert np.array_equal(got, expected[rows])
             if filter_kind == "exact":
                 assert got.all()
+        # The edge records what the kernel did, whatever the length.
+        n_built = n if rows is None else len(rows)
+        assert (edge.kind, edge.provenance) == (filter_kind, "built")
+        assert edge.keys_inserted == n_built
+        assert edge.filter_bytes == built.size_bytes()
 
 
 def test_hashing_survivors_touches_only_survivors(monkeypatch):
@@ -98,10 +106,11 @@ def test_hashing_survivors_touches_only_survivors(monkeypatch):
     table = Table("t", {"t.k": Column.from_ints(np.arange(m))})
     rows = np.sort(np.random.default_rng(0).choice(m, size=n, replace=False))
     state = ExecContext(tables={"t": table}, rows={"t": rows})
-    filt = build_filter(state, "t", table, rows, ("t.k",), "bloom", 0.01)
+    edge = EdgeStat(0, "t", "t", ("t.k",))
+    filt = build_filter(state, edge, "t", table, rows, "bloom", 0.01)
     assert mixed["keys"] <= n + MORSEL_KEYS
     mixed["keys"] = 0
-    assert probe_filter(state, filt, table, ("t.k",), rows).all()
+    assert probe_filter(state, edge, filt, table, ("t.k",), rows).all()
     assert mixed["keys"] <= n + MORSEL_KEYS
 
 

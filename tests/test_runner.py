@@ -69,8 +69,13 @@ def test_inner_join_all_strategies(catalog, strategy):
     # Every strategy accounts its shipped filters through the one
     # kernel: a filter per traversed edge, sized, none without a phase.
     transfer = res.stats.transfer
+    # predtrans' gate skips neither edge: dept 40 has no employee and
+    # department 30 no dept row, so neither side covers the other.
     shipped = {"nopredtrans": 0, "bloomjoin": 1, "yannakakis": 2, "predtrans": 2}
-    assert transfer.filters_built == transfer.edges_traversed == shipped[strategy]
+    assert transfer.filters_built == transfer.edges_traversed == shipped[strategy], [
+        (e.src, e.dst, e.decision) for e in transfer.edges
+    ]
+    assert transfer.edges_pruned == 0
     assert (transfer.filter_bytes > 0) == (shipped[strategy] > 0)
 
 

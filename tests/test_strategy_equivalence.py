@@ -73,21 +73,6 @@ def test_replan_agrees(small_catalog, qid):
     assert _canonical(replanned.table) == _canonical(plain.table)
 
 
-@pytest.mark.parametrize("qid", [5, 9])
-def test_pruning_preserves_results(small_catalog, qid):
-    spec = get_query(qid, sf=SMALL_SF)
-    plain = run_query(spec, small_catalog, strategy="predtrans")
-    pruned = run_query(
-        spec,
-        small_catalog,
-        config=RunConfig(
-            strategy="predtrans",
-            transfer=TransferConfig(prune_selectivity=0.5),
-        ),
-    )
-    assert _canonical(pruned.table) == _canonical(plain.table)
-
-
 def test_q5_all_join_orders_agree(small_catalog):
     from repro.tpch.queries import Q5_JOIN_ORDERS
 

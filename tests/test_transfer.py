@@ -65,7 +65,11 @@ def test_fig3_chain_reduction(filter_type):
         # No false negatives ever: the truly-joining rows survive.
         assert reduced["s"][0] and reduced["s"][2]
         assert reduced["r"][0] and reduced["r"][1]
-    assert stats.filters_built >= 4  # two per pass on a 2-edge chain
+    # Two per pass on a 2-edge chain; the gate skips none: S holds keys
+    # R lacks and T keys S lacks, and the backward sources lost rows.
+    assert (stats.filters_built, stats.edges_pruned) == (4, 0), [
+        (e.src, e.dst, e.decision) for e in stats.edges
+    ]
 
 
 def test_transfer_never_drops_contributing_rows():
@@ -121,25 +125,6 @@ def test_exact_mode_is_subset_of_bloom_mode():
     )
     for alias in bloom:
         assert (bloom[alias] | ~exact[alias]).all()  # exact ⊆ bloom
-
-
-def test_pruning_skips_unfiltered_vertices():
-    pt, scanned, masks = _fig3_setup()
-    # Threshold 0: every vertex is "unfiltered enough" to prune.
-    config = TransferConfig(prune_selectivity=0.0)
-    reduced, stats = run_transfer(pt, scanned, masks, config)
-    assert stats.edges_pruned > 0
-    assert stats.filters_built == 0
-    for alias in reduced:
-        assert reduced[alias].all()  # nothing transferred, nothing lost
-
-
-def test_pruning_threshold_allows_selective_vertices():
-    pt, scanned, masks = _fig3_setup(predicates={"r": [True, False, False]})
-    config = TransferConfig(filter_type="exact", prune_selectivity=0.9)
-    reduced, stats = run_transfer(pt, scanned, masks, config)
-    # R (sel 1/3) emits; S becomes selective after receiving, emits too.
-    assert reduced["t"].tolist() == [True, False, False, False, False, False]
 
 
 def test_input_masks_not_mutated():
