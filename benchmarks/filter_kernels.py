@@ -22,8 +22,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from repro.engine.parallel import morsels  # noqa: E402
-from repro.filters.bloom import MORSEL_KEYS, BloomFilter  # noqa: E402
+from repro.filters.bloom import MORSEL_KEYS, BloomFilter, morsels  # noqa: E402
 from repro.filters.hashing import bloom_keys  # noqa: E402
 from repro.storage.column import Column  # noqa: E402
 

@@ -48,17 +48,16 @@ cache stats`` reports on the same instance the other commands warmed
 driving :func:`main` programmatically — a fresh shell invocation
 starts cold).
 
-``tpch``, ``ssb``, ``bench`` and ``workload`` also share the
-intra-query parallelism knobs: ``--threads N`` runs each query's
-chunked kernels on N workers (results stay byte-identical to the
-serial default) and ``--partition-rows`` overrides the storage chunk
-size behind zone-map pruning.  ``bench --parallel-compare N`` runs the
-full TPC-H+SSB suite serial *and* with N threads and embeds the
-comparison.
+``tpch``, ``ssb``, ``bench``, ``workload`` and ``ingest`` also take
+``--partition-rows``, which overrides the storage chunk size behind
+zone-map pruning (results are byte-identical at any size).  A query
+runs on one thread; ``workload --workers N`` and ``serve --workers N``
+run N queries at once.
 
-The same four commands take the per-query resilience knobs:
-``--timeout-ms`` (deadline; past it the query aborts with a typed
-``QueryTimeout`` at the next cooperative checkpoint) and
+``tpch``, ``ssb``, ``bench`` and ``workload`` take the per-query
+resilience knobs: ``--timeout-ms`` (deadline; past it the query
+aborts with a typed ``QueryTimeout`` at the next cooperative
+checkpoint) and
 ``--memory-budget-mb`` (filter/materialization budget; exact filters
 degrade to Bloom first — results stay byte-identical — then the query
 aborts with ``MemoryBudgetExceeded``).  ``workload`` records aborted
@@ -75,13 +74,11 @@ Examples::
     python -m repro tpch --sf 0.02 --query 3,5 --strategy predtrans
     python -m repro tpch --sf 0.1 --query 9 --strategy predtrans \
         --analyze --no-filter-cache
-    python -m repro tpch --sf 0.05 --query 6 --threads 4
     python -m repro ssb --query 1.1,2.1 --no-filter-cache
     python -m repro fig4 --sf 0.05
     python -m repro q5 --sf 0.1
     python -m repro bench --sf 0.02 --queries 5 --json bench.json
-    python -m repro bench --sf 0.05 --parallel-compare 4 --json parallel.json
-    python -m repro workload --sf 0.02 --repeats 2 --threads 4 \
+    python -m repro workload --sf 0.02 --repeats 2 --workers 2 \
         --json workload.json
     python -m repro cache stats
     python -m repro serve --sf 0.02 --port 7531 --workers 4 \
@@ -108,10 +105,8 @@ from .bench.harness import (
     format_join_orders,
     format_join_sizes,
     Measurement,
-    format_parallel_comparison,
     join_order_runtimes,
     join_size_table,
-    parallel_comparison,
     run_suite,
     speedup_summary,
     suite_to_json,
@@ -161,22 +156,15 @@ def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
-    """The intra-query parallelism knobs shared by every run command."""
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="intra-query worker threads (1 = the serial executor; "
-        "results are byte-identical at any thread count)",
-    )
+def _add_partition_arg(parser: argparse.ArgumentParser) -> None:
+    """The storage chunk-size knob shared by every run command."""
     parser.add_argument(
         "--partition-rows",
         type=int,
         default=None,
         dest="partition_rows",
         help="override the storage partition chunk size (rows) used "
-        "for zone-map pruning and parallel kernels",
+        "for zone-map pruning",
     )
 
 
@@ -213,10 +201,10 @@ def _memory_budget_bytes(args: argparse.Namespace) -> int | None:
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     """The command's execution config: cached by default, plain on
-    ``--no-filter-cache``; ``--threads`` / ``--partition-rows`` map to
-    the intra-query parallelism knobs and ``--timeout-ms`` /
-    ``--memory-budget-mb`` to the per-query resilience knobs."""
-    kwargs: dict = {"threads": max(1, getattr(args, "threads", 1) or 1)}
+    ``--no-filter-cache``; ``--partition-rows`` sets the storage chunk
+    size and ``--timeout-ms`` / ``--memory-budget-mb`` the per-query
+    resilience knobs."""
+    kwargs: dict = {}
     partition_rows = getattr(args, "partition_rows", None)
     if partition_rows is not None:
         # Invalid values (0, negatives) surface RunConfig's own
@@ -368,27 +356,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     query_ids = args.queries if args.queries else BENCH_QUERY_IDS
     strategies = args.strategies if args.strategies else STRATEGIES
     config = _run_config(args)
-    if args.parallel_compare:
-        # Explicitly narrowed TPC-H scope narrows SSB out too (the
-        # full-suite default covers both benchmarks).
-        ssb_ids = args.ssb_queries if args.ssb_queries else (
-            () if args.queries else ALL_SSB_QUERY_IDS
-        )
-        payload = parallel_comparison(
-            sf=args.sf,
-            seed=args.seed,
-            threads=args.parallel_compare,
-            repeats=args.repeats,
-            tpch_ids=query_ids,
-            ssb_ids=ssb_ids,
-            strategies=strategies,
-            partition_rows=args.partition_rows,
-        )
-        print(format_parallel_comparison(payload))
-        if args.json:
-            write_bench_json(args.json, payload)
-            print(f"\nwrote {args.json}")
-        return 0
     catalog = generate_tpch(sf=args.sf, seed=args.seed)
     suite = run_suite(
         catalog,
@@ -429,7 +396,6 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         variants=args.variants,
         workers=args.workers,
         strategy=args.strategy,
-        threads=max(1, args.threads or 1),
         partition_rows=args.partition_rows,
         timeout=_timeout_seconds(args),
         memory_budget=_memory_budget_bytes(args),
@@ -439,8 +405,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     comp = payload["comparison"]
     print(
         f"stream of {payload['meta']['stream_length']} queries "
-        f"(SF={args.sf}, strategy={args.strategy}, workers={args.workers}, "
-        f"threads={max(1, args.threads or 1)})"
+        f"(SF={args.sf}, strategy={args.strategy}, workers={args.workers})"
     )
     print(
         f"cold {comp['cold_seconds']:.4f}s -> warm {comp['warm_seconds']:.4f}s "
@@ -484,7 +449,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         append_rows=args.rows,
         tpch_ids=args.tpch if args.tpch else (3, 5, 10),
         strategy=args.strategy,
-        threads=max(1, args.threads or 1),
         partition_rows=args.partition_rows,
     )
     meta = payload["meta"]
@@ -539,7 +503,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         max_pending=args.max_pending,
-        threads=max(1, args.threads or 1),
         config=config,
         metrics_port=args.metrics_port,
         slow_query_ms=args.slow_query_ms,
@@ -630,7 +593,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         )
 
     if args.spawn:
-        from .core.runner import RunConfig
         from .obs.adapters import ObsCollector
         from .obs.metrics import MetricsRegistry
         from .service.engine import Engine
@@ -640,7 +602,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         registry = MetricsRegistry()
         engine = Engine(
             catalog,
-            config=RunConfig(threads=max(1, args.threads or 1)),
             workers=args.workers,
             registry=registry,
         )
@@ -816,7 +777,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     trace_id = mint_trace_id()
     config = RunConfig(
         strategy=args.strategy or "predtrans",
-        threads=max(1, args.threads or 1),
         context=QueryContext.start(trace_id=trace_id),
     )
     try:
@@ -923,7 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
     tpch.add_argument("--repeats", type=int, default=2)
     _add_analyze_flag(tpch)
     _add_cache_flag(tpch)
-    _add_parallel_args(tpch)
+    _add_partition_arg(tpch)
     _add_resilience_args(tpch)
     tpch.set_defaults(func=_cmd_tpch)
 
@@ -938,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssb.add_argument("--repeats", type=int, default=2)
     _add_analyze_flag(ssb)
     _add_cache_flag(ssb)
-    _add_parallel_args(ssb)
+    _add_partition_arg(ssb)
     _add_resilience_args(ssb)
     ssb.set_defaults(func=_cmd_ssb)
 
@@ -968,27 +928,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--repeats", type=int, default=3)
     bench.add_argument("--json", help="write machine-readable results here")
-    bench.add_argument(
-        "--parallel-compare",
-        type=int,
-        default=None,
-        dest="parallel_compare",
-        metavar="N",
-        help="run the full TPC-H+SSB suite serial and with N threads, "
-        "embedding the serial-vs-parallel comparison (with digest "
-        "identity verdict) into the record; --queries/--ssb-queries "
-        "narrow the scope",
-    )
-    bench.add_argument(
-        "--ssb-queries",
-        type=_parse_ssb_ids,
-        default=None,
-        dest="ssb_queries",
-        help='SSB query ids for --parallel-compare, e.g. "1.1,2.1" '
-        "(default: all SSB queries, or none when --queries is given)",
-    )
     _add_cache_flag(bench)
-    _add_parallel_args(bench)
+    _add_partition_arg(bench)
     _add_resilience_args(bench)
     bench.set_defaults(func=_cmd_bench)
 
@@ -1042,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ROWS",
         help="delta rows appended per table per --append-mix event",
     )
-    _add_parallel_args(workload)
+    _add_partition_arg(workload)
     _add_resilience_args(workload)
     workload.set_defaults(func=_cmd_workload)
 
@@ -1070,7 +1011,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", choices=STRATEGIES, default="predtrans"
     )
     ingest.add_argument("--json", help="write the v8 ingest record here")
-    _add_parallel_args(ingest)
+    _add_partition_arg(ingest)
     ingest.set_defaults(func=_cmd_ingest)
 
     serve = sub.add_parser(
@@ -1111,12 +1052,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=60_000.0,
         dest="max_timeout_ms",
         help="ceiling client-supplied timeout_ms is clamped to",
-    )
-    serve.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="intra-query worker threads per query",
     )
     serve.add_argument(
         "--metrics-port",
@@ -1241,12 +1176,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine workers for --spawn",
     )
     loadtest.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="intra-query threads for --spawn",
-    )
-    loadtest.add_argument(
         "--cold-warm",
         action="store_true",
         dest="cold_warm",
@@ -1293,9 +1222,6 @@ def build_parser() -> argparse.ArgumentParser:
         help='registered query name ("q3", "5", "c1", "ssb_q2_1")',
     )
     trace.add_argument("--strategy", choices=STRATEGIES, default=None)
-    trace.add_argument(
-        "--threads", type=int, default=1, help="intra-query worker threads"
-    )
     trace.add_argument(
         "--out", default=None, help="append the spans as JSON lines here"
     )

@@ -34,9 +34,7 @@ from ..core.runner import STRATEGIES, RunConfig, run_query
 from ..engine.stats import QueryStats
 from ..plan.query import QuerySpec
 from ..service.workload import result_digest
-from ..ssb import ALL_SSB_QUERY_IDS, generate_ssb, get_ssb_query
 from ..storage.catalog import Catalog
-from ..tpch import generate_tpch
 from ..tpch.queries import BENCH_QUERY_IDS, get_query
 from .report import format_bar_chart, format_ratio, format_table
 
@@ -46,7 +44,7 @@ class Measurement:
     """One (query, strategy) measurement.
 
     ``digest`` is the byte-level result digest of the (fastest) run —
-    the identity handle the serial-vs-parallel comparison checks.
+    the identity handle result comparisons check.
     """
 
     query: str
@@ -138,7 +136,7 @@ def run_suite(
 def measurement_to_json(m: Measurement) -> dict:
     """One measurement as a flat JSON-ready record.
 
-    Schema ``repro-bench/v5``: extends v4 (partition/parallel counters
+    Schema ``repro-bench/v5``: extends v4 (partition counters
     over v3's filter-cache counters over v2's scan/materialize
     attribution over v1's phase split) with the resilience fields —
     per-query ``outcome`` (``ok`` | ``degraded`` for completed
@@ -166,7 +164,6 @@ def measurement_to_json(m: Measurement) -> dict:
         "filter_cache_bytes": m.stats.filter_cache_bytes,
         "partitions_total": m.stats.partitions_total_all,
         "partitions_pruned": m.stats.partitions_pruned_all,
-        "parallel_tasks": m.stats.parallel_tasks_all,
         "filters_degraded": m.stats.filters_degraded,
         "memory_budget_bytes": m.stats.memory_budget_bytes,
         "mem_peak_bytes": m.stats.mem_peak_bytes,
@@ -196,7 +193,6 @@ def suite_to_json(
             "sf": suite.sf,
             "seed": seed,
             "repeats": repeats,
-            "threads": 1 if config is None else config.threads,
             "partition_rows": (
                 None if config is None else config.partition_rows
             ),
@@ -211,106 +207,6 @@ def suite_to_json(
         },
         "measurements": [measurement_to_json(m) for m in suite.measurements],
     }
-
-
-def parallel_comparison(
-    sf: float = 0.05,
-    seed: int = 0,
-    threads: int = 4,
-    repeats: int = 2,
-    tpch_ids: tuple[int | str, ...] = BENCH_QUERY_IDS,
-    ssb_ids: tuple[str, ...] = ALL_SSB_QUERY_IDS,
-    strategies: tuple[str, ...] = STRATEGIES,
-    partition_rows: int | None = None,
-) -> dict:
-    """Serial-vs-parallel sweep over the full TPC-H + SSB suite.
-
-    Runs every (query, strategy) pair twice — ``threads=1`` and
-    ``threads=N`` — and emits one ``repro-bench/v5`` document holding
-    both measurement lists plus a comparison block: suite totals,
-    per-pair speedups, zone-map pruning counters, and a byte-identity
-    verdict over the result digests (the parallel executor's
-    determinism contract, checked on every record this produces).
-    """
-    catalogs = {
-        "tpch": generate_tpch(sf=sf, seed=seed),
-        "ssb": generate_ssb(sf=sf, seed=seed),
-    }
-    jobs = [(get_query(qid, sf=sf), catalogs["tpch"]) for qid in tpch_ids]
-    jobs += [(get_ssb_query(qid), catalogs["ssb"]) for qid in ssb_ids]
-    extra = {} if partition_rows is None else {"partition_rows": partition_rows}
-    serial_config = RunConfig(threads=1, **extra)
-    parallel_config = RunConfig(threads=max(2, threads), **extra)
-
-    serial = SuiteResult(sf=sf)
-    parallel = SuiteResult(sf=sf)
-    per_pair: list[dict] = []
-    identical = True
-    for spec, catalog in jobs:
-        for strategy in strategies:
-            ms = time_query(spec, catalog, strategy, repeats=repeats,
-                            config=serial_config)
-            mp = time_query(spec, catalog, strategy, repeats=repeats,
-                            config=parallel_config)
-            serial.measurements.append(ms)
-            parallel.measurements.append(mp)
-            identical = identical and ms.digest == mp.digest
-            per_pair.append(
-                {
-                    "query": ms.query,
-                    "strategy": strategy,
-                    "serial_seconds": ms.seconds,
-                    "parallel_seconds": mp.seconds,
-                    "speedup": (
-                        ms.seconds / mp.seconds if mp.seconds else float("inf")
-                    ),
-                    "digests_identical": ms.digest == mp.digest,
-                    "partitions_pruned": mp.stats.partitions_pruned_all,
-                    "parallel_tasks": mp.stats.parallel_tasks_all,
-                }
-            )
-    serial_total = sum(m.seconds for m in serial.measurements)
-    parallel_total = sum(m.seconds for m in parallel.measurements)
-    payload = suite_to_json(parallel, repeats, seed, parallel_config)
-    payload["kind"] = "serial-vs-parallel"
-    payload["serial_measurements"] = [
-        measurement_to_json(m) for m in serial.measurements
-    ]
-    payload["comparison"] = {
-        "threads": parallel_config.threads,
-        "serial_seconds": serial_total,
-        "parallel_seconds": parallel_total,
-        "speedup": (
-            serial_total / parallel_total if parallel_total else float("inf")
-        ),
-        "digests_identical": identical,
-        "partitions_total": sum(
-            m.stats.partitions_total_all for m in parallel.measurements
-        ),
-        "partitions_pruned": sum(
-            m.stats.partitions_pruned_all for m in parallel.measurements
-        ),
-        "parallel_tasks": sum(
-            m.stats.parallel_tasks_all for m in parallel.measurements
-        ),
-        "per_pair": per_pair,
-    }
-    return payload
-
-
-def format_parallel_comparison(payload: dict) -> str:
-    """Human-readable summary of a serial-vs-parallel record."""
-    comp = payload["comparison"]
-    lines = [
-        f"serial {comp['serial_seconds']:.4f}s -> "
-        f"{comp['threads']}-thread {comp['parallel_seconds']:.4f}s "
-        f"({comp['speedup']:.2f}x), results identical: "
-        f"{comp['digests_identical']}",
-        f"zone maps pruned {comp['partitions_pruned']}/"
-        f"{comp['partitions_total']} scan partitions; "
-        f"{comp['parallel_tasks']} kernel chunks dispatched",
-    ]
-    return "\n".join(lines)
 
 
 def write_bench_json(path: str, payload: dict) -> None:

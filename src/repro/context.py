@@ -1,16 +1,15 @@
 """Cooperative per-query execution context: deadline, cancellation,
 memory budget.
 
-The executor is single-threaded per query (intra-query worker pools run
-only leaf kernels), so resilience is **cooperative**: a
-:class:`QueryContext` travels with the query — through
-:class:`~repro.core.runner.RunConfig` into every phase — and the hot
-loops call :meth:`QueryContext.check` at natural boundaries:
+The executor is single-threaded per query, so resilience is
+**cooperative**: a :class:`QueryContext` travels with the query —
+through :class:`~repro.core.runner.RunConfig` into every phase — and
+the hot loops call :meth:`QueryContext.check` at natural boundaries:
 
 * the runner checks between phases (scan → transfer → join → post);
-* the transfer / semi-join engines check per vertex and per edge;
-* :class:`~repro.engine.parallel.ParallelContext` checks between chunk
-  kernels, so even a single long phase aborts within one morsel.
+* the scan checks before each partition it evaluates, so even a long
+  scan aborts within one partition;
+* the transfer / semi-join engines check per vertex and per edge.
 
 ``check`` raises :class:`~repro.errors.QueryTimeout` once the deadline
 passes and :class:`~repro.errors.QueryCancelled` once the token fires.

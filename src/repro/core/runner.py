@@ -20,9 +20,9 @@ mirroring the paper's single-executor methodology.
 One :class:`~repro.core.transfer.ExecContext` is created per
 :func:`run_query` call and handed to every phase.  It carries the
 query's statistics, deadline/budget context, cross-query cache
-binding, key-hash memo and worker pool; all of them are
-always there, and an unconfigured one does nothing (no deadline, no
-budget, nothing cacheable, serial).
+binding and key-hash memo; all of them are always there, and an
+unconfigured one does nothing (no deadline, no budget, nothing
+cacheable).
 
 Query shapes
 ------------
@@ -65,22 +65,18 @@ gather-everything joins.  It exists as the equivalence oracle for the
 lazy path (see ``tests/test_late_materialization.py``) and as the
 attribution baseline for ``materialize_seconds``/``bytes_materialized``.
 
-Partition-parallel execution (``RunConfig.threads``)
-----------------------------------------------------
+Partitioned scans (``RunConfig.partition_rows``)
+------------------------------------------------
 Every base table carries a lazy, cached partition layout
 (:mod:`repro.storage.partition`): fixed-size row chunks with
 per-partition zone maps.  The scan consults zone maps to skip chunks
 that provably cannot satisfy a local predicate (``partitions_pruned``
-in :class:`~repro.engine.stats.QueryStats`), and with ``threads > 1``
-the chunked kernels — scan predicate evaluation, Bloom build
-(per-chunk filters OR-merged word-wise), Bloom/hash-set probes, and
-hash-join probes against a shared build index — fan out over the
-process-wide worker pool for that thread count
-(:mod:`repro.engine.parallel`).  Every merge is an ordered
-concatenation or a commutative OR, so results are **byte-identical**
-to the serial executor at any thread count and any
-``partition_rows``; neither knob participates in cache fingerprints.
-``threads=1`` (the default) never touches a pool.
+in :class:`~repro.engine.stats.QueryStats`) and evaluates the rest one
+partition at a time, concatenating the survivors in partition order,
+so results are **byte-identical** at any ``partition_rows``, which
+does not enter cache fingerprints.  A query runs on one thread;
+concurrency comes from running queries side by side in the service
+:class:`~repro.service.engine.Engine`.
 
 Cross-query caching (``RunConfig.filter_cache``)
 ------------------------------------------------
@@ -108,7 +104,7 @@ looked up or stored.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import networkx as nx
 import numpy as np
@@ -119,7 +115,6 @@ from ..cache.store import FilterCache
 from ..context import QueryContext
 from ..engine.aggregate import AggSpec, GroupKey, group_aggregate
 from ..engine.hashjoin import cross_join, hash_join
-from ..engine.parallel import ParallelContext, get_parallel
 from ..engine.sort import limit, sort_table
 from ..engine.stats import QueryStats
 from ..errors import PlanError
@@ -135,6 +130,7 @@ from ..storage.catalog import Catalog
 from ..storage.partition import DEFAULT_PARTITION_ROWS, get_layout, slice_table
 from ..storage.table import Table
 from ..storage.view import AnyTable, TableView, materialize
+from ..testing.faults import fault_point
 from .ptgraph import build_pt_graph
 from .transfer import (
     ExecContext,
@@ -160,23 +156,23 @@ class RunConfig:
     ``filter_cache`` switches on cross-query artifact reuse (see the
     module docstring).
 
-    ``threads`` switches on intra-query parallelism: chunked kernels
-    (scan predicate evaluation, Bloom build/probe, semi-join probes,
-    hash-join probes) fan out over the process-wide shared worker pool
-    for that thread count and merge deterministically, so results are
-    byte-identical to ``threads=1`` (the default, which never touches
-    a pool).  ``partition_rows`` sets the storage chunk size used for
-    zone-map pruning and kernel morsels; it affects performance only,
-    never results or cache fingerprints.  ``parallel`` lets an owner
-    (the service Engine) inject a specific shared
-    :class:`~repro.engine.parallel.ParallelContext` instead.
+    ``partition_rows`` sets the storage chunk size used for zone-map
+    pruning and the scan's per-partition loop; it affects performance
+    only, never results or cache fingerprints.
+
+    ``threads`` is a constructor keyword, not a field, and only 1 is
+    accepted: a query runs on one thread, and concurrency is
+    :class:`~repro.service.engine.Engine`'s ``workers``.  Nothing reads
+    it; it stays only because the benchmark harness under
+    ``benchmarks/perf`` passes ``threads=1``, and goes when that
+    harness stops passing it.
 
     Resilience knobs: ``timeout`` (seconds; the deadline starts when
     :func:`run_query` does) and ``memory_budget`` (bytes charged
     against query-built filters and materialized output, with
     exact→Bloom degradation before failure) create a per-query
     :class:`~repro.context.QueryContext` checked at every phase
-    boundary and between chunk kernels.  ``context`` lets an owner (the
+    boundary and between scan partitions.  ``context`` lets an owner (the
     service Engine, or a test holding a cancellation token) pass a
     ready-made context instead — then ``timeout``/``memory_budget``
     here are ignored in favour of the context's own settings.
@@ -188,14 +184,18 @@ class RunConfig:
     yannakakis_root: str | None = None
     materialize: str = "lazy"
     filter_cache: FilterCache | None = None
-    threads: int = 1
     partition_rows: int = DEFAULT_PARTITION_ROWS
-    parallel: ParallelContext | None = None
     timeout: float | None = None
     memory_budget: int | None = None
     context: QueryContext | None = None
+    threads: InitVar[int] = 1
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, threads: int) -> None:
+        if threads != 1:
+            raise PlanError(
+                f"threads={threads!r}: a query runs on one thread; run "
+                "queries concurrently with Engine(workers=N) instead"
+            )
         if self.strategy not in STRATEGIES:
             raise PlanError(
                 f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}"
@@ -205,8 +205,6 @@ class RunConfig:
                 f"unknown materialize mode {self.materialize!r}; "
                 f"choose from {MATERIALIZE_MODES}"
             )
-        if self.threads < 1:
-            raise PlanError("threads must be >= 1")
         if self.partition_rows < 1:
             raise PlanError("partition_rows must be >= 1")
         if self.timeout is not None and self.timeout < 0:
@@ -256,16 +254,7 @@ def run_query(
     stats.started_unix = time.time()
     stats.trace_id = qctx.trace_id or ""
 
-    # The per-query view of the intra-query worker pool shares the
-    # process-wide executor for this thread count (or the injected
-    # service context) while counting this query's dispatched chunks;
-    # the query context rides along so chunk kernels check it too.
-    ctx = ExecContext(
-        stats=stats,
-        qctx=qctx,
-        parallel=(config.parallel or get_parallel(config.threads)).scoped(qctx),
-        partition_rows=config.partition_rows,
-    )
+    ctx = ExecContext(stats=stats, qctx=qctx, partition_rows=config.partition_rows)
     if spec.pre_stages:
         stage_config = replace(config, context=qctx)
         for stage in spec.pre_stages:
@@ -349,7 +338,6 @@ def run_query(
         stats.bytes_materialized += _table_nbytes(table)
         qctx.charge(_table_nbytes(table), "output materialization")
     stats.output_rows = table.num_rows
-    stats.parallel_tasks = ctx.parallel.tasks
     # Cumulative across pre-stages (which share the context): reported
     # on the outermost stats consumers actually read.
     stats.filters_degraded = qctx.filters_degraded
@@ -442,15 +430,12 @@ def _scan(
     alias's live columns in a zero-copy rename view; eager mode keeps
     the classical full-width ``prefixed()`` table.  Either way the
     survivors are sorted row-index vectors.  Local predicates run
-    through the base table's partition layout: zone maps skip chunks
-    that provably contain no qualifying row, and surviving chunks
-    evaluate (over the worker pool when parallel) into per-chunk index
-    vectors concatenated in partition order — byte-identical to a
-    full-table evaluation.  The selection vector of a versioned
+    through the base table's partition layout
+    (:func:`_scan_selection`).  The selection vector of a versioned
     relation's local predicate is served from / stored into the
     cross-query cache (cached vectors are never mutated downstream,
-    and are valid across partition sizes and thread counts because
-    selection vectors never depend on either).
+    and are valid across partition sizes because selection vectors
+    never depend on them).
     """
     lazy = config.materialize == "lazy"
     live = live_columns(spec) if lazy else None
@@ -470,8 +455,7 @@ def _scan(
         selected = ctx.cache.get_scan(relation.alias) if cacheable else None
         if selected is None:
             selected = _scan_selection(
-                base, relation.alias, relation.predicate, table, config,
-                ctx.parallel, ctx.stats,
+                ctx, base, relation.alias, relation.predicate, table
             )
             if cacheable:
                 ctx.cache.put_scan(relation.alias, selected)
@@ -488,42 +472,37 @@ def _qualified_mapping(base: Table, alias: str) -> dict[str, str]:
 
 
 def _scan_selection(
-    base: Table,
-    alias: str,
-    predicate: Expr,
-    table: AnyTable,
-    config: RunConfig,
-    ctx: ParallelContext,
-    stats: QueryStats,
+    ctx: ExecContext, base: Table, alias: str, predicate: Expr, table: AnyTable
 ) -> np.ndarray:
-    """Local-predicate survivors via zone-map pruning + chunked eval.
+    """Local-predicate survivors via zone-map pruning + per-partition eval.
 
     Consults the base table's (cached) partition layout: chunks whose
     zone maps prove no row can qualify are skipped before any predicate
-    code runs; the rest evaluate chunk by chunk — fanned out over the
-    intra-query pool when parallel — and the per-chunk index vectors
-    concatenate in partition order.  When nothing prunes and execution
-    is serial, the classical single-pass evaluation runs unchanged.
+    code runs; the rest evaluate one partition at a time and the
+    per-partition index vectors concatenate in partition order.  The
+    deadline/cancel check and the ``chunk.kernel`` fault point run
+    before each partition, so a long scan aborts within one partition.
+    When nothing prunes, the classical single-pass evaluation runs.
     """
     mapping = _qualified_mapping(base, alias)
     needed = predicate.columns()
     if base.num_rows == 0 or not needed <= set(mapping):
         return np.flatnonzero(evaluate_mask(predicate, table))
-    layout = get_layout(base, config.partition_rows)
+    layout = get_layout(base, ctx.partition_rows)
     keep = layout.prune(predicate, mapping)
-    stats.partitions_total += layout.num_partitions
+    ctx.stats.partitions_total += layout.num_partitions
     pruned = layout.num_partitions - int(keep.sum())
-    stats.partitions_pruned += pruned
-    if pruned == 0 and not (ctx.parallel and layout.num_partitions > 1):
+    ctx.stats.partitions_pruned += pruned
+    if pruned == 0:
         return np.flatnonzero(evaluate_mask(predicate, table))
     live = {name: mapping[name] for name in needed}
-
-    def eval_chunk(part: int) -> np.ndarray:
-        start, stop = layout.bounds(part)
+    vectors = []
+    for part in np.flatnonzero(keep):
+        ctx.qctx.check("chunk kernel")
+        fault_point("chunk.kernel")
+        start, stop = layout.bounds(int(part))
         chunk = slice_table(base, start, stop, live, name=alias)
-        return start + np.flatnonzero(evaluate_mask(predicate, chunk))
-
-    vectors = ctx.map(eval_chunk, [int(i) for i in np.flatnonzero(keep)])
+        vectors.append(start + np.flatnonzero(evaluate_mask(predicate, chunk)))
     if not vectors:
         return np.empty(0, dtype=np.intp)
     return np.concatenate(vectors)
@@ -696,7 +675,6 @@ def _execute_join_phase(
                 residual=residual,
                 label=f"Join {join_index}",
                 probe_rows=probe_rows,
-                parallel=ctx.parallel,
             )
             stats.joins.append(jstat)
             joined.add(alias)

@@ -82,13 +82,13 @@ vertex as the selectivity estimate; this is ablatable via
 
 The state the kernel works on is one :class:`ExecContext` per query:
 the scanned relations and their surviving rows, plus the statistics,
-deadline/budget context, cross-query cache binding, key normalizer
-and worker pool every phase shares.  Each of those is
-always present — an unconfigured one is a no-op (no deadline, no
-budget, nothing cacheable, serial) — so no phase tests for them.
+deadline/budget context, cross-query cache binding and key normalizer
+every phase shares.  Each of those is always present — an
+unconfigured one is a no-op (no deadline, no budget, nothing
+cacheable) — so no phase tests for them.
 
-Hot-path note: building and probing are one **morsel loop**.  Both
-walk the surviving row vector in slices of
+Hot-path note: building and probing are one serial **morsel loop**.
+Both walk the surviving row vector in slices of
 :data:`~repro.filters.bloom.MORSEL_KEYS` keys; each slice is gathered,
 normalized and hashed (:class:`_RowKeys` →
 :meth:`~repro.filters.hashcache.KeyHashCache.bloom_keys`) and fed
@@ -96,8 +96,7 @@ straight to the filter's ``add_hashes`` / ``contains_hashes`` (or an
 exact set's ``contains_keys``) while it is still cache-resident.  Only
 rows a filter actually touches are hashed — a relation its local
 predicate cut to 2 % costs 2 % of a column pass — and no hash array
-outlives its morsel.  Worker-pool chunks
-(:mod:`repro.engine.parallel`) each run the same loop over their range.
+outlives its morsel.
 
 Cross-query caching: filters built at **pristine** vertices — vertices
 whose surviving rows still equal the local-predicate survivors, i.e.
@@ -119,15 +118,9 @@ import numpy as np
 from ..cache.context import QueryCache
 from ..cache.store import FilterCache
 from ..context import QueryContext
-from ..engine.parallel import (
-    ParallelContext,
-    morsels,
-    parallel_bloom_build,
-    parallel_membership,
-)
 from ..engine.stats import SKIPPED_COVERED, EdgeStat, QueryStats, TransferStats
 from ..errors import FilterError
-from ..filters.bloom import BloomFilter
+from ..filters.bloom import BloomFilter, morsels
 from ..filters.exact import ExactFilter
 from ..filters.hashcache import KeyHashCache
 from ..storage.partition import DEFAULT_PARTITION_ROWS, PartitionLayout, get_layout
@@ -214,7 +207,7 @@ class ExecContext:
     """Everything the phases of one query execution share.
 
     Created once per query by the runner (or with all defaults by the
-    mask-form wrappers: serial, uncached, no deadline, no budget) and
+    mask-form wrappers: uncached, no deadline, no budget) and
     handed to every phase, which reads its inputs from it and leaves
     its outputs on it: the scan fills ``tables`` and ``rows``, a
     pre-filter schedule shrinks ``rows``, every phase accounts into
@@ -238,9 +231,6 @@ class ExecContext:
     cache: QueryCache = field(
         default_factory=lambda: QueryCache(FilterCache(), {})
     )
-    # Chunked kernels stay byte-identical to serial execution, so
-    # cached filters remain valid across thread counts.
-    parallel: ParallelContext = field(default_factory=ParallelContext)
     hashes: KeyHashCache = field(default_factory=KeyHashCache)
     # Chunk size of the storage layouts the scan pruned with; the gate
     # reads its key statistics off the same layouts.
@@ -266,8 +256,8 @@ class _RowKeys:
 
     Slicing ``[lo:hi]`` gathers, normalizes and hashes just those rows
     (a plain slice of the columns when every row is alive), which is
-    what lets the chunked filter kernels hash each morsel right before
-    they use it.
+    what lets the morsel loops hash each morsel right before they use
+    it.
     """
 
     __slots__ = ("_hashes", "_columns", "_rows", "_n")
@@ -332,7 +322,7 @@ def run_on_masks(
 
     The body of the mask-form wrappers, kept for callers (and tests)
     that think in masks; the runner itself uses the row-vector form.
-    The schedule runs under a default context — serial, uncached, no
+    The schedule runs under a default context — uncached, no
     deadline, no budget.  ``masks`` (local predicates pre-applied) is
     not mutated; reduced copies come back with the phase statistics.
     """
@@ -535,9 +525,9 @@ def build_filter(
             state.qctx.note_degraded()
         keys = _RowKeys(state.hashes, table, key_columns, rows)
         if build_kind == "bloom":
-            filt = parallel_bloom_build(
-                state.parallel, keys, capacity=n_keys, fpp=fpp
-            )
+            filt = BloomFilter(capacity=n_keys, fpp=fpp)
+            for span in morsels(0, n_keys):
+                filt.add_hashes(keys[span])
         else:
             # The set dedups and sizes itself from all keys at once;
             # the array is survivor-sized and dies with this call.
@@ -572,12 +562,18 @@ def probe_filter(
     """Membership mask of ``rows``' join keys against a shipped filter.
 
     Same ``rows`` convention as :func:`build_filter`; the probe runs a
-    morsel at a time, chunked over the context's worker pool, and
+    morsel at a time, each writing its own slice of the mask, and
     ``edge`` records how many rows it saw and let through.
     """
     started = time.perf_counter()
     keys = _RowKeys(state.hashes, table, key_columns, rows)
-    keep = parallel_membership(state.parallel, filt, keys)
+    keep = np.empty(len(keys), dtype=np.bool_)
+    # Bloom filters take the pre-mixed hashes, exact sets the keys.
+    probe = (
+        filt.contains_hashes if isinstance(filt, BloomFilter) else filt.contains_keys
+    )
+    for span in morsels(0, len(keys)):
+        keep[span] = probe(keys[span])
     edge.rows_probed = len(keys)
     edge.rows_passed = int(np.count_nonzero(keep))
     edge.probe_seconds = time.perf_counter() - started

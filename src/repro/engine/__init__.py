@@ -3,7 +3,6 @@
 from .aggregate import AggSpec, GroupKey, distinct, group_aggregate
 from .hashjoin import hash_join, join_indices
 from .keys import normalize_join_keys, single_key_i64
-from .parallel import ParallelContext, get_parallel
 from .sort import limit, sort_table, top_k
 from .stats import JoinStat, QueryStats, TransferStats
 
@@ -11,10 +10,8 @@ __all__ = [
     "AggSpec",
     "GroupKey",
     "JoinStat",
-    "ParallelContext",
     "QueryStats",
     "TransferStats",
-    "get_parallel",
     "distinct",
     "group_aggregate",
     "hash_join",

@@ -31,9 +31,8 @@ slot's two offsets and expands the runs.
 **Order.**  Pairs come out in ascending probe position and, within one
 probe row, ascending build row — what a stable sort of the build side
 followed by a binary search per probe key produces (the reference kept
-in ``tests/test_hashjoin.py``), so results are byte-identical for any
-chunking of the probe side: a :class:`ParallelContext` probes chunks
-against the one shared, read-only index.
+in ``tests/test_hashjoin.py``).  Probing slices of the probe side
+against one index and concatenating gives the same triple.
 
 The index is built per call and never kept.  A build side recurs within
 a query only in self-join shapes, and then with other survivors: the
@@ -64,7 +63,6 @@ NULL, which the rule above keeps from matching.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
 
 import numpy as np
 
@@ -77,7 +75,6 @@ from ..storage.table import Table
 from ..storage.view import AnyTable, TableView, join_views
 from .factorize import DIRECT_ADDRESS_SLOTS_PER_ROW, PACK_LIMIT, int_span, tagged_sort
 from .keys import normalize_join_keys
-from .parallel import ParallelContext
 from .stats import JoinStat
 
 _JOIN_KINDS = ("inner", "left", "semi", "anti")
@@ -154,36 +151,16 @@ class BuildIndex:
         np.minimum(unsigned, np.uint64(self.span), out=unsigned)
         return offset
 
-    def matched(
-        self, probe_keys: np.ndarray, parallel: ParallelContext | None = None
-    ) -> np.ndarray:
+    def matched(self, probe_keys: np.ndarray) -> np.ndarray:
         """Which probe keys have at least one match."""
         if self.counts is None:
-            return self.probe(probe_keys, parallel)[2] > 0
-        counts = self.counts
-
-        def chunk(lo: int, hi: int) -> tuple[np.ndarray, ...]:
-            return (counts[self._buckets(probe_keys[lo:hi])] > 0,)
-
-        return _chunked(chunk, len(probe_keys), parallel)[0]
+            return self.probe(probe_keys)[2] > 0
+        return self.counts[self._buckets(probe_keys)] > 0
 
     def probe(
-        self, probe_keys: np.ndarray, parallel: ParallelContext | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(probe_idx, build_idx, counts)`` as :func:`join_indices`."""
-
-        def chunk(lo: int, hi: int) -> tuple[np.ndarray, ...]:
-            probe_idx, build_idx, counts = self._probe(probe_keys[lo:hi])
-            if lo:
-                probe_idx += lo
-            return probe_idx, build_idx, counts
-
-        probe_idx, build_idx, counts = _chunked(chunk, len(probe_keys), parallel)
-        return probe_idx, build_idx, counts
-
-    def _probe(
         self, probe_keys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(probe_idx, build_idx, counts)`` as :func:`join_indices`."""
         buckets = self._buckets(probe_keys)
         verify = self.shift is not None
         if self.rows is not None:
@@ -219,34 +196,16 @@ class BuildIndex:
 
 
 def join_indices(
-    probe_keys: np.ndarray,
-    build_keys: np.ndarray,
-    parallel: ParallelContext | None = None,
+    probe_keys: np.ndarray, build_keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All matching (probe, build) index pairs plus per-probe match counts.
 
     Returns ``(probe_idx, build_idx, counts)`` where the first two arrays
     enumerate every matching pair — ascending probe position, then
     ascending build row — and ``counts[i]`` is the number of matches of
-    probe row ``i`` (in whatever integer type the index produced).  With
-    a ``parallel`` context the probe keys are chunked over its pool.
+    probe row ``i`` (in whatever integer type the index produced).
     """
-    return BuildIndex(build_keys, len(probe_keys)).probe(probe_keys, parallel)
-
-
-def _chunked(
-    kernel: Callable[[int, int], tuple[np.ndarray, ...]],
-    n_rows: int,
-    parallel: ParallelContext | None,
-) -> tuple[np.ndarray, ...]:
-    """``kernel(start, stop)`` over ``[0, n_rows)``, chunked over the
-    intra-query pool when there is one, the chunks' arrays concatenated
-    **in chunk order**."""
-    bounds = [] if parallel is None else parallel.task_bounds(n_rows)
-    if parallel is None or len(bounds) <= 1:
-        return kernel(0, n_rows)
-    chunks = parallel.map(lambda chunk: kernel(*chunk), bounds)
-    return tuple(np.concatenate(parts) for parts in zip(*chunks))
+    return BuildIndex(build_keys, len(probe_keys)).probe(probe_keys)
 
 
 def _valid_rows(
@@ -313,7 +272,6 @@ def hash_join(
     residual: Expr | None = None,
     label: str | None = None,
     probe_rows: np.ndarray | None = None,
-    parallel: ParallelContext | None = None,
 ) -> tuple[AnyTable, JoinStat]:
     """Join ``probe`` against ``build`` on equality of the key columns.
 
@@ -341,11 +299,6 @@ def hash_join(
         passes the surviving rows here; the ``PR`` statistic then counts
         only them, as in the paper's Tables 1–2).  Only valid for
         ``inner`` and ``semi`` joins.
-    parallel:
-        Optional :class:`~repro.engine.parallel.ParallelContext`: the
-        probe side is partitioned over the intra-query pool against a
-        shared build index, with per-chunk results concatenated in
-        chunk order — byte-identical to the serial kernel.
     """
     if how not in _JOIN_KINDS:
         raise ExecutionError(f"unknown join kind {how!r}")
@@ -369,11 +322,11 @@ def hash_join(
     index = BuildIndex(build_keys, len(probe_keys), pairs=enumerate_pairs)
     probe_idx = build_idx = np.empty(0, dtype=np.intp)
     if enumerate_pairs:
-        probe_idx, build_idx, counts = index.probe(probe_keys, parallel)
+        probe_idx, build_idx, counts = index.probe(probe_keys)
         if build_rows is not None:
             build_idx = build_rows[build_idx]
     else:
-        counts = index.matched(probe_keys, parallel)
+        counts = index.matched(probe_keys)
     if probe_rows is not None:
         probe_idx = probe_rows[probe_idx]
         restricted, counts = counts, np.zeros(probe.num_rows, dtype=counts.dtype)

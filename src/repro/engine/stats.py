@@ -189,9 +189,7 @@ class QueryStats:
     ``partitions_total`` / ``partitions_pruned`` count the scan phase's
     partition traffic: chunks considered across all scanned base
     relations with local predicates, and how many of those zone maps
-    eliminated outright.  ``parallel_tasks`` counts kernel chunks
-    actually dispatched to the intra-query worker pool (0 under the
-    serial ``threads=1`` executor).
+    eliminated outright.
     """
 
     strategy: str = ""
@@ -218,7 +216,6 @@ class QueryStats:
     filter_cache_errors: int = 0
     partitions_total: int = 0
     partitions_pruned: int = 0
-    parallel_tasks: int = 0
     # Resilience: exact→Bloom filter degradations under a memory
     # budget, the budget itself (0 = unlimited), and the query's
     # charged high-water mark.  Cumulative across pre-stages (they
@@ -317,13 +314,6 @@ class QueryStats:
         """Scan partitions zone-map-pruned, including pre-stages'."""
         return self.partitions_pruned + sum(
             s.partitions_pruned_all for s in self.stage_stats
-        )
-
-    @property
-    def parallel_tasks_all(self) -> int:
-        """Pool-dispatched kernel chunks, including pre-stages'."""
-        return self.parallel_tasks + sum(
-            s.parallel_tasks_all for s in self.stage_stats
         )
 
     def all_joins(self) -> list[JoinStat]:

@@ -54,8 +54,9 @@ Morsels
 -------
 The ``*_hashes`` entry points take pre-mixed hashes and are meant to be
 called on **cache-sized slices**: the pre-filter loop
-(:mod:`repro.core.transfer` over :mod:`repro.engine.parallel`) cuts a
-relation's surviving rows into morsels of :data:`MORSEL_KEYS` keys and,
+(:func:`~repro.core.transfer.build_filter`,
+:func:`~repro.core.transfer.probe_filter`) cuts a relation's surviving
+rows into :func:`morsels` of :data:`MORSEL_KEYS` keys and,
 per morsel, gathers + normalizes + hashes the keys and probes (or
 inserts) them before moving on.  A probe is ~13 NumPy passes; over a
 whole 3 M-key column each pass streams 24 MB temporaries through
@@ -88,6 +89,7 @@ memory ~6× versus the byte-per-bit
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,6 +103,12 @@ _BLOCK_WORDS = 8  # 512-bit cache-line blocks
 
 #: Keys per morsel of the pre-filter loop (see the module docstring).
 MORSEL_KEYS = 32768
+
+
+def morsels(lo: int, hi: int) -> Iterator[slice]:
+    """``[lo, hi)`` cut into slices of :data:`MORSEL_KEYS`."""
+    for start in range(lo, hi, MORSEL_KEYS):
+        yield slice(start, min(start + MORSEL_KEYS, hi))
 
 # The k probe bits of a key are the OR of two precomputed patterns,
 # each chosen by its own 12-bit field of one salted product of the
@@ -240,12 +248,12 @@ class BloomFilter(TransferableFilter):
     def merge_words(self, other: "BloomFilter") -> None:
         """OR-merge another filter of identical geometry into this one.
 
-        The partition-parallel build path
-        (:func:`repro.engine.parallel.parallel_bloom_build`) populates
-        per-chunk filters and merges them word-wise.  Insertion is a
-        monotone OR of per-key masks, so the merged word array is
-        bit-identical to inserting every key into one filter — in any
-        order, under any chunking.
+        Cache extension after an append starts from a copy of the cached
+        filter this way, then inserts the delta's keys
+        (:meth:`repro.cache.context.QueryCache._extend_payload`).
+        Insertion is a monotone OR of per-key masks, so the merged word
+        array is bit-identical to inserting every key into one filter —
+        in any order, under any split of the keys.
         """
         if (
             self.num_blocks != other.num_blocks

@@ -124,10 +124,6 @@ def export_engine(registry: MetricsRegistry, snap: "EngineSnapshot") -> None:
         "Scan partitions eliminated by zone maps",
     ).set_total(stats.partitions_pruned)
     registry.counter(
-        "repro_parallel_chunks_total",
-        "Kernel chunks dispatched to the intra-query worker pool",
-    ).set_total(stats.parallel_tasks)
-    registry.counter(
         "repro_ingests_total",
         "Committed transactional ingest batches",
     ).set_total(stats.ingests)

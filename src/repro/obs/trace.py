@@ -178,7 +178,6 @@ def spans_from_stats(
             "strategy": stats.strategy,
             "outcome": stats.outcome,
             "output_rows": stats.output_rows,
-            "parallel_tasks": stats.parallel_tasks_all,
             "cache_hits": stats.filter_cache_hits_total,
             "cache_misses": stats.filter_cache_misses_total,
         },

@@ -33,20 +33,14 @@ of threads concurrently:
   a fresh hash cache.  Queries already running keep the old (still
   correct, immutable) snapshot they started with.
 
-Nested intra-query parallelism
-------------------------------
-When the engine's default config asks for ``threads=N``, the engine
-pins **one** shared :class:`~repro.engine.parallel.ParallelContext`
-(backed by the process-wide pool for that thread count) and injects it
-into every query.  This is what makes inter-query and intra-query
-pools cooperate: however many sessions run however many concurrent
-queries, the intra-query worker count stays ``N`` — never ``sessions ×
-N`` — so total threads are bounded by ``workers + N``.  Deadlock is
-structurally impossible: the inter-query pool runs queries, the
-intra-query pool runs only leaf kernels that never submit further
-work, so there is no circular wait even when ``sessions × threads``
-far exceeds the pool (see ``tests/test_parallel.py``'s oversubscribed
-regression test).
+One pool
+--------
+The engine's worker pool is the only one in the process: each query
+runs start to finish on one worker thread, so total threads are
+bounded by ``workers`` however many sessions submit.  There is no
+intra-query pool: chunked kernels fanned out over a second pool ran at
+0.87–0.91× of one thread (TPC-H SF 0.5, two threads on two cores),
+because every NumPy call drops and retakes the interpreter lock.
 
 Results are byte-identical to the uncached single-query executor and
 to the ``materialize="eager"`` oracle: every cached artifact is a pure
@@ -68,7 +62,6 @@ from ..analysis import validate as _validate_plan
 from ..cache.store import CacheStats, FilterCache
 from ..context import CancelToken, QueryContext
 from ..core.runner import QueryResult, RunConfig, run_query
-from ..engine.parallel import get_parallel
 from ..engine.stats import QueryStats
 from ..errors import EngineSaturated, QueryCancelled
 from ..obs.adapters import EngineObserver
@@ -130,7 +123,6 @@ class EngineStats:
     filters_degraded: int = 0
     partitions_total: int = 0
     partitions_pruned: int = 0
-    parallel_tasks: int = 0
     ingests: int = 0
     ingest_failures: int = 0
     rows_ingested: int = 0
@@ -149,7 +141,6 @@ class EngineStats:
         self.filters_degraded += stats.filters_degraded
         self.partitions_total += stats.partitions_total_all
         self.partitions_pruned += stats.partitions_pruned_all
-        self.parallel_tasks += stats.parallel_tasks_all
 
     def record_error(self, exc: BaseException) -> None:
         """Count a failed query under its typed outcome."""
@@ -193,7 +184,6 @@ class EngineStats:
             filters_degraded=self.filters_degraded,
             partitions_total=self.partitions_total,
             partitions_pruned=self.partitions_pruned,
-            parallel_tasks=self.parallel_tasks,
             ingests=self.ingests,
             ingest_failures=self.ingest_failures,
             rows_ingested=self.rows_ingested,
@@ -349,11 +339,6 @@ class Engine:
             FilterCache(max_bytes=cache_bytes) if cache_bytes else None
         )
         self._default_config = config or RunConfig()
-        # One shared intra-query context for the engine's configured
-        # thread count (see "Nested intra-query parallelism" above);
-        # queries bringing their own config still resolve through the
-        # same process-wide pool registry, so the cap holds either way.
-        self._parallel = get_parallel(self._default_config.threads)
         self._workers = max(1, workers)
         if max_pending < 0:
             raise ValueError("max_pending must be >= 0")
@@ -381,16 +366,9 @@ class Engine:
     def _effective_config(
         self, config: RunConfig | None, qctx: QueryContext
     ) -> RunConfig:
-        base = config or self._default_config
-        parallel = (
-            self._parallel
-            if base.parallel is None and base.threads == self._parallel.threads
-            else base.parallel
-        )
         return replace(
-            base,
+            config or self._default_config,
             filter_cache=self.filter_cache,
-            parallel=parallel,
             context=qctx,
         )
 

@@ -1134,7 +1134,6 @@ def run_server(
     port: int = 7531,
     workers: int = 4,
     max_pending: int = 256,
-    threads: int = 1,
     config: ServerConfig | None = None,
     metrics_port: int | None = None,
     slow_query_ms: float | None = None,
@@ -1166,7 +1165,6 @@ def run_server(
     trace_sink = TraceSink(trace_out) if trace_out else None
     engine = Engine(
         catalog,
-        config=RunConfig(threads=max(1, threads)),
         workers=workers,
         max_pending=max_pending,
         registry=registry,

@@ -388,7 +388,6 @@ def cold_warm(
     workers: int = 1,
     strategy: str = "predtrans",
     cache_bytes: int | None = None,
-    threads: int = 1,
     partition_rows: int | None = None,
     timeout: float | None = None,
     memory_budget: int | None = None,
@@ -402,10 +401,9 @@ def cold_warm(
     and whether every warm result was byte-identical to its cold
     counterpart (same stream order, so the check is positional; items
     that aborted in either pass are excluded — they have no digest).
-    ``threads`` turns on intra-query parallelism inside each served
-    query (``workers`` stays the inter-query concurrency knob);
-    ``partition_rows`` overrides the storage chunk size.  Neither
-    affects results or digests.  ``timeout`` (seconds) and
+    ``workers`` is the inter-query concurrency knob;
+    ``partition_rows`` overrides the storage chunk size, which does not
+    affect results or digests.  ``timeout`` (seconds) and
     ``memory_budget`` (bytes) apply per query; queries they abort are
     recorded as typed outcomes, not crashes.
 
@@ -427,7 +425,6 @@ def cold_warm(
     kwargs = {} if partition_rows is None else {"partition_rows": partition_rows}
     config = RunConfig(
         strategy=strategy,
-        threads=threads,
         timeout=timeout,
         memory_budget=memory_budget,
         **kwargs,
@@ -507,7 +504,6 @@ def cold_warm(
             "repeats": repeats,
             "variants": variants,
             "workers": workers,
-            "threads": threads,
             "strategy": strategy,
             "timeout_seconds": timeout,
             "memory_budget_bytes": memory_budget,
@@ -571,7 +567,6 @@ def ingest_bench(
     append_rows: int = 256,
     tpch_ids: tuple[int | str, ...] = (3, 5, 10),
     strategy: str = "predtrans",
-    threads: int = 1,
     partition_rows: int | None = None,
 ) -> dict:
     """Measure re-query cost after transactional appends (``v8`` payload).
@@ -588,7 +583,7 @@ def ingest_bench(
     specs = [get_query(qid, sf=sf) for qid in tpch_ids]
     snapshot = {name: catalog.get(name) for name in INGEST_TABLES}
     kwargs = {} if partition_rows is None else {"partition_rows": partition_rows}
-    config = RunConfig(strategy=strategy, threads=threads, **kwargs)
+    config = RunConfig(strategy=strategy, **kwargs)
     rounds: list[dict] = []
     with Engine(catalog, config=config) as engine:
         t0 = time.perf_counter()
@@ -634,7 +629,6 @@ def ingest_bench(
             "ingest_tables": list(INGEST_TABLES),
             "tpch_queries": list(tpch_ids),
             "strategy": strategy,
-            "threads": threads,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),

@@ -6,9 +6,8 @@ one **zone map** per numeric/date column: the per-partition minimum,
 maximum, null count and valid-row count.  Scans consult the zone maps
 to skip entire partitions whose value range provably cannot satisfy a
 local predicate (range, equality, ``BETWEEN``, ``IN``, ``IS [NOT]
-NULL`` and ``YEAR()`` comparisons), and the intra-query parallel
-kernels (:mod:`repro.engine.parallel`) use the same chunk boundaries as
-morsel units.
+NULL`` and ``YEAR()`` comparisons) and evaluate the rest one partition
+at a time (:func:`repro.core.runner._scan_selection`).
 
 Beside the zone maps the layout keeps **key-domain statistics** for
 NULL-free ``INT64``/``DATE`` columns: the value range
@@ -32,8 +31,7 @@ Determinism and invalidation guarantees
   ``fmin``/``fmax`` — a NaN row never satisfies an ordering/equality
   comparison, while ``!=``, which NaN *does* satisfy, is never pruned
   on float columns).  The surviving-row selection vector is therefore
-  byte-identical to an unpruned full scan, whatever the partition size
-  or thread count.
+  byte-identical to an unpruned full scan, whatever the partition size.
 * Layouts are **memoized on the table object** (a private slot, so a
   layout lives exactly as long as its table).  Tables are immutable:
   ``concat``/replace-style mutation produces a *new* ``Table`` object,
@@ -59,7 +57,7 @@ Determinism and invalidation guarantees
 * Zone maps are a pure function of table contents; nothing about the
   layout (partition size, partition count) participates in cross-query
   cache fingerprints, so cached artifacts stay valid across partition
-  sizes and thread counts.
+  sizes.
 """
 
 from __future__ import annotations
@@ -77,8 +75,8 @@ from .table import Table
 
 #: Default partition chunk size (rows).  Small enough that a one-year
 #: date predicate over the ~7-year TPC-H range prunes chunks even at
-#: bench scale factors, large enough that per-chunk kernel dispatch
-#: overhead stays negligible.
+#: bench scale factors, large enough that the per-partition overhead of
+#: a pruned scan stays negligible.
 DEFAULT_PARTITION_ROWS = 32768
 
 #: Column types that carry zone maps (min/max are meaningful and cheap).

@@ -3,8 +3,8 @@
 :mod:`repro.testing.faults` is the fault-injection harness (named
 injection points + seeded :class:`~repro.testing.faults.FaultPlan`);
 :mod:`repro.testing.chaos` is the sweep driver that exercises every
-point across strategies/threads and asserts the never-wrong-results
-invariant.
+point across strategies and materialization modes and asserts the
+never-wrong-results invariant.
 """
 
 from .faults import (

@@ -9,9 +9,9 @@ The resilience invariant this module exists to check, on every case:
     slot.
 
 The sweep runs every fault case against the full grid — all four
-strategies × lazy/eager materialization × threads {1, 4} — through a
-real service :class:`~repro.service.engine.Engine`, and after every
-faulted run demands that the *same* engine serves a clean run with the
+strategies × lazy/eager materialization — through a real service
+:class:`~repro.service.engine.Engine`, and after every faulted run
+demands that the *same* engine serves a clean run with the
 oracle digest (proving admission slots and the shared cache recovered).
 A warm-then-corrupt case additionally asserts the checksum-validated
 cache detected the flipped byte (``corruptions > 0``) and rebuilt an
@@ -85,8 +85,8 @@ from .faults import FaultPlan, FaultRule, inject
 #: that every strategy builds real filters and multiple chunks exist.
 CHAOS_SF = 0.002
 CHAOS_QUERY = 3
-#: Forces several storage chunks at CHAOS_SF so ``chunk.kernel`` fires
-#: even under the serial executor.
+#: Forces several storage chunks at CHAOS_SF, so the scan prunes some
+#: and ``chunk.kernel`` fires once per partition it evaluates.
 CHAOS_PARTITION_ROWS = 64
 #: A faulted future not resolving within this window counts as a hang
 #: (the invariant's "never a deadlock" clause).
@@ -140,7 +140,7 @@ def oracle_digest(
     between pre-filtering and non-pre-filtering strategies (same rows,
     different join-input order), so each grid cell compares against the
     eager serial run of its own strategy — the identity contract the
-    lazy/parallel/cached paths all promise.
+    lazy/cached paths all promise.
     """
     from ..core.runner import run_query
 
@@ -150,7 +150,6 @@ def oracle_digest(
         config=RunConfig(
             strategy=strategy,
             materialize="eager",
-            threads=1,
             partition_rows=CHAOS_PARTITION_ROWS,
         ),
     )
@@ -187,14 +186,12 @@ def run_case(
     oracle: str,
     strategy: str,
     materialize: str,
-    threads: int,
     seed: int,
 ) -> dict:
-    """One (fault, strategy, materialize, threads) cell of the sweep."""
+    """One (fault, strategy, materialize) cell of the sweep."""
     config = RunConfig(
         strategy=strategy,
         materialize=materialize,
-        threads=threads,
         partition_rows=CHAOS_PARTITION_ROWS,
     )
     plan = FaultPlan([case.rule], seed=seed)
@@ -207,7 +204,6 @@ def run_case(
                     "case": case.name,
                     "strategy": strategy,
                     "materialize": materialize,
-                    "threads": threads,
                     "outcome": f"WARMUP_{warm_outcome}",
                     "faults_triggered": 0,
                     "recovered": False,
@@ -231,7 +227,6 @@ def run_case(
         "case": case.name,
         "strategy": strategy,
         "materialize": materialize,
-        "threads": threads,
         "outcome": outcome,
         "faults_triggered": len(plan.triggered),
         "cache_corruptions": corruptions,
@@ -253,11 +248,7 @@ def concurrency_block(
     specs = [
         get_query(qid, sf=CHAOS_SF) for qid in (3, 5, 10) for _ in range(2)
     ]
-    config = RunConfig(
-        strategy="predtrans",
-        threads=1,
-        partition_rows=CHAOS_PARTITION_ROWS,
-    )
+    config = RunConfig(strategy="predtrans", partition_rows=CHAOS_PARTITION_ROWS)
 
     def replay_classified(engine: Engine, plan: FaultPlan | None) -> list[str]:
         if plan is None:
@@ -324,7 +315,6 @@ def run_sweep(
     sf: float = CHAOS_SF,
     seed: int = 0,
     strategies: tuple[str, ...] = STRATEGIES,
-    threads_grid: tuple[int, ...] = (1, 4),
 ) -> dict:
     """The full chaos record: grid cases + concurrency block + summary."""
     catalog = generate_tpch(sf=sf, seed=seed)
@@ -334,19 +324,17 @@ def run_sweep(
     for case in CHAOS_CASES:
         for strategy in strategies:
             for materialize in MATERIALIZE_MODES:
-                for threads in threads_grid:
-                    cases.append(
-                        run_case(
-                            case,
-                            spec,
-                            catalog,
-                            oracles[strategy],
-                            strategy,
-                            materialize,
-                            threads,
-                            seed,
-                        )
+                cases.append(
+                    run_case(
+                        case,
+                        spec,
+                        catalog,
+                        oracles[strategy],
+                        strategy,
+                        materialize,
+                        seed,
                     )
+                )
     oracle_by_query = {
         q.name: oracle_digest(q, catalog, "predtrans")
         for q in (get_query(qid, sf=sf) for qid in (3, 5, 10))
@@ -362,7 +350,6 @@ def run_sweep(
             "query": CHAOS_QUERY,
             "partition_rows": CHAOS_PARTITION_ROWS,
             "strategies": list(strategies),
-            "threads_grid": list(threads_grid),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
@@ -392,7 +379,6 @@ def format_sweep(payload: dict) -> str:
         f"chaos sweep: {s['cases']} cases "
         f"({len(payload['meta']['strategies'])} strategies x "
         f"{len(MATERIALIZE_MODES)} materialize x "
-        f"{len(payload['meta']['threads_grid'])} thread counts x "
         f"{len(CHAOS_CASES)} faults)",
         f"  byte-identical results: {s['identical']}",
         f"  clean typed errors:     {s['typed_errors']}",
@@ -404,7 +390,7 @@ def format_sweep(payload: dict) -> str:
         if not case["ok"]:
             lines.append(
                 f"  VIOLATION {case['case']} {case['strategy']}/"
-                f"{case['materialize']}/t{case['threads']}: "
+                f"{case['materialize']}: "
                 f"{case['outcome']} (recovered={case['recovered']})"
             )
     return "\n".join(lines)
@@ -650,9 +636,7 @@ def network_drain_block(
     whatever finished inside the grace, a typed error for the rest —
     with no hangs and no leaked slots.
     """
-    config = RunConfig(
-        strategy="predtrans", threads=1, partition_rows=CHAOS_PARTITION_ROWS
-    )
+    config = RunConfig(strategy="predtrans", partition_rows=CHAOS_PARTITION_ROWS)
     engine = Engine(catalog, config=config, workers=2, max_pending=16)
     outcomes: list[str] = []
     lock = threading.Lock()
@@ -757,9 +741,7 @@ def run_network_sweep(
     catalog = generate_tpch(sf=sf, seed=seed)
     spec = get_query(CHAOS_QUERY, sf=sf)
     oracles = {s: oracle_digest(spec, catalog, s) for s in strategies}
-    config = RunConfig(
-        strategy="predtrans", threads=1, partition_rows=CHAOS_PARTITION_ROWS
-    )
+    config = RunConfig(strategy="predtrans", partition_rows=CHAOS_PARTITION_ROWS)
     registry = MetricsRegistry()
     engine = Engine(
         catalog, config=config, workers=2, max_pending=16, registry=registry
@@ -1039,9 +1021,7 @@ def run_ingest_case(
     the storm the remaining batches are committed cleanly and a final
     read per strategy must match the fully-ingested oracle.
     """
-    config = RunConfig(
-        strategy="predtrans", threads=1, partition_rows=CHAOS_PARTITION_ROWS
-    )
+    config = RunConfig(strategy="predtrans", partition_rows=CHAOS_PARTITION_ROWS)
     catalog = Catalog(dict(base))
     plan = FaultPlan([case.rule], seed=seed)
     valid = {
@@ -1061,17 +1041,13 @@ def run_ingest_case(
                 engine.execute(
                     spec,
                     RunConfig(
-                        strategy=strategy,
-                        threads=1,
-                        partition_rows=CHAOS_PARTITION_ROWS,
+                        strategy=strategy, partition_rows=CHAOS_PARTITION_ROWS
                     ),
                 )
 
         def read_once(strategy: str) -> None:
             cfg = RunConfig(
-                strategy=strategy,
-                threads=1,
-                partition_rows=CHAOS_PARTITION_ROWS,
+                strategy=strategy, partition_rows=CHAOS_PARTITION_ROWS
             )
             try:
                 result = engine.execute(spec, cfg)
@@ -1279,7 +1255,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="sweep only predtrans/nopredtrans at threads=1",
+        help="sweep only predtrans/nopredtrans",
     )
     parser.add_argument(
         "--network",
@@ -1304,13 +1280,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(format_network_sweep(payload))
     else:
-        threads_grid = (1,) if args.quick else (1, 4)
-        payload = run_sweep(
-            sf=args.sf,
-            seed=args.seed,
-            strategies=strategies,
-            threads_grid=threads_grid,
-        )
+        payload = run_sweep(sf=args.sf, seed=args.seed, strategies=strategies)
         print(format_sweep(payload))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -12,8 +12,8 @@ point                fires
                      lookup that found an entry, before validation
 ``cache.put``        on a shared cache insertion, before the entry is
                      stored (a failed backend write)
-``chunk.kernel``     before every chunk kernel dispatched by
-                     :class:`~repro.engine.parallel.ParallelContext`
+``chunk.kernel``     before the scan evaluates a local predicate over
+                     one partition that zone maps did not prune
 ``worker.submit``    when the service engine hands a query to its pool
 ``net.accept``       when the asyncio server accepts a connection,
                      before any frame is served

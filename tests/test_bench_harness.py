@@ -145,22 +145,3 @@ def test_write_bench_json(tmp_path, suite):
     write_bench_json(str(path), suite_to_json(suite, repeats=1))
     assert json.loads(path.read_text())["schema"] == "repro-bench/v5"
 
-
-def test_parallel_comparison_payload():
-    from repro.bench.harness import parallel_comparison
-
-    payload = parallel_comparison(
-        sf=TINY_SF,
-        threads=2,
-        repeats=1,
-        tpch_ids=(6,),
-        ssb_ids=("1.1",),
-        strategies=("predtrans",),
-        partition_rows=2048,
-    )
-    assert payload["schema"] == "repro-bench/v5"
-    comp = payload["comparison"]
-    assert comp["digests_identical"] is True
-    assert comp["threads"] == 2
-    assert len(comp["per_pair"]) == 2
-    assert all(p["digests_identical"] for p in comp["per_pair"])

@@ -171,48 +171,42 @@ def test_tpch_cyclic_query_runs(capsys):
 
 
 def test_parallel_args_accepted_on_run_commands():
+    """Every run command takes ``--partition-rows``; the query commands
+    hand it to their RunConfig."""
+    from repro.__main__ import _run_config
+
     parser = build_parser()
     for argv in (
-        ["tpch", "--threads", "4", "--partition-rows", "8192"],
-        ["ssb", "--threads", "2"],
-        ["bench", "--threads", "4", "--partition-rows", "4096"],
-        ["workload", "--threads", "4"],
+        ["tpch", "--partition-rows", "8192"],
+        ["ssb", "--partition-rows", "2048"],
+        ["bench", "--partition-rows", "4096"],
+        ["workload", "--partition-rows", "1024"],
+        ["ingest", "--partition-rows", "512"],
     ):
         args = parser.parse_args(argv)
-        assert args.threads == int(argv[2])
+        assert args.partition_rows == int(argv[2])
+        if argv[0] in ("tpch", "ssb", "bench"):
+            assert _run_config(args).partition_rows == int(argv[2])
 
 
-def test_tpch_runs_with_threads(capsys):
-    code = main(
-        [
-            "tpch", "--sf", "0.003", "--query", "6",
-            "--strategy", "predtrans", "--repeats", "1",
-            "--threads", "2", "--partition-rows", "2048",
-        ]
-    )
-    assert code == 0
-    assert "q6" in capsys.readouterr().out
-
-
-def test_bench_parallel_compare_writes_v4_record(tmp_path, capsys):
-    import json
-
-    path = tmp_path / "parallel.json"
-    code = main(
-        [
-            "bench", "--sf", "0.003", "--queries", "6",
-            "--strategies", "predtrans", "--repeats", "1",
-            "--parallel-compare", "2", "--json", str(path),
-        ]
-    )
-    assert code == 0
-    doc = json.loads(path.read_text())
-    assert doc["schema"] == "repro-bench/v5"
-    assert doc["kind"] == "serial-vs-parallel"
-    assert doc["comparison"]["digests_identical"] is True
-    assert len(doc["serial_measurements"]) == len(doc["measurements"])
-    out = capsys.readouterr().out
-    assert "results identical: True" in out
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tpch", "--threads", "2"],
+        ["ssb", "--threads", "2"],
+        ["bench", "--threads", "2"],
+        ["bench", "--parallel-compare", "2"],
+        ["workload", "--threads", "2"],
+        ["ingest", "--threads", "2"],
+        ["serve", "--threads", "2"],
+        ["loadtest", "--threads", "2"],
+        ["trace", "--query", "q5", "--threads", "2"],
+    ],
+)
+def test_intra_query_thread_flags_rejected(argv):
+    """A query runs on one thread: no command takes a thread count."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
 
 
 def test_serve_client_loadtest_parser_wiring():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.hashjoin import hash_join, join_indices
+from repro.engine.hashjoin import BuildIndex, hash_join, join_indices
 from repro.errors import ExecutionError
 from repro.expr.nodes import col, lit
 from repro.storage.column import Column
@@ -245,10 +245,10 @@ def _sorted_reference(probe, build):
     return probe_idx, build_idx, counts
 
 
-def _assert_matches_reference(probe, build, parallel=None):
+def _assert_matches_reference(probe, build):
     probe = np.asarray(probe, dtype=np.int64)
     build = np.asarray(build, dtype=np.int64)
-    got = join_indices(probe, build, parallel)
+    got = join_indices(probe, build)
     for mine, reference in zip(got, _sorted_reference(probe, build)):
         assert np.array_equal(mine, reference)
     # ...and, as a set of pairs, a dict nested-loop oracle.
@@ -337,16 +337,22 @@ def test_join_indices_unique_probe_key_above_all_build_keys():
 
 @pytest.mark.parametrize("n_probe, chunks", [(20_000, 2), (40_000, 4)])
 def test_chunked_probe_returns_the_serial_triple(n_probe, chunks):
-    from repro.engine.parallel import ParallelContext
-
+    """Probing slices of the probe side against one index and
+    concatenating, each slice's positions shifted by its start, gives
+    the whole-probe triple byte for byte."""
     rng = np.random.default_rng(n_probe)
     probe = rng.integers(-100, 5000, n_probe)
+    edges = [n_probe * i // chunks for i in range(chunks + 1)]
     for build in (rng.permutation(4000), rng.integers(0, 900, 4000)):
         for spread in (1, 10**13):
-            parallel = ParallelContext(threads=2)
-            serial = join_indices(probe * spread, build * spread)
-            chunked = _assert_matches_reference(probe * spread, build * spread, parallel)
-            assert parallel.tasks == chunks
+            keys = probe * spread
+            serial = _assert_matches_reference(keys, build * spread)
+            index = BuildIndex(build * spread, len(keys))
+            parts = []
+            for lo, hi in zip(edges, edges[1:]):
+                probe_idx, build_idx, counts = index.probe(keys[lo:hi])
+                parts.append((probe_idx + lo, build_idx, counts))
+            chunked = [np.concatenate(arrays) for arrays in zip(*parts)]
             for a, b in zip(serial, chunked):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 

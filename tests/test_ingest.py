@@ -12,7 +12,7 @@ The serving-under-writes contract these tests pin down:
   full post-append key set;
 * under concurrent appends every query answers exactly at one committed
   snapshot (digest-checked against the eager serial oracle of that
-  snapshot, per strategy/materialize/threads cell);
+  snapshot, per strategy/materialize/engine-workers cell);
 * the INGEST wire frame commits transactionally and rejects bad
   payloads with typed errors, catalog untouched.
 """
@@ -307,19 +307,22 @@ def _oracle(base, strategy: str, k: int) -> str:
     return _ORACLES[memo_key]
 
 
-@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("materialize", MATERIALIZE_MODES)
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_hammer_reads_pin_committed_snapshots(
-    base_catalog, strategy, materialize, threads
+    base_catalog, strategy, materialize, workers
 ):
+    """Two readers race an appender through an engine of ``workers``
+    query threads (1: reads queue behind one another; 4: they overlap
+    each other and the commits)."""
     spec = get_query(3, sf=SF)
     valid = {_oracle(base_catalog, strategy, k) for k in range(BATCHES + 1)}
     catalog = fresh_catalog(base_catalog)
-    config = RunConfig(strategy=strategy, materialize=materialize, threads=threads)
+    config = RunConfig(strategy=strategy, materialize=materialize)
     digests: list[str] = []
     errors: list[BaseException] = []
-    with Engine(catalog, config=config, workers=2) as engine:
+    with Engine(catalog, config=config, workers=workers) as engine:
 
         def appender() -> None:
             try:

@@ -56,7 +56,6 @@ def test_network_fault_case(world, name):
         catalog,
         config=RunConfig(
             strategy="predtrans",
-            threads=1,
             partition_rows=CHAOS_PARTITION_ROWS,
         ),
         workers=2,

@@ -96,6 +96,23 @@ def test_sidecar_serves_metrics_healthz_varz(catalog, specs):
         engine.shutdown(wait=True, cancel=True)
 
 
+def test_engine_exports_no_intra_query_chunk_counter(catalog, specs):
+    """Queries run on one thread, so the engine exports no counter of
+    chunks handed to an intra-query pool; its scan-partition counters
+    stay."""
+    registry = MetricsRegistry()
+    engine = _engine(catalog, registry=registry)
+    try:
+        engine.execute(specs["q3"])
+        families = parse_prometheus_text(
+            ObsCollector(registry, engine=engine).prometheus()
+        )
+    finally:
+        engine.shutdown(wait=True, cancel=True)
+    assert "repro_parallel_chunks_total" not in families
+    assert families["repro_partitions_scanned_total"][()] > 0
+
+
 def test_healthz_flips_to_503_during_drain(catalog, specs):
     engine = _engine(catalog, registry=MetricsRegistry())
     try:

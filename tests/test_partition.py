@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.runner import RunConfig, _scan_selection
-from repro.engine.parallel import ParallelContext
+from repro.core.runner import _scan_selection
+from repro.core.transfer import ExecContext
 from repro.engine.stats import QueryStats
 from repro.expr.eval import evaluate_mask
 from repro.expr.nodes import col, date, lit, year
@@ -78,13 +78,11 @@ def test_pruned_scan_matches_full_scan(table, predicate, partition_rows):
     expected = np.flatnonzero(evaluate_mask(predicate, view))
     stats = QueryStats()
     got = _scan_selection(
+        ExecContext(stats=stats, partition_rows=partition_rows),
         table,
         "t",
         predicate,
         view,
-        RunConfig(partition_rows=partition_rows),
-        ParallelContext(),
-        stats,
     )
     assert np.array_equal(got, expected)
     assert stats.partitions_total == get_layout(table, partition_rows).num_partitions
@@ -224,13 +222,11 @@ def test_not_equal_pruning_never_drops_nan_rows():
     assert layout.prune(predicate).all()  # conservatively kept
     expected = np.flatnonzero(evaluate_mask(predicate, t))
     got = _scan_selection(
+        ExecContext(partition_rows=2),
         t,
         "f",
         col("f.x").ne(lit(5.0)),
         t.prefixed("f"),
-        RunConfig(partition_rows=2),
-        ParallelContext(),
-        QueryStats(),
     )
     assert np.array_equal(got, expected)
     # Integer != pruning (no NaN possible) still prunes constant chunks.

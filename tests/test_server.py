@@ -79,7 +79,6 @@ def _oracle(catalog, spec, strategy: str) -> str:
         config=RunConfig(
             strategy=strategy,
             materialize="eager",
-            threads=1,
             partition_rows=PARTITION_ROWS,
         ),
     )
