@@ -2,9 +2,10 @@
 
 :mod:`repro.testing.faults` is the fault-injection harness (named
 injection points + seeded :class:`~repro.testing.faults.FaultPlan`);
-:mod:`repro.testing.chaos` is the sweep driver that exercises every
-point across strategies and materialization modes and asserts the
-never-wrong-results invariant.
+:mod:`repro.testing.chaos` is the one sweep harness that fires those
+points in-process, across a live client/server pair and under
+concurrent ingest, asserting the never-wrong-results invariant with a
+single outcome classifier and one ``repro-chaos/v1`` record.
 """
 
 from .faults import (

@@ -1,59 +1,30 @@
-"""Deterministic chaos sweep: fault injection across the strategy grid.
+"""Deterministic chaos sweeps: fault injection across the strategy grid.
 
-The resilience invariant this module exists to check, on every case:
+The resilience invariant this module exists to check, on every cell:
 
     Under any injected fault a query either returns a result
-    **byte-identical** to the clean serial eager oracle, or raises
-    exactly one **clean typed error** (a :class:`~repro.errors.ReproError`
+    **byte-identical** to the clean eager oracle, or raises exactly one
+    **clean typed error** (a :class:`~repro.errors.ReproError`
     subclass) — never a wrong answer, a deadlock, or a leaked worker
     slot.
 
-The sweep runs every fault case against the full grid — all four
-strategies × lazy/eager materialization — through a real service
-:class:`~repro.service.engine.Engine`, and after every faulted run
-demands that the *same* engine serves a clean run with the
-oracle digest (proving admission slots and the shared cache recovered).
-A warm-then-corrupt case additionally asserts the checksum-validated
-cache detected the flipped byte (``corruptions > 0``) and rebuilt an
-identical result, and a concurrency block replays a small stream at
-4 workers (with and without faults) against the serial digests.
+One harness runs three sweeps: :func:`classify` labels every outcome
+(``identical`` / ``error:<Type>`` are clean; ``WRONG_ANSWER``, ``HANG``
+and ``UNTYPED:<Type>`` are violations), and every sweep writes one
+``repro-chaos/v1`` record whose ``kind`` names it.
+``python -m repro.testing.chaos [--network | --ingest] --json out.json``
+exits non-zero iff any cell or block failed, writing the record anyway.
 
-CLI (the CI chaos job)::
-
-    python -m repro.testing.chaos --json bench-chaos.json
-
-exits non-zero iff any case violated the invariant, and writes a
-``repro-bench/v5`` JSON record of every case either way.
-
-Network sweep (the CI ``serve`` job)::
-
-    python -m repro.testing.chaos --network --json chaos-net.json
-
-Ingest sweep (the CI ``ingest-chaos`` job)::
-
-    python -m repro.testing.chaos --ingest --json bench-ingest.json
-
-turns the invariant loose on *writes*: per fault case, reader threads
-cycling all four strategies race an appender committing multi-table
-delta batches through :meth:`~repro.service.engine.Engine.ingest`,
-with faults injected at the transactional seams (``ingest.stage``,
-``ingest.commit``) and in the delta-extension path of the shared
-cache (``cache.extend``).  Every read must be byte-identical to the
-eager serial oracle of a committed prefix snapshot (the
-pinned-snapshot guarantee), a failed commit must leave the catalog
-version untouched, extension faults must degrade to rebuilds (never a
-wrong answer), and the engine must drain to zero slots.
-
-Network sweep extends the same invariant across the wire: a real asyncio
-:class:`~repro.service.server.QueryServer` is stood up in-process and
-every ``net.accept`` / ``net.read`` / ``net.write`` fault (delays,
-drops, injected disconnects) plus engine-side faults are swept across
-strategies × {lazy, eager}, asserting each client request ends in a
-clean typed error or a digest byte-identical to the in-process engine
-oracle, that zero worker slots leak, and that a post-fault recovery
-query succeeds.  A drain-under-load block additionally shuts the
-server down mid-storm and demands every pending request resolve (no
-hangs, no untyped leakage).
+* engine (default, :func:`run_sweep`): every ``CHAOS_CASES`` fault ×
+  strategy × {lazy, eager} in a real
+  :class:`~repro.service.engine.Engine`, which must then serve a clean
+  oracle-identical run; plus a 4-worker concurrency block;
+* network (``--network``, :func:`run_network_sweep`): the same grid
+  over ``NETWORK_CASES`` wire and engine faults against one in-process
+  asyncio server; plus invalid-plan, metrics and drain blocks;
+* ingest (``--ingest``, :func:`run_ingest_sweep`): readers race
+  transactional appends under each ``INGEST_CASES`` fault; every read
+  must match the oracle of some committed prefix snapshot.
 """
 
 from __future__ import annotations
@@ -64,8 +35,12 @@ import platform
 import sys
 import threading
 import time
+from collections import Counter
+from collections.abc import Callable, Collection
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -73,14 +48,17 @@ from ..core.runner import MATERIALIZE_MODES, STRATEGIES, RunConfig
 from ..errors import PlanValidationError, ReproError
 from ..plan.query import QuerySpec
 from ..service.client import ReproClient
-from ..service.engine import Engine
+from ..service.engine import Engine, EngineSnapshot
 from ..service.server import ServerConfig, ServerThread
 from ..service.workload import result_digest
 from ..storage.catalog import Catalog
+from ..storage.table import Table
 from ..tpch import generate_tpch
 from ..tpch.queries import get_query
 from .faults import FaultPlan, FaultRule, inject
 
+#: Label of every chaos record; ``kind`` says which sweep wrote it.
+CHAOS_SCHEMA = "repro-chaos/v1"
 #: Small enough that the full grid sweeps in seconds, large enough
 #: that every strategy builds real filters and multiple chunks exist.
 CHAOS_SF = 0.002
@@ -91,6 +69,13 @@ CHAOS_PARTITION_ROWS = 64
 #: A faulted future not resolving within this window counts as a hang
 #: (the invariant's "never a deadlock" clause).
 HANG_SECONDS = 60.0
+
+
+def _config(strategy: str = "predtrans", **options: str) -> RunConfig:
+    """A run config pinned to the chaos partition size."""
+    return RunConfig(
+        strategy=strategy, partition_rows=CHAOS_PARTITION_ROWS, **options
+    )
 
 
 @dataclass(frozen=True)
@@ -131,102 +116,184 @@ CHAOS_CASES: tuple[ChaosCase, ...] = (
 )
 
 
-def oracle_digest(
-    spec: QuerySpec, catalog: Catalog, strategy: str = "predtrans"
+# ----------------------------------------------------------------------
+# The shared harness: classifier, grid loop, record, printer
+# ----------------------------------------------------------------------
+
+
+def classify(
+    call: Callable[[], object],
+    accept: str | Collection[str] | None,
+    timeout: float = HANG_SECONDS,
 ) -> str:
-    """Digest of the clean serial eager baseline (the repo's oracle).
+    """Run ``call`` and label what came back.
 
-    The oracle is per *strategy*: output row order legitimately differs
-    between pre-filtering and non-pre-filtering strategies (same rows,
-    different join-input order), so each grid cell compares against the
-    eager serial run of its own strategy — the identity contract the
-    lazy/cached paths all promise.
-    """
-    from ..core.runner import run_query
-
-    result = run_query(
-        spec,
-        catalog,
-        config=RunConfig(
-            strategy=strategy,
-            materialize="eager",
-            partition_rows=CHAOS_PARTITION_ROWS,
-        ),
-    )
-    return result_digest(result.table)
-
-
-def _classify(engine: Engine, spec: QuerySpec, oracle: str) -> str:
-    """Submit one query and classify what came back.
-
-    ``identical`` / ``error:<Type>`` are the two clean outcomes; the
-    upper-case labels are invariant violations.
+    ``call`` returns a result digest, a
+    :class:`~repro.core.runner.QueryResult`, or a future of one; a
+    future still unresolved after ``timeout`` seconds is a ``HANG``.
+    The answer is ``identical`` iff its digest is ``accept`` (an oracle
+    digest) or is in it (a set of valid snapshot digests).  A write has
+    no answer to check: with ``accept=None`` any return is
+    ``committed``.  ``identical`` / ``committed`` / ``error:<Type>``
+    are the clean outcomes; the upper-case labels are violations.
     """
     try:
-        future = engine.submit(spec)
-    except ReproError as exc:
-        return f"error:{type(exc).__name__}"
-    try:
-        result = future.result(timeout=HANG_SECONDS)
+        out = call()
+        if isinstance(out, Future):
+            out = out.result(timeout=timeout)
     except ReproError as exc:
         return f"error:{type(exc).__name__}"
     except FutureTimeout:
         return "HANG"
     except Exception as exc:  # untyped leakage is a violation
         return f"UNTYPED:{type(exc).__name__}"
-    if result_digest(result.table) != oracle:
-        return "WRONG_ANSWER"
-    return "identical"
+    if accept is None:
+        return "committed"
+    digest = out if isinstance(out, str) else result_digest(out.table)
+    valid = {accept} if isinstance(accept, str) else accept
+    return "identical" if digest in valid else "WRONG_ANSWER"
+
+
+def _clean(outcome: str) -> bool:
+    """Whether an outcome label satisfies the invariant."""
+    return outcome in ("identical", "committed") or outcome.startswith("error:")
+
+
+def _grid(cases: tuple[ChaosCase, ...], cell: Callable[..., dict]) -> list:
+    """``cell(case, strategy, materialize)`` over the whole grid, each
+    verdict keyed by its cell."""
+    return [
+        {
+            "case": case.name,
+            "strategy": strategy,
+            "materialize": materialize,
+            **cell(case, strategy, materialize),
+        }
+        for case in cases
+        for strategy in STRATEGIES
+        for materialize in MATERIALIZE_MODES
+    ]
+
+
+def _record(
+    kind: str, meta: dict, cases: list[dict], totals: dict, **blocks: dict
+) -> dict:
+    """The JSON record of one sweep.
+
+    ``totals`` are the sweep's own summary counts; every cell and every
+    named block carries an ``ok`` verdict, and each false one is a
+    violation.
+    """
+    checked = [*cases, *blocks.values()]
+    return {
+        "schema": CHAOS_SCHEMA,
+        "kind": kind,
+        "meta": {
+            "query": CHAOS_QUERY,
+            "partition_rows": CHAOS_PARTITION_ROWS,
+            "strategies": list(STRATEGIES),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "timestamp_unix": int(time.time()),
+            **meta,
+        },
+        "cases": cases,
+        "blocks": blocks,
+        "summary": {
+            "cases": len(cases),
+            **totals,
+            "faults_triggered": sum(c["faults_triggered"] for c in cases),
+            "violations": sum(not c["ok"] for c in checked),
+        },
+    }
+
+
+def _outcome_totals(cases: list[dict]) -> dict:
+    """Summary counts of the two clean grid-cell outcomes."""
+    return {
+        "identical": sum(c["outcome"] == "identical" for c in cases),
+        "typed_errors": sum(c["outcome"].startswith("error:") for c in cases),
+    }
+
+
+def format_record(payload: dict) -> str:
+    """Human-readable one-screen summary of any chaos record."""
+    lines = [
+        f"{payload['kind']} chaos sweep over "
+        f"{len(payload['meta']['strategies'])} strategies"
+    ]
+    lines += [f"  {k}: {v}" for k, v in payload["summary"].items()]
+    lines += [f"  {k} ok: {b['ok']}" for k, b in payload["blocks"].items()]
+    lines += [
+        f"  VIOLATION {json.dumps(item, sort_keys=True)}"
+        for item in [*payload["cases"], *payload["blocks"].values()]
+        if not item["ok"]
+    ]
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Engine chaos: in-process, one engine per cell
+# ----------------------------------------------------------------------
+
+
+def oracle_digest(
+    spec: QuerySpec, catalog: Catalog, strategy: str = "predtrans"
+) -> str:
+    """Digest of the clean eager baseline (the repo's oracle).
+
+    The oracle is per *strategy*: output row order legitimately differs
+    between pre-filtering and non-pre-filtering strategies (same rows,
+    different join-input order), so each grid cell compares against the
+    eager run of its own strategy — the identity contract the lazy and
+    cached paths all promise.
+    """
+    from ..core.runner import run_query
+
+    result = run_query(spec, catalog, config=_config(strategy, materialize="eager"))
+    return result_digest(result.table)
+
+
+def _classify(engine: Engine, spec: QuerySpec, oracle: str) -> str:
+    """Submit one query to ``engine`` and classify what came back."""
+    return classify(partial(engine.submit, spec), oracle)
+
+
+def _world(sf: float, seed: int) -> tuple[Catalog, QuerySpec, dict]:
+    """The catalog, chaos query and per-strategy oracles a grid runs on."""
+    catalog = generate_tpch(sf=sf, seed=seed)
+    spec = get_query(CHAOS_QUERY, sf=sf)
+    oracles = {s: oracle_digest(spec, catalog, s) for s in STRATEGIES}
+    return catalog, spec, oracles
 
 
 def run_case(
-    case: ChaosCase,
-    spec: QuerySpec,
-    catalog: Catalog,
-    oracle: str,
-    strategy: str,
-    materialize: str,
-    seed: int,
+    case: ChaosCase, spec: QuerySpec, catalog: Catalog, oracle: str,
+    strategy: str, materialize: str, seed: int,
 ) -> dict:
-    """One (fault, strategy, materialize) cell of the sweep."""
-    config = RunConfig(
-        strategy=strategy,
-        materialize=materialize,
-        partition_rows=CHAOS_PARTITION_ROWS,
-    )
+    """The verdict of one (fault, strategy, materialize) engine cell."""
     plan = FaultPlan([case.rule], seed=seed)
-    corruptions = 0
+    config = _config(strategy, materialize=materialize)
     with Engine(catalog, config=config, workers=2) as engine:
-        if case.warm:
-            warm_outcome = _classify(engine, spec, oracle)
-            if warm_outcome != "identical":
-                return {
-                    "case": case.name,
-                    "strategy": strategy,
-                    "materialize": materialize,
-                    "outcome": f"WARMUP_{warm_outcome}",
-                    "faults_triggered": 0,
-                    "recovered": False,
-                    "ok": False,
-                }
-        with inject(plan):
-            outcome = _classify(engine, spec, oracle)
+        warm = _classify(engine, spec, oracle) if case.warm else "identical"
+        if warm != "identical":
+            outcome = f"WARMUP_{warm}"  # the fault is never injected
+        else:
+            with inject(plan):
+                outcome = _classify(engine, spec, oracle)
         # Recovery: the same engine must serve a clean, identical run
         # after the fault — no leaked admission slot, no poisoned
         # cache entry, no wedged pool.
         recovered = _classify(engine, spec, oracle) == "identical"
-        slots_clean = engine._pending == 0
-        if engine.filter_cache is not None:
-            corruptions = engine.filter_cache.stats().corruptions
-    clean = outcome == "identical" or outcome.startswith("error:")
-    ok = clean and recovered and slots_clean
+        slots_clean = engine.pending == 0
+        cache = engine.filter_cache
+        corruptions = 0 if cache is None else cache.stats().corruptions
+    ok = _clean(outcome) and recovered and slots_clean
     if case.rule.action == "corrupt" and plan.triggered:
         # The corrupted entry must have been *detected*, not served.
         ok = ok and corruptions > 0 and outcome == "identical"
     return {
-        "case": case.name,
-        "strategy": strategy,
-        "materialize": materialize,
         "outcome": outcome,
         "faults_triggered": len(plan.triggered),
         "cache_corruptions": corruptions,
@@ -236,68 +303,51 @@ def run_case(
     }
 
 
+def _admit(engine: Engine, spec: QuerySpec) -> Future:
+    """``engine.submit``, with a refused admission stored in the future
+    so a whole stream can be admitted before any of it is classified."""
+    try:
+        return engine.submit(spec)
+    except ReproError as exc:
+        refused: Future = Future()
+        refused.set_exception(exc)
+        return refused
+
+
 def concurrency_block(
     catalog: Catalog, oracle_by_query: dict[str, str], seed: int
 ) -> dict:
     """Digest-identity of a 4-worker replay, clean and under faults.
 
-    Every item must individually be byte-identical to its serial
-    oracle or (in the faulted pass) a typed error; the engine must
+    The whole stream is admitted at once, so the 4 workers run it
+    concurrently.  Every item must individually be byte-identical to
+    its oracle or (in the faulted pass) a typed error; the engine must
     drain back to zero pending slots both times.
     """
     specs = [
         get_query(qid, sf=CHAOS_SF) for qid in (3, 5, 10) for _ in range(2)
     ]
-    config = RunConfig(strategy="predtrans", partition_rows=CHAOS_PARTITION_ROWS)
+    config = _config()
 
-    def replay_classified(engine: Engine, plan: FaultPlan | None) -> list[str]:
-        if plan is None:
-            return [
-                _classify(engine, spec, oracle_by_query[spec.name])
-                for spec in specs
-            ]
-        with inject(plan):
-            futures = []
-            for spec in specs:
-                try:
-                    futures.append(engine.submit(spec))
-                except ReproError as exc:
-                    futures.append(exc)
-            outcomes = []
-            for spec, f in zip(specs, futures):
-                if isinstance(f, ReproError):
-                    outcomes.append(f"error:{type(f).__name__}")
-                    continue
-                try:
-                    result = f.result(timeout=HANG_SECONDS)
-                except ReproError as exc:
-                    outcomes.append(f"error:{type(exc).__name__}")
-                except FutureTimeout:
-                    outcomes.append("HANG")
-                except Exception as exc:
-                    outcomes.append(f"UNTYPED:{type(exc).__name__}")
-                else:
-                    digest = result_digest(result.table)
-                    outcomes.append(
-                        "identical"
-                        if digest == oracle_by_query[spec.name]
-                        else "WRONG_ANSWER"
-                    )
-            return outcomes
+    def replay(plan: FaultPlan) -> tuple[list[str], bool]:
+        with Engine(catalog, config=config, workers=4) as engine:
+            with inject(plan):
+                futures = [_admit(engine, spec) for spec in specs]
+                outcomes = [
+                    classify(lambda f=f: f, oracle_by_query[s.name])
+                    for f, s in zip(futures, specs)
+                ]
+            return outcomes, engine.pending == 0
 
-    with Engine(catalog, config=config, workers=4) as engine:
-        clean = replay_classified(engine, None)
-        clean_slots = engine._pending == 0
+    clean, clean_slots = replay(FaultPlan([], seed=seed))
     plan = FaultPlan(
         [FaultRule("chunk.kernel", "raise", nth=3, count=2)], seed=seed
     )
-    with Engine(catalog, config=config, workers=4) as engine:
-        faulted = replay_classified(engine, plan)
-        faulted_slots = engine._pending == 0
+    faulted, faulted_slots = replay(plan)
     ok = (
         all(o == "identical" for o in clean)
+        and all(_clean(o) for o in faulted)
         and clean_slots
-        and all(o == "identical" or o.startswith("error:") for o in faulted)
         and faulted_slots
     )
     return {
@@ -311,89 +361,26 @@ def concurrency_block(
     }
 
 
-def run_sweep(
-    sf: float = CHAOS_SF,
-    seed: int = 0,
-    strategies: tuple[str, ...] = STRATEGIES,
-) -> dict:
-    """The full chaos record: grid cases + concurrency block + summary."""
-    catalog = generate_tpch(sf=sf, seed=seed)
-    spec = get_query(CHAOS_QUERY, sf=sf)
-    oracles = {s: oracle_digest(spec, catalog, s) for s in strategies}
-    cases = []
-    for case in CHAOS_CASES:
-        for strategy in strategies:
-            for materialize in MATERIALIZE_MODES:
-                cases.append(
-                    run_case(
-                        case,
-                        spec,
-                        catalog,
-                        oracles[strategy],
-                        strategy,
-                        materialize,
-                        seed,
-                    )
-                )
+def run_sweep(sf: float = CHAOS_SF, seed: int = 0) -> dict:
+    """The engine chaos record: grid cells + concurrency block."""
+    catalog, spec, oracles = _world(sf, seed)
+    cases = _grid(
+        CHAOS_CASES,
+        lambda case, strategy, materialize: run_case(
+            case, spec, catalog, oracles[strategy], strategy, materialize, seed
+        ),
+    )
     oracle_by_query = {
         q.name: oracle_digest(q, catalog, "predtrans")
         for q in (get_query(qid, sf=sf) for qid in (3, 5, 10))
     }
-    concurrency = concurrency_block(catalog, oracle_by_query, seed)
-    violations = [c for c in cases if not c["ok"]]
-    return {
-        "schema": "repro-bench/v5",
-        "kind": "chaos-sweep",
-        "meta": {
-            "sf": sf,
-            "seed": seed,
-            "query": CHAOS_QUERY,
-            "partition_rows": CHAOS_PARTITION_ROWS,
-            "strategies": list(strategies),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "timestamp_unix": int(time.time()),
-        },
-        "oracle_digests": oracles,
-        "cases": cases,
-        "concurrency": concurrency,
-        "summary": {
-            "cases": len(cases),
-            "identical": sum(
-                1 for c in cases if c["outcome"] == "identical"
-            ),
-            "typed_errors": sum(
-                1 for c in cases if c["outcome"].startswith("error:")
-            ),
-            "faults_triggered": sum(c["faults_triggered"] for c in cases),
-            "violations": len(violations) + (0 if concurrency["ok"] else 1),
-        },
-    }
-
-
-def format_sweep(payload: dict) -> str:
-    """Human-readable one-screen summary of a chaos record."""
-    s = payload["summary"]
-    lines = [
-        f"chaos sweep: {s['cases']} cases "
-        f"({len(payload['meta']['strategies'])} strategies x "
-        f"{len(MATERIALIZE_MODES)} materialize x "
-        f"{len(CHAOS_CASES)} faults)",
-        f"  byte-identical results: {s['identical']}",
-        f"  clean typed errors:     {s['typed_errors']}",
-        f"  faults triggered:       {s['faults_triggered']}",
-        f"  concurrency block ok:   {payload['concurrency']['ok']}",
-        f"  violations:             {s['violations']}",
-    ]
-    for case in payload["cases"]:
-        if not case["ok"]:
-            lines.append(
-                f"  VIOLATION {case['case']} {case['strategy']}/"
-                f"{case['materialize']}: "
-                f"{case['outcome']} (recovered={case['recovered']})"
-            )
-    return "\n".join(lines)
+    return _record(
+        "engine",
+        {"sf": sf, "seed": seed, "oracle_digests": oracles},
+        cases,
+        _outcome_totals(cases),
+        concurrency=concurrency_block(catalog, oracle_by_query, seed),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -429,36 +416,16 @@ NETWORK_CASES: tuple[ChaosCase, ...] = (
 NET_IO_TIMEOUT = 5.0
 
 
-def _net_classify(
-    host: str,
-    port: int,
-    query: str,
-    oracle: str,
-    *,
-    strategy: str | None = None,
-    materialize: str | None = None,
-    io_timeout: float = NET_IO_TIMEOUT,
+def _net_digest(
+    host: str, port: int, query: str, *, io_timeout: float = NET_IO_TIMEOUT,
+    **options: str,
 ) -> str:
-    """One query over the wire, classified like :func:`_classify`.
-
-    A fresh connection per attempt — exactly what a real client retry
-    does after a transport loss.
-    """
-    try:
-        with ReproClient(
-            host, port, connect_timeout=5.0, io_timeout=io_timeout
-        ) as client:
-            frame = client.query_once(
-                query,
-                strategy=strategy,
-                materialize=materialize,
-                timeout_ms=30_000,
-            )
-    except ReproError as exc:
-        return f"error:{type(exc).__name__}"
-    except Exception as exc:  # untyped leakage is a violation
-        return f"UNTYPED:{type(exc).__name__}"
-    return "identical" if frame["digest"] == oracle else "WRONG_ANSWER"
+    """One query over a fresh connection (exactly what a real client
+    retry does after a transport loss); returns the answer's digest."""
+    with ReproClient(
+        host, port, connect_timeout=5.0, io_timeout=io_timeout
+    ) as client:
+        return client.query_once(query, timeout_ms=30_000, **options)["digest"]
 
 
 #: Registered name of the deliberately-malformed plan the network sweep
@@ -484,11 +451,7 @@ def _invalid_spec() -> QuerySpec:
 
 
 def invalid_plan_block(
-    host: str,
-    port: int,
-    engine: Engine,
-    good_query: str,
-    oracle: str,
+    host: str, port: int, engine: Engine, good_query: str, oracle: str,
     attempts: int = 3,
 ) -> dict:
     """Malformed-plan frames over the wire: the pre-admission gate.
@@ -498,35 +461,30 @@ def invalid_plan_block(
     a non-empty diagnostics list — rejected by the server's static
     analyzer *before* admission, so no worker slot is ever consumed,
     every rejection lands in ``EngineStats.rejected_invalid``, and the
-    engine's reconciliation invariant is untouched.  A recovery probe
-    then proves the same connection path still serves valid plans.
+    engine's reconciliation invariant is untouched.  No digest is a
+    right answer here, so an accepted plan classifies as
+    ``WRONG_ANSWER``.  A recovery probe then proves the same
+    connection path still serves valid plans.
     """
     before = engine.snapshot().stats.rejected_invalid
-    outcomes: list[str] = []
-    diagnostics_ok = True
-    for _ in range(attempts):
+    diagnostics: list[int] = []
+
+    def attempt() -> str:
         try:
-            with ReproClient(
-                host, port, connect_timeout=5.0, io_timeout=NET_IO_TIMEOUT
-            ) as client:
-                client.query_once(INVALID_QUERY_NAME, timeout_ms=30_000)
+            return _net_digest(host, port, INVALID_QUERY_NAME)
         except PlanValidationError as exc:
-            outcomes.append("error:PlanValidationError")
-            if not exc.diagnostics:
-                diagnostics_ok = False
-        except ReproError as exc:
-            outcomes.append(f"error:{type(exc).__name__}")
-        except Exception as exc:  # untyped leakage is a violation
-            outcomes.append(f"UNTYPED:{type(exc).__name__}")
-        else:
-            outcomes.append("ACCEPTED")
+            diagnostics.append(len(exc.diagnostics))
+            raise
+
+    outcomes = [classify(attempt, ()) for _ in range(attempts)]
     slots_clean = _settle_pending(engine)
     snap = engine.snapshot()
     counted = snap.stats.rejected_invalid - before
-    recovered = _net_classify(host, port, good_query, oracle) == "identical"
+    probe = partial(_net_digest, host, port, good_query)
+    recovered = classify(probe, oracle) == "identical"
     ok = (
         all(o == "error:PlanValidationError" for o in outcomes)
-        and diagnostics_ok
+        and all(diagnostics)
         and counted == attempts
         and slots_clean
         and snap.consistent
@@ -535,7 +493,7 @@ def invalid_plan_block(
     return {
         "attempts": attempts,
         "outcomes": outcomes,
-        "diagnostics_present": diagnostics_ok,
+        "diagnostics_present": all(diagnostics),
         "rejected_invalid_counted": counted,
         "slots_clean": slots_clean,
         "snapshot_consistent": snap.consistent,
@@ -556,19 +514,13 @@ def _settle_pending(engine: Engine, deadline: float = 10.0) -> bool:
 
 
 def run_network_case(
-    case: ChaosCase,
-    host: str,
-    port: int,
-    engine: Engine,
-    query: str,
-    oracle: str,
-    strategy: str,
-    materialize: str,
-    seed: int,
+    case: ChaosCase, host: str, port: int, engine: Engine, query: str,
+    oracle: str, strategy: str, materialize: str, seed: int,
 ) -> dict:
-    """One (network fault, strategy, materialize) cell of the sweep."""
+    """The verdict of one (fault, strategy, materialize) network cell."""
     plan = FaultPlan([case.rule], seed=seed)
-    if case.rule.point == "filter.build" and engine.filter_cache is not None:
+    point = case.rule.point
+    if point == "filter.build" and engine.filter_cache is not None:
         # Cold-start the cell: a warm shared cache would satisfy the
         # query without ever building a filter, starving the fault.
         engine.filter_cache.clear()
@@ -576,46 +528,25 @@ def run_network_case(
     # filter build happens at all is the strategy's business
     # (nopredtrans never builds one), so only those points make a
     # zero-trigger cell a violation.
-    must_trigger = (
-        case.rule.point.startswith("net.")
-        or case.rule.point == "worker.submit"
-    )
+    must_trigger = point.startswith("net.") or point == "worker.submit"
     # A blackholed response is only detected by the client timing out;
     # keep that bound tight so the sweep stays fast.
-    io_timeout = (
-        1.0
-        if (case.rule.action == "drop" and case.rule.point == "net.write")
-        else NET_IO_TIMEOUT
+    blackhole = (point, case.rule.action) == ("net.write", "drop")
+    io_timeout = 1.0 if blackhole else NET_IO_TIMEOUT
+    ask = partial(
+        _net_digest, host, port, query, strategy=strategy, materialize=materialize
     )
     with inject(plan):
-        outcome = _net_classify(
-            host,
-            port,
-            query,
-            oracle,
-            strategy=strategy,
-            materialize=materialize,
-            io_timeout=io_timeout,
-        )
+        outcome = classify(partial(ask, io_timeout=io_timeout), oracle)
     slots_clean = _settle_pending(engine)
-    recovered = (
-        _net_classify(
-            host, port, query, oracle,
-            strategy=strategy, materialize=materialize,
-        )
-        == "identical"
-    )
-    clean = outcome == "identical" or outcome.startswith("error:")
+    recovered = classify(ask, oracle) == "identical"
     ok = (
-        clean
+        _clean(outcome)
         and recovered
         and slots_clean
         and (bool(plan.triggered) or not must_trigger)
     )
     return {
-        "case": case.name,
-        "strategy": strategy,
-        "materialize": materialize,
         "outcome": outcome,
         "faults_triggered": len(plan.triggered),
         "recovered": recovered,
@@ -636,7 +567,7 @@ def network_drain_block(
     whatever finished inside the grace, a typed error for the rest —
     with no hangs and no leaked slots.
     """
-    config = RunConfig(strategy="predtrans", partition_rows=CHAOS_PARTITION_ROWS)
+    config = _config()
     engine = Engine(catalog, config=config, workers=2, max_pending=16)
     outcomes: list[str] = []
     lock = threading.Lock()
@@ -646,28 +577,13 @@ def network_drain_block(
     )
     clients = 6
     try:
-        with ServerThread(
-            engine, {spec.name: spec}, config=ServerConfig()
-        ) as st:
+        with ServerThread(engine, {spec.name: spec}, config=ServerConfig()) as st:
 
             def one() -> None:
-                try:
-                    with ReproClient(
-                        st.host, st.port, io_timeout=30.0
-                    ) as client:
-                        frame = client.query_once(
-                            spec.name, timeout_ms=30_000
-                        )
-                except ReproError as exc:
-                    out = f"error:{type(exc).__name__}"
-                except Exception as exc:
-                    out = f"UNTYPED:{type(exc).__name__}"
-                else:
-                    out = (
-                        "identical"
-                        if frame["digest"] == oracle
-                        else "WRONG_ANSWER"
-                    )
+                out = classify(
+                    partial(_net_digest, st.host, st.port, spec.name, io_timeout=30.0),
+                    oracle,
+                )
                 with lock:
                     outcomes.append(out)
 
@@ -690,11 +606,8 @@ def network_drain_block(
     finally:
         engine.shutdown(wait=True, cancel=True)
     slots_clean = engine.pending == 0
-    typed = all(
-        o == "identical" or o.startswith("error:") for o in outcomes
-    )
     ok = (
-        typed
+        all(_clean(o) for o in outcomes)
         and not hung
         and slots_clean
         and len(outcomes) == clients
@@ -711,42 +624,73 @@ def network_drain_block(
     }
 
 
-def run_network_sweep(
-    sf: float = CHAOS_SF,
-    seed: int = 0,
-    strategies: tuple[str, ...] = STRATEGIES,
+def _reconcile(
+    metrics_text: str, snap: EngineSnapshot, cases: list[dict]
 ) -> dict:
-    """The full network-chaos record: wire cases + drain block.
+    """The scraped metrics against the engine's own bookkeeping.
 
-    One engine + server pair serves the whole sweep — surviving every
-    cell *and* the recovery probes on the same process is itself part
-    of the invariant (a server that must be restarted after a fault
-    has leaked something).
+    After every fault has fired, the ``repro_queries_total`` outcome
+    counters must sum to the engine's resolved + rejected +
+    rejected_invalid total (pre-admission rejections are outside
+    ``submitted`` but *are* an exported outcome label), the
+    latency-histogram count must equal its query count, the client-side
+    byte-identical verdicts must not exceed the engine's successes, and
+    the atomic snapshot must satisfy its own admission invariant.  A
+    fault that double-counted, dropped or tore the bookkeeping fails
+    the sweep even if every cell looked clean.
+    """
+    from ..obs.export import parse_prometheus_text
 
-    The sweep engine carries a metrics registry, and the record ends
-    with a **reconciliation** block: after every fault has fired, the
-    scraped ``repro_queries_total`` outcome counters must sum to the
-    engine's resolved+rejected total, the latency-histogram count must
-    equal its success count, the client-side byte-identical verdicts
-    must not exceed the engine's successes, and the atomic snapshot
-    must satisfy its own admission invariant.  A fault that corrupted
-    the bookkeeping (double-counted, dropped, or torn) fails the sweep
-    even if every individual case looked clean.
+    families = parse_prometheus_text(metrics_text)
+    by_outcome: Counter = Counter()
+    for labels, value in families.get("repro_queries_total", {}).items():
+        by_outcome[dict(labels).get("outcome")] += value
+    outcome_total = int(sum(by_outcome.values()))
+    hist_count = int(sum(families.get("repro_query_seconds_count", {}).values()))
+    ok_plus_degraded = int(by_outcome["ok"] + by_outcome["degraded"])
+    client_identical = sum(c["outcome"] == "identical" for c in cases)
+    metric_rejected_invalid = int(by_outcome["rejected_invalid"])
+    stats = snap.stats
+    expected = stats.resolved + stats.rejected + stats.rejected_invalid
+    return {
+        "outcome_total": outcome_total,
+        "resolved_plus_rejected": expected,
+        "query_seconds_count": hist_count,
+        "engine_queries": stats.queries,
+        "client_identical": client_identical,
+        "ok_plus_degraded": ok_plus_degraded,
+        "rejected_invalid": stats.rejected_invalid,
+        "metric_rejected_invalid": metric_rejected_invalid,
+        "snapshot_consistent": snap.consistent,
+        "ok": (
+            outcome_total == expected
+            and hist_count == stats.queries
+            and client_identical <= ok_plus_degraded
+            and metric_rejected_invalid == stats.rejected_invalid
+            and snap.consistent
+        ),
+    }
+
+
+def run_network_sweep(sf: float = CHAOS_SF, seed: int = 0) -> dict:
+    """The network chaos record: wire cells + invalid-plan, metrics
+    reconciliation and drain blocks.
+
+    One engine + server pair serves every cell — surviving them all
+    *and* the recovery probes in the same process is itself part of
+    the invariant (a server that must be restarted after a fault has
+    leaked something).  The engine carries a metrics registry, scraped
+    for :func:`_reconcile` once every fault has fired.
     """
     from ..obs.adapters import ObsCollector
-    from ..obs.export import parse_prometheus_text
     from ..obs.metrics import MetricsRegistry
-    from ..service.loadtest import SCHEMA_V7
 
-    catalog = generate_tpch(sf=sf, seed=seed)
-    spec = get_query(CHAOS_QUERY, sf=sf)
-    oracles = {s: oracle_digest(spec, catalog, s) for s in strategies}
-    config = RunConfig(strategy="predtrans", partition_rows=CHAOS_PARTITION_ROWS)
+    catalog, spec, oracles = _world(sf, seed)
+    config = _config()
     registry = MetricsRegistry()
     engine = Engine(
         catalog, config=config, workers=2, max_pending=16, registry=registry
     )
-    cases = []
     try:
         with ServerThread(
             engine,
@@ -758,22 +702,13 @@ def run_network_sweep(
             meta={"sf": sf, "seed": seed},
         ) as st:
             collector = ObsCollector(registry, engine=engine, server=st.server)
-            for case in NETWORK_CASES:
-                for strategy in strategies:
-                    for materialize in MATERIALIZE_MODES:
-                        cases.append(
-                            run_network_case(
-                                case,
-                                st.host,
-                                st.port,
-                                engine,
-                                spec.name,
-                                oracles[strategy],
-                                strategy,
-                                materialize,
-                                seed,
-                            )
-                        )
+            cases = _grid(
+                NETWORK_CASES,
+                lambda case, strategy, materialize: run_network_case(
+                    case, st.host, st.port, engine, spec.name,
+                    oracles[strategy], strategy, materialize, seed,
+                ),
+            )
             invalid = invalid_plan_block(
                 st.host, st.port, engine, spec.name, oracles["predtrans"]
             )
@@ -781,134 +716,15 @@ def run_network_sweep(
         snap = engine.snapshot()
     finally:
         engine.shutdown(wait=True, cancel=True)
-    families = parse_prometheus_text(metrics_text)
-    outcome_total = int(sum(families.get("repro_queries_total", {}).values()))
-    hist_count = int(
-        sum(families.get("repro_query_seconds_count", {}).values())
+    return _record(
+        "network",
+        {"sf": sf, "seed": seed, "oracle_digests": oracles},
+        cases,
+        _outcome_totals(cases),
+        invalid_plan=invalid,
+        metrics_reconciliation=_reconcile(metrics_text, snap, cases),
+        drain_under_load=network_drain_block(catalog, spec, oracles["predtrans"], seed),
     )
-    ok_plus_degraded = int(
-        sum(
-            v
-            for labels, v in families.get("repro_queries_total", {}).items()
-            if dict(labels).get("outcome") in ("ok", "degraded")
-        )
-    )
-    client_identical = sum(1 for c in cases if c["outcome"] == "identical")
-    metric_rejected_invalid = int(
-        sum(
-            v
-            for labels, v in families.get("repro_queries_total", {}).items()
-            if dict(labels).get("outcome") == "rejected_invalid"
-        )
-    )
-    # Pre-admission rejections are outside ``submitted`` but *are* an
-    # exported outcome label, so the scraped counter sum reconciles
-    # against resolved + rejected + rejected_invalid.
-    expected = (
-        snap.stats.resolved + snap.stats.rejected + snap.stats.rejected_invalid
-    )
-    reconciliation = {
-        "outcome_total": outcome_total,
-        "resolved_plus_rejected": expected,
-        "query_seconds_count": hist_count,
-        "engine_queries": snap.stats.queries,
-        "client_identical": client_identical,
-        "ok_plus_degraded": ok_plus_degraded,
-        "rejected_invalid": snap.stats.rejected_invalid,
-        "metric_rejected_invalid": metric_rejected_invalid,
-        "snapshot_consistent": snap.consistent,
-        "ok": (
-            outcome_total == expected
-            and hist_count == snap.stats.queries
-            and client_identical <= ok_plus_degraded
-            and metric_rejected_invalid == snap.stats.rejected_invalid
-            and snap.consistent
-        ),
-    }
-    drain = network_drain_block(catalog, spec, oracles["predtrans"], seed)
-    violations = [c for c in cases if not c["ok"]]
-    return {
-        "schema": SCHEMA_V7,
-        "kind": "network-chaos-sweep",
-        "meta": {
-            "sf": sf,
-            "seed": seed,
-            "query": CHAOS_QUERY,
-            "partition_rows": CHAOS_PARTITION_ROWS,
-            "strategies": list(strategies),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "timestamp_unix": int(time.time()),
-        },
-        "oracle_digests": oracles,
-        "cases": cases,
-        "drain_under_load": drain,
-        "invalid_plan": invalid,
-        "metrics_reconciliation": reconciliation,
-        "summary": {
-            "cases": len(cases),
-            "identical": client_identical,
-            "typed_errors": sum(
-                1 for c in cases if c["outcome"].startswith("error:")
-            ),
-            "faults_triggered": sum(c["faults_triggered"] for c in cases),
-            "violations": (
-                len(violations)
-                + (0 if drain["ok"] else 1)
-                + (0 if invalid["ok"] else 1)
-                + (0 if reconciliation["ok"] else 1)
-            ),
-        },
-    }
-
-
-def format_network_sweep(payload: dict) -> str:
-    """Human-readable one-screen summary of a network-chaos record."""
-    s = payload["summary"]
-    drain = payload["drain_under_load"]
-    lines = [
-        f"network chaos sweep: {s['cases']} cases "
-        f"({len(payload['meta']['strategies'])} strategies x "
-        f"{len(MATERIALIZE_MODES)} materialize x "
-        f"{len(NETWORK_CASES)} faults)",
-        f"  byte-identical results: {s['identical']}",
-        f"  clean typed errors:     {s['typed_errors']}",
-        f"  faults triggered:       {s['faults_triggered']}",
-        f"  drain under load ok:    {drain['ok']} "
-        f"(outcomes={drain['outcomes']}, "
-        f"drain={drain['drain_seconds']:.2f}s)",
-        f"  violations:             {s['violations']}",
-    ]
-    invalid = payload.get("invalid_plan")
-    if invalid is not None:
-        lines.insert(
-            -1,
-            f"  invalid-plan gate ok:   {invalid['ok']} "
-            f"(outcomes={invalid['outcomes']}, "
-            f"counted={invalid['rejected_invalid_counted']}, "
-            f"slots_clean={invalid['slots_clean']})",
-        )
-    recon = payload.get("metrics_reconciliation")
-    if recon is not None:
-        lines.insert(
-            -1,
-            f"  metrics reconcile ok:   {recon['ok']} "
-            f"(outcomes={recon['outcome_total']}=="
-            f"{recon['resolved_plus_rejected']}, "
-            f"hist={recon['query_seconds_count']}=="
-            f"{recon['engine_queries']}, "
-            f"consistent={recon['snapshot_consistent']})",
-        )
-    for case in payload["cases"]:
-        if not case["ok"]:
-            lines.append(
-                f"  VIOLATION {case['case']} {case['strategy']}/"
-                f"{case['materialize']}: {case['outcome']} "
-                f"(recovered={case['recovered']}, "
-                f"slots_clean={case['slots_clean']})"
-            )
-    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -953,9 +769,7 @@ INGEST_HOLDBACK = 0.10
 INGEST_READS = 6
 
 
-def _ingest_universe(
-    full: Catalog,
-) -> tuple[dict[str, Table], list[dict[str, Table]]]:
+def _ingest_universe(full: Catalog) -> tuple[dict[str, Table], list[dict[str, Table]]]:
     """Split a generated catalog into a base state + delta batches.
 
     The ingest tables lose their tail ``INGEST_HOLDBACK`` fraction to
@@ -983,14 +797,10 @@ def _ingest_universe(
 
 
 def _snapshot_oracle(
-    spec: QuerySpec,
-    base: dict[str, Table],
-    batches: list[dict[str, Table]],
-    strategy: str,
-    k: int,
-    memo: dict[tuple[str, int], str],
+    spec: QuerySpec, base: dict[str, Table], batches: list[dict[str, Table]],
+    strategy: str, k: int, memo: dict[tuple[str, int], str],
 ) -> str:
-    """Memoized eager-serial oracle digest of snapshot ``base+batches[:k]``."""
+    """Memoized eager oracle digest of snapshot ``base+batches[:k]``."""
     key = (strategy, k)
     if key not in memo:
         tables = dict(base)
@@ -1002,12 +812,8 @@ def _snapshot_oracle(
 
 
 def run_ingest_case(
-    case: ChaosCase,
-    spec: QuerySpec,
-    base: dict[str, Table],
-    batches: list[dict[str, Table]],
-    seed: int,
-    memo: dict[tuple[str, int], str],
+    case: ChaosCase, spec: QuerySpec, base: dict[str, Table],
+    batches: list[dict[str, Table]], seed: int, memo: dict[tuple[str, int], str],
 ) -> dict:
     """One read/append storm under one injected fault.
 
@@ -1015,20 +821,17 @@ def run_ingest_case(
     threads cycling all four strategies while an appender commits the
     delta batches; the appender stops at its first failed commit, so
     live states stay strict prefixes of the batch sequence.  Every
-    reader result must be byte-identical to the eager serial oracle of
-    *some* valid prefix snapshot — the pinned-snapshot guarantee — and
-    a failed commit must leave the catalog version untouched.  After
-    the storm the remaining batches are committed cleanly and a final
-    read per strategy must match the fully-ingested oracle.
+    reader result must be byte-identical to the eager oracle of *some*
+    valid prefix snapshot — the pinned-snapshot guarantee — and a
+    failed commit must leave the catalog version untouched.  After the
+    storm the remaining batches are committed cleanly and a final read
+    per strategy must match the fully-ingested oracle.
     """
-    config = RunConfig(strategy="predtrans", partition_rows=CHAOS_PARTITION_ROWS)
+    config = _config()
     catalog = Catalog(dict(base))
     plan = FaultPlan([case.rule], seed=seed)
-    valid = {
-        _snapshot_oracle(spec, base, batches, strategy, k, memo)
-        for strategy in STRATEGIES
-        for k in range(INGEST_BATCHES + 1)
-    }
+    oracle_at = partial(_snapshot_oracle, spec, base, batches, memo=memo)
+    valid = {oracle_at(s, k) for s in STRATEGIES for k in range(INGEST_BATCHES + 1)}
     reads: list[str] = []
     ingest_outcomes: list[str] = []
     lock = threading.Lock()
@@ -1038,40 +841,16 @@ def run_ingest_case(
             # Entries at the base version, so post-commit reads have
             # something to extend (and the extension fault to hit).
             for strategy in ("predtrans", "bloomjoin"):
-                engine.execute(
-                    spec,
-                    RunConfig(
-                        strategy=strategy, partition_rows=CHAOS_PARTITION_ROWS
-                    ),
-                )
+                engine.execute(spec, _config(strategy))
 
         def read_once(strategy: str) -> None:
-            cfg = RunConfig(
-                strategy=strategy, partition_rows=CHAOS_PARTITION_ROWS
-            )
-            try:
-                result = engine.execute(spec, cfg)
-                out = (
-                    "identical"
-                    if result_digest(result.table) in valid
-                    else "WRONG_ANSWER"
-                )
-            except ReproError as exc:
-                out = f"error:{type(exc).__name__}"
-            except Exception as exc:
-                out = f"UNTYPED:{type(exc).__name__}"
+            out = classify(partial(engine.execute, spec, _config(strategy)), valid)
             with lock:
                 reads.append(out)
 
         def appender() -> None:
             for batch in batches:
-                try:
-                    engine.ingest(batch)
-                    out = "committed"
-                except ReproError as exc:
-                    out = f"error:{type(exc).__name__}"
-                except Exception as exc:
-                    out = f"UNTYPED:{type(exc).__name__}"
+                out = classify(partial(engine.ingest, batch), None)
                 with lock:
                     ingest_outcomes.append(out)
                 if out != "committed":
@@ -1093,11 +872,10 @@ def run_ingest_case(
             for t in threads:
                 t.join(timeout=HANG_SECONDS)
             hung = any(t.is_alive() for t in threads)
-            if not hung:
+            if not hung and case.warm:
                 # Deterministic extension attempt while the fault is
                 # still armed (see INGEST_CASES note on count=None).
-                if case.warm:
-                    read_once("predtrans")
+                read_once("predtrans")
 
         committed = ingest_outcomes.count("committed")
         version_ok = all(
@@ -1116,28 +894,18 @@ def run_ingest_case(
             catalog.data_version(name).delta == INGEST_BATCHES
             for name in INGEST_TABLES
         )
-        final_reads = []
-        for strategy in STRATEGIES:
-            oracle = _snapshot_oracle(
-                spec, base, batches, strategy, INGEST_BATCHES, memo
-            )
-            final_reads.append(_classify(engine, spec, oracle))
-        slots_clean = engine._pending == 0
+        final_reads = [
+            _classify(engine, spec, oracle_at(s, INGEST_BATCHES)) for s in STRATEGIES
+        ]
+        slots_clean = engine.pending == 0
         stats = engine.stats()
         cache = engine.cache_stats()
         corruptions = 0 if cache is None else cache.corruptions
         extensions = 0 if cache is None else cache.extensions
         rebuilds = 0 if cache is None else cache.extension_rebuilds
-    reads_clean = all(
-        o == "identical" or o.startswith("error:") for o in reads
-    )
-    ingests_typed = all(
-        o == "committed" or o.startswith("error:") for o in ingest_outcomes
-    )
     ok = (
         not hung
-        and reads_clean
-        and ingests_typed
+        and all(_clean(o) for o in reads + ingest_outcomes)
         and version_ok
         and final_ok
         and all(o == "identical" for o in final_reads)
@@ -1166,83 +934,35 @@ def run_ingest_case(
 
 
 def run_ingest_sweep(sf: float = CHAOS_SF, seed: int = 0) -> dict:
-    """The read/append chaos record: one storm per ingest fault case."""
-    full = generate_tpch(sf=sf, seed=seed)
+    """The ingest chaos record: one read/append storm per fault case."""
+    base, batches = _ingest_universe(generate_tpch(sf=sf, seed=seed))
     spec = get_query(CHAOS_QUERY, sf=sf)
-    base, batches = _ingest_universe(full)
     memo: dict[tuple[str, int], str] = {}
     cases = [
         run_ingest_case(case, spec, base, batches, seed, memo)
         for case in INGEST_CASES
     ]
-    violations = [c for c in cases if not c["ok"]]
-    return {
-        "schema": "repro-bench/v8",
-        "kind": "chaos-ingest",
-        "meta": {
-            "sf": sf,
-            "seed": seed,
-            "query": CHAOS_QUERY,
-            "partition_rows": CHAOS_PARTITION_ROWS,
-            "batches": INGEST_BATCHES,
-            "ingest_tables": list(INGEST_TABLES),
-            "strategies": list(STRATEGIES),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "timestamp_unix": int(time.time()),
-        },
-        "cases": cases,
-        "summary": {
-            "cases": len(cases),
+    return _record(
+        "ingest",
+        {"sf": sf, "seed": seed, "batches": INGEST_BATCHES,
+         "ingest_tables": list(INGEST_TABLES)},
+        cases,
+        {
             "reads": sum(len(c["reads"]) for c in cases),
-            "identical_reads": sum(
-                c["reads"].count("identical") for c in cases
-            ),
-            "batches_committed": sum(
-                c["committed_during_storm"] for c in cases
-            ),
-            "faults_triggered": sum(c["faults_triggered"] for c in cases),
+            "identical_reads": sum(c["reads"].count("identical") for c in cases),
+            "batches_committed": sum(c["committed_during_storm"] for c in cases),
             "cache_extensions": sum(c["cache_extensions"] for c in cases),
             "cache_extension_rebuilds": sum(
                 c["cache_extension_rebuilds"] for c in cases
             ),
-            "violations": len(violations),
         },
-    }
-
-
-def format_ingest_sweep(payload: dict) -> str:
-    """Human-readable one-screen summary of a chaos-ingest record."""
-    s = payload["summary"]
-    lines = [
-        f"ingest chaos sweep: {s['cases']} cases "
-        f"({payload['meta']['batches']} batches x "
-        f"{len(payload['meta']['ingest_tables'])} tables, "
-        f"readers over {len(payload['meta']['strategies'])} strategies)",
-        f"  reads (all snapshot-identical or typed): {s['reads']} "
-        f"({s['identical_reads']} identical)",
-        f"  batches committed during storms: {s['batches_committed']}",
-        f"  faults triggered:       {s['faults_triggered']}",
-        f"  cache extensions:       {s['cache_extensions']} "
-        f"(+{s['cache_extension_rebuilds']} degraded to rebuild)",
-        f"  violations:             {s['violations']}",
-    ]
-    for case in payload["cases"]:
-        if not case["ok"]:
-            lines.append(
-                f"  VIOLATION {case['case']}: reads={case['reads']} "
-                f"ingests={case['ingest_outcomes']} "
-                f"version_ok={case['version_ok']} "
-                f"final={case['final_reads']} hung={case['hung']}"
-            )
-    return "\n".join(lines)
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI: run the sweep, optionally write the JSON record.
+    """CLI: run one sweep, optionally write its JSON record.
 
-    Exit status is the invariant verdict: 0 iff no case violated it.
+    Exit status is the invariant verdict: 0 iff nothing violated it.
     """
     parser = argparse.ArgumentParser(
         prog="repro.testing.chaos",
@@ -1252,36 +972,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sf", type=float, default=CHAOS_SF)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", help="write the chaos record here")
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="sweep only predtrans/nopredtrans",
-    )
-    parser.add_argument(
-        "--network",
-        action="store_true",
+    sweep = parser.add_mutually_exclusive_group()
+    sweep.add_argument(
+        "--network", action="store_const", dest="sweep",
+        const=run_network_sweep, default=run_sweep,
         help="run the client/server network-fault sweep instead of the "
         "in-process one",
     )
-    parser.add_argument(
-        "--ingest",
-        action="store_true",
+    sweep.add_argument(
+        "--ingest", action="store_const", dest="sweep", const=run_ingest_sweep,
         help="run the read/append ingest sweep (concurrent readers vs "
         "transactional appends under injected ingest/extension faults)",
     )
     args = parser.parse_args(argv)
-    strategies = ("nopredtrans", "predtrans") if args.quick else STRATEGIES
-    if args.ingest:
-        payload = run_ingest_sweep(sf=args.sf, seed=args.seed)
-        print(format_ingest_sweep(payload))
-    elif args.network:
-        payload = run_network_sweep(
-            sf=args.sf, seed=args.seed, strategies=strategies
-        )
-        print(format_network_sweep(payload))
-    else:
-        payload = run_sweep(sf=args.sf, seed=args.seed, strategies=strategies)
-        print(format_sweep(payload))
+    payload = args.sweep(sf=args.sf, seed=args.seed)
+    print(format_record(payload))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)

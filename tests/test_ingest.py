@@ -436,8 +436,8 @@ def test_ingest_chaos_sweep_clean():
     from repro.testing.chaos import run_ingest_sweep
 
     payload = run_ingest_sweep(sf=0.002, seed=0)
-    assert payload["schema"] == "repro-bench/v8"
-    assert payload["kind"] == "chaos-ingest"
+    assert payload["schema"] == "repro-chaos/v1"
+    assert payload["kind"] == "ingest"
     assert payload["summary"]["violations"] == 0
     assert payload["summary"]["faults_triggered"] > 0
     assert payload["summary"]["identical_reads"] > 0
