@@ -19,6 +19,7 @@ Quick start::
     print(result.table.format())
 """
 
+from .allocator import pin_thresholds
 from .core import (
     STRATEGIES,
     QueryResult,
@@ -43,6 +44,8 @@ from .plan import (
 from .storage import Catalog, Column, DType, Table
 
 __version__ = "1.0.0"
+
+pin_thresholds()  # before any column is allocated; see repro.allocator
 
 __all__ = [
     "AggSpec",

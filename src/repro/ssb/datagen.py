@@ -20,7 +20,7 @@ import numpy as np
 from ..storage.catalog import Catalog
 from ..storage.column import Column
 from ..storage.table import Table
-from ..tpch.text import NATIONS, REGIONS
+from ..tpch.text import NATIONS, REGIONS, joined_pool
 
 _SEGMENTS = ["AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOUSEHOLD"]
 _SHIPMODES = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"]
@@ -34,6 +34,11 @@ _DAYS_IN_MONTH = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
 
 def _scaled(base: int, sf: float) -> int:
     return max(1, int(round(base * sf)))
+
+
+def _mfgr_column(numbers: np.ndarray, lo: int, hi: int) -> Column:
+    """``MFGR#<number>`` for each of ``numbers``, all in ``[lo, hi)``."""
+    return Column.from_pool(numbers - lo, [f"MFGR#{k}" for k in range(lo, hi)])
 
 
 class SSBGenerator:
@@ -61,8 +66,12 @@ class SSBGenerator:
     # ------------------------------------------------------------------
     def date_dim(self) -> Table:
         """The 7-year (1992–1998) date dimension, yyyymmdd keys."""
-        keys, years, months, monthnums, weeks = [], [], [], [], []
-        yearmonths = []
+        keys: list[int] = []
+        years: list[int] = []
+        monthnums: list[int] = []
+        weeks: list[int] = []
+        months: list[str] = []
+        yearmonths: list[str] = []
         for year in range(1992, 1999):
             day_of_year = 0
             for month_index, n_days in enumerate(_DAYS_IN_MONTH):
@@ -86,32 +95,35 @@ class SSBGenerator:
             },
         )
 
-    def _geo(self, n: int) -> tuple[list[str], list[str], list[str]]:
-        """(city, nation, region) triples following SSB's NATION0-9 cities."""
+    def _geo(self, n: int) -> tuple[Column, Column, Column]:
+        """(city, nation, region) columns following SSB's NATION0-9 cities:
+        a city is its nation's name cut or padded to 9 characters plus
+        one digit."""
         nation_ids = self.rng.integers(0, len(NATIONS), size=n)
         city_digit = self.rng.integers(0, 10, size=n)
-        cities, nations, regions = [], [], []
-        for nid, digit in zip(nation_ids, city_digit):
-            name, region_id = NATIONS[nid]
-            cities.append(f"{name[:9]:9s}{digit}".replace(" ", " "))
-            nations.append(name)
-            regions.append(REGIONS[region_id])
-        return cities, nations, regions
+        names = [name for name, _ in NATIONS]
+        region_ids = np.asarray([region for _, region in NATIONS])
+        cities = [f"{name[:9]:9s}{digit}" for name in names for digit in range(10)]
+        return (
+            Column.from_pool(nation_ids * 10 + city_digit, cities),
+            Column.from_pool(nation_ids, names),
+            Column.from_pool(region_ids[nation_ids], REGIONS),
+        )
 
     def customer(self) -> Table:
         """SSB customer dimension."""
         n = self.num_customers
         keys = np.arange(1, n + 1, dtype=np.int64)
-        cities, nations, regions = self._geo(n)
+        city, nation, region = self._geo(n)
         seg_codes = self.rng.integers(0, len(_SEGMENTS), size=n)
         return Table(
             "customer",
             {
                 "c_custkey": Column.from_ints(keys),
                 "c_name": Column.from_strings([f"Customer#{k:09d}" for k in keys]),
-                "c_city": Column.from_strings(cities),
-                "c_nation": Column.from_strings(nations),
-                "c_region": Column.from_strings(regions),
+                "c_city": city,
+                "c_nation": nation,
+                "c_region": region,
                 "c_mktsegment": Column.from_codes(
                     seg_codes.astype(np.int32),
                     np.asarray(_SEGMENTS, dtype=object),
@@ -123,15 +135,15 @@ class SSBGenerator:
         """SSB supplier dimension."""
         n = self.num_suppliers
         keys = np.arange(1, n + 1, dtype=np.int64)
-        cities, nations, regions = self._geo(n)
+        city, nation, region = self._geo(n)
         return Table(
             "supplier",
             {
                 "s_suppkey": Column.from_ints(keys),
                 "s_name": Column.from_strings([f"Supplier#{k:09d}" for k in keys]),
-                "s_city": Column.from_strings(cities),
-                "s_nation": Column.from_strings(nations),
-                "s_region": Column.from_strings(regions),
+                "s_city": city,
+                "s_nation": nation,
+                "s_region": region,
             },
         )
 
@@ -144,22 +156,17 @@ class SSBGenerator:
         mfgr = rng.integers(1, 6, size=n)
         category = mfgr * 10 + rng.integers(1, 6, size=n)
         brand = category * 100 + rng.integers(1, 41, size=n)
+        color_codes = [rng.integers(0, len(_COLORS), size=n) for _ in range(2)]
         return Table(
             "part",
             {
                 "p_partkey": Column.from_ints(keys),
-                "p_name": Column.from_strings(
-                    [
-                        f"{_COLORS[a]} {_COLORS[b]}"
-                        for a, b in zip(
-                            rng.integers(0, len(_COLORS), size=n),
-                            rng.integers(0, len(_COLORS), size=n),
-                        )
-                    ]
+                "p_name": Column.from_pool(
+                    *joined_pool(color_codes, (_COLORS, _COLORS))
                 ),
-                "p_mfgr": Column.from_strings([f"MFGR#{m}" for m in mfgr]),
-                "p_category": Column.from_strings([f"MFGR#{c}" for c in category]),
-                "p_brand1": Column.from_strings([f"MFGR#{b}" for b in brand]),
+                "p_mfgr": _mfgr_column(mfgr, 1, 6),
+                "p_category": _mfgr_column(category, 11, 56),
+                "p_brand1": _mfgr_column(brand, 1101, 5541),
                 "p_size": Column.from_ints(rng.integers(1, 51, size=n).astype(np.int64)),
             },
         )

@@ -34,7 +34,7 @@ class DType(str, Enum):
     BOOL = "bool"
 
 
-_PHYSICAL = {
+_PHYSICAL: dict[DType, type[np.generic]] = {
     DType.INT64: np.int64,
     DType.FLOAT64: np.float64,
     DType.STRING: np.int32,  # dictionary codes
@@ -111,16 +111,37 @@ class Column:
 
     @staticmethod
     def from_codes(codes: np.ndarray, dictionary: np.ndarray) -> "Column":
-        """Build a STRING column directly from codes + dictionary.
+        """Build a STRING column from codes and a dictionary, both as given.
 
-        The generator uses this to avoid re-uniquing large columns whose
-        dictionary is known up front (e.g. ship modes, market segments).
+        Nothing is sorted, uniqued or dropped: ``dictionary`` becomes the
+        column's dictionary in its own order, unused entries included.
+        Use it when that exact dictionary is the intended encoding (the
+        generators' comment and word pools, kept unsorted); use
+        :meth:`from_pool` for the column :meth:`from_strings` would have
+        built.
         """
         return Column(
             np.asarray(codes, dtype=np.int32),
             DType.STRING,
             dictionary=np.asarray(dictionary, dtype=object),
         )
+
+    @staticmethod
+    def from_pool(codes: np.ndarray, pool: Sequence[str]) -> "Column":
+        """The column ``from_strings(pool[codes])`` builds, without decoding.
+
+        ``codes`` index into ``pool``, a small list of candidate values
+        that may repeat and need not be sorted or all occur.  The result
+        is byte-identical to uniquing the decoded rows: its dictionary is
+        the values that occur, sorted, and its codes index into that.
+        The cost is one ``bincount`` and one gather over the rows, where
+        :meth:`from_strings` sorts an object array of every row.
+        """
+        values, slot = np.unique(np.asarray(pool, dtype=object), return_inverse=True)
+        occurs = np.zeros(len(values), dtype=np.bool_)
+        occurs[slot[np.bincount(codes, minlength=len(pool)) > 0]] = True
+        remap = (np.cumsum(occurs) - 1).astype(np.int32)
+        return Column(remap[slot][codes], DType.STRING, dictionary=values[occurs])
 
     @staticmethod
     def from_dates(values: Sequence[str] | np.ndarray) -> "Column":
@@ -169,14 +190,14 @@ class Column:
     def to_values(self) -> np.ndarray:
         """Materialize logical values (decoded strings, ISO dates stay as
         day counts; use :meth:`to_pylist` for human-readable output)."""
-        if self.is_string:
+        if self.dictionary is not None:
             return self.dictionary[self.data]
         return self.data
 
     def to_pylist(self) -> list:
         """Materialize as a Python list with ``None`` for nulls and ISO
         strings for dates (for tests, examples and pretty-printing)."""
-        if self.is_string:
+        if self.dictionary is not None:
             values = [self.dictionary[code] for code in self.data]
         elif self.dtype is DType.DATE:
             values = [days_to_date(day) for day in self.data]
@@ -186,11 +207,11 @@ class Column:
             values = [v if ok else None for v, ok in zip(values, self.valid)]
         return values
 
-    def value_at(self, row: int):
+    def value_at(self, row: int) -> object:
         """Logical value of a single row (``None`` when null)."""
         if self.valid is not None and not self.valid[row]:
             return None
-        if self.is_string:
+        if self.dictionary is not None:
             return self.dictionary[self.data[row]]
         if self.dtype is DType.DATE:
             return days_to_date(self.data[row])
@@ -262,19 +283,16 @@ class Column:
             raise SchemaError(
                 f"cannot concat {self.dtype} column with {other.dtype}"
             )
+        dictionary: np.ndarray | None = None
+        valid: np.ndarray | None = None
         if self.dtype is DType.STRING:
-            values = np.concatenate(
-                [self.dictionary[self.data], other.dictionary[other.data]]
-            )
+            values = np.concatenate([self.to_values(), other.to_values()])
             dictionary, codes = np.unique(values, return_inverse=True)
             data = codes.astype(np.int32)
             dictionary = dictionary.astype(object)
         else:
             data = np.concatenate([self.data, other.data])
-            dictionary = None
-        if self.valid is None and other.valid is None:
-            valid = None
-        else:
+        if self.valid is not None or other.valid is not None:
             valid = np.concatenate([self.validity(), other.validity()])
         return Column(data, self.dtype, dictionary, valid)
 
@@ -283,7 +301,7 @@ class Column:
 
         Purely an optimization — logical contents are unchanged.
         """
-        if not self.is_string or len(self.data) == 0:
+        if self.dictionary is None or len(self.data) == 0:
             return self
         used, new_codes = np.unique(self.data, return_inverse=True)
         return Column(

@@ -60,7 +60,12 @@ class Table:
             elif arr.dtype.kind == "b":
                 columns[col_name] = Column.from_bools(arr)
             elif arr.dtype.kind in "UO":
-                columns[col_name] = Column.from_strings(list(values))
+                # An array passes whole: list() of a ``U`` array would
+                # hand over ``np.str_`` elements, where from_strings'
+                # object conversion yields plain ``str``.
+                columns[col_name] = Column.from_strings(
+                    values if isinstance(values, np.ndarray) else list(values)
+                )
             else:
                 raise SchemaError(
                     f"cannot infer column type for {col_name!r} ({arr.dtype})"

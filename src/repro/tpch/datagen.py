@@ -162,22 +162,12 @@ class TPCHGenerator:
         keys = np.arange(1, n + 1, dtype=np.int64)
         mfgr = rng.integers(1, 6, size=n)
         brand = mfgr * 10 + rng.integers(1, 6, size=n)
-        type_codes = (
-            rng.integers(0, len(text.TYPE_SYLLABLE_1), size=n),
-            rng.integers(0, len(text.TYPE_SYLLABLE_2), size=n),
-            rng.integers(0, len(text.TYPE_SYLLABLE_3), size=n),
+        type_syllables = (
+            text.TYPE_SYLLABLE_1, text.TYPE_SYLLABLE_2, text.TYPE_SYLLABLE_3
         )
-        types = [
-            f"{text.TYPE_SYLLABLE_1[a]} {text.TYPE_SYLLABLE_2[b]} {text.TYPE_SYLLABLE_3[c]}"
-            for a, b, c in zip(*type_codes)
-        ]
-        containers = [
-            f"{text.CONTAINER_SYLLABLE_1[a]} {text.CONTAINER_SYLLABLE_2[b]}"
-            for a, b in zip(
-                rng.integers(0, len(text.CONTAINER_SYLLABLE_1), size=n),
-                rng.integers(0, len(text.CONTAINER_SYLLABLE_2), size=n),
-            )
-        ]
+        type_codes = [rng.integers(0, len(s), size=n) for s in type_syllables]
+        container_syllables = (text.CONTAINER_SYLLABLE_1, text.CONTAINER_SYLLABLE_2)
+        container_codes = [rng.integers(0, len(s), size=n) for s in container_syllables]
         # Spec formula: (90000 + ((partkey/10) mod 20001) + 100*(partkey mod 1000)) / 100
         retail = (90_000 + (keys // 10) % 20_001 + 100 * (keys % 1_000)) / 100.0
         return Table(
@@ -185,11 +175,19 @@ class TPCHGenerator:
             {
                 "p_partkey": Column.from_ints(keys),
                 "p_name": Column.from_strings(text.part_names(rng, n)),
-                "p_mfgr": Column.from_strings([f"Manufacturer#{m}" for m in mfgr]),
-                "p_brand": Column.from_strings([f"Brand#{b}" for b in brand]),
-                "p_type": Column.from_strings(types),
+                "p_mfgr": Column.from_pool(
+                    mfgr - 1, [f"Manufacturer#{m}" for m in range(1, 6)]
+                ),
+                "p_brand": Column.from_pool(
+                    brand - 11, [f"Brand#{b}" for b in range(11, 56)]
+                ),
+                "p_type": Column.from_pool(
+                    *text.joined_pool(type_codes, type_syllables)
+                ),
                 "p_size": Column.from_ints(rng.integers(1, 51, size=n).astype(np.int64)),
-                "p_container": Column.from_strings(containers),
+                "p_container": Column.from_pool(
+                    *text.joined_pool(container_codes, container_syllables)
+                ),
                 "p_retailprice": Column.from_floats(retail),
                 "p_comment": self._comments(n),
             },
@@ -288,19 +286,19 @@ class TPCHGenerator:
         l_commitdate = odate_per_item + rng.integers(30, 91, size=n_li)
         l_receiptdate = l_shipdate + rng.integers(1, 31, size=n_li)
 
+        # Flags and statuses stay codes into their letters until the
+        # columns are built: returnflag into A/N/R (R or A once received
+        # by CURRENTDATE, else N), linestatus into F/O (O while shipping
+        # after CURRENTDATE), orderstatus into F/O/P (O if every line is
+        # open, F if none, else P).
         shipped = l_receiptdate <= _CURRENT
-        returnflag = np.where(
-            shipped, np.where(rng.random(n_li) < 0.5, "R", "A"), "N"
-        )
+        returnflag = np.where(shipped, np.where(rng.random(n_li) < 0.5, 2, 0), 1)
         is_open = l_shipdate > _CURRENT
-        linestatus = np.where(is_open, "O", "F")
 
         # Derived order columns.
         open_counts = np.bincount(order_idx, weights=is_open, minlength=n_ord)
         status = np.where(
-            open_counts == items_per_order,
-            "O",
-            np.where(open_counts == 0, "F", "P"),
+            open_counts == items_per_order, 1, np.where(open_counts == 0, 0, 2)
         )
         gross = l_extendedprice * (1.0 + l_tax) * (1.0 - l_discount)
         totalprice = np.bincount(order_idx, weights=gross, minlength=n_ord)
@@ -318,7 +316,7 @@ class TPCHGenerator:
             {
                 "o_orderkey": Column.from_ints(orderkeys),
                 "o_custkey": Column.from_ints(custkeys),
-                "o_orderstatus": Column.from_strings(list(status)),
+                "o_orderstatus": Column.from_pool(status, ["F", "O", "P"]),
                 "o_totalprice": Column.from_floats(totalprice),
                 "o_orderdate": Column.from_days(orderdates),
                 "o_orderpriority": self._pool_strings(n_ord, text.PRIORITIES),
@@ -340,8 +338,8 @@ class TPCHGenerator:
                 "l_extendedprice": Column.from_floats(l_extendedprice),
                 "l_discount": Column.from_floats(l_discount),
                 "l_tax": Column.from_floats(l_tax),
-                "l_returnflag": Column.from_strings(list(returnflag)),
-                "l_linestatus": Column.from_strings(list(linestatus)),
+                "l_returnflag": Column.from_pool(returnflag, ["A", "N", "R"]),
+                "l_linestatus": Column.from_pool(is_open.view(np.int8), ["F", "O"]),
                 "l_shipdate": Column.from_days(l_shipdate),
                 "l_commitdate": Column.from_days(l_commitdate),
                 "l_receiptdate": Column.from_days(l_receiptdate),

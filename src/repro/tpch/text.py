@@ -15,6 +15,9 @@ and that fraction is injected explicitly at the spec's rates.
 
 from __future__ import annotations
 
+import itertools
+from typing import Sequence
+
 import numpy as np
 
 # --- p_name colors (the spec's 92-color list, abbreviated to the subset
@@ -83,7 +86,7 @@ _ADJECTIVES = [
 ]
 
 
-def comment_pool(rng: np.ndarray | np.random.Generator, size: int) -> np.ndarray:
+def comment_pool(rng: np.random.Generator, size: int) -> np.ndarray:
     """A pool of ``size`` distinct plausible comment strings."""
     adj = rng.integers(0, len(_ADJECTIVES), size=size)
     noun = rng.integers(0, len(_NOUNS), size=size)
@@ -118,6 +121,21 @@ def customer_complaints_comments(rng: np.random.Generator, size: int) -> np.ndar
     return np.asarray(
         [f"{_ADJECTIVES[a]} Customer slow Complaints" for a in adj], dtype=object
     )
+
+
+def joined_pool(
+    codes: Sequence[np.ndarray], words: Sequence[Sequence[str]]
+) -> tuple[np.ndarray, list[str]]:
+    """Rows of space-joined words as ``(codes, pool)``, nothing decoded.
+
+    Row ``r`` stands for ``" ".join(w[c[r]] for w, c in zip(words,
+    codes))``.  The pool holds every combination in row-major order and
+    the returned codes index into it, ready for
+    :meth:`~repro.storage.column.Column.from_pool`.
+    """
+    pool = [" ".join(combo) for combo in itertools.product(*words)]
+    flat = np.ravel_multi_index(tuple(codes), tuple(len(w) for w in words))
+    return flat, pool
 
 
 def part_names(rng: np.random.Generator, count: int) -> np.ndarray:

@@ -238,6 +238,7 @@ def test_parse_errors_are_reported_not_raised(tmp_path):
 # External tools, when present (CI installs them; dev machines may not)
 # ----------------------------------------------------------------------
 STRICT_PATHS = [
+    "src/repro/allocator.py",
     "src/repro/errors.py",
     "src/repro/expr",
     "src/repro/plan",
@@ -253,6 +254,9 @@ STRICT_PATHS = [
     "src/repro/filters/bloom.py",
     "src/repro/filters/hashing.py",
     "src/repro/filters/hashcache.py",
+    "src/repro/storage/column.py",
+    "src/repro/tpch/datagen.py",
+    "src/repro/ssb/datagen.py",
 ]
 
 

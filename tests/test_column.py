@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchemaError
 from repro.storage.column import Column, DType
@@ -35,6 +37,26 @@ def test_from_strings_dictionary_encodes():
 def test_from_codes():
     col = Column.from_codes(np.array([0, 1, 0]), np.array(["x", "y"], dtype=object))
     assert col.to_pylist() == ["x", "y", "x"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(st.sampled_from(["", "a", "b", "B", "ab", "é", "z\x00"]), min_size=1),
+    data=st.data(),
+)
+def test_from_pool_is_from_strings_of_the_decoded_rows(pool, data):
+    """Repeated, unsorted and unused pool entries, no rows at all: the
+    column is byte-identical to uniquing the decoded rows."""
+    codes = np.asarray(
+        data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=30)), dtype=np.int64
+    )
+    got = Column.from_pool(codes, pool)
+    want = Column.from_strings([pool[c] for c in codes])
+    assert got.data.dtype == want.data.dtype == np.int32
+    assert got.data.tobytes() == want.data.tobytes()
+    assert got.dictionary.dtype == want.dictionary.dtype == object
+    assert got.dictionary.tolist() == want.dictionary.tolist()
+    assert got.valid is None
 
 
 def test_from_dates_strings_and_days():

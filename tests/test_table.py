@@ -25,6 +25,18 @@ def test_from_pydict_accepts_columns():
     assert t.column("d").value_at(0) == "1994-01-01"
 
 
+def test_from_pydict_string_dictionaries_hold_plain_str():
+    """A ``U`` array and a list both give ``str`` dictionary values, and
+    a list keeps the trailing NUL a fixed-width array would drop."""
+    t = Table.from_pydict(
+        "t", {"u": np.array(["b", "a", "b"]), "l": ["a", "a\x00", "b"]}
+    )
+    for name in ("u", "l"):
+        assert {type(v) for v in t.column(name).dictionary} == {str}, name
+    assert t.column("u").to_pylist() == ["b", "a", "b"]
+    assert t.column("l").to_pylist() == ["a", "a\x00", "b"]
+
+
 def test_ragged_columns_rejected():
     with pytest.raises(SchemaError):
         Table.from_pydict("t", {"a": [1], "b": [1, 2]})

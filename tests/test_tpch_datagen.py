@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.storage.dates import date_to_days
-from repro.tpch import FOREIGN_KEYS, TPCHGenerator, generate_tpch
+from repro.tpch import FOREIGN_KEYS, TPCHGenerator, datagen, generate_tpch, text
 from repro.tpch.schema import ALL_TABLES
 
 
@@ -212,6 +212,80 @@ def test_different_seeds_differ():
     assert not a.get("orders").column("o_custkey").equals(
         b.get("orders").column("o_custkey")
     )
+
+
+def test_constant_pools_match_the_spec():
+    """The TPC-H specification's fixed value lists, in its order (the
+    order also fixes which RNG draw maps to which value)."""
+    assert text.REGIONS == ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"]
+    spec_nations = {
+        "ALGERIA": 0, "ARGENTINA": 1, "BRAZIL": 1, "CANADA": 1, "EGYPT": 4,
+        "ETHIOPIA": 0, "FRANCE": 3, "GERMANY": 3, "INDIA": 2, "INDONESIA": 2,
+        "IRAN": 4, "IRAQ": 4, "JAPAN": 2, "JORDAN": 4, "KENYA": 0,
+        "MOROCCO": 0, "MOZAMBIQUE": 0, "PERU": 1, "CHINA": 2, "ROMANIA": 3,
+        "SAUDI ARABIA": 4, "VIETNAM": 2, "RUSSIA": 3, "UNITED KINGDOM": 3,
+        "UNITED STATES": 1,
+    }
+    # Nation keys are list positions: CHINA is 18, MOROCCO 15, RUSSIA 22.
+    assert text.NATIONS == list(spec_nations.items())
+    assert text.SEGMENTS == [
+        "AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOUSEHOLD",
+    ]
+    assert text.PRIORITIES == [
+        "1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW",
+    ]
+    assert text.MODES == ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"]
+    assert text.INSTRUCTIONS == [
+        "DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN",
+    ]
+    assert text.TYPE_SYLLABLE_1 == [
+        "STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO",
+    ]
+    assert text.TYPE_SYLLABLE_2 == [
+        "ANODIZED", "BURNISHED", "PLATED", "POLISHED", "BRUSHED",
+    ]
+    assert text.TYPE_SYLLABLE_3 == ["TIN", "NICKEL", "BRASS", "STEEL", "COPPER"]
+    assert text.CONTAINER_SYLLABLE_1 == ["SM", "LG", "MED", "JUMBO", "WRAP"]
+    assert text.CONTAINER_SYLLABLE_2 == [
+        "CASE", "BOX", "BAG", "JAR", "PKG", "PACK", "CAN", "DRUM",
+    ]
+    assert datagen._START == date_to_days("1992-01-01")
+    assert datagen._CURRENT == date_to_days("1995-06-17")
+
+
+def test_generated_columns_use_the_spec_pools(catalog):
+    nation = catalog.get("nation")
+    assert nation.column("n_name").to_pylist() == [n for n, _ in text.NATIONS]
+    assert nation.column("n_regionkey").to_pylist() == [r for _, r in text.NATIONS]
+    part = catalog.get("part")
+    types = set(part.column("p_type").dictionary)
+    assert types <= {
+        f"{a} {b} {c}"
+        for a in text.TYPE_SYLLABLE_1
+        for b in text.TYPE_SYLLABLE_2
+        for c in text.TYPE_SYLLABLE_3
+    }
+    assert len(types) == 150  # 2 000 parts cover all 6 * 5 * 5 types
+    containers = set(part.column("p_container").dictionary)
+    assert len(containers) == 40 and all(
+        a in text.CONTAINER_SYLLABLE_1 and b in text.CONTAINER_SYLLABLE_2
+        for a, b in (c.split(" ") for c in containers)
+    )
+    li = catalog.get("lineitem")
+    assert set(li.column("l_shipinstruct").dictionary) == set(text.INSTRUCTIONS)
+    assert set(li.column("l_shipmode").dictionary) == set(text.MODES)
+    priorities = catalog.get("orders").column("o_orderpriority").dictionary
+    assert set(priorities) == set(text.PRIORITIES)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="o_orderdate stops at 1998-03-04: _END is already the spec's "
+    "ENDDATE - 151 = 1998-08-02 and orders_and_lineitem subtracts 151 again",
+)
+def test_orderdates_reach_the_spec_bound():
+    dates = generate_tpch(sf=0.02, seed=0).get("orders").column("o_orderdate").data
+    assert date_to_days("1998-03-04") < dates.max() <= date_to_days("1998-08-02")
 
 
 def test_generator_class_interface():
