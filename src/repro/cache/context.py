@@ -27,7 +27,11 @@ delta key hashes into a clone of a cached Bloom filter (at its cached
 geometry, so the result is bit-identical to a from-scratch build with
 that geometry), or inserting them into a clone of a cached exact set.
 The extended artifact is published under the current fingerprint, so
-later queries hit exactly.
+later queries hit exactly, and under the artifact's *lineage* (the
+fingerprint at the version's ``base``), so the store drops the entry it
+was extended from: one entry per artifact survives any number of
+commits.  Whole-query pre-filter entries are never extended but carry
+a lineage too, so a re-run after a commit replaces the stale one.
 
 Every extension is sound-or-rebuilt: any case the extension cannot
 prove equivalent to a from-scratch build — predicate columns the base
@@ -146,9 +150,11 @@ class QueryCache:
             self.hits += 1
         return payload
 
-    def _put(self, fp: str, payload: object, tables: tuple[str, ...]) -> None:
+    def _put(
+        self, fp: str, payload: object, tables: tuple[str, ...], lineage: str
+    ) -> None:
         try:
-            self.cache.put(fp, payload, tables=tables)
+            self.cache.put(fp, payload, tables=tables, lineage=lineage)
         except (QueryAborted, CacheCorruption):
             raise
         except ReproError:
@@ -157,9 +163,9 @@ class QueryCache:
     # ------------------------------------------------------------------
     # Scan selection vectors
     # ------------------------------------------------------------------
-    def scan_fp(self, alias: str) -> str:
+    def scan_fp(self, alias: str, *, lineage: bool = False) -> str:
         key = self.aliases[alias]
-        return scan_fingerprint(key.table, key.version, key.predicate)
+        return scan_fingerprint(key.table, _version(key, lineage), key.predicate)
 
     def get_scan(self, alias: str) -> np.ndarray | None:
         """Cached local-predicate selection vector, if present.
@@ -174,22 +180,33 @@ class QueryCache:
             return payload
         extended = self._extend_scan(alias)
         if extended is not None:
-            self._put(fp, extended, (self.aliases[alias].table,))
+            self.put_scan(alias, extended)
         return extended
 
     def put_scan(self, alias: str, rows: np.ndarray) -> None:
-        self._put(self.scan_fp(alias), rows, (self.aliases[alias].table,))
+        self._put(
+            self.scan_fp(alias),
+            rows,
+            (self.aliases[alias].table,),
+            self.scan_fp(alias, lineage=True),
+        )
 
     # ------------------------------------------------------------------
     # Transferable filters from pristine vertices
     # ------------------------------------------------------------------
     def filter_fp(
-        self, alias: str, key_columns: tuple[str, ...], kind: str, params: str
+        self,
+        alias: str,
+        key_columns: tuple[str, ...],
+        kind: str,
+        params: str,
+        *,
+        lineage: bool = False,
     ) -> str:
         key = self.aliases[alias]
         stripped = tuple(strip_alias(c, alias) for c in key_columns)
         return filter_fingerprint(
-            key.table, key.version, key.predicate, stripped, kind, params
+            key.table, _version(key, lineage), key.predicate, stripped, kind, params
         )
 
     def get_filter(
@@ -209,7 +226,7 @@ class QueryCache:
             return payload
         extended = self._extend_filter(alias, key_columns, kind, params)
         if extended is not None:
-            self._put(fp, extended, (self.aliases[alias].table,))
+            self.put_filter(alias, key_columns, kind, params, extended)
         return extended
 
     def put_filter(
@@ -224,6 +241,7 @@ class QueryCache:
             self.filter_fp(alias, key_columns, kind, params),
             filt,
             (self.aliases[alias].table,),
+            self.filter_fp(alias, key_columns, kind, params, lineage=True),
         )
 
     # ------------------------------------------------------------------
@@ -376,9 +394,16 @@ class QueryCache:
     # ------------------------------------------------------------------
     # Whole-query pre-filter results
     # ------------------------------------------------------------------
-    def prefilter_fp(self, edges: list[str], strategy: str, config_form: str) -> str:
+    def prefilter_fp(
+        self,
+        edges: list[str],
+        strategy: str,
+        config_form: str,
+        *,
+        lineage: bool = False,
+    ) -> str:
         relation_keys = [
-            (alias, key.table, key.version, key.predicate)
+            (alias, key.table, _version(key, lineage), key.predicate)
             for alias, key in self.aliases.items()
         ]
         return prefilter_fingerprint(relation_keys, edges, strategy, config_form)
@@ -388,16 +413,36 @@ class QueryCache:
 
         Never delta-extended: the phase output depends on semi-join
         interactions *across* tables, so appended rows can change which
-        pre-existing rows survive — a version change is a plain miss.
+        pre-existing rows survive — a version change is a plain miss,
+        and the rebuilt entry replaces the stale one by lineage.
         """
         payload = self._get(fp)
         if payload is None:
             return None
         return dict(payload)  # callers rebind freely; never share the dict
 
-    def put_prefilter(self, fp: str, rows: dict[str, np.ndarray]) -> None:
+    def put_prefilter(
+        self,
+        edges: list[str],
+        strategy: str,
+        config_form: str,
+        rows: dict[str, np.ndarray],
+    ) -> None:
         tables = tuple(sorted({k.table for k in self.aliases.values()}))
-        self._put(fp, dict(rows), tables)
+        self._put(
+            self.prefilter_fp(edges, strategy, config_form),
+            dict(rows),
+            tables,
+            self.prefilter_fp(edges, strategy, config_form, lineage=True),
+        )
+
+
+def _version(key: AliasKey, lineage: bool) -> "int | DataVersion":
+    """The version a fingerprint embeds: the key's own, or for a
+    lineage its ``base`` alone, which every delta of it shares."""
+    if lineage and not isinstance(key.version, int):
+        return key.version.base
+    return key.version
 
 
 def build_query_cache(

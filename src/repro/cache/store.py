@@ -13,6 +13,15 @@ Entries are tagged with the base table names they were derived from, so
 replaced (version-bumped fingerprints already make stale entries
 unreachable; invalidation just stops them from squatting in the LRU).
 
+Appends supersede entries without orphaning a whole table: each put may
+name the artifact's **lineage** — its fingerprint with the table
+versions' ``base`` in place of ``base.delta`` — and the store keeps one
+entry per lineage.  Putting the artifact at a newer delta drops the one
+it was extended from (counted as an invalidation), so a stream of
+commits leaves the cache flat instead of stranding one copy per delta.
+Last put wins: a reader pinned to an older snapshot may replace a newer
+entry, which costs one extension later, never a wrong result.
+
 Thread safety: every public method takes the internal lock, so one
 cache can serve all worker threads of a service
 :class:`~repro.service.engine.Engine`.  Cached payloads are shared
@@ -96,14 +105,15 @@ def payload_checksum(payload: object) -> int | None:
 
 
 class _Entry:
-    __slots__ = ("payload", "nbytes", "tables", "crc")
+    __slots__ = ("payload", "nbytes", "tables", "crc", "lineage")
 
     def __init__(self, payload: object, nbytes: int, tables: tuple[str, ...],
-                 crc: int | None = None) -> None:
+                 crc: int | None = None, lineage: str | None = None) -> None:
         self.payload = payload
         self.nbytes = nbytes
         self.tables = tables
         self.crc = crc
+        self.lineage = lineage
 
 
 class FilterCache:
@@ -126,6 +136,7 @@ class FilterCache:
         self._lock = threading.RLock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._by_table: dict[str, set[str]] = {}
+        self._by_lineage: dict[str, str] = {}
         self._bytes = 0
         self._hits = 0
         self._misses = 0
@@ -159,9 +170,7 @@ class FilterCache:
                 and entry.crc is not None
                 and payload_checksum(entry.payload) != entry.crc
             ):
-                self._entries.pop(fp, None)
-                self._drop_tags(fp, entry)
-                self._bytes -= entry.nbytes
+                self._remove(fp)
                 self._corruptions += 1
                 self._misses += 1
                 if self.strict_corruption:
@@ -180,11 +189,15 @@ class FilterCache:
         *,
         nbytes: int | None = None,
         tables: tuple[str, ...] = (),
+        lineage: str | None = None,
     ) -> bool:
         """Insert (or refresh) an entry; evicts LRU entries over budget.
 
         Payloads larger than the whole budget are rejected (returning
-        ``False``) rather than wiping the cache to fit one entry.
+        ``False``) rather than wiping the cache to fit one entry.  An
+        entry stored under the same ``lineage`` with another
+        fingerprint is dropped and counted as an invalidation (module
+        docstring).
         """
         if nbytes is None:
             nbytes = payload_nbytes(payload)
@@ -194,30 +207,37 @@ class FilterCache:
             if nbytes > self.max_bytes:
                 self._rejected += 1
                 return False
-            old = self._entries.pop(fp, None)
-            if old is not None:
-                self._drop_tags(fp, old)
-                self._bytes -= old.nbytes
-            entry = _Entry(payload, nbytes, tables, crc)
-            self._entries[fp] = entry
+            self._remove(fp)
+            if lineage is not None:
+                superseded = self._by_lineage.get(lineage)
+                if superseded is not None and self._remove(superseded):
+                    self._invalidations += 1
+                self._by_lineage[lineage] = fp
+            self._entries[fp] = _Entry(payload, nbytes, tables, crc, lineage)
             self._bytes += nbytes
             for table in tables:
                 self._by_table.setdefault(table, set()).add(fp)
             self._insertions += 1
             while self._bytes > self.max_bytes and self._entries:
-                victim_fp, victim = self._entries.popitem(last=False)
-                self._drop_tags(victim_fp, victim)
-                self._bytes -= victim.nbytes
+                self._remove(next(iter(self._entries)))
                 self._evictions += 1
             return True
 
-    def _drop_tags(self, fp: str, entry: _Entry) -> None:
+    def _remove(self, fp: str) -> bool:
+        """Drop one entry and its index links (call under the lock)."""
+        entry = self._entries.pop(fp, None)
+        if entry is None:
+            return False
+        self._bytes -= entry.nbytes
         for table in entry.tables:
             fps = self._by_table.get(table)
             if fps is not None:
                 fps.discard(fp)
                 if not fps:
                     del self._by_table[table]
+        if entry.lineage is not None and self._by_lineage.get(entry.lineage) == fp:
+            del self._by_lineage[entry.lineage]
+        return True
 
     # ------------------------------------------------------------------
     def invalidate_table(self, name: str) -> int:
@@ -231,14 +251,7 @@ class FilterCache:
             fps = self._by_table.pop(name, None)
             if not fps:
                 return 0
-            dropped = 0
-            for fp in list(fps):
-                entry = self._entries.pop(fp, None)
-                if entry is None:
-                    continue
-                self._drop_tags(fp, entry)
-                self._bytes -= entry.nbytes
-                dropped += 1
+            dropped = sum(self._remove(fp) for fp in list(fps))
             self._invalidations += dropped
             return dropped
 
@@ -265,6 +278,7 @@ class FilterCache:
             self._invalidations += len(self._entries)
             self._entries.clear()
             self._by_table.clear()
+            self._by_lineage.clear()
             self._bytes = 0
 
     # ------------------------------------------------------------------

@@ -289,9 +289,10 @@ def run_query(
     prefilter_fp = None
     cached_rows = None
     if config.strategy in ("yannakakis", "predtrans") and ctx.cache.covers(ctx.rows):
-        prefilter_fp = ctx.cache.prefilter_fp(
+        prefilter_args = (
             _edge_forms(resolved), config.strategy, _prefilter_config_form(config)
         )
+        prefilter_fp = ctx.cache.prefilter_fp(*prefilter_args)
         cached_rows = ctx.cache.get_prefilter(prefilter_fp)
 
     if cached_rows is not None:
@@ -302,7 +303,7 @@ def run_query(
     elif config.strategy == "predtrans":
         run_transfer_rows(ctx, build_pt_graph(graph, local_sizes), config.transfer)
     if prefilter_fp is not None and cached_rows is None:
-        ctx.cache.put_prefilter(prefilter_fp, ctx.rows)
+        ctx.cache.put_prefilter(*prefilter_args, ctx.rows)
     stats.transfer.rows_before = local_sizes
     stats.transfer.rows_after = ctx.row_counts()
     stats.transfer_seconds = time.perf_counter() - t1

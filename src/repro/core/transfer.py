@@ -445,8 +445,8 @@ def proven_cover(state: ExecContext, edge: PTEdge) -> bool:
         return False
     (src_layout, src_key), (dst_layout, dst_key) = src, dst
     if (
-        src_layout.table.column(src_key).dtype
-        != dst_layout.table.column(dst_key).dtype
+        src_layout.columns[src_key].dtype
+        != dst_layout.columns[dst_key].dtype
     ):
         return False
     src_range = src_layout.key_range(src_key)

@@ -683,7 +683,8 @@ class Engine:
         contents remain reachable for delta extension.  The engine
         keeps no reference to a superseded table (cached artifacts are
         filters and row vectors, never columns): once the queries that
-        pinned it finish, it is garbage.
+        pinned it finish, refcounting frees it, with no cycle
+        collection needed.
         """
         batch = self.catalog.begin_ingest()
         try:

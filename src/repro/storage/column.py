@@ -127,7 +127,7 @@ class Column:
         )
 
     @staticmethod
-    def from_pool(codes: np.ndarray, pool: Sequence[str]) -> "Column":
+    def from_pool(codes: np.ndarray, pool: Sequence[str] | np.ndarray) -> "Column":
         """The column ``from_strings(pool[codes])`` builds, without decoding.
 
         ``codes`` index into ``pool``, a small list of candidate values
@@ -276,25 +276,28 @@ class Column:
     def concat(self, other: "Column") -> "Column":
         """Row-wise concatenation (the append path of table mutation).
 
-        STRING columns re-encode over the merged value set so the result
-        carries a single consistent dictionary.
+        STRING columns merge dictionaries instead of decoding rows: the
+        two dictionaries form one pool, ``other``'s codes shift past
+        ``self``'s entries, and :meth:`from_pool` re-encodes.  The result
+        is byte-identical to uniquing the decoded rows (sorted dictionary
+        of the values that occur, null placeholders included), at the
+        cost of integer work per row and a sort of the dictionaries only.
         """
         if self.dtype is not other.dtype:
             raise SchemaError(
                 f"cannot concat {self.dtype} column with {other.dtype}"
             )
-        dictionary: np.ndarray | None = None
         valid: np.ndarray | None = None
-        if self.dtype is DType.STRING:
-            values = np.concatenate([self.to_values(), other.to_values()])
-            dictionary, codes = np.unique(values, return_inverse=True)
-            data = codes.astype(np.int32)
-            dictionary = dictionary.astype(object)
-        else:
-            data = np.concatenate([self.data, other.data])
         if self.valid is not None or other.valid is not None:
             valid = np.concatenate([self.validity(), other.validity()])
-        return Column(data, self.dtype, dictionary, valid)
+        if self.dictionary is not None and other.dictionary is not None:
+            codes = np.concatenate(
+                [self.data, other.data + np.int32(len(self.dictionary))]
+            )
+            pool = np.concatenate([self.dictionary, other.dictionary])
+            merged = Column.from_pool(codes, pool)
+            return Column(merged.data, self.dtype, merged.dictionary, valid)
+        return Column(np.concatenate([self.data, other.data]), self.dtype, None, valid)
 
     def compact_dictionary(self) -> "Column":
         """Drop unused dictionary entries (after heavy filtering).

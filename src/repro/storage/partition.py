@@ -33,7 +33,11 @@ Determinism and invalidation guarantees
   on float columns).  The surviving-row selection vector is therefore
   byte-identical to an unpruned full scan, whatever the partition size.
 * Layouts are **memoized on the table object** (a private slot, so a
-  layout lives exactly as long as its table).  Tables are immutable:
+  layout lives exactly as long as its table).  A layout keeps the
+  table's column mapping and row count, never the table itself, so the
+  memo forms no reference cycle: a superseded table is freed by
+  refcount the moment its last reader lets go, not at the next full
+  cycle collection.  Tables are immutable:
   ``concat``/replace-style mutation produces a *new* ``Table`` object,
   which naturally gets a fresh layout while the old one stays
   collectable — together with the catalog's monotonic data-version
@@ -47,8 +51,8 @@ Determinism and invalidation guarantees
   delta chunks are computed.  This is sound because zone maps exist
   only for ``INT64``/``FLOAT64``/``DATE`` columns, whose
   ``concat`` is a plain ``np.concatenate`` of data and validity —
-  prefix values are byte-identical (``STRING`` concat re-encodes
-  dictionary codes, but strings are never zoned).  A column known to
+  prefix values are byte-identical (``STRING`` concat merges
+  dictionaries and re-encodes codes, but strings are never zoned).  A column known to
   be gap-free carries that over with its old range: the prefix already
   holds every integer of it, so the new layout only has to check that
   the appended rows' values outside the old range fill the rest of the
@@ -114,7 +118,7 @@ class PartitionLayout:
     """
 
     __slots__ = (
-        "table", "partition_rows", "starts", "stops",
+        "columns", "num_rows", "partition_rows", "starts", "stops",
         "_zones", "_inherited", "reused_chunks", "_lock",
         "_dense", "_inherited_dense",
     )
@@ -122,9 +126,12 @@ class PartitionLayout:
     def __init__(self, table: Table, partition_rows: int = DEFAULT_PARTITION_ROWS) -> None:
         if partition_rows < 1:
             raise ValueError("partition_rows must be >= 1")
-        self.table = table
+        # The table's column mapping and row count, not the table: the
+        # table memoizes this layout, so a back-reference would make a
+        # cycle and keep every superseded table alive until a full GC.
+        self.columns: Mapping[str, Column] = table.columns
+        self.num_rows = n = table.num_rows
         self.partition_rows = int(partition_rows)
-        n = table.num_rows
         self.starts = np.arange(0, n, self.partition_rows, dtype=np.int64)
         self.stops = np.minimum(self.starts + self.partition_rows, n)
         self._zones: dict[str, ZoneMap | None] = {}  # guarded-by: _lock
@@ -163,7 +170,7 @@ class PartitionLayout:
             return self._zones.setdefault(column, built)
 
     def _build_zone(self, column: str) -> ZoneMap | None:
-        col = self.table.column(column)
+        col = self.columns[column]
         if col.dtype not in _ZONED or self.num_partitions == 0:
             return None
         if self._inherited is not None:
@@ -243,7 +250,7 @@ class PartitionLayout:
         """``(min, max)`` of a NULL-free ``INT64``/``DATE`` column, read
         off its zone map; ``None`` for any other column.  A column with
         no rows has the empty range ``(0, -1)``."""
-        if self.table.column(column).dtype not in _KEYED:
+        if self.columns[column].dtype not in _KEYED:
             return None
         if self.num_partitions == 0:
             return 0, -1
@@ -275,9 +282,9 @@ class PartitionLayout:
             return None
         low, high = bounds
         span = high - low + 1
-        if span > self.table.num_rows:
+        if span > self.num_rows:
             return None  # fewer rows than integers to cover
-        data = self.table.column(column).data
+        data = self.columns[column].data
         inherited = self._inherited_dense
         if inherited is not None and column in inherited[0]:
             # The pre-append rows hold every integer of their range, so
@@ -313,7 +320,7 @@ class PartitionLayout:
 
     def _resolve(self, name: str, columns: Mapping[str, str]) -> ZoneMap | None:
         resolved = columns.get(name, name)
-        if resolved not in self.table:
+        if resolved not in self.columns:
             return None
         return self.zone(resolved)
 
@@ -350,11 +357,12 @@ class PartitionLayout:
             if zone is None:
                 return None
             values = [_literal_value(v) for v in expr.values]
-            if any(v is None for v in values):
+            points = [v for v in values if v is not None]
+            if len(points) != len(values):
                 return None
             mins, maxs = _zone_bounds(zone, to_years)
             keep = np.zeros(self.num_partitions, dtype=np.bool_)
-            for value in values:
+            for value in points:
                 keep |= (mins <= value) & (value <= maxs)
             return keep & (zone.valid_counts > 0)
         if isinstance(expr, N.IsNull):
@@ -431,7 +439,7 @@ def _zone_bounds(zone: ZoneMap, to_years: bool) -> tuple[np.ndarray, np.ndarray]
     return years_of(zone.mins.astype(np.int64)), years_of(zone.maxs.astype(np.int64))
 
 
-def _literal_value(value) -> int | float | None:
+def _literal_value(value: object) -> int | float | None:
     """A comparable numeric constant, or ``None`` when not prunable."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
@@ -506,7 +514,7 @@ def get_layout(
 def extend_layout(old: PartitionLayout, table: Table) -> PartitionLayout:
     """A layout for the appended-to ``table`` inheriting ``old``'s zones.
 
-    ``table`` must extend ``old.table`` by appended rows.  Every chunk
+    ``table`` must extend ``old``'s table by appended rows.  Every chunk
     that was *full* in the old layout covers the same rows with the
     same values in the new one, so its zone statistics carry over
     verbatim; the old partial tail chunk (if any) and the delta chunks
@@ -514,14 +522,14 @@ def extend_layout(old: PartitionLayout, table: Table) -> PartitionLayout:
     inherited — unbuilt columns cost nothing either way.
     """
     new = PartitionLayout(table, old.partition_rows)
-    reusable = old.table.num_rows // old.partition_rows
+    reusable = old.num_rows // old.partition_rows
     with old._lock:
         zones = {name: z for name, z in old._zones.items() if z is not None}
         dense = {name: r for name, r in old._dense.items() if r is not None}
     if reusable > 0 and zones:
         new._inherited = (zones, reusable)
     if dense:
-        new._inherited_dense = (dense, old.table.num_rows)
+        new._inherited_dense = (dense, old.num_rows)
     return new
 
 

@@ -11,12 +11,15 @@ name clashes and expressions always reference unambiguous names.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
 from ..errors import SchemaError
 from .column import Column, DType
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .partition import PartitionLayout
 
 
 class Table:
@@ -34,7 +37,7 @@ class Table:
         self.name = name
         self.columns: dict[str, Column] = dict(columns)
         self._num_rows = lengths.pop() if lengths else 0
-        self._layouts: dict[int, object] | None = None
+        self._layouts: dict[int, PartitionLayout] | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -168,10 +171,13 @@ class Table:
     def concat(self, other: "Table") -> "Table":
         """Row-wise concatenation with an identically-named table.
 
-        The append path of catalog mutation: build the extension batch
-        with :meth:`from_pydict`, ``concat`` it onto the existing table
-        and re-register the result (which bumps the catalog's data
-        version and thereby invalidates cross-query cache entries).
+        The append path of catalog mutation: an ingest commit
+        (:class:`~repro.storage.catalog.IngestBatch`) concatenates each
+        staged delta onto the live table and publishes the result under
+        a bumped *delta* version, so cached artifacts extend instead of
+        being invalidated.  The cost is proportional to the delta plus
+        one copy per column: numeric columns concatenate, STRING columns
+        merge dictionaries (:meth:`Column.concat`) without decoding a row.
         """
         if set(self.columns) != set(other.columns):
             raise SchemaError(

@@ -255,6 +255,9 @@ STRICT_PATHS = [
     "src/repro/filters/hashing.py",
     "src/repro/filters/hashcache.py",
     "src/repro/storage/column.py",
+    "src/repro/storage/table.py",
+    "src/repro/storage/partition.py",
+    "src/repro/storage/catalog.py",
     "src/repro/tpch/datagen.py",
     "src/repro/ssb/datagen.py",
 ]

@@ -84,6 +84,46 @@ def test_clear_empties_but_keeps_budget():
     assert cache.put("x", arr(5))
 
 
+def test_lineage_keeps_one_entry_and_counts_the_superseded():
+    cache = FilterCache(max_bytes=10_000)
+    cache.put("v1.0", arr(5), tables=("t",), lineage="v1")
+    cache.put("v1.1", arr(6), tables=("t",), lineage="v1")
+    assert "v1.0" not in cache and cache.get("v1.1") is not None
+    stats = cache.stats()
+    assert stats.entries == 1 and stats.bytes == arr(6).nbytes
+    assert stats.invalidations == 1
+    # Last put wins, whichever delta it is at; a refresh of the same
+    # fingerprint supersedes nothing.
+    cache.put("v1.0", arr(5), tables=("t",), lineage="v1")
+    cache.put("v1.0", arr(5), tables=("t",), lineage="v1")
+    assert "v1.1" not in cache and len(cache) == 1
+    assert cache.stats().invalidations == 2
+    # Other lineages and unlineaged entries are untouched.
+    cache.put("v2.0", arr(5), lineage="v2")
+    cache.put("other", arr(5))
+    assert len(cache) == 3 and cache.stats().invalidations == 2
+
+
+def test_lineage_index_follows_evictions_and_invalidations():
+    """A lineage whose entry left by eviction, table invalidation or
+    clear() has nothing to supersede: the next put counts no
+    invalidation of its own."""
+    cache = FilterCache(max_bytes=100)
+    cache.put("a.0", arr(10), lineage="a")  # 80 bytes
+    cache.put("b.0", arr(10), lineage="b")  # evicts a.0
+    assert cache.stats().evictions == 1
+    cache.put("a.1", arr(1), lineage="a")
+    assert cache.stats().invalidations == 0
+    cache.put("c.0", arr(1), tables=("t",), lineage="c")
+    assert cache.invalidate_table("t") == 1
+    cache.put("c.1", arr(1), lineage="c")
+    assert cache.stats().invalidations == 1
+    cache.clear()  # counts the 3 entries it drops
+    cache.put("a.2", arr(2), lineage="a")
+    stats = cache.stats()
+    assert stats.entries == 1 and stats.invalidations == 1 + 3
+
+
 def test_payload_nbytes_kinds():
     assert payload_nbytes(arr(10)) == 80
     assert payload_nbytes({"a": arr(10), "b": arr(5)}) == 120

@@ -265,21 +265,26 @@ def test_warm_requery_after_ingest_matches_oracle(base_catalog):
 def test_engine_releases_superseded_tables(base_catalog):
     """Nothing in the engine outlives a query with a reference to the
     table it ran on: after queries + ingests, every superseded column
-    array is garbage."""
+    array is garbage — freed by refcount alone, with the cycle
+    collector off, so no reference cycle may hold a table."""
     specs = [get_query(q, sf=SF) for q in (3, 5, 10)]
     superseded = []
-    with Engine(fresh_catalog(base_catalog)) as engine:
-        for k in range(5):
-            engine.ingest(make_deltas(base_catalog, k))
-            for spec in specs:
-                engine.execute(spec)
-            column = engine.catalog.get("lineitem").column("l_orderkey")
-            superseded.append(weakref.ref(column.data))
-            del column
-        live = superseded.pop()  # the current table's array
-        gc.collect()
-        assert live() is not None
-        assert [ref() is not None for ref in superseded] == [False] * 4
+    gc.collect()
+    gc.disable()
+    try:
+        with Engine(fresh_catalog(base_catalog)) as engine:
+            for k in range(5):
+                engine.ingest(make_deltas(base_catalog, k))
+                for spec in specs:
+                    engine.execute(spec)
+                column = engine.catalog.get("lineitem").column("l_orderkey")
+                superseded.append(weakref.ref(column.data))
+                del column
+            live = superseded.pop()  # the current table's array
+            assert live() is not None
+            assert [ref() is not None for ref in superseded] == [False] * 4
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------
