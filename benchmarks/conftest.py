@@ -24,6 +24,7 @@ import pathlib
 
 import pytest
 
+from repro.storage import Catalog, Column, DType, Table
 from repro.tpch import generate_tpch
 
 SF_SMALL = float(os.environ.get("REPRO_SF_SMALL", "0.05"))
@@ -56,3 +57,26 @@ def catalog_small():
 def catalog_large():
     """The paper's SF10 stand-in."""
     return generate_tpch(sf=SF_LARGE, seed=0)
+
+
+@pytest.fixture(scope="session")
+def catalog_large_sparse(catalog_large):
+    """``catalog_large`` with every INT64 ``*key`` column shifted left 24
+    bits.  Every join matches as before, but no key span fits a presence
+    bitmap, so edges ship the Bloom filter or exact hash set they ask
+    for: the catalog on which §3.2's filter types still differ."""
+    out = Catalog()
+    for name in catalog_large.names():
+        table = catalog_large.get(name)
+        out.register(
+            Table(
+                name,
+                {
+                    c: Column.from_ints(col.data << 24)
+                    if c.endswith("key") and col.dtype is DType.INT64
+                    else col
+                    for c, col in table.columns.items()
+                },
+            )
+        )
+    return out

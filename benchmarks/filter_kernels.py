@@ -7,8 +7,13 @@ Hashes KEYS (default 3 000 000) INT64 join keys, builds Bloom filters
 of 27 000 and 750 000 keys (a dimension's and ``orders``' survivors at
 SF 0.5) and probes the KEYS against each — once as one whole-array call
 per step and once as the morsel loop the engine runs (hash a slice,
-use it, next slice).  Min of 5.  Then the measured false-positive rate
-at three targets.
+use it, next slice).  Beside each Bloom pair, the presence bitmap over
+the same number of keys drawn from a dense range (a date range of
+``o_orderkey``): build as the span pass (``plan``) + one scatter +
+``packbits``, probe as
+normalize + gather, with sizes and false positives next to a Bloom
+filter over the same keys.  Min of 5.  Then the measured
+false-positive rate at three targets.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from repro.filters.bitmap import BitmapFilter, plan  # noqa: E402
 from repro.filters.bloom import MORSEL_KEYS, BloomFilter, morsels  # noqa: E402
-from repro.filters.hashing import bloom_keys  # noqa: E402
+from repro.filters.hashing import bloom_keys, column_to_u64  # noqa: E402
 from repro.storage.column import Column  # noqa: E402
 
 
@@ -46,8 +52,9 @@ def main() -> None:
     whole = slice(0, n)
     print(f"{n} keys, morsel = {MORSEL_KEYS} keys; ns/key, whole-array | morsel loop")
 
-    def row(name: str, one_call: Step, loop: Step, keys: int) -> None:
-        print(f"{name:44s} {best_ns(one_call, keys):6.1f} | {best_ns(loop, keys):6.1f}")
+    def row(name: str, one_call: Step, loop: Step | None, keys: int) -> None:
+        looped = "     —" if loop is None else f"{best_ns(loop, keys):6.1f}"
+        print(f"{name:44s} {best_ns(one_call, keys):6.1f} | {looped}")
 
     row(
         "hash",
@@ -87,6 +94,36 @@ def main() -> None:
                 for span in morsels(0, n)
             ],
             n,
+        )
+
+        # The bitmap twin: as many keys, one contiguous run of them.
+        start = int(rng.integers(1, max(2, n - members)))
+        dense = np.arange(start, start + members, dtype=np.int64)
+        dense_column = Column.from_ints(dense)
+
+        def build_bitmap() -> BitmapFilter:  # the span pass, then the scatter
+            planned = plan([dense_column], None, 0.01)
+            assert planned is not None  # a dense run always fits
+            return BitmapFilter.build(dense_column, None, 0.01, planned)
+
+        bitmap = build_bitmap()
+        row(f"bitmap plan + build, {members} keys", build_bitmap, None, members)
+        row(
+            f"bitmap probe, {members}-key bitmap",
+            lambda: bitmap.contains(column_to_u64(probe_column[0], whole)),
+            lambda: [
+                bitmap.contains(column_to_u64(probe_column[0], span))
+                for span in morsels(0, n)
+            ],
+            n,
+        )
+        twin = BloomFilter.from_keys(dense.view(np.uint64), fpp=0.01)
+        truth = bitmap.contains(column_to_u64(probe_column[0]))
+        false_pos = int((twin.contains_keys(column_to_u64(probe_column[0])) & ~truth).sum())
+        print(
+            f"  {members}-key run: bitmap {bitmap.size_bytes()} B, 0 false positives; "
+            f"Bloom {twin.size_bytes()} B, {false_pos} false positives "
+            f"beside {int(truth.sum())} true matches"
         )
 
     members = rng.integers(0, 2**62, 200_000).astype(np.uint64)

@@ -176,6 +176,8 @@ def measurement_to_json(m: Measurement) -> dict:
         "bloom_probes": t.bloom_probes,
         "hash_inserts": t.hash_inserts,
         "hash_probes": t.hash_probes,
+        "bitmap_inserts": t.bitmap_inserts,
+        "bitmap_probes": t.bitmap_probes,
         "join_input_rows": m.stats.total_join_input_rows(),
     }
 

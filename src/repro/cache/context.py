@@ -25,7 +25,10 @@ delta rows — evaluating the local predicate on the delta slice,
 appending qualifying indices to a cached selection vector, OR-merging
 delta key hashes into a clone of a cached Bloom filter (at its cached
 geometry, so the result is bit-identical to a from-scratch build with
-that geometry), or inserting them into a clone of a cached exact set.
+that geometry), inserting them into a clone of a cached exact set, or
+re-spanning a cached presence bitmap over them (bit-identical to a
+from-scratch build over the merged rows, which is why a merged span the
+bitmap's size rule no longer admits is a rebuild).
 The extended artifact is published under the current fingerprint, so
 later queries hit exactly, and under the artifact's *lineage* (the
 fingerprint at the version's ``base``), so the store drops the entry it
@@ -36,7 +39,8 @@ a lineage too, so a re-run after a commit replaces the stale one.
 Every extension is sound-or-rebuilt: any case the extension cannot
 prove equivalent to a from-scratch build — predicate columns the base
 table cannot supply, an unexpected payload shape, a geometry merge
-failure, a saturated Bloom filter, or an injected ``cache.extend``
+failure, a saturated Bloom filter, a bitmap whose merged span outgrew
+its size rule, or an injected ``cache.extend``
 fault — returns a miss and the caller rebuilds in full (counted in
 ``extension_rebuilds``).  Replaces bump the base version, which no
 probe matches, so full invalidation stays intact.
@@ -55,10 +59,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..expr.nodes import Expr
     from ..plan.query import QuerySpec
     from ..storage.catalog import Catalog, DataVersion
+    from ..storage.column import Column
     from ..storage.table import Table
 
 from ..errors import CacheCorruption, QueryAborted, ReproError
 from ..expr.eval import evaluate_mask
+from ..filters.bitmap import BitmapFilter
 from ..filters.bloom import BloomFilter
 from ..filters.exact import ExactFilter
 from ..filters.hashing import bloom_keys
@@ -217,8 +223,8 @@ class QueryCache:
         On an exact miss, tries extending a filter cached at an older
         delta: a Bloom filter gains the delta's qualifying key hashes
         by OR-merge at its cached geometry, an exact set gains them by
-        insertion into a clone.  The extended filter is published under
-        the current fingerprint.
+        insertion into a clone, a bitmap is re-spanned over their keys.
+        The extended filter is published under the current fingerprint.
         """
         fp = self.filter_fp(alias, key_columns, kind, params)
         payload = self._get(fp)
@@ -289,16 +295,6 @@ class QueryCache:
         chunk = slice_table(base, rows_at, n, live, name=alias)
         return rows_at + np.flatnonzero(evaluate_mask(key.expr, chunk))
 
-    def _delta_keys(
-        self, key: AliasKey, stripped: tuple[str, ...], delta_rows: np.ndarray
-    ) -> np.ndarray:
-        """Join-key hashes of the delta's qualifying rows — the same
-        per-row values a from-scratch build over the merged table
-        hashes, and only those rows are touched."""
-        base = key.base
-        assert base is not None
-        return bloom_keys([base.column(c) for c in stripped], delta_rows)
-
     def _extend_scan(self, alias: str) -> np.ndarray | None:
         key = self.aliases[alias]
         if key.base is None:
@@ -335,11 +331,13 @@ class QueryCache:
         self, alias: str, key_columns: tuple[str, ...], kind: str, params: str
     ) -> object | None:
         key = self.aliases[alias]
-        if key.base is None or kind not in ("bloom", "exact"):
+        base = key.base
+        if base is None or kind not in ("bloom", "exact"):
             return None
         stripped = tuple(strip_alias(c, alias) for c in key_columns)
-        if any(c not in key.base for c in stripped):
+        if any(c not in base for c in stripped):
             return None
+        columns = [base.column(c) for c in stripped]
         try:
             for older_version, rows_at in self._older_versions(key):
                 fp_old = filter_fingerprint(
@@ -355,8 +353,7 @@ class QueryCache:
                 if delta is None:
                     self.cache.count_extension_rebuild()
                     return None
-                keys = self._delta_keys(key, stripped, delta)
-                extended = self._extend_payload(older, keys)
+                extended = self._extend_payload(older, columns, delta)
                 if extended is None:
                     self.cache.count_extension_rebuild()
                     return None
@@ -371,8 +368,19 @@ class QueryCache:
             return None
         return None
 
-    def _extend_payload(self, older: object, keys: np.ndarray) -> object | None:
-        """A fresh filter = cached filter ∪ delta keys (never in place)."""
+    def _extend_payload(
+        self, older: object, columns: "list[Column]", delta_rows: np.ndarray
+    ) -> object | None:
+        """A fresh filter = cached filter ∪ the keys of the delta's
+        qualifying rows (never in place).  Only those rows are touched,
+        and they yield the same per-row values a from-scratch build over
+        the merged table would insert."""
+        if isinstance(older, BitmapFilter):
+            # Re-spanned over the delta; None — rebuild — exactly when a
+            # fresh build over the merged rows would not pick a bitmap.
+            (column,) = columns
+            return older.extended(column, delta_rows)
+        keys = bloom_keys(columns, delta_rows)
         if isinstance(older, BloomFilter):
             extended = BloomFilter(capacity=older.capacity, fpp=older.fpp)
             # Same (capacity, fpp) ⇒ same deterministic geometry, so

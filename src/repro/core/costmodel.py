@@ -110,12 +110,19 @@ def cost_from_stats(stats: QueryStats, params: CostParams | None = None) -> floa
     Charges 1 per hash-table insert/probe (semi-join phase and join
     phase inputs) and β per Bloom insert/probe — exactly the §3.5
     accounting, with the constants c_y/c_p realized by the actual op
-    counts rather than estimated.
+    counts rather than estimated.  A presence-bitmap insert or probe is
+    charged β too: like a Bloom op it touches one bit and no hash table
+    (and, lacking the hash, costs no more).
     """
     params = params or CostParams()
     transfer = stats.transfer
     cost = 0.0
-    cost += params.beta * (transfer.bloom_inserts + transfer.bloom_probes)
+    cost += params.beta * (
+        transfer.bloom_inserts
+        + transfer.bloom_probes
+        + transfer.bitmap_inserts
+        + transfer.bitmap_probes
+    )
     cost += transfer.hash_inserts + transfer.hash_probes
     for join in stats.joins:  # own joins only; stages recurse below
         cost += join.ht_rows + join.pr_rows

@@ -4,9 +4,10 @@ Every pre-filtering strategy in this engine is a *schedule* over one
 kernel.  The kernel is three functions:
 
 * :func:`build_filter` — build, or fetch from the cross-query cache,
-  the filter over one relation's surviving join keys (exact→Bloom
-  degradation under a memory budget, fault point, budget charge and
-  cache commit all live here and nowhere else);
+  the filter over one relation's surviving join keys (the choice of
+  representation, exact→Bloom degradation under a memory budget, fault
+  point, budget charge and cache commit all live here and nowhere
+  else);
 * :func:`probe_filter` — the chunked membership probe of a relation's
   keys against a shipped filter;
 * :func:`run_pass` — visit vertices in a given order along a given set
@@ -34,6 +35,23 @@ A strategy picks the graph, the passes and the filter kind:
 * **BloomJoin** (:mod:`repro.core.runner`) — one Bloom filter per
   join, shipped from its build side to its probe side.
 
+The filter kind is what the strategy asks for; the representation is
+what :func:`build_filter` observes.  When the edge's key is a single
+``INT64``/``DATE`` column and the span ``max − min + 1`` of the
+source's non-NULL surviving keys is at most
+:func:`~repro.filters.bitmap.span_limit` (the Bloom filter's bit count
+at its ``fpp``, or the exact hash set's byte count, so even the
+byte-per-integer array the build scatters into is no larger than the
+set), the edge ships a
+:class:`~repro.filters.bitmap.BitmapFilter` instead: one bit per
+integer of the span, built by one scatter, probed by one gather, no
+hash and no false positives — so it is never larger and never less
+precise than what it replaces.  Every TPC-H and SSB join key
+is a dense integer, so most edges ship one; composite, ``STRING`` and
+sparse keys ship what they asked for.  There is no knob: the rule is a
+function of the source's keys, so the cross-query cache still stores
+one deterministic artifact per fingerprint.
+
 The proven-cover gate
 ---------------------
 The paper ships a filter along every edge and leaves "pruning transfer
@@ -50,8 +68,8 @@ paths" to future work (§3.2).  Predicate transfer here passes
    **inside** ``src``'s.
 
 Then every key ``dst`` could probe with is an integer of ``src``'s
-range, hence a key ``src`` would insert, and a filter — Bloom or
-exact, neither has false negatives — passes every probed row.  Not
+range, hence a key ``src`` would insert, and a filter — Bloom, exact
+or bitmap, none has false negatives — passes every probed row.  Not
 shipping it changes no survivor, so every later filter, every join
 input and the query result are those of the ungated schedule: the gate
 is exact, not a heuristic, and has no threshold.  The typical skipped
@@ -96,7 +114,10 @@ straight to the filter's ``add_hashes`` / ``contains_hashes`` (or an
 exact set's ``contains_keys``) while it is still cache-resident.  Only
 rows a filter actually touches are hashed — a relation its local
 predicate cut to 2 % costs 2 % of a column pass — and no hash array
-outlives its morsel.
+outlives its morsel.  A bitmap's probe runs in the same loop over the
+unhashed keys (:meth:`_RowKeys.probe_bitmap`); its build walks the
+survivors twice a morsel at a time, once for the span
+(:func:`~repro.filters.bitmap.plan`) and once to scatter.
 
 Cross-query caching: filters built at **pristine** vertices — vertices
 whose surviving rows still equal the local-predicate survivors, i.e.
@@ -120,16 +141,19 @@ from ..cache.store import FilterCache
 from ..context import QueryContext
 from ..engine.stats import SKIPPED_COVERED, EdgeStat, QueryStats, TransferStats
 from ..errors import FilterError
+from ..filters.bitmap import BitmapFilter, plan
 from ..filters.bloom import BloomFilter, morsels
 from ..filters.exact import ExactFilter
 from ..filters.hashcache import KeyHashCache
+from ..filters.hashing import column_to_u64
+from ..filters.hashset import hash_set_bytes
 from ..storage.partition import DEFAULT_PARTITION_ROWS, PartitionLayout, get_layout
 from ..storage.view import AnyTable
 from ..testing.faults import fault_point
 from .ptgraph import PTEdge, PTGraph
 
 #: A shipped filter.
-Filter = Union[BloomFilter, ExactFilter]
+Filter = Union[BloomFilter, ExactFilter, BitmapFilter]
 
 
 @dataclass(frozen=True)
@@ -279,9 +303,23 @@ class _RowKeys:
     def __len__(self) -> int:
         return self._n
 
+    def _slice(self, span: slice) -> slice | np.ndarray:
+        return span if self._rows is None else self._rows[span]
+
     def __getitem__(self, span: slice) -> np.ndarray:
-        rows: slice | np.ndarray = span if self._rows is None else self._rows[span]
-        return self._hashes.bloom_keys(self._columns, rows)
+        return self._hashes.bloom_keys(self._columns, self._slice(span))
+
+    def probe_bitmap(self, bitmap: BitmapFilter, span: slice) -> np.ndarray:
+        """``bitmap``'s membership mask of the single key column's rows
+        in ``span``, normalized as the hashed filters normalize them;
+        NULL rows never pass."""
+        (column,) = self._columns
+        rows = self._slice(span)
+        keys = column_to_u64(column, rows, self._hashes.dictionary_hashes(column))
+        keep = bitmap.contains(keys)
+        if column.valid is not None:
+            keep &= column.valid[rows]
+        return keep
 
 
 def run_transfer_rows(
@@ -458,19 +496,6 @@ def proven_cover(state: ExecContext, edge: PTEdge) -> bool:
     return inside and src_layout.gap_free(src_key)
 
 
-def exact_bytes_estimate(n_keys: int) -> int:
-    """Predicted :class:`VectorHashSet` footprint for ``n_keys`` keys.
-
-    Mirrors the set's sizing rule (power-of-two slot array at ≤50%
-    load, 8-byte slots + 1-byte occupancy), so the memory-budget
-    degradation decision can run *before* the allocation it guards.
-    """
-    size = 1
-    while size < max(2 * n_keys, 16):
-        size <<= 1
-    return size * 9
-
-
 def build_filter(
     state: ExecContext,
     edge: EdgeStat,
@@ -487,7 +512,9 @@ def build_filter(
     ``None`` for a join intermediate.  The filter is
     fetched from the cache when ``alias`` is pristine and versioned,
     built (and committed back) otherwise; either way ``edge`` records
-    what was shipped.
+    what was shipped.  A single dense integer key ships a
+    :class:`~repro.filters.bitmap.BitmapFilter` instead whenever it is
+    no larger than the ``kind`` filter it replaces.
     """
     started = time.perf_counter()
     key_columns = edge.key_columns
@@ -505,36 +532,15 @@ def build_filter(
     if cache_as is not None:
         extensions = state.cache.extensions
         cached = state.cache.get_filter(cache_as, key_columns, kind, params)
-        if isinstance(cached, (BloomFilter, ExactFilter)):
+        if isinstance(cached, (BloomFilter, ExactFilter, BitmapFilter)):
             filt = cached
             edge.provenance = (
                 "extended" if state.cache.extensions > extensions else "cache"
             )
     if filt is None:
-        build_kind = kind
-        if kind == "exact" and state.qctx.would_exceed(
-            exact_bytes_estimate(n_keys)
-        ):
-            # Graceful degradation: a Bloom filter is ~an order of
-            # magnitude smaller and — having no false negatives — keeps
-            # results byte-identical; it just pre-filters less
-            # precisely.  Degraded filters are never cached: they would
-            # poison the exact-kind fingerprint for future queries.
-            build_kind = "bloom"
+        filt, degraded = _build(state, table, key_columns, rows, kind, fpp)
+        if degraded:
             cache_as = None
-            state.qctx.note_degraded()
-        keys = _RowKeys(state.hashes, table, key_columns, rows)
-        if build_kind == "bloom":
-            filt = BloomFilter(capacity=n_keys, fpp=fpp)
-            for span in morsels(0, n_keys):
-                filt.add_hashes(keys[span])
-        else:
-            # The set dedups and sizes itself from all keys at once;
-            # the array is survivor-sized and dies with this call.
-            hashed = np.empty(n_keys, dtype=np.uint64)
-            for span in morsels(0, n_keys):
-                hashed[span] = keys[span]
-            filt = ExactFilter.from_keys(hashed)
         # The fault point sits between build and commit: an injected
         # build failure (or a budget overrun on the charge) propagates
         # before the put below, so a partially-trusted filter is never
@@ -544,11 +550,63 @@ def build_filter(
         if cache_as is not None:
             state.cache.put_filter(cache_as, key_columns, kind, params, filt)
         edge.provenance = "built"
-    edge.kind = "exact" if filt.exact else "bloom"
+    edge.kind = (
+        "bitmap"
+        if isinstance(filt, BitmapFilter)
+        else "exact" if filt.exact else "bloom"
+    )
     edge.keys_inserted = n_keys
     edge.filter_bytes = filt.size_bytes()
     edge.build_seconds = time.perf_counter() - started
     return filt
+
+
+def _build(
+    state: ExecContext,
+    table: AnyTable,
+    key_columns: tuple[str, ...],
+    rows: np.ndarray | None,
+    kind: str,
+    fpp: float,
+) -> tuple[Filter, bool]:
+    """Build the filter :func:`build_filter` ships, and whether it
+    degraded exact → Bloom under the memory budget."""
+    n_keys = table.num_rows if rows is None else len(rows)
+    if rows is not None and n_keys == table.num_rows:
+        rows = None  # a full sorted row vector is the identity
+    columns = [table.column(c) for c in key_columns]
+    rule = None if kind == "exact" else fpp  # the size rule a bitmap obeys
+    planned = plan(columns, rows, rule)
+    degraded = False
+    # The budget counts the filter that is kept, as the charge does: the
+    # packed bitmap, or the hash set.  (The bitmap's build scatters into
+    # a byte per integer of the span, which its rule keeps within the
+    # set's bytes.)
+    if kind == "exact" and state.qctx.would_exceed(
+        hash_set_bytes(n_keys) if planned is None else -(-planned[1] // 8)
+    ):
+        # Graceful degradation: a Bloom filter is ~an order of
+        # magnitude smaller and — having no false negatives — keeps
+        # results byte-identical; it just pre-filters less precisely.
+        # Degraded filters are never cached: they would poison the
+        # exact-kind fingerprint for future queries.
+        kind, rule, degraded = "bloom", fpp, True
+        state.qctx.note_degraded()
+        planned = plan(columns, rows, rule)  # under the Bloom filter's rule
+    if planned is not None:
+        return BitmapFilter.build(columns[0], rows, rule, planned), degraded
+    keys = _RowKeys(state.hashes, table, key_columns, rows)
+    if kind == "bloom":
+        bloom = BloomFilter(capacity=n_keys, fpp=fpp)
+        for span in morsels(0, n_keys):
+            bloom.add_hashes(keys[span])
+        return bloom, degraded
+    # The set dedups and sizes itself from all keys at once; the array
+    # is survivor-sized and dies with this call.
+    hashed = np.empty(n_keys, dtype=np.uint64)
+    for span in morsels(0, n_keys):
+        hashed[span] = keys[span]
+    return ExactFilter.from_keys(hashed), degraded
 
 
 def probe_filter(
@@ -568,12 +626,18 @@ def probe_filter(
     started = time.perf_counter()
     keys = _RowKeys(state.hashes, table, key_columns, rows)
     keep = np.empty(len(keys), dtype=np.bool_)
-    # Bloom filters take the pre-mixed hashes, exact sets the keys.
-    probe = (
-        filt.contains_hashes if isinstance(filt, BloomFilter) else filt.contains_keys
-    )
-    for span in morsels(0, len(keys)):
-        keep[span] = probe(keys[span])
+    if isinstance(filt, BitmapFilter):  # unhashed keys, NULLs never pass
+        for span in morsels(0, len(keys)):
+            keep[span] = keys.probe_bitmap(filt, span)
+    else:
+        # Bloom filters take the pre-mixed hashes, exact sets the keys.
+        probe = (
+            filt.contains_hashes
+            if isinstance(filt, BloomFilter)
+            else filt.contains_keys
+        )
+        for span in morsels(0, len(keys)):
+            keep[span] = probe(keys[span])
     edge.rows_probed = len(keys)
     edge.rows_passed = int(np.count_nonzero(keep))
     edge.probe_seconds = time.perf_counter() - started

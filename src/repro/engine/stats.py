@@ -9,8 +9,8 @@ collected here so the benchmark harness can print paper-style tables:
   join-phase time, as in Figure 5;
 * what every transfer edge did — shipped or skipped, keys inserted,
   rows probed and passed, bytes, seconds (:class:`EdgeStat`) — from
-  which the filter operation counts (hash vs Bloom inserts/probes)
-  backing the §3.5 cost-model ablations are derived.
+  which the filter operation counts (hash vs Bloom vs bitmap
+  inserts/probes) backing the §3.5 cost-model ablations are derived.
 """
 
 from __future__ import annotations
@@ -43,8 +43,10 @@ class EdgeStat:
     .build_filter` and :func:`~repro.core.transfer.probe_filter` — the
     only places a filter is built or probed — fill in the rest.
 
-    ``kind`` is the filter actually shipped (``"bloom"`` for an exact
-    filter degraded under a memory budget); ``keys_inserted`` is the
+    ``kind`` is the filter actually shipped: ``"bloom"``, ``"exact"``
+    or ``"bitmap"`` (the presence bitmap a single dense integer key
+    ships in place of either), and ``"bloom"`` for an exact filter
+    degraded under a memory budget; ``keys_inserted`` is the
     number of keys it was built over, whatever its ``provenance``: ``"built"``
     by this query, fetched whole from the cross-query ``"cache"``, or
     ``"extended"`` there over appended rows.  A skipped edge (see the
@@ -147,12 +149,21 @@ class TransferStats:
         return _keys_built(self.shipped("exact"))
 
     @property
+    def bitmap_inserts(self) -> int:
+        """Keys this query scattered into presence bitmaps."""
+        return _keys_built(self.shipped("bitmap"))
+
+    @property
     def bloom_probes(self) -> int:
         return sum(e.rows_probed for e in self.shipped("bloom"))
 
     @property
     def hash_probes(self) -> int:
         return sum(e.rows_probed for e in self.shipped("exact"))
+
+    @property
+    def bitmap_probes(self) -> int:
+        return sum(e.rows_probed for e in self.shipped("bitmap"))
 
     def total_rows_before(self) -> int:
         """Total base rows entering the pre-filter phase."""

@@ -1,13 +1,19 @@
-"""Transferable filter substrate: Bloom filters, exact filters, hashing.
+"""Transferable filter substrate: Bloom filters, exact filters, bitmaps,
+hashing.
 
 Two Bloom layouts live here: the packed register-blocked
 :class:`BloomFilter` (the production hot-path filter) and the
 byte-per-bit :class:`ReferenceBloomFilter` it is equivalence-tested
-against.  :class:`KeyHashCache` is the per-query key normalizer and
-hasher the pre-filter loop calls once per morsel.
+against.  :class:`ExactFilter` is the semi-join-precise hash set.
+:class:`BitmapFilter` is the presence bitmap over ``key − min`` that a
+single dense integer key ships in place of either, whenever it takes no
+more bits: no hash, no false positives.  :class:`KeyHashCache` is the
+per-query key normalizer and hasher the pre-filter loop calls once per
+morsel.
 """
 
 from .base import FilterOpCounts, TransferableFilter
+from .bitmap import BitmapFilter
 from .bloom import BloomFilter
 from .exact import ExactFilter
 from .hashcache import KeyHashCache
@@ -25,6 +31,7 @@ from .hashset import VectorHashSet
 from .reference import ReferenceBloomFilter
 
 __all__ = [
+    "BitmapFilter",
     "BloomFilter",
     "ExactFilter",
     "KeyHashCache",

@@ -151,6 +151,27 @@ _BLOCK_PAD = 1.25
 _BLOCK_PAD_PER_DECADE = 0.25
 
 
+def _geometry(capacity: int, fpp: float) -> tuple[int, int]:
+    """``(num_hashes, num_blocks)`` of a filter sized for ``capacity``
+    keys at target ``fpp``."""
+    if capacity < 0:
+        raise FilterError("capacity must be non-negative")
+    if not 0.0 < fpp < 1.0:
+        raise FilterError("fpp must be in (0, 1)")
+    n = max(1, capacity)
+    bits = -n * math.log(fpp) / (math.log(2) ** 2)
+    num_hashes = max(1, min(_MAX_HASHES, round(bits / n * math.log(2))))
+    pad = _BLOCK_PAD + _BLOCK_PAD_PER_DECADE * max(0.0, -math.log10(fpp) - 2.0)
+    padded = int(math.ceil(bits * pad))
+    return num_hashes, max(1, -(-padded // (_BLOCK_WORDS * 64)))
+
+
+def bloom_bits(capacity: int, fpp: float) -> int:
+    """Bit count of the :class:`BloomFilter` sized for ``capacity`` keys
+    at ``fpp``, without allocating it."""
+    return _geometry(capacity, fpp)[1] * _BLOCK_WORDS * 64
+
+
 @dataclass
 class BloomFilter(TransferableFilter):
     """A packed, register-blocked Bloom filter over ``uint64`` keys.
@@ -172,20 +193,7 @@ class BloomFilter(TransferableFilter):
 
     def __post_init__(self) -> None:
         super().__init__()
-        if self.capacity < 0:
-            raise FilterError("capacity must be non-negative")
-        if not 0.0 < self.fpp < 1.0:
-            raise FilterError("fpp must be in (0, 1)")
-        n = max(1, self.capacity)
-        bits = -n * math.log(self.fpp) / (math.log(2) ** 2)
-        self.num_hashes = max(
-            1, min(_MAX_HASHES, round(bits / n * math.log(2)))
-        )
-        pad = _BLOCK_PAD + _BLOCK_PAD_PER_DECADE * max(
-            0.0, -math.log10(self.fpp) - 2.0
-        )
-        padded = int(math.ceil(bits * pad))
-        self.num_blocks = max(1, -(-padded // (_BLOCK_WORDS * 64)))
+        self.num_hashes, self.num_blocks = _geometry(self.capacity, self.fpp)
         self.num_bits = self.num_blocks * _BLOCK_WORDS * 64
         self._words = np.zeros(self.num_blocks * _BLOCK_WORDS, dtype=_U64)
 

@@ -24,15 +24,27 @@ from .hashing import splitmix64
 _U64 = np.uint64
 
 
+def _slot_count(capacity: int) -> int:
+    """Power-of-two slot count holding ``capacity`` keys at ≤50% load."""
+    size = 1
+    while size < max(2 * capacity, 16):
+        size <<= 1
+    return size
+
+
+def hash_set_bytes(capacity: int) -> int:
+    """Footprint of a set sized for ``capacity`` keys (8-byte slots +
+    1-byte occupancy), known before anything is allocated."""
+    return _slot_count(capacity) * 9
+
+
 class VectorHashSet:
     """A linear-probing hash set over ``uint64`` keys."""
 
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise FilterError("capacity must be non-negative")
-        size = 1
-        while size < max(2 * capacity, 16):
-            size <<= 1
+        size = _slot_count(capacity)
         self._size = size
         self._mask = _U64(size - 1)
         self._slots = np.zeros(size, dtype=np.uint64)

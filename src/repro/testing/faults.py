@@ -210,7 +210,7 @@ def _corrupt_payload(payload: object, seed: int) -> None:
     """Flip bytes of the payload's backing arrays in place.
 
     Understands the shapes the filter cache stores: a bare ndarray, a
-    dict of ndarrays, and Bloom/exact filter objects.  Silently does
+    dict of ndarrays, and Bloom/exact/bitmap filter objects.  Silently does
     nothing for opaque payloads (the checksum layer skips those too).
     """
     arrays = _payload_arrays(payload)
@@ -233,7 +233,7 @@ def _payload_arrays(payload: object) -> list[np.ndarray]:
         return [v for _, v in sorted(payload.items())
                 if isinstance(v, np.ndarray)]
     out = []
-    for attr in ("_words",):  # BloomFilter
+    for attr in ("_words", "bits"):  # BloomFilter, BitmapFilter
         arr = getattr(payload, attr, None)
         if isinstance(arr, np.ndarray):
             out.append(arr)

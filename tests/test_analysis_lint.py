@@ -251,6 +251,7 @@ STRICT_PATHS = [
     "src/repro/engine/keys.py",
     "src/repro/engine/sort.py",
     "src/repro/engine/stats.py",
+    "src/repro/filters/bitmap.py",
     "src/repro/filters/bloom.py",
     "src/repro/filters/hashing.py",
     "src/repro/filters/hashcache.py",

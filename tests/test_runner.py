@@ -279,7 +279,9 @@ def test_exact_transfer_config(catalog):
     )
     res = run_query(_spec(), catalog, config=config)
     assert res.table.num_rows == 3
-    assert res.stats.transfer.hash_inserts > 0
+    # Exact filters over dense keys ship as bitmaps, never as Bloom.
+    assert res.stats.transfer.bitmap_inserts > 0
+    assert res.stats.transfer.bloom_inserts == 0
 
 
 def test_yannakakis_root_config(catalog):

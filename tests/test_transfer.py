@@ -9,6 +9,7 @@ from repro.core.transfer import TransferConfig, run_transfer
 from repro.errors import FilterError
 from repro.plan.joingraph import build_join_graph
 from repro.plan.query import QuerySpec, Relation, edge
+from repro.storage.column import Column
 from repro.storage.table import Table
 
 
@@ -135,16 +136,73 @@ def test_input_masks_not_mutated():
         assert np.array_equal(masks[alias], before[alias])
 
 
-def test_stats_op_counts_populated():
+def _rekeyed_fig3_setup(rekey):
+    """Figure 3's chain with its join keys ``b`` and ``c`` mapped
+    through ``rekey(column, keys)``, injective so every join matches as
+    before."""
     pt, scanned, masks = _fig3_setup()
+    rekeyed = {
+        alias: Table(
+            table.name,
+            {
+                name: Column.from_ints(rekey(col, table.column(name).data))
+                if (col := name.split(".")[1]) in ("b", "c")
+                else table.column(name)
+                for name in table.columns
+            },
+        )
+        for alias, table in scanned.items()
+    }
+    return pt, rekeyed, masks
+
+
+def _sparse_fig3_setup():
+    """Every key times 10 007: the spans outgrow a one-block Bloom
+    filter and a 16-slot hash set, so no edge ships a presence bitmap."""
+    return _rekeyed_fig3_setup(lambda _, keys: keys * 10_007)
+
+
+def _dense_fig3_setup():
+    """``c`` over 1..9 instead of 100..900: every span fits a 16-slot
+    hash set's bytes, so every edge ships a presence bitmap."""
+    return _rekeyed_fig3_setup(lambda col, keys: keys // 100 if col == "c" else keys)
+
+
+def test_stats_op_counts_populated():
+    pt, scanned, masks = _sparse_fig3_setup()
     _, bloom_stats = run_transfer(pt, scanned, masks, TransferConfig())
     assert bloom_stats.bloom_inserts > 0 and bloom_stats.bloom_probes > 0
-    assert bloom_stats.hash_inserts == 0
+    assert bloom_stats.hash_inserts == bloom_stats.bitmap_inserts == 0
     _, exact_stats = run_transfer(
         pt, scanned, masks, TransferConfig(filter_type="exact")
     )
     assert exact_stats.hash_inserts > 0 and exact_stats.hash_probes > 0
-    assert exact_stats.bloom_inserts == 0
+    assert exact_stats.bloom_inserts == exact_stats.bitmap_inserts == 0
+
+
+@pytest.mark.parametrize("filter_type", ["bloom", "exact"])
+def test_stats_op_counts_populated_bitmap(filter_type):
+    # Dense keys ship bitmaps whichever kind was asked for, and count
+    # as bitmap operations only.
+    pt, scanned, masks = _dense_fig3_setup()
+    _, stats = run_transfer(
+        pt, scanned, masks, TransferConfig(filter_type=filter_type)
+    )
+    assert {e.kind for e in stats.shipped()} == {"bitmap"}
+    assert stats.bitmap_inserts > 0 and stats.bitmap_probes > 0
+    assert stats.bloom_inserts == stats.bloom_probes == 0
+    assert stats.hash_inserts == stats.hash_probes == 0
+
+
+def test_sparse_fig3_chain_reduction_matches_dense():
+    # Same chain, same survivors: only the filter representation moved.
+    for setup in (_fig3_setup, _sparse_fig3_setup, _dense_fig3_setup):
+        pt, scanned, masks = setup()
+        reduced, _ = run_transfer(
+            pt, scanned, masks, TransferConfig(filter_type="exact")
+        )
+        assert reduced["s"].tolist() == [True, False, True, False, False]
+        assert reduced["r"].tolist() == [True, True, False]
 
 
 def test_reduction_metric():

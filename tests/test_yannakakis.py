@@ -70,7 +70,9 @@ def test_semi_join_phase_exact_on_acyclic_query():
     assert reduced["r"].tolist() == [True, True, False]
     assert reduced["s"].tolist() == [True, False, True, False, False]
     assert reduced["t"].tolist() == [True, True, False, False]
-    assert stats.hash_inserts > 0 and stats.hash_probes > 0
+    # Semi-joins ship exact filters: on these dense keys, bitmaps.
+    assert stats.bitmap_inserts > 0 and stats.bitmap_probes > 0
+    assert stats.bloom_inserts == stats.bloom_probes == 0
 
 
 def test_semi_join_phase_respects_root_choice():
@@ -188,7 +190,7 @@ def test_blocked_direction_ships_nothing(how, root):
     reduced, stats = run_semi_join_phase(jg, scanned, masks, root=root)
     # Only c -> o shipped: c's three keys inserted, o's three rows probed.
     assert stats.filters_built == stats.edges_traversed == 1
-    assert (stats.hash_inserts, stats.hash_probes) == (3, 3)
+    assert (stats.bitmap_inserts, stats.bitmap_probes) == (3, 3)
     assert reduced["c"].all()
     assert reduced["o"].tolist() == [True, True, False]
     # The same edge as an inner join ships in both directions.
