@@ -8,24 +8,10 @@ Commands
 ``ssb``      Run SSB queries likewise.
 ``fig4``     Regenerate the paper's Figure 4 table at a chosen SF.
 ``q5``       Regenerate the Q5 case study (Tables 1–2, Figures 5–6).
-``bench``    Measure wall-clock/transfer-phase/filter-memory per query
-             and strategy; ``--json`` writes the machine-readable record.
-``workload`` Cold/warm replay of a mixed TPC-H+SSB stream through the
-             service Engine;
-             ``--append-mix N`` interleaves transactional appends into
-             the warm pass every N queries (``repro-bench/v8``).
-``ingest``   Warm the cache, then alternate transactional delta
-             appends with full re-queries and record commit latency,
-             re-query wall time and the cache's extension counters.
-``cache``    ``stats`` / ``clear`` on the process-wide filter cache.
 ``serve``    Serve the stock query registry over TCP (length-prefixed
              JSON frames) until SIGTERM, then drain gracefully.
 ``client``   One query / ping / stats against a running server, with
              typed errors and saturation backoff.
-``loadtest`` Closed-loop concurrent driver against a server (or a
-             ``--spawn``ed in-process one); p50/p90/p95/p99 + outcome
-             histogram + digest verdict (``--spawn --cold-warm`` embeds
-             a cold and a warm pass).
 ``stats``    Fetch a running server's ``METRICS``/``STATS`` frames and
              pretty-print them (``--prom`` dumps the raw Prometheus
              exposition for piping).
@@ -38,36 +24,35 @@ Commands
              and prints structured ``REPxxx`` diagnostics.  Exits
              non-zero on any diagnostic (``--all`` is the default
              scope; name queries to narrow it).
+``cache``    ``stats`` / ``clear`` on the process-wide filter cache.
 
-``tpch``, ``ssb`` and ``bench`` execute through the process-wide
-cross-query filter cache by default — repeated queries within one
-invocation hit it — and accept ``--no-filter-cache`` to run the
-uncached executor instead.  The cache lives for the process: ``repro
-cache stats`` reports on the same instance the other commands warmed
-(which is only observable when commands run inside one process, e.g.
-driving :func:`main` programmatically — a fresh shell invocation
-starts cold).
+Performance is measured by ``benchmarks/perf/run.py`` (contract:
+``BENCHMARK.json``), not by this CLI.
 
-``tpch``, ``ssb``, ``bench``, ``workload`` and ``ingest`` also take
-``--partition-rows``, which overrides the storage chunk size behind
-zone-map pruning (results are byte-identical at any size).  A query
-runs on one thread; ``workload --workers N`` and ``serve --workers N``
-run N queries at once.
+``tpch`` and ``ssb`` execute through the process-wide cross-query
+filter cache by default — repeated queries within one invocation hit
+it — and accept ``--no-filter-cache`` to run the uncached executor
+instead.  The cache lives for the process: ``repro cache stats``
+reports on the same instance the other commands warmed (which is only
+observable when commands run inside one process, e.g. driving
+:func:`main` programmatically — a fresh shell invocation starts cold).
 
-``tpch``, ``ssb``, ``bench`` and ``workload`` take the per-query
-resilience knobs: ``--timeout-ms`` (deadline; past it the query
-aborts with a typed ``QueryTimeout`` at the next cooperative
-checkpoint) and
+``tpch`` and ``ssb`` also take ``--partition-rows``, which overrides
+the storage chunk size behind zone-map pruning (results are
+byte-identical at any size).  A query runs on one thread;
+``serve --workers N`` runs N queries at once.
+
+``tpch`` and ``ssb`` take the per-query resilience knobs:
+``--timeout-ms`` (deadline; past it the query aborts with a typed
+``QueryTimeout`` at the next cooperative checkpoint) and
 ``--memory-budget-mb`` (filter/materialization budget; exact filters
 degrade to Bloom first — results stay byte-identical — then the query
-aborts with ``MemoryBudgetExceeded``).  ``workload`` records aborted
-items as per-item ``outcome`` labels in its ``repro-bench/v5`` JSON
-instead of failing the replay.
+aborts with ``MemoryBudgetExceeded``).
 
-Query arguments accept single ids or comma-separated lists everywhere
-(``--query 5``, ``--query 3,5,9``, ``--queries 3,5``).  The cyclic /
-self-join / cross-product extras are addressed by string id: TPC-H
-``c1``–``c3`` (``--query 3,5,c1``) and SSB ``c.1``.
+Query arguments accept single ids or comma-separated lists
+(``--query 5``, ``--query 3,5,9``).  The cyclic / self-join /
+cross-product extras are addressed by string id: TPC-H ``c1``–``c3``
+(``--query 3,5,c1``) and SSB ``c.1``.
 
 Examples::
 
@@ -77,14 +62,10 @@ Examples::
     python -m repro ssb --query 1.1,2.1 --no-filter-cache
     python -m repro fig4 --sf 0.05
     python -m repro q5 --sf 0.1
-    python -m repro bench --sf 0.02 --queries 5 --json bench.json
-    python -m repro workload --sf 0.02 --repeats 2 --workers 2 \
-        --json workload.json
     python -m repro cache stats
     python -m repro serve --sf 0.02 --port 7531 --workers 4 \
         --metrics-port 9090 --slow-query-ms 500
     python -m repro client --query 5 --strategy predtrans --timeout-ms 5000
-    python -m repro loadtest --spawn --sf 0.02 --cold-warm --json loadtest.json
     python -m repro stats --url 127.0.0.1:7531
     python -m repro trace --sf 0.02 --query q5 --strategy predtrans
     python -m repro check --all --sf 0.01
@@ -109,20 +90,11 @@ from .bench.harness import (
     join_size_table,
     run_suite,
     speedup_summary,
-    suite_to_json,
     time_query,
-    write_bench_json,
 )
-from .bench.report import format_table
 from .cache import default_filter_cache
 from .core.runner import STRATEGIES, RunConfig
 from .errors import QueryAborted
-from .service.workload import (
-    DEFAULT_SSB_IDS,
-    DEFAULT_TPCH_IDS,
-    cold_warm,
-    ingest_bench,
-)
 from .ssb import ALL_SSB_QUERY_IDS, generate_ssb, get_ssb_query
 from .tpch import generate_tpch
 from .tpch.queries import (
@@ -157,7 +129,7 @@ def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_partition_arg(parser: argparse.ArgumentParser) -> None:
-    """The storage chunk-size knob shared by every run command."""
+    """The storage chunk-size knob shared by ``tpch`` and ``ssb``."""
     parser.add_argument(
         "--partition-rows",
         type=int,
@@ -169,7 +141,8 @@ def _add_partition_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
-    """Per-query deadline/memory-budget knobs shared by run commands."""
+    """Per-query deadline/memory-budget knobs shared by ``tpch`` and
+    ``ssb``."""
     parser.add_argument(
         "--timeout-ms",
         type=float,
@@ -189,30 +162,21 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _timeout_seconds(args: argparse.Namespace) -> float | None:
-    ms = getattr(args, "timeout_ms", None)
-    return None if ms is None else ms / 1000.0
-
-
-def _memory_budget_bytes(args: argparse.Namespace) -> int | None:
-    mb = getattr(args, "memory_budget_mb", None)
-    return None if mb is None else int(mb * 2**20)
-
-
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    """The command's execution config: cached by default, plain on
+    """``tpch``/``ssb``'s execution config: cached by default, plain on
     ``--no-filter-cache``; ``--partition-rows`` sets the storage chunk
     size and ``--timeout-ms`` / ``--memory-budget-mb`` the per-query
     resilience knobs."""
     kwargs: dict = {}
-    partition_rows = getattr(args, "partition_rows", None)
-    if partition_rows is not None:
+    if args.partition_rows is not None:
         # Invalid values (0, negatives) surface RunConfig's own
         # validation error rather than being silently dropped.
-        kwargs["partition_rows"] = partition_rows
-    kwargs["timeout"] = _timeout_seconds(args)
-    kwargs["memory_budget"] = _memory_budget_bytes(args)
-    if not getattr(args, "no_filter_cache", False):
+        kwargs["partition_rows"] = args.partition_rows
+    if args.timeout_ms is not None:
+        kwargs["timeout"] = args.timeout_ms / 1000.0
+    if args.memory_budget_mb is not None:
+        kwargs["memory_budget"] = int(args.memory_budget_mb * 2**20)
+    if not args.no_filter_cache:
         kwargs["filter_cache"] = default_filter_cache()
     return RunConfig(**kwargs)
 
@@ -341,145 +305,6 @@ def _parse_ssb_ids(text: str) -> tuple[str, ...]:
     return ids
 
 
-def _parse_strategies(text: str) -> tuple[str, ...]:
-    """argparse type for ``--strategies``: comma-separated strategy names."""
-    names = tuple(_parse_list(text))
-    bad = [s for s in names if s not in STRATEGIES]
-    if bad:
-        raise argparse.ArgumentTypeError(
-            f"unknown strategy {bad[0]!r}; choose from {STRATEGIES}"
-        )
-    return names
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    query_ids = args.queries if args.queries else BENCH_QUERY_IDS
-    strategies = args.strategies if args.strategies else STRATEGIES
-    config = _run_config(args)
-    catalog = generate_tpch(sf=args.sf, seed=args.seed)
-    suite = run_suite(
-        catalog,
-        sf=args.sf,
-        query_ids=query_ids,
-        strategies=strategies,
-        repeats=args.repeats,
-        config=config,
-    )
-    headers = ["query", "strategy", "seconds", "transfer_s", "filter_KiB", "rows"]
-    rows = []
-    for m in suite.measurements:
-        rows.append(
-            [
-                m.query,
-                m.strategy,
-                f"{m.seconds:.4f}",
-                f"{m.stats.transfer_seconds:.4f}",
-                f"{m.stats.transfer.filter_bytes / 1024:.1f}",
-                m.output_rows,
-            ]
-        )
-    print(format_table(headers, rows, title=f"bench (SF={args.sf})"))
-    payload = suite_to_json(suite, args.repeats, args.seed, config)
-    if args.json:
-        write_bench_json(args.json, payload)
-        print(f"\nwrote {args.json}")
-    return 0
-
-
-def _cmd_workload(args: argparse.Namespace) -> int:
-    payload = cold_warm(
-        sf=args.sf,
-        seed=args.seed,
-        tpch_ids=args.tpch if args.tpch else DEFAULT_TPCH_IDS,
-        ssb_ids=args.ssb if args.ssb else DEFAULT_SSB_IDS,
-        repeats=args.repeats,
-        variants=args.variants,
-        workers=args.workers,
-        strategy=args.strategy,
-        partition_rows=args.partition_rows,
-        timeout=_timeout_seconds(args),
-        memory_budget=_memory_budget_bytes(args),
-        append_mix=max(0, args.append_mix or 0),
-        append_rows=args.append_rows,
-    )
-    comp = payload["comparison"]
-    print(
-        f"stream of {payload['meta']['stream_length']} queries "
-        f"(SF={args.sf}, strategy={args.strategy}, workers={args.workers})"
-    )
-    print(
-        f"cold {comp['cold_seconds']:.4f}s -> warm {comp['warm_seconds']:.4f}s "
-        f"({comp['speedup']:.2f}x), results identical: "
-        f"{comp['results_identical']}"
-    )
-    outcomes = comp["outcomes"]
-    if set(outcomes["cold"]) | set(outcomes["warm"]) != {"ok"}:
-        print(f"outcomes: cold={outcomes['cold']} warm={outcomes['warm']}")
-    for row in comp["per_query"]:
-        print(
-            f"  {row['query']:12s} cold={row['cold_seconds']:.4f}s "
-            f"warm={row['warm_seconds']:.4f}s ({row['ratio']:.2f}x)"
-        )
-    if comp["cache"]:
-        c = comp["cache"]
-        print(
-            f"cache: {c['entries']} entries, {c['bytes'] / 1024:.1f} KiB, "
-            f"hit rate {c['hit_rate']:.1%}"
-        )
-    if "ingest" in comp:
-        ing = comp["ingest"]
-        print(
-            f"ingest: {ing['batches']} commits, "
-            f"{ing['rows_ingested']} rows, "
-            f"{ing['cache_extensions']} cache extensions "
-            f"({ing['cache_extension_rebuilds']} rebuilds); identity "
-            f"checked over first {ing['identical_prefix_items']} items"
-        )
-    if args.json:
-        write_bench_json(args.json, payload)
-        print(f"wrote {args.json}")
-    return 0
-
-
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    payload = ingest_bench(
-        sf=args.sf,
-        seed=args.seed,
-        batches=args.batches,
-        append_rows=args.rows,
-        tpch_ids=args.tpch if args.tpch else (3, 5, 10),
-        strategy=args.strategy,
-        partition_rows=args.partition_rows,
-    )
-    meta = payload["meta"]
-    print(
-        f"ingest bench (SF={meta['sf']}, strategy={meta['strategy']}, "
-        f"tables={','.join(meta['ingest_tables'])}, "
-        f"queries={','.join(str(q) for q in meta['tpch_queries'])})"
-    )
-    print(f"warm pass: {payload['warm_seconds']:.4f}s")
-    for rnd in payload["rounds"]:
-        print(
-            f"  round {rnd['round']}: +{rnd['rows']} rows in "
-            f"{rnd['ingest_seconds'] * 1e3:.1f}ms, requery "
-            f"{rnd['requery_seconds']:.4f}s, cache ext="
-            f"{rnd['cache_extensions']} rebuilds="
-            f"{rnd['cache_extension_rebuilds']}"
-        )
-    totals = payload["totals"]
-    print(
-        f"totals: {totals['ingests']} commits, "
-        f"{totals['rows_ingested']} rows, "
-        f"{totals['cache_extensions']} extensions "
-        f"({totals['cache_extension_rebuilds']} rebuilds), "
-        f"hit rate {totals['cache_hit_rate']:.1%}"
-    )
-    if args.json:
-        write_bench_json(args.json, payload)
-        print(f"wrote {args.json}")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.protocol import DEFAULT_MAX_FRAME_BYTES
     from .service.server import ServerConfig, run_server
@@ -560,104 +385,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
         if frame.get("data_truncated"):
             print("  … (truncated)")
     return 0
-
-
-def _parse_query_names(text: str) -> list[str]:
-    names = [_normalize_query_name(part) for part in _parse_list(text)]
-    if not names:
-        raise argparse.ArgumentTypeError("empty query list")
-    return names
-
-
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    from .errors import ReproError
-    from .service.loadtest import (
-        SCHEMA_V7,
-        format_loadtest,
-        loadtest_violations,
-        run_loadtest,
-    )
-
-    def one_pass(host: str, port: int) -> dict:
-        return run_loadtest(
-            host,
-            port,
-            connections=args.connections,
-            requests=args.requests,
-            queries=args.queries,
-            strategy=args.strategy,
-            timeout_ms=args.timeout_ms,
-            io_timeout=args.io_timeout,
-            seed=args.seed,
-            check_digests=args.check_digests,
-        )
-
-    if args.spawn:
-        from .obs.adapters import ObsCollector
-        from .obs.metrics import MetricsRegistry
-        from .service.engine import Engine
-        from .service.server import ServerThread, build_default_registry
-
-        catalog, specs = build_default_registry(args.sf, args.seed)
-        registry = MetricsRegistry()
-        engine = Engine(
-            catalog,
-            workers=args.workers,
-            registry=registry,
-        )
-        try:
-            with ServerThread(
-                engine,
-                specs,
-                meta={"sf": args.sf, "seed": args.seed},
-                collector=ObsCollector(registry, engine=engine),
-            ) as st:
-                if args.cold_warm:
-                    cold = one_pass(st.host, st.port)
-                    warm = one_pass(st.host, st.port)
-                    payload = {
-                        "schema": SCHEMA_V7,
-                        "kind": "loadtest-cold-warm",
-                        "meta": dict(
-                            cold["meta"],
-                            workers=args.workers,
-                            spawned=True,
-                        ),
-                        "cold": cold,
-                        "warm": warm,
-                        "warm_speedup_p50": (
-                            cold["latency"]["p50_ms"]
-                            / warm["latency"]["p50_ms"]
-                            if cold["latency"]["p50_ms"]
-                            and warm["latency"]["p50_ms"]
-                            else None
-                        ),
-                    }
-                    print("— cold —")
-                    print(format_loadtest(cold))
-                    print("— warm —")
-                    print(format_loadtest(warm))
-                    violations = loadtest_violations(cold) + loadtest_violations(warm)
-                else:
-                    payload = one_pass(st.host, st.port)
-                    print(format_loadtest(payload))
-                    violations = loadtest_violations(payload)
-        finally:
-            engine.shutdown(wait=True, cancel=True)
-    else:
-        try:
-            payload = one_pass(args.host, args.port)
-        except ReproError as exc:
-            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
-        print(format_loadtest(payload))
-        violations = loadtest_violations(payload)
-    if args.json:
-        write_bench_json(args.json, payload)
-        print(f"wrote {args.json}")
-    for violation in violations:
-        print(f"VIOLATION: {violation}", file=sys.stderr)
-    return 1 if violations else 0
 
 
 def _parse_hostport(url: str) -> tuple[str, int]:
@@ -912,108 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
     q5.add_argument("--repeats", type=int, default=2)
     q5.set_defaults(func=_cmd_q5)
 
-    bench = sub.add_parser(
-        "bench", help="measure per-query/strategy timings and filter memory"
-    )
-    _add_common(bench)
-    bench.add_argument(
-        "--queries",
-        type=_parse_query_ids,
-        help='comma-separated query ids (1-22 and c1-c3), e.g. "3,5,c1"',
-    )
-    bench.add_argument(
-        "--strategies",
-        type=_parse_strategies,
-        help='comma-separated strategies, e.g. "predtrans,bloomjoin"',
-    )
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--json", help="write machine-readable results here")
-    _add_cache_flag(bench)
-    _add_partition_arg(bench)
-    _add_resilience_args(bench)
-    bench.set_defaults(func=_cmd_bench)
-
-    workload = sub.add_parser(
-        "workload",
-        help="cold/warm replay of a mixed TPC-H+SSB stream through the "
-        "service Engine",
-    )
-    _add_common(workload)
-    workload.add_argument(
-        "--tpch",
-        type=_parse_query_ids,
-        help='TPC-H query ids in the mix, e.g. "3,5,9"',
-    )
-    workload.add_argument(
-        "--ssb",
-        type=_parse_ssb_ids,
-        help='SSB query ids in the mix, e.g. "1.1,2.1"',
-    )
-    workload.add_argument(
-        "--repeats", type=int, default=2, help="occurrences of each query"
-    )
-    workload.add_argument(
-        "--variants",
-        type=int,
-        default=1,
-        help="parameter-varied copies per query (date-shifted)",
-    )
-    workload.add_argument(
-        "--workers", type=int, default=1, help="concurrent engine workers"
-    )
-    workload.add_argument(
-        "--strategy", choices=STRATEGIES, default="predtrans"
-    )
-    workload.add_argument("--json", help="write the cold/warm record here")
-    workload.add_argument(
-        "--append-mix",
-        type=int,
-        default=0,
-        dest="append_mix",
-        metavar="N",
-        help="commit a transactional delta append every N warm items "
-        "(0 = read-only warm pass; >0 switches the record to "
-        "repro-bench/v8 with an ingest block)",
-    )
-    workload.add_argument(
-        "--append-rows",
-        type=int,
-        default=64,
-        dest="append_rows",
-        metavar="ROWS",
-        help="delta rows appended per table per --append-mix event",
-    )
-    _add_partition_arg(workload)
-    _add_resilience_args(workload)
-    workload.set_defaults(func=_cmd_workload)
-
-    ingest = sub.add_parser(
-        "ingest",
-        help="alternate transactional appends with re-queries and "
-        "record commit latency + cache-extension counters",
-    )
-    _add_common(ingest)
-    ingest.add_argument(
-        "--batches", type=int, default=3, help="append/re-query rounds"
-    )
-    ingest.add_argument(
-        "--rows",
-        type=int,
-        default=256,
-        help="delta rows appended per table per round",
-    )
-    ingest.add_argument(
-        "--tpch",
-        type=_parse_query_ids,
-        help='TPC-H query ids to re-run each round, e.g. "3,5,10"',
-    )
-    ingest.add_argument(
-        "--strategy", choices=STRATEGIES, default="predtrans"
-    )
-    ingest.add_argument("--json", help="write the v8 ingest record here")
-    _add_partition_arg(ingest)
-    ingest.set_defaults(func=_cmd_ingest)
-
     serve = sub.add_parser(
         "serve",
         help="serve the stock query registry over TCP until SIGTERM",
@@ -1130,60 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the raw response frame as JSON",
     )
     client.set_defaults(func=_cmd_client)
-
-    loadtest = sub.add_parser(
-        "loadtest",
-        help="closed-loop concurrent load against a server "
-        "(p50/p95/p99, outcomes, digest verdict)",
-    )
-    _add_common(loadtest)
-    loadtest.add_argument("--host", default="127.0.0.1")
-    loadtest.add_argument("--port", type=int, default=7531)
-    loadtest.add_argument("--connections", type=int, default=4)
-    loadtest.add_argument(
-        "--requests", type=int, default=40, help="total across connections"
-    )
-    loadtest.add_argument(
-        "--queries",
-        type=_parse_query_names,
-        default=None,
-        help='comma-separated registered names, e.g. "q3,q5,c1"',
-    )
-    loadtest.add_argument("--strategy", choices=STRATEGIES, default=None)
-    loadtest.add_argument(
-        "--timeout-ms", type=float, default=None, dest="timeout_ms"
-    )
-    loadtest.add_argument(
-        "--io-timeout", type=float, default=60.0, dest="io_timeout"
-    )
-    loadtest.add_argument(
-        "--check-digests",
-        action="store_true",
-        dest="check_digests",
-        help="verify every remote digest against an in-process oracle "
-        "built at the server's reported sf/seed",
-    )
-    loadtest.add_argument(
-        "--spawn",
-        action="store_true",
-        help="spawn an in-process server at --sf/--seed instead of "
-        "targeting --host/--port",
-    )
-    loadtest.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="engine workers for --spawn",
-    )
-    loadtest.add_argument(
-        "--cold-warm",
-        action="store_true",
-        dest="cold_warm",
-        help="with --spawn: run the pass twice (cold then warm cache) "
-        "and embed both",
-    )
-    loadtest.add_argument("--json", help="write the v7 record here")
-    loadtest.set_defaults(func=_cmd_loadtest)
 
     stats = sub.add_parser(
         "stats",

@@ -9,11 +9,7 @@ The entry points mirror the paper's figures and tables:
 * :func:`breakdown` + :func:`format_breakdown` — Figure 5 (pre-filter
   versus join-phase time);
 * :func:`join_order_runtimes` + :func:`format_join_orders` — Figure 6
-  (robustness across join orders);
-* :func:`suite_to_json` + :func:`write_bench_json` — machine-readable
-  per-query/per-strategy records (wall clock, transfer-phase time,
-  filter memory) backing the repo's committed ``BENCH_*.json``
-  perf-trajectory artifacts and the CI smoke bench.
+  (robustness across join orders).
 
 Timing protocol: as in the paper, tables are in memory and each query
 is run ``repeats`` times with the minimum kept (the paper runs twice
@@ -22,13 +18,9 @@ and keeps the warm second run).
 
 from __future__ import annotations
 
-import json
 import math
-import platform
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..core.runner import STRATEGIES, RunConfig, run_query
 from ..engine.stats import QueryStats
@@ -128,95 +120,6 @@ def run_suite(
                 time_query(spec, catalog, strategy, repeats=repeats, config=config)
             )
     return suite
-
-
-# ----------------------------------------------------------------------
-# Machine-readable bench records (BENCH_*.json artifacts)
-# ----------------------------------------------------------------------
-def measurement_to_json(m: Measurement) -> dict:
-    """One measurement as a flat JSON-ready record.
-
-    Schema ``repro-bench/v5``: extends v4 (partition counters
-    over v3's filter-cache counters over v2's scan/materialize
-    attribution over v1's phase split) with the resilience fields —
-    per-query ``outcome`` (``ok`` | ``degraded`` for completed
-    measurements; failed queries in workload records carry ``timeout``
-    | ``cancelled`` | ``rejected`` | ``budget`` from the typed error),
-    ``filters_degraded`` (exact→Bloom fallbacks under a memory
-    budget), ``memory_budget_bytes`` (0 = unlimited) and
-    ``mem_peak_bytes`` (the charged high-water mark, recorded with or
-    without a budget).
-    """
-    t = m.stats.transfer
-    return {
-        "query": m.query,
-        "strategy": m.strategy,
-        "outcome": m.stats.outcome,
-        "seconds": m.seconds,
-        "scan_seconds": m.stats.scan_seconds_total,
-        "transfer_seconds": m.stats.transfer_seconds,
-        "join_seconds": m.stats.join_seconds,
-        "post_seconds": m.stats.post_seconds,
-        "materialize_seconds": m.stats.materialize_seconds_total,
-        "bytes_materialized": m.stats.bytes_materialized_total,
-        "filter_cache_hits": m.stats.filter_cache_hits_total,
-        "filter_cache_misses": m.stats.filter_cache_misses_total,
-        "filter_cache_bytes": m.stats.filter_cache_bytes,
-        "partitions_total": m.stats.partitions_total_all,
-        "partitions_pruned": m.stats.partitions_pruned_all,
-        "filters_degraded": m.stats.filters_degraded,
-        "memory_budget_bytes": m.stats.memory_budget_bytes,
-        "mem_peak_bytes": m.stats.mem_peak_bytes,
-        "digest": m.digest,
-        "output_rows": m.output_rows,
-        "prefilter_reduction": t.reduction(),
-        "filters_built": t.filters_built,
-        "filter_bytes": t.filter_bytes,
-        "bloom_inserts": t.bloom_inserts,
-        "bloom_probes": t.bloom_probes,
-        "hash_inserts": t.hash_inserts,
-        "hash_probes": t.hash_probes,
-        "bitmap_inserts": t.bitmap_inserts,
-        "bitmap_probes": t.bitmap_probes,
-        "join_input_rows": m.stats.total_join_input_rows(),
-    }
-
-
-def suite_to_json(
-    suite: SuiteResult,
-    repeats: int,
-    seed: int = 0,
-    config: RunConfig | None = None,
-) -> dict:
-    """The whole sweep as a JSON document with environment metadata."""
-    return {
-        "schema": "repro-bench/v5",
-        "meta": {
-            "sf": suite.sf,
-            "seed": seed,
-            "repeats": repeats,
-            "partition_rows": (
-                None if config is None else config.partition_rows
-            ),
-            "timeout_seconds": None if config is None else config.timeout,
-            "memory_budget_bytes": (
-                None if config is None else config.memory_budget
-            ),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "timestamp_unix": int(time.time()),
-        },
-        "measurements": [measurement_to_json(m) for m in suite.measurements],
-    }
-
-
-def write_bench_json(path: str, payload: dict) -> None:
-    """Write a bench document; ``payload`` comes from suite_to_json
-    (or extends it with comparison blocks)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=False)
-        fh.write("\n")
 
 
 # ----------------------------------------------------------------------

@@ -241,7 +241,7 @@ class QueryStats:
 
     @property
     def outcome(self) -> str:
-        """``repro-bench/v5`` outcome label of a *completed* query.
+        """Outcome label of a *completed* query.
 
         ``"degraded"`` when any filter fell back exact→Bloom under the
         memory budget, else ``"ok"``.  Failed queries never produce a
@@ -290,13 +290,6 @@ class QueryStats:
         """Materialization time including pre-stages'."""
         return self.materialize_seconds + sum(
             s.materialize_seconds_total for s in self.stage_stats
-        )
-
-    @property
-    def bytes_materialized_total(self) -> int:
-        """Bytes gathered into concrete tables including pre-stages'."""
-        return self.bytes_materialized + sum(
-            s.bytes_materialized_total for s in self.stage_stats
         )
 
     @property

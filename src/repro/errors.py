@@ -54,15 +54,15 @@ class FilterError(ReproError):
 # the serial eager oracle or raises exactly one of these — never a
 # wrong answer, a deadlock, or a leaked worker slot.  They are raised
 # at cooperative checkpoints, preserved across service futures, and
-# counted in ``EngineStats``/workload digests under the ``outcome``
-# field of ``repro-bench/v5`` records.
+# counted in ``EngineStats``, replay records and chaos cells under
+# their ``outcome`` label.
 
 
 class QueryAborted(ReproError):
     """Base class for queries stopped before producing a result
     (deadline, cancellation, admission control, memory budget)."""
 
-    #: ``repro-bench/v5`` per-query outcome label.
+    #: Per-query outcome label.
     outcome = "aborted"
 
 

@@ -6,7 +6,7 @@ Three rules shape this module:
   :data:`LATENCY_BUCKETS` ladder (100 µs → 60 s, a 1–2.5–5 decade
   progression).  Because the ladder is identical everywhere, histogram
   snapshots are *mergeable* — bucket counts from N engines (or N
-  loadtest connections) add element-wise and percentiles estimated
+  client connections) add element-wise and percentiles estimated
   from the merged counts stay valid.  Per-histogram custom buckets
   would silently break that.
 

@@ -6,8 +6,7 @@ The serving layer grown on top of the single-query executor:
   + worker pool; thread-safe execution and catalog mutation) and
   :class:`Session` (per-client handle with history);
 * :mod:`.workload` — mixed TPC-H/SSB stream construction (repeated,
-  shuffled, parameter-varied) and cold/warm replay, backing the
-  ``repro workload`` CLI;
+  shuffled, parameter-varied), in-order replay and the result digest;
 * :mod:`.protocol` — the length-prefixed JSON wire protocol (frame
   codecs, request/response constructors, error-code ↔ exception
   mapping);
@@ -15,16 +14,13 @@ The serving layer grown on top of the single-query executor:
   (:class:`QueryServer`, the test/tool-friendly :class:`ServerThread`,
   and the blocking :func:`run_server` CLI entrypoint);
 * :mod:`.client` — the resilient blocking :class:`ReproClient`
-  (typed errors, saturation backoff via :class:`RetryPolicy`);
-* :mod:`.loadtest` — the closed-loop :func:`run_loadtest` driver
-  behind ``repro loadtest``.
+  (typed errors, saturation backoff via :class:`RetryPolicy`).
 """
 
 from __future__ import annotations
 
 from .client import ReproClient
 from .engine import Engine, EngineStats, RetryPolicy, Session
-from .loadtest import format_loadtest, loadtest_violations, run_loadtest
 from .server import (
     QueryServer,
     ServerConfig,
@@ -36,7 +32,6 @@ from .workload import (
     ReplayResult,
     build_catalog,
     build_stream,
-    cold_warm,
     replay,
     vary_spec,
 )
@@ -54,11 +49,7 @@ __all__ = [
     "build_catalog",
     "build_default_registry",
     "build_stream",
-    "cold_warm",
-    "format_loadtest",
-    "loadtest_violations",
     "replay",
-    "run_loadtest",
     "run_server",
     "vary_spec",
 ]

@@ -19,7 +19,8 @@ mirrors the server's:
   ``io_timeout``.
 
 One client drives one connection and one request at a time; open one
-client per concurrent caller (the loadtest driver does exactly that).
+client per concurrent caller (the network chaos sweep and the
+benchmark's serving workloads do exactly that).
 Responses are nevertheless matched by request id, so a server that
 interleaves responses with other traffic on the connection is handled
 correctly.

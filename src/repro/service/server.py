@@ -990,8 +990,8 @@ def build_default_registry(sf: float, seed: int = 0):
 # ----------------------------------------------------------------------
 class ServerThread:
     """Run a :class:`QueryServer` on a private event loop in a
-    background thread — the in-process harness used by the tests, the
-    network-chaos sweep and the self-hosted loadtest.
+    background thread — the in-process harness used by the tests and
+    the network-chaos sweep.
 
     The thread owns the loop, not the engine; :meth:`close` drains the
     server (every pending request resolves) and stops the loop, then

@@ -8,7 +8,8 @@ the spec) but accepted uniformly.
 and Q6, which contain no joins.  ``CYCLIC_QUERY_IDS`` adds the
 beyond-TPC-H shapes of :mod:`.extra` — triangle cycle, self-join cycle
 and cross product — addressable from :func:`get_query` (and therefore
-the CLI/bench/workload layers) by their string ids ``"c1"``–``"c3"``.
+the CLI, the bench harness and the service) by their string ids
+``"c1"``–``"c3"``.
 """
 
 from __future__ import annotations

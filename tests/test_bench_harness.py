@@ -116,32 +116,42 @@ def test_empty_suite_result():
     assert suite.queries() == []
 
 
-def test_suite_to_json_roundtrip(suite):
-    import json
+def test_suite_to_json_roundtrip(suite, tiny_catalog):
+    """Each measurement carries a positive time, non-negative phase
+    times and the digest of the result it timed."""
+    from repro.core.runner import run_query
+    from repro.service.workload import result_digest
 
-    from repro.bench.harness import suite_to_json, write_bench_json
-
-    doc = suite_to_json(suite, repeats=1, seed=0)
-    assert doc["schema"] == "repro-bench/v5"
-    assert doc["meta"]["sf"] == TINY_SF
-    assert len(doc["measurements"]) == len(suite.measurements)
-    record = doc["measurements"][0]
-    for key in (
-        "query", "strategy", "seconds", "transfer_seconds", "join_seconds",
-        "scan_seconds", "materialize_seconds", "bytes_materialized",
-        "filter_bytes", "prefilter_reduction", "join_input_rows",
-    ):
-        assert key in record
-    # Document is valid JSON end to end.
-    json.loads(json.dumps(doc))
+    specs = {s.name: s for s in (get_query(q, sf=TINY_SF) for q in (3, 5))}
+    for m in suite.measurements:
+        assert m.seconds > 0
+        s = m.stats
+        for phase in (
+            s.scan_seconds_total, s.transfer_seconds, s.join_seconds,
+            s.post_seconds, s.materialize_seconds_total,
+        ):
+            assert phase >= 0
+        fresh = run_query(specs[m.query], tiny_catalog, strategy=m.strategy)
+        assert m.digest == result_digest(fresh.table)
 
 
 def test_write_bench_json(tmp_path, suite):
+    """A measurement's per-query record is its span tree, written as
+    JSON lines by the trace sink (what ``repro trace --out`` appends)."""
     import json
 
-    from repro.bench.harness import suite_to_json, write_bench_json
+    from repro.obs.trace import TraceSink, spans_from_stats
 
-    path = tmp_path / "out.json"
-    write_bench_json(str(path), suite_to_json(suite, repeats=1))
-    assert json.loads(path.read_text())["schema"] == "repro-bench/v5"
+    path = tmp_path / "spans.jsonl"
+    emitted = []
+    with TraceSink(str(path)) as sink:
+        for m in suite.measurements:
+            spans = spans_from_stats(m.stats)
+            sink.emit(spans)
+            emitted.extend((span.span_id, span.name) for span in spans)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(d["span_id"], d["name"]) for d in lines] == emitted
+    roots = [(d["attrs"]["query"], d["attrs"]["strategy"])
+             for d in lines if d["name"] == "query"]
+    assert roots == [(m.query, m.strategy) for m in suite.measurements]
 

@@ -16,6 +16,27 @@ def test_requires_command():
         build_parser().parse_args([])
 
 
+def test_cli_surface_is_the_documented_commands():
+    """The parser's subcommands are exactly the module docstring's
+    ``Commands`` list: no undocumented command, no stale entry."""
+    import argparse
+    import re
+
+    import repro.__main__ as cli
+
+    (sub,) = [
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    commands = set(sub.choices)
+    assert commands == {
+        "tpch", "ssb", "fig4", "q5", "serve", "client", "stats", "trace",
+        "check", "cache",
+    }
+    section = cli.__doc__.split("Commands\n--------\n", 1)[1].split("\n\n", 1)[0]
+    assert set(re.findall(r"^``(\w+)``", section, re.MULTILINE)) == commands
+
+
 def test_query_lists_accepted_everywhere():
     parser = build_parser()
     assert parser.parse_args(["tpch", "--query", "3,5,9"]).query == (3, 5, 9)
@@ -23,7 +44,6 @@ def test_query_lists_accepted_everywhere():
         "1.1",
         "2.1",
     )
-    assert parser.parse_args(["bench", "--queries", "3,5"]).queries == (3, 5)
 
 
 @pytest.mark.parametrize(
@@ -33,7 +53,7 @@ def test_query_lists_accepted_everywhere():
         ["tpch", "--query", "3,x"],
         ["tpch", "--query", ","],
         ["ssb", "--query", "9.9"],
-        ["bench", "--queries", "0"],
+        ["tpch", "--query", "0"],
     ],
 )
 def test_bad_query_lists_rejected(argv):
@@ -117,43 +137,25 @@ def test_q5_case_study_smoke(capsys):
     assert "Q5 join sizes" in out and "max/min" in out
 
 
-def test_bench_json_smoke(tmp_path, capsys):
-    out_path = tmp_path / "bench.json"
+def test_bench_json_smoke(capsys):
     code = main(
         [
-            "bench", "--sf", "0.003", "--queries", "5",
-            "--strategies", "predtrans,nopredtrans",
-            "--repeats", "1", "--json", str(out_path),
+            "tpch", "--sf", "0.003", "--query", "5", "--strategy", "predtrans",
+            "--repeats", "1", "--analyze", "--no-filter-cache",
         ]
     )
     assert code == 0
-    assert "q5" in capsys.readouterr().out
-
-    import json
-
-    doc = json.loads(out_path.read_text())
-    assert doc["schema"] == "repro-bench/v5"
-    assert doc["meta"]["sf"] == 0.003
-    strategies = {m["strategy"] for m in doc["measurements"]}
-    assert strategies == {"predtrans", "nopredtrans"}
-    for m in doc["measurements"]:
-        assert m["seconds"] > 0
-        assert m["transfer_seconds"] >= 0
-        if m["strategy"] == "predtrans":
-            # Q5 as written: every vertex is filtered, the gate skips none.
-            assert m["filters_built"] == 14 and m["filter_bytes"] > 0
+    out = capsys.readouterr().out
+    assert "transfer edges of q5 (predtrans)" in out
+    # Q5 as written: every vertex is filtered, the gate skips none.
+    assert out.count("| shipped") == 14
+    assert "skipped" not in out
 
 
 def test_cyclic_query_ids_accepted():
     parser = build_parser()
     assert parser.parse_args(["tpch", "--query", "3,c1"]).query == (3, "c1")
-    assert parser.parse_args(["bench", "--queries", "c1,c2,c3"]).queries == (
-        "c1",
-        "c2",
-        "c3",
-    )
     assert parser.parse_args(["ssb", "--query", "c.1"]).query == ("c.1",)
-    assert parser.parse_args(["workload", "--tpch", "5,c1"]).tpch == (5, "c1")
 
 
 def test_unknown_cyclic_id_rejected():
@@ -171,22 +173,18 @@ def test_tpch_cyclic_query_runs(capsys):
 
 
 def test_parallel_args_accepted_on_run_commands():
-    """Every run command takes ``--partition-rows``; the query commands
-    hand it to their RunConfig."""
+    """Both query commands take ``--partition-rows`` and hand it to
+    their RunConfig."""
     from repro.__main__ import _run_config
 
     parser = build_parser()
     for argv in (
         ["tpch", "--partition-rows", "8192"],
         ["ssb", "--partition-rows", "2048"],
-        ["bench", "--partition-rows", "4096"],
-        ["workload", "--partition-rows", "1024"],
-        ["ingest", "--partition-rows", "512"],
     ):
         args = parser.parse_args(argv)
         assert args.partition_rows == int(argv[2])
-        if argv[0] in ("tpch", "ssb", "bench"):
-            assert _run_config(args).partition_rows == int(argv[2])
+        assert _run_config(args).partition_rows == int(argv[2])
 
 
 @pytest.mark.parametrize(
@@ -194,12 +192,12 @@ def test_parallel_args_accepted_on_run_commands():
     [
         ["tpch", "--threads", "2"],
         ["ssb", "--threads", "2"],
-        ["bench", "--threads", "2"],
-        ["bench", "--parallel-compare", "2"],
-        ["workload", "--threads", "2"],
-        ["ingest", "--threads", "2"],
+        ["fig4", "--threads", "2"],
+        ["q5", "--threads", "2"],
+        ["check", "--threads", "2"],
+        ["client", "--threads", "2"],
         ["serve", "--threads", "2"],
-        ["loadtest", "--threads", "2"],
+        ["stats", "--url", ":1", "--threads", "2"],
         ["trace", "--query", "q5", "--threads", "2"],
     ],
 )
@@ -225,35 +223,36 @@ def test_serve_client_loadtest_parser_wiring():
          "--timeout-ms", "250"]
     )
     assert args.query == "5" and args.timeout_ms == 250.0
-    args = parser.parse_args(
-        ["loadtest", "--queries", "3,q5,c1", "--connections", "2",
-         "--spawn", "--cold-warm"]
-    )
-    assert args.queries == ["q3", "q5", "c1"]
-    assert args.spawn and args.cold_warm
+    # No load generator in the CLI: serving load is the benchmark's.
+    with pytest.raises(SystemExit):
+        parser.parse_args(["loadtest", "--connections", "2"])
 
 
-def test_loadtest_spawn_cold_warm_writes_v7_record(tmp_path, capsys):
+def test_loadtest_spawn_cold_warm_writes_v7_record(capsys):
+    """``repro client`` against an in-process server: the same query
+    twice (cold, then warm cache) returns the in-process digest, and
+    the server is left with no pending job."""
     import json
 
-    path = tmp_path / "loadtest.json"
-    code = main(
-        [
-            "loadtest", "--spawn", "--sf", "0.002", "--connections", "2",
-            "--requests", "8", "--queries", "q3,q5", "--workers", "2",
-            "--cold-warm", "--check-digests", "--json", str(path),
-        ]
-    )
-    assert code == 0
-    doc = json.loads(path.read_text())
-    assert doc["schema"] == "repro-bench/v7"
-    assert doc["kind"] == "loadtest-cold-warm"
-    for phase in ("cold", "warm"):
-        assert doc[phase]["outcomes"] == {"ok": 8}
-        assert doc[phase]["digest_check"]["identical"] is True
-        assert doc[phase]["server_stats"]["server"]["pending_jobs"] == 0
-    out = capsys.readouterr().out
-    assert "digest check vs in-process oracle: identical" in out
+    from repro.core.runner import run_query
+    from repro.service import Engine, ServerThread, build_default_registry
+    from repro.service.workload import result_digest
+
+    catalog, specs = build_default_registry(0.002)
+    oracle = result_digest(run_query(specs["q3"], catalog).table)
+    engine = Engine(catalog, workers=2)
+    try:
+        with ServerThread(engine, specs) as st:
+            base = ["client", "--host", st.host, "--port", str(st.port)]
+            for _ in range(2):
+                assert main(base + ["--query", "q3", "--json"]) == 0
+                assert json.loads(capsys.readouterr().out)["digest"] == oracle
+            assert main(base + ["--stats"]) == 0
+            stats = json.loads(capsys.readouterr().out)
+    finally:
+        engine.shutdown(wait=True, cancel=True)
+    assert stats["server"]["pending_jobs"] == 0
+    assert stats["cache"]["hits"] > 0
 
 
 def test_client_against_dead_server_is_typed_error(capsys):
