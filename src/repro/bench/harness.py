@@ -252,7 +252,9 @@ def format_breakdown(parts: dict[str, tuple[float, float]], title: str) -> str:
 def format_edges(stats: QueryStats, title: str) -> str:
     """Render what each transfer edge did, pass by pass, pre-stages
     first (``--analyze``): the mechanism behind Figure 5's pre-filter
-    bar and Tables 1–2's reduced join inputs."""
+    bar and Tables 1–2's reduced join inputs.  A seed edge names the
+    deferred stage it pre-filters, e.g. ``l1 -> a (seeds q21_nsupp)``;
+    its probe counts are the stage's group-key rows."""
     headers = [
         "stage", "pass", "edge", "keys", "decision", "filter", "keys_in",
         "probed", "pass_rate", "KiB", "build_ms", "probe_ms",
@@ -263,8 +265,9 @@ def format_edges(stats: QueryStats, title: str) -> str:
         for sub in stage.stage_stats:
             walk(sub)
         for e in stage.transfer.edges:
+            seeds = f" (seeds {e.seeds})" if e.seeds else ""
             row: list[object] = [
-                stage.query, e.pass_index, f"{e.src} -> {e.dst}",
+                stage.query, e.pass_index, f"{e.src} -> {e.dst}{seeds}",
                 ",".join(e.key_columns), e.decision,
             ]
             if e.shipped:

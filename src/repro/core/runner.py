@@ -40,6 +40,33 @@ The executor accepts arbitrary join graphs:
   executed independently and the results are combined with cartesian
   joins, smallest component first.
 
+Pre-stages
+----------
+A decorrelated subquery is a pre-stage (:class:`~repro.plan.query
+.Stage`): a spec run first, its result registered as a derived table
+the outer block joins.  ``predtrans`` and ``yannakakis`` *defer* a
+grouped stage whose output only an inner or semi join of the outer
+block reads (the rule in full: :mod:`repro.core.prestage`):
+
+1. the other stages run, the other relations are scanned, and the
+   strategy's schedule runs over the graph they induce;
+2. each seed edge whose outer neighbour lost rows builds one filter of
+   the neighbour's survivors on the key columns that map to group keys;
+3. the stage runs and probes those filters on its group-key columns
+   after its own pre-filter phase;
+4. its output is scanned, and the schedule runs once more over the
+   whole graph from the current survivors.
+
+It is sound because a semi-join on a group key commutes with
+``GROUP BY`` (removing the rows whose key is not in ``K`` removes
+exactly the groups whose key is not in ``K``), and a group whose key no
+surviving outer row carries joins nothing.  Transfer only shrinks
+survivors, so the final schedule is still a full reduction for
+Yannakakis.  With nothing deferred — every other strategy, and every
+stage the rule leaves alone (Q18's) — steps 2–4 are empty and the
+stages all run before the scan.  A deferred stage's time stays in its
+own stats, never in the consumer's ``transfer_seconds``.
+
 Materialization policy (``RunConfig.materialize``)
 --------------------------------------------------
 ``"lazy"`` (default) runs the whole pipeline late-materialized:
@@ -105,6 +132,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import InitVar, dataclass, field, replace
+from typing import AbstractSet, Sequence
 
 import networkx as nx
 import numpy as np
@@ -124,13 +152,14 @@ from ..optimizer.cardinality import NdvCache
 from ..optimizer.joinorder import greedy_join_order
 from ..plan.joingraph import build_join_graph, edge_keys_for
 from ..plan.pruning import live_columns
-from ..plan.query import Aggregate, Filter, Limit, Project, QuerySpec, Sort
+from ..plan.query import Aggregate, Filter, Limit, Project, QuerySpec, Sort, Stage
 from ..plan.rewrite import fold_self_edges, resolve_scalars
 from ..storage.catalog import Catalog
 from ..storage.partition import DEFAULT_PARTITION_ROWS, get_layout, slice_table
 from ..storage.table import Table
 from ..storage.view import AnyTable, TableView, materialize
 from ..testing.faults import fault_point
+from .prestage import Seed, apply_seeds, build_seeds, plan_deferrals
 from .ptgraph import build_pt_graph
 from .transfer import (
     ExecContext,
@@ -139,7 +168,7 @@ from .transfer import (
     probe_filter,
     run_transfer_rows,
 )
-from .yannakakis import run_semi_join_rows
+from .yannakakis import SEMI_JOIN, run_semi_join_rows
 
 STRATEGIES = ("nopredtrans", "bloomjoin", "yannakakis", "predtrans")
 
@@ -227,11 +256,16 @@ def run_query(
     strategy: str | None = None,
     config: RunConfig | None = None,
     join_order: list[str] | None = None,
+    *,
+    seeds: Sequence[Seed] = (),
 ) -> QueryResult:
     """Execute ``spec`` against ``catalog`` with the chosen strategy.
 
     ``join_order`` overrides both the spec's stored order and the
-    optimizer (used by the Fig. 6 robustness experiment).
+    optimizer (used by the Fig. 6 robustness experiment).  ``seeds``
+    are the filters a consumer built for ``spec`` as its deferred
+    pre-stage; they are probed after the pre-filter phase (see
+    "Pre-stages" in the module docstring).
     """
     if config is None:
         config = RunConfig(strategy=strategy or "predtrans")
@@ -255,15 +289,16 @@ def run_query(
     stats.trace_id = qctx.trace_id or ""
 
     ctx = ExecContext(stats=stats, qctx=qctx, partition_rows=config.partition_rows)
-    if spec.pre_stages:
-        stage_config = replace(config, context=qctx)
-        for stage in spec.pre_stages:
-            qctx.check("pre-stage")
-            sub = run_query(stage.spec, scoped, config=stage_config)
-            scoped.register(sub.table, stage.output)
-            stats.stage_stats.append(sub.stats)
+    spec = fold_self_edges(spec)
+    deferrals = plan_deferrals(spec, config.strategy)
+    held = {d.relation for d in deferrals}
+    deferred_outputs = {d.stage.output for d in deferrals}
+    stage_config = replace(config, context=qctx)
+    for stage in spec.pre_stages:
+        if stage.output not in deferred_outputs:
+            _run_stage(ctx, scoped, stage, stage_config)
 
-    resolved = _resolve_spec(fold_self_edges(spec), scoped)
+    resolved = _resolve_spec(spec, scoped)
     graph = build_join_graph(resolved)
 
     # Bind the cross-query filter cache, from the *resolved* spec so
@@ -276,19 +311,23 @@ def run_query(
     # ------------------------------------------------------------------
     qctx.check("scan")
     t0 = time.perf_counter()
-    _scan(ctx, resolved, scoped, config)
+    _scan(ctx, resolved, scoped, config, skip=held)
     local_sizes = ctx.row_counts()
     stats.scan_seconds = time.perf_counter() - t0
 
     # ------------------------------------------------------------------
     # Pre-filter phase: the strategy's schedule over the sorted
-    # row-index vectors (BloomJoin's runs inside the join phase).
+    # row-index vectors (BloomJoin's runs inside the join phase).  With
+    # deferred stages it first runs over the graph the scanned
+    # relations induce.
     # ------------------------------------------------------------------
     qctx.check("pre-filter")
     t1 = time.perf_counter()
     prefilter_fp = None
     cached_rows = None
-    if config.strategy in ("yannakakis", "predtrans") and ctx.cache.covers(ctx.rows):
+    if config.strategy in ("yannakakis", "predtrans") and ctx.cache.covers(
+        r.alias for r in resolved.relations
+    ):
         prefilter_args = (
             _edge_forms(resolved), config.strategy, _prefilter_config_form(config)
         )
@@ -298,15 +337,37 @@ def run_query(
     if cached_rows is not None:
         # Warm hit: the whole pre-filter phase is served from cache.
         ctx.rows = cached_rows
-    elif config.strategy == "yannakakis":
-        run_semi_join_rows(ctx, graph, config.yannakakis_root)
-    elif config.strategy == "predtrans":
-        run_transfer_rows(ctx, build_pt_graph(graph, local_sizes), config.transfer)
+    else:
+        scanned = graph.subgraph(ctx.rows) if held else graph
+        _schedule(ctx, scanned, local_sizes, config)
     if prefilter_fp is not None and cached_rows is None:
         ctx.cache.put_prefilter(*prefilter_args, ctx.rows)
+
+    if deferrals:
+        # Seed filters from the survivors, then the deferred stages (on
+        # their own clocks), their outputs' scan, and the schedule once
+        # more over the whole graph.
+        kind = SEMI_JOIN if config.strategy == "yannakakis" else config.transfer
+        pass_index = stats.transfer.next_pass
+        built = [
+            build_seeds(ctx, d, kind.filter_type, kind.fpp, pass_index)
+            for d in deferrals
+        ]
+        stats.transfer_seconds = time.perf_counter() - t1
+        for deferral, stage_seeds in zip(deferrals, built):
+            _run_stage(ctx, scoped, deferral.stage, stage_config, stage_seeds)
+        t0 = time.perf_counter()
+        _scan(ctx, resolved, scoped, config, skip=set(local_sizes))
+        local_sizes.update({alias: len(ctx.rows[alias]) for alias in held})
+        stats.scan_seconds += time.perf_counter() - t0
+        t1 = time.perf_counter()
+        _schedule(ctx, graph, ctx.row_counts(), config)
+    # A deferred stage's own seeds: after its whole pre-filter phase, so
+    # every artifact above is an unseeded run's.
+    apply_seeds(ctx, seeds)
     stats.transfer.rows_before = local_sizes
     stats.transfer.rows_after = ctx.row_counts()
-    stats.transfer_seconds = time.perf_counter() - t1
+    stats.transfer_seconds += time.perf_counter() - t1
 
     # ------------------------------------------------------------------
     # Join phase: selection vectors become the views' row selections
@@ -324,7 +385,7 @@ def run_query(
     # ------------------------------------------------------------------
     qctx.check("post")
     t3 = time.perf_counter()
-    result = _apply_post(resolved, current)
+    result = _apply_post(resolved, current, stats)
     stats.post_seconds = time.perf_counter() - t3
 
     # ------------------------------------------------------------------
@@ -349,6 +410,33 @@ def run_query(
     stats.filter_cache_errors = ctx.cache.errors
     stats.filter_cache_bytes = ctx.cache.cache.total_bytes
     return QueryResult(table, stats)
+
+
+def _run_stage(
+    ctx: ExecContext,
+    scoped: Catalog,
+    stage: Stage,
+    config: RunConfig,
+    seeds: Sequence[Seed] | None = None,
+) -> None:
+    """Run one pre-stage and register its output; ``seeds`` (possibly
+    empty) marks a deferred stage."""
+    ctx.qctx.check("pre-stage")
+    sub = run_query(stage.spec, scoped, config=config, seeds=seeds or ())
+    sub.stats.seeded = seeds is not None
+    scoped.register(sub.table, stage.output)
+    ctx.stats.stage_stats.append(sub.stats)
+
+
+def _schedule(
+    ctx: ExecContext, graph: nx.Graph, sizes: dict[str, int], config: RunConfig
+) -> None:
+    """The strategy's pre-filter schedule over ``graph`` (nothing for
+    the strategies without one); ``sizes`` orient the PT graph."""
+    if config.strategy == "yannakakis":
+        run_semi_join_rows(ctx, graph, config.yannakakis_root)
+    elif config.strategy == "predtrans":
+        run_transfer_rows(ctx, build_pt_graph(graph, sizes), config.transfer)
 
 
 def _edge_forms(spec: QuerySpec) -> list[str]:
@@ -423,9 +511,13 @@ def _resolve_spec(spec: QuerySpec, catalog: Catalog) -> QuerySpec:
 
 
 def _scan(
-    ctx: ExecContext, spec: QuerySpec, catalog: Catalog, config: RunConfig
+    ctx: ExecContext,
+    spec: QuerySpec,
+    catalog: Catalog,
+    config: RunConfig,
+    skip: AbstractSet[str] = frozenset(),
 ) -> None:
-    """Scan every relation and apply local predicates.
+    """Scan every relation not in ``skip`` and apply local predicates.
 
     Fills ``ctx.tables`` and ``ctx.rows``.  Lazy mode wraps only each
     alias's live columns in a zero-copy rename view; eager mode keeps
@@ -441,6 +533,8 @@ def _scan(
     lazy = config.materialize == "lazy"
     live = live_columns(spec) if lazy else None
     for relation in spec.relations:
+        if relation.alias in skip:
+            continue
         base = catalog.get(relation.table)
         if lazy:
             table = _scan_view(
@@ -767,11 +861,12 @@ def _bloom_prefilter(
 # ----------------------------------------------------------------------
 # Post-operator pipeline
 # ----------------------------------------------------------------------
-def _apply_post(spec: QuerySpec, table: AnyTable) -> AnyTable:
+def _apply_post(spec: QuerySpec, table: AnyTable, stats: QueryStats) -> AnyTable:
     """Run the post pipeline; each operator pulls only the columns it
     reads through the (possibly lazy) input."""
     for op in spec.post:
         if isinstance(op, Aggregate):
+            stats.rows_aggregated += table.num_rows
             table = group_aggregate(table, list(op.keys), list(op.aggs))
         elif isinstance(op, Filter):
             table = table.filter(evaluate_mask(op.predicate, table))

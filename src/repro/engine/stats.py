@@ -53,6 +53,12 @@ class EdgeStat:
     gate in :mod:`repro.core.transfer`) keeps the zero defaults, and so
     do the probe fields of a shipped filter whose destination was
     already empty.
+
+    ``seeds`` names the deferred pre-stage a *seed* edge pre-filters
+    (see :mod:`repro.core.prestage`): the filter is built here, from the
+    consumer's survivors, and probed inside that stage on its group key,
+    so ``dst`` is the consumer's alias of the stage output.  It is empty
+    for every other edge.
     """
 
     pass_index: int
@@ -68,6 +74,7 @@ class EdgeStat:
     rows_probed: int = 0
     rows_passed: int = 0
     probe_seconds: float = 0.0
+    seeds: str = ""
 
     @property
     def shipped(self) -> bool:
@@ -201,6 +208,12 @@ class QueryStats:
     partition traffic: chunks considered across all scanned base
     relations with local predicates, and how many of those zone maps
     eliminated outright.
+
+    ``rows_aggregated`` counts the rows entering this block's
+    ``Aggregate`` operators — an exact operation count, no clock.
+    ``seeded`` marks a pre-stage that ran *deferred*, after its
+    consumer's transfer phase and pre-filtered on its group key
+    (:mod:`repro.core.prestage`).
     """
 
     strategy: str = ""
@@ -236,7 +249,9 @@ class QueryStats:
     mem_peak_bytes: int = 0
     joins: list[JoinStat] = field(default_factory=list)
     transfer: TransferStats = field(default_factory=TransferStats)
+    rows_aggregated: int = 0
     output_rows: int = 0
+    seeded: bool = False
     stage_stats: list["QueryStats"] = field(default_factory=list)
 
     @property
@@ -304,6 +319,13 @@ class QueryStats:
         """Filter-cache misses including pre-stages'."""
         return self.filter_cache_misses + sum(
             s.filter_cache_misses_total for s in self.stage_stats
+        )
+
+    @property
+    def rows_aggregated_total(self) -> int:
+        """Rows entering aggregates, including pre-stages'."""
+        return self.rows_aggregated + sum(
+            s.rows_aggregated_total for s in self.stage_stats
         )
 
     @property

@@ -94,10 +94,14 @@ def _emit_stage(
 ) -> float:
     """Append spans for one stage's phases; return the end offset."""
     cursor = start
-    # Pre-stages (replanned intermediate blocks) execute before this
+    # Pre-stages (replanned intermediate blocks) are drawn before this
     # stage's own scan, sharing the parent so the tree mirrors the
-    # plan's stage nesting.
+    # plan's stage nesting.  A deferred stage actually ran after this
+    # stage's transfer phase; its span says so with ``seeded``.
     for i, stage in enumerate(stats.stage_stats):
+        stage_attrs: dict = {"output_rows": stage.output_rows}
+        if stage.seeded:
+            stage_attrs["seeded"] = True
         span = Span(
             trace_id=trace_id,
             span_id=mint_span_id(),
@@ -105,7 +109,7 @@ def _emit_stage(
             name=f"stage[{i}]",
             start_unix=cursor,
             seconds=stage.total_seconds,
-            attrs={"output_rows": stage.output_rows},
+            attrs=stage_attrs,
         )
         out.append(span)
         cursor = _emit_stage(

@@ -10,7 +10,32 @@ Subqueries are decorrelated into **pre-stages** (paper §3.4): each stage
 is a full ``QuerySpec`` whose result is registered as a derived table
 that the outer spec joins like any base relation.  Stages run with the
 same strategy as the outer query, so multi-table subqueries get their
-own predicate-transfer phase.
+own predicate-transfer phase.  A stage may have stages of its own, and
+reads the outputs of the stages before it at every enclosing level.
+
+Pre-stages
+----------
+Stages normally run before the outer spec's scan.  Under ``predtrans``
+and ``yannakakis`` a *grouped* stage runs after the outer transfer
+phase instead, pre-filtered on its group key, when:
+
+* its post pipeline is one ``Aggregate`` with at least one key,
+  followed only by ``Filter`` operators;
+* exactly one outer relation reads its output — no later stage, no
+  ``ScalarRef`` — and every edge touching that relation is ``inner``
+  or ``semi``;
+* some such edge joins a group key that is a plain column of one stage
+  relation, to a neighbour whose component of the outer graph (without
+  the deferred relations) has a local predicate or a non-deferred
+  stage.
+
+Sound because a semi-join on a group key commutes with ``GROUP BY``:
+dropping the input rows whose key no surviving neighbour carries drops
+exactly the groups that would join nothing, and leaves every other
+group's aggregates unchanged.  A ``Sort``/``Limit`` after the aggregate
+(top-k groups), an outer or anti edge preserving the stage's rows, or a
+second reader would each see the dropped groups, so they keep the stage
+where it was.  The mechanics are :mod:`repro.core.prestage`'s.
 
 Naming convention: inside a spec every column is referenced as
 ``"<alias>.<column>"``; join-edge key lists use unqualified column names

@@ -148,18 +148,21 @@ def fold_self_edges(spec: QuerySpec) -> QuerySpec:
 
 def has_scalar_refs(expr: N.Expr | None) -> bool:
     """True when the tree still contains unresolved scalar references."""
-    if expr is None:
-        return False
-    found = False
+    return bool(scalar_tables(expr))
+
+
+def scalar_tables(expr: N.Expr | None) -> set[str]:
+    """Names of the tables the tree's :class:`ScalarRef` nodes read."""
+    found: set[str] = set()
 
     def visit(node: N.Expr) -> None:
-        nonlocal found
         if isinstance(node, N.ScalarRef):
-            found = True
+            found.add(node.table)
         for child in _children(node):
             visit(child)
 
-    visit(expr)
+    if expr is not None:
+        visit(expr)
     return found
 
 

@@ -78,13 +78,17 @@ def build_catalog(sf: float = 0.01, seed: int = 0) -> Catalog:
     return catalog
 
 
-def prefix_tables(spec: QuerySpec, prefix: str) -> QuerySpec:
+def prefix_tables(
+    spec: QuerySpec, prefix: str, derived: frozenset[str] = frozenset()
+) -> QuerySpec:
     """Re-point a spec's base-table references at ``prefix<name>``.
 
-    Stage outputs (derived-table names produced by the spec itself) are
-    left alone — only names *not* emitted by a pre-stage get prefixed.
+    Stage outputs are left alone — only names *not* emitted by a
+    pre-stage get prefixed.  ``derived`` holds the outputs of the
+    enclosing specs' stages, which a nested stage can read as well
+    (a sibling's output, say).
     """
-    derived = {stage.output for stage in spec.pre_stages}
+    derived = derived | {stage.output for stage in spec.pre_stages}
 
     def fix(relations: list[Relation]) -> list[Relation]:
         return [
@@ -93,7 +97,7 @@ def prefix_tables(spec: QuerySpec, prefix: str) -> QuerySpec:
         ]
 
     stages = [
-        dc_replace(stage, spec=prefix_tables(stage.spec, prefix))
+        dc_replace(stage, spec=prefix_tables(stage.spec, prefix, derived))
         for stage in spec.pre_stages
     ]
     return QuerySpec(

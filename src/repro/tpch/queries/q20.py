@@ -1,10 +1,14 @@
 """TPC-H Q20 — potential part promotion.
 
-The nested IN subqueries decorrelate into two pre-stages: a per-
-(part,supplier) shipped-quantity aggregate over 1994 lineitems, and the
+The nested IN subqueries decorrelate into nested pre-stages: the
 qualifying-supplier key set (partsupp of forest parts with availqty
-above half the shipped quantity).  The main block semi-joins supplier
-against the key set.
+above half the shipped quantity) is the main block's stage, and the
+per-(part,supplier) shipped-quantity aggregate over 1994 lineitems is
+a stage of that stage, its only reader.  The main block semi-joins
+supplier against the key set.  Nested this way, each grouped stage is
+read only by its consumer's join, so predicate transfer can run it
+after the consumer's transfer phase, pre-filtered on its group key
+(:mod:`repro.core.prestage`).
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ def _shipped_stage() -> Stage:
 def _suppkeys_stage() -> Stage:
     spec = QuerySpec(
         name="q20_suppkeys",
+        pre_stages=[_shipped_stage()],
         relations=[
             Relation("ps", "partsupp"),
             Relation("fp", "part", col("fp.p_name").like("forest%")),
@@ -70,7 +75,7 @@ def build(sf: float = 1.0) -> QuerySpec:
     """Build the Q20 specification."""
     return QuerySpec(
         name="q20",
-        pre_stages=[_shipped_stage(), _suppkeys_stage()],
+        pre_stages=[_suppkeys_stage()],
         relations=[
             Relation("s", "supplier"),
             Relation("n", "nation", col("n.n_name").eq(lit("CANADA"))),

@@ -21,6 +21,7 @@ from repro.service import (
 )
 from repro.service.workload import SSB_PREFIX, prefix_tables, result_digest
 from repro.ssb import get_ssb_query
+from repro.storage.catalog import Catalog
 from repro.tpch import generate_tpch
 from repro.tpch.queries import get_query
 
@@ -161,6 +162,39 @@ def test_build_catalog_merges_both_benchmarks(serving_catalog):
 def test_prefix_tables_rewrites_base_references():
     spec = prefix_tables(get_ssb_query("2.1"), SSB_PREFIX)
     assert all(r.table.startswith(SSB_PREFIX) for r in spec.relations)
+
+
+@pytest.mark.parametrize("qid", [15, 20])
+def test_prefix_tables_keeps_enclosing_stage_outputs(qid):
+    """A stage reading a sibling's output (Q15's max over the revenue
+    view) or a nested stage's consumer (Q20) keeps the derived name,
+    and the prefixed query runs to the unprefixed result."""
+    plain = get_query(qid, sf=SF)
+    spec = prefix_tables(plain, "x.")
+
+    def tables(s):
+        out = [r.table for r in s.relations]
+        for stage in s.pre_stages:
+            out += tables(stage.spec)
+        return out
+
+    def outputs(s):
+        out = [stage.output for stage in s.pre_stages]
+        for stage in s.pre_stages:
+            out += outputs(stage.spec)
+        return out
+
+    derived = set(outputs(plain))
+    assert [t for t in tables(spec) if not t.startswith("x.")] == [
+        t for t in tables(plain) if t in derived
+    ]
+    base = generate_tpch(sf=SF, seed=3)
+    prefixed = Catalog()
+    for name in base.names():
+        prefixed.register(base.get(name), f"x.{name}")
+    assert result_digest(run_query(spec, prefixed).table) == result_digest(
+        run_query(plain, base).table
+    )
 
 
 def test_build_stream_is_deterministic():

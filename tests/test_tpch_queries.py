@@ -122,6 +122,6 @@ def test_q19_residual_references_both_tables():
 def test_multi_key_edges_q9_q20():
     q9 = build_join_graph(get_query(9))
     assert len(q9.edges["l", "ps"]["keys"]) == 2
-    stage = get_query(20).pre_stages[1].spec
+    stage = get_query(20).pre_stages[0].spec
     graph = build_join_graph(stage)
     assert len(graph.edges["ps", "lq"]["keys"]) == 2
