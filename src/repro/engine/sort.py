@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ExecutionError
+from ..expr.eval import strictly_increasing
 from ..storage.column import Column, DType
 from ..storage.table import Table
 
@@ -14,7 +15,8 @@ def _sort_key(column: Column, descending: bool) -> np.ndarray:
 
     Integer, date and boolean keys stay integers (a detour through
     ``float64`` misorders INT64 values above 2**53); strings sort by
-    the lexicographic rank of their dictionary entry.  Descending order
+    the rank of their dictionary entry in Python ``str`` order (the codes
+    themselves when the dictionary is strictly increasing).  Descending order
     is ``~key`` for integers, which reverses them without the overflow
     negation has at the minimum value.  The value under a NULL is
     replaced by a constant so that NULL rows tie and fall through to the
@@ -23,12 +25,11 @@ def _sort_key(column: Column, descending: bool) -> np.ndarray:
     key = column.data
     if column.dtype is DType.STRING:
         assert column.dictionary is not None
-        # Dictionary entries are not guaranteed sorted after code-space
-        # surgery, so rank them explicitly.
-        order = np.argsort(column.dictionary.astype(str), kind="stable")
-        ranks = np.empty(len(order), dtype=np.int64)
-        ranks[order] = np.arange(len(order))
-        key = ranks[key]
+        if not strictly_increasing(column.dictionary):
+            # An unsorted pool (``from_codes``) may repeat an entry: rank
+            # equal strings equally so that they tie.
+            _, ranks = np.unique(column.dictionary, return_inverse=True)
+            key = ranks[key]
     if descending:
         key = -key if column.dtype is DType.FLOAT64 else ~key
     if column.valid is not None:

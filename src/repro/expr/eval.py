@@ -6,14 +6,27 @@ is the predicate entry point and returns a plain boolean NumPy array
 (with null comparisons yielding ``False``, per SQL three-valued logic
 collapsed to its WHERE-clause behaviour).
 
-String predicates exploit dictionary encoding: LIKE, IN, ordering and
-equality are computed once per *distinct* value on the dictionary and
-then gathered through the codes, so a LIKE over a 6-million-row column
-costs one regex pass over a few thousand dictionary entries.
+String predicates work on dictionary codes.  A comparison, IN or LIKE
+first resolves the set of codes it accepts, then tests rows against that
+set.  When the dictionary is strictly increasing (what
+:meth:`~repro.storage.column.Column.from_strings`, ``from_pool``,
+``concat`` and SUBSTR build; checked per call), codes are ranks, so
+comparisons and IN resolve by binary search and LIKE narrows to the
+code range of its leading literal: ``'lit%'`` tests no entry at all,
+other patterns test only the entries in that range.  An unsorted
+dictionary (the generators' ``from_codes`` pools) is compared entry by
+entry.  Every comparison uses Python ``str`` order, never NumPy's ``U``
+dtype, which drops trailing NULs.
+
+The row test is as cheap as the code set allows: when the accepted
+codes, or their complement, form one run, rows are tested with one or
+two integer comparisons on the codes; otherwise the per-entry hits are
+gathered through the codes.
 """
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass
 
@@ -133,8 +146,141 @@ def _broadcast(scalar: _Scalar, n: int) -> Column:
     if isinstance(value, float):
         return Column(np.full(n, value, dtype=np.float64), DType.FLOAT64)
     if isinstance(value, str):
-        return Column.from_strings([value] * n)
+        # What from_strings([value] * n) builds, without sorting n copies.
+        return Column(
+            np.zeros(n, dtype=np.int32),
+            DType.STRING,
+            dictionary=np.asarray([value] if n else [], dtype=object),
+        )
     raise ExecutionError(f"cannot broadcast literal {value!r}")
+
+
+def strictly_increasing(dictionary: np.ndarray) -> bool:
+    """True when every dictionary entry is below the next in Python order.
+
+    Codes are then ranks: code order is string order and no string has
+    two codes.
+    """
+    return len(dictionary) < 2 or bool((dictionary[:-1] < dictionary[1:]).all())
+
+
+def _obj(value: str) -> np.ndarray:
+    """A 0-d object array: NumPy would make a bare ``str`` a ``U`` scalar,
+    which drops trailing NULs."""
+    return np.array(value, dtype=object)
+
+
+def _span(n: int, start: int, stop: int) -> np.ndarray:
+    """Per-entry hits over ``n`` codes, true on ``[start, stop)``."""
+    hits = np.zeros(n, dtype=np.bool_)
+    hits[start:stop] = True
+    return hits
+
+
+def _code_rows(column: Column, hits: np.ndarray) -> np.ndarray:
+    """Rows of a STRING column whose code is a hit (one bool per entry).
+
+    When the hits, or their complement, form one run of codes, the rows
+    are tested with integer comparisons on the codes; otherwise the hits
+    are gathered through them.
+    """
+    codes = column.data
+    flips = np.flatnonzero(hits[1:] != hits[:-1]) + 1
+    if len(flips) > 2:
+        return hits[codes]
+    if len(flips) == 0:
+        return np.full(len(codes), len(hits) > 0 and bool(hits[0]))
+    if len(flips) == 1:
+        edge = int(flips[0])
+        return codes < edge if hits[0] else codes >= edge
+    lo, hi = int(flips[0]), int(flips[1])
+    if hi - lo == 1:
+        return codes == lo if hits[lo] else codes != lo
+    inside = (codes >= lo) & (codes < hi)
+    return inside if hits[lo] else ~inside
+
+
+def _compare_hits(op: str, dictionary: np.ndarray, value: str) -> np.ndarray:
+    """Per-entry result of ``entry <op> value``."""
+    key = _obj(value)
+    if not strictly_increasing(dictionary):
+        return _CMP[op](dictionary, key)
+    n = len(dictionary)
+    lo = int(dictionary.searchsorted(key, "left"))
+    hi = int(dictionary.searchsorted(key, "right"))
+    start, stop = {
+        "==": (lo, hi),
+        "!=": (lo, hi),
+        "<": (0, lo),
+        "<=": (0, hi),
+        ">": (hi, n),
+        ">=": (lo, n),
+    }[op]
+    hits = _span(n, start, stop)
+    return ~hits if op == "!=" else hits
+
+
+def _in_hits(dictionary: np.ndarray, values: tuple[object, ...]) -> np.ndarray:
+    """Per-entry result of ``entry IN values``."""
+    n = len(dictionary)
+    if not strictly_increasing(dictionary):
+        wanted = set(values)
+        return np.fromiter(
+            (entry in wanted for entry in dictionary), dtype=np.bool_, count=n
+        )
+    keys = np.asarray([v for v in values if isinstance(v, str)], dtype=object)
+    pos = dictionary.searchsorted(keys)
+    inside = pos < n
+    pos, keys = pos[inside], keys[inside]
+    hits = np.zeros(n, dtype=np.bool_)
+    hits[pos[dictionary[pos] == keys]] = True
+    return hits
+
+
+def _like_hits(dictionary: np.ndarray, pattern: str) -> np.ndarray:
+    """Per-entry result of ``entry LIKE pattern``.
+
+    On a strictly increasing dictionary the entries that start with the
+    pattern's leading literal (the text before its first wildcard) are
+    one run of codes; only that run is tested, and ``'lit%'`` is the run.
+    """
+    cut = min(
+        (i for i in (pattern.find("%"), pattern.find("_")) if i >= 0),
+        default=len(pattern),
+    )
+    literal = pattern[:cut]
+    lo, hi = 0, len(dictionary)
+    if literal and strictly_increasing(dictionary):
+        lo = int(dictionary.searchsorted(_obj(literal)))
+        hi = bisect.bisect_left(
+            dictionary, True, lo=lo, key=lambda e: not e.startswith(literal)
+        )
+        if pattern[cut:] == "%":
+            return _span(len(dictionary), lo, hi)
+    hits = np.zeros(len(dictionary), dtype=np.bool_)
+    hits[lo:hi] = _match_entries(dictionary[lo:hi], pattern)
+    return hits
+
+
+def _match_entries(entries: np.ndarray, pattern: str) -> np.ndarray:
+    """``entry LIKE pattern`` for each entry: a substring test for
+    ``'%lit%'``, the regex otherwise."""
+    inner = pattern[1:-1]
+    if (
+        len(pattern) >= 2
+        and pattern[0] == pattern[-1] == "%"
+        and "%" not in inner
+        and "_" not in inner
+    ):
+        return np.fromiter(
+            (inner in entry for entry in entries), dtype=np.bool_, count=len(entries)
+        )
+    regex = like_to_regex(pattern)
+    return np.fromiter(
+        (regex.match(entry) is not None for entry in entries),
+        dtype=np.bool_,
+        count=len(entries),
+    )
 
 
 _CMP = {
@@ -165,8 +311,8 @@ def _compare(op: str, left: "Column | _Scalar", right: "Column | _Scalar") -> Co
         if left.dtype is DType.STRING:
             if not isinstance(value, str):
                 raise ExecutionError("string column compared to non-string")
-            dict_hits = func(left.dictionary.astype(str), value)
-            mask = dict_hits[left.data]
+            assert left.dictionary is not None
+            mask = _code_rows(left, _compare_hits(op, left.dictionary, value))
         elif left.dtype is DType.DATE and isinstance(value, str):
             mask = func(left.data, date_to_days(value))
         else:
@@ -176,8 +322,8 @@ def _compare(op: str, left: "Column | _Scalar", right: "Column | _Scalar") -> Co
         return _bool_col(mask)
 
     # column vs column
-    lvals = left.dictionary[left.data].astype(str) if left.is_string else left.data
-    rvals = right.dictionary[right.data].astype(str) if right.is_string else right.data
+    lvals = left.to_values()  # strings decode to objects: Python str order
+    rvals = right.to_values()
     mask = func(lvals, rvals)
     if left.valid is not None:
         mask = mask & left.valid
@@ -190,13 +336,8 @@ def _in_set(operand: "Column | _Scalar", values: tuple) -> Column:
     if isinstance(operand, _Scalar):
         raise ExecutionError("IN applied to a literal")
     if operand.dtype is DType.STRING:
-        wanted = set(values)
-        dict_hits = np.fromiter(
-            (entry in wanted for entry in operand.dictionary),
-            dtype=np.bool_,
-            count=len(operand.dictionary),
-        )
-        mask = dict_hits[operand.data]
+        assert operand.dictionary is not None
+        mask = _code_rows(operand, _in_hits(operand.dictionary, values))
     elif operand.dtype is DType.DATE:
         days = np.array([date_to_days(v) for v in values], dtype=np.int32)
         mask = np.isin(operand.data, days)
@@ -223,15 +364,9 @@ def like_to_regex(pattern: str) -> re.Pattern:
 def _like(operand: "Column | _Scalar", pattern: str, negate: bool) -> Column:
     if isinstance(operand, _Scalar) or operand.dtype is not DType.STRING:
         raise ExecutionError("LIKE expects a string column")
-    regex = like_to_regex(pattern)
-    dict_hits = np.fromiter(
-        (regex.match(entry) is not None for entry in operand.dictionary),
-        dtype=np.bool_,
-        count=len(operand.dictionary),
-    )
-    mask = dict_hits[operand.data]
-    if negate:
-        mask = ~mask
+    assert operand.dictionary is not None
+    hits = _like_hits(operand.dictionary, pattern)
+    mask = _code_rows(operand, ~hits if negate else hits)
     if operand.valid is not None:
         mask = mask & operand.valid
     return _bool_col(mask)
@@ -286,14 +421,32 @@ def _case(expr: N.Case, table: Table) -> Column:
 def _substr(operand: "Column | _Scalar", start: int, length: int) -> Column:
     if isinstance(operand, _Scalar) or operand.dtype is not DType.STRING:
         raise ExecutionError("SUBSTRING expects a string column")
-    clipped = np.asarray(
-        [entry[start - 1 : start - 1 + length] for entry in operand.dictionary],
-        dtype=object,
-    )
-    new_dict, remap = np.unique(clipped.astype(str), return_inverse=True)
+    dictionary = operand.dictionary
+    assert dictionary is not None
+    if start == 1 and length >= 0 and strictly_increasing(dictionary):
+        # Prefixes of sorted strings are non-decreasing: each distinct
+        # prefix is one run of codes, found by one binary search.
+        heads: list[str] = []
+        bounds = [0]
+        while bounds[-1] < len(dictionary):
+            head = dictionary[bounds[-1]][:length]
+            heads.append(head)
+            bounds.append(
+                bisect.bisect_right(
+                    dictionary, head, lo=bounds[-1], key=lambda e: e[:length]
+                )
+            )
+        new_dict = np.asarray(heads, dtype=object)
+        remap = np.repeat(np.arange(len(heads), dtype=np.int32), np.diff(bounds))
+    else:
+        clipped = np.asarray(
+            [entry[start - 1 : start - 1 + length] for entry in dictionary],
+            dtype=object,
+        )
+        new_dict, remap = np.unique(clipped, return_inverse=True)
     return Column(
         remap.astype(np.int32)[operand.data],
         DType.STRING,
-        dictionary=new_dict.astype(object),
+        dictionary=new_dict,
         valid=operand.valid,
     )

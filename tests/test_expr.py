@@ -220,6 +220,32 @@ def test_substr_then_isin(table):
     assert mask.tolist() == [True, False, True, False]
 
 
+def test_strings_keep_trailing_nuls():
+    # NumPy's U dtype drops trailing NULs, so "a" and "a\x00" must never
+    # be compared through it.
+    t = Table.from_pydict(
+        "t",
+        {
+            "s": Column.from_strings(["a", "a\x00", "b"]),
+            "r": Column.from_strings(["a\x00", "a\x00", "a\x00"]),
+            "x": Column.from_strings(["xa", "xa\x00", "xb"]),
+        },
+    )
+    assert evaluate_mask(col("s").eq(lit("a")), t).tolist() == [True, False, False]
+    assert evaluate_mask(col("s").lt(lit("a\x00")), t).tolist() == [True, False, False]
+    assert evaluate_mask(col("s").eq(col("r")), t).tolist() == [False, True, False]
+    assert evaluate(substr(col("x"), 2, 2), t).to_pylist() == ["a", "a\x00", "b"]
+
+
+def test_string_literal_broadcast():
+    t = Table.from_pydict("t", {"i": [1, 2, 3]})
+    column = evaluate(lit("a\x00"), t)
+    assert column.data.tolist() == [0, 0, 0]
+    assert column.dictionary.tolist() == ["a\x00"]
+    empty = evaluate(lit("a"), Table.from_pydict("t", {"i": []}))
+    assert len(empty) == 0 and len(empty.dictionary) == 0
+
+
 # -- nulls --------------------------------------------------------------
 def test_null_comparison_is_false():
     c = Column.from_ints([1, 2]).take_nullable(np.array([0, -1]))

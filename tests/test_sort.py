@@ -34,6 +34,18 @@ def test_sort_is_stable():
     assert [r[1] for r in rows] == [10, 20, 30]
 
 
+def test_sort_unsorted_pool_in_python_order():
+    # A from_codes pool is kept in its own order and may repeat an
+    # entry: rows sort by string (Python order, NULs kept), and equal
+    # strings under different codes tie and fall through to the next key.
+    s = Column.from_codes(
+        np.array([0, 1, 2, 0, 1], dtype=np.int32), ["a\x00", "a", "a\x00"]
+    )
+    t = Table("t", {"s": s, "i": Column.from_ints([1, 2, 3, 4, 5])})
+    rows = sort_table(t, [("s", "asc"), ("i", "desc")]).to_rows()
+    assert rows == [("a", 5), ("a", 2), ("a\x00", 4), ("a\x00", 3), ("a\x00", 1)]
+
+
 def test_sort_strings_lexicographic():
     t = _t(s=["pear", "apple", "fig"])
     rows = sort_table(t, [("s", "asc")]).to_rows()
