@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ExecutionError
-from ..expr.eval import strictly_increasing
-from ..storage.column import Column, DType
+from ..storage.column import Column, DType, strictly_increasing
 from ..storage.table import Table
 
 

@@ -7,16 +7,17 @@ is the predicate entry point and returns a plain boolean NumPy array
 collapsed to its WHERE-clause behaviour).
 
 String predicates work on dictionary codes.  A comparison, IN or LIKE
-first resolves the set of codes it accepts, then tests rows against that
-set.  When the dictionary is strictly increasing (what
+first resolves the set of codes it accepts (one bool per dictionary
+entry), then tests rows against that set.  Comparisons and IN test every
+entry.  When the dictionary is strictly increasing (what
 :meth:`~repro.storage.column.Column.from_strings`, ``from_pool``,
 ``concat`` and SUBSTR build; checked per call), codes are ranks, so
-comparisons and IN resolve by binary search and LIKE narrows to the
-code range of its leading literal: ``'lit%'`` tests no entry at all,
-other patterns test only the entries in that range.  An unsorted
-dictionary (the generators' ``from_codes`` pools) is compared entry by
-entry.  Every comparison uses Python ``str`` order, never NumPy's ``U``
-dtype, which drops trailing NULs.
+LIKE narrows to the code range of its leading literal by binary search:
+``'lit%'`` tests no entry at all, other patterns test only the entries
+in that range.  ``SUBSTR(x, 1, k)`` on such a dictionary finds each
+distinct prefix's run of codes the same way.  Every comparison uses
+Python ``str`` order, never NumPy's ``U`` dtype, which drops trailing
+NULs.
 
 The row test is as cheap as the code set allows: when the accepted
 codes, or their complement, form one run, rows are tested with one or
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ExecutionError, PlanError
-from ..storage.column import Column, DType
+from ..storage.column import Column, DType, strictly_increasing
 from ..storage.dates import date_to_days, years_of
 from ..storage.table import Table
 from . import nodes as N
@@ -155,26 +156,10 @@ def _broadcast(scalar: _Scalar, n: int) -> Column:
     raise ExecutionError(f"cannot broadcast literal {value!r}")
 
 
-def strictly_increasing(dictionary: np.ndarray) -> bool:
-    """True when every dictionary entry is below the next in Python order.
-
-    Codes are then ranks: code order is string order and no string has
-    two codes.
-    """
-    return len(dictionary) < 2 or bool((dictionary[:-1] < dictionary[1:]).all())
-
-
 def _obj(value: str) -> np.ndarray:
     """A 0-d object array: NumPy would make a bare ``str`` a ``U`` scalar,
     which drops trailing NULs."""
     return np.array(value, dtype=object)
-
-
-def _span(n: int, start: int, stop: int) -> np.ndarray:
-    """Per-entry hits over ``n`` codes, true on ``[start, stop)``."""
-    hits = np.zeros(n, dtype=np.bool_)
-    hits[start:stop] = True
-    return hits
 
 
 def _code_rows(column: Column, hits: np.ndarray) -> np.ndarray:
@@ -200,43 +185,6 @@ def _code_rows(column: Column, hits: np.ndarray) -> np.ndarray:
     return inside if hits[lo] else ~inside
 
 
-def _compare_hits(op: str, dictionary: np.ndarray, value: str) -> np.ndarray:
-    """Per-entry result of ``entry <op> value``."""
-    key = _obj(value)
-    if not strictly_increasing(dictionary):
-        return _CMP[op](dictionary, key)
-    n = len(dictionary)
-    lo = int(dictionary.searchsorted(key, "left"))
-    hi = int(dictionary.searchsorted(key, "right"))
-    start, stop = {
-        "==": (lo, hi),
-        "!=": (lo, hi),
-        "<": (0, lo),
-        "<=": (0, hi),
-        ">": (hi, n),
-        ">=": (lo, n),
-    }[op]
-    hits = _span(n, start, stop)
-    return ~hits if op == "!=" else hits
-
-
-def _in_hits(dictionary: np.ndarray, values: tuple[object, ...]) -> np.ndarray:
-    """Per-entry result of ``entry IN values``."""
-    n = len(dictionary)
-    if not strictly_increasing(dictionary):
-        wanted = set(values)
-        return np.fromiter(
-            (entry in wanted for entry in dictionary), dtype=np.bool_, count=n
-        )
-    keys = np.asarray([v for v in values if isinstance(v, str)], dtype=object)
-    pos = dictionary.searchsorted(keys)
-    inside = pos < n
-    pos, keys = pos[inside], keys[inside]
-    hits = np.zeros(n, dtype=np.bool_)
-    hits[pos[dictionary[pos] == keys]] = True
-    return hits
-
-
 def _like_hits(dictionary: np.ndarray, pattern: str) -> np.ndarray:
     """Per-entry result of ``entry LIKE pattern``.
 
@@ -249,6 +197,7 @@ def _like_hits(dictionary: np.ndarray, pattern: str) -> np.ndarray:
         default=len(pattern),
     )
     literal = pattern[:cut]
+    hits = np.zeros(len(dictionary), dtype=np.bool_)
     lo, hi = 0, len(dictionary)
     if literal and strictly_increasing(dictionary):
         lo = int(dictionary.searchsorted(_obj(literal)))
@@ -256,8 +205,8 @@ def _like_hits(dictionary: np.ndarray, pattern: str) -> np.ndarray:
             dictionary, True, lo=lo, key=lambda e: not e.startswith(literal)
         )
         if pattern[cut:] == "%":
-            return _span(len(dictionary), lo, hi)
-    hits = np.zeros(len(dictionary), dtype=np.bool_)
+            hits[lo:hi] = True
+            return hits
     hits[lo:hi] = _match_entries(dictionary[lo:hi], pattern)
     return hits
 
@@ -312,7 +261,7 @@ def _compare(op: str, left: "Column | _Scalar", right: "Column | _Scalar") -> Co
             if not isinstance(value, str):
                 raise ExecutionError("string column compared to non-string")
             assert left.dictionary is not None
-            mask = _code_rows(left, _compare_hits(op, left.dictionary, value))
+            mask = _code_rows(left, func(left.dictionary, _obj(value)))
         elif left.dtype is DType.DATE and isinstance(value, str):
             mask = func(left.data, date_to_days(value))
         else:
@@ -336,8 +285,13 @@ def _in_set(operand: "Column | _Scalar", values: tuple) -> Column:
     if isinstance(operand, _Scalar):
         raise ExecutionError("IN applied to a literal")
     if operand.dtype is DType.STRING:
-        assert operand.dictionary is not None
-        mask = _code_rows(operand, _in_hits(operand.dictionary, values))
+        wanted = set(values)
+        dict_hits = np.fromiter(
+            (entry in wanted for entry in operand.dictionary),
+            dtype=np.bool_,
+            count=len(operand.dictionary),
+        )
+        mask = _code_rows(operand, dict_hits)
     elif operand.dtype is DType.DATE:
         days = np.array([date_to_days(v) for v in values], dtype=np.int32)
         mask = np.isin(operand.data, days)
@@ -424,18 +378,7 @@ def _substr(operand: "Column | _Scalar", start: int, length: int) -> Column:
     dictionary = operand.dictionary
     assert dictionary is not None
     if start == 1 and length >= 0 and strictly_increasing(dictionary):
-        # Prefixes of sorted strings are non-decreasing: each distinct
-        # prefix is one run of codes, found by one binary search.
-        heads: list[str] = []
-        bounds = [0]
-        while bounds[-1] < len(dictionary):
-            head = dictionary[bounds[-1]][:length]
-            heads.append(head)
-            bounds.append(
-                bisect.bisect_right(
-                    dictionary, head, lo=bounds[-1], key=lambda e: e[:length]
-                )
-            )
+        heads, bounds = _prefix_runs(dictionary.tolist(), length)
         new_dict = np.asarray(heads, dtype=object)
         remap = np.repeat(np.arange(len(heads), dtype=np.int32), np.diff(bounds))
     else:
@@ -450,3 +393,37 @@ def _substr(operand: "Column | _Scalar", start: int, length: int) -> Column:
         dictionary=new_dict,
         valid=operand.valid,
     )
+
+
+def _prefix_runs(entries: list[str], length: int) -> tuple[list[str], list[int]]:
+    """Distinct ``entry[:length]`` of sorted entries, and run bounds:
+    ``entries[bounds[i]:bounds[i + 1]]`` share prefix ``heads[i]``.
+
+    Prefixes of sorted strings are non-decreasing, so each distinct prefix
+    is one run of codes.  A galloping search finds a run's end in
+    O(log r) slices for a run of r codes: 25 steps for ``c_phone``'s
+    two-character prefixes, and O(n) when most prefixes are distinct.
+    """
+
+    def prefix(entry: str) -> str:
+        return entry[:length]
+
+    n = len(entries)
+    heads: list[str] = []
+    bounds = [0]
+    end = 0
+    while end < n:
+        head = entries[end][:length]
+        # Codes below ``lo`` are in the run; ``lo + step - 1`` is not, or
+        # is past the end.
+        lo, step = end + 1, 1
+        while lo + step <= n and entries[lo + step - 1][:length] == head:
+            lo += step
+            step *= 2
+        end = lo  # the first probe failed: a run of one code
+        if step > 1:
+            hi = min(lo + step - 1, n)
+            end = bisect.bisect_right(entries, head, lo, hi, key=prefix)
+        heads.append(head)
+        bounds.append(end)
+    return heads, bounds

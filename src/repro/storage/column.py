@@ -43,6 +43,17 @@ _PHYSICAL: dict[DType, type[np.generic]] = {
 }
 
 
+def strictly_increasing(dictionary: np.ndarray) -> bool:
+    """True when every dictionary entry is below the next in Python order.
+
+    Codes are then ranks: code order is string order and no string has
+    two codes.  :meth:`Column.from_strings`, :meth:`Column.from_pool` and
+    :meth:`Column.concat` build such dictionaries; :meth:`Column.from_codes`
+    keeps its pool's order, which need not be.
+    """
+    return len(dictionary) < 2 or bool((dictionary[:-1] < dictionary[1:]).all())
+
+
 class Column:
     """An immutable typed vector.
 

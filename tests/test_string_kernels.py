@@ -1,10 +1,11 @@
 """Property tests for the string predicate kernels of ``expr/eval.py``.
 
 Every STRING predicate resolves the dictionary codes it accepts and then
-tests rows against them: by binary search on a strictly increasing
-dictionary, entry by entry on an unsorted one.  These tests check both
-paths, and the code-range row test, against an oracle that decodes each
-row to a Python ``str`` and applies the predicate directly.  The LIKE
+tests rows against them.  LIKE narrows by binary search on a strictly
+increasing dictionary and tests every entry of an unsorted one.  These
+tests check both paths, and the code-range row test, against an oracle
+that decodes each row to a Python ``str`` and applies the predicate
+directly.  The LIKE
 oracle below is its own matcher, independent of ``like_to_regex``.
 """
 
@@ -120,6 +121,19 @@ def test_substr_matches_unique_path(column, start, length):
     assert result.data.dtype == np.int32
     assert result.data.tobytes() == codes.tobytes()
     assert result.valid is column.valid
+
+
+@pytest.mark.parametrize("length", [0, 2, 3, 4, 9])
+def test_substr_prefix_runs_of_every_length(length):
+    """Runs of 1 to 70 codes per prefix, entries shorter than the prefix
+    and a run that ends the dictionary: every galloping step and bound."""
+    values = [f"{run:02d}{i:02d}" for run in range(1, 71) for i in range(run)]
+    values += ["0", "7", "99"]
+    column = Column.from_strings(values)
+    result = evaluate(substr(col("s"), 1, length), Table("t", {"s": column}))
+    entries, codes = _unique_path(column, 1, length)
+    assert result.dictionary.tolist() == entries
+    assert result.data.tobytes() == codes.tobytes()
 
 
 @pytest.mark.parametrize(
