@@ -10,10 +10,16 @@ per step and once as the morsel loop the engine runs (hash a slice,
 use it, next slice).  Beside each Bloom pair, the presence bitmap over
 the same number of keys drawn from a dense range (a date range of
 ``o_orderkey``): build as the span pass (``plan``) + one scatter +
-``packbits``, probe as
-normalize + gather, with sizes and false positives next to a Bloom
-filter over the same keys.  Min of 5.  Then the measured
-false-positive rate at three targets.
+``packbits``, probe as one unpack into the byte table + normalize and
+clipped ``take`` per morsel, with sizes and false positives next to a
+Bloom filter over the same keys.  Min of 5.
+
+Then the span sweep behind ``bitmap.CACHE_BITS``: bitmaps of
+``span / 64`` keys over spans of 2¹² … 2²³ bits, each probed by the
+KEYS drawn from the span — the byte-table probe (unpack included)
+beside the packed-bit gather it replaced and beside hashing plus a
+Bloom probe over the same keys.  Last, the measured false-positive rate
+at three targets.
 """
 
 from __future__ import annotations
@@ -43,6 +49,31 @@ def best_ns(fn: Step, keys: int, repeats: int = 5) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best / keys * 1e9
+
+
+def table_probe(bitmap: BitmapFilter, column: Column, n: int) -> list[np.ndarray]:
+    """The engine's bitmap probe: unpack once, one ``take`` per morsel."""
+    contains = bitmap.membership()
+    return [contains(column_to_u64(column, span)) for span in morsels(0, n)]
+
+
+def packed_probe(bitmap: BitmapFilter, column: Column, n: int) -> list[np.ndarray]:
+    """The packed-bit gather the byte table replaced, for comparison:
+    a range test, then byte ``k >> 3`` shifted by ``k & 7``."""
+    out = []
+    for span in morsels(0, n):
+        offset = column_to_u64(column, span) - np.uint64(bitmap.low)
+        inside = offset < np.uint64(bitmap.span)
+        byte = bitmap.bits.take((offset >> np.uint64(3)).view(np.intp), mode="clip")
+        byte >>= (offset & np.uint64(7)).astype(np.uint8)
+        byte &= np.uint8(1)
+        out.append(byte.view(np.bool_) & inside)
+    return out
+
+
+def bloom_probe(bloom: BloomFilter, column: Column, n: int) -> list[np.ndarray]:
+    """Hash a morsel, probe the Bloom filter with it."""
+    return [bloom.contains_hashes(bloom_keys([column], span)) for span in morsels(0, n)]
 
 
 def main() -> None:
@@ -109,21 +140,37 @@ def main() -> None:
         bitmap = build_bitmap()
         row(f"bitmap plan + build, {members} keys", build_bitmap, None, members)
         row(
-            f"bitmap probe, {members}-key bitmap",
-            lambda: bitmap.contains(column_to_u64(probe_column[0], whole)),
-            lambda: [
-                bitmap.contains(column_to_u64(probe_column[0], span))
-                for span in morsels(0, n)
-            ],
+            f"bitmap probe (byte table), {members}-key bitmap",
+            lambda: bitmap.membership()(column_to_u64(probe_column[0], whole)),
+            lambda: table_probe(bitmap, probe_column[0], n),
             n,
         )
         twin = BloomFilter.from_keys(dense.view(np.uint64), fpp=0.01)
-        truth = bitmap.contains(column_to_u64(probe_column[0]))
+        truth = bitmap.membership()(column_to_u64(probe_column[0]))
         false_pos = int((twin.contains_keys(column_to_u64(probe_column[0])) & ~truth).sum())
         print(
             f"  {members}-key run: bitmap {bitmap.size_bytes()} B, 0 false positives; "
             f"Bloom {twin.size_bytes()} B, {false_pos} false positives "
             f"beside {int(truth.sum())} true matches"
+        )
+
+    print(
+        f"span sweep, {n} probe keys inside the span; ns/key, morsel loop: "
+        "byte table (unpack included) | packed gather | hash + Bloom probe"
+    )
+    for shift in range(12, 24):
+        span = 1 << shift
+        keys = np.concatenate([[0, span - 1], rng.integers(0, span, span // 64)])
+        column = Column.from_ints(keys.astype(np.int64))
+        bitmap = BitmapFilter.build(column, None, 0.01, (0, span))
+        bloom = BloomFilter.from_keys(column.data.view(np.uint64), fpp=0.01)
+        inside = Column.from_ints(rng.integers(0, span, n))
+        print(
+            f"  2^{shift:<2} bits: {bitmap.size_bytes() / 1024:8.1f} KiB packed, "
+            f"Bloom {bloom.size_bytes() / 1024:7.1f} KiB   "
+            f"{best_ns(lambda: table_probe(bitmap, inside, n), n):5.1f} | "
+            f"{best_ns(lambda: packed_probe(bitmap, inside, n), n):5.1f} | "
+            f"{best_ns(lambda: bloom_probe(bloom, inside, n), n):5.1f}"
         )
 
     members = rng.integers(0, 2**62, 200_000).astype(np.uint64)

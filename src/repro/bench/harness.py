@@ -254,12 +254,19 @@ def format_edges(stats: QueryStats, title: str) -> str:
     first (``--analyze``): the mechanism behind Figure 5's pre-filter
     bar and Tables 1–2's reduced join inputs.  A seed edge names the
     deferred stage it pre-filters, e.g. ``l1 -> a (seeds q21_nsupp)``;
-    its probe counts are the stage's group-key rows."""
+    its probe counts are the stage's group-key rows.  ``build_ns/key``
+    and ``probe_ns/row`` divide the edge's seconds by its keys in and
+    rows probed (``-`` when there were none), so filter kinds compare
+    per key."""
     headers = [
         "stage", "pass", "edge", "keys", "decision", "filter", "keys_in",
-        "probed", "pass_rate", "KiB", "build_ms", "probe_ms",
+        "probed", "pass_rate", "KiB", "build_ms", "probe_ms", "build_ns/key",
+        "probe_ns/row",
     ]
     rows: list[list[object]] = []
+
+    def per(seconds: float, count: int) -> str:
+        return f"{seconds * 1e9 / count:.1f}" if count else "-"
 
     def walk(stage: QueryStats) -> None:
         for sub in stage.stage_stats:
@@ -275,9 +282,11 @@ def format_edges(stats: QueryStats, title: str) -> str:
                     f"{e.kind} ({e.provenance})", e.keys_inserted, e.rows_probed,
                     f"{e.pass_rate:.3f}", f"{e.filter_bytes / 1024:.1f}",
                     f"{e.build_seconds * 1e3:.2f}", f"{e.probe_seconds * 1e3:.2f}",
+                    per(e.build_seconds, e.keys_inserted),
+                    per(e.probe_seconds, e.rows_probed),
                 ]
             else:
-                row += ["-"] * 7
+                row += ["-"] * 9
             rows.append(row)
 
     walk(stats)

@@ -39,14 +39,15 @@ The filter kind is what the strategy asks for; the representation is
 what :func:`build_filter` observes.  When the edge's key is a single
 ``INT64``/``DATE`` column and the span ``max − min + 1`` of the
 source's non-NULL surviving keys is at most
-:func:`~repro.filters.bitmap.span_limit` (the Bloom filter's bit count
-at its ``fpp``, or the exact hash set's byte count, so even the
-byte-per-integer array the build scatters into is no larger than the
-set), the edge ships a
+:func:`~repro.filters.bitmap.span_limit` (a cache-sized
+:data:`~repro.filters.bitmap.CACHE_BITS`, or the size of the filter it
+replaces when that is larger) and the memory budget admits its packed
+bits, the edge ships a
 :class:`~repro.filters.bitmap.BitmapFilter` instead: one bit per
-integer of the span, built by one scatter, probed by one gather, no
-hash and no false positives — so it is never larger and never less
-precise than what it replaces.  Every TPC-H and SSB join key
+integer of the span, built by one scatter, probed by one clipped
+byte-table ``take``, no hash and no false positives — so it is never
+less precise than what it replaces, and larger only within the cache.
+Every TPC-H and SSB join key
 is a dense integer, so most edges ship one; composite, ``STRING`` and
 sparse keys ship what they asked for.  There is no knob: the rule is a
 function of the source's keys, so the cross-query cache still stores
@@ -115,9 +116,10 @@ exact set's ``contains_keys``) while it is still cache-resident.  Only
 rows a filter actually touches are hashed — a relation its local
 predicate cut to 2 % costs 2 % of a column pass — and no hash array
 outlives its morsel.  A bitmap's probe runs in the same loop over the
-unhashed keys (:meth:`_RowKeys.probe_bitmap`); its build walks the
-survivors twice a morsel at a time, once for the span
-(:func:`~repro.filters.bitmap.plan`) and once to scatter.
+unhashed keys (:meth:`_RowKeys.probe_bitmap`), against the byte table
+:meth:`~repro.filters.bitmap.BitmapFilter.membership` unpacks once per
+probe; its build walks the survivors twice a morsel at a time, once
+for the span (:func:`~repro.filters.bitmap.plan`) and once to scatter.
 
 Cross-query caching: filters built at **pristine** vertices — vertices
 whose surviving rows still equal the local-predicate survivors, i.e.
@@ -309,14 +311,17 @@ class _RowKeys:
     def __getitem__(self, span: slice) -> np.ndarray:
         return self._hashes.bloom_keys(self._columns, self._slice(span))
 
-    def probe_bitmap(self, bitmap: BitmapFilter, span: slice) -> np.ndarray:
-        """``bitmap``'s membership mask of the single key column's rows
-        in ``span``, normalized as the hashed filters normalize them;
-        NULL rows never pass."""
+    def probe_bitmap(
+        self, contains: Callable[[np.ndarray], np.ndarray], span: slice
+    ) -> np.ndarray:
+        """A bitmap's membership mask (``contains``, from
+        :meth:`~repro.filters.bitmap.BitmapFilter.membership`) of the
+        single key column's rows in ``span``, normalized as the hashed
+        filters normalize them; NULL rows never pass."""
         (column,) = self._columns
         rows = self._slice(span)
         keys = column_to_u64(column, rows, self._hashes.dictionary_hashes(column))
-        keep = bitmap.contains(keys)
+        keep = contains(keys)
         if column.valid is not None:
             keep &= column.valid[rows]
         return keep
@@ -513,8 +518,9 @@ def build_filter(
     fetched from the cache when ``alias`` is pristine and versioned,
     built (and committed back) otherwise; either way ``edge`` records
     what was shipped.  A single dense integer key ships a
-    :class:`~repro.filters.bitmap.BitmapFilter` instead whenever it is
-    no larger than the ``kind`` filter it replaces.
+    :class:`~repro.filters.bitmap.BitmapFilter` instead whenever
+    :func:`~repro.filters.bitmap.plan` picks one and the memory budget
+    admits it.
     """
     started = time.perf_counter()
     key_columns = edge.key_columns
@@ -569,30 +575,38 @@ def _build(
     kind: str,
     fpp: float,
 ) -> tuple[Filter, bool]:
-    """Build the filter :func:`build_filter` ships, and whether it
-    degraded exact → Bloom under the memory budget."""
+    """Build the filter :func:`build_filter` ships, and whether the
+    memory budget made it differ from what an unbudgeted build ships —
+    such a filter is never cached: it would poison the fingerprint for
+    future queries."""
     n_keys = table.num_rows if rows is None else len(rows)
     if rows is not None and n_keys == table.num_rows:
         rows = None  # a full sorted row vector is the identity
     columns = [table.column(c) for c in key_columns]
+
+    def affordable(rule: float | None) -> tuple[tuple[int, int] | None, bool]:
+        # The bitmap under ``rule``, if the budget admits its packed
+        # bits (the form that is kept and charged; the build's scatter
+        # array is at most the larger of the cache-sized span and the
+        # replaced filter's bytes), and whether the budget vetoed it.
+        planned = plan(columns, rows, rule)
+        if planned is not None and state.qctx.would_exceed(-(-planned[1] // 8)):
+            return None, True
+        return planned, False
+
     rule = None if kind == "exact" else fpp  # the size rule a bitmap obeys
-    planned = plan(columns, rows, rule)
-    degraded = False
-    # The budget counts the filter that is kept, as the charge does: the
-    # packed bitmap, or the hash set.  (The bitmap's build scatters into
-    # a byte per integer of the span, which its rule keeps within the
-    # set's bytes.)
-    if kind == "exact" and state.qctx.would_exceed(
-        hash_set_bytes(n_keys) if planned is None else -(-planned[1] // 8)
+    planned, degraded = affordable(rule)
+    if (
+        kind == "exact"
+        and planned is None
+        and state.qctx.would_exceed(hash_set_bytes(n_keys))
     ):
         # Graceful degradation: a Bloom filter is ~an order of
         # magnitude smaller and — having no false negatives — keeps
         # results byte-identical; it just pre-filters less precisely.
-        # Degraded filters are never cached: they would poison the
-        # exact-kind fingerprint for future queries.
         kind, rule, degraded = "bloom", fpp, True
         state.qctx.note_degraded()
-        planned = plan(columns, rows, rule)  # under the Bloom filter's rule
+        planned, _ = affordable(rule)  # under the Bloom filter's rule
     if planned is not None:
         return BitmapFilter.build(columns[0], rows, rule, planned), degraded
     keys = _RowKeys(state.hashes, table, key_columns, rows)
@@ -627,8 +641,9 @@ def probe_filter(
     keys = _RowKeys(state.hashes, table, key_columns, rows)
     keep = np.empty(len(keys), dtype=np.bool_)
     if isinstance(filt, BitmapFilter):  # unhashed keys, NULLs never pass
+        contains = filt.membership()
         for span in morsels(0, len(keys)):
-            keep[span] = keys.probe_bitmap(filt, span)
+            keep[span] = keys.probe_bitmap(contains, span)
     else:
         # Bloom filters take the pre-mixed hashes, exact sets the keys.
         probe = (

@@ -6,8 +6,9 @@ Two Bloom layouts live here: the packed register-blocked
 byte-per-bit :class:`ReferenceBloomFilter` it is equivalence-tested
 against.  :class:`ExactFilter` is the semi-join-precise hash set.
 :class:`BitmapFilter` is the presence bitmap over ``key − min`` that a
-single dense integer key ships in place of either, whenever it takes no
-more bits: no hash, no false positives.  :class:`KeyHashCache` is the
+single dense integer key ships in place of either, whenever its span
+fits a cache-sized cap or it takes no more bits: no hash, no false
+positives.  :class:`KeyHashCache` is the
 per-query key normalizer and hasher the pre-filter loop calls once per
 morsel.
 """

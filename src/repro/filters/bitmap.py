@@ -2,20 +2,25 @@
 
 Every TPC-H and SSB join key is a dense integer, so the surviving keys
 of a relation usually fill a short range ``[low, low + span)``.  One bit
-per integer of that range is then an **exact** filter that is often
-*smaller* than the Bloom filter it replaces (paper §3.2, "Filter
-Type"): a date range of 110 K orders keeps ``o_orderkey`` within a span
+per integer of that range is then an **exact** filter (paper §3.2,
+"Filter Type"), and up to a cache-sized span it is cheaper to probe
+than a Bloom filter, whose false positives also travel on into the
+joins: a date range of 110 K orders keeps ``o_orderkey`` within a span
 of 110 K, i.e. 13.75 KB of bits against a 165 KB Bloom filter at
 fpp 0.01.
 
 * **Build** is one scatter into a ``span``-long boolean array, a morsel
   of keys at a time, and one ``packbits`` — no hash.
-* **Probe** takes the keys ``column_to_u64`` normalizes them to (the
-  normalization the Bloom and exact filters hash), computes
-  ``k = key − low`` in ``uint64`` — wrap-around makes every key below
-  ``low`` huge, so ``k < span`` is the whole range test for any int64
-  — and gathers bit ``k``.  No false positives, so the answer is the
-  semi-join's.
+* **Probe** (:meth:`BitmapFilter.membership`) unpacks the bits once
+  into a ``span + 2`` boolean table that is False at both ends.  Each
+  morsel of keys — as ``column_to_u64`` normalizes them, the
+  normalization the Bloom and exact filters hash — is then one
+  ``table.take(key − (low − 1), mode="clip")`` with the subtraction in
+  wrapping ``uint64``: every key outside the span, ``±2⁶³`` included,
+  lands below 1 or above ``span`` as ``intp`` and clips onto a False
+  end.  No hash
+  and no false positives, so the answer is the semi-join's.  The packed
+  bits stay the stored, cached, charged and extended form.
 
 When it is used
 ---------------
@@ -25,13 +30,14 @@ and the cache extension (:meth:`BitmapFilter.extended`) all ask it.
 A bitmap ships instead of
 the filter kind asked for when the source has a single
 ``INT64``/``DATE`` key column and the span of its non-NULL surviving
-keys is at most :func:`span_limit`: the Bloom filter's bit count at
-its ``fpp`` (so the packed bitmap is never larger), or the exact hash
-set's *byte* count (so even the byte-per-integer array the build
-scatters into is no larger than the set).  The bitmap carries the row
-count and ``fpp`` it was sized against, so an extension over appended
-rows applies the same rule to the merged rows and is therefore exactly
-what a fresh build would ship.
+keys is at most :func:`span_limit`: the larger of :data:`CACHE_BITS`
+(the probe table then stays cache-resident) and the size of the filter
+it replaces — the Bloom filter's bit count at its ``fpp`` (the packed
+bitmap is no larger), or the exact hash set's *byte* count (the
+byte-per-integer array the build scatters into is no larger than the
+set).  The bitmap carries the row count and ``fpp`` it was sized
+against, so an extension over appended rows applies the same rule to
+the merged rows and is therefore exactly what a fresh build would ship.
 
 NULL keys never match a join, so NULL source rows insert nothing and
 NULL probe rows never pass.
@@ -39,7 +45,7 @@ NULL probe rows never pass.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +61,23 @@ _NO_BITS = np.zeros(0, dtype=np.uint8)
 #: Key column types a bitmap can be built over: integers compared by value.
 DENSE_TYPES = (DType.INT64, DType.DATE)
 
+#: A span every bitmap may take, however few keys it holds: 128 KiB
+#: packed, a 1 MiB probe table, within a 2 MiB-per-core L2.  Chosen from
+#: the span sweep of ``benchmarks/filter_kernels.py`` (3 M probe keys,
+#: 2-vCPU Xeon): the byte-table probe, unpack included, costs
+#: 1.7–2.7 ns/key up to 2²⁰ bits, then 3.8 at 2²¹ and 7.7 at 2²³ as the
+#: table leaves L2 (the packed-bit gather it replaced: 3.8–5.4; hashing
+#: plus a Bloom probe: 8.6–11.4).
+CACHE_BITS = 1 << 20
+
 
 def span_limit(rows: int, fpp: float | None) -> int:
-    """The widest span a bitmap over ``rows`` keys may take: the bit
-    count of the Bloom filter at ``fpp``, or the byte count of the exact
-    hash set when ``fpp`` is ``None``."""
-    return hash_set_bytes(rows) if fpp is None else bloom_bits(rows, fpp)
+    """The widest span a bitmap over ``rows`` keys may take:
+    :data:`CACHE_BITS`, or more when the filter it replaces is larger —
+    the bit count of the Bloom filter at ``fpp``, or the byte count of
+    the exact hash set when ``fpp`` is ``None``."""
+    replaced = hash_set_bytes(rows) if fpp is None else bloom_bits(rows, fpp)
+    return max(CACHE_BITS, replaced)
 
 
 def plan(
@@ -167,18 +184,27 @@ class BitmapFilter:
             np.packbits(present, bitorder="little"),
         )
 
-    def contains(self, keys: np.ndarray) -> np.ndarray:
-        """Membership mask of 64-bit keys (``int64``, or the ``uint64``
-        of ``column_to_u64``)."""
-        if self.span == 0:
-            return np.zeros(len(keys), dtype=np.bool_)
-        offset = keys.view(_U64) - _U64(self.low & _WRAP)  # wraps below low
-        inside = offset < _U64(self.span)
-        # Out-of-range offsets read the last byte; ``inside`` drops them.
-        byte = self.bits.take((offset >> _U64(3)).view(np.intp), mode="clip")
-        byte >>= (offset & _U64(7)).astype(np.uint8)
-        byte &= np.uint8(1)
-        return byte.view(np.bool_) & inside
+    def membership(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The membership test of 64-bit keys (``int64``, or the
+        ``uint64`` of ``column_to_u64``): unpack the bits once, then
+        call it once per morsel.
+
+        Entry ``key − (low − 1)`` of the ``span + 2`` table is the key's
+        bit.  Taken mod 2⁶⁴ and read as ``intp``, that offset lies in
+        ``[1, span]`` only for keys of the span (two ``int64`` values
+        congruent mod 2⁶⁴ are equal), so every other key's offset is
+        ``≤ 0`` or ``> span`` and ``clip`` folds it onto a False end."""
+        table = np.zeros(self.span + 2, dtype=np.bool_)
+        table[1:-1] = np.unpackbits(
+            self.bits, count=self.span, bitorder="little"
+        ).view(np.bool_)
+        origin = _U64((self.low - 1) & _WRAP)
+
+        def contains(keys: np.ndarray) -> np.ndarray:
+            offset = keys.view(_U64) - origin
+            return table.take(offset.view(np.intp), mode="clip")
+
+        return contains
 
     @property
     def exact(self) -> bool:

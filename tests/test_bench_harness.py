@@ -6,6 +6,7 @@ from repro.bench.harness import (
     SuiteResult,
     breakdown,
     format_breakdown,
+    format_edges,
     format_fig4,
     format_join_orders,
     format_join_sizes,
@@ -19,6 +20,7 @@ from repro.bench.harness import (
     variance_ratio,
 )
 from repro.bench.report import format_bar_chart, format_table
+from repro.engine.stats import SKIPPED_COVERED, QueryStats
 from repro.tpch.queries import Q5_JOIN_ORDERS, get_query
 
 from .conftest import TINY_SF
@@ -103,6 +105,25 @@ def test_format_table_alignment():
     lines = text.splitlines()
     assert lines[0] == "t"
     assert "bee" in lines[1]
+
+
+def test_format_edges_reports_ns_per_key_and_per_row():
+    stats = QueryStats(query="q8")
+    shipped = stats.transfer.new_edge(0, "p", "l", ("p.p_partkey",))
+    shipped.kind, shipped.provenance = "bitmap", "built"
+    shipped.keys_inserted, shipped.build_seconds = 2_000, 50e-6
+    shipped.rows_probed, shipped.probe_seconds = 400_000, 1e-3
+    empty = stats.transfer.new_edge(1, "l", "p", ("l.l_partkey",))
+    empty.kind, empty.provenance = "bitmap", "built"
+    stats.transfer.new_edge(0, "n", "s", ("n.n_nationkey",)).decision = SKIPPED_COVERED
+    lines = format_edges(stats, title="edges").splitlines()
+    header = [c.strip() for c in lines[1].split("|")]
+    assert header[-2:] == ["build_ns/key", "probe_ns/row"]
+    cells = [[c.strip() for c in line.split("|")] for line in lines[3:]]
+    assert cells[0][-2:] == ["25.0", "2.5"]  # 50 µs / 2 000, 1 ms / 400 000
+    assert cells[1][-2:] == ["-", "-"]  # built from nothing, probed nothing
+    assert cells[2][-2:] == ["-", "-"]  # skipped
+    assert {len(row) for row in cells} == {len(header)}
 
 
 def test_format_bar_chart():

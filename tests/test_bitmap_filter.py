@@ -5,12 +5,16 @@ Pinned here, mostly as ``hypothesis`` properties:
 
 * the bitmap's keep-mask is ``np.isin`` over the non-NULL keys, and a
   subset of the Bloom filter's — negatives, ``DATE``, empty and one-key
-  sources, NULL-bearing probe columns, probe keys near ±2⁶³;
-* the size rule at its boundary: a span of the Bloom filter's bit
-  count (or the exact hash set's byte count) ships a bitmap, one more
-  does not;
-* every bitmap is no larger than the filter it replaced, and an exact
-  build allocates no more than the hash set it replaced;
+  sources, NULL-bearing probe columns, probe keys near ±2⁶³ — also for
+  row subsets, ``low = −2⁶³`` and spans around ``CACHE_BITS``;
+* the size rule at its boundary: a span of ``CACHE_BITS`` or of the
+  Bloom filter's bit count (the exact hash set's byte count), whichever
+  is larger, ships a bitmap, one more does not;
+* every bitmap is no larger than the filter it replaced or the
+  cache-sized span, and an exact build allocates no more than the hash
+  set it replaced or that span's bytes;
+* a memory budget that admits the replaced filter but not the bitmap
+  ships the filter asked for, and caches nothing;
 * a cached bitmap extended over appended rows is bit-identical to a
   fresh build over the merged table, and falls back to a rebuild
   exactly when that build would not pick a bitmap;
@@ -35,10 +39,11 @@ from hypothesis import strategies as st
 from repro.__main__ import main
 from repro.cache.context import AliasKey, QueryCache
 from repro.cache.store import FilterCache
+from repro.context import QueryContext
 from repro.core.runner import RunConfig, run_query
 from repro.core.transfer import ExecContext, build_filter, probe_filter
 from repro.engine.stats import EdgeStat
-from repro.filters.bitmap import BitmapFilter, span_limit
+from repro.filters.bitmap import CACHE_BITS, BitmapFilter, span_limit
 from repro.filters.bloom import BloomFilter, bloom_bits
 from repro.filters.exact import ExactFilter
 from repro.filters.hashing import bloom_keys
@@ -66,9 +71,9 @@ def _build(table: Table, kind: str, rows: np.ndarray | None = None):
     return build_filter(state, edge, None, table, rows, kind, FPP), edge
 
 
-def _probe(filt, probe: Table) -> np.ndarray:
+def _probe(filt, probe: Table, rows: np.ndarray | None = None) -> np.ndarray:
     state = ExecContext(tables={"u": probe})
-    return probe_filter(state, EdgeStat(0, "t", "u", ("u.k",)), filt, probe, ("u.k",), None)
+    return probe_filter(state, EdgeStat(0, "t", "u", ("u.k",)), filt, probe, ("u.k",), rows)
 
 
 # ----------------------------------------------------------------------
@@ -155,17 +160,96 @@ def test_one_key_bitmap_at_the_int64_edges():
         assert _probe(built, probe).tolist() == [key == I64_MIN, key == I64_MAX, False, False]
 
 
+@st.composite
+def _wide_source_and_probe(draw):
+    """A source whose non-NULL built keys span ``width`` — up to one past
+    ``CACHE_BITS`` — from ``low`` (``−2⁶³`` among the choices), with
+    NULL rows and rows left out of the build, and a NULL-bearing probe
+    column probed on a row subset."""
+    date = draw(st.booleans())
+    lo_bound, hi_bound = (I32_MIN, I32_MAX) if date else (I64_MIN, I64_MAX)
+    width = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=5_000),
+            st.sampled_from([CACHE_BITS - 1, CACHE_BITS, CACHE_BITS + 1]),
+        )
+    )
+    low = draw(
+        st.one_of(
+            st.just(lo_bound),
+            st.integers(min_value=lo_bound, max_value=hi_bound - width + 1),
+        )
+    )
+    n = draw(st.integers(min_value=0, max_value=40))
+    offsets = draw(
+        st.lists(st.integers(min_value=0, max_value=width - 1), min_size=n, max_size=n)
+    )
+    # The two ends are valid and built, so the span is ``width``.
+    src = np.asarray([0, width - 1] + offsets, dtype=np.int64) + low
+    src_valid = np.asarray(
+        [True, True] + draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        dtype=np.bool_,
+    )
+    picked = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    build_rows = np.asarray(
+        [0, 1] + [i + 2 for i, p in enumerate(picked) if p], dtype=np.intp
+    )
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        build_rows = build_rows[:0]  # an empty bitmap
+    near = [lo_bound, hi_bound, low - 1, low, low + width - 1, low + width, 0]
+    pool = st.one_of(
+        st.sampled_from(src.tolist()),
+        st.sampled_from(near),
+        st.integers(min_value=lo_bound, max_value=hi_bound),
+    )
+    probe = np.asarray(
+        [min(max(v, lo_bound), hi_bound) for v in draw(st.lists(pool, max_size=80))],
+        dtype=np.int64,
+    )
+    probe_valid = np.asarray(
+        draw(st.lists(st.booleans(), min_size=len(probe), max_size=len(probe))),
+        dtype=np.bool_,
+    )
+    kept = draw(st.lists(st.booleans(), min_size=len(probe), max_size=len(probe)))
+    probe_rows = np.flatnonzero(np.asarray(kept, dtype=np.bool_))
+    return date, src, src_valid, build_rows, probe, probe_valid, probe_rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_source_and_probe())
+def test_byte_table_probe_is_isin_over_the_non_null_keys(case):
+    date, src, src_valid, build_rows, probe, probe_valid, probe_rows = case
+    source = Table("t", {"t.k": _column(src, src_valid, date)})
+    probed = Table("u", {"u.k": _column(probe, probe_valid, date)})
+    built, _ = _build(source, "exact", build_rows)
+    inserted = src[build_rows][src_valid[build_rows]]
+    span = int(inserted.max() - inserted.min() + 1) if len(inserted) else 0
+    # Few keys: the cache-sized span is the whole rule.
+    assert isinstance(built, BitmapFilter) == (span <= CACHE_BITS)
+    if isinstance(built, BitmapFilter):
+        assert built.span == span
+    got = _probe(built, probed, probe_rows)
+    expected = (np.isin(probe, inserted) & probe_valid)[probe_rows]
+    if isinstance(built, BitmapFilter):
+        assert np.array_equal(got, expected)
+    else:  # the hash set inserts NULL placeholders too: a superset
+        assert not (expected & ~got).any()
+
+
 # ----------------------------------------------------------------------
 # The size rule
 # ----------------------------------------------------------------------
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(min_value=2, max_value=4_000),
+    # Up to 4 000 keys the cache-sized span is the limit; at 150 000
+    # the replaced filter is larger than it, and is the limit.
+    st.one_of(st.integers(min_value=2, max_value=4_000), st.just(150_000)),
     st.sampled_from(["bloom", "exact"]),
     st.integers(min_value=-(2**40), max_value=2**40),
 )
 def test_eligibility_boundary_is_the_span_limit(n, kind, low):
-    bits = hash_set_bytes(n) if kind == "exact" else bloom_bits(n, FPP)
+    replaced = hash_set_bytes(n) if kind == "exact" else bloom_bits(n, FPP)
+    bits = max(CACHE_BITS, replaced)
     assert span_limit(n, _kind_args(kind)) == bits
     rng = np.random.default_rng(n)
     for span, bitmap in ((bits - 1, True), (bits, True), (bits + 1, False)):
@@ -195,13 +279,15 @@ def test_every_bitmap_is_no_larger_than_the_filter_it_replaced(values, kind, dat
         if kind == "bloom"
         else ExactFilter.from_keys(hashes)
     )
-    assert built.size_bytes() <= replaced.size_bytes()
+    # Larger than the replaced filter only within the cache-sized span.
+    assert built.size_bytes() <= max(replaced.size_bytes(), CACHE_BITS // 8)
 
 
 def test_widest_exact_bitmap_build_allocates_no_more_than_the_hash_set():
     # Sparse keys at the exact rule's widest span: the build scatters
     # into a byte per integer of the span before packing, and that array
-    # must stay within the hash set the bitmap replaces.
+    # must stay within the hash set the bitmap replaces or the
+    # cache-sized span's bytes.
     n = 20_000
     span = span_limit(n, None)
     values = np.concatenate(
@@ -215,8 +301,41 @@ def test_widest_exact_bitmap_build_allocates_no_more_than_the_hash_set():
     finally:
         tracemalloc.stop()
     assert isinstance(built, BitmapFilter) and built.span == span
-    # The set, plus a morsel of keys and the packed bits.
-    assert peak <= hash_set_bytes(n) + 2 * values.nbytes + built.size_bytes()
+    # The larger of the set and the cache-sized scatter array, plus a
+    # morsel of keys and the packed bits.
+    scatter = max(hash_set_bytes(n), CACHE_BITS)
+    assert peak <= scatter + 2 * values.nbytes + built.size_bytes()
+
+
+@pytest.mark.parametrize("kind", ["bloom", "exact"])
+def test_budget_between_the_replaced_filter_and_the_bitmap_ships_the_kind_asked(kind):
+    # 1 000 keys over a cache-sized span: a 128 KiB bitmap against a
+    # ~1.2 KB Bloom filter or an 18 KB hash set.
+    n = 1_000
+    values = np.concatenate(
+        [[0, CACHE_BITS - 1], np.random.default_rng(1).integers(0, CACHE_BITS, n - 2)]
+    ).astype(np.int64)
+    catalog = Catalog({"t": Table("t", {"k": Column.from_ints(values)})})
+    free, _ = _ship(_bound(FilterCache(max_bytes=1 << 24), catalog), kind)
+    assert isinstance(free, BitmapFilter) and free.span == CACHE_BITS
+    replaced = (
+        BloomFilter(capacity=n, fpp=FPP).size_bytes()
+        if kind == "bloom"
+        else hash_set_bytes(n)
+    )
+    budget = (replaced + free.size_bytes()) // 2
+    assert replaced < budget < free.size_bytes()
+    store = FilterCache(max_bytes=1 << 24)
+    state = _bound(store, catalog)
+    state.qctx = QueryContext(memory_budget=budget)
+    built, edge = _ship(state, kind)  # no MemoryBudgetExceeded
+    assert edge.kind == kind and not isinstance(built, BitmapFilter)
+    assert state.qctx.filters_degraded == 0 and len(store) == 0
+    probe = Table("u", {"u.k": Column.from_ints(np.arange(-5, CACHE_BITS + 5))})
+    got, exact = _probe(built, probe), _probe(free, probe)
+    assert not (exact & ~got).any()  # no false negatives
+    if kind == "exact":
+        assert np.array_equal(got, exact)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from repro.core.ptgraph import build_pt_graph
 from repro.core.transfer import TransferConfig, run_transfer
 from repro.errors import FilterError
+from repro.filters.bitmap import CACHE_BITS
 from repro.plan.joingraph import build_join_graph
 from repro.plan.query import QuerySpec, Relation, edge
 from repro.storage.column import Column
@@ -157,9 +158,10 @@ def _rekeyed_fig3_setup(rekey):
 
 
 def _sparse_fig3_setup():
-    """Every key times 10 007: the spans outgrow a one-block Bloom
-    filter and a 16-slot hash set, so no edge ships a presence bitmap."""
-    return _rekeyed_fig3_setup(lambda _, keys: keys * 10_007)
+    """Every key times ``CACHE_BITS + 1``: two distinct keys span more
+    than the cache-sized limit, a one-block Bloom filter and a 16-slot
+    hash set, so no edge ships a presence bitmap."""
+    return _rekeyed_fig3_setup(lambda _, keys: keys * (CACHE_BITS + 1))
 
 
 def _dense_fig3_setup():

@@ -1,0 +1,101 @@
+"""Exact work counters of the Figure 4 queries, against a committed record.
+
+The 20 ``BENCH_QUERY_IDS`` run under predicate transfer at SF 0.1,
+seed 1, cold (no filter cache).  Per query, the record pins the kind of
+every shipped edge (pre-stages first, as ``--analyze`` lists them), the
+rows probed by Bloom filters and by presence bitmaps, and the join
+input rows.  Each is a function of (code, seed, SF) — no clock, no
+tracer — so the comparison is ``==`` and has no noise.  A change that
+moves one of them either is a bug or says so by rewriting the record:
+
+    PYTHONPATH=src python tests/test_work_counters.py
+
+and committing the diff beside the change that explains it.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+
+import pytest
+
+from repro.core.runner import RunConfig, run_query
+from repro.engine.stats import QueryStats
+from repro.tpch import BENCH_QUERY_IDS, generate_tpch, get_query
+
+SF, SEED = 0.1, 1
+RECORD = pathlib.Path(__file__).with_name("work_counters_sf0.1_seed1.json")
+
+#: The single-key edges into ``lineitem`` that shipped Bloom filters
+#: under the "never larger" size rule, and must now ship bitmaps.
+CACHE_SIZED_EDGES = {
+    "q8": ("p", "l"),
+    "q9": ("p", "l"),
+    "q17": ("p", "l"),
+    "q18": ("o", "l"),
+    "q21": ("s", "l1"),
+}
+
+
+def _stages(stats: QueryStats) -> list[QueryStats]:
+    """``stats`` and its pre-stages, pre-stages first."""
+    out: list[QueryStats] = []
+    for sub in stats.stage_stats:
+        out.extend(_stages(sub))
+    return out + [stats]
+
+
+def counters(stats: QueryStats) -> dict[str, object]:
+    """The exact counters one query's statistics pin."""
+    stages = _stages(stats)
+    return {
+        "edges": [
+            f"{stage.query} {e.pass_index} {e.src}->{e.dst} "
+            f"{','.join(e.key_columns)} {e.kind}"
+            for stage in stages
+            for e in stage.transfer.shipped()
+        ],
+        "bloom_probes": sum(s.transfer.bloom_probes for s in stages),
+        "bitmap_probes": sum(s.transfer.bitmap_probes for s in stages),
+        "join_input_rows": stats.total_join_input_rows(),
+    }
+
+
+def measure() -> dict[str, dict[str, object]]:
+    catalog = generate_tpch(sf=SF, seed=SEED)
+    config = RunConfig(strategy="predtrans")
+    return {
+        f"q{qid}": counters(run_query(get_query(qid, sf=SF), catalog, config=config).stats)
+        for qid in BENCH_QUERY_IDS
+    }
+
+
+@pytest.fixture(scope="module")
+def measured() -> dict[str, dict[str, object]]:
+    return measure()
+
+
+def test_work_counters_equal_the_record(measured):
+    record = json.loads(RECORD.read_text())
+    assert sorted(measured) == sorted(record)
+    for query, expected in record.items():
+        assert measured[query] == expected, query
+
+
+def test_cache_sized_edges_ship_bitmaps_and_composite_keys_bloom(measured):
+    for query, (src, dst) in CACHE_SIZED_EDGES.items():
+        kinds = {
+            edge.split()[-1]
+            for edge in measured[query]["edges"]
+            if edge.split()[2] == f"{src}->{dst}"
+        }
+        assert kinds == {"bitmap"}, query
+    # Q9's partsupp <-> lineitem edges key on (partkey, suppkey).
+    composite = [e for e in measured["q9"]["edges"] if "," in e.split()[3]]
+    assert composite and all(e.endswith(" bloom") for e in composite)
+
+
+if __name__ == "__main__":
+    RECORD.write_text(json.dumps(measure(), indent=1) + "\n")
+    print(f"wrote {RECORD}")
