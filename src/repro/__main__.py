@@ -4,7 +4,9 @@ Commands
 --------
 ``tpch``     Run TPC-H queries under one or more strategies;
              ``--analyze`` prints what every transfer edge did (shipped
-             or skipped, keys in, rows probed, pass rate, bytes, ms).
+             or skipped, keys in, rows probed, pass rate, bytes, ms),
+             then each join's estimated vs. actual output rows and the
+             join order.
 ``ssb``      Run SSB queries likewise.
 ``fig4``     Regenerate the paper's Figure 4 table at a chosen SF.
 ``q5``       Regenerate the Q5 case study (Tables 1–2, Figures 5–6).
@@ -85,6 +87,7 @@ from .bench.harness import (
     format_fig4,
     format_join_orders,
     format_join_sizes,
+    format_joins,
     Measurement,
     join_order_runtimes,
     join_size_table,
@@ -115,7 +118,8 @@ def _add_analyze_flag(parser: argparse.ArgumentParser) -> None:
         "--analyze",
         action="store_true",
         help="after each query, print what every transfer edge did: "
-        "shipped or skipped, keys in, rows probed, pass rate, bytes, ms",
+        "shipped or skipped, keys in, rows probed, pass rate, bytes, ms; "
+        "then each join's estimated vs. actual rows and the join order",
     )
 
 
@@ -182,9 +186,11 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _print_analysis(args: argparse.Namespace, m: Measurement) -> None:
-    """``--analyze``: the measured run's transfer edges, one per line."""
+    """``--analyze``: the measured run's transfer edges, one per line,
+    then its joins (estimated vs. actual rows) and join orders."""
     if args.analyze:
         print(format_edges(m.stats, title=f"  transfer edges of {m.query} ({m.strategy})"))
+        print(format_joins(m.stats, title=f"  joins of {m.query} ({m.strategy})"))
         print()
 
 

@@ -293,6 +293,32 @@ def format_edges(stats: QueryStats, title: str) -> str:
     return format_table(headers, rows, title=title)
 
 
+def format_joins(stats: QueryStats, title: str) -> str:
+    """Render each join's estimated against actual output rows,
+    pre-stages first, then each block's join order (``--analyze``).
+    ``est_rows`` is the optimizer's step estimate of the relation the
+    join brought in (``-`` for a cross join); ``out/est`` above or below
+    1 is a misestimate the order was chosen by."""
+    headers = ["stage", "join", "HT", "PR", "est_rows", "out_rows", "out/est"]
+    rows: list[list[object]] = []
+    orders: list[str] = []
+
+    def walk(stage: QueryStats) -> None:
+        for sub in stage.stage_stats:
+            walk(sub)
+        orders.append(f"  join order of {stage.query}: {' '.join(stage.join_order)}")
+        for j in stage.joins:
+            est = j.est_rows
+            rows.append([
+                stage.query, j.label, j.ht_rows, j.pr_rows,
+                "-" if est is None else f"{est:.1f}", j.out_rows,
+                f"{j.out_rows / est:.2f}" if est else "-",
+            ])
+
+    walk(stats)
+    return "\n".join([format_table(headers, rows, title=title), *orders])
+
+
 # ----------------------------------------------------------------------
 # Figure 6: join-order robustness
 # ----------------------------------------------------------------------

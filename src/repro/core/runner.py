@@ -12,10 +12,17 @@ kernel in :mod:`repro.core.transfer`:
 * ``predtrans``  — the paper's contribution: a forward and a backward
   pass of Bloom filters over the whole predicate transfer graph.
 
-All strategies share the scanner, the join phase (left-deep over a
-deterministic order, plain hash joins) and the post-operator pipeline,
-so measured differences are attributable to pre-filtering alone —
-mirroring the paper's single-executor methodology.
+All strategies share the scanner, the join phase (plain left-deep hash
+joins) and the post-operator pipeline, and they join in the same order:
+it is planned right after the scan, before any pre-filtering, from the
+local-predicate sizes and the catalog's distinct counts (§3.3), and
+recorded in ``QueryStats.join_order``.  Measured differences are
+therefore attributable to pre-filtering alone — mirroring the paper's
+single-executor methodology.  The one exception is a consumer of a
+deferred pre-stage (below): the stage's output, which the consumer
+scans, is smaller under the strategies that defer it, and the order
+is planned from its size.  ``RunConfig.replan`` plans after transfer,
+from post-transfer sizes, instead.
 
 One :class:`~repro.core.transfer.ExecContext` is created per
 :func:`run_query` call and handed to every phase.  It carries the
@@ -148,8 +155,8 @@ from ..engine.stats import QueryStats
 from ..errors import PlanError
 from ..expr.eval import evaluate, evaluate_mask
 from ..expr.nodes import And, Expr
-from ..optimizer.cardinality import NdvCache
-from ..optimizer.joinorder import greedy_join_order
+from ..optimizer.cardinality import catalog_ndv
+from ..optimizer.joinorder import greedy_join_order, step_estimates
 from ..plan.joingraph import build_join_graph, edge_keys_for
 from ..plan.pruning import live_columns
 from ..plan.query import Aggregate, Filter, Limit, Project, QuerySpec, Sort, Stage
@@ -309,10 +316,16 @@ def run_query(
     # ------------------------------------------------------------------
     # Scan phase: wrap (pruned) base columns, apply local predicates.
     # ------------------------------------------------------------------
+    # The join order is planned here, once, from the local sizes (after
+    # the held scan when a stage is deferred), so every strategy joins
+    # in the same order; ``replan`` plans after transfer instead.
     qctx.check("scan")
     t0 = time.perf_counter()
     _scan(ctx, resolved, scoped, config, skip=held)
     local_sizes = ctx.row_counts()
+    plan = None
+    if not config.replan and not deferrals:
+        plan = _choose_order(ctx, resolved, graph, scoped, local_sizes, config, join_order)
     stats.scan_seconds = time.perf_counter() - t0
 
     # ------------------------------------------------------------------
@@ -359,6 +372,10 @@ def run_query(
         t0 = time.perf_counter()
         _scan(ctx, resolved, scoped, config, skip=set(local_sizes))
         local_sizes.update({alias: len(ctx.rows[alias]) for alias in held})
+        if not config.replan:
+            plan = _choose_order(
+                ctx, resolved, graph, scoped, local_sizes, config, join_order
+            )
         stats.scan_seconds += time.perf_counter() - t0
         t1 = time.perf_counter()
         _schedule(ctx, graph, ctx.row_counts(), config)
@@ -376,8 +393,11 @@ def run_query(
     qctx.check("join")
     t2 = time.perf_counter()
     reduced = _reduce(ctx, config)
-    order = _choose_order(resolved, graph, reduced, local_sizes, config, join_order)
-    current = _execute_join_phase(ctx, resolved, graph, reduced, order, config)
+    if plan is None:
+        plan = _choose_order(
+            ctx, resolved, graph, scoped, ctx.row_counts(), config, join_order
+        )
+    current = _execute_join_phase(ctx, resolved, graph, reduced, plan, config)
     stats.join_seconds = time.perf_counter() - t2
 
     # ------------------------------------------------------------------
@@ -660,24 +680,32 @@ def _table_nbytes(table: Table) -> int:
 
 
 def _choose_order(
+    ctx: ExecContext,
     spec: QuerySpec,
-    graph,
-    reduced: dict[str, AnyTable],
-    local_sizes: dict[str, int],
+    graph: nx.Graph,
+    catalog: Catalog,
+    sizes: dict[str, int],
     config: RunConfig,
     override: list[str] | None,
-) -> list[str]:
+) -> tuple[list[str], dict[str, float]]:
+    """The join order and each joined relation's step estimate.
+
+    An override wins, then the spec's pinned order (unless
+    ``replan``), then :func:`greedy_join_order` over ``sizes`` and the
+    catalog's distinct counts.  The order goes into the query's stats.
+    """
+    ndv = catalog_ndv(
+        {r.alias: catalog.get(r.table) for r in spec.relations}, config.partition_rows
+    )
     if override is not None:
         spec.validate_join_order(override)
-        return override
-    if spec.join_order is not None and not config.replan:
-        return spec.join_order
-    if len(reduced) == 1:
-        return list(reduced)
-    sizes = (
-        {a: t.num_rows for a, t in reduced.items()} if config.replan else local_sizes
-    )
-    return greedy_join_order(graph, sizes, NdvCache(reduced))
+        order = override
+    elif spec.join_order is not None and not config.replan:
+        order = spec.join_order
+    else:
+        order = greedy_join_order(graph, sizes, ndv)
+    ctx.stats.join_order = list(order)
+    return order, step_estimates(graph, sizes, ndv, order)
 
 
 # ----------------------------------------------------------------------
@@ -714,7 +742,7 @@ def _execute_join_phase(
     spec: QuerySpec,
     graph,
     reduced: dict[str, AnyTable],
-    order: list[str],
+    plan: tuple[list[str], dict[str, float]],
     config: RunConfig,
 ) -> AnyTable:
     """Left-deep joins per connected component, then cross-join combine.
@@ -726,6 +754,7 @@ def _execute_join_phase(
     columns are available, which for cross-component residuals is right
     after the cross join that brings both sides together.
     """
+    order, estimates = plan
     # Only these stable inputs go through the cross-query cache.
     ctx.alias_of = {id(t): a for a, t in reduced.items()}
     stats = ctx.stats
@@ -771,6 +800,7 @@ def _execute_join_phase(
                 label=f"Join {join_index}",
                 probe_rows=probe_rows,
             )
+            jstat.est_rows = estimates[alias]
             stats.joins.append(jstat)
             joined.add(alias)
             current = _apply_ready_residuals(current, pending)

@@ -20,13 +20,19 @@ from dataclasses import dataclass, field
 
 @dataclass
 class JoinStat:
-    """Input/output sizes and timing of one join operator."""
+    """Input/output sizes and timing of one join operator.
+
+    ``est_rows`` is the optimizer's estimate of ``out_rows``: the step
+    estimate of the relation this join brought in (``None`` for a
+    cross join of two components, which has no step).
+    """
 
     label: str
     ht_rows: int
     pr_rows: int
     out_rows: int
     seconds: float = 0.0
+    est_rows: float | None = None
 
 
 #: ``EdgeStat.decision`` values.
@@ -247,6 +253,9 @@ class QueryStats:
     filters_degraded: int = 0
     memory_budget_bytes: int = 0
     mem_peak_bytes: int = 0
+    # The order the join phase brought the relations in (see
+    # repro.core.runner), and one JoinStat per join it ran.
+    join_order: list[str] = field(default_factory=list)
     joins: list[JoinStat] = field(default_factory=list)
     transfer: TransferStats = field(default_factory=TransferStats)
     rows_aggregated: int = 0

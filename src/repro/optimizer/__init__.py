@@ -1,6 +1,6 @@
 """Join-order optimization substrate (stand-in for Apache Calcite)."""
 
-from .cardinality import NdvCache, estimate_join_rows, ndv
-from .joinorder import greedy_join_order
+from .cardinality import catalog_ndv, estimate_join_rows
+from .joinorder import greedy_join_order, step_estimates
 
-__all__ = ["NdvCache", "estimate_join_rows", "greedy_join_order", "ndv"]
+__all__ = ["catalog_ndv", "estimate_join_rows", "greedy_join_order", "step_estimates"]

@@ -1,53 +1,51 @@
 """Cardinality estimation.
 
-The textbook equi-join estimator: ``|A ⋈ B| ≈ |A|·|B| / max(V(A,k), V(B,k))``
-with independence across composite key columns.  Distinct counts are
-computed exactly over the (already scanned, possibly filtered) inputs —
-the engine is in-memory, so an exact NDV pass is cheap and keeps the
-optimizer deterministic.
+The textbook equi-join estimator: ``|A ⋈ B| ≈ |A|·|B| / max(V(A,k),
+V(B,k))``, where ``k`` is the whole join key — all the equalities that
+join the two inputs, as one composite key — and ``V`` a side's number
+of distinct keys (:mod:`repro.optimizer.joinorder` composes it).
+
+Distinct counts are catalog statistics: one count per base column and
+table version, memoized beside the zone maps
+(:meth:`~repro.storage.partition.PartitionLayout.distinct_count`), so
+ordering a query reads no rows once its key columns have been counted.
+The estimator caps a relation's count at its rows, so a filtered
+relation's NDV is ``min(catalog NDV, local rows)``.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from functools import cache
+from typing import Callable, Mapping
 
-from ..engine.factorize import count_distinct
-from ..storage.column import Column
+from ..storage.partition import get_layout
 from ..storage.table import Table
 
-
-def ndv(column: Column, rows: np.ndarray | None = None) -> int:
-    """Exact number of distinct values in a column (or a row subset)."""
-    return count_distinct(column.data if rows is None else column.data[rows])
+#: ``(alias, "alias.column")`` → distinct count of the base column.
+NdvLookup = Callable[[str, str], int]
 
 
-class NdvCache:
-    """Memoized per-(alias, column) distinct counts over reduced tables."""
+def catalog_ndv(bases: Mapping[str, Table], partition_rows: int) -> NdvLookup:
+    """Distinct counts of the relations' columns, from the catalog.
 
-    def __init__(self, tables: dict[str, Table]) -> None:
-        self._tables = tables
-        self._cache: dict[tuple[str, str], int] = {}
+    ``bases`` maps each alias to the base table it scans; a column is
+    named as the scan exposes it (``alias.short``, see
+    :meth:`~repro.storage.table.Table.prefixed`).  Answers are memoized
+    for the lookup's lifetime: one query's planning.
+    """
 
-    def get(self, alias: str, column: str) -> int:
-        """NDV of ``alias.column`` (qualified name) in the reduced table."""
-        key = (alias, column)
-        if key not in self._cache:
-            self._cache[key] = ndv(self._tables[alias].column(column))
-        return self._cache[key]
+    @cache
+    def lookup(alias: str, column: str) -> int:
+        base = bases[alias]
+        names = {f"{alias}.{name.split('.', 1)[-1]}": name for name in base.columns}
+        return get_layout(base, partition_rows).distinct_count(names[column])
+
+    return lookup
 
 
 def estimate_join_rows(
-    left_rows: float,
-    right_rows: float,
-    key_ndvs: list[tuple[int, int]],
+    left_rows: float, right_rows: float, ndv_left: int, ndv_right: int
 ) -> float:
-    """Estimate inner-join output size for one or more key equalities.
-
-    ``key_ndvs`` holds ``(ndv_left, ndv_right)`` per key column;
-    independence is assumed across columns.
-    """
-    est = left_rows * right_rows
-    for ndv_l, ndv_r in key_ndvs:
-        denom = max(ndv_l, ndv_r, 1)
-        est /= denom
-    return max(est, 0.0)
+    """Estimated inner-join output of two inputs whose join keys take
+    ``ndv_left`` and ``ndv_right`` distinct values."""
+    return max(left_rows * right_rows / max(ndv_left, ndv_right, 1), 0.0)

@@ -1,11 +1,22 @@
 """Greedy left-deep join ordering.
 
 Stands in for the paper's Apache Calcite optimizer: produces one
-reasonable left-deep order per query, deterministically, from (possibly
-pre-filtered) input cardinalities.  The runner calls it once with
-post-local-predicate sizes (the "planned before transfer" default, as in
-the paper) or, when ``replan=True`` (§3.3 extension), again with
-post-transfer sizes.
+reasonable left-deep order per query, deterministically, from input
+cardinalities and the catalog's distinct counts.  The runner calls it
+once per query block, right after the scan, with post-local-predicate
+sizes, so the plan is fixed before transfer as in the paper (§3.3) and
+every strategy joins in the same order; only ``replan=True`` (§3.3
+extension) calls it after transfer instead, with post-transfer sizes.
+
+A step's estimate treats all the equalities that join a new relation
+``R`` to the joined set as one composite key.  On the joined side, key
+columns that edges inside the joined set already equate are one class,
+counted once at its smallest distinct count: after ``s.suppkey =
+ps.suppkey``, ``l.suppkey = s.suppkey AND l.suppkey = ps.suppkey`` is
+one key column, not two independent ones.  Each side's key NDV is the
+product over its columns (or classes), capped at the side's rows, and
+the estimate is ``est × |R| / max(NDV_joined, NDV_R)``.  For a single
+equality that is the textbook formula.
 
 Ordering constraints for non-inner edges: the syntactic right side of a
 ``left``/``semi``/``anti`` edge may only enter the order once its left
@@ -15,11 +26,13 @@ intermediate, which must hold the preserved side).
 
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 
 from ..errors import PlanError
 from ..plan.joingraph import edge_keys_for
-from .cardinality import NdvCache, estimate_join_rows
+from .cardinality import NdvLookup, estimate_join_rows
 
 
 def _restricted_rights(graph: nx.Graph) -> dict[str, str]:
@@ -37,7 +50,7 @@ def _restricted_rights(graph: nx.Graph) -> dict[str, str]:
 def greedy_join_order(
     graph: nx.Graph,
     sizes: dict[str, int],
-    ndv_cache: NdvCache,
+    ndv: NdvLookup,
 ) -> list[str]:
     """Pick a left-deep join order greedily by estimated intermediate size.
 
@@ -46,7 +59,8 @@ def greedy_join_order(
     relation minimizing the estimated next intermediate); components are
     then concatenated smallest-first — the runner cross-joins them in
     this sequence, so small components pair up before the large ones
-    multiply in.
+    multiply in.  ``ndv`` gives a column's catalog distinct count; a
+    relation's is capped at its entry in ``sizes``.
     """
     aliases = sorted(graph.nodes)
     if len(aliases) == 1:
@@ -61,7 +75,7 @@ def greedy_join_order(
             continue
         order.extend(
             _order_component(
-                graph.subgraph(component), sizes, ndv_cache, restricted, component
+                graph.subgraph(component), sizes, ndv, restricted, component
             )
         )
     return order
@@ -70,7 +84,7 @@ def greedy_join_order(
 def _order_component(
     graph: nx.Graph,
     sizes: dict[str, int],
-    ndv_cache: NdvCache,
+    ndv: NdvLookup,
     restricted: dict[str, str],
     aliases: list[str],
 ) -> list[str]:
@@ -87,7 +101,7 @@ def _order_component(
     last_error: PlanError | None = None
     for start in start_candidates:
         try:
-            return _greedy_from(graph, sizes, ndv_cache, restricted, start, aliases)
+            return _greedy_from(graph, sizes, ndv, restricted, start, aliases)
         except PlanError as exc:
             last_error = exc
     raise last_error
@@ -96,65 +110,105 @@ def _order_component(
 def _greedy_from(
     graph: nx.Graph,
     sizes: dict[str, int],
-    ndv_cache: NdvCache,
+    ndv: NdvLookup,
     restricted: dict[str, str],
     current: str,
     aliases: list[str],
 ) -> list[str]:
     order = [current]
-    joined = {current}
-    est_rows = float(sizes[current])
+    walk = _Walk(graph, sizes, ndv, current)
 
     while len(order) < len(aliases):
         best: tuple[float, str] | None = None
-        best_est = 0.0
         for alias in aliases:
-            if alias in joined:
+            if alias in walk.joined:
                 continue
-            neighbors = [n for n in graph.neighbors(alias) if n in joined]
-            if not neighbors:
+            if not any(n in walk.joined for n in graph.neighbors(alias)):
                 continue
-            if alias in restricted and restricted[alias] not in joined:
+            if alias in restricted and restricted[alias] not in walk.joined:
                 continue
-            est = _estimate_step(graph, sizes, ndv_cache, joined, est_rows, alias)
-            key = (est, alias)
+            key = (walk.estimate(alias), alias)
             if best is None or key < best:
-                best, best_est = key, est
+                best = key
         if best is None:
             raise PlanError(
                 "join component deadlocked by non-inner ordering "
-                f"constraints; joined so far: {sorted(joined)}"
+                f"constraints; joined so far: {sorted(walk.joined)}"
             )
+        walk.add(best[1], best[0])
         order.append(best[1])
-        joined.add(best[1])
-        est_rows = max(best_est, 1.0)
     return order
 
 
-def _estimate_step(
-    graph: nx.Graph,
-    sizes: dict[str, int],
-    ndv_cache: NdvCache,
-    joined: set[str],
-    est_rows: float,
-    alias: str,
-) -> float:
-    """Estimated intermediate size after joining ``alias``."""
-    how = _edge_kind(graph, joined, alias)
-    if how in ("semi", "anti"):
-        return est_rows  # upper bound: probe side can only shrink
-    key_ndvs: list[tuple[int, int]] = []
-    for other in graph.neighbors(alias):
-        if other not in joined:
-            continue
-        for other_col, alias_col in edge_keys_for(graph, other, alias):
-            ndv_other = min(ndv_cache.get(other, other_col), int(est_rows) + 1)
-            ndv_alias = ndv_cache.get(alias, alias_col)
-            key_ndvs.append((ndv_other, ndv_alias))
-    est = estimate_join_rows(est_rows, float(sizes[alias]), key_ndvs)
-    if how == "left":
-        est = max(est, est_rows)  # every preserved row survives
-    return est
+def step_estimates(
+    graph: nx.Graph, sizes: dict[str, int], ndv: NdvLookup, order: list[str]
+) -> dict[str, float]:
+    """Each joined relation's step estimate along ``order``: the
+    estimated intermediate size right after it joins, the number
+    :func:`greedy_join_order` chose it by.  A component's first
+    relation joins nothing and has none."""
+    estimates: dict[str, float] = {}
+    for component in nx.connected_components(graph):
+        steps = [a for a in order if a in component]
+        walk = _Walk(graph, sizes, ndv, steps[0])
+        for alias in steps[1:]:
+            estimates[alias] = walk.estimate(alias)
+            walk.add(alias, estimates[alias])
+    return estimates
+
+
+class _Walk:
+    """A left-deep order being built: the joined relations, the classes
+    of key columns their edges equate (a union-find; a column no such
+    edge touches is its own class) and their estimated join size."""
+
+    def __init__(
+        self, graph: nx.Graph, sizes: dict[str, int], ndv: NdvLookup, start: str
+    ) -> None:
+        self.graph, self.sizes, self.ndv = graph, sizes, ndv
+        self.joined = {start}
+        self.rows = float(sizes[start])
+        self._parent: dict[str, str] = {}
+
+    def _find(self, column: str) -> str:
+        while (up := self._parent.get(column, column)) != column:
+            column = up
+        return column
+
+    def estimate(self, alias: str) -> float:
+        """Estimated intermediate size after joining ``alias``."""
+        graph, sizes, ndv = self.graph, self.sizes, self.ndv
+        how = _edge_kind(graph, self.joined, alias)
+        if how in ("semi", "anti"):
+            return self.rows  # upper bound: probe side can only shrink
+        joined_ndvs: dict[str, int] = {}  # class representative -> NDV
+        alias_ndvs: dict[str, int] = {}  # alias column -> NDV
+        for other in graph.neighbors(alias):
+            if other not in self.joined:
+                continue
+            for other_col, alias_col in edge_keys_for(graph, other, alias):
+                cls = self._find(other_col)
+                count = min(ndv(other, other_col), sizes[other])
+                joined_ndvs[cls] = min(joined_ndvs.get(cls, count), count)
+                alias_ndvs[alias_col] = min(ndv(alias, alias_col), sizes[alias])
+        est = estimate_join_rows(
+            self.rows,
+            float(sizes[alias]),
+            min(int(self.rows) + 1, math.prod(joined_ndvs.values())),
+            min(sizes[alias], math.prod(alias_ndvs.values())),
+        )
+        if how == "left":
+            est = max(est, self.rows)  # every preserved row survives
+        return est
+
+    def add(self, alias: str, est: float) -> None:
+        """Join ``alias``, whose step estimate is ``est``."""
+        for other in self.graph.neighbors(alias):
+            if other in self.joined:
+                for a, b in edge_keys_for(self.graph, other, alias):
+                    self._parent[self._find(a)] = self._find(b)
+        self.joined.add(alias)
+        self.rows = max(est, 1.0)
 
 
 def _edge_kind(graph: nx.Graph, joined: set[str], alias: str) -> str:

@@ -9,18 +9,19 @@ local predicate (range, equality, ``BETWEEN``, ``IN``, ``IS [NOT]
 NULL`` and ``YEAR()`` comparisons) and evaluate the rest one partition
 at a time (:func:`repro.core.runner._scan_selection`).
 
-Beside the zone maps the layout keeps **key-domain statistics** for
-NULL-free ``INT64``/``DATE`` columns: the value range
-(:meth:`PartitionLayout.key_range`, read off the zone map) and whether
-the column holds every integer of that range
-(:meth:`PartitionLayout.gap_free`, i.e. number of distinct values = max
-− min + 1).  The predicate transfer schedule uses them to prove that a
-filter over the column would pass every key of another column and need
-not be built (:func:`repro.core.transfer.proven_cover`).  Like a zone
-map, the gap test is computed on first request — by the query that
-asks, never by an ingest commit, so never under the catalog's lock —
-and remembered for the table's lifetime; a range wider than the table
-has rows is answered without reading the column.
+Beside the zone maps the layout keeps **column statistics**.  Every
+column has a distinct count (:meth:`PartitionLayout.distinct_count`,
+over its valid rows: NULLs are not a value), the join-order estimator's
+input.  NULL-free ``INT64``/``DATE`` columns also have a value range
+(:meth:`PartitionLayout.key_range`, read off the zone map) and a gap
+test (:meth:`PartitionLayout.gap_free`: the distinct count equals
+max − min + 1).  The predicate transfer schedule uses the last two to
+prove that a filter over the column would pass every key of another
+column and need not be built (:func:`repro.core.transfer.proven_cover`).
+Like a zone map, a statistic is computed on first request — by the
+query that asks, never by an ingest commit, so never under the
+catalog's lock — and remembered for the table's lifetime; a range wider
+than the table has rows is answered without reading the column.
 
 Determinism and invalidation guarantees
 ---------------------------------------
@@ -52,12 +53,15 @@ Determinism and invalidation guarantees
   only for ``INT64``/``FLOAT64``/``DATE`` columns, whose
   ``concat`` is a plain ``np.concatenate`` of data and validity —
   prefix values are byte-identical (``STRING`` concat merges
-  dictionaries and re-encodes codes, but strings are never zoned).  A column known to
-  be gap-free carries that over with its old range: the prefix already
-  holds every integer of it, so the new layout only has to check that
-  the appended rows' values outside the old range fill the rest of the
-  new one — O(appended rows).  A column known *not* to be gap-free is
-  recounted when next asked (appended rows may have filled the gap).
+  dictionaries and re-encodes codes, but strings are never zoned).  The
+  distinct count of an ``INT64``/``DATE`` column carries over the same
+  way: the old count plus the distinct appended values outside the old
+  range, O(appended rows).  An appended value inside the old range may
+  be one the old rows lacked, so an inherited count is a lower bound,
+  exact when the old rows held every integer of their range.  That is
+  enough for an estimate, and for the gap test a lower bound equal to
+  the span is still a proof; a smaller inexact count is recounted when
+  the gap test next asks.
 * Zone maps are a pure function of table contents; nothing about the
   layout (partition size, partition count) participates in cross-query
   cache fingerprints, so cached artifacts stay valid across partition
@@ -68,7 +72,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -108,6 +112,19 @@ class ZoneMap:
     valid_counts: np.ndarray
 
 
+class _Distinct(NamedTuple):
+    """A column's number of distinct valid values; for an ``INT64``/
+    ``DATE`` column also the range they span (``(0, -1)`` otherwise, and
+    when there are none).  ``exact`` is False for a count inherited
+    across an append that may have missed appended values: a lower
+    bound."""
+
+    count: int
+    low: int
+    high: int
+    exact: bool
+
+
 class PartitionLayout:
     """A fixed-size horizontal chunking of one table, with zone maps.
 
@@ -120,7 +137,7 @@ class PartitionLayout:
     __slots__ = (
         "columns", "num_rows", "partition_rows", "starts", "stops",
         "_zones", "_inherited", "reused_chunks", "_lock",
-        "_dense", "_inherited_dense",
+        "_distinct", "_inherited_distinct",
     )
 
     def __init__(self, table: Table, partition_rows: int = DEFAULT_PARTITION_ROWS) -> None:
@@ -141,12 +158,11 @@ class PartitionLayout:
         # docstring for why prefix reuse is sound.
         self._inherited: tuple[dict[str, ZoneMap], int] | None = None
         self.reused_chunks = 0  # guarded-by: _lock
-        # Key-domain statistics (see gap_free()): per column asked
-        # about, the value range it is gap-free over, or None.
-        self._dense: dict[str, tuple[int, int] | None] = {}  # guarded-by: _lock
-        # From a pre-append layout: (the gap-free columns' ranges there,
-        # its row count).  Set only by extend_layout().
-        self._inherited_dense: tuple[dict[str, tuple[int, int]], int] | None = None
+        # Distinct counts (see distinct_count()), per column asked about.
+        self._distinct: dict[str, _Distinct] = {}  # guarded-by: _lock
+        # From a pre-append layout: (its key columns' counts, its row
+        # count).  Set only by extend_layout().
+        self._inherited_distinct: tuple[dict[str, _Distinct], int] | None = None
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -263,41 +279,74 @@ class PartitionLayout:
         """Does ``column`` hold *every* integer of its :meth:`key_range`
         (number of distinct values = max − min + 1)?
 
-        False for a column that has no key range.  Counted once per
-        column — O(rows), or O(appended rows) on a layout that
-        inherited the answer from its pre-append predecessor — and then
-        remembered beside the zone maps.
+        False for a column that has no key range.  Reads
+        :meth:`distinct_count`'s statistic; an inherited count below the
+        span may have missed an appended value that filled the gap, so
+        it is recounted — the answer is always a proof.
         """
-        with self._lock:
-            if column in self._dense:
-                return self._dense[column] is not None
-        counted = self._dense_range(column)
-        with self._lock:
-            return self._dense.setdefault(column, counted) is not None
-
-    def _dense_range(self, column: str) -> tuple[int, int] | None:
-        """``column``'s key range if it is gap-free, else ``None``."""
         bounds = self.key_range(column)
         if bounds is None:
-            return None
-        low, high = bounds
-        span = high - low + 1
+            return False
+        span = bounds[1] - bounds[0] + 1
         if span > self.num_rows:
-            return None  # fewer rows than integers to cover
-        data = self.columns[column].data
-        inherited = self._inherited_dense
-        if inherited is not None and column in inherited[0]:
-            # The pre-append rows hold every integer of their range, so
-            # the appended ones must supply exactly the rest.
-            old_low, old_high = inherited[0][column]
-            tail = data[inherited[1]:]
-            beyond = tail[(tail < old_low) | (tail > old_high)]
-            covered = len(np.unique(beyond)) == span - (old_high - old_low + 1)
+            return False  # fewer rows than integers to cover
+        stat = self._distinct_stat(column)
+        if stat.count < span and not stat.exact:
+            stat = self._count(column, inherit=False)
+            with self._lock:
+                self._distinct[column] = stat
+        return stat.count == span
+
+    def distinct_count(self, column: str) -> int:
+        """Number of distinct values among ``column``'s valid rows.
+
+        Counted once per table version — O(rows) — and then remembered
+        beside the zone maps.  A layout extended by an append inherits
+        an ``INT64``/``DATE`` column's count in O(appended rows): the
+        old count plus the distinct appended values outside the old
+        range, a lower bound (see the module docstring).
+        """
+        return self._distinct_stat(column).count
+
+    def _distinct_stat(self, column: str) -> _Distinct:
+        with self._lock:
+            stat = self._distinct.get(column)
+        if stat is None:
+            counted = self._count(column, inherit=True)
+            with self._lock:
+                stat = self._distinct.setdefault(column, counted)
+        return stat
+
+    def _count(self, column: str, inherit: bool) -> _Distinct:
+        """Count ``column``'s distinct valid values, from the inherited
+        statistic and the appended rows when ``inherit`` allows it."""
+        from ..engine.factorize import count_distinct
+
+        col = self.columns[column]
+        inherited = self._inherited_distinct
+        if inherit and inherited is not None and column in inherited[0]:
+            old, old_rows = inherited[0][column], inherited[1]
+            tail = _valid_values(col, old_rows)
+            beyond = tail[(tail < old.low) | (tail > old.high)]
+            if len(beyond) == 0:
+                low, high = old.low, old.high
+            elif old.count == 0:
+                low, high = int(beyond.min()), int(beyond.max())
+            else:
+                low = min(old.low, int(beyond.min()))
+                high = max(old.high, int(beyond.max()))
+            # Appended values inside the old range are counted only
+            # when the old rows already held every one of them.
+            exact = old.exact and (
+                len(beyond) == len(tail) or old.count == old.high - old.low + 1
+            )
+            return _Distinct(old.count + count_distinct(beyond), low, high, exact)
+        values = _valid_values(col, 0)
+        if col.dtype in _KEYED and len(values):
+            low, high = int(values.min()), int(values.max())
         else:
-            present = np.zeros(span, dtype=np.bool_)
-            present[data - low] = True
-            covered = bool(present.all())
-        return bounds if covered else None
+            low, high = 0, -1
+        return _Distinct(count_distinct(values), low, high, True)
 
     # ------------------------------------------------------------------
     # Predicate pruning
@@ -426,6 +475,13 @@ class PartitionLayout:
         return keep & (zone.valid_counts > 0)
 
 
+def _valid_values(col: Column, start: int) -> np.ndarray:
+    """The values of ``col``'s valid rows from row ``start`` on."""
+    if col.valid is None:
+        return col.data[start:]
+    return col.data[start:][col.valid[start:]]
+
+
 def _zone_bounds(zone: ZoneMap, to_years: bool) -> tuple[np.ndarray, np.ndarray]:
     """Min/max arrays, optionally mapped day-counts → calendar years.
 
@@ -518,18 +574,24 @@ def extend_layout(old: PartitionLayout, table: Table) -> PartitionLayout:
     that was *full* in the old layout covers the same rows with the
     same values in the new one, so its zone statistics carry over
     verbatim; the old partial tail chunk (if any) and the delta chunks
-    are built on demand.  Only zone maps already built on ``old`` are
-    inherited — unbuilt columns cost nothing either way.
+    are built on demand.  The distinct counts of ``old``'s key columns
+    carry over too, for :meth:`PartitionLayout.distinct_count` to
+    extend over the appended rows.  Only statistics already built on
+    ``old`` are inherited — unbuilt columns cost nothing either way.
     """
     new = PartitionLayout(table, old.partition_rows)
     reusable = old.num_rows // old.partition_rows
     with old._lock:
         zones = {name: z for name, z in old._zones.items() if z is not None}
-        dense = {name: r for name, r in old._dense.items() if r is not None}
+        counts = {
+            name: c
+            for name, c in old._distinct.items()
+            if table.columns[name].dtype in _KEYED
+        }
     if reusable > 0 and zones:
         new._inherited = (zones, reusable)
-    if dense:
-        new._inherited_dense = (dense, old.num_rows)
+    if counts:
+        new._inherited_distinct = (counts, old.num_rows)
     return new
 
 

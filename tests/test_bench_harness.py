@@ -9,6 +9,7 @@ from repro.bench.harness import (
     format_edges,
     format_fig4,
     format_join_orders,
+    format_joins,
     format_join_sizes,
     join_order_runtimes,
     join_size_table,
@@ -20,7 +21,7 @@ from repro.bench.harness import (
     variance_ratio,
 )
 from repro.bench.report import format_bar_chart, format_table
-from repro.engine.stats import SKIPPED_COVERED, QueryStats
+from repro.engine.stats import SKIPPED_COVERED, JoinStat, QueryStats
 from repro.tpch.queries import Q5_JOIN_ORDERS, get_query
 
 from .conftest import TINY_SF
@@ -124,6 +125,22 @@ def test_format_edges_reports_ns_per_key_and_per_row():
     assert cells[1][-2:] == ["-", "-"]  # built from nothing, probed nothing
     assert cells[2][-2:] == ["-", "-"]  # skipped
     assert {len(row) for row in cells} == {len(header)}
+
+
+def test_format_joins_reports_estimates_against_actual_rows_and_the_order():
+    stage = QueryStats(query="q17_avgqty", join_order=["l"])
+    stats = QueryStats(query="q17", join_order=["p", "l", "a"], stage_stats=[stage])
+    stats.joins = [
+        JoinStat("Join 1", 6, 1_000, 180, est_rows=90.0),
+        JoinStat("Cross 1", 2, 3, 6),
+    ]
+    lines = format_joins(stats, title="joins").splitlines()
+    header = [c.strip() for c in lines[1].split("|")]
+    assert header[-3:] == ["est_rows", "out_rows", "out/est"]
+    cells = [[c.strip() for c in line.split("|")] for line in lines[3:5]]
+    assert cells[0] == ["q17", "Join 1", "6", "1000", "90.0", "180", "2.00"]
+    assert cells[1][-3:] == ["-", "6", "-"]  # a cross join has no estimate
+    assert lines[5:] == ["  join order of q17_avgqty: l", "  join order of q17: p l a"]
 
 
 def test_format_bar_chart():

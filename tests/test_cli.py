@@ -109,6 +109,10 @@ def test_tpch_analyze_prints_the_edge_table(capsys):
     # neighbours' keys; part carries the predicate and ships.
     assert "n -> s  | n.n_nationkey               | skipped: covered" in out
     assert "p -> l  | p.p_partkey                 | shipped" in out
+    # Then each join's estimate against its output, and the order
+    # planned before transfer.
+    assert "joins of q9 (predtrans)" in out and "out/est" in out
+    assert "  join order of q9: n s ps p l o" in out
     assert build_parser().parse_args(["ssb", "--analyze"]).analyze is True
 
 

@@ -3,21 +3,37 @@
 import numpy as np
 import pytest
 
+from repro.core.runner import STRATEGIES, RunConfig, run_query
 from repro.errors import PlanError
-from repro.optimizer.cardinality import NdvCache, estimate_join_rows, ndv
-from repro.optimizer.joinorder import greedy_join_order
+from repro.optimizer.cardinality import catalog_ndv, estimate_join_rows
+from repro.optimizer.joinorder import greedy_join_order, step_estimates
 from repro.plan.joingraph import build_join_graph
 from repro.plan.query import QuerySpec, Relation, edge
-from repro.storage.column import Column
+from repro.storage.column import Column, DType
+from repro.storage.partition import DEFAULT_PARTITION_ROWS, get_layout
 from repro.storage.table import Table
+
+
+def _ndv(column: Column) -> int:
+    """The catalog statistic of a one-column table."""
+    return get_layout(Table("t", {"a": column})).distinct_count("a")
 
 
 def test_ndv_exact():
     t = Table.from_pydict("t", {"a": [1, 1, 2, 3, 3, 3]})
-    assert ndv(t.column("a")) == 3
-    assert ndv(t.column("a"), rows=np.array([0, 1])) == 1
+    assert get_layout(t).distinct_count("a") == 3
     empty = Table.from_pydict("t", {"a": np.empty(0, dtype=np.int64)})
-    assert ndv(empty.column("a")) == 0
+    assert get_layout(empty).distinct_count("a") == 0
+
+
+def test_ndv_counts_valid_rows_only():
+    """A NULL row's placeholder value is not a value: [NULL, 5, 5, 7]
+    has two distinct values, and an all-NULL column none."""
+    valid = np.array([False, True, True, True])
+    assert _ndv(Column(np.array([0, 5, 5, 7]), DType.INT64, valid=valid)) == 2
+    assert _ndv(Column(np.array([9, 9]), DType.INT64, valid=np.zeros(2, bool))) == 0
+    day = Column(np.array([1, 9000, 9000]), DType.DATE, valid=valid[:3])
+    assert _ndv(day) == 1
 
 
 def test_ndv_exact_on_every_physical_type():
@@ -34,25 +50,22 @@ def test_ndv_exact_on_every_physical_type():
         "floats": Column.from_floats(dense / 4),
         "bools": Column.from_bools(dense > 0),
     }
-    rows = rng.integers(0, len(dense), 60)
     for name, column in columns.items():
-        assert ndv(column) == len(set(column.to_pylist())), name
-        if len(column) == len(dense):
-            assert ndv(column, rows) == len(set(column.take(rows).to_pylist())), name
+        assert _ndv(column) == len(set(column.to_pylist())), name
 
 
 def test_join_orders_unchanged_by_the_distinct_count(monkeypatch):
     """Every registered query orders its joins as it does under a
-    plain sort-based distinct count."""
+    plain sort-based distinct count.  Each arm counts on a catalog of
+    its own, so the statistics memo cannot serve the second arm."""
     from repro.core import runner
     from repro.ssb import ALL_SSB_QUERY_IDS, generate_ssb, get_ssb_query
     from repro.tpch import ALL_QUERY_IDS, generate_tpch, get_query
     from repro.tpch.queries import CYCLIC_QUERY_IDS
 
     sf = 0.02
-    tpch, ssb = generate_tpch(sf=sf, seed=1), generate_ssb(sf=sf, seed=1)
-    cases = [(get_query(q, sf=sf), tpch) for q in ALL_QUERY_IDS + CYCLIC_QUERY_IDS]
-    cases += [(get_ssb_query(q), ssb) for q in ALL_SSB_QUERY_IDS]
+    specs = [(get_query(q, sf=sf), "tpch") for q in ALL_QUERY_IDS + CYCLIC_QUERY_IDS]
+    specs += [(get_ssb_query(q), "ssb") for q in ALL_SSB_QUERY_IDS]
     orders = []
     greedy = runner.greedy_join_order
 
@@ -60,37 +73,35 @@ def test_join_orders_unchanged_by_the_distinct_count(monkeypatch):
         orders.append(greedy(*args))
         return orders[-1]
 
+    sorted_counts = []
+
     def by_sorting(values):
+        sorted_counts.append(len(values))
         return len(np.unique(values))
 
     def all_orders():
         orders.clear()
-        for spec, catalog in cases:
+        catalogs = {"tpch": generate_tpch(sf=sf, seed=1), "ssb": generate_ssb(sf=sf, seed=1)}
+        for spec, kind in specs:
             # replan: the optimizer orders even the queries that pin one.
             config = runner.RunConfig(strategy="predtrans", replan=True)
-            runner.run_query(spec, catalog, config=config)
+            runner.run_query(spec, catalogs[kind], config=config)
         return list(orders)
 
     monkeypatch.setattr(runner, "greedy_join_order", recording)
     fast = all_orders()
-    monkeypatch.setattr("repro.optimizer.cardinality.count_distinct", by_sorting)
+    assert sorted_counts == []
+    monkeypatch.setattr("repro.engine.factorize.count_distinct", by_sorting)
     assert fast == all_orders()
-    assert len(fast) >= len(cases)
-
-
-def test_ndv_cache_memoizes():
-    t = Table.from_pydict("t", {"x.a": [1, 2, 2]}).prefixed("x")
-    cache = NdvCache({"x": t})
-    assert cache.get("x", "x.a") == 2
-    assert cache.get("x", "x.a") == 2  # hits memo
+    assert sorted_counts  # the second arm counted, by sorting
+    assert len(fast) >= len(specs)
 
 
 def test_estimate_join_rows():
-    assert estimate_join_rows(100, 100, [(10, 100)]) == pytest.approx(100.0)
-    assert estimate_join_rows(100, 100, [(10, 10), (10, 10)]) == pytest.approx(
-        100.0
-    )
-    assert estimate_join_rows(0, 100, [(1, 1)]) == 0.0
+    assert estimate_join_rows(100, 100, 10, 100) == pytest.approx(100.0)
+    assert estimate_join_rows(100, 100, 100, 10) == pytest.approx(100.0)
+    assert estimate_join_rows(0, 100, 1, 1) == 0.0
+    assert estimate_join_rows(5, 7, 0, 0) == pytest.approx(35.0)
 
 
 def _graph_and_tables(relations, edges):
@@ -99,8 +110,8 @@ def _graph_and_tables(relations, edges):
     return graph
 
 
-def _cache(**tables):
-    return NdvCache({a: t.prefixed(a) for a, t in tables.items()})
+def _lookup(**tables):
+    return catalog_ndv(tables, DEFAULT_PARTITION_ROWS)
 
 
 def test_greedy_starts_from_smallest():
@@ -111,7 +122,7 @@ def test_greedy_starts_from_smallest():
     big = Table.from_pydict("big", {"k": list(range(100))})
     small = Table.from_pydict("small", {"k": [1, 2]})
     order = greedy_join_order(
-        graph, {"big": 100, "small": 2}, _cache(big=big, small=small)
+        graph, {"big": 100, "small": 2}, _lookup(big=big, small=small)
     )
     assert order[0] == "small"
     assert order == ["small", "big"]
@@ -125,7 +136,7 @@ def test_greedy_stays_connected():
     )
     t = Table.from_pydict("t", {"k": [1, 2, 3]})
     order = greedy_join_order(
-        graph, {"a": 1, "b": 10, "c": 100}, _cache(a=t, b=t, c=t)
+        graph, {"a": 1, "b": 10, "c": 100}, _lookup(a=t, b=t, c=t)
     )
     assert order == ["a", "b", "c"]
 
@@ -137,7 +148,7 @@ def test_semi_right_side_deferred():
         [edge("o", "l", ("k", "k"), how="semi")],
     )
     t = Table.from_pydict("t", {"k": [1]})
-    order = greedy_join_order(graph, {"o": 100, "l": 1}, _cache(o=t, l=t))
+    order = greedy_join_order(graph, {"o": 100, "l": 1}, _lookup(o=t, l=t))
     assert order == ["o", "l"]
 
 
@@ -147,7 +158,7 @@ def test_anti_right_side_deferred():
         [edge("c", "o", ("k", "k"), how="anti")],
     )
     t = Table.from_pydict("t", {"k": [1]})
-    order = greedy_join_order(graph, {"c": 50, "o": 1}, _cache(c=t, o=t))
+    order = greedy_join_order(graph, {"c": 50, "o": 1}, _lookup(c=t, o=t))
     assert order == ["c", "o"]
 
 
@@ -162,7 +173,7 @@ def test_left_right_side_deferred_through_chain():
     )
     t = Table.from_pydict("t", {"k": [1], "j": [1]})
     order = greedy_join_order(
-        graph, {"c": 10, "o": 5, "x": 1}, _cache(c=t, o=t, x=t)
+        graph, {"c": 10, "o": 5, "x": 1}, _lookup(c=t, o=t, x=t)
     )
     assert order.index("c") < order.index("o")
 
@@ -179,7 +190,7 @@ def test_all_restricted_rights_rejected():
     )
     t = Table.from_pydict("t", {"k": [1]})
     with pytest.raises(PlanError):
-        greedy_join_order(graph, {"a": 1, "b": 1, "c": 1}, _cache(a=t, b=t, c=t))
+        greedy_join_order(graph, {"a": 1, "b": 1, "c": 1}, _lookup(a=t, b=t, c=t))
 
 
 def test_disconnected_graph_ordered_per_component():
@@ -190,7 +201,7 @@ def test_disconnected_graph_ordered_per_component():
         [],
     )
     t = Table.from_pydict("t", {"k": [1]})
-    order = greedy_join_order(graph, {"a": 5, "b": 1}, _cache(a=t, b=t))
+    order = greedy_join_order(graph, {"a": 5, "b": 1}, _lookup(a=t, b=t))
     assert order == ["b", "a"]
 
 
@@ -203,7 +214,7 @@ def test_disconnected_multi_vertex_components_ordered():
     order = greedy_join_order(
         graph,
         {"a": 100, "b": 50, "c": 2, "d": 9},
-        _cache(a=t, b=t, c=t, d=t),
+        _lookup(a=t, b=t, c=t, d=t),
     )
     # {c,d} holds the smallest relation, so it is ordered first; within
     # each component the greedy start is the smallest member.
@@ -213,7 +224,7 @@ def test_disconnected_multi_vertex_components_ordered():
 
 def test_single_relation():
     graph = _graph_and_tables([Relation("a", "a")], [])
-    assert greedy_join_order(graph, {"a": 5}, _cache()) == ["a"]
+    assert greedy_join_order(graph, {"a": 5}, _lookup()) == ["a"]
 
 
 def test_greedy_prefers_selective_dimension_first():
@@ -231,6 +242,117 @@ def test_greedy_prefers_selective_dimension_first():
     order = greedy_join_order(
         graph,
         {"f": 100, "d1": 1, "d2": 10},
-        _cache(f=fact, d1=dim_selective, d2=dim_wide),
+        _lookup(f=fact, d1=dim_selective, d2=dim_wide),
     )
     assert order[0] == "d1"
+
+
+# ----------------------------------------------------------------------
+# The composite-key step estimate, on the shape of TPC-H Q9
+# ----------------------------------------------------------------------
+def _q9_shape(with_s_l: bool = True):
+    """``s``, ``ps`` and ``l`` joined as in Q9: ``ps`` holds every
+    (part, supplier) pair and ``l`` references ``ps`` on both keys, so
+    ``ps ⋈ l`` has exactly ``|l|`` rows.  Independent per-column
+    estimates, counting ``suppkey`` once per edge, put it at
+    ``|l| / |s|`` (Q9 at SF 0.5: ≈ 0.5 rows for 3 001 902)."""
+    parts, supps = 6, 4
+    pk, sk = np.divmod(np.arange(parts * supps), supps)
+    rng = np.random.default_rng(3)
+    pick = rng.integers(0, parts * supps, 10 * parts * supps)
+    tables = {
+        "s": Table.from_pydict("s", {"suppkey": np.arange(supps)}),
+        "ps": Table.from_pydict("ps", {"partkey": pk, "suppkey": sk}),
+        "l": Table.from_pydict("l", {"partkey": pk[pick], "suppkey": sk[pick]}),
+    }
+    edges = [
+        edge("s", "ps", ("suppkey", "suppkey")),
+        edge("ps", "l", [("partkey", "partkey"), ("suppkey", "suppkey")]),
+    ]
+    if with_s_l:
+        edges.append(edge("s", "l", ("suppkey", "suppkey")))
+    graph = _graph_and_tables([Relation(a, a) for a in tables], edges)
+    sizes = {a: t.num_rows for a, t in tables.items()}
+    return graph, sizes, _lookup(**tables)
+
+
+def test_composite_foreign_key_estimates_the_fact_table():
+    graph, sizes, ndv = _q9_shape()
+    estimates = step_estimates(graph, sizes, ndv, ["s", "ps", "l"])
+    assert estimates["ps"] == pytest.approx(sizes["ps"])
+    assert estimates["l"] == pytest.approx(sizes["l"])
+
+
+def test_a_key_class_reached_twice_is_counted_once():
+    """``l.suppkey = s.suppkey`` adds nothing once ``s.suppkey =
+    ps.suppkey`` is joined: the estimate is the one without that edge."""
+    with_edge = step_estimates(*_q9_shape(with_s_l=True), ["s", "ps", "l"])
+    without = step_estimates(*_q9_shape(with_s_l=False), ["s", "ps", "l"])
+    assert with_edge == without
+
+
+def test_single_equality_estimates_are_the_textbook_formula():
+    """One key per step: ``est × |R| / max(min(V(joined), est + 1),
+    min(V(R), |R|))``, the estimate before composite keys."""
+    rng = np.random.default_rng(5)
+    tables = {
+        "a": Table.from_pydict("a", {"k": rng.integers(0, 30, 40)}),
+        "b": Table.from_pydict(
+            "b", {"k": rng.integers(0, 50, 200), "j": rng.integers(0, 7, 200)}
+        ),
+        "c": Table.from_pydict("c", {"j": rng.integers(0, 900, 1000)}),
+    }
+    graph = _graph_and_tables(
+        [Relation(x, x) for x in tables],
+        [edge("a", "b", ("k", "k")), edge("b", "c", ("j", "j"))],
+    )
+    # Filtered sizes: c's NDV is capped at its 5 local rows.
+    sizes = {"a": 40, "b": 200, "c": 5}
+    got = step_estimates(graph, sizes, _lookup(**tables), ["a", "b", "c"])
+
+    def v(alias, column):
+        return len(np.unique(tables[alias].column(column).data))
+
+    est_b = 40 * 200 / max(min(v("a", "k"), 40 + 1), v("b", "k"))
+    est_c = est_b * 5 / max(min(v("b", "j"), int(est_b) + 1), min(v("c", "j"), 5))
+    assert got == pytest.approx({"b": est_b, "c": est_c})
+
+
+# ----------------------------------------------------------------------
+# One order for every strategy
+# ----------------------------------------------------------------------
+#: Queries with a pre-stage that predtrans and yannakakis defer: the
+#: stage runs pre-filtered, so its output — a relation the consumer
+#: orders — is smaller under them than under the other strategies.
+DEFERRED = {"q2", "q17", "q20", "q21"}
+
+
+def _block_orders(stats) -> list[tuple[str, list[str]]]:
+    out = []
+    for sub in stats.stage_stats:
+        out.extend(_block_orders(sub))
+    return out + [(stats.query, stats.join_order)]
+
+
+def test_every_strategy_joins_in_the_same_order():
+    from repro.ssb import ALL_SSB_QUERY_IDS, generate_ssb, get_ssb_query
+    from repro.tpch import ALL_QUERY_IDS, generate_tpch, get_query
+    from repro.tpch.queries import CYCLIC_QUERY_IDS
+
+    sf = 0.02
+    tpch, ssb = generate_tpch(sf=sf, seed=1), generate_ssb(sf=sf, seed=1)
+    cases = [(f"q{q}", get_query(q, sf=sf), tpch) for q in ALL_QUERY_IDS + CYCLIC_QUERY_IDS]
+    cases += [(f"ssb{q}", get_ssb_query(q), ssb) for q in ALL_SSB_QUERY_IDS]
+    deferred = set()
+    for name, spec, catalog in cases:
+        runs = {
+            strategy: run_query(spec, catalog, config=RunConfig(strategy=strategy)).stats
+            for strategy in STRATEGIES
+        }
+        if any(sub.seeded for sub in runs["predtrans"].stage_stats):
+            deferred.add(name)
+            continue
+        orders = {s: _block_orders(stats) for s, stats in runs.items()}
+        assert all(o[-1][1] for o in orders.values()), name
+        assert len({repr(o) for o in orders.values()}) == 1, (name, orders)
+    assert deferred == DEFERRED

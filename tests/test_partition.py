@@ -275,3 +275,141 @@ def test_layouts_free_their_table_by_refcount():
         gc.enable()
     # The carried layout still answers from what it inherited.
     assert get_layout(grown, 64).gap_free("k")
+
+
+# ----------------------------------------------------------------------
+# Column statistics: distinct counts per table version
+# ----------------------------------------------------------------------
+def _counted(monkeypatch) -> list[int]:
+    """The length of every array a distinct count is taken over."""
+    from repro.engine import factorize
+
+    calls: list[int] = []
+    real = factorize.count_distinct
+
+    def counting(values):
+        calls.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(factorize, "count_distinct", counting)
+    return calls
+
+
+def _commit(catalog: Catalog, **deltas: Table) -> None:
+    batch = catalog.begin_ingest()
+    for name, delta in deltas.items():
+        batch.stage(name, delta)
+    batch.commit()
+
+
+def test_distinct_count_is_computed_once_per_table_version(monkeypatch):
+    from repro.core.runner import RunConfig, run_query
+    from repro.tpch import generate_tpch, get_query
+
+    base = generate_tpch(sf=0.005, seed=1)
+    catalog = Catalog({name: base.get(name) for name in base.names()})
+    spec, config = get_query(3, sf=0.005), RunConfig(strategy="nopredtrans")
+    calls = _counted(monkeypatch)
+    run_query(spec, catalog, config=config)
+    first = list(calls)
+    assert first  # Q3's join keys, counted by the first query...
+    run_query(spec, catalog, config=config)
+    run_query(spec, catalog, config=RunConfig(strategy="predtrans"))
+    assert calls == first  # ...and by no later one
+    orders = catalog.get("orders")
+    layout = get_layout(orders)
+    for column in ("o_orderkey", "o_custkey"):
+        assert layout.distinct_count(column) == len(np.unique(orders.column(column).data))
+    assert calls == first
+
+    # A new version inherits: only the appended rows are counted.
+    _commit(catalog, orders=orders.head(8))
+    run_query(spec, catalog, config=config)
+    assert calls[len(first):] and max(calls[len(first):]) <= 8
+
+
+def test_inherited_distinct_counts_equal_a_recount_after_appends():
+    """Batches shaped like the ingest benchmark's: new orders with
+    monotone keys past the last one, lineitems referencing them, and
+    foreign keys and dates taken from existing rows."""
+    from repro.tpch import generate_tpch
+
+    base = generate_tpch(sf=0.01, seed=2)
+    catalog = Catalog({name: base.get(name) for name in ("orders", "lineitem")})
+    keys = {
+        "orders": ("o_orderkey", "o_custkey", "o_orderdate"),
+        "lineitem": ("l_orderkey", "l_partkey", "l_suppkey", "l_shipdate"),
+    }
+    for name, columns in keys.items():
+        for column in columns:
+            get_layout(catalog.get(name)).distinct_count(column)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        orders, lineitem = catalog.get("orders"), catalog.get("lineitem")
+        top = int(orders.column("o_orderkey").data.max())
+        new_keys = top + 1 + np.arange(64)
+        new_orders = orders.take(rng.integers(0, orders.num_rows, 64)).with_column(
+            "o_orderkey", Column.from_ints(new_keys)
+        )
+        new_items = lineitem.take(rng.integers(0, lineitem.num_rows, 448)).with_column(
+            "l_orderkey", Column.from_ints(rng.choice(new_keys, 448))
+        )
+        _commit(catalog, orders=new_orders, lineitem=new_items)
+        for name, columns in keys.items():
+            table = catalog.get(name)
+            layout = get_layout(table)
+            assert layout._inherited_distinct is not None
+            for column in columns:
+                recount = PartitionLayout(table).distinct_count(column)
+                assert layout.distinct_count(column) == recount, column
+
+
+def test_gap_free_stays_false_for_a_column_with_a_gap():
+    from repro.storage.partition import extend_layout
+
+    old = Table.from_pydict("t", {"k": [1, 2, 4, 4, 4, 4]})
+    layout = get_layout(old, 2)
+    assert layout.distinct_count("k") == 3 and not layout.gap_free("k")
+    # Beyond the old range, the gap at 3 stays; inside it, a value that
+    # is not 3 leaves it, and 3 fills it.
+    for tail, expected in (([5, 5], False), ([2], False), ([3], True), ([0, 3], True)):
+        new = old.concat(Table.from_pydict("t", {"k": tail}))
+        extended = extend_layout(layout, new)
+        assert extended.gap_free("k") is expected, tail
+        assert extended.distinct_count("k") == len(set([1, 2, 4] + tail)), tail
+        assert get_layout(new, 2).gap_free("k") is expected  # from scratch
+    nulls = Column(np.array([1, 2, 3, 4]), DType.INT64, valid=np.array([True] * 3 + [False]))
+    assert not get_layout(Table("t", {"k": nulls})).gap_free("k")
+
+
+def test_racing_readers_share_one_statistic_per_column():
+    """Threads asking for the same counts at once all get the one
+    statistic the layout installed, and the gap test agrees with it."""
+    import sys
+    import threading
+
+    layout = get_layout(make_table(20_000), 256)
+    columns = ("k", "v", "x")
+    barrier = threading.Barrier(8)
+    results = []
+
+    def read():
+        barrier.wait(timeout=10)
+        results.append(([layout._distinct_stat(c) for c in columns], layout.gap_free("k")))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 8
+    installed = [layout._distinct_stat(c) for c in columns]
+    for stats, dense in results:
+        assert all(a is b for a, b in zip(stats, installed)) and dense
+    assert installed[0].count == 20_000

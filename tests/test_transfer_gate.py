@@ -300,17 +300,17 @@ def test_gate_follows_an_ingest(monkeypatch):
             [int(orders.column("o_orderkey").data.max()) + 1]
         )
         counted_under_lock = []
-        real = PartitionLayout._dense_range
+        real = PartitionLayout._count
 
-        def spying(layout, column):
+        def spying(layout, column, inherit):
             counted_under_lock.append(catalog._lock.locked())
-            return real(layout, column)
+            return real(layout, column, inherit)
 
-        monkeypatch.setattr(PartitionLayout, "_dense_range", spying)
+        monkeypatch.setattr(PartitionLayout, "_count", spying)
         engine.ingest({"orders": lonely})
         assert counted_under_lock == []
         grown = get_layout(catalog.get("orders"))
-        assert grown is not get_layout(orders) and grown._dense == {}
+        assert grown is not get_layout(orders) and grown._distinct == {}
 
         after = engine.execute(_orders_lineitem()).stats
         assert counted_under_lock and not any(counted_under_lock)
@@ -334,7 +334,7 @@ def test_gap_free_is_recounted_from_the_appended_rows_only():
     for tail, expected in (([4, 0], True), ([5], False), ([2, 3], True)):
         new = old.concat(Table.from_pydict("t", {"k": tail}))
         extended = extend_layout(layout, new)
-        assert extended._inherited_dense == ({"k": (1, 3)}, 4)
+        assert extended._inherited_distinct == ({"k": (3, 1, 3, True)}, 4)
         assert extended.gap_free("k") is expected, tail
         assert get_layout(new, 2).gap_free("k") is expected  # from scratch
 

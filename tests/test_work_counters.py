@@ -1,12 +1,14 @@
 """Exact work counters of the Figure 4 queries, against a committed record.
 
-The 20 ``BENCH_QUERY_IDS`` run under predicate transfer at SF 0.1,
-seed 1, cold (no filter cache).  Per query, the record pins the kind of
-every shipped edge (pre-stages first, as ``--analyze`` lists them), the
-rows probed by Bloom filters and by presence bitmaps, and the join
-input rows.  Each is a function of (code, seed, SF) — no clock, no
-tracer — so the comparison is ``==`` and has no noise.  A change that
-moves one of them either is a bug or says so by rewriting the record:
+The 20 ``BENCH_QUERY_IDS`` run at SF 0.1, seed 1, cold (no filter
+cache), under predicate transfer and under the no-transfer baseline.
+Per query and strategy, the record pins the join order of every block
+and the join input rows; under predicate transfer also the kind of
+every shipped edge (pre-stages first, as ``--analyze`` lists them) and
+the rows probed by Bloom filters and by presence bitmaps.  Each is a
+function of (code, seed, SF) — no clock, no tracer — so the comparison
+is ``==`` and has no noise.  A change that moves one of them either is
+a bug or says so by rewriting the record:
 
     PYTHONPATH=src python tests/test_work_counters.py
 
@@ -26,6 +28,7 @@ from repro.tpch import BENCH_QUERY_IDS, generate_tpch, get_query
 
 SF, SEED = 0.1, 1
 RECORD = pathlib.Path(__file__).with_name("work_counters_sf0.1_seed1.json")
+STRATEGIES = ("predtrans", "nopredtrans")
 
 #: The single-key edges into ``lineitem`` that shipped Bloom filters
 #: under the "never larger" size rule, and must now ship bitmaps.
@@ -46,53 +49,66 @@ def _stages(stats: QueryStats) -> list[QueryStats]:
     return out + [stats]
 
 
-def counters(stats: QueryStats) -> dict[str, object]:
+def counters(stats: QueryStats, strategy: str) -> dict[str, object]:
     """The exact counters one query's statistics pin."""
     stages = _stages(stats)
-    return {
-        "edges": [
+    out: dict[str, object] = {
+        "join_order": [f"{stage.query} {' '.join(stage.join_order)}" for stage in stages],
+        "join_input_rows": stats.total_join_input_rows(),
+    }
+    if strategy == "predtrans":
+        out["edges"] = [
             f"{stage.query} {e.pass_index} {e.src}->{e.dst} "
             f"{','.join(e.key_columns)} {e.kind}"
             for stage in stages
             for e in stage.transfer.shipped()
-        ],
-        "bloom_probes": sum(s.transfer.bloom_probes for s in stages),
-        "bitmap_probes": sum(s.transfer.bitmap_probes for s in stages),
-        "join_input_rows": stats.total_join_input_rows(),
-    }
+        ]
+        out["bloom_probes"] = sum(s.transfer.bloom_probes for s in stages)
+        out["bitmap_probes"] = sum(s.transfer.bitmap_probes for s in stages)
+    return out
 
 
-def measure() -> dict[str, dict[str, object]]:
+def measure() -> dict[str, dict[str, dict[str, object]]]:
     catalog = generate_tpch(sf=SF, seed=SEED)
-    config = RunConfig(strategy="predtrans")
     return {
-        f"q{qid}": counters(run_query(get_query(qid, sf=SF), catalog, config=config).stats)
-        for qid in BENCH_QUERY_IDS
+        strategy: {
+            f"q{qid}": counters(
+                run_query(
+                    get_query(qid, sf=SF), catalog, config=RunConfig(strategy=strategy)
+                ).stats,
+                strategy,
+            )
+            for qid in BENCH_QUERY_IDS
+        }
+        for strategy in STRATEGIES
     }
 
 
 @pytest.fixture(scope="module")
-def measured() -> dict[str, dict[str, object]]:
+def measured() -> dict[str, dict[str, dict[str, object]]]:
     return measure()
 
 
 def test_work_counters_equal_the_record(measured):
     record = json.loads(RECORD.read_text())
     assert sorted(measured) == sorted(record)
-    for query, expected in record.items():
-        assert measured[query] == expected, query
+    for strategy, queries in record.items():
+        assert sorted(measured[strategy]) == sorted(queries), strategy
+        for query, expected in queries.items():
+            assert measured[strategy][query] == expected, (strategy, query)
 
 
 def test_cache_sized_edges_ship_bitmaps_and_composite_keys_bloom(measured):
+    edges = {query: c["edges"] for query, c in measured["predtrans"].items()}
     for query, (src, dst) in CACHE_SIZED_EDGES.items():
         kinds = {
             edge.split()[-1]
-            for edge in measured[query]["edges"]
+            for edge in edges[query]
             if edge.split()[2] == f"{src}->{dst}"
         }
         assert kinds == {"bitmap"}, query
     # Q9's partsupp <-> lineitem edges key on (partkey, suppkey).
-    composite = [e for e in measured["q9"]["edges"] if "," in e.split()[3]]
+    composite = [e for e in edges["q9"] if "," in e.split()[3]]
     assert composite and all(e.endswith(" bloom") for e in composite)
 
 
