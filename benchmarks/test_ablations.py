@@ -3,12 +3,12 @@
 * filter type (Bloom vs exact/semi-join transfer) — §3.2 "Filter Type";
 * Bloom false-positive-rate sweep — the §3.5 β-vs-ε tradeoff;
 * transfer-path pruning — §3.2 "Transfer Path Pruning" (future work);
-* single-pass vs two-pass schedules;
-* LIP-style incoming-filter ordering;
-* post-transfer replanning — §3.3.
+* single-pass vs two-pass schedules.
 
 These are extensions beyond the paper's measured prototype; each test
-prints its comparison so EXPERIMENTS.md can cite the numbers.
+prints its comparison so EXPERIMENTS.md can cite the numbers.  A
+schedule variant is code over :func:`~repro.core.transfer.run_pass`
+on one scanned query, not a configuration of the shipped schedule.
 """
 
 from __future__ import annotations
@@ -111,19 +111,23 @@ def test_ablation_fpp_sweep(catalog_large):
     assert survivors == sorted(survivors)
 
 
+def _scanned(catalog, qid):
+    """Q``qid``'s local-predicate survivors and its PT graph."""
+    spec = get_query(qid, sf=SF_LARGE)
+    state = ExecContext()
+    _scan(state, spec, catalog, RunConfig())
+    return state, build_pt_graph(build_join_graph(spec), state.row_counts())
+
+
 def test_ablation_pruning(catalog_large):
     """Transfer-path pruning as shipped: the proven-cover gate against
     the ungated ``run_pass`` (every edge ships, as in the paper) on Q9.
     The gate skips the edges out of ``nation``, ``supplier`` and
     ``orders`` — complete relations whose keys cover their neighbours' —
     and leaves exactly the same survivors."""
-    spec = get_query(9, sf=SF_LARGE)
-    graph = build_join_graph(spec)
     outcomes = {}
     for label, gate in (("ungated", None), ("gated", proven_cover)):
-        state = ExecContext()
-        _scan(state, spec, catalog_large, RunConfig())
-        ptgraph = build_pt_graph(graph, state.row_counts())
+        state, ptgraph = _scanned(catalog_large, 9)
         order = ptgraph.topological_order()
         started = time.perf_counter()
         run_pass(state, order, ptgraph.forward_edges(), TransferConfig(), gate)
@@ -148,59 +152,14 @@ def test_ablation_pruning(catalog_large):
 def test_ablation_passes(catalog_large):
     """Forward-only vs two passes: the backward pass buys extra
     reduction on Q5 (the paper's schedule uses both)."""
-    both = _run(catalog_large, 5, RunConfig(strategy="predtrans"))
-    fwd_only = _run(
-        catalog_large,
-        5,
-        RunConfig(strategy="predtrans", transfer=TransferConfig(backward=False)),
-    )
-    print(
-        f"\nAblation passes (q5): both {both.stats.transfer.total_rows_after()} rows, "
-        f"forward-only {fwd_only.stats.transfer.total_rows_after()} rows"
-    )
-    assert (
-        both.stats.transfer.total_rows_after()
-        <= fwd_only.stats.transfer.total_rows_after()
-    )
-
-
-def _probes(transfer) -> int:
-    """Rows probed against a filter of any kind."""
-    return transfer.bloom_probes + transfer.bitmap_probes + transfer.hash_probes
-
-
-def test_ablation_lip_ordering(catalog_large):
-    """LIP-style most-selective-first filter application: same result,
-    and the probe count with LIP ordering is never higher."""
-    with_lip = _run(catalog_large, 5, RunConfig(strategy="predtrans"))
-    without = _run(
-        catalog_large,
-        5,
-        RunConfig(
-            strategy="predtrans", transfer=TransferConfig(lip_reorder=False)
-        ),
-    )
-    probes = [_probes(m.stats.transfer) for m in (with_lip, without)]
-    print(f"\nAblation LIP (q5): probes with {probes[0]} vs without {probes[1]}")
-    assert 0 < probes[0] <= probes[1]
-    assert (
-        with_lip.stats.transfer.total_rows_after()
-        == without.stats.transfer.total_rows_after()
-    )
-
-
-def test_ablation_replan(catalog_large):
-    """§3.3: replanning with post-transfer cardinalities must not hurt,
-    and both plans return the same row counts."""
-    plain = _run(catalog_large, 3, RunConfig(strategy="predtrans"))
-    replanned = _run(
-        catalog_large, 3, RunConfig(strategy="predtrans", replan=True)
-    )
-    print(
-        f"\nAblation replan (q3): planned {plain.seconds:.4f}s, "
-        f"replanned {replanned.seconds:.4f}s"
-    )
-    assert replanned.output_rows == plain.output_rows
+    state, ptgraph = _scanned(catalog_large, 5)
+    order, config = ptgraph.topological_order(), TransferConfig()
+    run_pass(state, order, ptgraph.forward_edges(), config, proven_cover)
+    fwd_only = sum(state.row_counts().values())
+    run_pass(state, order[::-1], ptgraph.backward_edges(), config, proven_cover)
+    both = sum(state.row_counts().values())
+    print(f"\nAblation passes (q5): both {both} rows, forward-only {fwd_only} rows")
+    assert both < fwd_only
 
 
 @pytest.mark.parametrize("fpp", (0.01, 0.1))

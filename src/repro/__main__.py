@@ -26,7 +26,6 @@ Commands
              and prints structured ``REPxxx`` diagnostics.  Exits
              non-zero on any diagnostic (``--all`` is the default
              scope; name queries to narrow it).
-``cache``    ``stats`` / ``clear`` on the process-wide filter cache.
 
 Performance is measured by ``benchmarks/perf/run.py`` (contract:
 ``BENCHMARK.json``), not by this CLI.
@@ -34,10 +33,8 @@ Performance is measured by ``benchmarks/perf/run.py`` (contract:
 ``tpch`` and ``ssb`` execute through the process-wide cross-query
 filter cache by default — repeated queries within one invocation hit
 it — and accept ``--no-filter-cache`` to run the uncached executor
-instead.  The cache lives for the process: ``repro cache stats``
-reports on the same instance the other commands warmed (which is only
-observable when commands run inside one process, e.g. driving
-:func:`main` programmatically — a fresh shell invocation starts cold).
+instead.  The cache lives for the process, so a fresh shell invocation
+starts cold; a server's cache is reported by ``repro stats``.
 
 ``tpch`` and ``ssb`` also take ``--partition-rows``, which overrides
 the storage chunk size behind zone-map pruning (results are
@@ -64,7 +61,6 @@ Examples::
     python -m repro ssb --query 1.1,2.1 --no-filter-cache
     python -m repro fig4 --sf 0.05
     python -m repro q5 --sf 0.1
-    python -m repro cache stats
     python -m repro serve --sf 0.02 --port 7531 --workers 4 \
         --metrics-port 9090 --slow-query-ms 500
     python -m repro client --query 5 --strategy predtrans --timeout-ms 5000
@@ -572,32 +568,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1 if total else 0
 
 
-def _format_cache_stats(stats) -> str:
-    lines = ["filter cache:"]
-    for key, value in stats.to_dict().items():
-        if key == "hit_rate":
-            lines.append(f"  {key:14s} {value:.1%}")
-        else:
-            lines.append(f"  {key:14s} {value}")
-    return "\n".join(lines)
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    cache = default_filter_cache()
-    if args.cache_command == "stats":
-        if args.cache_json:
-            print(json.dumps(cache.stats().to_dict(), indent=1))
-        else:
-            print(_format_cache_stats(cache.stats()))
-        return 0
-    if args.cache_command == "clear":
-        dropped = len(cache)
-        cache.clear()
-        print(f"cleared {dropped} cached entries")
-        return 0
-    raise AssertionError(f"unknown cache command {args.cache_command!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -829,20 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the structured diagnostic report as JSON",
     )
     check.set_defaults(func=_cmd_check)
-
-    cache = sub.add_parser(
-        "cache", help="inspect/clear the process-wide filter cache"
-    )
-    cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-    cache_stats = cache_sub.add_parser(
-        "stats", help="print cache counters and occupancy"
-    )
-    cache_stats.add_argument(
-        "--json", dest="cache_json", action="store_true", help="JSON output"
-    )
-    cache_stats.set_defaults(func=_cmd_cache)
-    cache_clear = cache_sub.add_parser("clear", help="drop every cached entry")
-    cache_clear.set_defaults(func=_cmd_cache)
     return parser
 
 

@@ -17,9 +17,8 @@ embed.  Mutating a table (append/replace via ``register``) therefore
 orphans all stale entries; :meth:`FilterCache.invalidate_table`
 additionally reclaims their memory eagerly.
 
-``default_filter_cache()`` returns the process-wide cache the CLI
-commands share (``repro cache stats`` / ``repro cache clear`` operate
-on it); library users normally let a service
+``default_filter_cache()`` returns the process-wide cache the CLI's
+``tpch``/``ssb`` commands share; library users normally let a service
 :class:`~repro.service.engine.Engine` own a private cache instead.
 """
 

@@ -21,8 +21,7 @@ therefore attributable to pre-filtering alone — mirroring the paper's
 single-executor methodology.  The one exception is a consumer of a
 deferred pre-stage (below): the stage's output, which the consumer
 scans, is smaller under the strategies that defer it, and the order
-is planned from its size.  ``RunConfig.replan`` plans after transfer,
-from post-transfer sizes, instead.
+is planned from its size.
 
 One :class:`~repro.core.transfer.ExecContext` is created per
 :func:`run_query` call and handed to every phase.  It carries the
@@ -186,8 +185,11 @@ MATERIALIZE_MODES = ("lazy", "eager")
 class RunConfig:
     """Execution options shared by all strategies.
 
-    ``transfer`` holds the predicate-transfer schedule's knobs; its
-    ``fpp`` is also the false-positive rate of BloomJoin's filters.
+    ``transfer`` holds the filter kind and false-positive rate of the
+    predicate-transfer schedule; its ``fpp`` is also the rate of
+    BloomJoin's filters.  The schedule itself has no options: one
+    forward and one backward pass, incoming filters applied
+    most-selective-first.
 
     ``filter_cache`` switches on cross-query artifact reuse (see the
     module docstring).
@@ -216,8 +218,6 @@ class RunConfig:
 
     strategy: str = "predtrans"
     transfer: TransferConfig = field(default_factory=TransferConfig)
-    replan: bool = False
-    yannakakis_root: str | None = None
     materialize: str = "lazy"
     filter_cache: FilterCache | None = None
     partition_rows: int = DEFAULT_PARTITION_ROWS
@@ -318,13 +318,12 @@ def run_query(
     # ------------------------------------------------------------------
     # The join order is planned here, once, from the local sizes (after
     # the held scan when a stage is deferred), so every strategy joins
-    # in the same order; ``replan`` plans after transfer instead.
+    # in the same order.
     qctx.check("scan")
     t0 = time.perf_counter()
     _scan(ctx, resolved, scoped, config, skip=held)
     local_sizes = ctx.row_counts()
-    plan = None
-    if not config.replan and not deferrals:
+    if not deferrals:
         plan = _choose_order(ctx, resolved, graph, scoped, local_sizes, config, join_order)
     stats.scan_seconds = time.perf_counter() - t0
 
@@ -372,10 +371,9 @@ def run_query(
         t0 = time.perf_counter()
         _scan(ctx, resolved, scoped, config, skip=set(local_sizes))
         local_sizes.update({alias: len(ctx.rows[alias]) for alias in held})
-        if not config.replan:
-            plan = _choose_order(
-                ctx, resolved, graph, scoped, local_sizes, config, join_order
-            )
+        plan = _choose_order(
+            ctx, resolved, graph, scoped, local_sizes, config, join_order
+        )
         stats.scan_seconds += time.perf_counter() - t0
         t1 = time.perf_counter()
         _schedule(ctx, graph, ctx.row_counts(), config)
@@ -393,10 +391,6 @@ def run_query(
     qctx.check("join")
     t2 = time.perf_counter()
     reduced = _reduce(ctx, config)
-    if plan is None:
-        plan = _choose_order(
-            ctx, resolved, graph, scoped, ctx.row_counts(), config, join_order
-        )
     current = _execute_join_phase(ctx, resolved, graph, reduced, plan, config)
     stats.join_seconds = time.perf_counter() - t2
 
@@ -454,7 +448,7 @@ def _schedule(
     """The strategy's pre-filter schedule over ``graph`` (nothing for
     the strategies without one); ``sizes`` orient the PT graph."""
     if config.strategy == "yannakakis":
-        run_semi_join_rows(ctx, graph, config.yannakakis_root)
+        run_semi_join_rows(ctx, graph)
     elif config.strategy == "predtrans":
         run_transfer_rows(ctx, build_pt_graph(graph, sizes), config.transfer)
 
@@ -479,7 +473,7 @@ def _prefilter_config_form(config: RunConfig) -> str:
     # ``verify-residual`` marks the cyclic fallback plan (spanning tree
     # + off-tree edge post-verification) so its prefilter results never
     # collide with entries from a plain-spanning-tree build.
-    return f"root={config.yannakakis_root!r};verify-residual"
+    return "verify-residual"
 
 
 # ----------------------------------------------------------------------
@@ -690,9 +684,9 @@ def _choose_order(
 ) -> tuple[list[str], dict[str, float]]:
     """The join order and each joined relation's step estimate.
 
-    An override wins, then the spec's pinned order (unless
-    ``replan``), then :func:`greedy_join_order` over ``sizes`` and the
-    catalog's distinct counts.  The order goes into the query's stats.
+    An override wins, then the spec's pinned order, then
+    :func:`greedy_join_order` over ``sizes`` and the catalog's distinct
+    counts.  The order goes into the query's stats.
     """
     ndv = catalog_ndv(
         {r.alias: catalog.get(r.table) for r in spec.relations}, config.partition_rows
@@ -700,7 +694,7 @@ def _choose_order(
     if override is not None:
         spec.validate_join_order(override)
         order = override
-    elif spec.join_order is not None and not config.replan:
+    elif spec.join_order is not None:
         order = spec.join_order
     else:
         order = greedy_join_order(graph, sizes, ndv)

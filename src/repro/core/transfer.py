@@ -96,8 +96,8 @@ the test oracle for the gated one, with no option to select it.
 
 Incoming filters are applied most-selective-first (LIP-style ordering,
 paper §3.2, citing [39]) using the observed reduction at the producing
-vertex as the selectivity estimate; this is ablatable via
-:class:`TransferConfig`.
+vertex as the selectivity estimate.  The schedule has no switches: a
+variant (one pass only, ungated) is code composed over :func:`run_pass`.
 
 The state the kernel works on is one :class:`ExecContext` per query:
 the scanned relations and their surviving rows, plus the statistics,
@@ -160,7 +160,7 @@ Filter = Union[BloomFilter, ExactFilter, BitmapFilter]
 
 @dataclass(frozen=True)
 class TransferConfig:
-    """Tuning knobs of the predicate transfer phase.
+    """The filters a pass ships.
 
     Attributes
     ----------
@@ -169,29 +169,14 @@ class TransferConfig:
         precise; §3.2 "Filter Type").
     fpp:
         Bloom filter target false-positive rate.
-    forward / backward:
-        Enable the respective pass (both on in the paper).
-    lip_reorder:
-        Apply incoming filters most-selective-first.
-    rounds:
-        Number of forward+backward round trips (extension; §3.2 notes
-        transfers "can happen back and forth").  The paper's prototype
-        uses one round; additional rounds can only shrink the masks
-        further (at extra transfer cost) and converge to a fixpoint.
     """
 
     filter_type: str = "bloom"
     fpp: float = 0.01
-    forward: bool = True
-    backward: bool = True
-    lip_reorder: bool = True
-    rounds: int = 1
 
     def __post_init__(self) -> None:
         if self.filter_type not in ("bloom", "exact"):
             raise FilterError(f"unknown filter type {self.filter_type!r}")
-        if self.rounds < 1:
-            raise FilterError("rounds must be >= 1")
 
 
 def masks_to_rows(masks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -330,7 +315,9 @@ class _RowKeys:
 def run_transfer_rows(
     state: ExecContext, ptgraph: PTGraph, config: TransferConfig
 ) -> None:
-    """Run the predicate transfer schedule over ``state.rows``.
+    """Run the predicate transfer schedule over ``state.rows``: one
+    gated forward pass in topological order of the PT DAG, then one
+    gated backward pass in reverse order.
 
     This is the native entry point: survivors stay sorted row-index
     vectors throughout, which the late-materializing executor feeds
@@ -340,20 +327,8 @@ def run_transfer_rows(
     statistics land in ``state.stats.transfer``.
     """
     order = ptgraph.topological_order()
-    for round_index in range(config.rounds):
-        survivors_before = sum(map(len, state.rows.values()))
-        if config.forward:
-            run_pass(state, order, ptgraph.forward_edges(), config, proven_cover)
-        if config.backward:
-            run_pass(
-                state, list(reversed(order)), ptgraph.backward_edges(), config,
-                proven_cover,
-            )
-        # Extra rounds stop early once a fixpoint is reached.
-        if round_index and survivors_before == sum(
-            map(len, state.rows.values())
-        ):
-            break
+    run_pass(state, order, ptgraph.forward_edges(), config, proven_cover)
+    run_pass(state, order[::-1], ptgraph.backward_edges(), config, proven_cover)
 
 
 def run_on_masks(
@@ -416,7 +391,7 @@ def run_pass(
 
     for alias in order:
         state.qctx.check("transfer pass")
-        rows = _apply_incoming(state, alias, parked[alias], config.lip_reorder)
+        rows = _apply_incoming(state, alias, parked[alias])
         emit = out_edges.get(alias, [])
         if not emit:
             continue
@@ -434,11 +409,11 @@ def run_pass(
 
 
 def _apply_incoming(
-    state: ExecContext, alias: str, incoming: list[_IncomingFilter], lip_reorder: bool
+    state: ExecContext, alias: str, incoming: list[_IncomingFilter]
 ) -> np.ndarray:
-    """Shrink ``alias``'s survivors by the filters parked at it."""
-    if lip_reorder:
-        incoming = sorted(incoming, key=lambda f: f.producer_selectivity)
+    """Shrink ``alias``'s survivors by the filters parked at it, the
+    most selective producer's first (LIP)."""
+    incoming = sorted(incoming, key=lambda f: f.producer_selectivity)
     table = state.tables[alias]
     rows = state.rows[alias]
     for inc in incoming:

@@ -13,7 +13,7 @@ per-query key normalizer and hasher the pre-filter loop calls once per
 morsel.
 """
 
-from .base import FilterOpCounts, TransferableFilter
+from .base import TransferableFilter
 from .bitmap import BitmapFilter
 from .bloom import BloomFilter
 from .exact import ExactFilter
@@ -38,7 +38,6 @@ __all__ = [
     "KeyHashCache",
     "ReferenceBloomFilter",
     "VectorHashSet",
-    "FilterOpCounts",
     "TransferableFilter",
     "bloom_hash_pair",
     "bloom_keys",

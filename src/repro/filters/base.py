@@ -10,34 +10,16 @@ two-method protocol so the transfer engine is agnostic.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 
 import numpy as np
 
 
-@dataclass
-class FilterOpCounts:
-    """Operation counters used by the cost-model benches.
-
-    The paper's cost analysis (§3.5) charges a unit per hash-table
-    insert/probe and a much smaller β per Bloom insert/probe; these
-    counters let benchmarks report both op counts and wall time.
-    """
-
-    inserts: int = 0
-    probes: int = 0
-
-    def merge(self, other: "FilterOpCounts") -> None:
-        """Accumulate another counter set into this one."""
-        self.inserts += other.inserts
-        self.probes += other.probes
-
-
-@dataclass
 class TransferableFilter(ABC):
-    """A set-membership summary built from hashed join keys."""
+    """A set-membership summary built from hashed join keys.
 
-    ops: FilterOpCounts = field(default_factory=FilterOpCounts, init=False)
+    Work is counted per edge, not per filter: ``EdgeStat.keys_inserted``
+    and ``rows_probed`` (:mod:`repro.engine.stats`).
+    """
 
     @abstractmethod
     def add_keys(self, keys: np.ndarray) -> None:

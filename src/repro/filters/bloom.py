@@ -192,7 +192,6 @@ class BloomFilter(TransferableFilter):
     num_blocks: int = field(init=False)
 
     def __post_init__(self) -> None:
-        super().__init__()
         self.num_hashes, self.num_blocks = _geometry(self.capacity, self.fpp)
         self.num_bits = self.num_blocks * _BLOCK_WORDS * 64
         self._words = np.zeros(self.num_blocks * _BLOCK_WORDS, dtype=_U64)
@@ -233,7 +232,6 @@ class BloomFilter(TransferableFilter):
         if len(hashes) == 0:
             return
         np.bitwise_or.at(self._words, self._word_index(hashes), self._mask(hashes))
-        self.ops.inserts += len(hashes)
 
     def add_keys(self, keys: np.ndarray) -> None:
         """Insert a ``uint64`` key array (vectorized)."""
@@ -247,7 +245,6 @@ class BloomFilter(TransferableFilter):
         n = len(hashes)
         if n == 0:
             return np.zeros(0, dtype=np.bool_)
-        self.ops.probes += n
         words = self._words.take(self._word_index(hashes))
         mask = self._mask(hashes)
         words &= mask
@@ -271,7 +268,6 @@ class BloomFilter(TransferableFilter):
                 "cannot merge Bloom filters with different geometry"
             )
         self._words |= other._words
-        self.ops.inserts += other.ops.inserts
 
     def contains_keys(self, keys: np.ndarray) -> np.ndarray:
         """Membership mask (no false negatives) for a ``uint64`` array."""

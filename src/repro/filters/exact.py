@@ -29,7 +29,6 @@ class ExactFilter(TransferableFilter):
     """A precise key-set filter over ``uint64`` keys."""
 
     def __post_init__(self) -> None:
-        super().__init__()
         self._set: VectorHashSet | None = None
 
     @staticmethod
@@ -49,8 +48,6 @@ class ExactFilter(TransferableFilter):
         other = ExactFilter()
         if self._set is not None:
             other._set = self._set.clone()
-        other.ops.inserts = self.ops.inserts
-        other.ops.probes = self.ops.probes
         return other
 
     def add_keys(self, keys: np.ndarray) -> None:
@@ -60,11 +57,9 @@ class ExactFilter(TransferableFilter):
         if self._set is None:
             self._set = VectorHashSet(capacity=len(keys))
         self._set.insert(keys)
-        self.ops.inserts += len(keys)
 
     def contains_keys(self, keys: np.ndarray) -> np.ndarray:
         """Exact membership mask."""
-        self.ops.probes += len(keys)
         if self._set is None:
             return np.zeros(len(keys), dtype=np.bool_)
         return self._set.contains(keys)

@@ -50,7 +50,6 @@ class ReferenceBloomFilter(TransferableFilter):
     num_hashes: int = field(init=False)
 
     def __post_init__(self) -> None:
-        super().__init__()
         if self.capacity < 0:
             raise FilterError("capacity must be non-negative")
         if not 0.0 < self.fpp < 1.0:
@@ -82,7 +81,6 @@ class ReferenceBloomFilter(TransferableFilter):
             if i + 1 < self.num_hashes:
                 with np.errstate(over="ignore"):
                     acc = acc + h2
-        self.ops.inserts += len(keys)
 
     def contains_keys(self, keys: np.ndarray) -> np.ndarray:
         """Membership mask (no false negatives) for a ``uint64`` array."""
@@ -103,7 +101,6 @@ class ReferenceBloomFilter(TransferableFilter):
             hit = self._bits[(acc[alive] % mod).astype(np.intp)]
             result[alive[~hit]] = False
             alive = alive[hit]
-        self.ops.probes += n
         return result
 
     # ------------------------------------------------------------------

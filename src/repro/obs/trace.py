@@ -94,10 +94,11 @@ def _emit_stage(
 ) -> float:
     """Append spans for one stage's phases; return the end offset."""
     cursor = start
-    # Pre-stages (replanned intermediate blocks) are drawn before this
-    # stage's own scan, sharing the parent so the tree mirrors the
-    # plan's stage nesting.  A deferred stage actually ran after this
-    # stage's transfer phase; its span says so with ``seeded``.
+    # Pre-stages (separately planned intermediate blocks) are drawn
+    # before this stage's own scan, sharing the parent so the tree
+    # mirrors the plan's stage nesting.  A deferred stage actually ran
+    # after this stage's transfer phase; its span says so with
+    # ``seeded``.
     for i, stage in enumerate(stats.stage_stats):
         stage_attrs: dict = {"output_rows": stage.output_rows}
         if stage.seeded:

@@ -5,8 +5,8 @@ reasonable left-deep order per query, deterministically, from input
 cardinalities and the catalog's distinct counts.  The runner calls it
 once per query block, right after the scan, with post-local-predicate
 sizes, so the plan is fixed before transfer as in the paper (§3.3) and
-every strategy joins in the same order; only ``replan=True`` (§3.3
-extension) calls it after transfer instead, with post-transfer sizes.
+every strategy joins in the same order.  Nothing re-plans after
+transfer.
 
 A step's estimate treats all the equalities that join a new relation
 ``R`` to the joined set as one composite key.  On the joined side, key

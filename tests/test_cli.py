@@ -31,7 +31,7 @@ def test_cli_surface_is_the_documented_commands():
     commands = set(sub.choices)
     assert commands == {
         "tpch", "ssb", "fig4", "q5", "serve", "client", "stats", "trace",
-        "check", "cache",
+        "check",
     }
     section = cli.__doc__.split("Commands\n--------\n", 1)[1].split("\n\n", 1)[0]
     assert set(re.findall(r"^``(\w+)``", section, re.MULTILINE)) == commands

@@ -178,15 +178,6 @@ def test_bloom_layout_size():
 
 
 @pytest.mark.parametrize("impl", BLOOM_IMPLS)
-def test_bloom_op_counters(impl):
-    bloom = impl(capacity=10)
-    bloom.add_keys(np.arange(10, dtype=np.uint64))
-    bloom.contains_keys(np.arange(5, dtype=np.uint64))
-    assert bloom.ops.inserts == 10
-    assert bloom.ops.probes == 5
-
-
-@pytest.mark.parametrize("impl", BLOOM_IMPLS)
 def test_bloom_not_exact(impl):
     assert impl(capacity=1).exact is False
 
@@ -262,10 +253,3 @@ def test_exact_filter_empty():
     assert not filt.contains_keys(np.array([1], dtype=np.uint64)).any()
     assert filt.size_bytes() == 0
 
-
-def test_exact_filter_cost_counters():
-    filt = ExactFilter()
-    filt.add_keys(np.arange(10, dtype=np.uint64))
-    filt.contains_keys(np.arange(3, dtype=np.uint64))
-    assert filt.ops.inserts == 10
-    assert filt.ops.probes == 3

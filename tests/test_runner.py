@@ -267,12 +267,6 @@ def test_bad_join_order_within_component_rejected(catalog):
         run_query(spec, catalog, strategy="nopredtrans", join_order=["d", "b", "e"])
 
 
-def test_replan_config(catalog):
-    config = RunConfig(strategy="predtrans", replan=True)
-    res = run_query(_spec(), catalog, config=config)
-    assert res.table.num_rows == 3
-
-
 def test_exact_transfer_config(catalog):
     config = RunConfig(
         strategy="predtrans", transfer=TransferConfig(filter_type="exact")
@@ -282,12 +276,6 @@ def test_exact_transfer_config(catalog):
     # Exact filters over dense keys ship as bitmaps, never as Bloom.
     assert res.stats.transfer.bitmap_inserts > 0
     assert res.stats.transfer.bloom_inserts == 0
-
-
-def test_yannakakis_root_config(catalog):
-    config = RunConfig(strategy="yannakakis", yannakakis_root="d")
-    res = run_query(_spec(), catalog, config=config)
-    assert res.table.num_rows == 3
 
 
 def test_unknown_strategy_rejected():

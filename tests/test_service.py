@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import re
 import threading
 
@@ -276,26 +275,6 @@ def test_cli_workload_writes_artifact(capsys):
         rows.append(re.search(r"rows=(\d+)", capsys.readouterr().out).group(1))
         assert cache.stats().hits > hits_before
     assert rows[0] == rows[1]
-
-
-def test_cli_cache_stats_and_clear(capsys):
-    # Warm the process-wide cache through a cached command...
-    assert main(["tpch", "--sf", "0.003", "--query", "5",
-                 "--strategy", "predtrans", "--repeats", "2"]) == 0
-    capsys.readouterr()
-    # ...then the cache verbs observe and clear it.
-    assert main(["cache", "stats"]) == 0
-    out = capsys.readouterr().out
-    assert "entries" in out and "hit_rate" in out
-    assert default_filter_cache().stats().insertions > 0
-
-    assert main(["cache", "clear"]) == 0
-    assert "cleared" in capsys.readouterr().out
-    assert len(default_filter_cache()) == 0
-
-    assert main(["cache", "stats", "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["entries"] == 0
 
 
 def test_cli_no_filter_cache_flag(capsys):

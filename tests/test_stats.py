@@ -1,7 +1,6 @@
 """Unit tests for execution statistics containers."""
 
 from repro.engine.stats import JoinStat, QueryStats, TransferStats
-from repro.filters.base import FilterOpCounts
 
 
 def test_transfer_reduction():
@@ -45,9 +44,3 @@ def test_query_stats_nested_stages():
     assert outer.all_joins()[0].ht_rows == 10
     assert outer.total_join_input_rows() == 10 + 20 + 100 + 200
 
-
-def test_filter_op_counts_merge():
-    a = FilterOpCounts(inserts=3, probes=5)
-    b = FilterOpCounts(inserts=1, probes=2)
-    a.merge(b)
-    assert (a.inserts, a.probes) == (4, 7)

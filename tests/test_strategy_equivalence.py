@@ -9,8 +9,14 @@ the join phase removed every false positive.
 
 import pytest
 
+from repro.core import runner
 from repro.core.runner import STRATEGIES, RunConfig, run_query
 from repro.core.transfer import TransferConfig
+from repro.core.yannakakis import run_semi_join_rows
+from repro.optimizer.cardinality import catalog_ndv
+from repro.optimizer.joinorder import greedy_join_order
+from repro.plan.joingraph import build_join_graph
+from repro.storage.partition import DEFAULT_PARTITION_ROWS
 from repro.tpch.queries import ALL_QUERY_IDS, get_query
 
 from .conftest import SMALL_SF
@@ -61,16 +67,29 @@ def test_exact_filter_transfer_agrees(small_catalog, qid):
     assert _canonical(exact.table) == _canonical(bloom.table)
 
 
+def _post_transfer_order(spec, catalog, sizes):
+    """The greedy order over post-transfer ``sizes``, with the distinct
+    counts of the tables the query scans (pre-stage outputs included)."""
+    scoped = catalog.scoped()
+    for stage in spec.pre_stages:
+        scoped.register(run_query(stage.spec, scoped).table, stage.output)
+    bases = {r.alias: scoped.get(r.table) for r in spec.relations}
+    ndv = catalog_ndv(bases, DEFAULT_PARTITION_ROWS)
+    return greedy_join_order(build_join_graph(spec), sizes, ndv)
+
+
 @pytest.mark.parametrize("qid", [3, 5, 10, 18])
-def test_replan_agrees(small_catalog, qid):
+def test_post_transfer_order_agrees(small_catalog, qid):
+    """An order planned from post-transfer sizes returns the same rows
+    as the one planned before transfer."""
     spec = get_query(qid, sf=SMALL_SF)
     plain = run_query(spec, small_catalog, strategy="predtrans")
-    replanned = run_query(
-        spec,
-        small_catalog,
-        config=RunConfig(strategy="predtrans", replan=True),
+    order = _post_transfer_order(spec, small_catalog, plain.stats.transfer.rows_after)
+    reordered = run_query(
+        spec, small_catalog, strategy="predtrans", join_order=order
     )
-    assert _canonical(replanned.table) == _canonical(plain.table)
+    assert reordered.stats.join_order == order
+    assert _canonical(reordered.table) == _canonical(plain.table)
 
 
 def test_q5_all_join_orders_agree(small_catalog):
@@ -90,15 +109,18 @@ def test_q5_all_join_orders_agree(small_catalog):
                 assert canon == reference, (name, strategy)
 
 
-def test_yannakakis_root_invariance(small_catalog):
+def test_yannakakis_root_invariance(small_catalog, monkeypatch):
+    """Q5 (cyclic: a spanning tree plus residual verification) returns
+    the same rows whichever alias roots the join tree."""
     spec = get_query(5, sf=SMALL_SF)
     reference = None
     for root in ("l", "r", "c"):
-        result = run_query(
-            spec,
-            small_catalog,
-            config=RunConfig(strategy="yannakakis", yannakakis_root=root),
+        monkeypatch.setattr(
+            runner,
+            "run_semi_join_rows",
+            lambda ctx, graph, root=root: run_semi_join_rows(ctx, graph, root),
         )
+        result = run_query(spec, small_catalog, strategy="yannakakis")
         canon = _canonical(result.table)
         reference = reference or canon
         assert canon == reference

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from repro.core.ptgraph import build_pt_graph
-from repro.core.transfer import TransferConfig, run_transfer
+from repro.core.transfer import (
+    ExecContext,
+    TransferConfig,
+    masks_to_rows,
+    proven_cover,
+    run_pass,
+    run_transfer,
+)
 from repro.errors import FilterError
 from repro.filters.bitmap import CACHE_BITS
 from repro.plan.joingraph import build_join_graph
@@ -97,23 +104,35 @@ def test_local_predicates_respected():
     assert stats.rows_after["s"] == 1
 
 
-def test_forward_only_pass():
+def _fig3_state():
+    """Figure 3's PT graph and an uncached context over its tables."""
     pt, scanned, masks = _fig3_setup()
-    config = TransferConfig(filter_type="exact", backward=False)
-    reduced, _ = run_transfer(pt, scanned, masks, config)
+    return pt, ExecContext(tables=scanned, rows=masks_to_rows(masks))
+
+
+def test_forward_only_pass():
+    # One pass of the schedule alone is a composition over run_pass.
+    pt, state = _fig3_state()
+    order = pt.topological_order()
+    run_pass(
+        state, order, pt.forward_edges(), TransferConfig("exact"), proven_cover
+    )
     # T is reduced (end of forward chain) but R is untouched.
-    assert reduced["t"].tolist() == [True, True, False, False, False, False]
-    assert reduced["r"].all()
+    assert state.rows["t"].tolist() == [0, 1]
+    assert state.rows["r"].tolist() == [0, 1, 2]
 
 
 def test_backward_only_pass():
-    pt, scanned, masks = _fig3_setup()
-    config = TransferConfig(filter_type="exact", forward=False)
-    reduced, _ = run_transfer(pt, scanned, masks, config)
+    pt, state = _fig3_state()
+    order = pt.topological_order()[::-1]
+    run_pass(
+        state, order, pt.backward_edges(), TransferConfig("exact"), proven_cover
+    )
     # Backward pass alone: T's keys flow back to S then R, but T itself
     # is never reduced.
-    assert reduced["t"].all()
-    assert reduced["s"].tolist() == [True, False, True, False, False]
+    assert state.rows["t"].tolist() == list(range(6))
+    assert state.rows["s"].tolist() == [0, 2]
+    assert state.rows["r"].tolist() == [0, 1]
 
 
 def test_exact_mode_is_subset_of_bloom_mode():
@@ -219,67 +238,29 @@ def test_bad_filter_type_rejected():
         TransferConfig(filter_type="cuckoo")
 
 
-def test_lip_reorder_toggle_same_result():
-    pt, scanned, masks = _fig3_setup()
-    with_lip, _ = run_transfer(
-        pt, scanned, {k: m.copy() for k, m in masks.items()},
-        TransferConfig(filter_type="exact", lip_reorder=True),
+def test_lip_probes_most_selective_filter_first():
+    # Two filters park at ``c``.  ``a`` (3 of 4 rows kept) is visited
+    # first, but ``b`` (1 of 4) is the more selective producer, so its
+    # filter is probed first, over all of ``c``, and ``a``'s only over
+    # the rows ``b``'s let through.
+    tables = {
+        "a": Table.from_pydict("a", {"x": [1, 2, 3, 4]}),
+        "b": Table.from_pydict("b", {"y": [1, 2, 3, 4]}),
+        "c": Table.from_pydict(
+            "c", {"x": [1, 2, 3, 4, 1, 2, 3, 4], "y": [1, 1, 2, 2, 3, 3, 4, 4]}
+        ),
+    }
+    pt, scanned, masks = _setup(
+        tables,
+        [edge("a", "c", ("x", "x")), edge("b", "c", ("y", "y"))],
+        predicates={"a": [True, True, True, False], "b": [True, False, False, False]},
     )
-    without, _ = run_transfer(
-        pt, scanned, masks, TransferConfig(filter_type="exact", lip_reorder=False)
+    reduced, stats = run_transfer(pt, scanned, masks, TransferConfig("exact"))
+    first, second = (
+        next(e for e in stats.edges if (e.src, e.dst) == (src, "c"))
+        for src in ("b", "a")
     )
-    for alias in with_lip:
-        assert np.array_equal(with_lip[alias], without[alias])
+    assert first.rows_probed == 8 and first.rows_passed == 2
+    assert second.rows_probed == first.rows_passed
+    assert reduced["c"].tolist() == [True, True] + [False] * 6
 
-
-def test_multi_round_transfer_monotone_and_convergent():
-    # On a cyclic graph, a second round can propagate reductions that
-    # the first round's DAG orientation could not.
-    r = Table.from_pydict("r", {"k": [1, 2], "j": [5, 6]})
-    s = Table.from_pydict("s", {"k": [1, 2, 3], "m": [7, 8, 9]})
-    t = Table.from_pydict("t", {"j": [5, 9, 9, 9], "m": [7, 8, 8, 8]})
-    spec = QuerySpec(
-        "cyc",
-        relations=[Relation(a, a) for a in ("r", "s", "t")],
-        edges=[
-            edge("r", "s", ("k", "k")),
-            edge("r", "t", ("j", "j")),
-            edge("s", "t", ("m", "m")),
-        ],
-    )
-    jg = build_join_graph(spec)
-    scanned = {a: tb.prefixed(a) for a, tb in {"r": r, "s": s, "t": t}.items()}
-    masks = {a: np.ones(tb.num_rows, dtype=np.bool_) for a, tb in
-             {"r": r, "s": s, "t": t}.items()}
-    pt = build_pt_graph(jg, {a: int(m.sum()) for a, m in masks.items()})
-    one, _ = run_transfer(
-        pt, scanned, {a: m.copy() for a, m in masks.items()},
-        TransferConfig(filter_type="exact", rounds=1),
-    )
-    many, _ = run_transfer(
-        pt, scanned, masks, TransferConfig(filter_type="exact", rounds=5),
-    )
-    for alias in one:
-        # more rounds never resurrect rows
-        assert (~many[alias] | one[alias]).all()
-    total_one = sum(m.sum() for m in one.values())
-    total_many = sum(m.sum() for m in many.values())
-    assert total_many <= total_one
-
-
-def test_rounds_validation():
-    with pytest.raises(FilterError):
-        TransferConfig(rounds=0)
-
-
-def test_extra_rounds_noop_on_chain():
-    pt, scanned, masks = _fig3_setup()
-    one, stats_one = run_transfer(
-        pt, scanned, {a: m.copy() for a, m in masks.items()},
-        TransferConfig(filter_type="exact", rounds=1),
-    )
-    three, _ = run_transfer(
-        pt, scanned, masks, TransferConfig(filter_type="exact", rounds=3),
-    )
-    for alias in one:
-        assert np.array_equal(one[alias], three[alias])
