@@ -7,8 +7,9 @@ Hashes KEYS (default 3 000 000) INT64 join keys, builds Bloom filters
 of 27 000 and 750 000 keys (a dimension's and ``orders``' survivors at
 SF 0.5) and probes the KEYS against each — once as one whole-array call
 per step and once as the morsel loop the engine runs (hash a slice,
-use it, next slice).  Beside each Bloom pair, the presence bitmap over
-the same number of keys drawn from a dense range (a date range of
+use it, next slice).  Beside each Bloom pair, the exact hash set over
+the same keys (build and probe, whole-array only), and the presence
+bitmap over the same number of keys drawn from a dense range (a date range of
 ``o_orderkey``): build as the span pass (``plan``) + one scatter +
 ``packbits``, probe as one unpack into the byte table + normalize and
 clipped ``take`` per morsel, with sizes and false positives next to a
@@ -35,6 +36,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro.filters.bitmap import BitmapFilter, plan  # noqa: E402
 from repro.filters.bloom import MORSEL_KEYS, BloomFilter, morsels  # noqa: E402
+from repro.filters.exact import ExactFilter  # noqa: E402
 from repro.filters.hashing import bloom_keys, column_to_u64  # noqa: E402
 from repro.storage.column import Column  # noqa: E402
 
@@ -124,6 +126,23 @@ def main() -> None:
                 filt.contains_hashes(bloom_keys(probe_column, span))
                 for span in morsels(0, n)
             ],
+            n,
+        )
+
+        # The exact kind (Yannakakis, filter_type="exact") over the same
+        # keys: one insert and one probe per key, whole-array.
+        build_u64 = column_to_u64(build_column[0])
+        exact = ExactFilter.from_keys(build_u64)
+        row(
+            f"exact set build, {members} keys",
+            lambda: ExactFilter.from_keys(build_u64),
+            None,
+            members,
+        )
+        row(
+            f"exact set probe, {members}-key set",
+            lambda: exact.contains_keys(column_to_u64(probe_column[0])),
+            None,
             n,
         )
 

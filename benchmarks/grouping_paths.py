@@ -3,10 +3,11 @@
 
     python3 benchmarks/grouping_paths.py [ROWS]
 
-One key column per path over ROWS (default 3 000 000) shuffled rows, min
-of 5.  The paths are chosen by ``repro.engine.factorize.group_rows``
-from the columns alone; this script only builds columns that land on
-each of them.
+One key column per path over ROWS (default 3 000 000) rows, min of 5.
+The rows are shuffled except on the runs path, whose keys arrive in
+order, as ``l_orderkey`` does in ``lineitem``.  The paths are chosen by
+``repro.engine.factorize.group_rows`` from the columns alone; this
+script only builds columns that land on each of them.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ def main() -> None:
             Column.from_ints(many),
             Column.from_ints(many * 7 + 3),
         ],
+        "runs, rows/4 groups in key order": [Column.from_ints(np.sort(many))],
         "direct address, 25 x 7 groups in two columns": [
             Column.from_ints(rng.integers(0, 25, n)),
             Column.from_ints(rng.integers(1992, 1999, n)),

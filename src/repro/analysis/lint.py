@@ -1,7 +1,7 @@
 """Repo invariant linter: AST checks for conventions the code relies on.
 
 Run as ``python -m repro.analysis.lint src/`` (the CI static-analysis
-job does).  Three rules:
+job does).  Four rules:
 
 **import-layering** — module-level imports must respect the package
 layer order (lower layers must not import higher ones)::
@@ -29,6 +29,12 @@ line.
 must be a key of ``FAULT_POINTS`` in ``testing/faults.py``, and every
 registered key must have at least one call site (no phantom or
 undocumented fault points).
+
+**bare-unique** — ``np.unique(x)`` with no ``return_*`` keyword.  On
+integers NumPy >= 2.3 answers it through a hash table, 30-70x slower
+than a sort and a neighbour compare with the same output (and than the
+sort ``np.unique`` itself runs once a ``return_*`` flag is set).  Write
+the sort, or a ``sorted(set(...))`` for a pool of Python objects.
 """
 
 from __future__ import annotations
@@ -420,6 +426,37 @@ def check_fault_registry(
 
 
 # ----------------------------------------------------------------------
+# Rule d: no bare np.unique
+# ----------------------------------------------------------------------
+def check_bare_unique(path: Path, tree: ast.Module) -> list[LintViolation]:
+    violations: list[LintViolation] = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "unique"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+        ):
+            continue
+        if any(
+            kw.arg is not None and kw.arg.startswith("return_")
+            for kw in node.keywords
+        ):
+            continue
+        violations.append(
+            LintViolation(
+                "bare-unique",
+                str(path),
+                node.lineno,
+                "np.unique() without a return_* flag hashes integers; "
+                "sort and compare neighbours instead",
+            )
+        )
+    return violations
+
+
+# ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 def run_lint(roots: list[str]) -> list[LintViolation]:
@@ -443,6 +480,7 @@ def run_lint(roots: list[str]) -> list[LintViolation]:
         if parts:
             violations.extend(check_layering(path, tree, parts))
         violations.extend(check_lock_discipline(path, tree, source))
+        violations.extend(check_bare_unique(path, tree))
     violations.extend(check_fault_registry(parsed))
     return violations
 
@@ -451,7 +489,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.analysis.lint",
         description="AST linter for the repo's structural invariants "
-        "(import layering, lock discipline, fault-point registry)",
+        "(import layering, lock discipline, fault-point registry, "
+        "bare np.unique)",
     )
     parser.add_argument(
         "paths", nargs="+", help="files or directories to lint"

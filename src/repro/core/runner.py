@@ -159,7 +159,7 @@ from ..optimizer.joinorder import greedy_join_order, step_estimates
 from ..plan.joingraph import build_join_graph, edge_keys_for
 from ..plan.pruning import live_columns
 from ..plan.query import Aggregate, Filter, Limit, Project, QuerySpec, Sort, Stage
-from ..plan.rewrite import fold_self_edges, resolve_scalars
+from ..plan.rewrite import eager_counts, fold_self_edges, resolve_scalars
 from ..storage.catalog import Catalog
 from ..storage.partition import DEFAULT_PARTITION_ROWS, get_layout, slice_table
 from ..storage.table import Table
@@ -171,6 +171,7 @@ from .transfer import (
     ExecContext,
     TransferConfig,
     build_filter,
+    identity_rows,
     probe_filter,
     run_transfer_rows,
 )
@@ -306,6 +307,9 @@ def run_query(
             _run_stage(ctx, scoped, stage, stage_config)
 
     resolved = _resolve_spec(spec, scoped)
+    # The stages the resolved plan's rewrites added.
+    for stage in resolved.pre_stages:
+        _run_stage(ctx, scoped, stage, stage_config)
     graph = build_join_graph(resolved)
 
     # Bind the cross-query filter cache, from the *resolved* spec so
@@ -480,7 +484,12 @@ def _prefilter_config_form(config: RunConfig) -> str:
 # Spec resolution & scanning
 # ----------------------------------------------------------------------
 def _resolve_spec(spec: QuerySpec, catalog: Catalog) -> QuerySpec:
-    """Resolve scalar-subquery references to literals everywhere."""
+    """Resolve scalar-subquery references to literals everywhere, then
+    apply :func:`~repro.plan.rewrite.eager_counts`.
+
+    The spec's own stages have run; the result's ``pre_stages`` are
+    the ones the rewrite adds, for the caller to run before the scan.
+    """
     relations = [
         replace(r, predicate=resolve_scalars(r.predicate, catalog))
         for r in spec.relations
@@ -513,7 +522,7 @@ def _resolve_spec(spec: QuerySpec, catalog: Catalog) -> QuerySpec:
             post.append(Aggregate(keys, aggs))
         else:
             post.append(op)
-    return QuerySpec(
+    resolved = QuerySpec(
         name=spec.name,
         relations=relations,
         edges=edges,
@@ -522,6 +531,7 @@ def _resolve_spec(spec: QuerySpec, catalog: Catalog) -> QuerySpec:
         pre_stages=[],
         join_order=spec.join_order,
     )
+    return eager_counts(resolved, catalog)
 
 
 def _scan(
@@ -558,7 +568,7 @@ def _scan(
             table = base.prefixed(relation.alias)
         ctx.tables[relation.alias] = table
         if relation.predicate is None:
-            ctx.rows[relation.alias] = np.arange(table.num_rows)
+            ctx.rows[relation.alias] = identity_rows(table.num_rows)
             continue
         cacheable = ctx.cache.cacheable(relation.alias)
         selected = ctx.cache.get_scan(relation.alias) if cacheable else None

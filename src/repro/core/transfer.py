@@ -179,14 +179,37 @@ class TransferConfig:
             raise FilterError(f"unknown filter type {self.filter_type!r}")
 
 
+# Every all-rows selection vector is a prefix of this one array, so a
+# predicate-less scan of lineitem allocates nothing.  It is read-only:
+# a write into any selection vector raises instead of corrupting every
+# query's.  It needs no lock because it is never changed in place:
+# growing builds a complete new array and then rebinds the name in one
+# (GIL-atomic) store, so a racing reader slices either the old or the
+# new array, and both hold the same prefix.
+_IDENTITY = np.arange(0)
+_IDENTITY.flags.writeable = False
+
+
+def identity_rows(n: int) -> np.ndarray:
+    """``np.arange(n)``, as a read-only slice of a shared vector that
+    grows geometrically."""
+    global _IDENTITY
+    identity = _IDENTITY
+    if len(identity) < n:
+        identity = np.arange(max(n, 2 * len(identity)))
+        identity.flags.writeable = False
+        _IDENTITY = identity
+    return identity[:n]
+
+
 def masks_to_rows(masks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Boolean survivor masks -> sorted row-index vectors.
 
-    arange for all-true masks (predicate-less scans) skips the
-    flatnonzero scan over the largest tables.
+    All-true masks (predicate-less scans) take the shared identity
+    vector, which skips the flatnonzero scan over the largest tables.
     """
     return {
-        a: np.arange(len(m)) if m.all() else np.flatnonzero(m)
+        a: identity_rows(len(m)) if m.all() else np.flatnonzero(m)
         for a, m in masks.items()
     }
 

@@ -18,12 +18,17 @@ each column it takes the cheapest step its input allows:
    ``value - min`` for INT64/DATE (the value itself when it is small and
    non-negative).  Codes are order-preserving and packed with the groups
    so far as ``gid * cardinality + code``.
-3. *Direct address.*  When the packed space has at most
+3. *Runs.*  Packed codes that never decrease (Q18's stage sums
+   lineitem by ``l_orderkey``, which arrives in order) are already
+   grouped: the run heads' ``cumsum`` is the group id and their
+   positions the first rows.  The endpoints and a 1 024-row sample
+   reject unsorted input before the full compare pass.
+4. *Direct address.*  When the packed space has at most
    ``DIRECT_ADDRESS_SLOTS_PER_ROW`` (4) slots per input row, a presence
    bitmap over it, its ``cumsum`` as the remap table and a
    ``minimum.at`` scatter for the first rows densify it in a few linear
    passes.
-4. *Sort.*  A sparser space is sorted: integers with their row number in
+5. *Sort.*  A sparser space is sorted: integers with their row number in
    the low bits, so a plain in-place sort is stable and carries its own
    permutation; ``np.unique`` only where no row tag fits beside the key
    or no integer code exists (FLOAT64, INT64 spanning over 62 bits).
@@ -66,6 +71,13 @@ from .factorize import group_rows
 
 _AGG_FUNCS = ("sum", "count", "count_star", "avg", "min", "max", "count_distinct")
 
+#: Aggregates only plan rewrites produce; no query spells them, and the
+#: analyzer, which accepts ``_AGG_FUNCS``, rejects them.  ``sum_counts``
+#: adds up partial counts, a NULL one (an outer join's missing partner)
+#: adding 0: the upper half of an eager ``COUNT``
+#: (:func:`repro.plan.rewrite.eager_counts`).
+_INTERNAL_FUNCS = ("sum_counts",)
+
 
 @dataclass(frozen=True)
 class GroupKey:
@@ -88,7 +100,7 @@ class AggSpec:
     name: str
 
     def __post_init__(self) -> None:
-        if self.func not in _AGG_FUNCS:
+        if self.func not in _AGG_FUNCS + _INTERNAL_FUNCS:
             raise ExecutionError(f"unknown aggregate {self.func!r}")
         if self.func != "count_star" and self.input is None:
             raise ExecutionError(f"aggregate {self.func!r} needs an input")
@@ -149,6 +161,11 @@ def _compute_agg(
         if valid is not None:
             pair_first = pair_first[valid[pair_first]]
         return Column.from_ints(np.bincount(gid[pair_first], minlength=n_groups))
+    if func == "sum_counts":
+        counts = column.data if valid is None else column.data[valid]
+        # Float weights are exact here: a count stays far below 2**53.
+        sums = np.bincount(row_gid, weights=counts, minlength=n_groups)
+        return Column.from_ints(sums.astype(np.int64))
 
     values = column.data.astype(np.float64, copy=False)
     row_vals = values if valid is None else values[valid]

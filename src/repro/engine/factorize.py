@@ -97,8 +97,38 @@ def group_rows(
             codes, code_rows = _densify(codes, card, n_rows)
             card = len(code_rows)
         packed = codes if n_groups == 1 else gid * card + codes
-        gid, first = _densify(packed, n_groups * card, n_rows)
+        if _non_decreasing(packed):
+            gid, first = _runs(packed)
+        else:
+            gid, first = _densify(packed, n_groups * card, n_rows)
     return gid, first
+
+
+def _non_decreasing(packed: np.ndarray) -> bool:
+    """True when ``packed`` never decreases: its equal keys form runs.
+
+    The endpoints and a 1 024-row strided sample reject unsorted input
+    (Q17's ``l_partkey``) before the full compare pass.
+    """
+    if packed[-1] < packed[0]:
+        return False
+    sample = packed[:: max(1, len(packed) >> 10)]
+    if np.any(sample[1:] < sample[:-1]):
+        return False
+    return not np.any(packed[1:] < packed[:-1])
+
+
+def _runs(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_densify``'s result for non-decreasing ``packed``: one group
+    per run of equal keys, numbered in order."""
+    heads = np.empty(len(packed), dtype=np.bool_)
+    heads[0] = True
+    np.not_equal(packed[1:], packed[:-1], out=heads[1:])
+    # A bool cumsum into intp runs at half the speed of an intp one.
+    gid = heads.astype(np.intp)
+    gid[0] = 0
+    np.cumsum(gid, out=gid)
+    return gid, np.flatnonzero(heads)
 
 
 def _determined(column: Column, gid: np.ndarray, first: np.ndarray) -> bool:
@@ -171,7 +201,10 @@ def _densify(
         if n_ids == space:
             ids = packed.astype(np.intp, copy=False)
         else:
-            ids = (np.cumsum(present, dtype=np.intp) - 1)[packed]
+            remap = present.astype(np.intp)
+            np.cumsum(remap, out=remap)
+            remap -= 1
+            ids = remap[packed]
         first = np.full(n_ids, n_rows, dtype=np.intp)
         np.minimum.at(first, ids, np.arange(n_rows, dtype=np.intp))
         return ids, first

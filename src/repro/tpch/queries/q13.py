@@ -3,6 +3,13 @@
 A left outer join (customers without orders must survive), so predicate
 transfer is blocked in the orders→customer direction; the paper lists
 Q13 among the queries whose speedup is limited by direction blocking.
+
+The runner counts the orders before the join instead
+(:func:`repro.plan.rewrite.eager_counts`): a stage ``q13_o_counts``
+groups the qualifying orders by ``o_custkey``, the customers left-join
+its one row per customer, and ``count(o.o_orderkey)`` becomes a sum of
+those partial counts, NULL adding 0.  At SF 0.1 the join reads 25 000
+rows instead of 163 048, under every strategy.
 """
 
 from __future__ import annotations

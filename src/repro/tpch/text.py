@@ -92,14 +92,11 @@ def comment_pool(rng: np.random.Generator, size: int) -> np.ndarray:
     noun = rng.integers(0, len(_NOUNS), size=size)
     verb = rng.integers(0, len(_VERBS), size=size)
     noun2 = rng.integers(0, len(_NOUNS), size=size)
-    pool = np.asarray(
-        [
-            f"{_ADJECTIVES[a]} {_NOUNS[n]} {_VERBS[v]} above the {_NOUNS[m]}"
-            for a, n, v, m in zip(adj, noun, verb, noun2)
-        ],
-        dtype=object,
-    )
-    return np.unique(pool).astype(object)
+    pool = {
+        f"{_ADJECTIVES[a]} {_NOUNS[n]} {_VERBS[v]} above the {_NOUNS[m]}"
+        for a, n, v, m in zip(adj, noun, verb, noun2)
+    }
+    return np.asarray(sorted(pool), dtype=object)
 
 
 def special_requests_comments(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import aggregate
+from repro.engine import aggregate, factorize
 from repro.engine.aggregate import AggSpec, GroupKey, distinct, group_aggregate
 from repro.engine.factorize import DIRECT_ADDRESS_SLOTS_PER_ROW, group_rows
 from repro.engine.hashjoin import hash_join
@@ -439,3 +439,71 @@ def test_direct_address_and_sort_paths_build_identical_tables():
                 got.column(agg.name).data.tobytes()
                 == want.column(agg.name).data.tobytes()
             ), (name, agg.name)
+
+
+# ----------------------------------------------------------------------
+# The run path: keys that arrive non-decreasing
+# ----------------------------------------------------------------------
+_NULL = 4  # drawn as a value, it sorts after every other one
+
+
+@st.composite
+def _sorted_case(draw):
+    """Two key columns whose (a, b) pairs mostly arrive sorted, NULL
+    last in each, with ties; sometimes the last row drops."""
+    n = draw(st.integers(1, 40))
+    pairs = sorted(
+        draw(
+            st.lists(
+                st.tuples(st.integers(0, _NULL), st.integers(-2, _NULL)),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    if n > 1 and draw(st.booleans()):
+        pairs[-1] = (pairs[-1][0] - 1, pairs[-1][1])  # a drop at the last row
+    columns = []
+    for values in zip(*pairs):
+        valid = np.array([v != _NULL for v in values])
+        data = np.array([0 if v == _NULL else v for v in values], dtype=np.int64)
+        columns.append(
+            Column(data, DType.INT64, valid=None if valid.all() else valid)
+        )
+    return columns, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sorted_case())
+def test_run_path_equals_densify_and_a_dict_reference(case):
+    columns, pairs = case
+    n = len(pairs)
+    gid, first = group_rows(columns, n)
+
+    order = sorted(set(pairs))
+    want_gid = [order.index(p) for p in pairs]
+    want_first = [pairs.index(p) for p in order]
+    assert gid.tolist() == want_gid
+    assert first.tolist() == want_first
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(factorize, "_non_decreasing", lambda packed: False)
+        dense_gid, dense_first = group_rows(columns, n)
+    assert np.array_equal(gid, dense_gid) and gid.dtype == dense_gid.dtype
+    assert np.array_equal(first, dense_first)
+
+
+def test_run_path_checks_every_row_past_the_sample():
+    keys = np.repeat(np.arange(1025, dtype=np.int64), 2)  # 2 050 rows
+    assert factorize._non_decreasing(keys)
+    gid, first = factorize._runs(keys)
+    assert np.array_equal(gid, keys) and np.array_equal(first, np.arange(0, 2050, 2))
+    # The 1 024-row sample strides over the last row, and the endpoints
+    # still ascend: only the full compare pass sees the drop.
+    keys[-1] = keys[-2] - 1
+    assert keys[:: len(keys) >> 10][-1] != keys[-1] and keys[-1] > keys[0]
+    assert not factorize._non_decreasing(keys)
+    assert not factorize._non_decreasing(np.array([3, 1, 2]))
+    assert factorize._non_decreasing(np.array([7]))
+    gid, first = factorize._runs(np.array([7]))
+    assert gid.tolist() == [0] and first.tolist() == [0]

@@ -209,6 +209,25 @@ def test_fault_registry_clean_when_both_directions_match(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Rule d: no bare np.unique
+# ----------------------------------------------------------------------
+def test_bare_unique_flagged_and_return_flags_accepted(tmp_path):
+    _write_tree(tmp_path, {
+        "mod.py": (
+            "import numpy as np\n"
+            "import numpy\n"
+            "a = np.unique(x)\n"
+            "b = numpy.unique(x, axis=0)\n"
+            "c, d = np.unique(x, return_inverse=True)\n"
+            "e = np.unique(x, return_counts=False)\n"
+            "f = sorted(set(x))\n"
+        ),
+    })
+    violations = _of(run_lint([str(tmp_path)]), "bare-unique")
+    assert sorted(v.line for v in violations) == [3, 4]
+
+
+# ----------------------------------------------------------------------
 # The real tree
 # ----------------------------------------------------------------------
 def test_real_src_tree_is_lint_clean():

@@ -1,0 +1,158 @@
+"""Engine results against SQLite running the TPC-H query text.
+
+The oracle shares no code with the engine: the catalog is loaded into
+stdlib ``sqlite3`` (values from :meth:`Column.to_pylist`, dates as ISO
+strings, which compare in date order), and each query runs from its
+TPC-H text with the parameters of the engine's spec.  Results are
+compared as multisets of rows, floats at a relative 1e-9, under every
+strategy.  A query joins the check by adding its text to ``QUERIES``.
+"""
+
+from __future__ import annotations
+
+import math
+import sqlite3
+
+import pytest
+
+from repro.core.runner import STRATEGIES, RunConfig, run_query
+from repro.storage.catalog import Catalog
+from repro.storage.column import DType
+from repro.tpch import generate_tpch, get_query
+
+SF, SEED = 0.01, 1
+
+#: TPC-H query text by query number, parameters as in the engine's spec.
+QUERIES: dict[int, str] = {
+    13: """
+        SELECT c_count, COUNT(*) AS custdist
+        FROM (
+            SELECT c_custkey, COUNT(o_orderkey) AS c_count
+            FROM customer LEFT OUTER JOIN orders
+              ON c_custkey = o_custkey
+             AND o_comment NOT LIKE '%special%requests%'
+            GROUP BY c_custkey
+        ) AS c_orders
+        GROUP BY c_count
+        ORDER BY custdist DESC, c_count DESC
+    """,
+    18: """
+        SELECT c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice,
+               SUM(l_quantity)
+        FROM customer, orders, lineitem
+        WHERE o_orderkey IN (
+                SELECT l_orderkey FROM lineitem
+                GROUP BY l_orderkey HAVING SUM(l_quantity) > 300)
+          AND c_custkey = o_custkey
+          AND o_orderkey = l_orderkey
+        GROUP BY c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice
+        ORDER BY o_totalprice DESC, o_orderdate
+        LIMIT 100
+    """,
+    21: """
+        SELECT s_name, COUNT(*) AS numwait
+        FROM supplier, lineitem l1, orders, nation
+        WHERE s_suppkey = l1.l_suppkey
+          AND o_orderkey = l1.l_orderkey
+          AND o_orderstatus = 'F'
+          AND l1.l_receiptdate > l1.l_commitdate
+          AND EXISTS (
+                SELECT * FROM lineitem l2
+                WHERE l2.l_orderkey = l1.l_orderkey
+                  AND l2.l_suppkey <> l1.l_suppkey)
+          AND NOT EXISTS (
+                SELECT * FROM lineitem l3
+                WHERE l3.l_orderkey = l1.l_orderkey
+                  AND l3.l_suppkey <> l1.l_suppkey
+                  AND l3.l_receiptdate > l3.l_commitdate)
+          AND s_nationkey = n_nationkey
+          AND n_name = 'SAUDI ARABIA'
+        GROUP BY s_name
+        ORDER BY numwait DESC, s_name
+        LIMIT 100
+    """,
+}
+
+_SQL_TYPES = {
+    DType.INT64: "INTEGER",
+    DType.FLOAT64: "REAL",
+    DType.BOOL: "INTEGER",
+    DType.DATE: "TEXT",
+    DType.STRING: "TEXT",
+}
+
+#: Lookup indexes for the correlated subqueries; they change no result.
+_INDEXES = ("CREATE INDEX lineitem_orderkey ON lineitem (l_orderkey)",)
+
+
+def load_sqlite(catalog: Catalog) -> sqlite3.Connection:
+    """Every table of ``catalog`` in an in-memory SQLite database."""
+    db = sqlite3.connect(":memory:")
+    # SQL's LIKE is case-sensitive; SQLite's is not by default.
+    db.execute("PRAGMA case_sensitive_like = ON")
+    for name in catalog.names():
+        table = catalog.get(name)
+        columns = table.column_names
+        types = ", ".join(
+            f"{c} {_SQL_TYPES[table.column(c).dtype]}" for c in columns
+        )
+        db.execute(f"CREATE TABLE {name} ({types})")
+        rows = zip(*(table.column(c).to_pylist() for c in columns))
+        marks = ", ".join("?" * len(columns))
+        db.executemany(f"INSERT INTO {name} VALUES ({marks})", rows)
+    for statement in _INDEXES:
+        db.execute(statement)
+    return db
+
+
+def _canonical(rows: list[tuple]) -> list[tuple]:
+    """Rows in an order that ignores float rounding: by every non-float
+    field first."""
+
+    def key(row: tuple) -> tuple:
+        fixed = tuple(
+            (v is None, v) for v in row if not isinstance(v, float)
+        )
+        return fixed + tuple(v for v in row if isinstance(v, float))
+
+    return sorted(rows, key=key)
+
+
+def assert_same_rows(got: list[tuple], want: list[tuple]) -> None:
+    """Multiset equality, floats at a relative 1e-9."""
+    assert len(got) == len(want)
+    for g, w in zip(_canonical(got), _canonical(want)):
+        assert len(g) == len(w), (g, w)
+        for a, b in zip(g, w):
+            if isinstance(a, float) or isinstance(b, float):
+                assert math.isclose(a, b, rel_tol=1e-9), (g, w)
+            else:
+                assert a == b, (g, w)
+
+
+@pytest.fixture(scope="module")
+def catalog() -> Catalog:
+    return generate_tpch(sf=SF, seed=SEED)
+
+
+@pytest.fixture(scope="module")
+def sqlite_rows(catalog) -> dict[int, list[tuple]]:
+    db = load_sqlite(catalog)
+    try:
+        return {q: db.execute(text).fetchall() for q, text in QUERIES.items()}
+    finally:
+        db.close()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_engine_equals_sqlite(catalog, sqlite_rows, query, strategy):
+    result = run_query(
+        get_query(query, sf=SF), catalog, config=RunConfig(strategy=strategy)
+    )
+    assert_same_rows(result.table.to_rows(), sqlite_rows[query])
+
+
+def test_oracle_sees_rows(sqlite_rows):
+    # An empty result would make the comparison vacuous.
+    assert all(sqlite_rows[q] for q in QUERIES)

@@ -1,13 +1,18 @@
 """Unit tests for the predicate transfer engine, including the paper's
 Figure 3 example worked by hand."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.core import transfer
 from repro.core.ptgraph import build_pt_graph
 from repro.core.transfer import (
     ExecContext,
     TransferConfig,
+    identity_rows,
     masks_to_rows,
     proven_cover,
     run_pass,
@@ -264,3 +269,45 @@ def test_lip_probes_most_selective_filter_first():
     assert second.rows_probed == first.rows_passed
     assert reduced["c"].tolist() == [True, True] + [False] * 6
 
+
+
+def test_identity_rows_are_read_only_slices_of_one_vector():
+    rows = identity_rows(5)
+    assert rows.tolist() == list(range(5))
+    with pytest.raises(ValueError):
+        rows[0] = 1
+    with pytest.raises(ValueError):
+        rows += 1
+    bigger = identity_rows(1000)
+    assert np.array_equal(bigger, np.arange(1000)) and not bigger.flags.writeable
+    assert np.shares_memory(identity_rows(10), bigger)
+    scanned = masks_to_rows({"a": np.ones(7, dtype=np.bool_)})["a"]
+    assert scanned.tolist() == list(range(7))
+    with pytest.raises(ValueError):
+        scanned[1:] = 0
+
+
+def test_identity_rows_under_racing_growth(monkeypatch):
+    """Threads that grow the shared vector while others slice it each
+    see a complete, read-only identity."""
+    monkeypatch.setattr(transfer, "_IDENTITY", transfer._IDENTITY[:0])
+    wrong: list[int] = []
+
+    def worker(seed: int) -> None:
+        for n in np.random.default_rng(seed).integers(1, 100_000, 40):
+            rows = transfer.identity_rows(int(n))
+            if rows.flags.writeable or not np.array_equal(rows, np.arange(n)):
+                wrong.append(int(n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

@@ -2,10 +2,11 @@
 
 The 20 ``BENCH_QUERY_IDS`` run at SF 0.1, seed 1, cold (no filter
 cache), under predicate transfer and under the no-transfer baseline.
-Per query and strategy, the record pins the join order of every block
-and the join input rows; under predicate transfer also the kind of
-every shipped edge (pre-stages first, as ``--analyze`` lists them) and
-the rows probed by Bloom filters and by presence bitmaps.  Each is a
+Per query and strategy, the record pins the join order of every block,
+the join input rows and the rows entering aggregates (pre-stages
+included); under predicate transfer also the kind of every shipped
+edge (pre-stages first, as ``--analyze`` lists them) and the rows
+probed by Bloom filters and by presence bitmaps.  Each is a
 function of (code, seed, SF) — no clock, no tracer — so the comparison
 is ``==`` and has no noise.  A change that moves one of them either is
 a bug or says so by rewriting the record:
@@ -55,6 +56,7 @@ def counters(stats: QueryStats, strategy: str) -> dict[str, object]:
     out: dict[str, object] = {
         "join_order": [f"{stage.query} {' '.join(stage.join_order)}" for stage in stages],
         "join_input_rows": stats.total_join_input_rows(),
+        "rows_aggregated": stats.rows_aggregated_total,
     }
     if strategy == "predtrans":
         out["edges"] = [
