@@ -49,7 +49,7 @@ probe matches, so full invalidation stays intact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, cast
 
 import numpy as np
 
@@ -422,12 +422,20 @@ class QueryCache:
         Never delta-extended: the phase output depends on semi-join
         interactions *across* tables, so appended rows can change which
         pre-existing rows survive — a version change is a plain miss,
-        and the rebuilt entry replaces the stale one by lineage.
+        and the rebuilt entry replaces the stale one by lineage.  An
+        alias stored as a row count comes back as the shared read-only
+        identity vector.
         """
+        from ..core.transfer import identity_rows
+
         payload = self._get(fp)
         if payload is None:
             return None
-        return dict(payload)  # callers rebind freely; never share the dict
+        # A fresh dict: callers rebind freely; never share the entry's.
+        return {
+            alias: identity_rows(rows) if isinstance(rows, int) else rows
+            for alias, rows in cast("dict[str, np.ndarray | int]", payload).items()
+        }
 
     def put_prefilter(
         self,
@@ -436,13 +444,25 @@ class QueryCache:
         config_form: str,
         rows: dict[str, np.ndarray],
     ) -> None:
+        """Store the pre-filter phase output.  An alias whose survivors
+        are every row is stored as its row count: survivor vectors are
+        sorted and unique, so that is ``rows[0] == 0`` and ``rows[-1] ==
+        n - 1``, and nothing is copied, checksummed or charged for it."""
         tables = tuple(sorted({k.table for k in self.aliases.values()}))
         self._put(
             self.prefilter_fp(edges, strategy, config_form),
-            dict(rows),
+            {alias: _count_if_all_rows(r) for alias, r in rows.items()},
             tables,
             self.prefilter_fp(edges, strategy, config_form, lineage=True),
         )
+
+
+def _count_if_all_rows(rows: np.ndarray) -> "np.ndarray | int":
+    """``len(rows)`` when the sorted, unique ``rows`` are ``arange(n)``."""
+    n = len(rows)
+    if n == 0 or (rows[0] == 0 and rows[-1] == n - 1):
+        return n
+    return rows
 
 
 def _version(key: AliasKey, lineage: bool) -> "int | DataVersion":

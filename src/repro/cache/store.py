@@ -6,7 +6,8 @@ reuse across queries, all keyed by deterministic fingerprints
 
 * built transferable filters (Bloom / exact) from pristine vertices,
 * sorted row-index selection vectors of local-predicate scans,
-* whole-query pre-filter results (alias → selection vector).
+* whole-query pre-filter results (alias → selection vector, or its
+  row count when every row survives).
 
 Entries are tagged with the base table names they were derived from, so
 :meth:`invalidate_table` can promptly reclaim memory when a table is
@@ -75,9 +76,15 @@ class CacheStats:
 
 
 def payload_nbytes(payload: object) -> int:
-    """Best-effort byte accounting of a cacheable payload."""
+    """Best-effort byte accounting of a cacheable payload.
+
+    An int stands for a row count (a pre-filter entry's all-rows
+    survivor vector) and holds no buffer, so it is free.
+    """
     if isinstance(payload, np.ndarray):
         return payload.nbytes
+    if isinstance(payload, int):
+        return 0
     if isinstance(payload, dict):
         return sum(payload_nbytes(v) for v in payload.values())
     size = getattr(payload, "size_bytes", None)
@@ -94,13 +101,15 @@ def payload_checksum(payload: object) -> int | None:
     in-place clobbering — a buggy consumer writing through a shared
     filter, bit rot in a future mmap'd backend — is caught at the next
     :meth:`FilterCache.get` instead of silently pre-filtering wrong.
+    A C-contiguous array is read in place; only a strided one is copied
+    into C order first, which is the byte stream ``tobytes()`` gives.
     """
     arrays = _payload_arrays(payload)
     if not arrays:
         return None
     crc = 0
     for arr in arrays:
-        crc = zlib.crc32(np.ascontiguousarray(arr).tobytes(), crc)
+        crc = zlib.crc32(np.ascontiguousarray(arr), crc)
     return crc
 
 

@@ -234,11 +234,13 @@ def result_response(
 ) -> dict:
     """A ``RESULT`` frame: digest + row count + per-query stats.
 
-    The digest is the same byte-level
+    The digest is the same value-level
     :func:`~repro.service.workload.result_digest` the in-process
-    harnesses use, so a remote result can be verified against a local
-    oracle without shipping the data; ``data`` rides along only when
-    requested and small enough.
+    harnesses use: equal iff column names, logical types, validity and
+    decoded values agree in row order, at a cost linear in the result,
+    not in the dictionaries behind it.  A remote result can so be
+    verified against a local oracle without shipping the data; ``data``
+    rides along only when requested and small enough.
     """
     body = {
         "type": "RESULT",

@@ -16,7 +16,7 @@ pieces and the tests' oracles:
   shuffled;
 * :func:`replay` runs a stream through an :class:`Engine` in order,
   recording per-item stats, the typed outcome and a result digest;
-* :func:`result_digest` is the byte-level identity handle every result
+* :func:`result_digest` is the value-level identity handle every result
   comparison uses.
 """
 
@@ -52,6 +52,7 @@ from ..expr.nodes import (
 from ..plan.query import QuerySpec, Relation
 from ..ssb import ALL_SSB_QUERY_IDS, generate_ssb, get_ssb_query
 from ..storage.catalog import Catalog
+from ..storage.column import Column
 from ..storage.dates import date_to_days, days_to_date
 from ..storage.table import Table
 from ..tpch import generate_tpch
@@ -248,25 +249,62 @@ def build_stream(
 # Replay
 # ----------------------------------------------------------------------
 def result_digest(table: Table) -> str:
-    """A byte-level digest of a result table (order-sensitive).
+    """A value-level digest of a result table (order-sensitive).
 
-    Hashes column names, physical buffers, decoded dictionaries and
-    validity, so two digests match iff the results are byte-identical.
-    An all-valid column digests the same whether it carries no mask or
-    an explicit all-true one — different execution paths are free to
-    drop a mask that no longer flags anything (null placeholders are
-    already canonical zeros, see :meth:`Column.take_nullable`).
+    Two tables digest equal iff their column names, logical types,
+    validity masks and decoded values agree in row order.  A STRING
+    column's physical encoding does not enter: the distinct values its
+    valid rows use are hashed in value order, length-prefixed, and then
+    each row's rank among them, so dictionary order, unused entries and
+    repeated entries are all invisible.  Other columns hash their
+    buffers; null placeholders there are canonical zeros (see
+    :meth:`Column.take_nullable`).  An all-valid column digests the same
+    whether it carries no mask or an explicit all-true one.
+
+    Cost is linear in the result: per STRING column, a set insert and
+    a dict lookup per valid row, then a sort and a UTF-8 encode of the
+    distinct values in use.  No dictionary entry the rows do not use is
+    ever read.
     """
     h = hashlib.sha256()
     for name in table.column_names:
         col = table.column(name)
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(col.data).tobytes())
+        _frame(h, name.encode("utf-8", "surrogatepass"))
+        _frame(h, col.dtype.value.encode())
+        data = col.data
         if col.dictionary is not None:
-            h.update("\x1f".join(map(str, col.dictionary)).encode())
+            values, data = _ranked_values(col)
+            _frame(h, values)
+        _frame(h, np.ascontiguousarray(data))
         if col.null_count():
-            h.update(np.ascontiguousarray(col.valid).tobytes())
+            _frame(h, np.ascontiguousarray(col.valid))
     return h.hexdigest()
+
+
+def _frame(h: hashlib._Hash, buf: bytes | np.ndarray) -> None:
+    """Feed ``buf`` to ``h`` behind its byte length, so no two field
+    sequences hash the same stream."""
+    h.update(memoryview(buf).nbytes.to_bytes(8, "little"))
+    h.update(buf)
+
+
+def _ranked_values(col: Column) -> tuple[bytes, np.ndarray]:
+    """A STRING column as its distinct used values in value order (their
+    count and UTF-8 lengths as int64, then their bytes) and each row's
+    int64 rank among them (0 under NULL)."""
+    codes = col.data if col.valid is None else col.data[col.valid]
+    # Decoding gathers references to the rows' entries only; a set of
+    # them costs one cached str hash per row.
+    values = col.dictionary[codes].tolist()
+    distinct = sorted(set(values))
+    rank_of = {value: rank for rank, value in enumerate(distinct)}
+    ranks = np.fromiter(map(rank_of.__getitem__, values), np.int64, len(values))
+    if col.valid is not None:
+        valid_ranks, ranks = ranks, np.zeros(len(col.data), dtype=np.int64)
+        ranks[col.valid] = valid_ranks
+    encoded = [v.encode("utf-8", "surrogatepass") for v in distinct]
+    lengths = np.array([len(encoded), *map(len, encoded)], dtype=np.int64)
+    return lengths.tobytes() + b"".join(encoded), ranks
 
 
 @dataclass

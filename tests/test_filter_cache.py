@@ -1,14 +1,22 @@
-"""Unit tests for the byte-budgeted LRU FilterCache."""
+"""Tests for the byte-budgeted LRU FilterCache and the payloads the
+per-query QueryCache stores in it."""
 
 from __future__ import annotations
 
 import threading
+import zlib
 
 import numpy as np
 import pytest
 
-from repro.cache.store import FilterCache, payload_nbytes
+from repro.cache.context import AliasKey, QueryCache
+from repro.cache.store import FilterCache, payload_checksum, payload_nbytes
+from repro.core.runner import RunConfig, run_query
+from repro.core.transfer import identity_rows
 from repro.filters.bloom import BloomFilter
+from repro.service.workload import result_digest
+from repro.testing.faults import FaultPlan, FaultRule, inject
+from repro.tpch import get_query
 
 
 def arr(n: int) -> np.ndarray:
@@ -127,6 +135,7 @@ def test_lineage_index_follows_evictions_and_invalidations():
 def test_payload_nbytes_kinds():
     assert payload_nbytes(arr(10)) == 80
     assert payload_nbytes({"a": arr(10), "b": arr(5)}) == 120
+    assert payload_nbytes({"a": arr(10), "all": 1_000_000}) == 80
     bloom = BloomFilter(capacity=100, fpp=0.01)
     assert payload_nbytes(bloom) == bloom.size_bytes()
 
@@ -158,3 +167,97 @@ def test_thread_safety_smoke():
         t.join()
     assert not errors
     assert cache.total_bytes <= 50_000
+
+
+def test_payload_checksum_reads_arrays_in_place():
+    """The CRC is the one ``tobytes()`` gives, strided or not."""
+    base = np.arange(64, dtype=np.int64).reshape(8, 8)
+    arrays = [
+        base,
+        base[:, ::3],
+        np.asfortranarray(base),
+        base.T,
+        identity_rows(50),
+        np.array([True, False, True]),
+    ]
+    for a in arrays:
+        assert payload_checksum(a) == zlib.crc32(a.tobytes())
+    want = zlib.crc32(arrays[1].tobytes(), zlib.crc32(arrays[0].tobytes()))
+    assert payload_checksum({"a": arrays[0], "b": arrays[1], "n": 7}) == want
+
+
+def test_prefilter_entry_stores_exactly_the_all_rows_aliases_as_counts():
+    cache = FilterCache()
+    query = QueryCache(cache, {a: AliasKey("t", 1, "") for a in "abcd"})
+    rows = {
+        "a": np.arange(5),
+        "b": np.array([0, 2, 4]),  # starts at 0, but is not every row
+        "c": np.array([1, 2]),
+        "d": np.arange(0),
+    }
+    query.put_prefilter([], "predtrans", "", rows)
+    fp = query.prefilter_fp([], "predtrans", "")
+    stored = cache.get(fp)
+    assert stored["a"] == 5 and stored["d"] == 0
+    assert stored["b"] is rows["b"] and stored["c"] is rows["c"]
+    got = query.get_prefilter(fp)
+    assert got.keys() == rows.keys()
+    for alias, want in rows.items():
+        assert np.array_equal(got[alias], want)
+
+
+def _prefilter_entries(monkeypatch) -> list[tuple[str, dict | None]]:
+    """Record every whole-prefilter lookup: its fingerprint and what it
+    returned."""
+    seen: list[tuple[str, dict | None]] = []
+    get = QueryCache.get_prefilter
+
+    def spy(self, fp):
+        out = get(self, fp)
+        seen.append((fp, out))
+        return out
+
+    monkeypatch.setattr(QueryCache, "get_prefilter", spy)
+    return seen
+
+
+def test_all_rows_survivors_are_cached_as_a_count(small_catalog, monkeypatch):
+    """Q18's lineitem survives whole: the entry stores its row count, is
+    charged nothing for it, and a hit hands back the shared read-only
+    identity vector."""
+    seen = _prefilter_entries(monkeypatch)
+    cache = FilterCache()
+    config = RunConfig(strategy="predtrans", filter_cache=cache)
+    spec = get_query(18, sf=0.01)
+    cold = run_query(spec, small_catalog, config=config)
+    warm = run_query(spec, small_catalog, config=config)
+    assert result_digest(cold.table) == result_digest(warm.table)
+    fp, rows = seen[-1]
+    n = small_catalog.get("lineitem").num_rows
+    assert rows is not None and len(rows["l"]) == n
+    assert not rows["l"].flags.writeable
+    assert np.shares_memory(rows["l"], identity_rows(n))
+    stored = cache.get(fp)
+    assert stored["l"] == n
+    assert payload_nbytes(stored) == 0 and payload_checksum(stored) is None
+
+
+def test_corruption_is_caught_beside_a_count(small_catalog, monkeypatch):
+    """Q10's entry keeps nation as a count and the other aliases as
+    arrays; a byte flipped in one of those is still a corruption and a
+    miss, and the rebuilt result is the cold one."""
+    seen = _prefilter_entries(monkeypatch)
+    cache = FilterCache()
+    config = RunConfig(strategy="predtrans", filter_cache=cache)
+    spec = get_query(10, sf=0.01)
+    cold = result_digest(run_query(spec, small_catalog, config=config).table)
+    fp, _ = seen[-1]
+    stored = cache.get(fp)
+    assert stored["n"] == small_catalog.get("nation").num_rows
+    arrays = [v for v in stored.values() if isinstance(v, np.ndarray)]
+    assert arrays and payload_nbytes(stored) == sum(a.nbytes for a in arrays)
+    with inject(FaultPlan([FaultRule("cache.get", "corrupt")])):
+        assert cache.get(fp) is None
+    assert cache.stats().corruptions == 1 and fp not in cache
+    warm = run_query(spec, small_catalog, config=config)
+    assert result_digest(warm.table) == cold

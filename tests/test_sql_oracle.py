@@ -24,6 +24,110 @@ SF, SEED = 0.01, 1
 
 #: TPC-H query text by query number, parameters as in the engine's spec.
 QUERIES: dict[int, str] = {
+    3: """
+        SELECT l_orderkey, o_orderdate, o_shippriority,
+               SUM(l_extendedprice * (1 - l_discount)) AS revenue
+        FROM customer, orders, lineitem
+        WHERE c_mktsegment = 'BUILDING'
+          AND c_custkey = o_custkey
+          AND l_orderkey = o_orderkey
+          AND o_orderdate < '1995-03-15'
+          AND l_shipdate > '1995-03-15'
+        GROUP BY l_orderkey, o_orderdate, o_shippriority
+        ORDER BY revenue DESC, o_orderdate
+        LIMIT 10
+    """,
+    5: """
+        SELECT n_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue
+        FROM customer, orders, lineitem, supplier, nation, region
+        WHERE c_custkey = o_custkey
+          AND l_orderkey = o_orderkey
+          AND l_suppkey = s_suppkey
+          AND c_nationkey = s_nationkey
+          AND s_nationkey = n_nationkey
+          AND n_regionkey = r_regionkey
+          AND r_name = 'ASIA'
+          AND o_orderdate >= '1994-01-01'
+          AND o_orderdate < '1995-01-01'
+        GROUP BY n_name
+        ORDER BY revenue DESC
+    """,
+    7: """
+        SELECT supp_nation, cust_nation, l_year, SUM(volume) AS revenue
+        FROM (
+            SELECT n1.n_name AS supp_nation, n2.n_name AS cust_nation,
+                   CAST(strftime('%Y', l_shipdate) AS INTEGER) AS l_year,
+                   l_extendedprice * (1 - l_discount) AS volume
+            FROM supplier, lineitem, orders, customer, nation n1, nation n2
+            WHERE s_suppkey = l_suppkey
+              AND o_orderkey = l_orderkey
+              AND c_custkey = o_custkey
+              AND s_nationkey = n1.n_nationkey
+              AND c_nationkey = n2.n_nationkey
+              AND ((n1.n_name = 'FRANCE' AND n2.n_name = 'GERMANY')
+                OR (n1.n_name = 'GERMANY' AND n2.n_name = 'FRANCE'))
+              AND l_shipdate BETWEEN '1995-01-01' AND '1996-12-31'
+        ) AS shipping
+        GROUP BY supp_nation, cust_nation, l_year
+        ORDER BY supp_nation, cust_nation, l_year
+    """,
+    8: """
+        SELECT o_year,
+               SUM(CASE WHEN nation = 'BRAZIL' THEN volume ELSE 0 END)
+                 / SUM(volume) AS mkt_share
+        FROM (
+            SELECT CAST(strftime('%Y', o_orderdate) AS INTEGER) AS o_year,
+                   l_extendedprice * (1 - l_discount) AS volume,
+                   n2.n_name AS nation
+            FROM part, supplier, lineitem, orders, customer,
+                 nation n1, nation n2, region
+            WHERE p_partkey = l_partkey
+              AND s_suppkey = l_suppkey
+              AND l_orderkey = o_orderkey
+              AND o_custkey = c_custkey
+              AND c_nationkey = n1.n_nationkey
+              AND n1.n_regionkey = r_regionkey
+              AND r_name = 'AMERICA'
+              AND s_nationkey = n2.n_nationkey
+              AND o_orderdate BETWEEN '1995-01-01' AND '1996-12-31'
+              AND p_type = 'ECONOMY ANODIZED STEEL'
+        ) AS all_nations
+        GROUP BY o_year
+        ORDER BY o_year
+    """,
+    10: """
+        SELECT c_custkey, c_name, c_acctbal, c_phone, n_name, c_address,
+               c_comment, SUM(l_extendedprice * (1 - l_discount)) AS revenue
+        FROM customer, orders, lineitem, nation
+        WHERE c_custkey = o_custkey
+          AND l_orderkey = o_orderkey
+          AND o_orderdate >= '1993-10-01'
+          AND o_orderdate < '1994-01-01'
+          AND l_returnflag = 'R'
+          AND c_nationkey = n_nationkey
+        GROUP BY c_custkey, c_name, c_acctbal, c_phone, n_name, c_address,
+                 c_comment
+        ORDER BY revenue DESC
+        LIMIT 20
+    """,
+    12: """
+        SELECT l_shipmode,
+               SUM(CASE WHEN o_orderpriority = '1-URGENT'
+                          OR o_orderpriority = '2-HIGH'
+                        THEN 1 ELSE 0 END) AS high_line_count,
+               SUM(CASE WHEN o_orderpriority <> '1-URGENT'
+                         AND o_orderpriority <> '2-HIGH'
+                        THEN 1 ELSE 0 END) AS low_line_count
+        FROM orders, lineitem
+        WHERE o_orderkey = l_orderkey
+          AND l_shipmode IN ('MAIL', 'SHIP')
+          AND l_commitdate < l_receiptdate
+          AND l_shipdate < l_commitdate
+          AND l_receiptdate >= '1994-01-01'
+          AND l_receiptdate < '1995-01-01'
+        GROUP BY l_shipmode
+        ORDER BY l_shipmode
+    """,
     13: """
         SELECT c_count, COUNT(*) AS custdist
         FROM (
