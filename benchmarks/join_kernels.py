@@ -8,7 +8,11 @@ TPC-H SF 0.5 proportions (``orders`` = ROWS/4, ``partsupp`` = ROWS/7.5).
 Each line is one ``join_indices`` call — build the index, probe it,
 enumerate the pairs — over build + probe rows, min of 5; the paths are
 chosen by ``repro.engine.hashjoin.BuildIndex`` from the keys alone, this
-script only makes keys that land on each of them.  The last lines time
+script only makes keys that land on each of them.  The "one partner per
+probe row" line times the operator instead: ``hash_join`` of a probe
+view with a selection vector against unique dense build keys, where
+every probe row finds one partner and the probe side is kept in place,
+plus one read of a probe-side column.  The last lines time
 composite-key packing (``normalize_join_keys``) on its own.
 """
 
@@ -23,9 +27,11 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from repro.engine.hashjoin import join_indices  # noqa: E402
+from repro.engine.hashjoin import hash_join, join_indices  # noqa: E402
 from repro.engine.keys import normalize_join_keys  # noqa: E402
 from repro.storage.column import Column  # noqa: E402
+from repro.storage.table import Table  # noqa: E402
+from repro.storage.view import TableView  # noqa: E402
 
 
 def best_seconds(fn: Callable[[], object], repeats: int = 5) -> float:
@@ -67,6 +73,29 @@ def main() -> None:
             f"{name:52s} {len(build):9d} {len(probe):9d} {pairs:9d} "
             f"{seconds * 1e3:8.1f} ms {seconds / rows * 1e9:6.1f} ns/row"
         )
+
+    # Every other lineitem row survives (a transfer's selection vector);
+    # each finds its one order.
+    l_table = Table("l", {
+        "l_orderkey": Column.from_ints(lineitem),
+        "l_quantity": Column.from_floats(rng.random(n)),
+    })
+    o_table = Table("o", {"o_orderkey": Column.from_ints(orders)})
+    survivors = np.arange(0, n, 2)
+
+    def one_partner() -> None:
+        probe = TableView.over(l_table, rows=survivors)
+        joined, stat = hash_join(probe, o_table, ["l_orderkey"], ["o_orderkey"])
+        assert stat.probe_kept
+        joined.column("l_quantity")
+
+    seconds = best_seconds(one_partner)
+    rows = len(survivors) + len(orders)
+    name = "one partner per probe row: hash_join + 1 column read"
+    print(
+        f"{name:52s} {len(orders):9d} {len(survivors):9d} {len(survivors):9d} "
+        f"{seconds * 1e3:8.1f} ms {seconds / rows * 1e9:6.1f} ns/row"
+    )
 
     packings = {
         "pack (partkey, suppkey), span product < 2**62": (l_columns, ps_columns),

@@ -298,8 +298,10 @@ def format_joins(stats: QueryStats, title: str) -> str:
     pre-stages first, then each block's join order (``--analyze``).
     ``est_rows`` is the optimizer's step estimate of the relation the
     join brought in (``-`` for a cross join); ``out/est`` above or below
-    1 is a misestimate the order was chosen by."""
-    headers = ["stage", "join", "HT", "PR", "est_rows", "out_rows", "out/est"]
+    1 is a misestimate the order was chosen by.  ``kept`` marks a join
+    that left its probe side in place (every probe row had one
+    partner)."""
+    headers = ["stage", "join", "HT", "PR", "est_rows", "out_rows", "out/est", "kept"]
     rows: list[list[object]] = []
     orders: list[str] = []
 
@@ -313,6 +315,7 @@ def format_joins(stats: QueryStats, title: str) -> str:
                 stage.query, j.label, j.ht_rows, j.pr_rows,
                 "-" if est is None else f"{est:.1f}", j.out_rows,
                 f"{j.out_rows / est:.2f}" if est else "-",
+                "yes" if j.probe_kept else "",
             ])
 
     walk(stats)

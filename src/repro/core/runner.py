@@ -898,7 +898,7 @@ def _bloom_prefilter(
 def _apply_post(spec: QuerySpec, table: AnyTable, stats: QueryStats) -> AnyTable:
     """Run the post pipeline; each operator pulls only the columns it
     reads through the (possibly lazy) input."""
-    for op in spec.post:
+    for op, following in zip(spec.post, [*spec.post[1:], None]):
         if isinstance(op, Aggregate):
             stats.rows_aggregated += table.num_rows
             table = group_aggregate(table, list(op.keys), list(op.aggs))
@@ -910,7 +910,9 @@ def _apply_post(spec: QuerySpec, table: AnyTable, stats: QueryStats) -> AnyTable
                 {name: evaluate(expr, table) for name, expr in op.outputs},
             )
         elif isinstance(op, Sort):
-            table = sort_table(table, list(op.by))
+            # ORDER BY ... LIMIT k sorts only the top-k candidates.
+            k = following.k if isinstance(following, Limit) else None
+            table = sort_table(table, list(op.by), k, stats)
         elif isinstance(op, Limit):
             table = limit(table, op.k)
         else:  # pragma: no cover - defensive

@@ -34,6 +34,20 @@ followed by a binary search per probe key produces (the reference kept
 in ``tests/test_hashjoin.py``).  Probing slices of the probe side
 against one index and concatenating gives the same triple.
 
+**One partner.**  When every probe row finds exactly one build row —
+a key–foreign-key join, and after predicate transfer nearly every join
+is one — the pairs are the probe side itself, in order: the probe
+returns ``probe_idx = None`` ("probe row ``i`` pairs with
+``build_idx[i]``") instead of an identity vector.  :func:`hash_join`
+then leaves the probe side in place: an ``inner`` join composes only
+the build side's selection vectors (:func:`~repro.storage.view
+.join_views`), a whole-table probe source stays whole, so its columns
+are later read without a gather, and a ``semi`` join that keeps every
+row (an ``anti`` join that keeps every row) returns its probe input.
+The slot → row layout detects the case with ``hit.all()`` after the key
+compare; CSR with every count 1.  ``JoinStat.probe_kept`` records it.
+``left`` joins are unchanged: null extension composes anyway.
+
 The index is built per call and never kept.  A build side recurs within
 a query only in self-join shapes, and then with other survivors: the
 per-query memo of sorted build sides this module once carried measured
@@ -159,8 +173,10 @@ class BuildIndex:
 
     def probe(
         self, probe_keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(probe_idx, build_idx, counts)`` as :func:`join_indices`."""
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        """``(probe_idx, build_idx, counts)`` as :func:`join_indices`,
+        except that ``probe_idx`` is ``None`` when every probe row has
+        exactly one partner: probe row ``i`` pairs with ``build_idx[i]``."""
         buckets = self._buckets(probe_keys)
         verify = self.shift is not None
         if self.rows is not None:
@@ -168,15 +184,20 @@ class BuildIndex:
             hit = rows >= 0
             if verify:
                 hit &= self.keys[rows] == probe_keys
+            if hit.all():
+                return None, rows.astype(np.intp), hit.view(np.int8)
             probe_idx = np.flatnonzero(hit)
-            if len(probe_idx) < len(rows):
-                rows = rows[probe_idx]
-            return probe_idx, rows.astype(np.intp), hit.view(np.int8)
+            return probe_idx, rows[probe_idx].astype(np.intp), hit.view(np.int8)
 
         assert self.offsets is not None
         starts = self.offsets[buckets]
         counts = self.offsets[1:][buckets]
         counts -= starts
+        if not verify and (counts == 1).all():
+            build_idx = starts.astype(np.intp)
+            if self.order is not None:
+                build_idx = self.order[build_idx]
+            return None, build_idx, counts
         probe_idx = np.repeat(np.arange(len(probe_keys)), counts)
         # Position in `order` of every pair: its probe row's run start
         # plus its rank within the run (global arange minus the
@@ -192,6 +213,8 @@ class BuildIndex:
             counts = np.bincount(probe_idx, minlength=len(probe_keys))
         if self.order is not None:
             build_idx = self.order[build_idx]
+        if verify and len(build_idx) == len(probe_keys) and (counts == 1).all():
+            return None, build_idx, counts
         return probe_idx, build_idx, counts
 
 
@@ -205,7 +228,12 @@ def join_indices(
     ascending build row — and ``counts[i]`` is the number of matches of
     probe row ``i`` (in whatever integer type the index produced).
     """
-    return BuildIndex(build_keys, len(probe_keys)).probe(probe_keys)
+    probe_idx, build_idx, counts = BuildIndex(build_keys, len(probe_keys)).probe(
+        probe_keys
+    )
+    if probe_idx is None:
+        probe_idx = np.arange(len(probe_keys))
+    return probe_idx, build_idx, counts
 
 
 def _valid_rows(
@@ -230,13 +258,14 @@ def _valid_rows(
 
 
 def _merge_columns(
-    probe: Table, build: Table, probe_idx: np.ndarray, build_idx: np.ndarray,
-    null_extend_build: bool,
+    probe: Table, build: Table, probe_idx: np.ndarray | None,
+    build_idx: np.ndarray, null_extend_build: bool,
 ) -> Table:
-    """Assemble the joined table from index vectors (eager path)."""
+    """Assemble the joined table from index vectors (eager path);
+    ``probe_idx=None`` keeps the probe columns as they are."""
     columns: dict[str, Column] = {}
     for name, column in probe.columns.items():
-        columns[name] = column.take(probe_idx)
+        columns[name] = column if probe_idx is None else column.take(probe_idx)
     for name, column in build.columns.items():
         if name in columns:
             raise ExecutionError(f"duplicate column {name!r} across join sides")
@@ -248,10 +277,11 @@ def _merge_columns(
 
 
 def _merge(
-    probe: AnyTable, build: AnyTable, probe_idx: np.ndarray,
+    probe: AnyTable, build: AnyTable, probe_idx: np.ndarray | None,
     build_idx: np.ndarray, null_extend_build: bool,
 ) -> AnyTable:
-    """Combine the join sides: lazily (views) or eagerly (tables).
+    """Combine the join sides: lazily (views) or eagerly (tables);
+    ``probe_idx=None`` pairs probe row ``i`` with ``build_idx[i]``.
 
     When either side is a :class:`TableView` the result is a composed
     view — index vectors only, no data columns gathered.  Two concrete
@@ -320,7 +350,9 @@ def hash_join(
 
     enumerate_pairs = how in ("inner", "left") or residual is not None
     index = BuildIndex(build_keys, len(probe_keys), pairs=enumerate_pairs)
-    probe_idx = build_idx = np.empty(0, dtype=np.intp)
+    # None: probe row i pairs with build_idx[i] (one partner per row).
+    probe_idx: np.ndarray | None = np.empty(0, dtype=np.intp)
+    build_idx = np.empty(0, dtype=np.intp)
     if enumerate_pairs:
         probe_idx, build_idx, counts = index.probe(probe_keys)
         if build_rows is not None:
@@ -328,23 +360,27 @@ def hash_join(
     else:
         counts = index.matched(probe_keys)
     if probe_rows is not None:
-        probe_idx = probe_rows[probe_idx]
+        probe_idx = probe_rows if probe_idx is None else probe_rows[probe_idx]
         restricted, counts = counts, np.zeros(probe.num_rows, dtype=counts.dtype)
         counts[probe_rows] = restricted
 
-    if residual is not None and len(probe_idx) > 0:
+    if residual is not None and len(build_idx) > 0:
         # On views this gathers only the columns the residual touches.
         pair_table = _merge(probe, build, probe_idx, build_idx, False)
         keep = evaluate_mask(residual, pair_table)
-        probe_idx, build_idx = probe_idx[keep], build_idx[keep]
-        counts = np.bincount(probe_idx, minlength=probe.num_rows)
+        if not keep.all():
+            probe_idx = np.flatnonzero(keep) if probe_idx is None else probe_idx[keep]
+            build_idx = build_idx[keep]
+            counts = np.bincount(probe_idx, minlength=probe.num_rows)
 
+    probe_kept = False
     if how == "inner":
         result = _merge(probe, build, probe_idx, build_idx, False)
-    elif how == "semi":
-        result = probe.filter(counts > 0)
-    elif how == "anti":
-        result = probe.filter(counts == 0)
+        probe_kept = probe_idx is None
+    elif how in ("semi", "anti"):
+        keep = counts > 0 if how == "semi" else counts == 0
+        probe_kept = bool(keep.all())
+        result = probe if probe_kept else probe.filter(keep)
     else:
         # Left outer: max(count, 1) rows per probe row, the pairs (already
         # in probe order) written over the slots of the matched ones.
@@ -360,6 +396,7 @@ def hash_join(
         pr_rows=pr_rows,
         out_rows=result.num_rows,
         seconds=time.perf_counter() - start,
+        probe_kept=probe_kept,
     )
     return result, stat
 

@@ -1,4 +1,14 @@
-"""Sorting, top-K and limit operators."""
+"""Sorting, top-K and limit operators.
+
+**Top-k.**  ``ORDER BY … LIMIT k`` over more than ``k`` rows selects
+before it sorts: the primary sort key is partitioned around its
+``k``-th smallest value, every row at or below that value is a
+candidate (ties included, in row order), and only the candidates are
+lexsorted.  The first ``k`` rows of that sort are the first ``k`` of
+the full one, because a stable sort restricted to a superset of the
+top ``k`` keeps their order.  When the primary key holds a NULL, or
+its ``k``-th value is a NaN, every row is a candidate.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +17,7 @@ import numpy as np
 from ..errors import ExecutionError
 from ..storage.column import Column, DType, strictly_increasing
 from ..storage.table import Table
+from .stats import QueryStats
 
 
 def _sort_key(column: Column, descending: bool) -> np.ndarray:
@@ -36,28 +47,63 @@ def _sort_key(column: Column, descending: bool) -> np.ndarray:
     return key
 
 
-def sort_table(table: Table, by: list[tuple[str, str]]) -> Table:
+def _top_candidates(column: Column, descending: bool, k: int) -> np.ndarray | None:
+    """Rows whose primary key is at most the ``k``-th smallest (``0 < k
+    < len(column)``), in row order; ``None`` when that cannot be told
+    from the key alone (a NULL, or a NaN ``k``-th value)."""
+    if column.valid is not None and not column.valid.all():
+        return None
+    key = _sort_key(column, descending)
+    kth = np.partition(key, k - 1)[k - 1]
+    if kth != kth:  # NaN sorts last: the candidates are not bounded
+        return None
+    return np.flatnonzero(key <= kth)
+
+
+def sort_table(
+    table: Table,
+    by: list[tuple[str, str]],
+    k: int | None = None,
+    stats: QueryStats | None = None,
+) -> Table:
     """Sort by a list of ``(column, "asc"|"desc")`` specs (stable).
 
     The first spec is the primary key, as in SQL ``ORDER BY``.  NULLs
-    sort last in either direction.
+    sort last in either direction.  With ``k`` only the first ``k``
+    rows are returned, and only the top-k candidates (see the module
+    docstring) are sorted.  ``stats.rows_sorted`` counts the rows that
+    entered the sort.
     """
+    rows: np.ndarray | None = None  # the top-k candidates, when only they are sorted
+    if k is not None and k < table.num_rows:
+        if k <= 0:
+            return table.head(0)
+        if by:
+            name, direction = by[0]
+            rows = _top_candidates(table.column(name), direction == "desc", k)
     if table.num_rows == 0 or not by:
-        return table
+        return table if k is None else table.head(k)
     keys = []
     for name, direction in reversed(by):  # lexsort: last key is primary
         if direction not in ("asc", "desc"):
             raise ExecutionError(f"bad sort direction {direction!r}")
         column = table.column(name)
+        if rows is not None:
+            column = column.take(rows)
         keys.append(_sort_key(column, direction == "desc"))
         if column.valid is not None:
             keys.append(~column.valid)  # outranks the key itself: NULLs last
-    return table.take(np.lexsort(keys))
+    order = np.lexsort(keys)
+    if stats is not None:
+        stats.rows_sorted += len(order)
+    if k is not None:
+        order = order[:k]
+    return table.take(order if rows is None else rows[order])
 
 
 def top_k(table: Table, by: list[tuple[str, str]], k: int) -> Table:
     """Sort and keep the first ``k`` rows (SQL ORDER BY ... LIMIT k)."""
-    return sort_table(table, by).head(k)
+    return sort_table(table, by, k)
 
 
 def limit(table: Table, k: int) -> Table:

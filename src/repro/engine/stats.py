@@ -24,7 +24,11 @@ class JoinStat:
 
     ``est_rows`` is the optimizer's estimate of ``out_rows``: the step
     estimate of the relation this join brought in (``None`` for a
-    cross join of two components, which has no step).
+    cross join of two components, which has no step).  ``probe_kept``
+    marks a join that left its probe side in place: every probe row
+    had exactly one partner (``inner``), or all of them were kept
+    (``semi``/``anti``), so no probe-side selection was composed (see
+    :mod:`repro.engine.hashjoin`).
     """
 
     label: str
@@ -33,6 +37,7 @@ class JoinStat:
     out_rows: int
     seconds: float = 0.0
     est_rows: float | None = None
+    probe_kept: bool = False
 
 
 #: ``EdgeStat.decision`` values.
@@ -216,7 +221,9 @@ class QueryStats:
     eliminated outright.
 
     ``rows_aggregated`` counts the rows entering this block's
-    ``Aggregate`` operators — an exact operation count, no clock.
+    ``Aggregate`` operators — an exact operation count, no clock — and
+    ``rows_sorted`` the rows entering its sorts: all of them for an
+    ``ORDER BY``, the top-k candidates for an ``ORDER BY … LIMIT k``.
     ``seeded`` marks a pre-stage that ran *deferred*, after its
     consumer's transfer phase and pre-filtered on its group key
     (:mod:`repro.core.prestage`).
@@ -259,6 +266,7 @@ class QueryStats:
     joins: list[JoinStat] = field(default_factory=list)
     transfer: TransferStats = field(default_factory=TransferStats)
     rows_aggregated: int = 0
+    rows_sorted: int = 0
     output_rows: int = 0
     seeded: bool = False
     stage_stats: list["QueryStats"] = field(default_factory=list)
@@ -335,6 +343,13 @@ class QueryStats:
         """Rows entering aggregates, including pre-stages'."""
         return self.rows_aggregated + sum(
             s.rows_aggregated_total for s in self.stage_stats
+        )
+
+    @property
+    def rows_sorted_total(self) -> int:
+        """Rows entering sorts, including pre-stages'."""
+        return self.rows_sorted + sum(
+            s.rows_sorted_total for s in self.stage_stats
         )
 
     @property

@@ -15,8 +15,10 @@ path allocation-free.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,6 +45,25 @@ _PHYSICAL: dict[DType, type[np.generic]] = {
 }
 
 
+# id(dictionary) -> (weak reference to it, strictly_increasing's answer).
+# The reference proves that an entry belongs to the live object holding
+# that id, and its callback drops the entry once the dictionary is
+# collected.  Readers take no lock: a stale or missing entry only costs
+# a recomputation.
+_INCREASING: dict[int, tuple[weakref.ref, bool]] = {}
+_INCREASING_LOCK = threading.RLock()  # a callback may fire inside the lock
+
+
+def _forget_increasing(key: int) -> Callable[[weakref.ref], None]:
+    def forget(ref: weakref.ref) -> None:
+        with _INCREASING_LOCK:
+            entry = _INCREASING.get(key)
+            if entry is not None and entry[0] is ref:
+                del _INCREASING[key]
+
+    return forget
+
+
 def strictly_increasing(dictionary: np.ndarray) -> bool:
     """True when every dictionary entry is below the next in Python order.
 
@@ -50,8 +71,22 @@ def strictly_increasing(dictionary: np.ndarray) -> bool:
     two codes.  :meth:`Column.from_strings`, :meth:`Column.from_pool` and
     :meth:`Column.concat` build such dictionaries; :meth:`Column.from_codes`
     keeps its pool's order, which need not be.
+
+    The answer is remembered per dictionary object.  Dictionaries are
+    immutable and shared by every column sliced or gathered from the same
+    base column, so a long dictionary (``p_name``) is compared once, not
+    once per sort or string predicate.
     """
-    return len(dictionary) < 2 or bool((dictionary[:-1] < dictionary[1:]).all())
+    if len(dictionary) < 2:
+        return True
+    key = id(dictionary)
+    entry = _INCREASING.get(key)
+    if entry is not None and entry[0]() is dictionary:
+        return entry[1]
+    answer = bool((dictionary[:-1] < dictionary[1:]).all())
+    with _INCREASING_LOCK:
+        _INCREASING[key] = (weakref.ref(dictionary, _forget_increasing(key)), answer)
+    return answer
 
 
 class Column:

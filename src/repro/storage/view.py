@@ -17,7 +17,11 @@ columns.  Three ingredients make the whole pipeline lazy:
   left-deep join therefore performs one ``int`` gather per source per
   join to maintain the vectors, and exactly one data gather per
   *output* column at materialization time, instead of N cascading
-  gathers per carried column.
+  gathers per carried column.  A join in which every probe row found
+  exactly one partner composes nothing on the probe side: its sources
+  pass into the result as they are (the very arrays, and ``None`` for
+  a whole table, whose columns are then read without a gather), and
+  only the build side's vectors are composed.
 
 Null extension (outer joins) is represented by ``-1`` entries in a
 source's index vector plus a ``nullable`` flag; materialization routes
@@ -236,23 +240,27 @@ def _compose_nullable(
 def join_views(
     probe: AnyTable,
     build: AnyTable,
-    probe_idx: np.ndarray,
+    probe_idx: np.ndarray | None,
     build_idx: np.ndarray,
     null_extend_build: bool,
 ) -> TableView:
     """Compose a join result view from matched index pairs.
 
-    ``probe_idx`` selects probe rows (always >= 0); ``build_idx``
-    selects build rows and may contain ``-1`` when
-    ``null_extend_build`` is set (left-outer unmatched rows).
+    ``probe_idx`` selects probe rows (always >= 0); ``None`` means
+    output row ``i`` is probe row ``i``, and the probe-side sources are
+    kept as they are.  ``build_idx`` selects build rows and may contain
+    ``-1`` when ``null_extend_build`` is set (left-outer unmatched rows).
     """
     pv, bv = as_view(probe), as_view(build)
-    probe_idx = np.asarray(probe_idx, dtype=np.intp)
     build_idx = np.asarray(build_idx, dtype=np.intp)
-    sources: list[_Source] = [
-        _Source(t, _compose(rows, probe_idx), nullable)
-        for t, rows, nullable in pv._sources
-    ]
+    if probe_idx is None:
+        sources = list(pv._sources)
+    else:
+        probe_idx = np.asarray(probe_idx, dtype=np.intp)
+        sources = [
+            _Source(t, _compose(rows, probe_idx), nullable)
+            for t, rows, nullable in pv._sources
+        ]
     offset = len(sources)
     for t, rows, nullable in bv._sources:
         if null_extend_build:
@@ -267,5 +275,5 @@ def join_views(
             raise SchemaError(f"duplicate column {name!r} across join sides")
         fields[name] = (src_i + offset, src_name)
     return TableView(
-        f"({pv.name}x{bv.name})", sources, fields, len(probe_idx)
+        f"({pv.name}x{bv.name})", sources, fields, len(build_idx)
     )

@@ -131,15 +131,15 @@ def test_format_joins_reports_estimates_against_actual_rows_and_the_order():
     stage = QueryStats(query="q17_avgqty", join_order=["l"])
     stats = QueryStats(query="q17", join_order=["p", "l", "a"], stage_stats=[stage])
     stats.joins = [
-        JoinStat("Join 1", 6, 1_000, 180, est_rows=90.0),
+        JoinStat("Join 1", 6, 1_000, 180, est_rows=90.0, probe_kept=True),
         JoinStat("Cross 1", 2, 3, 6),
     ]
     lines = format_joins(stats, title="joins").splitlines()
     header = [c.strip() for c in lines[1].split("|")]
-    assert header[-3:] == ["est_rows", "out_rows", "out/est"]
+    assert header[-4:] == ["est_rows", "out_rows", "out/est", "kept"]
     cells = [[c.strip() for c in line.split("|")] for line in lines[3:5]]
-    assert cells[0] == ["q17", "Join 1", "6", "1000", "90.0", "180", "2.00"]
-    assert cells[1][-3:] == ["-", "6", "-"]  # a cross join has no estimate
+    assert cells[0] == ["q17", "Join 1", "6", "1000", "90.0", "180", "2.00", "yes"]
+    assert cells[1][-4:] == ["-", "6", "-", ""]  # a cross join has no estimate
     assert lines[5:] == ["  join order of q17_avgqty: l", "  join order of q17: p l a"]
 
 

@@ -1,12 +1,17 @@
 """Unit tests for the Column vector type."""
 
+import gc
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchemaError
-from repro.storage.column import Column, DType
+from repro.storage import column as column_module
+from repro.storage.column import Column, DType, strictly_increasing
 
 
 def test_from_ints():
@@ -220,3 +225,70 @@ def test_validity_mask_shape_checked():
 def test_to_values_strings():
     col = Column.from_strings(["p", "q", "p"])
     assert list(col.to_values()) == ["p", "q", "p"]
+
+
+# ----------------------------------------------------------------------
+# strictly_increasing remembers its answer per dictionary object
+# ----------------------------------------------------------------------
+class _CountingStr(str):
+    """A ``str`` that counts its ``<`` comparisons."""
+
+    compared = 0
+
+    def __lt__(self, other):
+        type(self).compared += 1
+        return str.__lt__(self, other)
+
+
+def test_sortedness_is_compared_once_per_dictionary():
+    dictionary = np.array([_CountingStr(s) for s in "abcd"], dtype=object)
+    _CountingStr.compared = 0
+    assert strictly_increasing(dictionary)
+    first = _CountingStr.compared
+    assert first > 0
+    assert strictly_increasing(dictionary)
+    assert _CountingStr.compared == first  # the second call compares nothing
+    # Equal contents in another object are another dictionary.
+    unsorted = np.array([_CountingStr(s) for s in "dcba"], dtype=object)
+    assert not strictly_increasing(unsorted)
+    assert not strictly_increasing(unsorted)
+
+
+def test_sortedness_entry_dies_with_its_dictionary():
+    dictionary = np.array(["a", "b"], dtype=object)
+    assert strictly_increasing(dictionary)
+    key = id(dictionary)
+    assert key in column_module._INCREASING
+    del dictionary
+    gc.collect()
+    assert key not in column_module._INCREASING
+
+
+def test_sortedness_memo_under_threads():
+    # More threads than cores, dictionaries born and dropped all along
+    # (so ids are reused): every answer must be the dictionary's own.
+    errors = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+
+    def work(seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            words = sorted({f"w{v:03d}" for v in rng.integers(0, 50, 6)})
+            if rng.random() < 0.5:
+                words = words[::-1]
+            dictionary = np.array(words, dtype=object)
+            want = all(a < b for a, b in zip(words, words[1:]))
+            if strictly_increasing(dictionary) != want or strictly_increasing(dictionary) != want:
+                errors.append(words)
+
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert errors == []

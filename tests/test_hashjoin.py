@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from repro.engine.hashjoin import BuildIndex, hash_join, join_indices
 from repro.errors import ExecutionError
 from repro.expr.nodes import col, lit
-from repro.storage.column import Column
+from repro.storage.column import Column, DType
 from repro.storage.table import Table
+from repro.storage.view import TableView
 
 small_keys = st.lists(
     st.integers(min_value=0, max_value=8), min_size=0, max_size=30
@@ -612,6 +613,119 @@ def test_multi_key_null_in_any_column_blocks_match():
     out, _ = hash_join(ab, c.prefixed("c"), ["a.z", "b.y"], ["c.z", "c.y"])
     # Only row a.x=1 has a non-null (z, y) = (5, 10) tuple.
     assert out.column("a.x").to_pylist() == [1]
+
+
+# ----------------------------------------------------------------------
+# One partner per probe row: the probe side stays in place
+# ----------------------------------------------------------------------
+#: Spread of a key family: 1 addresses the table directly, 10**13 makes
+#: the build span too wide for that, so keys are hashed and compared.
+_LAYOUTS = {"dense": 1, "hashed": 10**13}
+
+
+@st.composite
+def _one_partner_case(draw):
+    """Unique build keys, and probe keys that each have one partner,
+    except in the ``lacks`` case (one has none) and the ``two`` case
+    (the build side repeats one probe row's key)."""
+    spread = _LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))]
+    build = [k * spread for k in draw(st.lists(st.integers(0, 40), min_size=1, max_size=20, unique=True))]
+    probe = draw(st.lists(st.sampled_from(build), min_size=1, max_size=20))
+    case = draw(st.sampled_from(["one", "lacks", "two"]))
+    j = draw(st.integers(0, len(probe) - 1))
+    if case == "lacks":
+        probe[j] = 41 * spread
+    elif case == "two":
+        build.insert(draw(st.integers(0, len(build))), probe[j])
+    # The probe side is a view of a larger table through a selection
+    # vector (or of the whole table); unselected rows carry other keys.
+    selected = draw(st.booleans())
+    n_base = len(probe) + (draw(st.integers(0, 5)) if selected else 0)
+    rows = sorted(draw(st.permutations(range(n_base)))[: len(probe)]) if selected else None
+    return case, probe, build, rows, n_base
+
+
+def _probe_view(probe_keys, rows, n_base):
+    keys = np.full(n_base, -7, dtype=np.int64)
+    positions = np.arange(n_base) if rows is None else np.asarray(rows)
+    keys[positions] = probe_keys
+    base = Table("p", {"pk": Column.from_ints(keys), "pid": Column.from_ints(np.arange(n_base))})
+    return TableView.over(base, rows=None if rows is None else np.asarray(rows, dtype=np.intp))
+
+
+def _probe_sources_kept(out, probe):
+    kept = out._sources[: len(probe._sources)]
+    return all(a.table is b.table and a.rows is b.rows for a, b in zip(kept, probe._sources))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_one_partner_case())
+def test_one_partner_joins_keep_the_probe_side(case_data):
+    case, probe_keys, build_keys, rows, n_base = case_data
+    probe = _probe_view(probe_keys, rows, n_base)
+    build = _t("b", bk=np.asarray(build_keys, dtype=np.int64), bid=np.arange(len(build_keys)))
+    pids = probe.column("pid").to_pylist()
+    pairs = [
+        (pids[i], j) for i, key in enumerate(probe_keys)
+        for j, other in enumerate(build_keys) if key == other
+    ]
+    matched = {i for i, key in enumerate(probe_keys) if key in build_keys}
+    one_partner = case == "one"
+
+    inner, stat = hash_join(probe, build, ["pk"], ["bk"])
+    assert list(zip(inner.column("pid").to_pylist(), inner.column("bid").to_pylist())) == pairs
+    assert stat.probe_kept == one_partner == _probe_sources_kept(inner, probe)
+    eager, _ = hash_join(probe.materialize(), build, ["pk"], ["bk"])
+    assert eager.to_rows() == inner.materialize().to_rows()
+
+    semi, stat = hash_join(probe, build, ["pk"], ["bk"], how="semi")
+    assert semi.column("pid").to_pylist() == [pids[i] for i in sorted(matched)]
+    assert (semi is probe) == (len(matched) == len(pids)) == stat.probe_kept
+    anti, stat = hash_join(probe, build, ["pk"], ["bk"], how="anti")
+    assert anti.column("pid").to_pylist() == [
+        pids[i] for i in range(len(pids)) if i not in matched
+    ]
+    assert (anti is probe) == (not matched) == stat.probe_kept
+
+
+def test_one_partner_probe_rows_restriction():
+    # BloomJoin's survivors all have one partner: the pairs are theirs.
+    probe = _t("p", pk=[1, 9, 2, 3], pid=[0, 1, 2, 3])
+    build = _t("b", bk=[3, 2, 1], bid=[0, 1, 2])
+    out, stat = hash_join(probe, build, ["pk"], ["bk"], probe_rows=np.array([0, 2, 3]))
+    assert out.to_rows() == [(1, 0, 1, 2), (2, 2, 2, 1), (3, 3, 3, 0)]
+    assert stat.pr_rows == 3 and not stat.probe_kept
+
+
+def test_one_partner_residual_that_drops_a_pair():
+    probe = TableView.over(_t("p", pk=[1, 2, 3], a=[5, 0, 5]))
+    build = _t("b", bk=[3, 2, 1], c=[1, 1, 1])
+    out, stat = hash_join(probe, build, ["pk"], ["bk"], residual=col("a").gt(col("c")))
+    assert out.materialize().to_rows() == [(1, 5, 1, 1), (3, 5, 3, 1)]
+    assert not stat.probe_kept
+    out, stat = hash_join(probe, build, ["pk"], ["bk"], residual=col("a").ge(col("c")))
+    assert [r[0] for r in out.materialize().to_rows()] == [1, 3]
+    kept, stat = hash_join(probe, build, ["pk"], ["bk"], residual=col("a").ge(lit(0)))
+    assert kept.num_rows == 3 and stat.probe_kept and _probe_sources_kept(kept, probe)
+
+
+def test_one_partner_null_keyed_probe_row():
+    # Every non-NULL probe key has one partner; the NULL one has none.
+    keys = Column(np.array([1, 2, 3], dtype=np.int64), DType.INT64, valid=np.array([True, False, True]))
+    probe = TableView.over(Table("p", {"pk": keys, "pid": Column.from_ints([0, 1, 2])}))
+    build = _t("b", bk=[3, 2, 1])
+    inner, stat = hash_join(probe, build, ["pk"], ["bk"])
+    assert inner.column("pid").to_pylist() == [0, 2] and not stat.probe_kept
+    semi, _ = hash_join(probe, build, ["pk"], ["bk"], how="semi")
+    assert semi.column("pid").to_pylist() == [0, 2]
+    anti, _ = hash_join(probe, build, ["pk"], ["bk"], how="anti")
+    assert anti.column("pid").to_pylist() == [1]
+
+
+def test_anti_join_with_no_match_returns_the_probe():
+    probe = TableView.over(_t("p", pk=[1, 2]))
+    out, stat = hash_join(probe, _t("b", bk=[5]), ["pk"], ["bk"], how="anti")
+    assert out is probe and stat.probe_kept
 
 
 # ----------------------------------------------------------------------

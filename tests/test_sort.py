@@ -1,9 +1,12 @@
 """Unit tests for sort / top-k / limit."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.hashjoin import hash_join
 from repro.engine.sort import limit, sort_table, top_k
+from repro.engine.stats import QueryStats
 from repro.storage.column import Column, DType
 from repro.storage.table import Table
 
@@ -139,3 +142,88 @@ def test_bool_and_date_keys_descending():
         (True, "1994-01-01"),
         (False, "1993-06-01"),
     ]
+
+
+# ----------------------------------------------------------------------
+# ORDER BY ... LIMIT k: sort_table(t, by, k) == sort_table(t, by).head(k)
+# ----------------------------------------------------------------------
+_BIG = 2**53
+
+
+def _int_values(draw, n):
+    # Above 2**53, where float64 would tie neighbours, with ties.
+    return [_BIG + draw(st.integers(-3, 3)) for _ in range(n)]
+
+
+def _column(draw, kind, n):
+    """A column of ``kind`` with ``n`` rows, NULLs drawn in."""
+    if kind == "int":
+        column = Column.from_ints(_int_values(draw, n))
+    elif kind == "float":
+        nan = float("nan")  # often enough to be the k-th value
+        pool = st.sampled_from([0.0, -0.0, 1.5, -2.5, nan, nan, nan, 1e300])
+        column = Column.from_floats([draw(pool) for _ in range(n)])
+    elif kind == "string":
+        column = Column.from_strings([draw(st.sampled_from("abcd")) for _ in range(n)])
+    elif kind == "pool":
+        # Unsorted, with a repeated entry under two codes.
+        pool = np.array(["m", "b", "z", "b", "a\x00"], dtype=object)
+        column = Column.from_codes(
+            np.array([draw(st.integers(0, len(pool) - 1)) for _ in range(n)]), pool
+        )
+    elif kind == "date":
+        column = Column.from_days(np.array([draw(st.integers(9000, 9003)) for _ in range(n)]))
+    else:
+        column = Column.from_bools([draw(st.booleans()) for _ in range(n)])
+    if draw(st.booleans()):
+        valid = np.array([draw(st.booleans()) for _ in range(n)], dtype=np.bool_)
+        column = Column(column.data, column.dtype, column.dictionary, valid)
+    return column
+
+
+_KINDS = ("int", "float", "string", "pool", "date", "bool")
+
+
+@st.composite
+def _sort_cases(draw):
+    n = draw(st.integers(0, 30))
+    kinds = draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=3))
+    columns = {f"c{i}": _column(draw, kind, n) for i, kind in enumerate(kinds)}
+    columns["rid"] = Column.from_ints(np.arange(n))
+    by = [(f"c{i}", draw(st.sampled_from(["asc", "desc"]))) for i in range(len(kinds))]
+    k = draw(st.sampled_from([0, 1, n - 1, n, n + 5]).filter(lambda k: k >= 0))
+    return Table("t", columns), by, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sort_cases())
+def test_top_k_equals_sort_then_head(case):
+    table, by, k = case
+    # Compared by row id: NaN != NaN would fail a comparison of values.
+    got = sort_table(table, by, k).column("rid").to_pylist()
+    assert got == sort_table(table, by).head(k).column("rid").to_pylist()
+    assert top_k(table, by, k).column("rid").to_pylist() == got
+
+
+def test_top_k_with_a_nan_or_null_at_the_kth_place():
+    nan = float("nan")
+    floats = Column.from_floats([nan, 2.0, nan, -0.0, 0.0, nan])
+    nulls = Column(floats.data, DType.FLOAT64, valid=np.array([1, 1, 0, 1, 0, 1], dtype=bool))
+    for column in (floats, nulls):
+        t = Table("t", {"a": column, "rid": Column.from_ints(np.arange(6))})
+        for direction in ("asc", "desc"):
+            for k in range(7):
+                by = [("a", direction)]
+                got = sort_table(t, by, k).column("rid").to_pylist()
+                assert got == sort_table(t, by).head(k).column("rid").to_pylist()
+
+
+def test_top_k_sorts_only_its_candidates():
+    rng = np.random.default_rng(0)
+    t = Table("t", {"a": Column.from_ints(rng.permutation(100_000))})
+    stats = QueryStats()
+    top = sort_table(t, [("a", "desc")], 10, stats)
+    assert top.column("a").to_pylist() == list(range(99_999, 99_989, -1))
+    assert stats.rows_sorted == 10
+    sort_table(t, [("a", "desc")], None, stats)
+    assert stats.rows_sorted == 10 + 100_000

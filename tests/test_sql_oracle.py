@@ -6,16 +6,22 @@ strings, which compare in date order), and each query runs from its
 TPC-H text with the parameters of the engine's spec.  Results are
 compared as multisets of rows, floats at a relative 1e-9, under every
 strategy.  A query joins the check by adding its text to ``QUERIES``.
+
+A ``"stripped-<id>"`` key is query ``<id>`` with every local predicate
+of its relations dropped: the benchmark's transfer-adverse join graphs,
+whose full-size foreign-key joins give every probe row one partner.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sqlite3
 
 import pytest
 
 from repro.core.runner import STRATEGIES, RunConfig, run_query
+from repro.plan.query import QuerySpec
 from repro.storage.catalog import Catalog
 from repro.storage.column import DType
 from repro.tpch import generate_tpch, get_query
@@ -23,7 +29,29 @@ from repro.tpch import generate_tpch, get_query
 SF, SEED = 0.01, 1
 
 #: TPC-H query text by query number, parameters as in the engine's spec.
-QUERIES: dict[int, str] = {
+QUERIES: dict[int | str, str] = {
+    2: """
+        SELECT s_acctbal, s_name, n_name, p_partkey, p_mfgr, s_address,
+               s_phone, s_comment
+        FROM part, supplier, partsupp, nation, region
+        WHERE p_partkey = ps_partkey
+          AND s_suppkey = ps_suppkey
+          AND p_size = 15
+          AND p_type LIKE '%BRASS'
+          AND s_nationkey = n_nationkey
+          AND n_regionkey = r_regionkey
+          AND r_name = 'EUROPE'
+          AND ps_supplycost = (
+                SELECT MIN(ps_supplycost)
+                FROM partsupp, supplier, nation, region
+                WHERE p_partkey = ps_partkey
+                  AND s_suppkey = ps_suppkey
+                  AND s_nationkey = n_nationkey
+                  AND n_regionkey = r_regionkey
+                  AND r_name = 'EUROPE')
+        ORDER BY s_acctbal DESC, n_name, s_name, p_partkey
+        LIMIT 100
+    """,
     3: """
         SELECT l_orderkey, o_orderdate, o_shippriority,
                SUM(l_extendedprice * (1 - l_discount)) AS revenue
@@ -175,6 +203,79 @@ QUERIES: dict[int, str] = {
         ORDER BY numwait DESC, s_name
         LIMIT 100
     """,
+    "stripped-3": """
+        SELECT l_orderkey, o_orderdate, o_shippriority,
+               SUM(l_extendedprice * (1 - l_discount)) AS revenue
+        FROM customer, orders, lineitem
+        WHERE c_custkey = o_custkey
+          AND l_orderkey = o_orderkey
+        GROUP BY l_orderkey, o_orderdate, o_shippriority
+        ORDER BY revenue DESC, o_orderdate
+        LIMIT 10
+    """,
+    "stripped-5": """
+        SELECT n_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue
+        FROM customer, orders, lineitem, supplier, nation, region
+        WHERE c_custkey = o_custkey
+          AND l_orderkey = o_orderkey
+          AND l_suppkey = s_suppkey
+          AND c_nationkey = s_nationkey
+          AND s_nationkey = n_nationkey
+          AND n_regionkey = r_regionkey
+        GROUP BY n_name
+        ORDER BY revenue DESC
+    """,
+    # The nation pair is a residual of the join graph, not a local
+    # predicate: stripping keeps it.
+    "stripped-7": """
+        SELECT supp_nation, cust_nation, l_year, SUM(volume) AS revenue
+        FROM (
+            SELECT n1.n_name AS supp_nation, n2.n_name AS cust_nation,
+                   CAST(strftime('%Y', l_shipdate) AS INTEGER) AS l_year,
+                   l_extendedprice * (1 - l_discount) AS volume
+            FROM supplier, lineitem, orders, customer, nation n1, nation n2
+            WHERE s_suppkey = l_suppkey
+              AND o_orderkey = l_orderkey
+              AND c_custkey = o_custkey
+              AND s_nationkey = n1.n_nationkey
+              AND c_nationkey = n2.n_nationkey
+              AND ((n1.n_name = 'FRANCE' AND n2.n_name = 'GERMANY')
+                OR (n1.n_name = 'GERMANY' AND n2.n_name = 'FRANCE'))
+        ) AS shipping
+        GROUP BY supp_nation, cust_nation, l_year
+        ORDER BY supp_nation, cust_nation, l_year
+    """,
+    "stripped-12": """
+        SELECT l_shipmode,
+               SUM(CASE WHEN o_orderpriority = '1-URGENT'
+                          OR o_orderpriority = '2-HIGH'
+                        THEN 1 ELSE 0 END) AS high_line_count,
+               SUM(CASE WHEN o_orderpriority <> '1-URGENT'
+                         AND o_orderpriority <> '2-HIGH'
+                        THEN 1 ELSE 0 END) AS low_line_count
+        FROM orders, lineitem
+        WHERE o_orderkey = l_orderkey
+        GROUP BY l_shipmode
+        ORDER BY l_shipmode
+    """,
+    "stripped-14": """
+        SELECT 100.0 * SUM(CASE WHEN p_type LIKE 'PROMO%'
+                                THEN l_extendedprice * (1 - l_discount)
+                                ELSE 0 END)
+               / SUM(l_extendedprice * (1 - l_discount)) AS promo_revenue
+        FROM lineitem, part
+        WHERE l_partkey = p_partkey
+    """,
+    "stripped-c1": """
+        SELECT n_name, COUNT(n_nationkey) AS pairs,
+               SUM(s_acctbal) AS supplier_acctbal
+        FROM supplier, customer, nation
+        WHERE s_nationkey = n_nationkey
+          AND c_nationkey = n_nationkey
+          AND s_nationkey = c_nationkey
+        GROUP BY n_name
+        ORDER BY n_name
+    """,
 }
 
 _SQL_TYPES = {
@@ -186,7 +287,22 @@ _SQL_TYPES = {
 }
 
 #: Lookup indexes for the correlated subqueries; they change no result.
-_INDEXES = ("CREATE INDEX lineitem_orderkey ON lineitem (l_orderkey)",)
+_INDEXES = (
+    "CREATE INDEX lineitem_orderkey ON lineitem (l_orderkey)",
+    "CREATE INDEX partsupp_partkey ON partsupp (ps_partkey)",
+)
+
+
+def spec_of(query: int | str) -> QuerySpec:
+    """The engine's spec of a ``QUERIES`` key."""
+    if isinstance(query, int):
+        return get_query(query, sf=SF)
+    base = query.removeprefix("stripped-")
+    spec = get_query(int(base) if base.isdigit() else base, sf=SF)
+    return dataclasses.replace(
+        spec,
+        relations=[dataclasses.replace(r, predicate=None) for r in spec.relations],
+    )
 
 
 def load_sqlite(catalog: Catalog) -> sqlite3.Connection:
@@ -249,11 +365,9 @@ def sqlite_rows(catalog) -> dict[int, list[tuple]]:
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("query", sorted(QUERIES))
+@pytest.mark.parametrize("query", sorted(QUERIES, key=str))
 def test_engine_equals_sqlite(catalog, sqlite_rows, query, strategy):
-    result = run_query(
-        get_query(query, sf=SF), catalog, config=RunConfig(strategy=strategy)
-    )
+    result = run_query(spec_of(query), catalog, config=RunConfig(strategy=strategy))
     assert_same_rows(result.table.to_rows(), sqlite_rows[query])
 
 

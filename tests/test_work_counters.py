@@ -3,10 +3,13 @@
 The 20 ``BENCH_QUERY_IDS`` run at SF 0.1, seed 1, cold (no filter
 cache), under predicate transfer and under the no-transfer baseline.
 Per query and strategy, the record pins the join order of every block,
-the join input rows and the rows entering aggregates (pre-stages
-included); under predicate transfer also the kind of every shipped
-edge (pre-stages first, as ``--analyze`` lists them) and the rows
-probed by Bloom filters and by presence bitmaps.  Each is a
+the join input rows, the rows entering aggregates and sorts, and the
+joins that left their probe side in place (pre-stages included); under
+predicate transfer also the kind of every shipped edge (pre-stages
+first, as ``--analyze`` lists them) and the rows probed by Bloom
+filters and by presence bitmaps.  An ``adverse`` section pins the same
+counters under predicate transfer for the join graphs of
+``ADVERSE_IDS`` with every local predicate dropped.  Each is a
 function of (code, seed, SF) — no clock, no tracer — so the comparison
 is ``==`` and has no noise.  A change that moves one of them either is
 a bug or says so by rewriting the record:
@@ -18,6 +21,7 @@ and committing the diff beside the change that explains it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 
@@ -30,6 +34,9 @@ from repro.tpch import BENCH_QUERY_IDS, generate_tpch, get_query
 SF, SEED = 0.1, 1
 RECORD = pathlib.Path(__file__).with_name("work_counters_sf0.1_seed1.json")
 STRATEGIES = ("predtrans", "nopredtrans")
+#: Queries run with every ``Relation.predicate`` dropped (the benchmark's
+#: transfer-adverse suite).
+ADVERSE_IDS = (3, 5, 7, 12, 14, "c1")
 
 #: The single-key edges into ``lineitem`` that shipped Bloom filters
 #: under the "never larger" size rule, and must now ship bitmaps.
@@ -57,6 +64,8 @@ def counters(stats: QueryStats, strategy: str) -> dict[str, object]:
         "join_order": [f"{stage.query} {' '.join(stage.join_order)}" for stage in stages],
         "join_input_rows": stats.total_join_input_rows(),
         "rows_aggregated": stats.rows_aggregated_total,
+        "rows_sorted": stats.rows_sorted_total,
+        "joins_kept": sum(j.probe_kept for j in stats.all_joins()),
     }
     if strategy == "predtrans":
         out["edges"] = [
@@ -70,20 +79,29 @@ def counters(stats: QueryStats, strategy: str) -> dict[str, object]:
     return out
 
 
+def _stripped(spec):
+    return dataclasses.replace(
+        spec,
+        relations=[dataclasses.replace(r, predicate=None) for r in spec.relations],
+    )
+
+
 def measure() -> dict[str, dict[str, dict[str, object]]]:
     catalog = generate_tpch(sf=SF, seed=SEED)
-    return {
+
+    def run(spec, strategy: str) -> dict[str, object]:
+        stats = run_query(spec, catalog, config=RunConfig(strategy=strategy)).stats
+        return counters(stats, strategy)
+
+    record = {
         strategy: {
-            f"q{qid}": counters(
-                run_query(
-                    get_query(qid, sf=SF), catalog, config=RunConfig(strategy=strategy)
-                ).stats,
-                strategy,
-            )
-            for qid in BENCH_QUERY_IDS
+            f"q{qid}": run(get_query(qid, sf=SF), strategy) for qid in BENCH_QUERY_IDS
         }
         for strategy in STRATEGIES
     }
+    adverse = [_stripped(get_query(qid, sf=SF)) for qid in ADVERSE_IDS]
+    record["adverse"] = {spec.name: run(spec, "predtrans") for spec in adverse}
+    return record
 
 
 @pytest.fixture(scope="module")
