@@ -140,13 +140,13 @@ def test_ablation_pruning(catalog_large):
     )
     print(
         f"\nAblation pruning (q9): ungated {plain_s:.4f}s "
-        f"({plain.filters_built} filters) vs gated {gated_s:.4f}s "
-        f"({gated.filters_built} filters, {gated.edges_pruned} skipped: "
+        f"({plain.edges_traversed} filters) vs gated {gated_s:.4f}s "
+        f"({gated.edges_traversed} filters, {gated.edges_pruned} skipped: "
         f"{[f'{e.src}->{e.dst}' for e in gated.edges if not e.shipped]})"
     )
     assert gated_rows == plain_rows
-    assert (plain.filters_built, plain.edges_pruned) == (14, 0)
-    assert (gated.filters_built, gated.edges_pruned) == (10, 4)
+    assert (plain.edges_traversed, plain.edges_pruned) == (14, 0)
+    assert (gated.edges_traversed, gated.edges_pruned) == (10, 4)
 
 
 def test_ablation_passes(catalog_large):

@@ -61,7 +61,11 @@ def main() -> None:
     for strategy in ("nopredtrans", "bloomjoin", "yannakakis", "predtrans"):
         result = run_query(spec, catalog, strategy=strategy)
         transfer = result.stats.transfer
-        join_inputs = result.stats.total_join_input_rows()
+        join_inputs = sum(
+            j.ht_rows + j.pr_rows
+            for block in result.stats.blocks()
+            for j in block.joins
+        )
         print(
             f"{strategy:12s}: {result.table.num_rows} result rows, "
             f"{transfer.total_rows_after():3d}/{transfer.total_rows_before():3d} "

@@ -67,7 +67,7 @@ def print_edges(catalog, sf: float) -> None:
         print()
         print(format_edges(stats, title=f"Transfer edges of {variant.name}"))
         print(
-            f"{stats.transfer.filters_built} filters shipped, "
+            f"{stats.transfer.edges_traversed} filters shipped, "
             f"{stats.transfer.edges_pruned} edges skipped, "
             f"{stats.transfer.reduction():.1%} of rows pre-filtered"
         )

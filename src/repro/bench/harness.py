@@ -268,13 +268,11 @@ def format_edges(stats: QueryStats, title: str) -> str:
     def per(seconds: float, count: int) -> str:
         return f"{seconds * 1e9 / count:.1f}" if count else "-"
 
-    def walk(stage: QueryStats) -> None:
-        for sub in stage.stage_stats:
-            walk(sub)
-        for e in stage.transfer.edges:
+    for block in stats.blocks():
+        for e in block.transfer.edges:
             seeds = f" (seeds {e.seeds})" if e.seeds else ""
             row: list[object] = [
-                stage.query, e.pass_index, f"{e.src} -> {e.dst}{seeds}",
+                block.query, e.pass_index, f"{e.src} -> {e.dst}{seeds}",
                 ",".join(e.key_columns), e.decision,
             ]
             if e.shipped:
@@ -288,8 +286,6 @@ def format_edges(stats: QueryStats, title: str) -> str:
             else:
                 row += ["-"] * 9
             rows.append(row)
-
-    walk(stats)
     return format_table(headers, rows, title=title)
 
 
@@ -305,20 +301,16 @@ def format_joins(stats: QueryStats, title: str) -> str:
     rows: list[list[object]] = []
     orders: list[str] = []
 
-    def walk(stage: QueryStats) -> None:
-        for sub in stage.stage_stats:
-            walk(sub)
-        orders.append(f"  join order of {stage.query}: {' '.join(stage.join_order)}")
-        for j in stage.joins:
+    for block in stats.blocks():
+        orders.append(f"  join order of {block.query}: {' '.join(block.join_order)}")
+        for j in block.joins:
             est = j.est_rows
             rows.append([
-                stage.query, j.label, j.ht_rows, j.pr_rows,
+                block.query, j.label, j.ht_rows, j.pr_rows,
                 "-" if est is None else f"{est:.1f}", j.out_rows,
                 f"{j.out_rows / est:.2f}" if est else "-",
                 "yes" if j.probe_kept else "",
             ])
-
-    walk(stats)
     return "\n".join([format_table(headers, rows, title=title), *orders])
 
 

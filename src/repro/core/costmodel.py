@@ -115,19 +115,14 @@ def cost_from_stats(stats: QueryStats, params: CostParams | None = None) -> floa
     (and, lacking the hash, costs no more).
     """
     params = params or CostParams()
-    transfer = stats.transfer
     cost = 0.0
-    cost += params.beta * (
-        transfer.bloom_inserts
-        + transfer.bloom_probes
-        + transfer.bitmap_inserts
-        + transfer.bitmap_probes
-    )
-    cost += transfer.hash_inserts + transfer.hash_probes
-    for join in stats.joins:  # own joins only; stages recurse below
-        cost += join.ht_rows + join.pr_rows
-    for stage in stats.stage_stats:
-        cost += cost_from_stats(stage, params)
+    for block in stats.blocks():
+        t = block.transfer
+        cost += params.beta * sum(
+            t.inserted(kind) + t.probed(kind) for kind in ("bloom", "bitmap")
+        )
+        cost += t.inserted("exact") + t.probed("exact")
+        cost += sum(j.ht_rows + j.pr_rows for j in block.joins)
     return cost
 
 

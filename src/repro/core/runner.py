@@ -630,15 +630,13 @@ def _scan_selection(
 def _scan_view(base: Table, alias: str, live: set[str] | None) -> TableView:
     """A pruned, ``alias.column``-qualified zero-copy view of ``base``.
 
-    Mirrors :meth:`Table.prefixed` naming (already-qualified names keep
-    only their trailing part) but wraps just the live columns — no
-    column buffer is touched either way.
+    Scan naming (:func:`_qualified_mapping`), but wraps just the live
+    columns — no column buffer is touched either way.
     """
-    mapping: dict[str, str] = {}
-    for name in base.columns:
-        short = name.split(".", 1)[1] if "." in name else name
-        if live is None or short in live:
-            mapping[f"{alias}.{short}"] = name
+    mapping = _qualified_mapping(base, alias)
+    if live is not None:
+        skip = len(alias) + 1
+        mapping = {q: name for q, name in mapping.items() if q[skip:] in live}
     return TableView.over(base, name=alias, columns=mapping)
 
 

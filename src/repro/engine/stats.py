@@ -11,11 +11,18 @@ collected here so the benchmark harness can print paper-style tables:
   rows probed and passed, bytes, seconds (:class:`EdgeStat`) — from
   which the filter operation counts (hash vs Bloom vs bitmap
   inserts/probes) backing the §3.5 cost-model ablations are derived.
+
+A query with pre-stages (separately planned blocks whose output it
+reads) keeps one :class:`QueryStats` per block.  A block's counts and
+clocks cover that block only; :meth:`QueryStats.blocks` walks a
+query's blocks and :meth:`QueryStats.total` rolls a field up over
+them, so each query-level total has one definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Literal, get_args, overload
 
 
 @dataclass
@@ -98,10 +105,6 @@ class EdgeStat:
         return self.rows_passed / self.rows_probed if self.rows_probed else 1.0
 
 
-def _keys_built(edges: list[EdgeStat]) -> int:
-    return sum(e.keys_inserted for e in edges if e.provenance == "built")
-
-
 @dataclass
 class TransferStats:
     """What the pre-filter phase did: one :class:`EdgeStat` per transfer
@@ -137,51 +140,29 @@ class TransferStats:
         ]
 
     @property
-    def filters_built(self) -> int:
-        """Filters shipped (built here or served from the cache)."""
-        return len(self.shipped())
-
-    @property
     def edges_traversed(self) -> int:
-        """One per shipped filter."""
-        return self.filters_built
+        """One per shipped filter (built here or served from the cache)."""
+        return len(self.shipped())
 
     @property
     def edges_pruned(self) -> int:
         """Edges the schedule's gate skipped."""
-        return len(self.edges) - self.filters_built
+        return len(self.edges) - self.edges_traversed
 
     @property
     def filter_bytes(self) -> int:
         return sum(e.filter_bytes for e in self.shipped())
 
-    @property
-    def bloom_inserts(self) -> int:
-        """Keys this query inserted into Bloom filters (a filter served
-        from the cache inserted none)."""
-        return _keys_built(self.shipped("bloom"))
+    def inserted(self, kind: str) -> int:
+        """Keys this query inserted into filters of ``kind`` (a filter
+        served from the cache inserted none)."""
+        return sum(
+            e.keys_inserted for e in self.shipped(kind) if e.provenance == "built"
+        )
 
-    @property
-    def hash_inserts(self) -> int:
-        """Keys this query inserted into exact key sets."""
-        return _keys_built(self.shipped("exact"))
-
-    @property
-    def bitmap_inserts(self) -> int:
-        """Keys this query scattered into presence bitmaps."""
-        return _keys_built(self.shipped("bitmap"))
-
-    @property
-    def bloom_probes(self) -> int:
-        return sum(e.rows_probed for e in self.shipped("bloom"))
-
-    @property
-    def hash_probes(self) -> int:
-        return sum(e.rows_probed for e in self.shipped("exact"))
-
-    @property
-    def bitmap_probes(self) -> int:
-        return sum(e.rows_probed for e in self.shipped("bitmap"))
+    def probed(self, kind: str) -> int:
+        """Rows probed against filters of ``kind``."""
+        return sum(e.rows_probed for e in self.shipped(kind))
 
     def total_rows_before(self) -> int:
         """Total base rows entering the pre-filter phase."""
@@ -197,6 +178,33 @@ class TransferStats:
         if before == 0:
             return 0.0
         return 1.0 - self.total_rows_after() / before
+
+
+#: The own-block fields of :class:`QueryStats` that add up over a
+#: query's blocks, and so the only names :meth:`QueryStats.total`
+#: accepts.  The others do not: ``filters_degraded``,
+#: ``mem_peak_bytes`` and ``memory_budget_bytes`` are copied onto every
+#: block from the query's shared ``QueryContext``,
+#: ``filter_cache_bytes`` snapshots the store's occupancy, and
+#: ``output_rows`` counts a different relation in each block.
+Seconds = Literal[
+    "scan_seconds",
+    "transfer_seconds",
+    "join_seconds",
+    "post_seconds",
+    "materialize_seconds",
+]
+Count = Literal[
+    "bytes_materialized",
+    "filter_cache_hits",
+    "filter_cache_misses",
+    "filter_cache_errors",
+    "partitions_total",
+    "partitions_pruned",
+    "rows_aggregated",
+    "rows_sorted",
+]
+_ADDITIVE = frozenset(get_args(Seconds) + get_args(Count))
 
 
 @dataclass
@@ -282,99 +290,54 @@ class QueryStats:
         """
         return "degraded" if self.filters_degraded else "ok"
 
+    def blocks(self) -> Iterator[QueryStats]:
+        """The query's blocks: its pre-stages depth-first, then this
+        block — the order ``--analyze`` lists them in."""
+        for stage in self.stage_stats:
+            yield from stage.blocks()
+        yield self
+
+    @overload
+    def total(self, name: Seconds) -> float:
+        ...
+
+    @overload
+    def total(self, name: Count) -> int:
+        ...
+
+    def total(self, name: str) -> float:
+        """Own-block field ``name`` summed over :meth:`blocks`; refuses
+        a field that does not add up (see :data:`Seconds`)."""
+        if name not in _ADDITIVE:
+            raise ValueError(f"{name!r} does not add up over a query's blocks")
+        return sum(getattr(block, name) for block in self.blocks())
+
     @property
     def total_seconds(self) -> float:
         """Total execution time including all pre-stages."""
-        own = (
-            self.scan_seconds
-            + self.transfer_seconds
-            + self.join_seconds
-            + self.post_seconds
-            + self.materialize_seconds
-        )
-        return own + sum(s.total_seconds for s in self.stage_stats)
+        return self.prefilter_seconds + self.joinphase_seconds
 
     @property
     def prefilter_seconds(self) -> float:
         """Everything before the join phase (scan + transfer),
         including pre-stages' pre-filter time."""
-        return (
-            self.scan_seconds
-            + self.transfer_seconds
-            + sum(s.prefilter_seconds for s in self.stage_stats)
-        )
+        return self.total("scan_seconds") + self.total("transfer_seconds")
 
     @property
     def joinphase_seconds(self) -> float:
         """Join+post+materialize phase time including pre-stages'."""
-        own = self.join_seconds + self.post_seconds + self.materialize_seconds
-        return own + sum(s.joinphase_seconds for s in self.stage_stats)
+        return (
+            self.total("join_seconds")
+            + self.total("post_seconds")
+            + self.total("materialize_seconds")
+        )
 
     @property
     def scan_seconds_total(self) -> float:
         """Scan time including pre-stages' scans."""
-        return self.scan_seconds + sum(
-            s.scan_seconds_total for s in self.stage_stats
-        )
+        return self.total("scan_seconds")
 
     @property
     def materialize_seconds_total(self) -> float:
         """Materialization time including pre-stages'."""
-        return self.materialize_seconds + sum(
-            s.materialize_seconds_total for s in self.stage_stats
-        )
-
-    @property
-    def filter_cache_hits_total(self) -> int:
-        """Filter-cache hits including pre-stages'."""
-        return self.filter_cache_hits + sum(
-            s.filter_cache_hits_total for s in self.stage_stats
-        )
-
-    @property
-    def filter_cache_misses_total(self) -> int:
-        """Filter-cache misses including pre-stages'."""
-        return self.filter_cache_misses + sum(
-            s.filter_cache_misses_total for s in self.stage_stats
-        )
-
-    @property
-    def rows_aggregated_total(self) -> int:
-        """Rows entering aggregates, including pre-stages'."""
-        return self.rows_aggregated + sum(
-            s.rows_aggregated_total for s in self.stage_stats
-        )
-
-    @property
-    def rows_sorted_total(self) -> int:
-        """Rows entering sorts, including pre-stages'."""
-        return self.rows_sorted + sum(
-            s.rows_sorted_total for s in self.stage_stats
-        )
-
-    @property
-    def partitions_total_all(self) -> int:
-        """Scan partitions considered, including pre-stages'."""
-        return self.partitions_total + sum(
-            s.partitions_total_all for s in self.stage_stats
-        )
-
-    @property
-    def partitions_pruned_all(self) -> int:
-        """Scan partitions zone-map-pruned, including pre-stages'."""
-        return self.partitions_pruned + sum(
-            s.partitions_pruned_all for s in self.stage_stats
-        )
-
-    def all_joins(self) -> list[JoinStat]:
-        """Join stats across pre-stages and the main block, in order."""
-        out: list[JoinStat] = []
-        for stage in self.stage_stats:
-            out.extend(stage.all_joins())
-        out.extend(self.joins)
-        return out
-
-    def total_join_input_rows(self) -> int:
-        """Sum of HT+PR rows over all joins (the Tables 1–2 reduction
-        metric aggregates this)."""
-        return sum(j.ht_rows + j.pr_rows for j in self.all_joins())
+        return self.total("materialize_seconds")

@@ -160,20 +160,20 @@ class SlowQueryLog:
             record["phases"] = {
                 "prefilter_s": round(stats.prefilter_seconds, 6),
                 "joinphase_s": round(stats.joinphase_seconds, 6),
-                "scan_s": round(stats.scan_seconds_total, 6),
-                "transfer_s": round(stats.transfer_seconds, 6),
-                "join_s": round(stats.join_seconds, 6),
-                "post_s": round(stats.post_seconds, 6),
-                "materialize_s": round(stats.materialize_seconds_total, 6),
+                "scan_s": round(stats.total("scan_seconds"), 6),
+                "transfer_s": round(stats.total("transfer_seconds"), 6),
+                "join_s": round(stats.total("join_seconds"), 6),
+                "post_s": round(stats.total("post_seconds"), 6),
+                "materialize_s": round(stats.total("materialize_seconds"), 6),
             }
             record["cache"] = {
-                "hits": stats.filter_cache_hits_total,
-                "misses": stats.filter_cache_misses_total,
+                "hits": stats.total("filter_cache_hits"),
+                "misses": stats.total("filter_cache_misses"),
             }
-            record["filters_built"] = stats.transfer.filters_built
+            record["filters_built"] = stats.transfer.edges_traversed
             record["edges"] = [asdict(e) for e in stats.transfer.edges]
             record["output_rows"] = stats.output_rows
-            record["partitions_pruned"] = stats.partitions_pruned_all
+            record["partitions_pruned"] = stats.total("partitions_pruned")
             record["filters_degraded"] = stats.filters_degraded
         line = json.dumps(record, sort_keys=True)
         with self._lock:

@@ -130,7 +130,7 @@ def _emit_stage(
             }
         elif name == "transfer":
             attrs = {
-                "filters_built": stats.transfer.filters_built,
+                "filters_built": stats.transfer.edges_traversed,
                 "edges": [asdict(e) for e in stats.transfer.edges],
                 "cache_hits": stats.filter_cache_hits,
                 "cache_misses": stats.filter_cache_misses,
@@ -183,8 +183,8 @@ def spans_from_stats(
             "strategy": stats.strategy,
             "outcome": stats.outcome,
             "output_rows": stats.output_rows,
-            "cache_hits": stats.filter_cache_hits_total,
-            "cache_misses": stats.filter_cache_misses_total,
+            "cache_hits": stats.total("filter_cache_hits"),
+            "cache_misses": stats.total("filter_cache_misses"),
         },
     )
     spans = [root]

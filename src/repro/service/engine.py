@@ -131,16 +131,16 @@ class EngineStats:
         self.queries += 1
         self.seconds += seconds
         self.rows_returned += rows
-        self.filter_cache_hits += stats.filter_cache_hits_total
-        self.filter_cache_misses += stats.filter_cache_misses_total
+        self.filter_cache_hits += stats.total("filter_cache_hits")
+        self.filter_cache_misses += stats.total("filter_cache_misses")
         self.by_strategy[stats.strategy] = (
             self.by_strategy.get(stats.strategy, 0) + 1
         )
         if stats.filters_degraded:
             self.degraded += 1
         self.filters_degraded += stats.filters_degraded
-        self.partitions_total += stats.partitions_total_all
-        self.partitions_pruned += stats.partitions_pruned_all
+        self.partitions_total += stats.total("partitions_total")
+        self.partitions_pruned += stats.total("partitions_pruned")
 
     def record_error(self, exc: BaseException) -> None:
         """Count a failed query under its typed outcome."""
@@ -166,28 +166,7 @@ class EngineStats:
         )
 
     def snapshot(self) -> "EngineStats":
-        return EngineStats(
-            queries=self.queries,
-            seconds=self.seconds,
-            rows_returned=self.rows_returned,
-            filter_cache_hits=self.filter_cache_hits,
-            filter_cache_misses=self.filter_cache_misses,
-            by_strategy=dict(self.by_strategy),
-            submitted=self.submitted,
-            rejected=self.rejected,
-            rejected_invalid=self.rejected_invalid,
-            timeouts=self.timeouts,
-            cancellations=self.cancellations,
-            budget_exceeded=self.budget_exceeded,
-            failures=self.failures,
-            degraded=self.degraded,
-            filters_degraded=self.filters_degraded,
-            partitions_total=self.partitions_total,
-            partitions_pruned=self.partitions_pruned,
-            ingests=self.ingests,
-            ingest_failures=self.ingest_failures,
-            rows_ingested=self.rows_ingested,
-        )
+        return replace(self, by_strategy=dict(self.by_strategy))
 
 
 @dataclass(frozen=True)
@@ -839,8 +818,8 @@ class Session:
                 self._active_tokens.discard(token)
         with self._lock:
             self._queries += 1
-            self._hits += result.stats.filter_cache_hits_total
-            self._misses += result.stats.filter_cache_misses_total
+            self._hits += result.stats.total("filter_cache_hits")
+            self._misses += result.stats.total("filter_cache_misses")
             self.history.append(result.stats)
         return result
 

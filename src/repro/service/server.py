@@ -907,8 +907,8 @@ class QueryServer:
             "strategy": stats.strategy,
             "outcome": stats.outcome,
             "seconds": stats.total_seconds,
-            "filter_cache_hits": stats.filter_cache_hits_total,
-            "filter_cache_misses": stats.filter_cache_misses_total,
+            "filter_cache_hits": stats.total("filter_cache_hits"),
+            "filter_cache_misses": stats.total("filter_cache_misses"),
             "filters_degraded": stats.filters_degraded,
         }
         data = None

@@ -369,8 +369,8 @@ def replay(
                 "outcome": result.stats.outcome,
                 "seconds": result.stats.total_seconds,
                 "output_rows": result.table.num_rows,
-                "filter_cache_hits": result.stats.filter_cache_hits_total,
-                "filter_cache_misses": result.stats.filter_cache_misses_total,
+                "filter_cache_hits": result.stats.total("filter_cache_hits"),
+                "filter_cache_misses": result.stats.total("filter_cache_misses"),
                 "digest": result_digest(result.table),
             }
         )

@@ -89,7 +89,7 @@ def test_cost_from_stats_charges_beta_for_bitmap():
     stats = QueryStats(strategy="yannakakis", query="q")
     stats.transfer = TransferStats(edges=[_edge("bitmap", 100, 900)])
     stats.joins.append(JoinStat("Join 1", ht_rows=10, pr_rows=90, out_rows=5))
-    assert (stats.transfer.bitmap_inserts, stats.transfer.bitmap_probes) == (100, 900)
+    assert (stats.transfer.inserted("bitmap"), stats.transfer.probed("bitmap")) == (100, 900)
     cost = cost_from_stats(stats, CostParams(beta=0.1))
     assert cost == pytest.approx(0.1 * 1000 + 100)
 

@@ -143,7 +143,7 @@ def test_rewritten_plan_returns_the_written_plans_rows(
 ):
     spec = FIRING[name]
     got = run_query(spec, catalog, strategy)
-    assert [s.query for s in got.stats.stage_stats] == ["t_v_counts"]
+    assert [b.query for b in got.stats.blocks()][:-1] == ["t_v_counts"]
     want = _written(monkeypatch, spec, catalog, strategy)
     assert got.table.to_rows() == want.to_rows()
     for name_ in want.column_names:

@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import io
 import json
+import pathlib
+import re
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.core.runner import RunConfig
+from repro.core.runner import RunConfig, run_query
 from repro.errors import PlanError, ReproError
+from repro.obs.adapters import OUTCOME_LABELS
 from repro.obs import (
     MetricsRegistry,
     ObsCollector,
@@ -242,6 +245,46 @@ def test_wire_spans_nest_under_request_span(catalog, specs):
     assert {"scan", "transfer", "join"} <= phases
 
 
+def _catalogue_rows() -> list[list[str]]:
+    """The cells of README's metrics catalogue rows."""
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("Metrics catalogue (all families prefixed `repro_`):")
+    rows = []
+    for line in lines[start + 4 :]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.split("|")[1:-1]])
+    return rows
+
+
+def _catalogue() -> dict[str, str]:
+    """README's metrics catalogue: family name -> type, braces expanded."""
+    out: dict[str, str] = {}
+    for names, kind, *_ in _catalogue_rows():
+        for name in re.findall(r"`([^`]+)`", names):
+            match = re.fullmatch(r"(\w*)(?:\{([\w,]+)\})?(\w*)", name)
+            assert match, name
+            head, braces, tail = match.groups()
+            out.update({head + part + tail: kind for part in (braces or "").split(",")})
+    return out
+
+
+def test_readme_catalogue_names_exactly_the_exported_families(catalog, specs):
+    registry = MetricsRegistry()
+    engine = _engine(catalog, registry=registry)
+    collector = ObsCollector(registry, engine=engine)
+    try:
+        with ServerThread(engine, specs, collector=collector):
+            collector.refresh()
+    finally:
+        engine.shutdown(wait=True, cancel=True)
+    exported = {f.name.removeprefix("repro_"): f.kind for f in registry.families()}
+    assert _catalogue() == exported
+    (labels,) = [row[2] for row in _catalogue_rows() if row[0] == "`queries_total`"]
+    assert re.findall(r"`(\w+)`", labels) == ["outcome", *OUTCOME_LABELS]
+
+
 # ----------------------------------------------------------------------
 # Engine-side slow log
 # ----------------------------------------------------------------------
@@ -263,6 +306,27 @@ def test_engine_slow_log_records_wire_queries(catalog, specs):
     assert record["outcome"] == "ok"
     assert len(record["plan_fp"]) == 16
     assert record["phases"]["prefilter_s"] >= 0.0
+
+
+@pytest.mark.parametrize("qid", [18, 21])
+def test_slow_log_phases_add_up_across_pre_stages(qid):
+    """Every phase covers the pre-stages, so the split adds up to the
+    Figure-5 totals it refines."""
+    catalog = generate_tpch(sf=0.01, seed=1)
+    stats = run_query(get_query(qid, sf=0.01), catalog).stats
+    assert len(list(stats.blocks())) > 1  # pre-stages ran
+    buf = io.StringIO()
+    SlowQueryLog(buf, threshold_s=0.0).maybe_record(
+        seconds=stats.total_seconds, stats=stats, query=stats.query,
+        strategy=stats.strategy,
+    )
+    phases = json.loads(buf.getvalue())["phases"]
+    assert phases["scan_s"] + phases["transfer_s"] == pytest.approx(
+        phases["prefilter_s"], abs=1e-5
+    )
+    assert phases["join_s"] + phases["post_s"] + phases["materialize_s"] == (
+        pytest.approx(phases["joinphase_s"], abs=1e-5)
+    )
 
 
 # ----------------------------------------------------------------------

@@ -330,10 +330,7 @@ DEFERRED = {"q2", "q17", "q20", "q21"}
 
 
 def _block_orders(stats) -> list[tuple[str, list[str]]]:
-    out = []
-    for sub in stats.stage_stats:
-        out.extend(_block_orders(sub))
-    return out + [(stats.query, stats.join_order)]
+    return [(block.query, block.join_order) for block in stats.blocks()]
 
 
 def test_every_strategy_joins_in_the_same_order():
@@ -351,7 +348,7 @@ def test_every_strategy_joins_in_the_same_order():
             strategy: run_query(spec, catalog, config=RunConfig(strategy=strategy)).stats
             for strategy in STRATEGIES
         }
-        if any(sub.seeded for sub in runs["predtrans"].stage_stats):
+        if any(block.seeded for block in runs["predtrans"].blocks()):
             deferred.add(name)
             continue
         orders = {s: _block_orders(stats) for s, stats in runs.items()}

@@ -207,7 +207,7 @@ def test_tracer_targets_resolve_and_are_what_a_query_calls(monkeypatch):
     catalog = _sparse_keys(generate_tpch(sf=0.01, seed=1))
     result = run_query(get_query(5, sf=0.01), catalog, "predtrans")
     transfer = result.stats.transfer
-    assert transfer.bloom_inserts and transfer.bloom_probes
+    assert transfer.inserted("bloom") and transfer.probed("bloom")
 
     assert calls["repro.filters.hashing.mix64"]
     hashed = (
@@ -219,11 +219,11 @@ def test_tracer_targets_resolve_and_are_what_a_query_calls(monkeypatch):
     # len(args[1]) keys built / probed, a bool mask out of a probe.
     built = calls["repro.filters.bloom:BloomFilter.add_hashes"]
     probed = calls["repro.filters.bloom:BloomFilter.contains_hashes"]
-    assert sum(len(args[1]) for args, _ in built) == transfer.bloom_inserts
-    assert sum(len(args[1]) for args, _ in probed) == transfer.bloom_probes
+    assert sum(len(args[1]) for args, _ in built) == transfer.inserted("bloom")
+    assert sum(len(args[1]) for args, _ in probed) == transfer.probed("bloom")
     assert all(mask.dtype == np.bool_ for _, mask in probed)
     assert sum(len(keys) for _, keys in hashed) == (
-        transfer.bloom_inserts + transfer.bloom_probes
+        transfer.inserted("bloom") + transfer.probed("bloom")
     )
     assert max(len(args[1]) for args, _ in probed) <= MORSEL_KEYS
 
@@ -239,6 +239,6 @@ def test_tracer_targets_see_no_bitmap_work(monkeypatch):
     result = run_query(get_query(5, sf=0.01), generate_tpch(sf=0.01, seed=1), "predtrans")
     transfer = result.stats.transfer
     assert {e.kind for e in transfer.shipped()} == {"bitmap"}
-    assert transfer.bitmap_inserts and transfer.bitmap_probes
-    assert transfer.bloom_inserts == transfer.bloom_probes == 0
+    assert transfer.inserted("bitmap") and transfer.probed("bitmap")
+    assert transfer.inserted("bloom") == transfer.probed("bloom") == 0
     assert not any(v for k, v in calls.items() if not k.endswith("mix64"))

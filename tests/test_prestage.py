@@ -41,17 +41,11 @@ SF = 0.01
 
 
 def _seed_edges(stats):
-    out = [e for e in stats.transfer.edges if e.seeds]
-    for stage in stats.stage_stats:
-        out += _seed_edges(stage)
-    return out
+    return [e for block in stats.blocks() for e in block.transfer.edges if e.seeds]
 
 
 def _seeded_stages(stats):
-    out = [s.query for s in stats.stage_stats if s.seeded]
-    for stage in stats.stage_stats:
-        out += _seeded_stages(stage)
-    return out
+    return [block.query for block in stats.blocks() if block.seeded]
 
 
 def _rows(table):
@@ -106,7 +100,7 @@ def test_rows_aggregated_fall(small_catalog, qid):
     spec = get_query(qid, sf=SF)
     base = run_query(spec, small_catalog, strategy="nopredtrans").stats
     seeded = run_query(spec, small_catalog, strategy="predtrans").stats
-    assert seeded.rows_aggregated_total < base.rows_aggregated_total
+    assert seeded.total("rows_aggregated") < base.total("rows_aggregated")
     assert _seeded_stages(seeded) and _seed_edges(seeded)
     assert not _seeded_stages(base) and not _seed_edges(base)
     for edge_stat in _seed_edges(seeded):
@@ -117,7 +111,7 @@ def test_rows_aggregated_equal_when_nothing_is_deferred(small_catalog):
     spec = get_query(18, sf=SF)
     base = run_query(spec, small_catalog, strategy="nopredtrans").stats
     ran = run_query(spec, small_catalog, strategy="predtrans").stats
-    assert ran.rows_aggregated_total == base.rows_aggregated_total > 0
+    assert ran.total("rows_aggregated") == base.total("rows_aggregated") > 0
     assert not _seeded_stages(ran) and not _seed_edges(ran)
 
 
@@ -141,7 +135,7 @@ def test_warm_cache_run_equals_cold(small_catalog):
     first = run_query(spec, small_catalog, config=config)
     second = run_query(spec, small_catalog, config=config)
     assert result_digest(first.table) == result_digest(second.table) == cold
-    assert second.stats.filter_cache_hits_total > 0
+    assert second.stats.total("filter_cache_hits") > 0
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +226,7 @@ def test_deferred_stage_with_having(catalog):
         (seed,) = _seed_edges(got.stats)
         assert (seed.src, seed.dst, seed.seeds) == ("d", "t", "totals")
         assert (seed.rows_probed, seed.rows_passed) == (4, 2)
-        assert got.stats.rows_aggregated_total == 2
+        assert got.stats.total("rows_aggregated") == 2
 
 
 @pytest.mark.parametrize(

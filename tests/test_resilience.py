@@ -125,8 +125,8 @@ def test_degradation_keeps_results_byte_identical(catalog, q9, exact):
     assert tight.stats.mem_peak_bytes <= TIGHT_BUDGET
     # Degraded builds are Bloom builds: counted as such, and (having no
     # false negatives) they leave the same bytes out.
-    assert tight.stats.transfer.bloom_inserts > 0
-    assert free.stats.transfer.bloom_inserts == 0
+    assert tight.stats.transfer.inserted("bloom") > 0
+    assert free.stats.transfer.inserted("bloom") == 0
     assert result_digest(tight.table) == result_digest(free.table)
     assert free.stats.outcome == "ok"
     assert free.stats.filters_degraded == 0
@@ -163,7 +163,7 @@ def test_degraded_filters_are_not_cached(catalog, q9, exact):
     )
     assert len(stored) < 2 * graph.number_of_edges()
     assert free.stats.filters_degraded == 0
-    assert free.stats.filter_cache_hits_total <= cached_after_degraded
+    assert free.stats.total("filter_cache_hits") <= cached_after_degraded
 
 
 # ----------------------------------------------------------------------

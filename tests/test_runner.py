@@ -72,7 +72,7 @@ def test_inner_join_all_strategies(catalog, strategy):
     # predtrans' gate skips neither edge: dept 40 has no employee and
     # department 30 no dept row, so neither side covers the other.
     shipped = {"nopredtrans": 0, "bloomjoin": 1, "yannakakis": 2, "predtrans": 2}
-    assert transfer.filters_built == transfer.edges_traversed == shipped[strategy], [
+    assert transfer.edges_traversed == shipped[strategy], [
         (e.src, e.dst, e.decision) for e in transfer.edges
     ]
     assert transfer.edges_pruned == 0
@@ -175,7 +175,7 @@ def test_pre_stage_and_scalar_ref(catalog):
     res = run_query(spec, catalog, strategy="predtrans")
     # avg salary 250 -> employees 3 and 4; eid 4 has no dept -> only 3.
     assert [r[0] for r in res.table.to_rows()] == [3]
-    assert len(res.stats.stage_stats) == 1
+    assert len(list(res.stats.blocks())) == 2  # one pre-stage
 
 
 def test_derived_table_as_relation(catalog):
@@ -274,8 +274,8 @@ def test_exact_transfer_config(catalog):
     res = run_query(_spec(), catalog, config=config)
     assert res.table.num_rows == 3
     # Exact filters over dense keys ship as bitmaps, never as Bloom.
-    assert res.stats.transfer.bitmap_inserts > 0
-    assert res.stats.transfer.bloom_inserts == 0
+    assert res.stats.transfer.inserted("bitmap") > 0
+    assert res.stats.transfer.inserted("bloom") == 0
 
 
 def test_unknown_strategy_rejected():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import threading
 
@@ -18,6 +19,7 @@ from repro.service import (
     replay,
     vary_spec,
 )
+from repro.service.engine import EngineStats
 from repro.service.workload import SSB_PREFIX, prefix_tables, result_digest
 from repro.ssb import get_ssb_query
 from repro.storage.catalog import Catalog
@@ -53,6 +55,18 @@ def test_engine_aggregates_stats(serving_catalog):
     assert stats.by_strategy == {"predtrans": 2, "bloomjoin": 1}
     assert stats.filter_cache_hits > 0  # the repeated q5 hit
     assert stats.seconds > 0
+
+
+def test_engine_stats_snapshot_is_a_deep_enough_copy():
+    live = EngineStats(by_strategy={"predtrans": 2})
+    for i, f in enumerate(dataclasses.fields(EngineStats)):
+        if f.name != "by_strategy":
+            setattr(live, f.name, i + 1)
+    snap = live.snapshot()
+    assert snap == live and snap is not live
+    snap.by_strategy["predtrans"] += 1
+    snap.by_strategy["bloomjoin"] = 1
+    assert live.by_strategy == {"predtrans": 2}
 
 
 def test_session_history_and_counters(serving_catalog):

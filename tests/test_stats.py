@@ -1,5 +1,9 @@
 """Unit tests for execution statistics containers."""
 
+import pickle
+
+import pytest
+
 from repro.engine.stats import JoinStat, QueryStats, TransferStats
 
 
@@ -39,8 +43,45 @@ def test_query_stats_nested_stages():
     assert outer.total_seconds == 2.5
     assert outer.prefilter_seconds == 1.25
     assert outer.joinphase_seconds == 1.25
-    labels = [j.label for j in outer.all_joins()]
-    assert labels == ["Join 1", "Join 1"]  # stage joins first
-    assert outer.all_joins()[0].ht_rows == 10
-    assert outer.total_join_input_rows() == 10 + 20 + 100 + 200
+    joins = [j for block in outer.blocks() for j in block.joins]
+    assert [j.ht_rows for j in joins] == [10, 100]  # stage joins first
+    assert sum(j.ht_rows + j.pr_rows for j in joins) == 10 + 20 + 100 + 200
 
+
+def test_blocks_walk_pre_stages_depth_first_then_the_block():
+    leaf = QueryStats(query="leaf")
+    mid = QueryStats(query="mid", stage_stats=[leaf])
+    side = QueryStats(query="side")
+    top = QueryStats(query="top", stage_stats=[mid, side])
+    assert [b.query for b in top.blocks()] == ["leaf", "mid", "side", "top"]
+
+
+def test_total_rolls_up_own_block_fields_over_every_block():
+    leaf = QueryStats(rows_aggregated=3, filter_cache_hits=1)
+    top = QueryStats(
+        rows_aggregated=5,
+        filter_cache_hits=2,
+        stage_stats=[QueryStats(rows_aggregated=7, stage_stats=[leaf])],
+    )
+    assert top.total("rows_aggregated") == 15
+    assert top.total("filter_cache_hits") == 3
+    assert top.rows_aggregated == 5  # the block's own count is untouched
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["filters_degraded", "mem_peak_bytes", "memory_budget_bytes",
+     "filter_cache_bytes", "output_rows", "joins", "no_such_field"],
+)
+def test_total_refuses_fields_that_do_not_add_up(name):
+    with pytest.raises(ValueError, match="does not add up"):
+        QueryStats().total(name)
+
+
+def test_query_stats_with_pre_stages_pickle():
+    inner = QueryStats(query="stage", rows_aggregated=4)
+    inner.joins.append(JoinStat("Join 1", 1, 2, 3))
+    outer = QueryStats(query="main", stage_stats=[inner])
+    copy = pickle.loads(pickle.dumps(outer))
+    assert copy == outer
+    assert copy.total("rows_aggregated") == 4

@@ -81,7 +81,7 @@ def test_fig3_chain_reduction(filter_type):
         assert reduced["r"][0] and reduced["r"][1]
     # Two per pass on a 2-edge chain; the gate skips none: S holds keys
     # R lacks and T keys S lacks, and the backward sources lost rows.
-    assert (stats.filters_built, stats.edges_pruned) == (4, 0), [
+    assert (stats.edges_traversed, stats.edges_pruned) == (4, 0), [
         (e.src, e.dst, e.decision) for e in stats.edges
     ]
 
@@ -197,13 +197,13 @@ def _dense_fig3_setup():
 def test_stats_op_counts_populated():
     pt, scanned, masks = _sparse_fig3_setup()
     _, bloom_stats = run_transfer(pt, scanned, masks, TransferConfig())
-    assert bloom_stats.bloom_inserts > 0 and bloom_stats.bloom_probes > 0
-    assert bloom_stats.hash_inserts == bloom_stats.bitmap_inserts == 0
+    assert bloom_stats.inserted("bloom") > 0 and bloom_stats.probed("bloom") > 0
+    assert bloom_stats.inserted("exact") == bloom_stats.inserted("bitmap") == 0
     _, exact_stats = run_transfer(
         pt, scanned, masks, TransferConfig(filter_type="exact")
     )
-    assert exact_stats.hash_inserts > 0 and exact_stats.hash_probes > 0
-    assert exact_stats.bloom_inserts == exact_stats.bitmap_inserts == 0
+    assert exact_stats.inserted("exact") > 0 and exact_stats.probed("exact") > 0
+    assert exact_stats.inserted("bloom") == exact_stats.inserted("bitmap") == 0
 
 
 @pytest.mark.parametrize("filter_type", ["bloom", "exact"])
@@ -215,9 +215,9 @@ def test_stats_op_counts_populated_bitmap(filter_type):
         pt, scanned, masks, TransferConfig(filter_type=filter_type)
     )
     assert {e.kind for e in stats.shipped()} == {"bitmap"}
-    assert stats.bitmap_inserts > 0 and stats.bitmap_probes > 0
-    assert stats.bloom_inserts == stats.bloom_probes == 0
-    assert stats.hash_inserts == stats.hash_probes == 0
+    assert stats.inserted("bitmap") > 0 and stats.probed("bitmap") > 0
+    assert stats.inserted("bloom") == stats.probed("bloom") == 0
+    assert stats.inserted("exact") == stats.probed("exact") == 0
 
 
 def test_sparse_fig3_chain_reduction_matches_dense():

@@ -363,7 +363,8 @@ def test_stripped_graphs_ship_a_tenth_of_the_bloom_work(tpch, qid, monkeypatch):
     ungated = run_query(spec, tpch, "predtrans")
 
     def bloom_ops(result) -> int:
-        return result.stats.transfer.bloom_inserts + result.stats.transfer.bloom_probes
+        t = result.stats.transfer
+        return t.inserted("bloom") + t.probed("bloom")
 
     assert ungated.stats.transfer.edges_pruned == 0
     assert bloom_ops(gated) <= 0.10 * bloom_ops(ungated), (
@@ -388,9 +389,8 @@ def _fingerprint(result):
     stats = result.stats
     return (
         result_digest(result.table),
-        stats.transfer.rows_after,
-        [s.transfer.rows_after for s in stats.stage_stats],
-        [(j.ht_rows, j.pr_rows, j.out_rows) for j in stats.all_joins()],
+        [b.transfer.rows_after for b in stats.blocks()],
+        [(j.ht_rows, j.pr_rows, j.out_rows) for b in stats.blocks() for j in b.joins],
     )
 
 
@@ -424,7 +424,7 @@ def test_other_strategies_never_consult_the_gate(registry, strategy, monkeypatch
     monkeypatch.setattr(transfer, "proven_cover", poisoned)
     for name, spec in specs.items():
         stats = run_query(spec, catalog, strategy).stats
-        for stage in [stats, *stats.stage_stats]:
+        for stage in stats.blocks():
             t = stage.transfer
             assert t.edges_pruned == 0, name
-            assert t.filters_built == t.edges_traversed == len(t.edges), name
+            assert t.edges_traversed == len(t.edges), name

@@ -49,23 +49,16 @@ CACHE_SIZED_EDGES = {
 }
 
 
-def _stages(stats: QueryStats) -> list[QueryStats]:
-    """``stats`` and its pre-stages, pre-stages first."""
-    out: list[QueryStats] = []
-    for sub in stats.stage_stats:
-        out.extend(_stages(sub))
-    return out + [stats]
-
-
 def counters(stats: QueryStats, strategy: str) -> dict[str, object]:
     """The exact counters one query's statistics pin."""
-    stages = _stages(stats)
+    stages = list(stats.blocks())
+    joins = [j for stage in stages for j in stage.joins]
     out: dict[str, object] = {
         "join_order": [f"{stage.query} {' '.join(stage.join_order)}" for stage in stages],
-        "join_input_rows": stats.total_join_input_rows(),
-        "rows_aggregated": stats.rows_aggregated_total,
-        "rows_sorted": stats.rows_sorted_total,
-        "joins_kept": sum(j.probe_kept for j in stats.all_joins()),
+        "join_input_rows": sum(j.ht_rows + j.pr_rows for j in joins),
+        "rows_aggregated": stats.total("rows_aggregated"),
+        "rows_sorted": stats.total("rows_sorted"),
+        "joins_kept": sum(j.probe_kept for j in joins),
     }
     if strategy == "predtrans":
         out["edges"] = [
@@ -74,8 +67,8 @@ def counters(stats: QueryStats, strategy: str) -> dict[str, object]:
             for stage in stages
             for e in stage.transfer.shipped()
         ]
-        out["bloom_probes"] = sum(s.transfer.bloom_probes for s in stages)
-        out["bitmap_probes"] = sum(s.transfer.bitmap_probes for s in stages)
+        out["bloom_probes"] = sum(s.transfer.probed("bloom") for s in stages)
+        out["bitmap_probes"] = sum(s.transfer.probed("bitmap") for s in stages)
     return out
 
 

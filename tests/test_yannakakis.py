@@ -71,8 +71,8 @@ def test_semi_join_phase_exact_on_acyclic_query():
     assert reduced["s"].tolist() == [True, False, True, False, False]
     assert reduced["t"].tolist() == [True, True, False, False]
     # Semi-joins ship exact filters: on these dense keys, bitmaps.
-    assert stats.bitmap_inserts > 0 and stats.bitmap_probes > 0
-    assert stats.bloom_inserts == stats.bloom_probes == 0
+    assert stats.inserted("bitmap") > 0 and stats.probed("bitmap") > 0
+    assert stats.inserted("bloom") == stats.probed("bloom") == 0
 
 
 def test_semi_join_phase_respects_root_choice():
@@ -189,14 +189,14 @@ def test_blocked_direction_ships_nothing(how, root):
     )
     reduced, stats = run_semi_join_phase(jg, scanned, masks, root=root)
     # Only c -> o shipped: c's three keys inserted, o's three rows probed.
-    assert stats.filters_built == stats.edges_traversed == 1
-    assert (stats.bitmap_inserts, stats.bitmap_probes) == (3, 3)
+    assert stats.edges_traversed == 1
+    assert (stats.inserted("bitmap"), stats.probed("bitmap")) == (3, 3)
     assert reduced["c"].all()
     assert reduced["o"].tolist() == [True, True, False]
     # The same edge as an inner join ships in both directions.
     jg, scanned, masks = _setup({"c": c, "o": o}, [edge("c", "o", ("k", "k"))])
     _, stats = run_semi_join_phase(jg, scanned, masks, root=root)
-    assert stats.filters_built == stats.edges_traversed == 2
+    assert stats.edges_traversed == 2
 
 
 # ----------------------------------------------------------------------
