@@ -1,7 +1,7 @@
 """Repo invariant linter: AST checks for conventions the code relies on.
 
 Run as ``python -m repro.analysis.lint src/`` (the CI static-analysis
-job does).  Four rules:
+job does).  Five rules:
 
 **import-layering** — module-level imports must respect the package
 layer order (lower layers must not import higher ones)::
@@ -35,6 +35,11 @@ integers NumPy >= 2.3 answers it through a hash table, 30-70x slower
 than a sort and a neighbour compare with the same output (and than the
 sort ``np.unique`` itself runs once a ``return_*`` flag is set).  Write
 the sort, or a ``sorted(set(...))`` for a pool of Python objects.
+
+**metric-declaration** — a call to a method named ``counter`` or
+``gauge`` outside ``repro/obs/``.  A serving counter or gauge is
+declared once, as a field of the stats book that owns it
+(``metric_field``), and only the walk in ``obs`` registers families.
 """
 
 from __future__ import annotations
@@ -457,6 +462,29 @@ def check_bare_unique(path: Path, tree: ast.Module) -> list[LintViolation]:
 
 
 # ----------------------------------------------------------------------
+# Rule e: metric families are declared on book fields
+# ----------------------------------------------------------------------
+def check_metric_declaration(
+    path: Path, tree: ast.Module, parts: list[str] | None
+) -> list[LintViolation]:
+    if parts and parts[0] == "obs":
+        return []
+    return [
+        LintViolation(
+            "metric-declaration",
+            str(path),
+            node.lineno,
+            f".{node.func.attr}() registers a metric family outside "
+            "repro/obs; declare it as a book field with metric_field",
+        )
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("counter", "gauge")
+    ]
+
+
+# ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 def run_lint(roots: list[str]) -> list[LintViolation]:
@@ -481,6 +509,7 @@ def run_lint(roots: list[str]) -> list[LintViolation]:
             violations.extend(check_layering(path, tree, parts))
         violations.extend(check_lock_discipline(path, tree, source))
         violations.extend(check_bare_unique(path, tree))
+        violations.extend(check_metric_declaration(path, tree, parts))
     violations.extend(check_fault_registry(parsed))
     return violations
 
@@ -490,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro.analysis.lint",
         description="AST linter for the repo's structural invariants "
         "(import layering, lock discipline, fault-point registry, "
-        "bare np.unique)",
+        "bare np.unique, metric declarations)",
     )
     parser.add_argument(
         "paths", nargs="+", help="files or directories to lint"

@@ -37,42 +37,76 @@ from __future__ import annotations
 import threading
 import zlib
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..engine.stats import metric_field
 from ..errors import CacheCorruption
 from ..testing.faults import _payload_arrays, fault_point
 
 
-@dataclass(frozen=True)
+@dataclass
 class CacheStats:
-    """A point-in-time snapshot of cache effectiveness and occupancy."""
+    """Cache effectiveness and occupancy.
 
-    hits: int
-    misses: int
-    insertions: int
-    evictions: int
-    invalidations: int
-    rejected: int
-    entries: int
-    bytes: int
-    max_bytes: int
-    corruptions: int = 0
-    extensions: int = 0
-    extension_rebuilds: int = 0
+    :class:`FilterCache` keeps one under its lock and hands out copies
+    from :meth:`FilterCache.stats`.  ``hit_rate`` is derived when a
+    copy is made.
+    """
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0 when never probed)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+    hits: int = metric_field(
+        "counter", "repro_filter_cache_hits_total", "Filter-cache hits"
+    )
+    misses: int = metric_field(
+        "counter", "repro_filter_cache_misses_total", "Filter-cache misses"
+    )
+    insertions: int = metric_field(
+        "counter", "repro_filter_cache_insertions_total",
+        "Filter-cache insertions",
+    )
+    evictions: int = metric_field(
+        "counter", "repro_filter_cache_evictions_total",
+        "LRU evictions under the byte budget",
+    )
+    invalidations: int = metric_field(
+        "counter", "repro_filter_cache_invalidations_total",
+        "Entries dropped by table re-registration",
+    )
+    rejected: int = metric_field(
+        "counter", "repro_filter_cache_rejected_total",
+        "Payloads too large for the byte budget",
+    )
+    corruptions: int = metric_field(
+        "counter", "repro_filter_cache_corruptions_total",
+        "Checksum failures handled as misses",
+    )
+    extensions: int = metric_field(
+        "counter", "repro_filter_cache_extensions_total",
+        "Older-version entries extended over delta rows",
+    )
+    extension_rebuilds: int = metric_field(
+        "counter", "repro_filter_cache_extension_rebuilds_total",
+        "Extension attempts that degraded to a full rebuild",
+    )
+    entries: int = metric_field(
+        "gauge", "repro_filter_cache_entries",
+        "Cached filter payloads resident",
+    )
+    bytes: int = metric_field(
+        "gauge", "repro_filter_cache_bytes", "Filter-cache bytes resident"
+    )
+    max_bytes: int = metric_field(
+        "gauge", "repro_filter_cache_max_bytes", "Filter-cache byte budget"
+    )
+    hit_rate: float = metric_field(
+        "gauge", "repro_filter_cache_hit_ratio", "Lifetime hits / lookups",
+        init=False,
+    )
 
-    def to_dict(self) -> dict:
-        """JSON-ready form (includes the derived hit rate)."""
-        out = asdict(self)
-        out["hit_rate"] = self.hit_rate
-        return out
+    def __post_init__(self) -> None:
+        lookups = self.hits + self.misses
+        self.hit_rate = self.hits / lookups if lookups else 0.0
 
 
 def payload_nbytes(payload: object) -> int:
@@ -146,16 +180,7 @@ class FilterCache:
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._by_table: dict[str, set[str]] = {}
         self._by_lineage: dict[str, str] = {}
-        self._bytes = 0
-        self._hits = 0
-        self._misses = 0
-        self._insertions = 0
-        self._evictions = 0
-        self._invalidations = 0
-        self._rejected = 0
-        self._corruptions = 0
-        self._extensions = 0
-        self._extension_rebuilds = 0
+        self._stats = CacheStats(max_bytes=max_bytes)
 
     # ------------------------------------------------------------------
     def get(self, fp: str) -> object | None:
@@ -171,7 +196,7 @@ class FilterCache:
         with self._lock:
             entry = self._entries.get(fp)
             if entry is None:
-                self._misses += 1
+                self._stats.misses += 1
                 return None
             fault_point("cache.get", entry.payload)
             if (
@@ -180,15 +205,15 @@ class FilterCache:
                 and payload_checksum(entry.payload) != entry.crc
             ):
                 self._remove(fp)
-                self._corruptions += 1
-                self._misses += 1
+                self._stats.corruptions += 1
+                self._stats.misses += 1
                 if self.strict_corruption:
                     raise CacheCorruption(
                         f"cache entry {fp!r} failed checksum validation"
                     )
                 return None
             self._entries.move_to_end(fp)
-            self._hits += 1
+            self._stats.hits += 1
             return entry.payload
 
     def put(
@@ -214,22 +239,22 @@ class FilterCache:
         crc = payload_checksum(payload) if self.validate else None
         with self._lock:
             if nbytes > self.max_bytes:
-                self._rejected += 1
+                self._stats.rejected += 1
                 return False
             self._remove(fp)
             if lineage is not None:
                 superseded = self._by_lineage.get(lineage)
                 if superseded is not None and self._remove(superseded):
-                    self._invalidations += 1
+                    self._stats.invalidations += 1
                 self._by_lineage[lineage] = fp
             self._entries[fp] = _Entry(payload, nbytes, tables, crc, lineage)
-            self._bytes += nbytes
+            self._stats.bytes += nbytes
             for table in tables:
                 self._by_table.setdefault(table, set()).add(fp)
-            self._insertions += 1
-            while self._bytes > self.max_bytes and self._entries:
+            self._stats.insertions += 1
+            while self._stats.bytes > self.max_bytes and self._entries:
                 self._remove(next(iter(self._entries)))
-                self._evictions += 1
+                self._stats.evictions += 1
             return True
 
     def _remove(self, fp: str) -> bool:
@@ -237,7 +262,7 @@ class FilterCache:
         entry = self._entries.pop(fp, None)
         if entry is None:
             return False
-        self._bytes -= entry.nbytes
+        self._stats.bytes -= entry.nbytes
         for table in entry.tables:
             fps = self._by_table.get(table)
             if fps is not None:
@@ -261,7 +286,7 @@ class FilterCache:
             if not fps:
                 return 0
             dropped = sum(self._remove(fp) for fp in list(fps))
-            self._invalidations += dropped
+            self._stats.invalidations += dropped
             return dropped
 
     def count_extension(self) -> None:
@@ -272,30 +297,30 @@ class FilterCache:
         over the delta rows instead of rebuilt from scratch.
         """
         with self._lock:
-            self._extensions += 1
+            self._stats.extensions += 1
 
     def count_extension_rebuild(self) -> None:
         """Record an extension attempt that degraded to a full rebuild
         (fault during extension, unsupported payload shape, saturated
         Bloom geometry)."""
         with self._lock:
-            self._extension_rebuilds += 1
+            self._stats.extension_rebuilds += 1
 
     def clear(self) -> None:
         """Drop every entry (counters are kept; see :meth:`stats`)."""
         with self._lock:
-            self._invalidations += len(self._entries)
+            self._stats.invalidations += len(self._entries)
             self._entries.clear()
             self._by_table.clear()
             self._by_lineage.clear()
-            self._bytes = 0
+            self._stats.bytes = 0
 
     # ------------------------------------------------------------------
     @property
     def total_bytes(self) -> int:
         """Bytes currently held by cached payloads."""
         with self._lock:
-            return self._bytes
+            return self._stats.bytes
 
     def __len__(self) -> int:
         with self._lock:
@@ -308,17 +333,4 @@ class FilterCache:
     def stats(self) -> CacheStats:
         """A consistent snapshot of counters and occupancy."""
         with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                insertions=self._insertions,
-                evictions=self._evictions,
-                invalidations=self._invalidations,
-                rejected=self._rejected,
-                entries=len(self._entries),
-                bytes=self._bytes,
-                max_bytes=self.max_bytes,
-                corruptions=self._corruptions,
-                extensions=self._extensions,
-                extension_rebuilds=self._extension_rebuilds,
-            )
+            return replace(self._stats, entries=len(self._entries))

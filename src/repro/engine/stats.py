@@ -17,12 +17,16 @@ reads) keeps one :class:`QueryStats` per block.  A block's counts and
 clocks cover that block only; :meth:`QueryStats.blocks` walks a
 query's blocks and :meth:`QueryStats.total` rolls a field up over
 them, so each query-level total has one definition.
+
+The serving layer's aggregate stats objects ("books": ``EngineStats``,
+``CacheStats``, ``ServerStats``) declare each exported counter and
+gauge once, with :func:`metric_field`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, get_args, overload
+from typing import Any, Iterator, Literal, get_args, overload
 
 
 @dataclass
@@ -341,3 +345,31 @@ class QueryStats:
     def materialize_seconds_total(self) -> float:
         """Materialization time including pre-stages'."""
         return self.total("materialize_seconds")
+
+
+def metric_field(
+    kind: Literal["counter", "gauge"],
+    name: str,
+    help: str,
+    *,
+    outcome: str | None = None,
+    by: str | None = None,
+    default: Any = 0,
+    init: bool = True,
+) -> Any:
+    """A book field that is also the metric family ``name``.
+
+    The field's metadata carries the family's kind, name and HELP text
+    as plain keys, which :func:`repro.obs.adapters.export_stats` reads,
+    so a book imports nothing from :mod:`repro.obs`.  ``outcome``
+    gives the field's sample that value of the family's ``outcome``
+    label; ``by`` makes the field a dict (empty at first) whose keys
+    are values of that label.
+    """
+    metadata = {"kind": kind, "metric": name, "help": help}
+    if outcome is not None:
+        metadata["outcome"] = outcome
+    if by is None:
+        return field(default=default, init=init, metadata=metadata)
+    metadata["by"] = by
+    return field(default_factory=dict, metadata=metadata)

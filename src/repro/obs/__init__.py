@@ -1,30 +1,25 @@
 """Observability: metrics registry, Prometheus exposition, tracing,
 and the slow-query log.
 
-The subsystem is deliberately **one-way**: the engine's stats objects
+The subsystem is deliberately **one-way**: the stats objects
 (:class:`~repro.engine.stats.QueryStats`,
 :class:`~repro.cache.store.CacheStats`,
-:class:`~repro.service.engine.EngineStats`) remain the single source of
-truth, and the adapters in :mod:`repro.obs.adapters` snapshot them into
-metric families at scrape time.  The only push-side instrumentation is
-the per-query histogram observation at completion (latency percentiles
-cannot be reconstructed from aggregate counters), and every push path
-is gated on an optional registry — no registry configured means the
-no-op fast path: not a single extra allocation or lock acquisition on
-the query hot path.
+:class:`~repro.service.engine.EngineStats`,
+:class:`~repro.service.server.ServerStats`) remain the single source
+of truth, and the walk in :mod:`repro.obs.adapters` snapshots the
+fields they declare as metrics into families at scrape time.  The only
+push-side instrumentation is the per-query histogram observation at
+completion (latency percentiles cannot be reconstructed from aggregate
+counters), and every push path is gated on an optional registry — no
+registry configured means the no-op fast path: not a single extra
+allocation or lock acquisition on the query hot path.
 
 Pure stdlib; no third-party client library.
 """
 
 from __future__ import annotations
 
-from .adapters import (
-    EngineObserver,
-    ObsCollector,
-    export_cache,
-    export_engine,
-    export_server,
-)
+from .adapters import EngineObserver, ObsCollector, export_stats
 from .export import parse_prometheus_text, render_prometheus, render_varz
 from .httpd import MetricsServer
 from .metrics import (
@@ -35,7 +30,6 @@ from .metrics import (
     HistogramSnapshot,
     MetricFamily,
     MetricsRegistry,
-    default_registry,
 )
 from .slowlog import SlowQueryLog, plan_fingerprint
 from .trace import (
@@ -61,10 +55,7 @@ __all__ = [
     "SlowQueryLog",
     "Span",
     "TraceSink",
-    "default_registry",
-    "export_cache",
-    "export_engine",
-    "export_server",
+    "export_stats",
     "format_span_tree",
     "mint_span_id",
     "mint_trace_id",

@@ -65,7 +65,6 @@ class MetricsServer:
         self._health = health or (lambda: (True, "ok"))
         self._server: asyncio.Server | None = None
         self.port: int | None = None
-        self.requests_total = 0
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -119,7 +118,6 @@ class MetricsServer:
                     send_body = method == "GET"
                 else:
                     status, body = 405, "only GET/HEAD\n"
-            self.requests_total += 1
             payload = body.encode("utf-8")
             head = (
                 f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"

@@ -10,11 +10,14 @@ Three rules shape this module:
   from the merged counts stay valid.  Per-histogram custom buckets
   would silently break that.
 
-* **One-way adapters.**  Counters expose :meth:`Counter.set_total` so
-  a scrape-time adapter can mirror an authoritative total kept
-  elsewhere (``EngineStats.queries`` etc.) without double
-  bookkeeping.  Application code that owns no external total uses
-  :meth:`Counter.inc` and never both.
+* **One declaration, mirrored one way.**  A serving counter or gauge
+  is one declared field of the stats book that owns it
+  (:func:`~repro.engine.stats.metric_field`); the scrape-time walk in
+  :mod:`repro.obs.adapters` mirrors it with :meth:`Counter.set_total`
+  or :meth:`Gauge.set`, and ``/varz`` and the ``STATS`` frame follow
+  from the same field.  Counters have no ``inc``: nothing here keeps
+  a second count.  Histograms alone are pushed, one observation per
+  completed query.
 
 * **No-op when absent.**  Nothing in this module is consulted unless
   a caller holds a registry; callers gate on ``registry is None``
@@ -36,7 +39,6 @@ __all__ = [
     "HistogramSnapshot",
     "MetricFamily",
     "MetricsRegistry",
-    "default_registry",
 ]
 
 #: Shared log-scale latency bucket upper bounds, in seconds.  A fixed
@@ -65,20 +67,9 @@ class Counter:
         self._lock = threading.Lock()
         self._value = 0.0
 
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be >= 0)."""
-        if amount < 0:
-            raise ValueError(f"counter increment must be >= 0, got {amount}")
-        with self._lock:
-            self._value += amount
-
     def set_total(self, value: float) -> None:
-        """Mirror an authoritative external total (adapter use only).
-
-        This is the one-way snapshot hook: the stats object owns the
-        count, the counter merely exposes it.  Mixing ``set_total``
-        and ``inc`` on the same counter is a bookkeeping bug.
-        """
+        """Mirror a total that a stats book owns; the counter merely
+        exposes it."""
         with self._lock:
             self._value = float(value)
 
@@ -100,14 +91,6 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
 
     @property
     def value(self) -> float:
@@ -216,19 +199,6 @@ class Histogram:
                 max=self._max,
             )
 
-    def percentile(self, pct: float) -> float:
-        return self.snapshot().percentile(pct)
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return self._sum
-
 
 _KINDS = {
     "counter": Counter,
@@ -286,32 +256,6 @@ class MetricFamily:
                 self._children[key] = child
             return child
 
-    # Label-less families delegate straight to their single child so
-    # call sites read naturally (``fam.inc()`` / ``fam.observe(s)``).
-    def _solo(self):
-        if self.labelnames:
-            raise ValueError(
-                f"metric {self.name} is labelled {self.labelnames}; "
-                "use .labels(...)"
-            )
-        return self.labels()
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._solo().inc(amount)
-
-    def set(self, value: float) -> None:
-        self._solo().set(value)
-
-    def set_total(self, value: float) -> None:
-        self._solo().set_total(value)
-
-    def observe(self, value: float) -> None:
-        self._solo().observe(value)
-
-    @property
-    def value(self) -> float:
-        return self._solo().value
-
     def samples(self) -> list[tuple[tuple[str, ...], object]]:
         """``(label_values, child)`` pairs sorted by label values."""
         with self._lock:
@@ -323,7 +267,7 @@ class MetricsRegistry:
 
     ``counter``/``gauge``/``histogram`` are get-or-create and
     idempotent: re-declaring a family with the same kind and label
-    schema returns the existing one (adapters re-declare on every
+    schema returns the existing one (the export walk re-declares on every
     scrape); re-declaring with a *different* kind or labels raises.
     """
 
@@ -372,30 +316,7 @@ class MetricsRegistry:
     ) -> MetricFamily:
         return self._declare(name, help, "histogram", tuple(labelnames), buckets)
 
-    def get(self, name: str) -> MetricFamily | None:
-        with self._lock:
-            return self._families.get(name)
-
     def families(self) -> list[MetricFamily]:
         """Families in registration order (a stable scrape order)."""
         with self._lock:
             return list(self._families.values())
-
-
-_default_lock = threading.Lock()
-_default: MetricsRegistry | None = None
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide registry (created on first use).
-
-    Long-lived hosts (the serving CLI) use per-Engine registries so
-    two engines never collide; the default exists for one-off scripts
-    and the ``repro trace`` CLI where a singleton is the convenience
-    that matters.
-    """
-    global _default
-    with _default_lock:
-        if _default is None:
-            _default = MetricsRegistry()
-        return _default

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from dataclasses import asdict, dataclass, field
 from typing import IO, Iterable
 
@@ -265,8 +264,3 @@ class TraceSink:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def now_unix() -> float:
-    """Wall-clock now (isolated for test monkeypatching)."""
-    return time.time()

@@ -56,13 +56,14 @@ import time
 from collections import deque
 from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 from ..analysis import validate as _validate_plan
 from ..cache.store import CacheStats, FilterCache
 from ..context import CancelToken, QueryContext
 from ..core.runner import QueryResult, RunConfig, run_query
-from ..engine.stats import QueryStats
+from ..engine.stats import QueryStats, metric_field
 from ..errors import EngineSaturated, QueryCancelled
 from ..obs.adapters import EngineObserver
 from ..obs.metrics import MetricsRegistry
@@ -72,6 +73,13 @@ from ..plan.query import QuerySpec
 from ..storage.catalog import Catalog
 from ..storage.table import Table
 from ..testing.faults import fault_point
+
+
+#: One ``repro_queries_total`` sample per outcome field.
+_outcome = partial(
+    metric_field, "counter", "repro_queries_total",
+    "Resolved queries by outcome (typed-error taxonomy)",
+)
 
 
 @dataclass
@@ -104,28 +112,58 @@ class EngineStats:
     :meth:`Engine.ingest` batches (committed / aborted) and the delta
     rows committed.  Ingests never consume a worker slot, so these sit
     outside the query reconciliation invariant too.
+
+    Fields declare their metric families in exposition order; the last
+    three are not exported.
     """
 
-    queries: int = 0
+    queries: int = _outcome(outcome="ok")
+    degraded: int = _outcome(outcome="degraded")
+    timeouts: int = _outcome(outcome="timeout")
+    cancellations: int = _outcome(outcome="cancelled")
+    rejected: int = _outcome(outcome="rejected")
+    rejected_invalid: int = _outcome(outcome="rejected_invalid")
+    budget_exceeded: int = _outcome(outcome="budget")
+    failures: int = _outcome(outcome="failure")
+    by_strategy: dict[str, int] = metric_field(
+        "counter", "repro_queries_by_strategy_total",
+        "Successful queries by execution strategy", by="strategy",
+    )
+    submitted: int = metric_field(
+        "counter", "repro_engine_submitted_total",
+        "Queries that entered admission control (admitted + rejected)",
+    )
+    rows_returned: int = metric_field(
+        "counter", "repro_rows_returned_total",
+        "Result rows returned to callers",
+    )
+    filters_degraded: int = metric_field(
+        "counter", "repro_filters_degraded_total",
+        "Exact-set filters degraded to Bloom under a memory budget",
+    )
+    partitions_total: int = metric_field(
+        "counter", "repro_partitions_scanned_total",
+        "Scan partitions considered across all queries",
+    )
+    partitions_pruned: int = metric_field(
+        "counter", "repro_partitions_pruned_total",
+        "Scan partitions eliminated by zone maps",
+    )
+    ingests: int = metric_field(
+        "counter", "repro_ingests_total",
+        "Committed transactional ingest batches",
+    )
+    ingest_failures: int = metric_field(
+        "counter", "repro_ingest_failures_total",
+        "Ingest batches that failed before commit (catalog untouched)",
+    )
+    rows_ingested: int = metric_field(
+        "counter", "repro_rows_ingested_total",
+        "Delta rows appended through committed ingest batches",
+    )
     seconds: float = 0.0
-    rows_returned: int = 0
     filter_cache_hits: int = 0
     filter_cache_misses: int = 0
-    by_strategy: dict[str, int] = field(default_factory=dict)
-    submitted: int = 0
-    rejected: int = 0
-    rejected_invalid: int = 0
-    timeouts: int = 0
-    cancellations: int = 0
-    budget_exceeded: int = 0
-    failures: int = 0
-    degraded: int = 0
-    filters_degraded: int = 0
-    partitions_total: int = 0
-    partitions_pruned: int = 0
-    ingests: int = 0
-    ingest_failures: int = 0
-    rows_ingested: int = 0
 
     def record(self, stats: QueryStats, seconds: float, rows: int) -> None:
         self.queries += 1
@@ -177,14 +215,22 @@ class EngineSnapshot:
     Reading ``Engine.stats()`` and ``Engine.pending`` separately can
     tear — a query resolving between the two reads shows up in both
     the completed counters and the pending gauge (or in neither).
-    Scrape paths (the metrics adapters, the ``STATS`` frame) read this
+    Scrape paths (the metrics export, the ``STATS`` frame) read this
     instead; :attr:`consistent` is the reconciliation invariant.
     """
 
     stats: EngineStats
-    pending: int
-    workers: int
-    admission_limit: int
+    pending: int = metric_field(
+        "gauge", "repro_engine_slots_in_use",
+        "Admitted, unresolved queries (queued + running)",
+    )
+    admission_limit: int = metric_field(
+        "gauge", "repro_engine_slots",
+        "Admission limit (workers + max_pending)",
+    )
+    workers: int = metric_field(
+        "gauge", "repro_engine_workers", "Worker-pool threads"
+    )
 
     @property
     def consistent(self) -> bool:
@@ -617,13 +663,6 @@ class Engine:
             self.validate_spec(spec)
         return self.submit(spec, config, timeout=timeout, token=token).result()
 
-    def run_many(
-        self, specs: list[QuerySpec], config: RunConfig | None = None
-    ) -> list[QueryResult]:
-        """Execute a batch concurrently, preserving input order."""
-        futures = [self.submit(spec, config) for spec in specs]
-        return [f.result() for f in futures]
-
     def session(self, config: RunConfig | None = None) -> "Session":
         """Open a session (a per-client handle with its own defaults)."""
         return Session(self, config)
@@ -778,9 +817,9 @@ class Session:
 
     Sessions are cheap; open one per logical client.  ``execute`` is
     thread-safe (it delegates to the engine's pool).  The session keeps
-    running aggregate counters plus a **bounded** window of recent
-    :class:`QueryStats` for inspection — long-lived serving sessions
-    must not accumulate per-query objects forever.
+    a **bounded** window of recent :class:`QueryStats` for inspection —
+    long-lived serving sessions must not accumulate per-query objects
+    forever; the engine's :class:`EngineStats` holds the totals.
     """
 
     HISTORY_LIMIT = 128
@@ -790,9 +829,6 @@ class Session:
         self.config = config
         self.history: deque[QueryStats] = deque(maxlen=self.HISTORY_LIMIT)
         self._lock = threading.Lock()
-        self._queries = 0  # guarded-by: _lock
-        self._hits = 0  # guarded-by: _lock
-        self._misses = 0  # guarded-by: _lock
         self._active_tokens: set[CancelToken] = set()  # guarded-by: _lock
 
     def execute(
@@ -802,8 +838,8 @@ class Session:
         *,
         timeout: float | None = None,
     ) -> QueryResult:
-        """Execute through the engine's worker pool; records counters
-        and the bounded recent-stats window.  Each call gets a private
+        """Execute through the engine's worker pool; records the
+        bounded recent-stats window.  Each call gets a private
         cancellation token, registered while in flight so
         :meth:`cancel` can abort it."""
         token = CancelToken()
@@ -817,9 +853,6 @@ class Session:
             with self._lock:
                 self._active_tokens.discard(token)
         with self._lock:
-            self._queries += 1
-            self._hits += result.stats.total("filter_cache_hits")
-            self._misses += result.stats.total("filter_cache_misses")
             self.history.append(result.stats)
         return result
 
@@ -867,14 +900,3 @@ class Session:
                 hint = float(getattr(exc, "retry_after", 0.0) or 0.0)
                 sleep(max(delays[attempt], hint))
         raise last
-
-    @property
-    def queries_executed(self) -> int:
-        """Queries this session has executed (running count)."""
-        with self._lock:
-            return self._queries
-
-    def cache_counters(self) -> tuple[int, int]:
-        """(hits, misses) over the session's whole lifetime."""
-        with self._lock:
-            return (self._hits, self._misses)

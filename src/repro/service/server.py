@@ -60,18 +60,18 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import dataclasses
 import threading
 import time
 
 import numpy as np
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from ..analysis import ERROR as DIAG_ERROR
 from ..analysis import analyze
 from ..core.runner import MATERIALIZE_MODES, STRATEGIES, RunConfig
 from ..context import CancelToken
+from ..engine.stats import metric_field
 from ..errors import (
     EngineSaturated,
     FaultInjected,
@@ -138,6 +138,42 @@ class ServerConfig:
             raise ValueError("max_frame_bytes is too small to frame anything")
         if self.max_timeout_ms <= 0:
             raise ValueError("max_timeout_ms must be positive")
+
+
+@dataclass
+class ServerStats:
+    """The wire server's counters, mutated on the event-loop thread
+    only, and the three gauges a :meth:`QueryServer.stats` copy
+    fills in."""
+
+    connections_total: int = metric_field(
+        "counter", "repro_server_connections_total", "Connections accepted"
+    )
+    queries_total: int = metric_field(
+        "counter", "repro_server_wire_queries_total", "QUERY frames dispatched"
+    )
+    ingests_total: int = metric_field(
+        "counter", "repro_server_wire_ingests_total",
+        "INGEST frames dispatched",
+    )
+    protocol_errors: int = metric_field(
+        "counter", "repro_server_protocol_errors_total",
+        "Malformed/oversized/unknown frames answered with typed errors",
+    )
+    cancelled_by_disconnect: int = metric_field(
+        "counter", "repro_server_cancelled_by_disconnect_total",
+        "In-flight queries aborted because their connection died",
+    )
+    connections: int = metric_field(
+        "gauge", "repro_server_connections", "Live connections"
+    )
+    inflight: int = metric_field(
+        "gauge", "repro_server_inflight", "QUERY tasks currently being served"
+    )
+    draining: bool = metric_field(
+        "gauge", "repro_server_draining",
+        "1 while draining (graceful shutdown)", default=False,
+    )
 
 
 class _ConnectionClosed(Exception):
@@ -363,26 +399,20 @@ class QueryServer:
         self._draining = False
         self._drained = asyncio.Event()
         self.port: int | None = None
-        # Serving counters (event-loop-thread only).
-        self.connections_total = 0
-        self.queries_total = 0
-        self.ingests_total = 0
-        self.protocol_errors = 0
-        self.cancelled_by_disconnect = 0
+        self._stats = ServerStats()
         # Pre-admission static analysis verdicts, memoized by query
         # name (specs are immutable once registered): () = clean,
         # a non-empty tuple = the error diagnostics that reject it.
         self._analysis_memo: dict[str, tuple] = {}
 
-    @property
-    def connections(self) -> int:
-        """Open connections right now (scraped as a gauge)."""
-        return len(self._conns)
-
-    @property
-    def inflight(self) -> int:
-        """Wire queries currently being served."""
-        return len(self._inflight)
+    def stats(self) -> ServerStats:
+        """The counters, with the gauges read now."""
+        return replace(
+            self._stats,
+            connections=len(self._conns),
+            inflight=len(self._inflight),
+            draining=self._draining,
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -522,7 +552,7 @@ class QueryServer:
 
     async def _on_conn_dead(self, conn: _Conn) -> None:
         if conn.alive:
-            self.cancelled_by_disconnect += conn.abort_inflight()
+            self._stats.cancelled_by_disconnect += conn.abort_inflight()
         await self._close_conn(conn)
 
     # ------------------------------------------------------------------
@@ -541,13 +571,13 @@ class QueryServer:
                 writer.close()
             return
         self._conns.add(conn)
-        self.connections_total += 1
+        self._stats.connections_total += 1
         try:
             while conn.alive:
                 try:
                     body = await self._read_frame(reader)
                 except _Oversize as exc:
-                    self.protocol_errors += 1
+                    self._stats.protocol_errors += 1
                     await self._send(
                         conn,
                         error_response(
@@ -571,7 +601,7 @@ class QueryServer:
                 try:
                     msg = decode_body(body)
                 except ProtocolError as exc:
-                    self.protocol_errors += 1
+                    self._stats.protocol_errors += 1
                     await self._send(conn, error_frame_for(None, exc))
                     continue
                 await self._dispatch(conn, msg)
@@ -625,7 +655,7 @@ class QueryServer:
                     ),
                 )
                 return
-            self.queries_total += 1
+            self._stats.queries_total += 1
             task = asyncio.ensure_future(self._serve_query(conn, msg))
             self._inflight.add(task)
             task.add_done_callback(self._inflight.discard)
@@ -640,12 +670,12 @@ class QueryServer:
                     ),
                 )
                 return
-            self.ingests_total += 1
+            self._stats.ingests_total += 1
             task = asyncio.ensure_future(self._serve_ingest(conn, msg))
             self._inflight.add(task)
             task.add_done_callback(self._inflight.discard)
             return
-        self.protocol_errors += 1
+        self._stats.protocol_errors += 1
         await self._send(
             conn,
             error_frame_for(
@@ -945,17 +975,10 @@ class QueryServer:
             "type": "STATS",
             "id": rid,
             "protocol": PROTOCOL_VERSION,
-            "engine": dataclasses.asdict(snap.stats),
-            "cache": None if cache is None else cache.to_dict(),
+            "engine": asdict(snap.stats),
+            "cache": None if cache is None else asdict(cache),
             "server": {
-                "draining": self._draining,
-                "connections": len(self._conns),
-                "connections_total": self.connections_total,
-                "queries_total": self.queries_total,
-                "ingests_total": self.ingests_total,
-                "protocol_errors": self.protocol_errors,
-                "cancelled_by_disconnect": self.cancelled_by_disconnect,
-                "inflight": len(self._inflight),
+                **asdict(self.stats()),
                 "pending_jobs": snap.pending,
                 "queries": sorted(self.specs),
             },

@@ -313,13 +313,6 @@ class ReplayResult:
 
     items: list[dict]
 
-    def outcome_counts(self) -> dict[str, int]:
-        """Per-item outcome histogram (``ok``/``degraded``/``timeout``/...)."""
-        out: dict[str, int] = {}
-        for item in self.items:
-            out[item["outcome"]] = out.get(item["outcome"], 0) + 1
-        return out
-
 
 def replay(
     engine: Engine,

@@ -255,11 +255,6 @@ class IngestBatch:
         self._staged: dict[str, list[Table]] = {}
         self._committed = False
 
-    @property
-    def staged_names(self) -> list[str]:
-        """Names with at least one staged delta, in staging order."""
-        return list(self._staged)
-
     def stage(self, name: str, delta: Table) -> None:
         """Stage one delta table for ``name`` (validates, publishes nothing)."""
         if self._committed:

@@ -228,6 +228,27 @@ def test_bare_unique_flagged_and_return_flags_accepted(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Rule e: metric families only from declared book fields
+# ----------------------------------------------------------------------
+def test_metric_declaration_flagged_outside_obs(tmp_path):
+    call = (
+        "def f(registry):\n"
+        "    registry.counter('repro_x_total', 'x')\n"
+        "    registry.gauge('repro_y', 'y')\n"
+        "    registry.histogram('repro_z_seconds', 'z')\n"
+    )
+    _write_tree(tmp_path, {
+        "repro/service/app.py": call,
+        "repro/obs/walk.py": call,
+        "repro/cache/book.py": "x = metric_field('gauge', 'repro_b', 'b')\n",
+    })
+    violations = _of(run_lint([str(tmp_path)]), "metric-declaration")
+    assert [(Path(v.path).name, v.line) for v in violations] == [
+        ("app.py", 2), ("app.py", 3)
+    ]
+
+
+# ----------------------------------------------------------------------
 # The real tree
 # ----------------------------------------------------------------------
 def test_real_src_tree_is_lint_clean():

@@ -9,6 +9,7 @@ isolation) and ``test_server.py`` (wire semantics without obs).
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import pathlib
@@ -20,7 +21,8 @@ import urllib.request
 import pytest
 
 from repro.core.runner import RunConfig, run_query
-from repro.errors import PlanError, ReproError
+from repro.errors import PlanError, PlanValidationError, ReproError
+from repro.expr.nodes import col, lit
 from repro.obs.adapters import OUTCOME_LABELS
 from repro.obs import (
     MetricsRegistry,
@@ -29,8 +31,10 @@ from repro.obs import (
     TraceSink,
     parse_prometheus_text,
 )
+from repro.plan.query import QuerySpec, Relation
 from repro.service import Engine, ReproClient, ServerThread
-from repro.service.protocol import query_request
+from repro.service.engine import EngineStats
+from repro.service.protocol import HEADER, query_request, recv_frame
 from repro.tpch import generate_tpch
 from repro.tpch.queries import get_query
 
@@ -283,6 +287,253 @@ def test_readme_catalogue_names_exactly_the_exported_families(catalog, specs):
     assert _catalogue() == exported
     (labels,) = [row[2] for row in _catalogue_rows() if row[0] == "`queries_total`"]
     assert re.findall(r"`(\w+)`", labels) == ["outcome", *OUTCOME_LABELS]
+
+
+# ----------------------------------------------------------------------
+# The exposition and the STATS frame, pinned on a fixed serial scenario
+# ----------------------------------------------------------------------
+#: Every counter and gauge family: HELP text, type, samples.  Serial
+#: requests on one connection make every value deterministic; the
+#: histograms time queries, so only their sample counts are pinned.
+PINNED_FAMILIES = {
+    "repro_queries_total": (
+        "Resolved queries by outcome (typed-error taxonomy)", "counter",
+        {
+            (("outcome", "ok"),): 2, (("outcome", "degraded"),): 0,
+            (("outcome", "timeout"),): 0, (("outcome", "cancelled"),): 0,
+            (("outcome", "rejected"),): 0,
+            (("outcome", "rejected_invalid"),): 1,
+            (("outcome", "budget"),): 0, (("outcome", "failure"),): 0,
+        },
+    ),
+    "repro_queries_by_strategy_total": (
+        "Successful queries by execution strategy", "counter",
+        {(("strategy", "predtrans"),): 2},
+    ),
+    "repro_engine_submitted_total": (
+        "Queries that entered admission control (admitted + rejected)",
+        "counter", {(): 2},
+    ),
+    "repro_rows_returned_total": (
+        "Result rows returned to callers", "counter", {(): 20},
+    ),
+    "repro_filters_degraded_total": (
+        "Exact-set filters degraded to Bloom under a memory budget",
+        "counter", {(): 0},
+    ),
+    "repro_partitions_scanned_total": (
+        "Scan partitions considered across all queries", "counter",
+        {(): 240},
+    ),
+    "repro_partitions_pruned_total": (
+        "Scan partitions eliminated by zone maps", "counter", {(): 109},
+    ),
+    "repro_ingests_total": (
+        "Committed transactional ingest batches", "counter", {(): 1},
+    ),
+    "repro_ingest_failures_total": (
+        "Ingest batches that failed before commit (catalog untouched)",
+        "counter", {(): 0},
+    ),
+    "repro_rows_ingested_total": (
+        "Delta rows appended through committed ingest batches", "counter",
+        {(): 3},
+    ),
+    "repro_engine_slots_in_use": (
+        "Admitted, unresolved queries (queued + running)", "gauge", {(): 0},
+    ),
+    "repro_engine_slots": (
+        "Admission limit (workers + max_pending)", "gauge", {(): 258},
+    ),
+    "repro_engine_workers": ("Worker-pool threads", "gauge", {(): 2}),
+    "repro_filter_cache_hits_total": ("Filter-cache hits", "counter", {(): 4}),
+    "repro_filter_cache_misses_total": (
+        "Filter-cache misses", "counter", {(): 5},
+    ),
+    "repro_filter_cache_insertions_total": (
+        "Filter-cache insertions", "counter", {(): 5},
+    ),
+    "repro_filter_cache_evictions_total": (
+        "LRU evictions under the byte budget", "counter", {(): 0},
+    ),
+    "repro_filter_cache_invalidations_total": (
+        "Entries dropped by table re-registration", "counter", {(): 0},
+    ),
+    "repro_filter_cache_rejected_total": (
+        "Payloads too large for the byte budget", "counter", {(): 0},
+    ),
+    "repro_filter_cache_corruptions_total": (
+        "Checksum failures handled as misses", "counter", {(): 0},
+    ),
+    "repro_filter_cache_extensions_total": (
+        "Older-version entries extended over delta rows", "counter", {(): 0},
+    ),
+    "repro_filter_cache_extension_rebuilds_total": (
+        "Extension attempts that degraded to a full rebuild", "counter",
+        {(): 0},
+    ),
+    "repro_filter_cache_entries": (
+        "Cached filter payloads resident", "gauge", {(): 5},
+    ),
+    "repro_filter_cache_bytes": (
+        "Filter-cache bytes resident", "gauge", {(): 62269},
+    ),
+    "repro_filter_cache_max_bytes": (
+        "Filter-cache byte budget", "gauge", {(): 256 << 20},
+    ),
+    "repro_filter_cache_hit_ratio": (
+        "Lifetime hits / lookups", "gauge", {(): 4 / 9},
+    ),
+    "repro_server_connections_total": (
+        "Connections accepted", "counter", {(): 1},
+    ),
+    "repro_server_wire_queries_total": (
+        "QUERY frames dispatched", "counter", {(): 3},
+    ),
+    "repro_server_wire_ingests_total": (
+        "INGEST frames dispatched", "counter", {(): 1},
+    ),
+    "repro_server_protocol_errors_total": (
+        "Malformed/oversized/unknown frames answered with typed errors",
+        "counter", {(): 1},
+    ),
+    "repro_server_cancelled_by_disconnect_total": (
+        "In-flight queries aborted because their connection died",
+        "counter", {(): 0},
+    ),
+    "repro_server_connections": ("Live connections", "gauge", {(): 1}),
+    "repro_server_inflight": (
+        "QUERY tasks currently being served", "gauge", {(): 0},
+    ),
+    "repro_server_draining": (
+        "1 while draining (graceful shutdown)", "gauge", {(): 0},
+    ),
+}
+
+PINNED_HISTOGRAMS = {
+    "repro_query_seconds": "End-to-end wall clock of completed queries",
+    "repro_prefilter_phase_seconds": (
+        "Pre-filter phase (scan + transfer) seconds — Figure 5 left"
+    ),
+    "repro_join_phase_seconds": (
+        "Join phase (join + post + materialize) seconds — Figure 5 right"
+    ),
+}
+
+PINNED_STATS_KEYS = {
+    "engine": {
+        "queries", "seconds", "rows_returned", "filter_cache_hits",
+        "filter_cache_misses", "by_strategy", "submitted", "rejected",
+        "rejected_invalid", "timeouts", "cancellations", "budget_exceeded",
+        "failures", "degraded", "filters_degraded", "partitions_total",
+        "partitions_pruned", "ingests", "ingest_failures", "rows_ingested",
+    },
+    "cache": {
+        "hits", "misses", "insertions", "evictions", "invalidations",
+        "rejected", "entries", "bytes", "max_bytes", "corruptions",
+        "extensions", "extension_rebuilds", "hit_rate",
+    },
+    "server": {
+        "draining", "connections", "connections_total", "queries_total",
+        "ingests_total", "protocol_errors", "cancelled_by_disconnect",
+        "inflight", "pending_jobs", "queries",
+    },
+}
+
+
+def test_exposition_and_stats_frame_are_pinned():
+    """q3 twice, one INGEST, one invalid-plan rejection and one garbage
+    frame, serially on one connection; then the exposition and the
+    ``STATS`` sections are compared family by family and key by key."""
+    catalog = generate_tpch(sf=SF, seed=0)  # private: the INGEST appends
+    invalid = QuerySpec(
+        name="invalid",
+        relations=[
+            Relation(
+                alias="l", table="lineitem",
+                predicate=col("l.nonexistent").gt(lit(1)),
+            )
+        ],
+    )
+    specs = {"q3": get_query(3, sf=SF), "invalid": invalid}
+    registry = MetricsRegistry()
+    engine = _engine(catalog, registry=registry)
+    try:
+        collector = ObsCollector(registry, engine=engine)
+        with ServerThread(engine, specs, collector=collector) as st:
+            with ReproClient(st.host, st.port, io_timeout=30.0) as client:
+                client.query_once("q3")
+                client.query_once("q3")
+                orders = catalog.get("orders").head(3)
+                client.ingest({"orders": {
+                    name: orders.column(name).to_pylist()
+                    for name in orders.column_names
+                }})
+                with pytest.raises(PlanValidationError):
+                    client.query_once("invalid")
+                garbage = b"\xffnot json"
+                client._sock.sendall(HEADER.pack(len(garbage)) + garbage)
+                assert recv_frame(client._sock)["code"] == "protocol"
+                stats = client.stats()
+                text = client.metrics()["text"]
+    finally:
+        engine.shutdown(wait=True, cancel=True)
+
+    help_type = {
+        f"{word} {name}": rest
+        for word, name, rest in re.findall(
+            r"^# (HELP|TYPE) (\w+) (.*)$", text, re.M
+        )
+    }
+    expected = {}
+    for name, (help_text, kind, _) in PINNED_FAMILIES.items():
+        expected[f"HELP {name}"] = help_text
+        expected[f"TYPE {name}"] = kind
+    for name, help_text in PINNED_HISTOGRAMS.items():
+        expected[f"HELP {name}"] = help_text
+        expected[f"TYPE {name}"] = "histogram"
+    assert help_type == expected
+
+    families = parse_prometheus_text(text)
+    for name, (_, _, samples) in PINNED_FAMILIES.items():
+        assert families[name] == pytest.approx(samples), name
+    # Timings vary run to run: pin the shape (one strategy, 18 bounds
+    # plus +Inf) and the observation count, never a bucket or a sum.
+    for name in PINNED_HISTOGRAMS:
+        assert len(families[f"{name}_bucket"]) == 19
+        assert families[f"{name}_count"] == {(("strategy", "predtrans"),): 2}
+        assert len(families[f"{name}_sum"]) == 1
+    assert set(families) == set(PINNED_FAMILIES) | {
+        f"{name}_{part}"
+        for name in PINNED_HISTOGRAMS
+        for part in ("bucket", "sum", "count")
+    }
+    for section, keys in PINNED_STATS_KEYS.items():
+        assert set(stats[section]) == keys, section
+
+
+def test_outcome_labels_are_the_declared_outcome_fields():
+    declared = [
+        f.metadata["outcome"]
+        for f in dataclasses.fields(EngineStats)
+        if "outcome" in f.metadata
+    ]
+    assert declared == list(OUTCOME_LABELS)
+
+
+def test_disabled_cache_exports_its_families_as_zeros(catalog, specs):
+    registry = MetricsRegistry()
+    engine = _engine(catalog, registry=registry, cache_bytes=None)
+    try:
+        engine.execute(specs["q3"])
+        families = parse_prometheus_text(
+            ObsCollector(registry, engine=engine).prometheus()
+        )
+    finally:
+        engine.shutdown(wait=True, cancel=True)
+    cache = {n: v for n, v in families.items() if "_filter_cache_" in n}
+    assert len(cache) == 13
+    assert all(samples == {(): 0} for samples in cache.values())
 
 
 # ----------------------------------------------------------------------

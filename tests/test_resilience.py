@@ -420,6 +420,5 @@ def test_replay_records_timeouts_as_outcomes(catalog, q3, q5):
         ok = replay(engine, [q3])
     assert [i["outcome"] for i in out.items] == ["timeout", "timeout"]
     assert all(i["digest"] is None for i in out.items)
-    assert out.outcome_counts() == {"timeout": 2}
     assert ok.items[0]["outcome"] == "ok"
     assert ok.items[0]["digest"] is not None

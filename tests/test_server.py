@@ -318,7 +318,7 @@ def test_disconnect_mid_query_cancels_and_reclaims_slot(catalog, specs):
             stats = engine.stats()
             assert stats.cancellations >= 1
             assert engine.pending == 0  # the slot was reclaimed
-            assert st.server.cancelled_by_disconnect >= 1
+            assert st.server.stats().cancelled_by_disconnect >= 1
             # The worker is free again: a fresh client is served.
             with _client(st) as client:
                 assert client.query_once("q3")["rows"] > 0

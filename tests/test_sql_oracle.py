@@ -65,6 +65,18 @@ QUERIES: dict[int | str, str] = {
         ORDER BY revenue DESC, o_orderdate
         LIMIT 10
     """,
+    4: """
+        SELECT o_orderpriority, COUNT(*) AS order_count
+        FROM orders
+        WHERE o_orderdate >= '1993-07-01'
+          AND o_orderdate < '1993-10-01'
+          AND EXISTS (
+                SELECT * FROM lineitem
+                WHERE l_orderkey = o_orderkey
+                  AND l_commitdate < l_receiptdate)
+        GROUP BY o_orderpriority
+        ORDER BY o_orderpriority
+    """,
     5: """
         SELECT n_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue
         FROM customer, orders, lineitem, supplier, nation, region
@@ -137,6 +149,22 @@ QUERIES: dict[int | str, str] = {
                  c_comment
         ORDER BY revenue DESC
         LIMIT 20
+    """,
+    # The spec scales the HAVING fraction as 0.0001 / SF.
+    11: f"""
+        SELECT ps_partkey, SUM(ps_supplycost * ps_availqty) AS value
+        FROM partsupp, supplier, nation
+        WHERE ps_suppkey = s_suppkey
+          AND s_nationkey = n_nationkey
+          AND n_name = 'GERMANY'
+        GROUP BY ps_partkey
+        HAVING SUM(ps_supplycost * ps_availqty) > (
+                SELECT SUM(ps_supplycost * ps_availqty) * {0.0001 / SF!r}
+                FROM partsupp, supplier, nation
+                WHERE ps_suppkey = s_suppkey
+                  AND s_nationkey = n_nationkey
+                  AND n_name = 'GERMANY')
+        ORDER BY value DESC
     """,
     12: """
         SELECT l_shipmode,
