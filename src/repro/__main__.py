@@ -326,8 +326,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return run_server(
         sf=args.sf,
         seed=args.seed,
-        host=args.host,
-        port=args.port,
         workers=args.workers,
         max_pending=args.max_pending,
         config=config,

@@ -39,8 +39,8 @@ from .errors import MemoryBudgetExceeded, QueryCancelled, QueryTimeout
 class CancelToken:
     """A thread-safe, latching cancellation flag.
 
-    One token may be shared by several queries (e.g. every query of a
-    session): cancelling it aborts them all at their next checkpoint.
+    One token may be shared by several queries (e.g. every query of one
+    client): cancelling it aborts them all at their next checkpoint.
     Tokens never reset — open a fresh one per logical unit of work.
     """
 

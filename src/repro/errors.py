@@ -87,7 +87,7 @@ class QueryTimeout(QueryAborted):
 
 class QueryCancelled(QueryAborted):
     """The query's cancellation token was triggered
-    (``Session.cancel()`` or an engine shutdown)."""
+    (``CancelToken.cancel()`` or an engine shutdown)."""
 
     outcome = "cancelled"
 
@@ -108,9 +108,9 @@ class EngineSaturated(QueryAborted):
     ``retry_after`` is the server's backoff hint in seconds (an
     estimate of when a slot should free up), clamped to at least
     :data:`MIN_RETRY_AFTER` so a degenerate ~0 hint can never drive a
-    hot-spin retry loop; the client-side retry helpers
-    (:meth:`repro.service.engine.Session.execute_with_retry` and the
-    network client) honour it.
+    hot-spin retry loop; the retry loop
+    (:meth:`repro.service.engine.RetryPolicy.run`, which the network
+    client's ``query`` uses) honours it.
     """
 
     outcome = "rejected"

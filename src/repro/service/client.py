@@ -11,10 +11,9 @@ mirrors the server's:
   response the network swallowed) raise
   :class:`~repro.errors.ConnectionLost`;
 * ``RETRY`` frames (admission control) are honoured by
-  :meth:`ReproClient.query` with the same seeded-jitter exponential
-  backoff :class:`~repro.service.engine.RetryPolicy` the in-process
-  retry helper uses, waiting at least the server's ``retry_after``
-  hint between attempts;
+  :meth:`ReproClient.query` with the seeded-jitter exponential backoff
+  of :meth:`~repro.service.engine.RetryPolicy.run`, waiting at least
+  the server's ``retry_after`` hint between attempts;
 * the client never hangs: every socket operation is bounded by
   ``io_timeout``.
 
@@ -28,10 +27,11 @@ correctly.
 
 from __future__ import annotations
 
+import itertools
 import socket
 import time
 
-from ..errors import ConnectionLost, ProtocolError, ReproError
+from ..errors import ConnectionLost, ProtocolError
 from .engine import RetryPolicy
 from .protocol import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -78,7 +78,7 @@ class ReproClient:
         self.port = port
         self.io_timeout = io_timeout
         self.max_frame_bytes = max_frame_bytes
-        self._next_id = 0
+        self._ids = itertools.count(1)
         try:
             self._sock = socket.create_connection(
                 (host, port), timeout=connect_timeout
@@ -105,15 +105,7 @@ class ReproClient:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    @property
-    def closed(self) -> bool:
-        return self._sock is None
-
     # ------------------------------------------------------------------
-    def _fresh_id(self) -> int:
-        self._next_id += 1
-        return self._next_id
-
     def request(self, body: dict) -> dict:
         """One request/response exchange, matched by id.
 
@@ -137,10 +129,7 @@ class ReproClient:
                 )
             try:
                 frame = recv_frame(self._sock, self.max_frame_bytes)
-            except ConnectionLost:
-                self.close()
-                raise
-            except ProtocolError:
+            except (ConnectionLost, ProtocolError):
                 self.close()
                 raise
             got = frame.get("id")
@@ -153,20 +142,26 @@ class ReproClient:
             # A frame for someone else (pipelined caller): not ours.
             continue
 
+    def _exchange(self, body: dict, expect: str) -> dict:
+        """:meth:`request`, typed: the response if it is an ``expect``
+        frame; an ``ERROR``/``RETRY`` frame raised as its exception;
+        anything else a :class:`~repro.errors.ProtocolError`."""
+        frame = self.request(body)
+        kind = frame.get("type")
+        if kind == expect:
+            return frame
+        if kind in ("ERROR", "RETRY"):
+            raise exception_for_response(frame)
+        raise ProtocolError(f"expected {expect}, got {kind!r}")
+
     # ------------------------------------------------------------------
     def ping(self) -> dict:
         """Liveness/readiness probe: the raw ``PONG`` body."""
-        frame = self.request(ping_request(self._fresh_id()))
-        if frame.get("type") != "PONG":
-            raise ProtocolError(f"expected PONG, got {frame.get('type')!r}")
-        return frame
+        return self._exchange(ping_request(next(self._ids)), "PONG")
 
     def stats(self) -> dict:
         """Engine/cache/server snapshots: the raw ``STATS`` body."""
-        frame = self.request(stats_request(self._fresh_id()))
-        if frame.get("type") != "STATS":
-            raise ProtocolError(f"expected STATS, got {frame.get('type')!r}")
-        return frame
+        return self._exchange(stats_request(next(self._ids)), "STATS")
 
     def metrics(self) -> dict:
         """The server's metric families: the raw ``METRICS`` body
@@ -176,13 +171,7 @@ class ReproClient:
         ``ERROR code=unavailable``, raised here as
         :class:`~repro.errors.ServiceUnavailable`.
         """
-        frame = self.request(metrics_request(self._fresh_id()))
-        kind = frame.get("type")
-        if kind == "METRICS":
-            return frame
-        if kind == "ERROR":
-            raise exception_for_response(frame)
-        raise ProtocolError(f"expected METRICS, got {kind!r}")
+        return self._exchange(metrics_request(next(self._ids)), "METRICS")
 
     def ingest(self, tables: dict[str, dict[str, list]]) -> dict:
         """Append delta rows transactionally: the ``INGESTED`` body.
@@ -195,13 +184,9 @@ class ReproClient:
         matching exception is raised here and the server's catalog is
         guaranteed untouched.
         """
-        frame = self.request(ingest_request(self._fresh_id(), tables))
-        kind = frame.get("type")
-        if kind == "INGESTED":
-            return frame
-        if kind == "ERROR":
-            raise exception_for_response(frame)
-        raise ProtocolError(f"expected INGESTED, got {kind!r}")
+        return self._exchange(
+            ingest_request(next(self._ids), tables), "INGESTED"
+        )
 
     def query_once(
         self,
@@ -220,23 +205,16 @@ class ReproClient:
         automatic backoff.  ``trace_id`` travels to the server (which
         otherwise mints one) and is echoed on the response.
         """
-        frame = self.request(
-            query_request(
-                self._fresh_id(),
-                query,
-                strategy=strategy,
-                materialize=materialize,
-                timeout_ms=timeout_ms,
-                include_data=include_data,
-                trace_id=trace_id,
-            )
+        request = query_request(
+            next(self._ids),
+            query,
+            strategy=strategy,
+            materialize=materialize,
+            timeout_ms=timeout_ms,
+            include_data=include_data,
+            trace_id=trace_id,
         )
-        kind = frame.get("type")
-        if kind == "RESULT":
-            return frame
-        if kind in ("ERROR", "RETRY"):
-            raise exception_for_response(frame)
-        raise ProtocolError(f"unexpected response type {kind!r}")
+        return self._exchange(request, "RESULT")
 
     def query(
         self,
@@ -250,32 +228,19 @@ class ReproClient:
         policy: RetryPolicy | None = None,
         sleep=time.sleep,
     ) -> dict:
-        """:meth:`query_once` with saturation backoff.
-
-        Retries only the types in ``policy.retry_on`` (by default
-        admission rejections relayed as ``RETRY`` frames), waiting the
-        larger of the policy's seeded-jitter schedule and the server's
-        floored ``retry_after`` hint; after ``policy.attempts`` tries
-        the last typed error is re-raised.  ``sleep`` is injectable
-        for deterministic tests.
+        """:meth:`query_once` under ``policy``'s saturation backoff
+        (:meth:`RetryPolicy.run`; by default admission rejections
+        relayed as ``RETRY`` frames are retried).  ``sleep`` is
+        injectable for deterministic tests.
         """
-        policy = policy or RetryPolicy()
-        delays = policy.delays()
-        last: ReproError | None = None
-        for attempt in range(policy.attempts):
-            try:
-                return self.query_once(
-                    query,
-                    strategy=strategy,
-                    materialize=materialize,
-                    timeout_ms=timeout_ms,
-                    include_data=include_data,
-                    trace_id=trace_id,
-                )
-            except policy.retry_on as exc:
-                last = exc
-                if attempt == policy.attempts - 1:
-                    break
-                hint = float(getattr(exc, "retry_after", 0.0) or 0.0)
-                sleep(max(delays[attempt], hint))
-        raise last
+        return (policy or RetryPolicy()).run(
+            lambda: self.query_once(
+                query,
+                strategy=strategy,
+                materialize=materialize,
+                timeout_ms=timeout_ms,
+                include_data=include_data,
+                trace_id=trace_id,
+            ),
+            sleep=sleep,
+        )

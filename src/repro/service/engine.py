@@ -1,4 +1,4 @@
-"""The concurrent query service: one shared catalog + cache, many sessions.
+"""The concurrent query service: one shared catalog + cache, many callers.
 
 :class:`Engine` is the serving-layer owner of everything that outlives
 a single query:
@@ -11,7 +11,7 @@ a single query:
 
 Thread-safety and eviction guarantees
 -------------------------------------
-``Session.execute`` / ``Engine.execute`` may be called from any number
+``Engine.submit`` / ``Engine.execute`` may be called from any number
 of threads concurrently:
 
 * query execution is read-only against the catalog — tables, columns
@@ -37,7 +37,7 @@ One pool
 --------
 The engine's worker pool is the only one in the process: each query
 runs start to finish on one worker thread, so total threads are
-bounded by ``workers`` however many sessions submit.  There is no
+bounded by ``workers`` however many callers submit.  There is no
 intra-query pool: chunked kernels fanned out over a second pool ran at
 0.87–0.91× of one thread (TPC-H SF 0.5, two threads on two cores),
 because every NumPy call drops and retakes the interpreter lock.
@@ -53,11 +53,11 @@ import contextlib
 import random
 import threading
 import time
-from collections import deque
 from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import TypeVar
 
 from ..analysis import validate as _validate_plan
 from ..cache.store import CacheStats, FilterCache
@@ -74,6 +74,8 @@ from ..storage.catalog import Catalog
 from ..storage.table import Table
 from ..testing.faults import fault_point
 
+
+T = TypeVar("T")
 
 #: One ``repro_queries_total`` sample per outcome field.
 _outcome = partial(
@@ -114,7 +116,7 @@ class EngineStats:
     outside the query reconciliation invariant too.
 
     Fields declare their metric families in exposition order; the last
-    three are not exported.
+    one, ``seconds``, is not exported.
     """
 
     queries: int = _outcome(outcome="ok")
@@ -162,15 +164,11 @@ class EngineStats:
         "Delta rows appended through committed ingest batches",
     )
     seconds: float = 0.0
-    filter_cache_hits: int = 0
-    filter_cache_misses: int = 0
 
     def record(self, stats: QueryStats, seconds: float, rows: int) -> None:
         self.queries += 1
         self.seconds += seconds
         self.rows_returned += rows
-        self.filter_cache_hits += stats.total("filter_cache_hits")
-        self.filter_cache_misses += stats.total("filter_cache_misses")
         self.by_strategy[stats.strategy] = (
             self.by_strategy.get(stats.strategy, 0) + 1
         )
@@ -280,6 +278,22 @@ class RetryPolicy:
             delay *= self.multiplier
         return out
 
+    def run(self, call: Callable[[], T], sleep=time.sleep) -> T:
+        """``call()`` with jittered exponential backoff.
+
+        Retries only the types in ``retry_on``, waiting the larger of
+        the seeded-jitter schedule and the error's ``retry_after`` hint
+        between attempts; after ``attempts`` tries the last typed error
+        is re-raised.  ``sleep`` is injectable for deterministic tests.
+        """
+        for delay in self.delays():
+            try:
+                return call()
+            except self.retry_on as exc:
+                hint = float(getattr(exc, "retry_after", 0.0) or 0.0)
+                sleep(max(delay, hint))
+        return call()
+
 
 class _Job:
     """An admitted query: its outer future + resilience context.
@@ -388,15 +402,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Query execution
     # ------------------------------------------------------------------
-    def _effective_config(
-        self, config: RunConfig | None, qctx: QueryContext
-    ) -> RunConfig:
-        return replace(
-            config or self._default_config,
-            filter_cache=self.filter_cache,
-            context=qctx,
-        )
-
     def _build_context(
         self,
         config: RunConfig | None,
@@ -451,23 +456,6 @@ class Engine:
         avg = stats.seconds / stats.queries if stats.queries else 0.05
         queued = max(1, self._pending - self._workers + 1)  # lint: unguarded
         return min(5.0, max(self._retry_after_floor, avg * queued / self._workers))
-
-    def _run(
-        self, spec: QuerySpec, config: RunConfig | None, qctx: QueryContext
-    ) -> tuple[QueryResult, float]:
-        """Execute one query; recording happens in :meth:`_resolve`.
-
-        Success accounting used to live here, under its own lock
-        acquisition, with the slot release in :meth:`_resolve` under a
-        second one — so a scrape between the two saw the query counted
-        *both* completed and pending (torn totals under a concurrent
-        burst).  Now the stats mutation and the slot release are one
-        critical section.
-        """
-        effective = self._effective_config(config, qctx)
-        t0 = time.perf_counter()
-        result = run_query(spec, self.catalog, config=effective)
-        return result, time.perf_counter() - t0
 
     def _resolve(
         self,
@@ -543,13 +531,22 @@ class Engine:
             )
 
     def _task(self, job: _Job, spec: QuerySpec, config: RunConfig | None) -> None:
-        """Pool-side body: skip if shutdown already resolved the job."""
+        """Pool-side body: skip if shutdown already resolved the job,
+        else run the query on the engine's cache and the job's context.
+        :meth:`_resolve` records the outcome."""
         with self._lock:
             if job.done:
                 return
             job.started = True
         try:
-            result, elapsed = self._run(spec, config, job.context)
+            effective = replace(
+                config or self._default_config,
+                filter_cache=self.filter_cache,
+                context=job.context,
+            )
+            t0 = time.perf_counter()
+            result = run_query(spec, self.catalog, config=effective)
+            elapsed = time.perf_counter() - t0
         except BaseException as exc:
             self._resolve(job, exc=exc)
         else:
@@ -662,10 +659,6 @@ class Engine:
         if validate:
             self.validate_spec(spec)
         return self.submit(spec, config, timeout=timeout, token=token).result()
-
-    def session(self, config: RunConfig | None = None) -> "Session":
-        """Open a session (a per-client handle with its own defaults)."""
-        return Session(self, config)
 
     # ------------------------------------------------------------------
     # Catalog mutation & cache control
@@ -810,93 +803,3 @@ class Engine:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class Session:
-    """A per-client handle on an :class:`Engine`.
-
-    Sessions are cheap; open one per logical client.  ``execute`` is
-    thread-safe (it delegates to the engine's pool).  The session keeps
-    a **bounded** window of recent :class:`QueryStats` for inspection —
-    long-lived serving sessions must not accumulate per-query objects
-    forever; the engine's :class:`EngineStats` holds the totals.
-    """
-
-    HISTORY_LIMIT = 128
-
-    def __init__(self, engine: Engine, config: RunConfig | None = None) -> None:
-        self.engine = engine
-        self.config = config
-        self.history: deque[QueryStats] = deque(maxlen=self.HISTORY_LIMIT)
-        self._lock = threading.Lock()
-        self._active_tokens: set[CancelToken] = set()  # guarded-by: _lock
-
-    def execute(
-        self,
-        spec: QuerySpec,
-        config: RunConfig | None = None,
-        *,
-        timeout: float | None = None,
-    ) -> QueryResult:
-        """Execute through the engine's worker pool; records the
-        bounded recent-stats window.  Each call gets a private
-        cancellation token, registered while in flight so
-        :meth:`cancel` can abort it."""
-        token = CancelToken()
-        with self._lock:
-            self._active_tokens.add(token)
-        try:
-            result = self.engine.execute(
-                spec, config or self.config, timeout=timeout, token=token
-            )
-        finally:
-            with self._lock:
-                self._active_tokens.discard(token)
-        with self._lock:
-            self.history.append(result.stats)
-        return result
-
-    def cancel(self) -> int:
-        """Abort this session's in-flight queries at their next
-        cooperative checkpoint; returns how many were signalled.
-
-        Each aborted query's caller gets a typed
-        :class:`~repro.errors.QueryCancelled`; queries submitted after
-        this call are unaffected (tokens are per-execute)."""
-        with self._lock:
-            tokens = list(self._active_tokens)
-        for token in tokens:
-            token.cancel()
-        return len(tokens)
-
-    def execute_with_retry(
-        self,
-        spec: QuerySpec,
-        config: RunConfig | None = None,
-        *,
-        timeout: float | None = None,
-        policy: RetryPolicy | None = None,
-        sleep=time.sleep,
-    ) -> QueryResult:
-        """:meth:`execute` with jittered exponential backoff.
-
-        Retries only the types in ``policy.retry_on`` (by default
-        admission rejections), waiting the larger of the policy's
-        seeded-jitter schedule and the server's ``retry_after`` hint
-        between attempts; after ``policy.attempts`` tries the last
-        typed error is re-raised.  ``sleep`` is injectable for
-        deterministic tests.
-        """
-        policy = policy or RetryPolicy()
-        delays = policy.delays()
-        last: BaseException | None = None
-        for attempt in range(policy.attempts):
-            try:
-                return self.execute(spec, config, timeout=timeout)
-            except policy.retry_on as exc:
-                last = exc
-                if attempt == policy.attempts - 1:
-                    break
-                hint = float(getattr(exc, "retry_after", 0.0) or 0.0)
-                sleep(max(delays[attempt], hint))
-        raise last

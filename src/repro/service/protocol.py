@@ -45,12 +45,14 @@ code                exception (both directions)
 ``saturated``       :class:`~repro.errors.EngineSaturated`
                     (sent as ``RETRY``, never as ``ERROR``)
 ``unavailable``     :class:`~repro.errors.ServiceUnavailable`
-``bad_request``     :class:`~repro.errors.PlanError`
+``bad_request``     :class:`~repro.errors.PlanError` (a server-side
+                    :class:`~repro.errors.SchemaError` is sent under it)
 ``invalid_plan``    :class:`~repro.errors.PlanValidationError`
                     (pre-admission static analysis; the frame carries
                     the structured ``diagnostics`` list)
 ``protocol``        :class:`~repro.errors.ProtocolError`
-``frame_too_large`` :class:`~repro.errors.FrameTooLarge`
+``frame_too_large`` :class:`~repro.errors.FrameTooLarge` (rebuilt as
+                    its base :class:`~repro.errors.ProtocolError`)
 ``internal``        :class:`~repro.errors.RemoteError` (client side;
                     any untyped server-side failure)
 ==================  =================================================
@@ -328,25 +330,35 @@ def pong_response(request_id, *, ready: bool, draining: bool) -> dict:
 # ----------------------------------------------------------------------
 # Error-code mapping
 # ----------------------------------------------------------------------
-#: Server side: exception class → wire code, most specific first.
-_CODE_BY_TYPE: tuple[tuple[type, str], ...] = (
-    (QueryTimeout, "timeout"),
-    (QueryCancelled, "cancelled"),
-    (MemoryBudgetExceeded, "budget"),
-    (EngineSaturated, "saturated"),
-    (ServiceUnavailable, "unavailable"),
-    (FrameTooLarge, "frame_too_large"),
-    (ProtocolError, "protocol"),
-    (SchemaError, "bad_request"),
-    (PlanValidationError, "invalid_plan"),
-    (PlanError, "bad_request"),
+#: The wire taxonomy, both directions, most specific first: the class a
+#: server sends under each code, and the class a client rebuilds from
+#: it.  Two rows are not round trips: a ``FrameTooLarge`` is rebuilt as
+#: its base ``ProtocolError`` (the frame carries no length and limit),
+#: and a ``SchemaError`` travels as ``bad_request``, rebuilt as
+#: ``PlanError``.  ``saturated`` is sent as a ``RETRY`` frame.
+_CODE_BY_TYPE: tuple[tuple[type, str, type], ...] = (
+    (QueryTimeout, "timeout", QueryTimeout),
+    (QueryCancelled, "cancelled", QueryCancelled),
+    (MemoryBudgetExceeded, "budget", MemoryBudgetExceeded),
+    (EngineSaturated, "saturated", EngineSaturated),
+    (ServiceUnavailable, "unavailable", ServiceUnavailable),
+    (FrameTooLarge, "frame_too_large", ProtocolError),
+    (ProtocolError, "protocol", ProtocolError),
+    (SchemaError, "bad_request", PlanError),
+    (PlanValidationError, "invalid_plan", PlanValidationError),
+    (PlanError, "bad_request", PlanError),
 )
+
+#: Client side: wire code → the class rebuilt from it.
+_TYPE_BY_CODE: dict[str, type] = {
+    code: rebuilt for _, code, rebuilt in _CODE_BY_TYPE
+}
 
 
 def code_for_exception(exc: BaseException) -> str:
     """The wire code for a server-side failure (``internal`` fallback)."""
-    for cls, code in _CODE_BY_TYPE:
-        if isinstance(exc, cls):
+    for sent, code, _ in _CODE_BY_TYPE:
+        if isinstance(exc, sent):
             return code
     return "internal"
 
@@ -387,31 +399,16 @@ def exception_for_response(body: dict) -> ReproError:
             retry_after=float(body.get("retry_after", 0.0) or 0.0),
         )
     code = body.get("code", "internal")
-    if code == "timeout":
-        return QueryTimeout(message)
-    if code == "cancelled":
-        return QueryCancelled(message)
-    if code == "budget":
-        return MemoryBudgetExceeded(message)
-    if code == "saturated":
-        return EngineSaturated(message)
-    if code == "unavailable":
-        return ServiceUnavailable(message)
-    if code == "frame_too_large":
-        return ProtocolError(message)
-    if code == "protocol":
-        return ProtocolError(message)
-    if code == "invalid_plan":
+    cls = _TYPE_BY_CODE.get(code) if isinstance(code, str) else None
+    if cls is None:
+        return RemoteError(
+            message, code=str(code), remote_type=body.get("error_type")
+        )
+    if cls is PlanValidationError:
         raw = body.get("diagnostics")
-        diags = tuple(d for d in raw if isinstance(d, dict)) if isinstance(
-            raw, list
-        ) else ()
-        return PlanValidationError(message, diagnostics=diags)
-    if code == "bad_request":
-        return PlanError(message)
-    return RemoteError(
-        message, code=str(code), remote_type=body.get("error_type")
-    )
+        diags = raw if isinstance(raw, list) else ()
+        return cls(message, diagnostics=[d for d in diags if isinstance(d, dict)])
+    return cls(message)
 
 
 # ----------------------------------------------------------------------

@@ -64,8 +64,10 @@ import threading
 import time
 
 import numpy as np
-from collections.abc import Mapping
+from collections.abc import Awaitable, Callable, Mapping
 from dataclasses import asdict, dataclass, replace
+from functools import partial
+from typing import NamedTuple
 
 from ..analysis import ERROR as DIAG_ERROR
 from ..analysis import analyze
@@ -73,8 +75,8 @@ from ..core.runner import MATERIALIZE_MODES, STRATEGIES, RunConfig
 from ..context import CancelToken
 from ..engine.stats import metric_field
 from ..errors import (
-    EngineSaturated,
     FaultInjected,
+    FrameTooLarge,
     PlanError,
     PlanValidationError,
     ProtocolError,
@@ -99,7 +101,6 @@ from .protocol import (
     decode_body,
     encode_frame,
     error_frame_for,
-    error_response,
     ingested_response,
     metrics_response,
     pong_response,
@@ -168,7 +169,8 @@ class ServerStats:
         "gauge", "repro_server_connections", "Live connections"
     )
     inflight: int = metric_field(
-        "gauge", "repro_server_inflight", "QUERY tasks currently being served"
+        "gauge", "repro_server_inflight",
+        "QUERY and INGEST tasks currently being served",
     )
     draining: bool = metric_field(
         "gauge", "repro_server_draining",
@@ -182,15 +184,6 @@ class _ConnectionClosed(Exception):
 
 class _SlowPeer(Exception):
     """Internal: mid-frame read or write timed out — close defensively."""
-
-
-class _Oversize(Exception):
-    """Internal: a frame declared more bytes than the limit (body
-    already drained, framing intact — answer and keep serving)."""
-
-    def __init__(self, length: int) -> None:
-        super().__init__(str(length))
-        self.length = length
 
 
 class _Conn:
@@ -222,80 +215,68 @@ def _json_value(value):
     return str(value)
 
 
+class _WireType(NamedTuple):
+    """How one logical type travels in an ``INGEST`` frame."""
+
+    want: str  # the wire form, for error messages
+    accepts: Callable[[object], bool]
+    null: object  # stands in for a JSON null under the validity mask
+    build: Callable[[list], Column]
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_WIRE_TYPES: dict[DType, _WireType] = {
+    DType.INT64: _WireType("an integer", _is_int, 0, Column.from_ints),
+    DType.FLOAT64: _WireType(
+        "a number",
+        lambda x: _is_int(x) or isinstance(x, float),
+        0.0,
+        Column.from_floats,
+    ),
+    DType.DATE: _WireType(
+        "a 'YYYY-MM-DD' string",
+        lambda x: isinstance(x, str),
+        "1970-01-01",
+        Column.from_dates,
+    ),
+    DType.STRING: _WireType(
+        "a string", lambda x: isinstance(x, str), "", Column.from_strings
+    ),
+    DType.BOOL: _WireType(
+        "a boolean", lambda x: isinstance(x, bool), False, Column.from_bools
+    ),
+}
+
+
 def _wire_column(table: str, name: str, dtype: DType, values: list) -> Column:
     """Decode one wire column against the target column's logical type.
 
     JSON ``null`` marks a null row (a validity mask is attached only
     when at least one appears); everything else must already be the
-    dtype's wire form — numbers for INT64/FLOAT64, ``"YYYY-MM-DD"``
-    strings for DATE, strings for STRING, booleans for BOOL.
+    dtype's wire form (:data:`_WIRE_TYPES`).  A value of that form the
+    column still cannot hold — an integer beyond int64, a malformed
+    date — is a :class:`~repro.errors.SchemaError` too.
     """
-    valid = [v is not None for v in values]
-    all_valid = all(valid)
-
-    def _typed(value, check, conv, want: str):
-        if not check(value):
+    wire = _WIRE_TYPES[dtype]
+    for value in values:
+        if value is not None and not wire.accepts(value):
             raise SchemaError(
-                f"column {table}.{name} ({dtype.value}) expects {want}, "
+                f"column {table}.{name} ({dtype.value}) expects {wire.want}, "
                 f"got {value!r}"
             )
-        return conv(value)
-
-    if dtype is DType.INT64:
-        data = [
-            0 if v is None else _typed(
-                v,
-                lambda x: isinstance(x, int) and not isinstance(x, bool),
-                int,
-                "an integer",
-            )
-            for v in values
-        ]
-        column = Column.from_ints(np.asarray(data, dtype=np.int64))
-    elif dtype is DType.FLOAT64:
-        data = [
-            0.0 if v is None else _typed(
-                v,
-                lambda x: isinstance(x, (int, float))
-                and not isinstance(x, bool),
-                float,
-                "a number",
-            )
-            for v in values
-        ]
-        column = Column.from_floats(np.asarray(data, dtype=np.float64))
-    elif dtype is DType.DATE:
-        data = [
-            "1970-01-01" if v is None else _typed(
-                v, lambda x: isinstance(x, str), str, "a 'YYYY-MM-DD' string"
-            )
-            for v in values
-        ]
-        try:
-            column = Column.from_dates(data)
-        except (ValueError, TypeError) as exc:
-            raise SchemaError(
-                f"column {table}.{name} (date): {exc}"
-            ) from None
-    elif dtype is DType.STRING:
-        data = [
-            "" if v is None else _typed(
-                v, lambda x: isinstance(x, str), str, "a string"
-            )
-            for v in values
-        ]
-        column = Column.from_strings(data)
-    elif dtype is DType.BOOL:
-        data = [
-            False if v is None else _typed(
-                v, lambda x: isinstance(x, bool), bool, "a boolean"
-            )
-            for v in values
-        ]
-        column = Column.from_bools(np.asarray(data, dtype=np.bool_))
-    else:  # pragma: no cover - DType is closed
-        raise SchemaError(f"cannot ingest into {dtype.value} column {name!r}")
-    if all_valid:
+    valid = [v is not None for v in values]
+    try:
+        column = wire.build(
+            [v if ok else wire.null for v, ok in zip(values, valid)]
+        )
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise SchemaError(
+            f"column {table}.{name} ({dtype.value}): {exc}"
+        ) from None
+    if all(valid):
         return column
     return Column(
         column.data,
@@ -354,8 +335,8 @@ class QueryServer:
     ----------
     engine:
         The engine to serve.  The server does **not** own it — callers
-        shut it down after :meth:`drain` (see :func:`run_server` /
-        :class:`ServerThread` for owners that do both).
+        shut it down after :meth:`drain` (:class:`ServerThread` is the
+        owner that drains it).
     specs:
         The query registry: request ``query`` names → prepared
         :class:`~repro.plan.query.QuerySpec` objects (the wire cannot
@@ -464,9 +445,6 @@ class QueryServer:
             await self._close_conn(conn)
         self._drained.set()
 
-    async def wait_drained(self) -> None:
-        await self._drained.wait()
-
     async def _close_conn(self, conn: _Conn) -> None:
         conn.alive = False
         self._conns.discard(conn)
@@ -491,7 +469,9 @@ class QueryServer:
             raise _ConnectionClosed() from None
 
     async def _read_frame(self, reader: asyncio.StreamReader) -> bytes:
-        """One frame body; raises the typed internal framing states."""
+        """One frame body; raises the typed internal framing states, or
+        :class:`~repro.errors.FrameTooLarge` once an oversized body is
+        drained (framing intact — answer and keep serving)."""
         # net.read faults: "disconnect" surfaces the exact exception a
         # TCP reset would; "delay" models a slow network; "raise" an
         # unexpected transport bug.
@@ -513,7 +493,7 @@ class QueryServer:
                     self.config.read_timeout,
                 )
                 remaining -= len(chunk)
-            raise _Oversize(length)
+            raise FrameTooLarge(length, self.config.max_frame_bytes)
         return await self._read_exactly(reader, length, self.config.read_timeout)
 
     async def _send(self, conn: _Conn, body: dict) -> None:
@@ -575,35 +555,18 @@ class QueryServer:
         try:
             while conn.alive:
                 try:
-                    body = await self._read_frame(reader)
-                except _Oversize as exc:
-                    self._stats.protocol_errors += 1
-                    await self._send(
-                        conn,
-                        error_response(
-                            None,
-                            "frame_too_large",
-                            f"frame of {exc.length} bytes exceeds the "
-                            f"{self.config.max_frame_bytes}-byte limit",
-                            error_type="FrameTooLarge",
-                        ),
-                    )
-                    continue
-                except (_ConnectionClosed, ConnectionError, OSError):
-                    break
-                except _SlowPeer:
-                    break
-                except FaultInjected:
-                    # An injected transport bug on the read path: the
-                    # connection is in an unknown state — close it (the
-                    # client sees ConnectionLost, a typed error).
-                    break
-                try:
-                    msg = decode_body(body)
+                    msg = decode_body(await self._read_frame(reader))
                 except ProtocolError as exc:
+                    # Oversized (already drained) or malformed: framing
+                    # is intact, so answer and keep serving.
                     self._stats.protocol_errors += 1
                     await self._send(conn, error_frame_for(None, exc))
                     continue
+                except (_ConnectionClosed, _SlowPeer, FaultInjected, OSError):
+                    # Peer gone, stalled, or an injected transport bug on
+                    # the read path: the connection is in an unknown
+                    # state — close it (the client sees ConnectionLost).
+                    break
                 await self._dispatch(conn, msg)
         except (_ConnectionClosed, _SlowPeer):
             pass
@@ -613,75 +576,70 @@ class QueryServer:
     async def _dispatch(self, conn: _Conn, msg: dict) -> None:
         kind = msg["type"]
         rid = msg.get("id")
+        if kind in ("QUERY", "INGEST"):
+            # Admission: a job runs as a task in ``_inflight``, which
+            # drain waits on.
+            if self._draining:
+                await self._send(
+                    conn,
+                    error_frame_for(rid, ServiceUnavailable("server is draining")),
+                )
+                return
+            if kind == "QUERY":
+                self._stats.queries_total += 1
+                job = self._serve_query(conn, msg)
+            else:
+                self._stats.ingests_total += 1
+                job = self._reply(
+                    rid, self._ingest(msg), partial(self._send, conn)
+                )
+            task = asyncio.ensure_future(job)
+            self._inflight.add(task)
+            task.add_done_callback(self._inflight.discard)
+            return
         if kind == "PING":
-            await self._send(
-                conn,
-                pong_response(
-                    rid, ready=not self._draining, draining=self._draining
+            body = pong_response(
+                rid, ready=not self._draining, draining=self._draining
+            )
+        elif kind == "STATS":
+            body = self._stats_body(rid)
+        elif kind == "METRICS" and self.collector is not None:
+            body = metrics_response(
+                rid,
+                text=self.collector.prometheus(),
+                varz=self.collector.varz(),
+            )
+        elif kind == "METRICS":
+            body = error_frame_for(
+                rid,
+                ServiceUnavailable(
+                    "server was started without a metrics collector"
                 ),
             )
-            return
-        if kind == "STATS":
-            await self._send(conn, self._stats_body(rid))
-            return
-        if kind == "METRICS":
-            if self.collector is None:
-                await self._send(
-                    conn,
-                    error_frame_for(
-                        rid,
-                        ServiceUnavailable(
-                            "server was started without a metrics collector"
-                        ),
-                    ),
-                )
-                return
-            await self._send(
-                conn,
-                metrics_response(
-                    rid,
-                    text=self.collector.prometheus(),
-                    varz=self.collector.varz(),
-                ),
-            )
-            return
-        if kind == "QUERY":
-            if self._draining:
-                await self._send(
-                    conn,
-                    error_frame_for(
-                        rid,
-                        ServiceUnavailable("server is draining"),
-                    ),
-                )
-                return
-            self._stats.queries_total += 1
-            task = asyncio.ensure_future(self._serve_query(conn, msg))
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
-            return
-        if kind == "INGEST":
-            if self._draining:
-                await self._send(
-                    conn,
-                    error_frame_for(
-                        rid,
-                        ServiceUnavailable("server is draining"),
-                    ),
-                )
-                return
-            self._stats.ingests_total += 1
-            task = asyncio.ensure_future(self._serve_ingest(conn, msg))
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
-            return
-        self._stats.protocol_errors += 1
-        await self._send(
-            conn,
-            error_frame_for(
+        else:
+            self._stats.protocol_errors += 1
+            body = error_frame_for(
                 rid, ProtocolError(f"unknown request type {kind!r}")
-            ),
-        )
+            )
+        await self._send(conn, body)
+
+    async def _reply(
+        self,
+        rid,
+        work: Awaitable[dict],
+        answer: Callable[[dict], Awaitable[None]],
+    ) -> None:
+        """The failure ladder of every job: ``answer`` the body ``work``
+        returns, or the typed frame of what it raised (``internal``
+        for an untyped server bug).  A peer that is gone gets nothing;
+        :meth:`_on_conn_dead` already cancelled its tokens."""
+        try:
+            await answer(await work)
+        except (_ConnectionClosed, _SlowPeer):
+            pass
+        except Exception as exc:
+            with contextlib.suppress(_ConnectionClosed, _SlowPeer):
+                await answer(error_frame_for(rid, exc))
 
     # ------------------------------------------------------------------
     # QUERY handling
@@ -812,16 +770,17 @@ class QueryServer:
         started = time.time()
         # What the request span reports; "disconnect" survives only
         # when the peer vanished before any response could be sent.
-        last = {"outcome": "disconnect"}
+        outcome = "disconnect"
 
-        async def _answer(body: dict) -> None:
+        async def answer(body: dict) -> None:
+            nonlocal outcome
             if trace_id:
                 body.setdefault("trace_id", trace_id)
-            code = body.get("code")
-            last["outcome"] = code if code else "ok"
+            outcome = body.get("code") or "ok"
             await self._send(conn, body)
 
-        try:
+        async def work() -> dict:
+            nonlocal trace_id
             trace_id = self._request_trace_id(msg)
             spec = self._resolve_spec(msg)
             self._precheck(spec)
@@ -837,27 +796,13 @@ class QueryServer:
                     trace_id=trace_id,
                     parent_span=req_span,
                 )
-            except EngineSaturated as exc:
-                await _answer(error_frame_for(rid, exc))
-                return
             except RuntimeError as exc:
                 # Engine closed under us (drain race): typed answer.
-                await _answer(error_frame_for(rid, ServiceUnavailable(str(exc))))
-                return
-            result = await self._await_job(future)
-            await _answer(self._result_body(rid, msg, result))
-        except (_ConnectionClosed, _SlowPeer):
-            pass  # peer is gone; _on_conn_dead already cancelled tokens
-        except ReproError as exc:
-            with contextlib.suppress(_ConnectionClosed, _SlowPeer):
-                await _answer(error_frame_for(rid, exc))
-        except Exception as exc:  # untyped server bug → internal, typed
-            with contextlib.suppress(_ConnectionClosed, _SlowPeer):
-                await _answer(
-                    error_response(
-                        rid, "internal", str(exc), error_type=type(exc).__name__
-                    )
-                )
+                raise ServiceUnavailable(str(exc)) from None
+            return self._result_body(rid, msg, await self._await_job(future))
+
+        try:
+            await self._reply(rid, work(), answer)
         finally:
             conn.tokens.discard(token)
             if req_span is not None and self.trace_sink is not None:
@@ -872,7 +817,7 @@ class QueryServer:
                         attrs={
                             "rid": rid,
                             "query": msg.get("query"),
-                            "outcome": last["outcome"],
+                            "outcome": outcome,
                         },
                     )
                 ])
@@ -880,53 +825,29 @@ class QueryServer:
     # ------------------------------------------------------------------
     # INGEST handling
     # ------------------------------------------------------------------
-    async def _serve_ingest(self, conn: _Conn, msg: dict) -> None:
-        """Serve one ``INGEST`` frame: decode, commit, answer.
+    async def _ingest(self, msg: dict) -> dict:
+        """One ``INGEST`` frame's work: decode, commit, the reply body.
 
         Decoding and schema validation happen *before* anything is
         staged, so a malformed payload is answered ``ERROR
         code=bad_request`` with the catalog untouched; the transactional
         commit itself runs on the default executor (it takes the catalog
-        lock and concatenates columns — never on the event loop).  The
-        task joins ``_inflight`` so :meth:`drain` waits for in-flight
-        ingests exactly as it does for queries.
+        lock and concatenates columns — never on the event loop).
         """
-        rid = msg.get("id")
-        try:
-            tables = msg.get("tables")
-            if not isinstance(tables, dict) or not tables:
-                raise ProtocolError(
-                    "INGEST needs a non-empty 'tables' object"
-                )
-            deltas: dict[str, Table] = {}
-            for name, payload in tables.items():
-                base = self.engine.catalog.get(name)  # unknown -> SchemaError
-                deltas[name] = decode_wire_table(name, base, payload)
-            loop = asyncio.get_running_loop()
-            versions = await loop.run_in_executor(
-                None, self.engine.ingest, deltas
-            )
-            await self._send(
-                conn,
-                ingested_response(
-                    rid,
-                    versions=versions,
-                    rows=sum(d.num_rows for d in deltas.values()),
-                ),
-            )
-        except (_ConnectionClosed, _SlowPeer):
-            pass  # peer is gone; nothing to answer
-        except ReproError as exc:
-            with contextlib.suppress(_ConnectionClosed, _SlowPeer):
-                await self._send(conn, error_frame_for(rid, exc))
-        except Exception as exc:  # untyped server bug → internal, typed
-            with contextlib.suppress(_ConnectionClosed, _SlowPeer):
-                await self._send(
-                    conn,
-                    error_response(
-                        rid, "internal", str(exc), error_type=type(exc).__name__
-                    ),
-                )
+        tables = msg.get("tables")
+        if not isinstance(tables, dict) or not tables:
+            raise ProtocolError("INGEST needs a non-empty 'tables' object")
+        deltas: dict[str, Table] = {}
+        for name, payload in tables.items():
+            base = self.engine.catalog.get(name)  # unknown -> SchemaError
+            deltas[name] = decode_wire_table(name, base, payload)
+        loop = asyncio.get_running_loop()
+        versions = await loop.run_in_executor(None, self.engine.ingest, deltas)
+        return ingested_response(
+            msg.get("id"),
+            versions=versions,
+            rows=sum(d.num_rows for d in deltas.values()),
+        )
 
     def _result_body(self, rid, msg: dict, result) -> dict:
         from .workload import result_digest
@@ -1009,12 +930,13 @@ def build_default_registry(sf: float, seed: int = 0):
 
 
 # ----------------------------------------------------------------------
-# Owners: background thread (tests/tools) and blocking CLI entrypoint
+# The owner (a background thread) and the blocking CLI entrypoint on it
 # ----------------------------------------------------------------------
 class ServerThread:
     """Run a :class:`QueryServer` on a private event loop in a
-    background thread — the in-process harness used by the tests and
-    the network-chaos sweep.
+    background thread — the one owner of a server: :func:`run_server`,
+    the tests, the network-chaos sweep and the benchmark's server
+    process all serve through it.
 
     The thread owns the loop, not the engine; :meth:`close` drains the
     server (every pending request resolves) and stops the loop, then
@@ -1153,8 +1075,6 @@ def run_server(
     *,
     sf: float = 0.01,
     seed: int = 0,
-    host: str = "127.0.0.1",
-    port: int = 7531,
     workers: int = 4,
     max_pending: int = 256,
     config: ServerConfig | None = None,
@@ -1163,8 +1083,9 @@ def run_server(
     slow_query_log: str | None = None,
     trace_out: str | None = None,
 ) -> int:
-    """Blocking CLI entrypoint: build the stock registry, serve until
-    SIGTERM/SIGINT, drain gracefully, shut the engine down.
+    """Blocking CLI entrypoint: build the stock registry, serve on a
+    :class:`ServerThread` until SIGTERM/SIGINT, drain gracefully, shut
+    the engine down.
 
     The observability surfaces are always live on the wire (``METRICS``
     frames work against any served port); ``metrics_port`` additionally
@@ -1194,57 +1115,39 @@ def run_server(
         slow_log=slow_log,
         trace_sink=trace_sink,
     )
-    cfg = config or ServerConfig(host=host, port=port)
-    collector = ObsCollector(registry, engine=engine)
-    server = QueryServer(
-        engine,
-        specs,
-        config=cfg,
-        meta={"sf": sf, "seed": seed},
-        collector=collector,
-        trace_sink=trace_sink,
-    )
-    collector.server = server
-    metrics: MetricsServer | None = None
-    if metrics_port is not None:
-        metrics = MetricsServer(
-            collector,
-            host=cfg.host,
-            port=metrics_port,
-            health=lambda: (
-                (False, "draining") if server.draining else (True, "ok")
-            ),
-        )
-
-    async def _amain() -> None:
-        await server.start()
-        if metrics is not None:
-            await metrics.start()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            with contextlib.suppress(NotImplementedError):
-                loop.add_signal_handler(
-                    sig, lambda: asyncio.ensure_future(server.drain())
-                )
-        print(
-            f"serving {len(specs)} queries (sf={sf}) on "
-            f"{server.config.host}:{server.port} "
-            f"[workers={workers}, max_pending={max_pending}]",
-            flush=True,
-        )
-        if metrics is not None:
+    config = config or ServerConfig()
+    stop = threading.Event()
+    previous = {
+        sig: signal.signal(sig, lambda *_: stop.set())
+        for sig in (signal.SIGTERM, signal.SIGINT)
+    }
+    try:
+        with ServerThread(
+            engine,
+            specs,
+            config=config,
+            meta={"sf": sf, "seed": seed},
+            collector=ObsCollector(registry, engine=engine),
+            trace_sink=trace_sink,
+            metrics_port=metrics_port,
+            metrics_host=config.host,
+        ) as owner:
             print(
-                f"metrics on http://{metrics.host}:{metrics.port}"
-                "/metrics (/healthz, /varz)",
+                f"serving {len(specs)} queries (sf={sf}) on "
+                f"{owner.host}:{owner.port} "
+                f"[workers={workers}, max_pending={max_pending}]",
                 flush=True,
             )
-        await server.wait_drained()
-        if metrics is not None:
-            await metrics.aclose()
-
-    try:
-        asyncio.run(_amain())
+            if owner.metrics is not None:
+                print(
+                    f"metrics on http://{owner.metrics.host}:"
+                    f"{owner.metrics_port}/metrics (/healthz, /varz)",
+                    flush=True,
+                )
+            stop.wait()
     finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
         engine.shutdown(wait=True, cancel=True)
         if slow_log is not None:
             slow_log.close()

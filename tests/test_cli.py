@@ -263,3 +263,50 @@ def test_client_against_dead_server_is_typed_error(capsys):
     code = main(["client", "--port", "1", "--ping"])
     assert code == 1
     assert "ConnectionLost" in capsys.readouterr().err
+
+
+def test_serve_process_answers_then_drains_on_sigterm():
+    """``repro serve`` as its own process: it prints its bound port,
+    answers a PING and a query, and exits 0 with ``drained cleanly``
+    after SIGTERM."""
+    import os
+    import pathlib
+    import re
+    import signal
+    import subprocess
+    import sys
+    import threading
+
+    from repro.service import ReproClient
+
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--sf", "0.002",
+         "--port", "0", "--workers", "2"],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    try:
+        # Read the banner off-thread so a hung boot fails the test
+        # instead of blocking it.
+        banner: list[str] = []
+        reader = threading.Thread(
+            target=lambda: banner.append(proc.stdout.readline())
+        )
+        reader.start()
+        reader.join(timeout=60)
+        assert banner, "server printed nothing within 60 s"
+        match = re.search(r"^serving \d+ queries .* on ([\d.]+):(\d+) ", banner[0])
+        assert match, banner[0]
+        host, port = match.group(1), int(match.group(2))
+        with ReproClient(host, port, io_timeout=30) as client:
+            assert client.ping()["ready"] is True
+            assert client.query("q3")["rows"] > 0
+        proc.send_signal(signal.SIGTERM)
+        out, _ = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, out
+    assert "drained cleanly" in out

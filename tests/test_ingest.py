@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import gc
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -432,6 +433,62 @@ def test_decode_rejects_schema_violations():
     ):
         with pytest.raises(SchemaError):
             decode_wire_table("t", base, payload)
+
+
+def test_out_of_range_integer_is_a_bad_request():
+    """An INT64 wire value beyond int64 is a typed schema violation
+    (``bad_request`` on the wire), not an untyped ``internal`` error,
+    and the catalog stays untouched."""
+    from repro.service.server import decode_wire_table
+
+    base = Table("t", {"k": Column.from_ints(np.arange(2, dtype=np.int64))})
+    for value in (2**63, -(2**63) - 1):
+        with pytest.raises(SchemaError):
+            decode_wire_table("t", base, {"k": [1, value]})
+
+    catalog, specs = build_default_registry(SF, SEED)
+    orders = catalog.get("orders")
+    batch = wire_rows(orders, 2)
+    batch["o_orderkey"][0] = 2**63
+    engine = Engine(catalog, workers=1)
+    try:
+        with ServerThread(engine, specs) as st:
+            with ReproClient(st.host, st.port) as client:
+                with pytest.raises(PlanError):
+                    client.ingest({"orders": batch})
+    finally:
+        engine.shutdown(wait=True, cancel=True)
+    assert catalog.get("orders") is orders
+
+
+def test_inflight_gauge_counts_an_ingest():
+    """``server.inflight`` counts INGEST tasks beside QUERY tasks: an
+    ingest held in ``ingest.stage`` reads as one task in flight."""
+    catalog, specs = build_default_registry(SF, SEED)
+    batch = {"orders": wire_rows(catalog.get("orders"), 2)}
+    engine = Engine(catalog, workers=1)
+    plan = FaultPlan([FaultRule("ingest.stage", "delay", delay=1.0)])
+    frames: list[dict] = []
+    try:
+        with ServerThread(engine, specs) as st, inject(plan):
+            with ReproClient(st.host, st.port) as client:
+                writer = threading.Thread(
+                    target=lambda: frames.append(client.ingest(batch))
+                )
+                writer.start()
+                deadline = time.monotonic() + 30
+                while not plan.triggered and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                assert plan.triggered, "ingest never reached ingest.stage"
+                assert st.server.stats().inflight == 1
+                writer.join(timeout=30)
+            # The task leaves the set just after its answer is sent.
+            while st.server.stats().inflight and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert st.server.stats().inflight == 0
+    finally:
+        engine.shutdown(wait=True, cancel=True)
+    assert frames and frames[0]["type"] == "INGESTED"
 
 
 # ----------------------------------------------------------------------

@@ -403,7 +403,7 @@ PINNED_FAMILIES = {
     ),
     "repro_server_connections": ("Live connections", "gauge", {(): 1}),
     "repro_server_inflight": (
-        "QUERY tasks currently being served", "gauge", {(): 0},
+        "QUERY and INGEST tasks currently being served", "gauge", {(): 0},
     ),
     "repro_server_draining": (
         "1 while draining (graceful shutdown)", "gauge", {(): 0},
@@ -422,8 +422,8 @@ PINNED_HISTOGRAMS = {
 
 PINNED_STATS_KEYS = {
     "engine": {
-        "queries", "seconds", "rows_returned", "filter_cache_hits",
-        "filter_cache_misses", "by_strategy", "submitted", "rejected",
+        "queries", "seconds", "rows_returned", "by_strategy", "submitted",
+        "rejected",
         "rejected_invalid", "timeouts", "cancellations", "budget_exceeded",
         "failures", "degraded", "filters_degraded", "partitions_total",
         "partitions_pruned", "ingests", "ingest_failures", "rows_ingested",

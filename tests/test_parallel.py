@@ -316,9 +316,9 @@ def test_filter_cache_entries_valid_across_thread_counts(small_catalog):
 # Service engine: one pool
 # ----------------------------------------------------------------------
 def test_engine_sessions_share_one_intra_query_pool(small_catalog, monkeypatch):
-    """Sessions and concurrent submissions share the engine's workers.
+    """Blocking and concurrent submissions share the engine's workers.
 
-    Four workers × eight concurrent queries plus a session's: every
+    Four workers × eight concurrent queries plus a blocking one: every
     one completes with the oracle digest, and every one ran on an
     engine worker thread — never on a caller's, never on a pool of its
     own."""
@@ -335,10 +335,9 @@ def test_engine_sessions_share_one_intra_query_pool(small_catalog, monkeypatch):
     monkeypatch.setattr(engine_module, "run_query", recording_run_query)
     config = RunConfig(partition_rows=PARTITION_ROWS)
     with Engine(small_catalog, config=config, workers=4) as engine:
-        sessions = [engine.session() for _ in range(2)]
         futures = [engine.submit(spec) for spec in [spec5, spec3] * 4]
         for future, expected in zip(futures, [oracle5, oracle3] * 4):
             assert result_digest(future.result().table) == expected
-        assert result_digest(sessions[0].execute(spec5).table) == oracle5
+        assert result_digest(engine.execute(spec5).table) == oracle5
     assert len(ran_on) == 9
     assert all(name.startswith("repro-engine") for name in ran_on)

@@ -181,7 +181,7 @@ def test_engine_timeout_counts_and_recovers(catalog, q5):
     assert result.table.num_rows > 0
 
 
-def test_session_cancel_aborts_in_flight_query(catalog, q5):
+def test_token_cancel_aborts_in_flight_query(catalog, q5):
     plan = FaultPlan(
         [FaultRule("chunk.kernel", "delay", nth=1, count=10_000, delay=0.01)]
     )
@@ -189,12 +189,12 @@ def test_session_cancel_aborts_in_flight_query(catalog, q5):
     # per-kernel delay keeps the query in flight until cancel lands.
     config = RunConfig(partition_rows=64)
     with Engine(catalog, workers=1, config=config) as engine:
-        session = engine.session()
+        token = CancelToken()
         errors: list[BaseException] = []
 
         def client() -> None:
             try:
-                session.execute(q5)
+                engine.execute(q5, token=token)
             except BaseException as exc:  # noqa: BLE001 - recorded for assert
                 errors.append(exc)
 
@@ -205,14 +205,14 @@ def test_session_cancel_aborts_in_flight_query(catalog, q5):
             while not plan.triggered and time.monotonic() < deadline:
                 time.sleep(0.001)  # wait for the first chunk kernel
             assert plan.triggered, "query never reached a chunk kernel"
-            session.cancel()
+            token.cancel()
             t.join(timeout=30)
             assert not t.is_alive(), "cancelled query failed to abort"
         assert len(errors) == 1
         assert isinstance(errors[0], QueryCancelled)
         assert engine.stats().cancellations == 1
-        # Post-cancel queries are unaffected (tokens are per-execute).
-        assert session.execute(q5).table.num_rows > 0
+        # Later queries, with their own tokens, are unaffected.
+        assert engine.execute(q5, token=CancelToken()).table.num_rows > 0
 
 
 # ----------------------------------------------------------------------
@@ -259,11 +259,8 @@ def test_retry_gives_up_with_last_typed_error(catalog, q3):
         with Engine(catalog, workers=1, max_pending=0) as engine:
             _saturate(engine, release)
             blocked = engine.submit(q3)  # occupies the single slot
-            session = engine.session()
             with pytest.raises(EngineSaturated):
-                session.execute_with_retry(
-                    q3, policy=policy, sleep=sleeps.append
-                )
+                policy.run(lambda: engine.execute(q3), sleep=sleeps.append)
             # One wait per non-final attempt, each >= the jitter
             # schedule (the server hint can only lengthen them).
             schedule = policy.delays()
@@ -280,10 +277,8 @@ def test_retry_succeeds_after_slot_frees(catalog, q3):
     with Engine(catalog, workers=1, max_pending=0) as engine:
         _saturate(engine, release)
         blocked = engine.submit(q3)
-        session = engine.session()
-        result = session.execute_with_retry(
-            q3,
-            policy=RetryPolicy(attempts=10, base_delay=0.02, seed=1),
+        result = RetryPolicy(attempts=10, base_delay=0.02, seed=1).run(
+            lambda: engine.execute(q3),
             sleep=lambda s: (release.set(), time.sleep(s)),
         )
         assert result.table.num_rows > 0

@@ -1,4 +1,4 @@
-"""Service-layer tests: Engine/Session concurrency, workload driver, CLI."""
+"""Service-layer tests: Engine concurrency, workload driver, CLI."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.cache import default_filter_cache
 from repro.core.runner import RunConfig, run_query
 from repro.service import (
     Engine,
-    Session,
     build_catalog,
     build_stream,
     replay,
@@ -35,7 +34,7 @@ def serving_catalog():
 
 
 # ----------------------------------------------------------------------
-# Engine & Session basics
+# Engine basics
 # ----------------------------------------------------------------------
 def test_engine_matches_plain_runner(serving_catalog):
     spec = get_query(5, sf=SF)
@@ -51,9 +50,9 @@ def test_engine_aggregates_stats(serving_catalog):
         engine.execute(get_query(5, sf=SF))
         engine.execute(get_query(3, sf=SF), RunConfig(strategy="bloomjoin"))
         stats = engine.stats()
+        assert engine.cache_stats().hits > 0  # the repeated q5 hit
     assert stats.queries == 3
     assert stats.by_strategy == {"predtrans": 2, "bloomjoin": 1}
-    assert stats.filter_cache_hits > 0  # the repeated q5 hit
     assert stats.seconds > 0
 
 
@@ -69,15 +68,11 @@ def test_engine_stats_snapshot_is_a_deep_enough_copy():
     assert live.by_strategy == {"predtrans": 2}
 
 
-def test_session_history_and_counters(serving_catalog):
+def test_repeated_query_counts_hits_and_misses(serving_catalog):
     with Engine(serving_catalog) as engine:
-        session = engine.session()
-        assert isinstance(session, Session)
-        session.execute(get_query(3, sf=SF))
-        session.execute(get_query(3, sf=SF))
-        assert len(session.history) == 2
-        hits = sum(s.total("filter_cache_hits") for s in session.history)
-        misses = sum(s.total("filter_cache_misses") for s in session.history)
+        history = [engine.execute(get_query(3, sf=SF)).stats for _ in range(2)]
+        hits = sum(s.total("filter_cache_hits") for s in history)
+        misses = sum(s.total("filter_cache_misses") for s in history)
         assert hits > 0 and misses > 0
 
 
@@ -131,10 +126,9 @@ def test_concurrent_mixed_stream_matches_single_threaded_oracle(
 
         def client(tid: int) -> None:
             try:
-                session = engine.session()
                 out = []
                 for spec in stream:
-                    result = session.execute(spec)
+                    result = engine.execute(spec)
                     out.append((spec.name, result_digest(result.table)))
                 digests[tid] = out
             except Exception as exc:  # pragma: no cover - failure path

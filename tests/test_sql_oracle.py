@@ -196,6 +196,34 @@ QUERIES: dict[int | str, str] = {
         GROUP BY c_count
         ORDER BY custdist DESC, c_count DESC
     """,
+    15: """
+        WITH revenue AS (
+            SELECT l_suppkey AS supplier_no,
+                   SUM(l_extendedprice * (1 - l_discount)) AS total_revenue
+            FROM lineitem
+            WHERE l_shipdate >= '1996-01-01'
+              AND l_shipdate < '1996-04-01'
+            GROUP BY l_suppkey)
+        SELECT s_suppkey, s_name, s_address, s_phone, total_revenue
+        FROM supplier, revenue
+        WHERE s_suppkey = supplier_no
+          AND total_revenue = (SELECT MAX(total_revenue) FROM revenue)
+        ORDER BY s_suppkey
+    """,
+    16: """
+        SELECT p_brand, p_type, p_size,
+               COUNT(DISTINCT ps_suppkey) AS supplier_cnt
+        FROM partsupp, part
+        WHERE p_partkey = ps_partkey
+          AND p_brand <> 'Brand#45'
+          AND p_type NOT LIKE 'MEDIUM POLISHED%'
+          AND p_size IN (49, 14, 23, 45, 19, 3, 36, 9)
+          AND ps_suppkey NOT IN (
+                SELECT s_suppkey FROM supplier
+                WHERE s_comment LIKE '%Customer%Complaints%')
+        GROUP BY p_brand, p_type, p_size
+        ORDER BY supplier_cnt DESC, p_brand, p_type, p_size
+    """,
     18: """
         SELECT c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice,
                SUM(l_quantity)
