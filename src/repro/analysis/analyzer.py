@@ -27,7 +27,7 @@ throws on the first error.  The walk mirrors the execution pipeline:
 
 from __future__ import annotations
 
-from ..engine.aggregate import _AGG_FUNCS, AggSpec, GroupKey
+from ..engine.aggregate import _AGG_FUNCS, AggSpec
 from ..errors import PlanValidationError
 from ..expr import nodes as N
 from ..plan.query import (
@@ -366,20 +366,13 @@ def _apply_aggregate(
 ) -> dict[str, DType]:
     out: dict[str, DType] = {}
     for j, key in enumerate(op.keys):
-        info = checker.infer(
-            _group_key_expr(key), f"{path}.keys[{j}]"
-        )
+        info = checker.infer(key.resolved_expr(), f"{path}.keys[{j}]")
         out[key.name] = info.dtype or DType.INT64
     for j, agg in enumerate(op.aggs):
         out[agg.name] = _check_agg(
             agg, checker, f"{path}.aggs[{j}]", checker.diags
         )
     return out
-
-
-def _group_key_expr(key: GroupKey) -> N.Expr:
-    expr = getattr(key, "expr", None)
-    return expr if expr is not None else N.ColumnRef(key.name)
 
 
 def _check_agg(

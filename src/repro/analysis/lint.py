@@ -1,7 +1,7 @@
 """Repo invariant linter: AST checks for conventions the code relies on.
 
 Run as ``python -m repro.analysis.lint src/`` (the CI static-analysis
-job does).  Five rules:
+job does).  Six rules:
 
 **import-layering** — module-level imports must respect the package
 layer order (lower layers must not import higher ones)::
@@ -40,6 +40,14 @@ the sort, or a ``sorted(set(...))`` for a pool of Python objects.
 ``gauge`` outside ``repro/obs/``.  A serving counter or gauge is
 declared once, as a field of the stats book that owns it
 (``metric_field``), and only the walk in ``obs`` registers families.
+
+**expr-walker** — a function that checks ``isinstance`` against four or
+more expression node classes, outside the four modules that give each
+node its meaning (``expr/eval.py``, ``analysis/typecheck.py``,
+``cache/fingerprint.py``, ``storage/partition.py``).  The tree's shape
+is declared once, by the node dataclasses: walk it with
+``Expr.children()``/``walk()``/``map()`` and a spec's slots with
+``QuerySpec.expressions()``/``map_expressions()``.
 """
 
 from __future__ import annotations
@@ -47,8 +55,11 @@ from __future__ import annotations
 import argparse
 import ast
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+
+from ..expr import nodes as expr_nodes
 
 #: Package layer ranks.  An import is legal iff the target's rank is
 #: strictly lower than the importer's, the packages are identical, or
@@ -485,6 +496,70 @@ def check_metric_declaration(
 
 
 # ----------------------------------------------------------------------
+# Rule f: one walk per expression tree
+# ----------------------------------------------------------------------
+#: Modules whose per-node dispatch is the node's semantics.
+EXPR_SEMANTICS: frozenset[tuple[str, ...]] = frozenset(
+    {("expr", "eval"), ("analysis", "typecheck"), ("cache", "fingerprint"),
+     ("storage", "partition")}
+)
+
+#: A function naming this many node classes in ``isinstance`` checks
+#: is re-listing the tree.
+EXPR_WALKER_LIMIT = 4
+
+EXPR_NODE_NAMES: frozenset[str] = frozenset(
+    name
+    for name, obj in vars(expr_nodes).items()
+    if isinstance(obj, type) and issubclass(obj, expr_nodes.Expr)
+) - {"Expr"}
+
+
+def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of a function's body, not descending into nested
+    functions or classes (they are checked on their own)."""
+    for child in ast.iter_child_nodes(func):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield child
+            yield from _own_nodes(child)
+
+
+def check_expr_walkers(
+    path: Path, tree: ast.Module, parts: list[str] | None
+) -> list[LintViolation]:
+    if parts and tuple(parts) in EXPR_SEMANTICS:
+        return []
+    violations: list[LintViolation] = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        # Class names in the second argument of every isinstance call:
+        # ``And``, ``N.And`` or a tuple of them.
+        named = {
+            name.attr if isinstance(name, ast.Attribute) else name.id
+            for call in _own_nodes(func)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == "isinstance"
+            and len(call.args) == 2
+            for name in ast.walk(call.args[1])
+            if isinstance(name, (ast.Name, ast.Attribute))
+        } & EXPR_NODE_NAMES
+        if len(named) >= EXPR_WALKER_LIMIT:
+            violations.append(
+                LintViolation(
+                    "expr-walker",
+                    str(path),
+                    func.lineno,
+                    f"{func.name}() dispatches on {len(named)} expression "
+                    "node classes; walk the tree with Expr.children()/"
+                    "walk()/map() instead",
+                )
+            )
+    return violations
+
+
+# ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 def run_lint(roots: list[str]) -> list[LintViolation]:
@@ -510,6 +585,7 @@ def run_lint(roots: list[str]) -> list[LintViolation]:
         violations.extend(check_lock_discipline(path, tree, source))
         violations.extend(check_bare_unique(path, tree))
         violations.extend(check_metric_declaration(path, tree, parts))
+        violations.extend(check_expr_walkers(path, tree, parts))
     violations.extend(check_fault_registry(parsed))
     return violations
 
@@ -519,7 +595,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro.analysis.lint",
         description="AST linter for the repo's structural invariants "
         "(import layering, lock discipline, fault-point registry, "
-        "bare np.unique, metric declarations)",
+        "bare np.unique, metric declarations, expression walkers)",
     )
     parser.add_argument(
         "paths", nargs="+", help="files or directories to lint"

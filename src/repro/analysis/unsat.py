@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from ..expr import nodes as N
 from ..storage.dates import date_to_days
+from ..storage.partition import const_value
 
 #: Mirror of the zone-map pruner's flip map for const-op-column forms.
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
@@ -75,22 +76,6 @@ class _Domain:
         return self.lo == self.hi and (self.lo_open or self.hi_open)
 
 
-def _const_value(expr: N.Expr) -> float | None:
-    """Numeric constant of a node, following the zone-map pruner: plain
-    numeric literals (bools excluded) and date literals as epoch days."""
-    if isinstance(expr, N.Literal):
-        value = expr.value
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return None
-        return float(value)
-    if isinstance(expr, N.DateLiteral):
-        try:
-            return float(date_to_days(expr.iso))
-        except Exception:
-            return None
-    return None
-
-
 def _string_value(expr: N.Expr) -> str | None:
     if isinstance(expr, N.Literal) and isinstance(expr.value, str):
         return expr.value
@@ -128,7 +113,7 @@ def _apply_comparison(domains: _Domains, expr: N.Comparison) -> None:
         if key is None:
             return
         op, other = _FLIP.get(expr.op, expr.op), expr.left
-    value = _const_value(other)
+    value = const_value(other)
     if value is None:
         if op == "==":
             text = _string_value(other)
@@ -157,7 +142,7 @@ def _apply_conjunct(domains: _Domains, conjunct: N.Expr) -> None:
         key = _operand_key(conjunct.operand)
         if key is None:
             return
-        low, high = _const_value(conjunct.low), _const_value(conjunct.high)
+        low, high = const_value(conjunct.low), const_value(conjunct.high)
         domain = domains.get(key)
         if low is not None:
             domain.tighten_low(low, open_=False)
@@ -170,7 +155,7 @@ def _apply_conjunct(domains: _Domains, conjunct: N.Expr) -> None:
             return
         numeric = {
             v
-            for v in (_const_value(N.Literal(x)) for x in conjunct.values)
+            for v in (const_value(N.Literal(x)) for x in conjunct.values)
             if v is not None
         }
         strings = {x for x in conjunct.values if isinstance(x, str)}

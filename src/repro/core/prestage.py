@@ -62,7 +62,7 @@ import networkx as nx
 
 from ..engine.stats import EdgeStat
 from ..expr.nodes import ColumnRef
-from ..plan.query import Aggregate, Filter, Project, QuerySpec, Stage
+from ..plan.query import Aggregate, Filter, QuerySpec, Stage
 from ..plan.rewrite import scalar_tables
 from .transfer import ExecContext, build_filter, probe_filter
 from .transfer import Filter as ShippedFilter
@@ -218,18 +218,8 @@ def _tables_read(spec: QuerySpec) -> set[str]:
 
 def _scalar_reads(spec: QuerySpec) -> set[str]:
     """Tables a ``ScalarRef`` anywhere in ``spec`` or its stages reads."""
-    exprs = [r.predicate for r in spec.relations]
-    exprs += [e.residual for e in spec.edges]
-    exprs += list(spec.residuals)
-    for op in spec.post:
-        if isinstance(op, Filter):
-            exprs.append(op.predicate)
-        elif isinstance(op, Project):
-            exprs += [expr for _, expr in op.outputs]
-        elif isinstance(op, Aggregate):
-            exprs += [k.expr for k in op.keys] + [a.input for a in op.aggs]
     out: set[str] = set()
-    for expr in exprs:
+    for expr in spec.expressions():
         out |= scalar_tables(expr)
     for stage in spec.pre_stages:
         out |= _scalar_reads(stage.spec)

@@ -147,13 +147,13 @@ from ..cache.context import build_query_cache
 from ..cache.fingerprint import canonical_expr
 from ..cache.store import FilterCache
 from ..context import QueryContext
-from ..engine.aggregate import AggSpec, GroupKey, group_aggregate
+from ..engine.aggregate import group_aggregate
 from ..engine.hashjoin import cross_join, hash_join
 from ..engine.sort import limit, sort_table
 from ..engine.stats import QueryStats
 from ..errors import PlanError
 from ..expr.eval import evaluate, evaluate_mask
-from ..expr.nodes import And, Expr
+from ..expr.nodes import Expr, all_of
 from ..optimizer.cardinality import catalog_ndv
 from ..optimizer.joinorder import greedy_join_order, step_estimates
 from ..plan.joingraph import build_join_graph, edge_keys_for
@@ -490,46 +490,9 @@ def _resolve_spec(spec: QuerySpec, catalog: Catalog) -> QuerySpec:
     The spec's own stages have run; the result's ``pre_stages`` are
     the ones the rewrite adds, for the caller to run before the scan.
     """
-    relations = [
-        replace(r, predicate=resolve_scalars(r.predicate, catalog))
-        for r in spec.relations
-    ]
-    edges = [
-        replace(e, residual=resolve_scalars(e.residual, catalog)) for e in spec.edges
-    ]
-    residuals = [resolve_scalars(r, catalog) for r in spec.residuals]
-    post = []
-    for op in spec.post:
-        if isinstance(op, Filter):
-            post.append(Filter(resolve_scalars(op.predicate, catalog)))
-        elif isinstance(op, Project):
-            post.append(
-                Project(
-                    tuple(
-                        (name, resolve_scalars(expr, catalog))
-                        for name, expr in op.outputs
-                    )
-                )
-            )
-        elif isinstance(op, Aggregate):
-            keys = tuple(
-                GroupKey(k.name, resolve_scalars(k.expr, catalog)) for k in op.keys
-            )
-            aggs = tuple(
-                AggSpec(a.func, resolve_scalars(a.input, catalog), a.name)
-                for a in op.aggs
-            )
-            post.append(Aggregate(keys, aggs))
-        else:
-            post.append(op)
-    resolved = QuerySpec(
-        name=spec.name,
-        relations=relations,
-        edges=edges,
-        residuals=residuals,
-        post=post,
+    resolved = replace(
+        spec.map_expressions(lambda expr: resolve_scalars(expr, catalog)),
         pre_stages=[],
-        join_order=spec.join_order,
     )
     return eager_counts(resolved, catalog)
 
@@ -713,15 +676,6 @@ def _choose_order(
 # ----------------------------------------------------------------------
 # Join phase
 # ----------------------------------------------------------------------
-def _and_fold(exprs: list[Expr]) -> Expr | None:
-    if not exprs:
-        return None
-    acc = exprs[0]
-    for expr in exprs[1:]:
-        acc = And(acc, expr)
-    return acc
-
-
 def _component_orders(graph, order: list[str]) -> list[list[str]]:
     """Partition a join order by connected component of the join graph.
 
@@ -856,7 +810,7 @@ def _gather_edges(graph, neighbors: list[str], alias: str):
     if len(non_inner) > 1:
         raise PlanError(f"mixed non-inner edges connecting {alias!r}")
     how = non_inner.pop() if non_inner else "inner"
-    return how, probe_on, build_on, _and_fold(residuals)
+    return how, probe_on, build_on, all_of(*residuals) if residuals else None
 
 
 def _bloom_prefilter(

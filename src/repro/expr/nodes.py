@@ -15,12 +15,18 @@ sets/dicts; arithmetic does use the natural operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass, fields, replace
+from functools import cache, reduce
+from typing import Any, ClassVar, get_args, get_type_hints
 
 
 class Expr:
-    """Base class for all expression nodes."""
+    """Base class for all expression nodes, each a frozen dataclass."""
+
+    # Every node is a dataclass; declared so type checkers accept
+    # ``fields`` and ``replace`` on an ``Expr``.
+    __dataclass_fields__: ClassVar[dict[str, Any]]
 
     # -- comparisons ---------------------------------------------------
     def eq(self, other: "Expr") -> "Comparison":
@@ -94,11 +100,70 @@ class Expr:
     def __truediv__(self, other: "Expr") -> "Arithmetic":
         return Arithmetic("/", self, other)
 
+    # -- structure -------------------------------------------------------
+    def children(self) -> list["Expr"]:
+        """The node's direct subexpressions, in field order."""
+        out: list[Expr] = []
+        for name in _expr_fields(type(self)):
+            _gather(getattr(self, name), out)
+        return out
+
+    def walk(self) -> Iterator["Expr"]:
+        """Every node of the tree, parents before children."""
+        stack: list[Expr] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children()))
+
+    def map(self, fn: Callable[["Expr"], "Expr"]) -> "Expr":
+        """Rebuild the tree bottom-up: ``fn`` receives each node with
+        its children already mapped and returns its replacement.  A
+        node none of whose children changed is passed on as itself."""
+        changes: dict[str, object] = {}
+        for name in _expr_fields(type(self)):
+            value = getattr(self, name)
+            mapped = _map_value(value, fn)
+            if mapped is not value:
+                changes[name] = mapped
+        return fn(replace(self, **changes) if changes else self)
+
     def columns(self) -> set[str]:
         """Set of column names referenced by this expression tree."""
-        out: set[str] = set()
-        _collect_columns(self, out)
-        return out
+        return {node.name for node in self.walk() if isinstance(node, ColumnRef)}
+
+
+@cache
+def _expr_fields(cls: type[Expr]) -> tuple[str, ...]:
+    """Names of the dataclass fields of ``cls`` that hold expressions:
+    an ``Expr`` or a (nested) tuple of them, such as ``Case.whens``.
+    Any other field (``InSet.values``, ``Like.pattern``) is data."""
+    hints = get_type_hints(cls)
+    return tuple(f.name for f in fields(cls) if _holds_expr(hints[f.name]))
+
+
+def _holds_expr(hint: object) -> bool:
+    if get_args(hint):
+        return any(_holds_expr(arg) for arg in get_args(hint))
+    return isinstance(hint, type) and issubclass(hint, Expr)
+
+
+def _gather(value: object, out: list["Expr"]) -> None:
+    if isinstance(value, Expr):
+        out.append(value)
+    elif isinstance(value, tuple):
+        for item in value:
+            _gather(item, out)
+
+
+def _map_value(value: object, fn: Callable[["Expr"], "Expr"]) -> object:
+    if isinstance(value, Expr):
+        return value.map(fn)
+    if isinstance(value, tuple):
+        items = tuple(_map_value(item, fn) for item in value)
+        if any(new is not old for new, old in zip(items, value)):
+            return items
+    return value
 
 
 @dataclass(frozen=True)
@@ -235,32 +300,6 @@ class ScalarRef(Expr):
     column: str
 
 
-def _collect_columns(expr: Expr, out: set[str]) -> None:
-    if isinstance(expr, ColumnRef):
-        out.add(expr.name)
-    elif isinstance(expr, (Literal, DateLiteral, ScalarRef)):
-        pass
-    elif isinstance(expr, Comparison):
-        _collect_columns(expr.left, out)
-        _collect_columns(expr.right, out)
-    elif isinstance(expr, Between):
-        _collect_columns(expr.operand, out)
-        _collect_columns(expr.low, out)
-        _collect_columns(expr.high, out)
-    elif isinstance(expr, (InSet, Like, IsNull, Not, Year, Substr)):
-        _collect_columns(expr.operand, out)
-    elif isinstance(expr, (And, Or, Arithmetic)):
-        _collect_columns(expr.left, out)
-        _collect_columns(expr.right, out)
-    elif isinstance(expr, Case):
-        for cond, value in expr.whens:
-            _collect_columns(cond, out)
-            _collect_columns(value, out)
-        _collect_columns(expr.default, out)
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"unknown expression node: {type(expr).__name__}")
-
-
 # ----------------------------------------------------------------------
 # Builder helpers (the public DSL surface)
 # ----------------------------------------------------------------------
@@ -296,15 +335,9 @@ def substr(operand: Expr, start: int, length: int) -> Substr:
 
 def all_of(*exprs: Expr) -> Expr:
     """AND-fold a sequence of predicates."""
-    acc = exprs[0]
-    for expr in exprs[1:]:
-        acc = And(acc, expr)
-    return acc
+    return reduce(And, exprs)
 
 
 def any_of(*exprs: Expr) -> Expr:
     """OR-fold a sequence of predicates."""
-    acc = exprs[0]
-    for expr in exprs[1:]:
-        acc = Or(acc, expr)
-    return acc
+    return reduce(Or, exprs)

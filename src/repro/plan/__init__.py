@@ -20,7 +20,7 @@ from .query import (
     Stage,
     edge,
 )
-from .rewrite import has_scalar_refs, resolve_scalars
+from .rewrite import resolve_scalars
 
 __all__ = [
     "Aggregate",
@@ -36,7 +36,6 @@ __all__ = [
     "connected_components",
     "edge",
     "edge_keys_for",
-    "has_scalar_refs",
     "is_acyclic_graph",
     "live_columns",
     "resolve_scalars",

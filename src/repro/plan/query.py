@@ -44,8 +44,8 @@ and are qualified by the runner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 from ..engine.aggregate import AggSpec, GroupKey
 from ..errors import PlanError
@@ -193,6 +193,55 @@ class QuerySpec:
                 )
         if self.join_order is not None:
             self.validate_join_order(self.join_order)
+
+    def expressions(self) -> list[Expr]:
+        """Every expression of this block, in :meth:`map_expressions`
+        order (its stages' are their own)."""
+        found: list[Expr] = []
+
+        def visit(expr: Expr) -> Expr:
+            found.append(expr)
+            return expr
+
+        self.map_expressions(visit)
+        return found
+
+    def map_expressions(self, fn: Callable[[Expr], Expr]) -> "QuerySpec":
+        """A copy with ``fn`` applied to every expression of this block:
+        relation predicates, edge residuals, residuals, and the inputs
+        of its ``Filter``, ``Project`` and ``Aggregate`` post ops.
+        Empty slots stay ``None``; stages are left as they are."""
+
+        def post_op(op: PostOp) -> PostOp:
+            if isinstance(op, Filter):
+                return Filter(fn(op.predicate))
+            if isinstance(op, Project):
+                return Project(tuple((name, fn(e)) for name, e in op.outputs))
+            if isinstance(op, Aggregate):
+                keys = tuple(
+                    k if k.expr is None else replace(k, expr=fn(k.expr))
+                    for k in op.keys
+                )
+                aggs = tuple(
+                    a if a.input is None else replace(a, input=fn(a.input))
+                    for a in op.aggs
+                )
+                return Aggregate(keys, aggs)
+            return op
+
+        return replace(
+            self,
+            relations=[
+                r if r.predicate is None else replace(r, predicate=fn(r.predicate))
+                for r in self.relations
+            ],
+            edges=[
+                e if e.residual is None else replace(e, residual=fn(e.residual))
+                for e in self.edges
+            ],
+            residuals=[fn(r) for r in self.residuals],
+            post=[post_op(op) for op in self.post],
+        )
 
     def alias_map(self) -> dict[str, Relation]:
         """Alias → relation lookup."""

@@ -36,7 +36,9 @@ def resolve_scalars(expr: N.Expr | None, catalog: Catalog) -> N.Expr | None:
     """
     if expr is None:
         return None
-    return _rewrite(expr, catalog)
+    return expr.map(
+        lambda node: _lookup(node, catalog) if isinstance(node, N.ScalarRef) else node
+    )
 
 
 def _lookup(ref: N.ScalarRef, catalog: Catalog) -> N.Expr:
@@ -49,50 +51,6 @@ def _lookup(ref: N.ScalarRef, catalog: Catalog) -> N.Expr:
     if value is None:
         raise PlanError(f"scalar subquery {ref.table}.{ref.column} is NULL")
     return N.Literal(value)
-
-
-def _rewrite(expr: N.Expr, catalog: Catalog) -> N.Expr:
-    if isinstance(expr, N.ScalarRef):
-        return _lookup(expr, catalog)
-    if isinstance(expr, (N.ColumnRef, N.Literal, N.DateLiteral)):
-        return expr
-    if isinstance(expr, N.Comparison):
-        return N.Comparison(
-            expr.op, _rewrite(expr.left, catalog), _rewrite(expr.right, catalog)
-        )
-    if isinstance(expr, N.Between):
-        return N.Between(
-            _rewrite(expr.operand, catalog),
-            _rewrite(expr.low, catalog),
-            _rewrite(expr.high, catalog),
-        )
-    if isinstance(expr, N.InSet):
-        return N.InSet(_rewrite(expr.operand, catalog), expr.values)
-    if isinstance(expr, N.Like):
-        return N.Like(_rewrite(expr.operand, catalog), expr.pattern, expr.negate)
-    if isinstance(expr, N.IsNull):
-        return N.IsNull(_rewrite(expr.operand, catalog), expr.negate)
-    if isinstance(expr, N.And):
-        return N.And(_rewrite(expr.left, catalog), _rewrite(expr.right, catalog))
-    if isinstance(expr, N.Or):
-        return N.Or(_rewrite(expr.left, catalog), _rewrite(expr.right, catalog))
-    if isinstance(expr, N.Not):
-        return N.Not(_rewrite(expr.operand, catalog))
-    if isinstance(expr, N.Arithmetic):
-        return N.Arithmetic(
-            expr.op, _rewrite(expr.left, catalog), _rewrite(expr.right, catalog)
-        )
-    if isinstance(expr, N.Case):
-        whens = tuple(
-            (_rewrite(cond, catalog), _rewrite(value, catalog))
-            for cond, value in expr.whens
-        )
-        return N.Case(whens, _rewrite(expr.default, catalog))
-    if isinstance(expr, N.Year):
-        return N.Year(_rewrite(expr.operand, catalog))
-    if isinstance(expr, N.Substr):
-        return N.Substr(_rewrite(expr.operand, catalog), expr.start, expr.length)
-    raise PlanError(f"cannot rewrite node {type(expr).__name__}")
 
 
 def fold_self_edges(spec: QuerySpec) -> QuerySpec:
@@ -128,12 +86,13 @@ def fold_self_edges(spec: QuerySpec) -> QuerySpec:
                 f"{spec.name!r} cannot null-extend its own occurrence; "
                 "add a second alias occurrence of the table instead"
             )
-        condition: N.Expr | None = None
-        for lk, rk in zip(e.qualified_left(), e.qualified_right()):
-            pair = N.col(lk).eq(N.col(rk))
-            condition = pair if condition is None else N.And(condition, pair)
+        terms = [
+            N.col(lk).eq(N.col(rk))
+            for lk, rk in zip(e.qualified_left(), e.qualified_right())
+        ]
         if e.residual is not None:
-            condition = N.And(condition, e.residual)
+            terms.append(e.residual)
+        condition = N.all_of(*terms)
         if e.how == "anti":
             condition = N.Not(condition)
         alias = e.left
@@ -250,39 +209,8 @@ def eager_counts(spec: QuerySpec, catalog: Catalog) -> QuerySpec:
     )
 
 
-def has_scalar_refs(expr: N.Expr | None) -> bool:
-    """True when the tree still contains unresolved scalar references."""
-    return bool(scalar_tables(expr))
-
-
 def scalar_tables(expr: N.Expr | None) -> set[str]:
     """Names of the tables the tree's :class:`ScalarRef` nodes read."""
-    found: set[str] = set()
-
-    def visit(node: N.Expr) -> None:
-        if isinstance(node, N.ScalarRef):
-            found.add(node.table)
-        for child in _children(node):
-            visit(child)
-
-    if expr is not None:
-        visit(expr)
-    return found
-
-
-def _children(node: N.Expr) -> list[N.Expr]:
-    if isinstance(node, (N.ColumnRef, N.Literal, N.DateLiteral, N.ScalarRef)):
-        return []
-    if isinstance(node, (N.Comparison, N.And, N.Or, N.Arithmetic)):
-        return [node.left, node.right]
-    if isinstance(node, N.Between):
-        return [node.operand, node.low, node.high]
-    if isinstance(node, (N.InSet, N.Like, N.IsNull, N.Not, N.Year, N.Substr)):
-        return [node.operand]
-    if isinstance(node, N.Case):
-        out: list[N.Expr] = []
-        for cond, value in node.whens:
-            out.extend((cond, value))
-        out.append(node.default)
-        return out
-    raise PlanError(f"unknown node {type(node).__name__}")
+    if expr is None:
+        return set()
+    return {node.table for node in expr.walk() if isinstance(node, N.ScalarRef)}

@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 from ..analysis import ERROR as DIAG_ERROR
 from ..analysis import analyze
-from ..core.runner import MATERIALIZE_MODES, STRATEGIES, RunConfig
+from ..core.runner import RunConfig
 from ..context import CancelToken
 from ..engine.stats import metric_field
 from ..errors import (
@@ -661,25 +661,15 @@ class QueryServer:
     def _request_config(self, msg: dict) -> RunConfig | None:
         """Per-request strategy/materialize overrides on the engine's
         default config (``None`` = serve with the default as-is)."""
-        strategy = msg.get("strategy")
-        materialize = msg.get("materialize")
-        if strategy is None and materialize is None:
+        given = {
+            key: msg[key]
+            for key in ("strategy", "materialize")
+            if msg.get(key) is not None
+        }
+        if not given:
             return None
-        base = self.engine.default_config
-        if strategy is not None:
-            if strategy not in STRATEGIES:
-                raise PlanError(
-                    f"unknown strategy {strategy!r}; choose from {STRATEGIES}"
-                )
-            base = replace(base, strategy=strategy)
-        if materialize is not None:
-            if materialize not in MATERIALIZE_MODES:
-                raise PlanError(
-                    f"unknown materialize mode {materialize!r}; "
-                    f"choose from {MATERIALIZE_MODES}"
-                )
-            base = replace(base, materialize=materialize)
-        return base
+        # RunConfig rejects an unknown strategy or mode with PlanError.
+        return replace(self.engine.default_config, **given)
 
     def _resolve_spec(self, msg: dict) -> QuerySpec:
         name = msg.get("query")

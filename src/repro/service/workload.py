@@ -30,33 +30,15 @@ import numpy as np
 
 from ..core.runner import RunConfig
 from ..errors import QueryAborted
-from ..expr.nodes import (
-    And,
-    Arithmetic,
-    Between,
-    Case,
-    ColumnRef,
-    Comparison,
-    DateLiteral,
-    Expr,
-    InSet,
-    IsNull,
-    Like,
-    Literal,
-    Not,
-    Or,
-    ScalarRef,
-    Substr,
-    Year,
-)
-from ..plan.query import QuerySpec, Relation
+from ..expr.nodes import DateLiteral, Expr
+from ..plan.query import QuerySpec
 from ..ssb import ALL_SSB_QUERY_IDS, generate_ssb, get_ssb_query
 from ..storage.catalog import Catalog
 from ..storage.column import Column
 from ..storage.dates import date_to_days, days_to_date
 from ..storage.table import Table
 from ..tpch import generate_tpch
-from ..tpch.queries import CYCLIC_QUERY_IDS, get_query
+from ..tpch.queries import get_query
 from .engine import Engine
 
 #: SSB tables are registered under this prefix in the merged catalog.
@@ -91,109 +73,34 @@ def prefix_tables(
     """
     derived = derived | {stage.output for stage in spec.pre_stages}
 
-    def fix(relations: list[Relation]) -> list[Relation]:
-        return [
-            r if r.table in derived else dc_replace(r, table=f"{prefix}{r.table}")
-            for r in relations
-        ]
-
+    relations = [
+        r if r.table in derived else dc_replace(r, table=f"{prefix}{r.table}")
+        for r in spec.relations
+    ]
     stages = [
         dc_replace(stage, spec=prefix_tables(stage.spec, prefix, derived))
         for stage in spec.pre_stages
     ]
-    return QuerySpec(
-        name=spec.name,
-        relations=fix(spec.relations),
-        edges=spec.edges,
-        residuals=spec.residuals,
-        post=spec.post,
-        pre_stages=stages,
-        join_order=spec.join_order,
-    )
-
-
-def _shift_dates(expr: Expr, delta_days: int) -> Expr:
-    """Rewrite every date literal in a predicate by ``delta_days``."""
-    if isinstance(expr, DateLiteral):
-        return DateLiteral(days_to_date(date_to_days(expr.iso) + delta_days))
-    if isinstance(expr, (ColumnRef, Literal, ScalarRef)):
-        return expr
-    if isinstance(expr, Comparison):
-        return Comparison(
-            expr.op,
-            _shift_dates(expr.left, delta_days),
-            _shift_dates(expr.right, delta_days),
-        )
-    if isinstance(expr, Between):
-        return Between(
-            _shift_dates(expr.operand, delta_days),
-            _shift_dates(expr.low, delta_days),
-            _shift_dates(expr.high, delta_days),
-        )
-    if isinstance(expr, InSet):
-        return InSet(_shift_dates(expr.operand, delta_days), expr.values)
-    if isinstance(expr, Like):
-        return Like(_shift_dates(expr.operand, delta_days), expr.pattern, expr.negate)
-    if isinstance(expr, IsNull):
-        return IsNull(_shift_dates(expr.operand, delta_days), expr.negate)
-    if isinstance(expr, And):
-        return And(
-            _shift_dates(expr.left, delta_days), _shift_dates(expr.right, delta_days)
-        )
-    if isinstance(expr, Or):
-        return Or(
-            _shift_dates(expr.left, delta_days), _shift_dates(expr.right, delta_days)
-        )
-    if isinstance(expr, Not):
-        return Not(_shift_dates(expr.operand, delta_days))
-    if isinstance(expr, Arithmetic):
-        return Arithmetic(
-            expr.op,
-            _shift_dates(expr.left, delta_days),
-            _shift_dates(expr.right, delta_days),
-        )
-    if isinstance(expr, Case):
-        return Case(
-            tuple(
-                (_shift_dates(c, delta_days), _shift_dates(v, delta_days))
-                for c, v in expr.whens
-            ),
-            _shift_dates(expr.default, delta_days),
-        )
-    if isinstance(expr, Year):
-        return Year(_shift_dates(expr.operand, delta_days))
-    if isinstance(expr, Substr):
-        return Substr(_shift_dates(expr.operand, delta_days), expr.start, expr.length)
-    # Fail loudly like canonical_expr: silently passing an unknown node
-    # through would emit "varied" workload queries that didn't change.
-    raise TypeError(f"unknown expression node: {type(expr).__name__}")
+    return dc_replace(spec, relations=relations, pre_stages=stages)
 
 
 def vary_spec(spec: QuerySpec, delta_days: int, tag: str) -> QuerySpec | None:
     """A parameter-varied copy: local-predicate dates shifted by
     ``delta_days``.  Returns ``None`` when the spec has no date
     parameters to vary (no point emitting a duplicate)."""
-    changed = False
-    relations = []
-    for r in spec.relations:
-        if r.predicate is None:
-            relations.append(r)
-            continue
-        shifted = _shift_dates(r.predicate, delta_days)
-        if shifted != r.predicate:
-            changed = True
-        relations.append(dc_replace(r, predicate=shifted))
-    if not changed:
+
+    def shift(node: Expr) -> Expr:
+        if isinstance(node, DateLiteral):
+            return DateLiteral(days_to_date(date_to_days(node.iso) + delta_days))
+        return node
+
+    relations = [
+        r if r.predicate is None else dc_replace(r, predicate=r.predicate.map(shift))
+        for r in spec.relations
+    ]
+    if relations == spec.relations:
         return None
-    return QuerySpec(
-        name=f"{spec.name}{tag}",
-        relations=relations,
-        edges=spec.edges,
-        residuals=spec.residuals,
-        post=spec.post,
-        pre_stages=spec.pre_stages,
-        join_order=spec.join_order,
-    )
+    return dc_replace(spec, name=f"{spec.name}{tag}", relations=relations)
 
 
 # ----------------------------------------------------------------------
@@ -216,22 +123,13 @@ def build_stream(
     near misses (per-table filter/scan hits only).
     """
     rng = random.Random(seed)
-    bad = [
-        q
-        for q in tpch_ids
-        if q not in range(1, 23) and q not in CYCLIC_QUERY_IDS
-    ]
-    if bad:
-        raise ValueError(
-            f"no TPC-H query {bad[0]!r}; valid: 1..22 and "
-            f"{', '.join(CYCLIC_QUERY_IDS)}"
-        )
+    # get_query rejects an unknown TPC-H id itself.
+    base: list[QuerySpec] = [get_query(qid, sf=sf) for qid in tpch_ids]
     bad = [q for q in ssb_ids if q not in ALL_SSB_QUERY_IDS]
     if bad:
         raise ValueError(
             f"no SSB query {bad[0]!r}; valid: {', '.join(ALL_SSB_QUERY_IDS)}"
         )
-    base: list[QuerySpec] = [get_query(qid, sf=sf) for qid in tpch_ids]
     base += [prefix_tables(get_ssb_query(qid), SSB_PREFIX) for qid in ssb_ids]
     stream: list[QuerySpec] = []
     for spec in base:

@@ -395,8 +395,8 @@ class PartitionLayout:
             return self._prune_comparison(expr, columns)
         if isinstance(expr, N.Between):
             zone, to_years = self._operand_zone(expr.operand, columns)
-            low = _const_value(expr.low)
-            high = _const_value(expr.high)
+            low = const_value(expr.low)
+            high = const_value(expr.high)
             if zone is None or low is None or high is None:
                 return None
             mins, maxs = _zone_bounds(zone, to_years)
@@ -443,11 +443,11 @@ class PartitionLayout:
     ) -> np.ndarray | None:
         op = expr.op
         zone, to_years = self._operand_zone(expr.left, columns)
-        value = _const_value(expr.right)
+        value = const_value(expr.right)
         if zone is None or value is None:
             # Try the mirrored form (constant op column).
             zone, to_years = self._operand_zone(expr.right, columns)
-            value = _const_value(expr.left)
+            value = const_value(expr.left)
             if zone is None or value is None:
                 return None
             op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
@@ -502,12 +502,17 @@ def _literal_value(value: object) -> int | float | None:
     return value
 
 
-def _const_value(expr: N.Expr) -> int | float | None:
-    """Numeric/date constant of an expression leaf (``None`` otherwise)."""
+def const_value(expr: N.Expr) -> int | float | None:
+    """Numeric constant of an expression leaf: a numeric literal (bools
+    excluded) or a date literal as epoch days; ``None`` otherwise, and
+    for a malformed date, which the type checker reports."""
     if isinstance(expr, N.Literal):
         return _literal_value(expr.value)
     if isinstance(expr, N.DateLiteral):
-        return date_to_days(expr.iso)
+        try:
+            return date_to_days(expr.iso)
+        except ValueError:
+            return None
     return None
 
 

@@ -249,6 +249,43 @@ def test_metric_declaration_flagged_outside_obs(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Rule f: one walk per expression tree
+# ----------------------------------------------------------------------
+def test_expr_walker_flags_node_dispatch_outside_semantic_modules(tmp_path):
+    walker = (
+        "from repro.expr import nodes as N\n"
+        "from repro.expr.nodes import And, Or\n"
+        "\n"
+        "def rewrite(e):\n"
+        "    if isinstance(e, (N.ColumnRef, N.Literal)):\n"
+        "        return e\n"
+        "    if isinstance(e, And) or isinstance(e, Or):\n"
+        "        return e\n"
+        "\n"
+        "def three(e):\n"
+        "    if isinstance(e, (N.ColumnRef, N.Literal, And, dict, list)):\n"
+        "        return e\n"
+        "\n"
+        "def outer(e):\n"
+        "    def inner(e):\n"
+        "        return isinstance(e, (N.Not, N.Year, N.Substr, N.Case))\n"
+        "    return isinstance(e, N.Between)\n"
+    )
+    _write_tree(tmp_path, {
+        "repro/plan/walker.py": walker,
+        "repro/expr/eval.py": walker,
+        "repro/storage/partition.py": walker,
+    })
+    violations = _of(run_lint([str(tmp_path)]), "expr-walker")
+    assert [(Path(v.path).name, v.line) for v in violations] == [
+        ("walker.py", 4), ("walker.py", 15)
+    ]
+    assert "rewrite() dispatches on 4 expression node classes" in str(
+        violations[0]
+    )
+
+
+# ----------------------------------------------------------------------
 # The real tree
 # ----------------------------------------------------------------------
 def test_real_src_tree_is_lint_clean():

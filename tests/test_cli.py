@@ -232,7 +232,7 @@ def test_serve_client_loadtest_parser_wiring():
         parser.parse_args(["loadtest", "--connections", "2"])
 
 
-def test_loadtest_spawn_cold_warm_writes_v7_record(capsys):
+def test_client_cold_then_warm_query_matches_in_process_digest(capsys):
     """``repro client`` against an in-process server: the same query
     twice (cold, then warm cache) returns the in-process digest, and
     the server is left with no pending job."""

@@ -315,7 +315,9 @@ def test_filter_cache_entries_valid_across_thread_counts(small_catalog):
 # ----------------------------------------------------------------------
 # Service engine: one pool
 # ----------------------------------------------------------------------
-def test_engine_sessions_share_one_intra_query_pool(small_catalog, monkeypatch):
+def test_blocking_and_concurrent_queries_run_on_engine_workers(
+    small_catalog, monkeypatch
+):
     """Blocking and concurrent submissions share the engine's workers.
 
     Four workers × eight concurrent queries plus a blocking one: every

@@ -224,6 +224,16 @@ QUERIES: dict[int | str, str] = {
         GROUP BY p_brand, p_type, p_size
         ORDER BY supplier_cnt DESC, p_brand, p_type, p_size
     """,
+    17: """
+        SELECT SUM(l_extendedprice) / 7.0 AS avg_yearly
+        FROM lineitem, part
+        WHERE p_partkey = l_partkey
+          AND p_brand = 'Brand#23'
+          AND p_container = 'MED BOX'
+          AND l_quantity < (
+                SELECT 0.2 * AVG(l_quantity) FROM lineitem
+                WHERE l_partkey = p_partkey)
+    """,
     18: """
         SELECT c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice,
                SUM(l_quantity)
@@ -236,6 +246,24 @@ QUERIES: dict[int | str, str] = {
         GROUP BY c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice
         ORDER BY o_totalprice DESC, o_orderdate
         LIMIT 100
+    """,
+    20: """
+        SELECT s_name, s_address
+        FROM supplier, nation
+        WHERE s_suppkey IN (
+                SELECT ps_suppkey FROM partsupp
+                WHERE ps_partkey IN (
+                        SELECT p_partkey FROM part
+                        WHERE p_name LIKE 'forest%')
+                  AND ps_availqty > (
+                        SELECT 0.5 * SUM(l_quantity) FROM lineitem
+                        WHERE l_partkey = ps_partkey
+                          AND l_suppkey = ps_suppkey
+                          AND l_shipdate >= '1994-01-01'
+                          AND l_shipdate < '1995-01-01'))
+          AND s_nationkey = n_nationkey
+          AND n_name = 'CANADA'
+        ORDER BY s_name
     """,
     21: """
         SELECT s_name, COUNT(*) AS numwait
@@ -258,6 +286,24 @@ QUERIES: dict[int | str, str] = {
         GROUP BY s_name
         ORDER BY numwait DESC, s_name
         LIMIT 100
+    """,
+    22: """
+        SELECT cntrycode, COUNT(*) AS numcust, SUM(c_acctbal) AS totacctbal
+        FROM (
+            SELECT SUBSTR(c_phone, 1, 2) AS cntrycode, c_acctbal
+            FROM customer
+            WHERE SUBSTR(c_phone, 1, 2)
+                    IN ('13', '31', '23', '29', '30', '18', '17')
+              AND c_acctbal > (
+                    SELECT AVG(c_acctbal) FROM customer
+                    WHERE c_acctbal > 0.00
+                      AND SUBSTR(c_phone, 1, 2)
+                            IN ('13', '31', '23', '29', '30', '18', '17'))
+              AND NOT EXISTS (
+                    SELECT * FROM orders WHERE o_custkey = c_custkey)
+        ) AS custsale
+        GROUP BY cntrycode
+        ORDER BY cntrycode
     """,
     "stripped-3": """
         SELECT l_orderkey, o_orderdate, o_shippriority,
@@ -345,7 +391,9 @@ _SQL_TYPES = {
 #: Lookup indexes for the correlated subqueries; they change no result.
 _INDEXES = (
     "CREATE INDEX lineitem_orderkey ON lineitem (l_orderkey)",
+    "CREATE INDEX lineitem_partsupp ON lineitem (l_partkey, l_suppkey)",
     "CREATE INDEX partsupp_partkey ON partsupp (ps_partkey)",
+    "CREATE INDEX orders_custkey ON orders (o_custkey)",
 )
 
 
