@@ -128,9 +128,18 @@ class Expr:
                 changes[name] = mapped
         return fn(replace(self, **changes) if changes else self)
 
-    def columns(self) -> set[str]:
-        """Set of column names referenced by this expression tree."""
-        return {node.name for node in self.walk() if isinstance(node, ColumnRef)}
+    def columns(self) -> frozenset[str]:
+        """Names of the columns this expression tree references.
+
+        Remembered on the node, which is frozen: the planner asks a
+        spec's unchanging predicates again on every run."""
+        names = self.__dict__.get("_columns")
+        if names is None:
+            names = frozenset(
+                node.name for node in self.walk() if isinstance(node, ColumnRef)
+            )
+            self.__dict__["_columns"] = names
+        return names
 
 
 @cache

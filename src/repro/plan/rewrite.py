@@ -47,9 +47,12 @@ def _lookup(ref: N.ScalarRef, catalog: Catalog) -> N.Expr:
         raise PlanError(
             f"scalar subquery {ref.table!r} produced {table.num_rows} rows"
         )
-    value = table.column(ref.column).value_at(0)
+    column = table.column(ref.column)
+    value = column.value_at(0)
     if value is None:
         raise PlanError(f"scalar subquery {ref.table}.{ref.column} is NULL")
+    if column.dtype is DType.DATE:
+        return N.DateLiteral(value)  # value_at gives a DATE as its ISO text
     return N.Literal(value)
 
 

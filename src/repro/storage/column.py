@@ -11,6 +11,12 @@ Columns optionally carry a ``valid`` boolean mask.  Base TPC-H data is
 never null; validity masks appear only on the null-extended side of outer
 joins.  ``valid is None`` means "all rows valid", which keeps the common
 path allocation-free.
+
+Appends (:meth:`Column.concat`) write into a buffer with headroom that
+the result views read-only as ``buffer[:n]``.  The column viewing every
+committed row of its buffer is the buffer's *tip*; an append to the tip
+writes only the delta, past every row an older column can see.  Any
+other append copies into a new buffer.
 """
 
 from __future__ import annotations
@@ -64,6 +70,102 @@ def _forget_increasing(key: int) -> Callable[[weakref.ref], None]:
     return forget
 
 
+#: A new append buffer holds this many times the rows it starts with,
+#: so a stream of appends copies a column once per 25 % of growth.
+_GROWTH = 1.25
+#: Guards every buffer's committed length: claiming the tip and moving
+#: its length past the delta is one step.
+_CLAIM_LOCK = threading.Lock()
+
+
+class _Buffer:
+    """Storage shared by the columns an append chain produces.
+
+    ``data`` (and ``valid``, when the chain carries a mask) hold
+    ``length`` committed rows and headroom past them.  Every column of
+    the buffer views a prefix ``[:n]``; the one with ``n == length`` is
+    the tip.  Rows below ``length`` are never written again, so a
+    column pinned by a reader never sees a later append.
+
+    For a STRING chain, ``dictionary`` is the one dictionary every
+    column of the buffer holds, and the codes are *exact* for it:
+    sorted, and every entry is used by the first ``n`` rows of any
+    column of the buffer (an append in place only adds rows that use
+    existing entries).
+    """
+
+    __slots__ = ("data", "valid", "dictionary", "length")
+
+    def __init__(
+        self,
+        rows: int,
+        physical: np.dtype,
+        nullable: bool,
+        dictionary: np.ndarray | None,
+    ) -> None:
+        capacity = int(rows * _GROWTH) + 1
+        self.data = np.empty(capacity, dtype=physical)
+        self.valid = np.empty(capacity, dtype=np.bool_) if nullable else None
+        self.dictionary = dictionary
+        self.length = rows
+
+    def claim(self, start: int, rows: int) -> bool:
+        """Take ``[start, start + rows)`` when ``start`` is the committed
+        length and the rows fit; the length then moves past them."""
+        with _CLAIM_LOCK:
+            if self.length != start or start + rows > len(self.data):
+                return False
+            self.length = start + rows
+            return True
+
+    def write(self, start: int, data: np.ndarray, valid: np.ndarray | None) -> None:
+        """Fill rows ``[start, start + len(data))`` (all valid when
+        ``valid`` is None)."""
+        stop = start + len(data)
+        self.data[start:stop] = data
+        if self.valid is not None:
+            self.valid[start:stop] = True if valid is None else valid
+
+    def column(self, rows: int, dtype: DType) -> "Column":
+        """The read-only column of the first ``rows`` rows."""
+        data = self.data[:rows]
+        data.flags.writeable = False
+        valid = None
+        if self.valid is not None:
+            valid = self.valid[:rows]
+            valid.flags.writeable = False
+        column = Column(data, dtype, self.dictionary, valid)
+        column._buffer = self
+        return column
+
+
+def _encode_pool(
+    pool: Sequence[str] | np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lut, dictionary)`` for codes into ``pool`` whose slot counts
+    are ``counts``: the dictionary is the values of the used slots,
+    sorted and unique, and ``lut`` maps each slot to its code there."""
+    values, slot = np.unique(np.asarray(pool, dtype=object), return_inverse=True)
+    occurs = np.zeros(len(values), dtype=np.bool_)
+    occurs[slot[counts > 0]] = True
+    remap = (np.cumsum(occurs) - 1).astype(np.int32)
+    return remap[slot], values[occurs]
+
+
+def concat_bytes(before: Column, after: Column) -> int:
+    """Bytes ``before.concat(delta)`` wrote into buffers to make ``after``:
+    the delta's rows when it was appended in place at ``before``'s tip,
+    every row of ``after`` when the append copied or merged."""
+    written = _nbytes(after)
+    if after._buffer is not None and after._buffer is before._buffer:
+        written -= _nbytes(before)
+    return written
+
+
+def _nbytes(column: Column) -> int:
+    return column.data.nbytes + (0 if column.valid is None else column.valid.nbytes)
+
+
 def strictly_increasing(dictionary: np.ndarray) -> bool:
     """True when every dictionary entry is below the next in Python order.
 
@@ -105,7 +207,9 @@ class Column:
         Optional validity mask; ``None`` means all rows are valid.
     """
 
-    __slots__ = ("data", "dtype", "dictionary", "valid")
+    # ``_buffer`` is the append buffer this column views, set only on
+    # :meth:`concat` results (see :class:`_Buffer`).
+    __slots__ = ("data", "dtype", "dictionary", "valid", "_buffer")
 
     def __init__(
         self,
@@ -127,6 +231,7 @@ class Column:
         self.dtype = dtype
         self.dictionary = dictionary
         self.valid = valid
+        self._buffer: _Buffer | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -183,19 +288,20 @@ class Column:
         The cost is one ``bincount`` and one gather over the rows, where
         :meth:`from_strings` sorts an object array of every row.
         """
-        values, slot = np.unique(np.asarray(pool, dtype=object), return_inverse=True)
-        occurs = np.zeros(len(values), dtype=np.bool_)
-        occurs[slot[np.bincount(codes, minlength=len(pool)) > 0]] = True
-        remap = (np.cumsum(occurs) - 1).astype(np.int32)
-        return Column(remap[slot][codes], DType.STRING, dictionary=values[occurs])
+        lut, dictionary = _encode_pool(pool, np.bincount(codes, minlength=len(pool)))
+        return Column(lut[codes], DType.STRING, dictionary=dictionary)
 
     @staticmethod
     def from_dates(values: Sequence[str] | np.ndarray) -> "Column":
-        """Build a DATE column from ISO strings or pre-computed day counts."""
+        """Build a DATE column from ISO strings or pre-computed day counts.
+
+        Each distinct string is parsed once, in order of first
+        appearance, so a malformed one raises as it would row by row."""
         if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
             return Column(values.astype(np.int32), DType.DATE)
+        parsed = {text: date_to_days(text) for text in dict.fromkeys(values)}
         days = np.fromiter(
-            (date_to_days(v) for v in values), dtype=np.int32, count=len(values)
+            map(parsed.__getitem__, values), dtype=np.int32, count=len(values)
         )
         return Column(days, DType.DATE)
 
@@ -322,28 +428,99 @@ class Column:
     def concat(self, other: "Column") -> "Column":
         """Row-wise concatenation (the append path of table mutation).
 
-        STRING columns merge dictionaries instead of decoding rows: the
-        two dictionaries form one pool, ``other``'s codes shift past
-        ``self``'s entries, and :meth:`from_pool` re-encodes.  The result
-        is byte-identical to uniquing the decoded rows (sorted dictionary
-        of the values that occur, null placeholders included), at the
-        cost of integer work per row and a sort of the dictionaries only.
+        The result is byte-identical to concatenating the rows, and for
+        STRING columns to uniquing the decoded rows (sorted dictionary of
+        the values that occur, null placeholders included).  It is made
+        one of three ways:
+
+        * **in place**, when ``self`` is its buffer's tip and the delta
+          fits: only ``other``'s rows are written.  A STRING delta must
+          use only values of ``self``'s exact dictionary, which the
+          result keeps as the same object; only the delta's codes are
+          translated, by a binary search over its distinct values;
+        * **copied** into a new buffer with headroom, for any other
+          append of such values (a stale snapshot, a fork, a buffer
+          that is full, a column no append made);
+        * **merged**, when a STRING delta brings a value ``self`` lacks
+          or ``self``'s dictionary is not known to be exact: the two
+          dictionaries form one pool and every code is re-encoded into
+          a new buffer through a table per pool slot, never by decoding
+          a row.
         """
         if self.dtype is not other.dtype:
             raise SchemaError(
                 f"cannot concat {self.dtype} column with {other.dtype}"
             )
-        valid: np.ndarray | None = None
-        if self.valid is not None or other.valid is not None:
-            valid = np.concatenate([self.validity(), other.validity()])
-        if self.dictionary is not None and other.dictionary is not None:
-            codes = np.concatenate(
-                [self.data, other.data + np.int32(len(self.dictionary))]
-            )
-            pool = np.concatenate([self.dictionary, other.dictionary])
-            merged = Column.from_pool(codes, pool)
-            return Column(merged.data, self.dtype, merged.dictionary, valid)
-        return Column(np.concatenate([self.data, other.data]), self.dtype, None, valid)
+        if self.dictionary is None:
+            return self._append(other.data, other.valid)
+        codes = self._known_codes(other)
+        if codes is not None:
+            return self._append(codes, other.valid)
+        split = len(self.dictionary)
+        lut, dictionary = _encode_pool(
+            np.concatenate([self.dictionary, other.dictionary]),
+            np.concatenate([
+                np.bincount(self.data, minlength=split),
+                np.bincount(other.data, minlength=len(other.dictionary)),
+            ]),
+        )
+        return self._copy(
+            lut[:split][self.data], lut[split:][other.data], other.valid, dictionary
+        )
+
+    def _known_codes(self, other: "Column") -> np.ndarray | None:
+        """``other``'s codes in ``self``'s dictionary, when that is its
+        buffer's exact dictionary and holds every value ``other`` uses
+        (equal and of the same type); ``None`` otherwise."""
+        buf = self._buffer
+        if buf is None or buf.dictionary is not self.dictionary:
+            return None
+        counts = np.bincount(other.data, minlength=len(other.dictionary))
+        used = np.flatnonzero(counts)
+        values = other.dictionary[used]
+        slots = np.searchsorted(self.dictionary, values)
+        if not (slots < len(self.dictionary)).all():
+            return None
+        found = self.dictionary[slots]
+        if not all(type(a) is type(b) and a == b for a, b in zip(found, values)):
+            return None
+        lut = np.zeros(len(other.dictionary), dtype=np.int32)
+        lut[used] = slots
+        return lut[other.data]
+
+    def _append(self, tail: np.ndarray, valid: np.ndarray | None) -> "Column":
+        """``self``'s rows, then ``tail`` (physical values in ``self``'s
+        encoding) with validity ``valid``: in place at the tip, else
+        copied into a new buffer."""
+        n, d = len(self.data), len(tail)
+        buf = self._buffer
+        if (
+            buf is not None
+            and (valid is None or buf.valid is not None)
+            and buf.claim(n, d)
+        ):
+            buf.write(n, tail, valid)
+            return buf.column(n + d, self.dtype)
+        return self._copy(self.data, tail, valid, self.dictionary)
+
+    def _copy(
+        self,
+        head: np.ndarray,
+        tail: np.ndarray,
+        valid: np.ndarray | None,
+        dictionary: np.ndarray | None,
+    ) -> "Column":
+        """A new buffer holding ``head`` (``self``'s rows, valid as
+        ``self``), then ``tail`` with validity ``valid``."""
+        buf = _Buffer(
+            len(head) + len(tail),
+            head.dtype,
+            self.valid is not None or valid is not None,
+            dictionary,
+        )
+        buf.write(0, head, self.valid)
+        buf.write(len(head), tail, valid)
+        return buf.column(buf.length, self.dtype)
 
     def compact_dictionary(self) -> "Column":
         """Drop unused dictionary entries (after heavy filtering).

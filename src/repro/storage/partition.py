@@ -50,10 +50,11 @@ Determinism and invalidation guarantees
   object's layout with the old one's already-built zone maps for
   every *full* prefix chunk, and only the partial tail chunk plus the
   delta chunks are computed.  This is sound because zone maps exist
-  only for ``INT64``/``FLOAT64``/``DATE`` columns, whose
-  ``concat`` is a plain ``np.concatenate`` of data and validity —
-  prefix values are byte-identical (``STRING`` concat merges
-  dictionaries and re-encodes codes, but strings are never zoned).  The
+  only for ``INT64``/``FLOAT64``/``DATE`` columns, and their
+  ``concat`` never changes a row the old table shows: it writes the
+  delta past them in the same buffer or copies them unchanged into a
+  new one, so prefix values are byte-identical (``STRING`` concat may
+  re-encode codes, but strings are never zoned).  The
   distinct count of an ``INT64``/``DATE`` column carries over the same
   way: the old count plus the distinct appended values outside the old
   range, O(appended rows).  An appended value inside the old range may

@@ -175,9 +175,10 @@ class Table:
         (:class:`~repro.storage.catalog.IngestBatch`) concatenates each
         staged delta onto the live table and publishes the result under
         a bumped *delta* version, so cached artifacts extend instead of
-        being invalidated.  The cost is proportional to the delta plus
-        one copy per column: numeric columns concatenate, STRING columns
-        merge dictionaries (:meth:`Column.concat`) without decoding a row.
+        being invalidated.  Appended at the tip of each column's buffer,
+        with STRING values the columns already hold, the cost is the
+        delta's; otherwise a column is copied, or its dictionary merged
+        without decoding a row (:meth:`Column.concat`).
         """
         if set(self.columns) != set(other.columns):
             raise SchemaError(

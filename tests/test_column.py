@@ -135,6 +135,169 @@ def test_string_concat_allocates_per_row_integers_only():
     assert peak <= 4 * merged.data.nbytes, peak / merged.data.nbytes
 
 
+# ----------------------------------------------------------------------
+# Append chains: in place at the tip, copied everywhere else
+# ----------------------------------------------------------------------
+def _expected(parent: Column, delta: Column):
+    """``parent.concat(delta)`` as the rows say it must be."""
+    if parent.dtype is DType.STRING:
+        return _decode_unique_concat(parent, delta)
+    valid = None
+    if parent.valid is not None or delta.valid is not None:
+        valid = np.concatenate([parent.validity(), delta.validity()])
+    return np.concatenate([parent.data, delta.data]), None, valid
+
+
+def _assert_is(got: Column, want) -> None:
+    data, dictionary, valid = want
+    assert got.data.dtype == data.dtype
+    assert got.data.tobytes() == data.tobytes()
+    if dictionary is None:
+        assert got.dictionary is None
+    else:
+        assert got.dictionary.dtype == object
+        assert got.dictionary.tolist() == dictionary.tolist()
+        assert [type(v) for v in got.dictionary] == [type(v) for v in dictionary]
+    if valid is None:
+        assert got.valid is None
+    else:
+        assert got.valid.tobytes() == valid.tobytes()
+
+
+def _image(column: Column) -> tuple:
+    """Everything a reader of ``column`` can observe, as values."""
+    return (
+        column.data.tobytes(),
+        None if column.dictionary is None else column.dictionary.tolist(),
+        None if column.valid is None else column.valid.tobytes(),
+    )
+
+
+@st.composite
+def _int_columns(draw):
+    values = draw(st.lists(st.integers(-3, 3), max_size=12))
+    column = Column.from_ints(np.asarray(values, dtype=np.int64))
+    if values and draw(st.booleans()):
+        picks = draw(st.lists(st.integers(-1, len(values) - 1), max_size=12))
+        return column.take_nullable(np.asarray(picks, dtype=np.int64))
+    return column
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), strings=st.booleans())
+def test_append_chain_matches_the_rows(data, strings):
+    """Appends at the tip, onto stale ancestors (forks), with NULLs, new
+    strings and no rows at all: every result is what its rows say, and
+    no append changes a byte any earlier column shows."""
+    draw_column = _string_columns() if strings else _int_columns()
+    chain = [data.draw(draw_column)]
+    images = [_image(chain[0])]
+    for _ in range(data.draw(st.integers(1, 8))):
+        tip = data.draw(st.booleans())
+        parent = chain[-1] if tip else data.draw(st.sampled_from(chain))
+        delta = data.draw(draw_column)
+        got = parent.concat(delta)
+        _assert_is(got, _expected(parent, delta))
+        chain.append(got)
+        images.append(_image(got))
+        assert [_image(c) for c in chain] == images
+
+
+def test_tip_append_writes_the_delta_and_keeps_the_dictionary():
+    base = Column.from_strings(["b", "a", "c", "a"] * 10)
+    one = base.concat(Column.from_strings(["z"]))  # a merge: new buffer
+    assert column_module.concat_bytes(base, one) == one.data.nbytes
+    two = one.concat(Column.from_strings(["a", "z", "b"]))
+    assert two.dictionary is one.dictionary
+    assert column_module.concat_bytes(one, two) == 3 * 4
+    with pytest.raises(ValueError):
+        two.data[0] = 1  # columns are read-only views
+    fork = one.concat(Column.from_strings(["c"]))  # one is no longer the tip
+    assert column_module.concat_bytes(one, fork) == fork.data.nbytes
+    assert fork.to_pylist()[-2:] == ["z", "c"]
+    assert two.to_pylist()[-4:] == ["z", "a", "z", "b"]
+    nulls = two.concat(Column.from_strings(["a", "b"]).take_nullable(np.array([0, -1])))
+    assert nulls.to_pylist()[-2:] == ["a", None]
+
+
+def test_two_threads_append_to_one_tip():
+    """Both appends are right whichever claims the tip; the other copies."""
+    words = [f"w{i}" for i in range(40)]
+    rng = np.random.default_rng(3)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            tip = Column.from_strings(rng.choice(words, 5000).tolist()).concat(
+                Column.from_strings(words)
+            )
+            before = _image(tip)
+            deltas = [
+                Column.from_strings(rng.choice(words, 300).tolist()) for _ in range(2)
+            ]
+            results: list = [None, None]
+            barrier = threading.Barrier(2)
+
+            def append(k: int) -> None:
+                barrier.wait()
+                results[k] = tip.concat(deltas[k])
+
+            threads = [threading.Thread(target=append, args=(k,)) for k in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            for got, delta in zip(results, deltas):
+                _assert_is(got, _decode_unique_concat(tip, delta))
+            assert _image(tip) == before
+            shared = [got._buffer is tip._buffer for got in results]
+            assert shared.count(True) == 1
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_failed_commit_leaves_pinned_snapshot_and_next_commit_right():
+    """A commit whose second table fails at concat (a dtype mismatch)
+    has already appended the first table at its tip: the pinned
+    snapshot still reads its old bytes, and the next commit is right."""
+    from repro.storage import Catalog, Table
+
+    def table(name: str, n: int, start: int = 0) -> Table:
+        keys = np.arange(start, start + n, dtype=np.int64)
+        return Table(
+            name,
+            {
+                "k": Column.from_ints(keys),
+                "s": Column.from_strings([f"s{k % 7}" for k in keys]),
+            },
+        )
+
+    catalog = Catalog({"a": table("a", 50), "b": table("b", 30)})
+    for start in (100, 200):  # tables now sit at their buffers' tips
+        batch = catalog.begin_ingest()
+        batch.stage("a", table("a", 10, start))
+        batch.stage("b", table("b", 10, start))
+        batch.commit()
+    pinned = catalog.scoped()
+    a_before = {c: _image(col) for c, col in pinned.get("a").columns.items()}
+    bad = table("b", 10, 300)
+    bad.columns["k"] = Column.from_floats(np.zeros(10))
+    batch = catalog.begin_ingest()
+    batch.stage("a", table("a", 10, 300))
+    batch.stage("b", bad)
+    with pytest.raises(SchemaError):
+        batch.commit()
+    assert catalog.get("a") is pinned.get("a")
+    assert {c: _image(col) for c, col in pinned.get("a").columns.items()} == a_before
+    batch = catalog.begin_ingest()
+    delta = table("a", 10, 400)
+    batch.stage("a", delta)
+    batch.commit()
+    for name, column in catalog.get("a").columns.items():
+        _assert_is(column, _expected(pinned.get("a").column(name), delta.column(name)))
+    assert {c: _image(col) for c, col in pinned.get("a").columns.items()} == a_before
+
+
 def test_from_dates_strings_and_days():
     col = Column.from_dates(["1994-01-01", "1994-01-02"])
     assert col.dtype is DType.DATE

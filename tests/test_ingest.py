@@ -435,6 +435,43 @@ def test_decode_rejects_schema_violations():
             decode_wire_table("t", base, payload)
 
 
+def test_date_error_frames_are_pinned():
+    """DATE wire values are parsed once per distinct string; the error
+    frame still names the first bad value in row order, byte for byte."""
+    from repro.service.protocol import encode_frame, error_frame_for
+    from repro.service.server import decode_wire_table
+
+    base = Table(
+        "t",
+        {
+            "k": Column.from_ints(np.arange(2, dtype=np.int64)),
+            "d": Column.from_dates(["1996-01-02", "1996-01-03"]),
+        },
+    )
+    cases = [
+        (
+            ["1996-01-02", "1996-02-30", "1996-13-01", "1996-02-30"],
+            b'\x00\x00\x00\x84{"type":"ERROR","id":7,"code":"bad_request",'
+            b'"message":"column t.d (date): day is out of range for month",'
+            b'"error_type":"SchemaError"}',
+        ),
+        (
+            ["1996-01-02", None, 19960102, "x"],
+            b'\x00\x00\x00\x91{"type":"ERROR","id":7,"code":"bad_request",'
+            b'"message":"column t.d (date) expects a \'YYYY-MM-DD\' string, '
+            b'got 19960102","error_type":"SchemaError"}',
+        ),
+    ]
+    for dates, frame in cases:
+        with pytest.raises(SchemaError) as caught:
+            decode_wire_table("t", base, {"k": list(range(len(dates))), "d": dates})
+        assert encode_frame(error_frame_for(7, caught.value)) == frame
+    good = decode_wire_table(
+        "t", base, {"k": [1, 2, 3], "d": ["1996-01-03", None, "1996-01-03"]}
+    )
+    assert good.column("d").to_pylist() == ["1996-01-03", None, "1996-01-03"]
+
+
 def test_out_of_range_integer_is_a_bad_request():
     """An INT64 wire value beyond int64 is a typed schema violation
     (``bad_request`` on the wire), not an untyped ``internal`` error,

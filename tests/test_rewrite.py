@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.cache.fingerprint import canonical_expr
 from repro.errors import PlanError
 from repro.engine.aggregate import AggSpec, GroupKey
 from repro.expr.nodes import (
@@ -30,6 +31,9 @@ from repro.plan.query import (
 from repro.plan.rewrite import resolve_scalars, scalar_tables
 from repro.service.workload import vary_spec
 from repro.storage.catalog import Catalog
+from repro.storage.column import Column
+from repro.storage.dates import date_to_days
+from repro.storage.partition import const_value
 from repro.storage.table import Table
 
 
@@ -46,6 +50,17 @@ def test_resolves_to_literal(catalog):
     resolved = resolve_scalars(expr, catalog)
     assert resolved.right == Literal(42.5)
     assert not scalar_tables(resolved)
+
+
+def test_date_scalar_resolves_to_a_date_literal():
+    """A date-valued stage surfaces as a DateLiteral: zone-map pruning
+    reads its constant and the fingerprint takes the date form."""
+    cat = Catalog()
+    cat.register(Table("first", {"d": Column.from_dates(["1992-01-04"])}))
+    resolved = resolve_scalars(col("o.o_orderdate").lt(ScalarRef("first", "d")), cat)
+    assert resolved.right == DateLiteral("1992-01-04")
+    assert const_value(resolved.right) == date_to_days("1992-01-04")
+    assert canonical_expr(resolved.right) == "date:1992-01-04"
 
 
 def test_resolves_inside_arithmetic(catalog):
