@@ -12,64 +12,30 @@ on a scoped catalog) are simply absent from the context: every lookup
 for them reports "not cacheable" and the phases fall back to building
 from scratch, exactly as when no cache is configured.
 
-Delta extension
----------------
 Appends bump only a version's delta sequence
-(:class:`~repro.storage.catalog.DataVersion`), and the appended rows
-are strictly *after* every pre-existing row.  An artifact cached at
-``(base, older_delta)`` is therefore not stale, merely incomplete: on
-an exact-fingerprint miss, :meth:`QueryCache.get_scan` and
-:meth:`QueryCache.get_filter` probe the version's recorded delta
-history and, on a hit, **extend** the cached artifact over just the
-delta rows — evaluating the local predicate on the delta slice,
-appending qualifying indices to a cached selection vector, OR-merging
-delta key hashes into a clone of a cached Bloom filter (at its cached
-geometry, so the result is bit-identical to a from-scratch build with
-that geometry), inserting them into a clone of a cached exact set, or
-re-spanning a cached presence bitmap over them (bit-identical to a
-from-scratch build over the merged rows, which is why a merged span the
-bitmap's size rule no longer admits is a rebuild).
-The extended artifact is published under the current fingerprint, so
-later queries hit exactly, and under the artifact's *lineage* (the
-fingerprint at the version's ``base``), so the store drops the entry it
-was extended from: one entry per artifact survives any number of
-commits.  Whole-query pre-filter entries are never extended but carry
-a lineage too, so a re-run after a commit replaces the stale one.
-
-Every extension is sound-or-rebuilt: any case the extension cannot
-prove equivalent to a from-scratch build — predicate columns the base
-table cannot supply, an unexpected payload shape, a geometry merge
-failure, a saturated Bloom filter, a bitmap whose merged span outgrew
-its size rule, or an injected ``cache.extend``
-fault — returns a miss and the caller rebuilds in full (counted in
-``extension_rebuilds``).  Replaces bump the base version, which no
-probe matches, so full invalidation stays intact.
+(:class:`~repro.storage.catalog.DataVersion`), so an artifact cached
+before a commit no longer matches any fingerprint: the next read misses
+and rebuilds it.  Every entry also carries a *lineage* — its
+fingerprint at the version's ``base``, which every delta shares — and
+the store drops the entry a rebuilt one supersedes, so one entry per
+artifact survives any number of commits.  Replaces bump the base
+version, which starts a new lineage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, cast
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from typing import Iterable, Iterator
+    from typing import Iterable
 
-    from ..expr.nodes import Expr
     from ..plan.query import QuerySpec
     from ..storage.catalog import Catalog, DataVersion
-    from ..storage.column import Column
-    from ..storage.table import Table
 
 from ..errors import CacheCorruption, QueryAborted, ReproError
-from ..expr.eval import evaluate_mask
-from ..filters.bitmap import BitmapFilter
-from ..filters.bloom import BloomFilter
-from ..filters.exact import ExactFilter
-from ..filters.hashing import bloom_keys
-from ..storage.partition import slice_table
-from ..testing.faults import fault_point
 from .fingerprint import (
     canonical_expr,
     filter_fingerprint,
@@ -79,34 +45,13 @@ from .fingerprint import (
 )
 from .store import FilterCache
 
-#: How far back in a version's delta history extension lookups probe.
-#: Older entries than this simply miss (full rebuild) — bounding probe
-#: cost per lookup under long append streams.
-MAX_EXTENSION_PROBES = 8
-
-#: Bloom filters whose word array is more than half ones after an
-#: extension are rebuilt instead: the cached geometry was sized for the
-#: pre-append row count and its false-positive rate has degraded past
-#: usefulness.  (Saturation is a quality cliff, not a soundness issue —
-#: Bloom filters never produce false negatives at any saturation.)
-MAX_EXTENSION_SATURATION = 0.5
-
-
 @dataclass(frozen=True)
 class AliasKey:
-    """Cache identity of one aliased base relation.
-
-    ``expr`` and ``base`` carry the original predicate tree and the
-    pinned snapshot's table object for delta extension; they are
-    derived from the compared fields (via the catalog snapshot) and
-    excluded from equality/hashing.
-    """
+    """Cache identity of one aliased base relation."""
 
     table: str
     version: "int | DataVersion"
     predicate: str  # canonical, alias-stripped local-predicate form
-    expr: "Expr | None" = field(default=None, compare=False, repr=False)
-    base: "Table | None" = field(default=None, compare=False, repr=False)
 
 
 class QueryCache:
@@ -120,7 +65,7 @@ class QueryCache:
     propagate — those are the caller's to handle.
     """
 
-    __slots__ = ("cache", "aliases", "hits", "misses", "errors", "extensions")
+    __slots__ = ("cache", "aliases", "hits", "misses", "errors")
 
     def __init__(self, cache: FilterCache, aliases: dict[str, AliasKey]) -> None:
         self.cache = cache
@@ -128,9 +73,6 @@ class QueryCache:
         self.hits = 0
         self.misses = 0
         self.errors = 0
-        # Artifacts this query got by delta extension (the store counts
-        # them engine-wide; this tells a caller its own lookup was one).
-        self.extensions = 0
 
     # ------------------------------------------------------------------
     def cacheable(self, alias: str) -> bool:
@@ -174,20 +116,8 @@ class QueryCache:
         return scan_fingerprint(key.table, _version(key, lineage), key.predicate)
 
     def get_scan(self, alias: str) -> np.ndarray | None:
-        """Cached local-predicate selection vector, if present.
-
-        On an exact miss, tries extending a vector cached at an older
-        delta of the same base version over the appended rows; an
-        extended vector is published under the current fingerprint.
-        """
-        fp = self.scan_fp(alias)
-        payload = self._get(fp)
-        if payload is not None:
-            return payload
-        extended = self._extend_scan(alias)
-        if extended is not None:
-            self.put_scan(alias, extended)
-        return extended
+        """Cached local-predicate selection vector, if present."""
+        return self._get(self.scan_fp(alias))
 
     def put_scan(self, alias: str, rows: np.ndarray) -> None:
         self._put(
@@ -218,22 +148,8 @@ class QueryCache:
     def get_filter(
         self, alias: str, key_columns: tuple[str, ...], kind: str, params: str
     ) -> object | None:
-        """Cached built filter for a pristine vertex, if present.
-
-        On an exact miss, tries extending a filter cached at an older
-        delta: a Bloom filter gains the delta's qualifying key hashes
-        by OR-merge at its cached geometry, an exact set gains them by
-        insertion into a clone, a bitmap is re-spanned over their keys.
-        The extended filter is published under the current fingerprint.
-        """
-        fp = self.filter_fp(alias, key_columns, kind, params)
-        payload = self._get(fp)
-        if payload is not None:
-            return payload
-        extended = self._extend_filter(alias, key_columns, kind, params)
-        if extended is not None:
-            self.put_filter(alias, key_columns, kind, params, extended)
-        return extended
+        """Cached built filter for a pristine vertex, if present."""
+        return self._get(self.filter_fp(alias, key_columns, kind, params))
 
     def put_filter(
         self,
@@ -249,155 +165,6 @@ class QueryCache:
             (self.aliases[alias].table,),
             self.filter_fp(alias, key_columns, kind, params, lineage=True),
         )
-
-    # ------------------------------------------------------------------
-    # Delta extension
-    # ------------------------------------------------------------------
-    def _older_versions(self, key: AliasKey) -> "Iterator[tuple[str, int]]":
-        """Recent prior versions of the same base, newest first.
-
-        Yields ``(version_string, rows_at_that_version)`` pairs drawn
-        from the version's bounded delta history; an int-versioned key
-        (pre-append era, or a hand-built test key) has none.
-        """
-        version = key.version
-        history = getattr(version, "history", ())
-        for delta, rows_at in reversed(history[-MAX_EXTENSION_PROBES:]):
-            yield f"{version.base}.{delta}", rows_at
-
-    def _delta_selection(
-        self, alias: str, key: AliasKey, rows_at: int
-    ) -> np.ndarray | None:
-        """Qualifying row indices in ``[rows_at, num_rows)``.
-
-        Evaluates the alias's local predicate over just the delta slice
-        (zero-copy); ``None`` when the predicate's columns cannot be
-        resolved against the base table — the one case extension cannot
-        prove equivalent to a fresh full scan.
-        """
-        base = key.base
-        assert base is not None
-        n = base.num_rows
-        if rows_at > n:
-            return None  # snapshot/history disagree; never extend
-        if key.expr is None:
-            return np.arange(rows_at, n, dtype=np.intp)
-        # Mirror the runner's scan naming: predicates reference
-        # ``alias.column`` while the base table holds the bare name.
-        mapping: dict[str, str] = {}
-        for name in base.columns:
-            short = name.split(".", 1)[1] if "." in name else name
-            mapping[f"{alias}.{short}"] = name
-        needed = key.expr.columns()
-        if not needed <= set(mapping):
-            return None
-        live = {qualified: mapping[qualified] for qualified in needed}
-        chunk = slice_table(base, rows_at, n, live, name=alias)
-        return rows_at + np.flatnonzero(evaluate_mask(key.expr, chunk))
-
-    def _extend_scan(self, alias: str) -> np.ndarray | None:
-        key = self.aliases[alias]
-        if key.base is None:
-            return None
-        try:
-            for older_version, rows_at in self._older_versions(key):
-                fp_old = scan_fingerprint(key.table, older_version, key.predicate)
-                if fp_old not in self.cache:
-                    continue
-                older = self.cache.get(fp_old)
-                if not isinstance(older, np.ndarray):
-                    continue
-                fault_point("cache.extend", older)
-                delta = self._delta_selection(alias, key, rows_at)
-                if delta is None:
-                    self.cache.count_extension_rebuild()
-                    return None
-                self.cache.count_extension()
-                self.extensions += 1
-                # Cached vectors are sorted and < rows_at; delta indices
-                # are >= rows_at and sorted — concatenation is exactly
-                # the fresh full-scan vector (and a fresh array, never
-                # the shared cached payload).
-                return np.concatenate([older, delta])
-        except (QueryAborted, CacheCorruption):
-            raise
-        except ReproError:
-            self.errors += 1
-            self.cache.count_extension_rebuild()
-            return None
-        return None
-
-    def _extend_filter(
-        self, alias: str, key_columns: tuple[str, ...], kind: str, params: str
-    ) -> object | None:
-        key = self.aliases[alias]
-        base = key.base
-        if base is None or kind not in ("bloom", "exact"):
-            return None
-        stripped = tuple(strip_alias(c, alias) for c in key_columns)
-        if any(c not in base for c in stripped):
-            return None
-        columns = [base.column(c) for c in stripped]
-        try:
-            for older_version, rows_at in self._older_versions(key):
-                fp_old = filter_fingerprint(
-                    key.table, older_version, key.predicate, stripped, kind, params
-                )
-                if fp_old not in self.cache:
-                    continue
-                older = self.cache.get(fp_old)
-                if older is None:
-                    continue
-                fault_point("cache.extend", older)
-                delta = self._delta_selection(alias, key, rows_at)
-                if delta is None:
-                    self.cache.count_extension_rebuild()
-                    return None
-                extended = self._extend_payload(older, columns, delta)
-                if extended is None:
-                    self.cache.count_extension_rebuild()
-                    return None
-                self.cache.count_extension()
-                self.extensions += 1
-                return extended
-        except (QueryAborted, CacheCorruption):
-            raise
-        except ReproError:
-            self.errors += 1
-            self.cache.count_extension_rebuild()
-            return None
-        return None
-
-    def _extend_payload(
-        self, older: object, columns: "list[Column]", delta_rows: np.ndarray
-    ) -> object | None:
-        """A fresh filter = cached filter ∪ the keys of the delta's
-        qualifying rows (never in place).  Only those rows are touched,
-        and they yield the same per-row values a from-scratch build over
-        the merged table would insert."""
-        if isinstance(older, BitmapFilter):
-            # Re-spanned over the delta; None — rebuild — exactly when a
-            # fresh build over the merged rows would not pick a bitmap.
-            (column,) = columns
-            return older.extended(column, delta_rows)
-        keys = bloom_keys(columns, delta_rows)
-        if isinstance(older, BloomFilter):
-            extended = BloomFilter(capacity=older.capacity, fpp=older.fpp)
-            # Same (capacity, fpp) ⇒ same deterministic geometry, so
-            # the word-wise OR below is exact; a mismatched cached
-            # payload raises FilterError → rebuild via the except arm.
-            extended.merge_words(older)
-            if len(keys):
-                extended.add_hashes(keys)
-            if extended.saturation() > MAX_EXTENSION_SATURATION:
-                return None
-            return extended
-        if isinstance(older, ExactFilter):
-            extended = older.clone()
-            if len(keys):
-                extended.add_keys(keys)
-            return extended
-        return None
 
     # ------------------------------------------------------------------
     # Whole-query pre-filter results
@@ -417,15 +184,9 @@ class QueryCache:
         return prefilter_fingerprint(relation_keys, edges, strategy, config_form)
 
     def get_prefilter(self, fp: str) -> dict[str, np.ndarray] | None:
-        """Cached pre-filter phase output (alias → row vector).
-
-        Never delta-extended: the phase output depends on semi-join
-        interactions *across* tables, so appended rows can change which
-        pre-existing rows survive — a version change is a plain miss,
-        and the rebuilt entry replaces the stale one by lineage.  An
+        """Cached pre-filter phase output (alias → row vector).  An
         alias stored as a row count comes back as the shared read-only
-        identity vector.
-        """
+        identity vector."""
         from ..core.transfer import identity_rows
 
         payload = self._get(fp)
@@ -481,10 +242,8 @@ def build_query_cache(
     Must run after scalar-subquery resolution so predicates contain only
     literals — an unresolved :class:`ScalarRef` would fingerprint the
     placeholder rather than the value it resolves to this execution.
-
-    ``catalog`` must be the query's pinned snapshot: the table object
-    and version stored per alias feed delta extension and have to
-    describe the same contents.
+    ``catalog`` is the query's pinned snapshot, whose versions name the
+    contents the query reads.
     """
     aliases: dict[str, AliasKey] = {}
     for relation in spec.relations:
@@ -495,7 +254,5 @@ def build_query_cache(
             table=relation.table,
             version=version,
             predicate=canonical_expr(relation.predicate, relation.alias),
-            expr=relation.predicate,
-            base=catalog.get(relation.table),
         )
     return QueryCache(cache, aliases)

@@ -18,10 +18,10 @@ Appends supersede entries without orphaning a whole table: each put may
 name the artifact's **lineage** — its fingerprint with the table
 versions' ``base`` in place of ``base.delta`` — and the store keeps one
 entry per lineage.  Putting the artifact at a newer delta drops the one
-it was extended from (counted as an invalidation), so a stream of
+built before the commit (counted as an invalidation), so a stream of
 commits leaves the cache flat instead of stranding one copy per delta.
 Last put wins: a reader pinned to an older snapshot may replace a newer
-entry, which costs one extension later, never a wrong result.
+entry, which costs one rebuild later, never a wrong result.
 
 Thread safety: every public method takes the internal lock, so one
 cache can serve all worker threads of a service
@@ -80,14 +80,6 @@ class CacheStats:
     corruptions: int = metric_field(
         "counter", "repro_filter_cache_corruptions_total",
         "Checksum failures handled as misses",
-    )
-    extensions: int = metric_field(
-        "counter", "repro_filter_cache_extensions_total",
-        "Older-version entries extended over delta rows",
-    )
-    extension_rebuilds: int = metric_field(
-        "counter", "repro_filter_cache_extension_rebuilds_total",
-        "Extension attempts that degraded to a full rebuild",
     )
     entries: int = metric_field(
         "gauge", "repro_filter_cache_entries",
@@ -288,23 +280,6 @@ class FilterCache:
             dropped = sum(self._remove(fp) for fp in list(fps))
             self._stats.invalidations += dropped
             return dropped
-
-    def count_extension(self) -> None:
-        """Record a delta extension of an older-version entry.
-
-        Called by :class:`~repro.cache.context.QueryCache` when a
-        cached artifact built at ``(base, older_delta)`` was extended
-        over the delta rows instead of rebuilt from scratch.
-        """
-        with self._lock:
-            self._stats.extensions += 1
-
-    def count_extension_rebuild(self) -> None:
-        """Record an extension attempt that degraded to a full rebuild
-        (fault during extension, unsupported payload shape, saturated
-        Bloom geometry)."""
-        with self._lock:
-            self._stats.extension_rebuilds += 1
 
     def clear(self) -> None:
         """Drop every entry (counters are kept; see :meth:`stats`)."""

@@ -534,13 +534,10 @@ def build_filter(
     params = f"fpp={fpp!r}" if kind == "bloom" else ""
     filt: Filter | None = None
     if cache_as is not None:
-        extensions = state.cache.extensions
         cached = state.cache.get_filter(cache_as, key_columns, kind, params)
         if isinstance(cached, (BloomFilter, ExactFilter, BitmapFilter)):
             filt = cached
-            edge.provenance = (
-                "extended" if state.cache.extensions > extensions else "cache"
-            )
+            edge.provenance = "cache"
     if filt is None:
         filt, degraded = _build(state, table, key_columns, rows, kind, fpp)
         if degraded:

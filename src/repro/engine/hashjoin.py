@@ -259,7 +259,7 @@ def _valid_rows(
 
 def _merge_columns(
     probe: Table, build: Table, probe_idx: np.ndarray | None,
-    build_idx: np.ndarray, null_extend_build: bool,
+    build_idx: np.ndarray, build_nullable: bool,
 ) -> Table:
     """Assemble the joined table from index vectors (eager path);
     ``probe_idx=None`` keeps the probe columns as they are."""
@@ -269,7 +269,7 @@ def _merge_columns(
     for name, column in build.columns.items():
         if name in columns:
             raise ExecutionError(f"duplicate column {name!r} across join sides")
-        if null_extend_build:
+        if build_nullable:
             columns[name] = column.take_nullable(build_idx)
         else:
             columns[name] = column.take(build_idx)
@@ -278,7 +278,7 @@ def _merge_columns(
 
 def _merge(
     probe: AnyTable, build: AnyTable, probe_idx: np.ndarray | None,
-    build_idx: np.ndarray, null_extend_build: bool,
+    build_idx: np.ndarray, build_nullable: bool,
 ) -> AnyTable:
     """Combine the join sides: lazily (views) or eagerly (tables);
     ``probe_idx=None`` pairs probe row ``i`` with ``build_idx[i]``.
@@ -289,8 +289,8 @@ def _merge(
     ``materialize="eager"`` oracle path).
     """
     if isinstance(probe, TableView) or isinstance(build, TableView):
-        return join_views(probe, build, probe_idx, build_idx, null_extend_build)
-    return _merge_columns(probe, build, probe_idx, build_idx, null_extend_build)
+        return join_views(probe, build, probe_idx, build_idx, build_nullable)
+    return _merge_columns(probe, build, probe_idx, build_idx, build_nullable)
 
 
 def hash_join(

@@ -69,9 +69,9 @@ class EdgeStat:
     or ``"bitmap"`` (the presence bitmap a single dense integer key
     ships in place of either), and ``"bloom"`` for an exact filter
     degraded under a memory budget; ``keys_inserted`` is the
-    number of keys it was built over, whatever its ``provenance``: ``"built"``
-    by this query, fetched whole from the cross-query ``"cache"``, or
-    ``"extended"`` there over appended rows.  A skipped edge (see the
+    number of keys it was built over, whatever its ``provenance``:
+    ``"built"`` by this query, or fetched from the cross-query
+    ``"cache"``.  A skipped edge (see the
     gate in :mod:`repro.core.transfer`) keeps the zero defaults, and so
     do the probe fields of a shipped filter whose destination was
     already empty.

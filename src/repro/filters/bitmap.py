@@ -20,14 +20,13 @@ fpp 0.01.
   lands below 1 or above ``span`` as ``intp`` and clips onto a False
   end.  No hash
   and no false positives, so the answer is the semi-join's.  The packed
-  bits stay the stored, cached, charged and extended form.
+  bits stay the stored, cached and charged form.
 
 When it is used
 ---------------
 :func:`plan` is the whole rule:
-:func:`~repro.core.transfer.build_filter`, its memory-budget estimate
-and the cache extension (:meth:`BitmapFilter.extended`) all ask it.
-A bitmap ships instead of
+:func:`~repro.core.transfer.build_filter` and its memory-budget
+estimate both ask it.  A bitmap ships instead of
 the filter kind asked for when the source has a single
 ``INT64``/``DATE`` key column and the span of its non-NULL surviving
 keys is at most :func:`span_limit`: the larger of :data:`CACHE_BITS`
@@ -35,9 +34,7 @@ keys is at most :func:`span_limit`: the larger of :data:`CACHE_BITS`
 it replaces — the Bloom filter's bit count at its ``fpp`` (the packed
 bitmap is no larger), or the exact hash set's *byte* count (the
 byte-per-integer array the build scatters into is no larger than the
-set).  The bitmap carries the row count and ``fpp`` it was sized
-against, so an extension over appended rows applies the same rule to
-the merged rows and is therefore exactly what a fresh build would ship.
+set).
 
 NULL keys never match a join, so NULL source rows insert nothing and
 NULL probe rows never pass.
@@ -56,7 +53,6 @@ from .hashset import hash_set_bytes
 
 _U64 = np.uint64
 _WRAP = (1 << 64) - 1
-_NO_BITS = np.zeros(0, dtype=np.uint8)
 
 #: Key column types a bitmap can be built over: integers compared by value.
 DENSE_TYPES = (DType.INT64, DType.DATE)
@@ -84,12 +80,10 @@ def plan(
     columns: Sequence[Column],
     rows: np.ndarray | None,
     fpp: float | None,
-    held: BitmapFilter | None = None,
 ) -> tuple[int, int] | None:
     """``(low, span)`` of the bitmap over the non-NULL keys of ``rows``
-    (``None`` = all) of ``columns`` — and of ``held``'s keys and rows,
-    when extending it — or ``None`` when no bitmap ships: the key is not
-    one ``INT64``/``DATE`` column, or the span exceeds
+    (``None`` = all) of ``columns``, or ``None`` when no bitmap ships:
+    the key is not one ``INT64``/``DATE`` column, or the span exceeds
     :func:`span_limit` of every row covered.
 
     One min/max pass, a morsel at a time (Python ints, no overflow)."""
@@ -97,17 +91,14 @@ def plan(
         return None
     (column,) = columns
     ends: list[int] = []
-    covered = _count(column, rows)
-    if held is not None:
-        covered += held.rows
-        if held.span:
-            ends += [held.low, held.low + held.span - 1]
     for values in _values(column, rows):
         if len(values):
             ends += [int(values.min()), int(values.max())]
     low = min(ends, default=0)
     span = max(ends) - low + 1 if ends else 0
-    return (low, span) if span <= span_limit(covered, fpp) else None
+    if span > span_limit(_count(column, rows), fpp):
+        return None
+    return low, span
 
 
 def _count(column: Column, rows: np.ndarray | None) -> int:
@@ -130,15 +121,13 @@ class BitmapFilter:
     """One bit per integer of ``[low, low + span)``, set for the keys
     present.
 
-    ``rows`` is the number of source rows the bitmap covers, NULL rows
-    included, and ``fpp`` the false-positive target of the Bloom filter
-    it replaces (``None`` for an exact set): together they fix the size
-    rule an extension must keep obeying.
+    ``fpp`` is the false-positive target of the Bloom filter it
+    replaces (``None`` for an exact set): the size rule it was built
+    under.
     """
 
     low: int
     span: int
-    rows: int
     fpp: float | None
     bits: np.ndarray  # packed little-endian, ceil(span / 8) bytes
 
@@ -152,37 +141,11 @@ class BitmapFilter:
         """The bitmap of the non-NULL keys of ``rows`` (``None`` = all)
         of ``column``, over the ``(low, span)`` :func:`plan` returned
         for the same arguments."""
-        return BitmapFilter(0, 0, 0, fpp, _NO_BITS)._merged(column, rows, planned)
-
-    def extended(
-        self, column: Column, rows: np.ndarray | None
-    ) -> BitmapFilter | None:
-        """What :meth:`build` returns over this bitmap's rows plus
-        ``rows`` of ``column`` — ``None`` exactly when a fresh build
-        over all of them would not pick a bitmap.  A new object; this
-        one is never written."""
-        planned = plan([column], rows, self.fpp, held=self)
-        return None if planned is None else self._merged(column, rows, planned)
-
-    def _merged(
-        self, column: Column, rows: np.ndarray | None, planned: tuple[int, int]
-    ) -> BitmapFilter:
         low, span = planned
         present = np.zeros(span, dtype=np.bool_)
-        if self.span:  # the held bits, moved to their offset in the new span
-            start = self.low - low
-            present[start : start + self.span] = np.unpackbits(
-                self.bits, count=self.span, bitorder="little"
-            ).view(np.bool_)
         for values in _values(column, rows):
             present[values - low] = True
-        return BitmapFilter(
-            low,
-            span,
-            self.rows + _count(column, rows),
-            self.fpp,
-            np.packbits(present, bitorder="little"),
-        )
+        return BitmapFilter(low, span, fpp, np.packbits(present, bitorder="little"))
 
     def membership(self) -> Callable[[np.ndarray], np.ndarray]:
         """The membership test of 64-bit keys (``int64``, or the

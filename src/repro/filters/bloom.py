@@ -250,25 +250,6 @@ class BloomFilter(TransferableFilter):
         words &= mask
         return words == mask
 
-    def merge_words(self, other: "BloomFilter") -> None:
-        """OR-merge another filter of identical geometry into this one.
-
-        Cache extension after an append starts from a copy of the cached
-        filter this way, then inserts the delta's keys
-        (:meth:`repro.cache.context.QueryCache._extend_payload`).
-        Insertion is a monotone OR of per-key masks, so the merged word
-        array is bit-identical to inserting every key into one filter —
-        in any order, under any split of the keys.
-        """
-        if (
-            self.num_blocks != other.num_blocks
-            or self.num_hashes != other.num_hashes
-        ):
-            raise FilterError(
-                "cannot merge Bloom filters with different geometry"
-            )
-        self._words |= other._words
-
     def contains_keys(self, keys: np.ndarray) -> np.ndarray:
         """Membership mask (no false negatives) for a ``uint64`` array."""
         if len(keys) == 0:

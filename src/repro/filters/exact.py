@@ -38,18 +38,6 @@ class ExactFilter(TransferableFilter):
         filt.add_keys(keys)
         return filt
 
-    def clone(self) -> "ExactFilter":
-        """A deep copy whose key store shares nothing with this one.
-
-        Delta extension of a cached exact filter clones first and
-        inserts into the clone — the shared cached payload (checksummed
-        at insertion) is never mutated.
-        """
-        other = ExactFilter()
-        if self._set is not None:
-            other._set = self._set.clone()
-        return other
-
     def add_keys(self, keys: np.ndarray) -> None:
         """Insert keys (deduplicated)."""
         if len(keys) == 0:

@@ -70,21 +70,6 @@ class VectorHashSet:
     def __len__(self) -> int:
         return self._count
 
-    def clone(self) -> "VectorHashSet":
-        """A deep copy sharing nothing mutable with the original.
-
-        Supports delta-extending a cached exact filter: the cache's
-        payload (and its recorded checksum) must never be written
-        through, so extension inserts go into a clone.
-        """
-        other = VectorHashSet.__new__(VectorHashSet)
-        other._size = self._size
-        other._mask = self._mask
-        other._slots = self._slots.copy()
-        other._occupied = self._occupied.copy()
-        other._count = self._count
-        return other
-
     @property
     def load_factor(self) -> float:
         """Occupied fraction of the slot array."""

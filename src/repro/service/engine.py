@@ -690,8 +690,9 @@ class Engine:
         Returns the committed version string per table name.
 
         Unlike :meth:`register`, nothing is invalidated: an append only
-        bumps the delta sequence and cached artifacts for the old
-        contents remain reachable for delta extension.  The engine
+        bumps the delta sequence, so each cached artifact of the table
+        misses once and the read that rebuilds it replaces the stale
+        entry (same lineage, see :mod:`repro.cache.context`).  The engine
         keeps no reference to a superseded table (cached artifacts are
         filters and row vectors, never columns): once the queries that
         pinned it finish, refcounting frees it, with no cycle

@@ -16,11 +16,10 @@ the cross-query filter cache's full-invalidation handle
 base bump makes every cached filter and selection vector built against
 the old contents unreachable.  *Appending* rows (an
 :class:`IngestBatch`) keeps the base and bumps only ``delta_seq``: the
-old contents are a prefix of the new, so artifacts built at an older
-delta are not wrong — merely incomplete — and the cache layer can
-**extend** them over the delta instead of rebuilding
-(:mod:`repro.cache.context`).  The version records the table's row
-count at each recent delta for exactly that purpose.
+old contents are a prefix of the new.  Every artifact built at an older
+delta misses, and the read that rebuilds it replaces the stale entry
+through the artifact's *lineage*, its fingerprint at the shared
+``base`` (:mod:`repro.cache.context`).
 
 Scoped child catalogs do **not** version their registrations: a derived
 table exists for one query execution only, so stamping it would let a
@@ -53,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import SchemaError
@@ -67,25 +66,14 @@ from .table import Table
 #: registrations (e.g. through a service Engine) get distinct versions.
 _VERSION_COUNTER = itertools.count(1)
 
-#: Deltas remembered per version for cache extension.  Older entries
-#: are still *correct* to miss on — the cap only bounds how far back an
-#: extension probe can reach (and how large a version object grows
-#: under a long append stream).
-MAX_DELTA_HISTORY = 32
-
 
 @dataclass(frozen=True, order=True)
 class DataVersion:
     """The ``(base_version, delta_seq)`` identity of a table's contents.
 
     ``base`` changes only on replacement; ``delta`` increments once per
-    committed append batch.  ``rows`` is the table's row count at this
-    version and ``history`` holds ``(delta_seq, rows)`` for up to
-    :data:`MAX_DELTA_HISTORY` preceding deltas of the same base, oldest
-    first — enough for the cache layer to reconstruct the row range
-    ``[rows_then, rows_now)`` a delta-extension must cover.  Ordering,
-    equality and hashing consider only ``(base, delta)``; ``rows`` and
-    ``history`` are derived bookkeeping.
+    committed append batch, so the cache's fingerprints at an older
+    delta miss and its lineages (``base`` alone) carry over.
 
     ``str()`` is the form embedded in cache fingerprints
     (``"<base>.<delta>"``) — deterministic and collision-free because
@@ -94,21 +82,13 @@ class DataVersion:
 
     base: int
     delta: int = 0
-    rows: int = field(default=0, compare=False)
-    history: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
     def __str__(self) -> str:
         return f"{self.base}.{self.delta}"
 
-    def appended(self, new_rows: int) -> "DataVersion":
+    def appended(self) -> "DataVersion":
         """The successor version after one committed append batch."""
-        history = (*self.history, (self.delta, self.rows))
-        return DataVersion(
-            base=self.base,
-            delta=self.delta + 1,
-            rows=new_rows,
-            history=history[-MAX_DELTA_HISTORY:],
-        )
+        return DataVersion(self.base, self.delta + 1)
 
 
 class Catalog:
@@ -129,10 +109,8 @@ class Catalog:
         # module docstring).
         self._lock = threading.Lock()
         if track_versions:
-            for name, table in self._tables.items():
-                self._versions.setdefault(
-                    name, DataVersion(next(_VERSION_COUNTER), rows=table.num_rows)
-                )
+            for name in self._tables:
+                self._versions.setdefault(name, DataVersion(next(_VERSION_COUNTER)))
 
     def register(self, table: Table, name: str | None = None) -> None:
         """Register (or replace) a table under ``name`` (default: its own).
@@ -142,7 +120,7 @@ class Catalog:
         (zone maps included) may survive a replacement, because the old
         rows are not a prefix of the new ones.  Appends should go
         through :meth:`begin_ingest` instead, which bumps only the
-        delta sequence and keeps cached artifacts extendable.  On a
+        delta sequence and keeps cached artifacts' lineages.  On a
         scoped child the name becomes unversioned — derived tables are
         per-query and must not produce cacheable fingerprints.
         """
@@ -150,9 +128,7 @@ class Catalog:
         with self._lock:
             self._tables[key] = table
             if self._track_versions:
-                self._versions[key] = DataVersion(
-                    next(_VERSION_COUNTER), rows=table.num_rows
-                )
+                self._versions[key] = DataVersion(next(_VERSION_COUNTER))
             else:
                 self._versions.pop(key, None)
 
@@ -310,9 +286,7 @@ class IngestBatch:
                         for c, column in merged.columns.items()
                     )
                 new_tables[name] = merged
-                new_versions[name] = catalog._versions[name].appended(
-                    merged.num_rows
-                )
+                new_versions[name] = catalog._versions[name].appended()
             for name, merged in new_tables.items():
                 # Appends leave every full chunk's contents untouched,
                 # so the new table object inherits the old one's zone

@@ -174,11 +174,11 @@ class Table:
         The append path of catalog mutation: an ingest commit
         (:class:`~repro.storage.catalog.IngestBatch`) concatenates each
         staged delta onto the live table and publishes the result under
-        a bumped *delta* version, so cached artifacts extend instead of
-        being invalidated.  Appended at the tip of each column's buffer,
-        with STRING values the columns already hold, the cost is the
-        delta's; otherwise a column is copied, or its dictionary merged
-        without decoding a row (:meth:`Column.concat`).
+        a bumped *delta* version: cached artifacts of the table miss and
+        are rebuilt under the same lineage.  Appended at the tip of each
+        column's buffer, with STRING values the columns already hold, the
+        cost is the delta's; otherwise a column is copied, or its
+        dictionary merged without decoding a row (:meth:`Column.concat`).
         """
         if set(self.columns) != set(other.columns):
             raise SchemaError(

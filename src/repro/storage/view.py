@@ -242,14 +242,14 @@ def join_views(
     build: AnyTable,
     probe_idx: np.ndarray | None,
     build_idx: np.ndarray,
-    null_extend_build: bool,
+    build_nullable: bool,
 ) -> TableView:
     """Compose a join result view from matched index pairs.
 
     ``probe_idx`` selects probe rows (always >= 0); ``None`` means
     output row ``i`` is probe row ``i``, and the probe-side sources are
     kept as they are.  ``build_idx`` selects build rows and may contain
-    ``-1`` when ``null_extend_build`` is set (left-outer unmatched rows).
+    ``-1`` when ``build_nullable`` is set (left-outer unmatched rows).
     """
     pv, bv = as_view(probe), as_view(build)
     build_idx = np.asarray(build_idx, dtype=np.intp)
@@ -263,7 +263,7 @@ def join_views(
         ]
     offset = len(sources)
     for t, rows, nullable in bv._sources:
-        if null_extend_build:
+        if build_nullable:
             sources.append(
                 _Source(t, _compose_nullable(rows, build_idx), True)
             )

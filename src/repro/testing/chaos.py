@@ -731,9 +731,9 @@ def run_network_sweep(sf: float = CHAOS_SF, seed: int = 0) -> dict:
 # Ingest chaos: serving under writes
 # ----------------------------------------------------------------------
 
-#: Fault scenarios for the read/append sweep.  The ``cache.extend``
-#: rules are unlimited-shot (``count=None``) so *every* extension
-#: attempt faults — together with the warm-up entries this guarantees
+#: Fault scenarios for the read/append sweep.  The ``cache.put`` rule
+#: is unlimited-shot (``count=None``) so *every* rebuild after a commit
+#: fails to publish — together with the warm-up entries this guarantees
 #: at least one trigger regardless of reader/appender interleaving.
 INGEST_CASES: tuple[ChaosCase, ...] = (
     ChaosCase("ingest-stage-raise", FaultRule("ingest.stage", "raise")),
@@ -746,14 +746,7 @@ INGEST_CASES: tuple[ChaosCase, ...] = (
         FaultRule("ingest.commit", "delay", delay=0.005),
     ),
     ChaosCase(
-        "cache-extend-raise",
-        FaultRule("cache.extend", "raise", count=None),
-        warm=True,
-    ),
-    ChaosCase(
-        "cache-extend-delay",
-        FaultRule("cache.extend", "delay", delay=0.002, count=None),
-        warm=True,
+        "cache-put-raise", FaultRule("cache.put", "raise", count=None), warm=True
     ),
 )
 
@@ -839,7 +832,7 @@ def run_ingest_case(
     with Engine(catalog, config=config, workers=2) as engine:
         if case.warm:
             # Entries at the base version, so post-commit reads have
-            # something to extend (and the extension fault to hit).
+            # stale entries to rebuild (and the put fault to hit).
             for strategy in ("predtrans", "bloomjoin"):
                 engine.execute(spec, _config(strategy))
 
@@ -873,8 +866,8 @@ def run_ingest_case(
                 t.join(timeout=HANG_SECONDS)
             hung = any(t.is_alive() for t in threads)
             if not hung and case.warm:
-                # Deterministic extension attempt while the fault is
-                # still armed (see INGEST_CASES note on count=None).
+                # Deterministic rebuild while the fault is still armed
+                # (see INGEST_CASES note on count=None).
                 read_once("predtrans")
 
         committed = ingest_outcomes.count("committed")
@@ -901,8 +894,6 @@ def run_ingest_case(
         stats = engine.stats()
         cache = engine.cache_stats()
         corruptions = 0 if cache is None else cache.corruptions
-        extensions = 0 if cache is None else cache.extensions
-        rebuilds = 0 if cache is None else cache.extension_rebuilds
     ok = (
         not hung
         and all(_clean(o) for o in reads + ingest_outcomes)
@@ -922,8 +913,6 @@ def run_ingest_case(
         "version_ok": version_ok,
         "final_reads": final_reads,
         "faults_triggered": len(plan.triggered),
-        "cache_extensions": extensions,
-        "cache_extension_rebuilds": rebuilds,
         "cache_corruptions": corruptions,
         "engine_ingests": stats.ingests,
         "engine_ingest_failures": stats.ingest_failures,
@@ -951,10 +940,6 @@ def run_ingest_sweep(sf: float = CHAOS_SF, seed: int = 0) -> dict:
             "reads": sum(len(c["reads"]) for c in cases),
             "identical_reads": sum(c["reads"].count("identical") for c in cases),
             "batches_committed": sum(c["committed_during_storm"] for c in cases),
-            "cache_extensions": sum(c["cache_extensions"] for c in cases),
-            "cache_extension_rebuilds": sum(
-                c["cache_extension_rebuilds"] for c in cases
-            ),
         },
     )
 
@@ -982,7 +967,7 @@ def main(argv: list[str] | None = None) -> int:
     sweep.add_argument(
         "--ingest", action="store_const", dest="sweep", const=run_ingest_sweep,
         help="run the read/append ingest sweep (concurrent readers vs "
-        "transactional appends under injected ingest/extension faults)",
+        "transactional appends under injected ingest/cache faults)",
     )
     args = parser.parse_args(argv)
     payload = args.sweep(sf=args.sf, seed=args.seed)

@@ -23,8 +23,6 @@ point                fires
                      stages a delta table, before it is recorded
 ``ingest.commit``    inside the catalog lock at the top of an ingest
                      commit, before any table or version is published
-``cache.extend``     after an older-delta cache entry is found, before
-                     the delta-extension work that would reuse it
 ===================  ====================================================
 
 When no plan is active (the default, always in production) a fault
@@ -82,7 +80,6 @@ FAULT_POINTS: dict[str, frozenset[str]] = {
     "net.write": frozenset({"raise", "delay", "disconnect", "drop"}),
     "ingest.stage": frozenset({"raise", "delay"}),
     "ingest.commit": frozenset({"raise", "delay"}),
-    "cache.extend": frozenset({"raise", "delay"}),
 }
 
 

@@ -15,9 +15,6 @@ Pinned here, mostly as ``hypothesis`` properties:
   set it replaced or that span's bytes;
 * a memory budget that admits the replaced filter but not the bitmap
   ships the filter asked for, and caches nothing;
-* a cached bitmap extended over appended rows is bit-identical to a
-  fresh build over the merged table, and falls back to a rebuild
-  exactly when that build would not pick a bitmap;
 * a corrupted cached bitmap is detected, dropped and rebuilt;
 * an exact filter that fits as a bitmap is not degraded under a memory
   budget;
@@ -339,12 +336,12 @@ def test_budget_between_the_replaced_filter_and_the_bitmap_ships_the_kind_asked(
 
 
 # ----------------------------------------------------------------------
-# Cache extension over appended rows
+# Cached bitmaps
 # ----------------------------------------------------------------------
 def _bound(store: FilterCache, catalog: Catalog) -> ExecContext:
     """A query context that caches alias ``t`` of ``catalog``."""
     table = catalog.get("t")
-    key = AliasKey("t", catalog.data_version("t"), "", expr=None, base=table)
+    key = AliasKey("t", catalog.data_version("t"), "")
     return ExecContext(
         cache=QueryCache(store, {"t": key}), tables={"t": table.prefixed("t")}
     )
@@ -354,57 +351,6 @@ def _ship(state: ExecContext, kind: str):
     edge = EdgeStat(0, "t", "u", ("t.k",))
     table = state.tables["t"]
     return build_filter(state, edge, "t", table, None, kind, FPP), edge
-
-
-def _same_filter(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, BitmapFilter):
-        return (a.low, a.span, a.rows, a.fpp) == (b.low, b.span, b.rows, b.fpp) and (
-            np.array_equal(a.bits, b.bits)
-        )
-    if isinstance(a, BloomFilter):
-        return np.array_equal(a._words, b._words)
-    return len(a) == len(b)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    # Spans <= 144 bits: the cached filter is always a bitmap.
-    st.lists(st.integers(min_value=0, max_value=143), min_size=1, max_size=200),
-    st.lists(
-        st.one_of(
-            st.integers(min_value=-3_000, max_value=5_000),
-            st.integers(min_value=10**6, max_value=10**9),  # outgrows the rule
-        ),
-        min_size=1,
-        max_size=60,
-    ),
-    st.sampled_from(["bloom", "exact"]),
-)
-def test_extend_then_probe_equals_build_over_merged(base, delta, kind):
-    catalog = Catalog({"t": Table("t", {"k": Column.from_ints(base)})})
-    store = FilterCache(max_bytes=1 << 24)
-    cached, _ = _ship(_bound(store, catalog), kind)
-    assert isinstance(cached, BitmapFilter)
-    batch = catalog.begin_ingest()
-    batch.stage("t", Table("t", {"k": Column.from_ints(delta)}))
-    batch.commit()
-
-    extended, edge = _ship(_bound(store, catalog), kind)
-    fresh, _ = _ship(ExecContext(tables={"t": catalog.get("t").prefixed("t")}), kind)
-    assert _same_filter(extended, fresh)
-    stats = store.stats()
-    if isinstance(fresh, BitmapFilter):
-        assert edge.provenance == "extended"
-        assert (stats.extensions, stats.extension_rebuilds) == (1, 0)
-    else:  # the merged span outgrew the rule: rebuilt, as the fresh build
-        assert edge.provenance == "built"
-        assert (stats.extensions, stats.extension_rebuilds) == (0, 1)
-    probe = Table(
-        "u", {"u.k": Column.from_ints(np.arange(-3_100, 5_100, dtype=np.int64))}
-    )
-    assert np.array_equal(_probe(extended, probe), _probe(fresh, probe))
 
 
 def test_corrupted_cached_bitmap_is_detected_dropped_and_rebuilt():

@@ -4,12 +4,13 @@ Every cached artifact has a *lineage* — its fingerprint at the table
 versions' base, which all deltas share — and the store keeps one entry
 per lineage.  These tests pin that down on a serving :class:`Engine`:
 
-* ten commits, each followed by re-reads, leave exactly the entries and
-  bytes the first commit left, and each commit invalidates exactly the
-  entries it superseded (one per extension, one per re-run pre-filter);
+* a commit makes every cached artifact of the table a miss; the read
+  that rebuilds it supersedes the stale entry, so each commit's reads
+  invalidate exactly as many entries as they insert, and ten commits
+  leave exactly the entries and bytes of the warm cache before them;
 * a reader pinned before a commit may put its entry after the commit's
-  entry exists (last put wins); the next fresh read extends that entry
-  and is still exact.
+  entry exists (last put wins); the next fresh read rebuilds over that
+  entry and is still exact.
 
 Every read is digest-checked against the eager, uncached oracle at the
 snapshot it ran on.
@@ -77,7 +78,7 @@ def test_cache_stays_flat_across_commits(base):
     with Engine(catalog, workers=1) as engine:
         for spec in specs:
             engine.execute(spec)  # warm at delta 0
-        after = []
+        warm = engine.cache_stats()
         for k in range(COMMITS):
             deltas = inert_orders(base, k)
             engine.ingest(deltas)
@@ -88,20 +89,16 @@ def test_cache_stays_flat_across_commits(base):
                     got = result_digest(engine.execute(spec).table)
                     assert got == oracle(twin, spec), (k, spec.name)
             stats = engine.cache_stats()
-            # Each extension supersedes the entry it extended; each
-            # query's re-run pre-filter supersedes its stale one.
-            assert stats.extensions > before.extensions
-            assert stats.extension_rebuilds == before.extension_rebuilds
-            assert stats.invalidations - before.invalidations == (
-                stats.extensions - before.extensions + len(specs)
+            # Each rebuilt artifact supersedes its stale entry.
+            assert stats.insertions > before.insertions
+            assert stats.insertions - before.insertions == (
+                stats.invalidations - before.invalidations
             )
             assert stats.evictions == 0
-            after.append(stats)
-    first, last = after[0], after[-1]
-    assert (last.entries, last.bytes) == (first.entries, first.bytes)
+            assert (stats.entries, stats.bytes) == (warm.entries, warm.bytes)
 
 
-def test_stale_reader_put_is_repaired_by_extension(base):
+def test_stale_reader_put_is_repaired_by_rebuild(base):
     spec = get_query(3, sf=SF)
     deltas = {
         name: base.get(name).head(DELTA_ROWS) for name in ("orders", "lineitem")
@@ -111,7 +108,7 @@ def test_stale_reader_put_is_repaired_by_extension(base):
         engine.execute(spec)  # entries at delta 0
         pinned = catalog.scoped()  # a reader admitted before the commit
         engine.ingest(deltas)
-        engine.execute(spec)  # extends: delta-1 entries replace delta 0's
+        engine.execute(spec)  # rebuilds: delta-1 entries replace delta 0's
         stale = run_query(
             spec, pinned, config=RunConfig(filter_cache=engine.filter_cache)
         )
@@ -121,7 +118,14 @@ def test_stale_reader_put_is_repaired_by_extension(base):
         before = engine.cache_stats()
         fresh = engine.execute(spec)
         after = engine.cache_stats()
-    assert after.extensions > before.extensions
+    # The fresh read missed the delta-0 entries and its rebuilds
+    # replaced them, one for one.
+    assert fresh.stats.total("filter_cache_misses") > 0
+    assert after.insertions > before.insertions
+    assert after.insertions - before.insertions == (
+        after.invalidations - before.invalidations
+    )
+    assert after.entries == before.entries
     twin = fresh_catalog(base)
     commit(twin, deltas)
     assert result_digest(fresh.table) == oracle(twin, spec)

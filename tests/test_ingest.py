@@ -1,5 +1,6 @@
 """Transactional ingest: catalog atomicity, layout reuse, cache
-extension, the read/append hammer, and the wire-level INGEST path.
+rebuild after a commit, the read/append hammer, and the wire-level
+INGEST path.
 
 The serving-under-writes contract these tests pin down:
 
@@ -7,9 +8,8 @@ The serving-under-writes contract these tests pin down:
   on the old snapshot with the old version, byte for byte;
 * appends extend partition layouts instead of invalidating them — the
   pre-append zone maps are reused verbatim for unchanged full chunks;
-* a Bloom filter extended over the delta at its cached geometry is
-  bit-identical to building a fresh filter of that geometry from the
-  full post-append key set;
+* a read after a commit rebuilds what the commit changed, in place of
+  the stale entries, and answers as the uncached oracle does;
 * under concurrent appends every query answers exactly at one committed
   snapshot (digest-checked against the eager serial oracle of that
   snapshot, per strategy/materialize/engine-workers cell);
@@ -27,12 +27,8 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.cache.context import AliasKey, QueryCache
-from repro.cache.store import FilterCache
 from repro.core.runner import MATERIALIZE_MODES, STRATEGIES, RunConfig, run_query
 from repro.errors import FaultInjected, PlanError, ReproError, SchemaError
-from repro.filters.bloom import BloomFilter
-from repro.filters.hashing import bloom_keys
 from repro.service.client import ReproClient
 from repro.service.engine import Engine
 from repro.service.server import ServerThread, build_default_registry
@@ -159,108 +155,38 @@ def test_append_reuses_prebuilt_zone_maps(base_catalog):
 
 
 # ----------------------------------------------------------------------
-# Bloom extension bit-identity (tentpole acceptance)
-# ----------------------------------------------------------------------
-def test_bloom_extension_bit_identical_at_cached_geometry(base_catalog):
-    catalog = fresh_catalog(base_catalog)
-    store = FilterCache(max_bytes=1 << 20)
-    old_version = catalog.data_version("orders")
-    old_table = catalog.get("orders")
-    key_cols = ("o.o_custkey",)
-
-    qc_old = QueryCache(
-        store,
-        {"o": AliasKey("orders", old_version, "", expr=None, base=old_table)},
-    )
-    old_keys = bloom_keys([old_table.column("o_custkey")])
-    cached = BloomFilter(capacity=len(old_keys), fpp=0.01)
-    cached.add_hashes(old_keys)
-    qc_old.put_filter("o", key_cols, "bloom", "fpp=0.01", cached)
-
-    batch = catalog.begin_ingest()
-    batch.stage("orders", make_deltas(base_catalog, 0)["orders"])
-    batch.commit()
-    new_version = catalog.data_version("orders")
-    new_table = catalog.get("orders")
-    qc_new = QueryCache(
-        store,
-        {"o": AliasKey("orders", new_version, "", expr=None, base=new_table)},
-    )
-    extended = qc_new.get_filter("o", key_cols, "bloom", "fpp=0.01")
-    assert isinstance(extended, BloomFilter)
-    assert store.stats().extensions == 1
-    assert store.stats().extension_rebuilds == 0
-
-    # From-scratch build over the full post-append key set at the
-    # cached geometry: must match the extended filter bit for bit.
-    scratch = BloomFilter(capacity=cached.capacity, fpp=cached.fpp)
-    scratch.add_hashes(bloom_keys([new_table.column("o_custkey")]))
-    assert extended.num_blocks == scratch.num_blocks
-    assert np.array_equal(extended._words, scratch._words)
-
-    # The extension was published under the new fingerprint: the next
-    # lookup is a plain hit, not another extension.
-    assert qc_new.get_filter("o", key_cols, "bloom", "fpp=0.01") is extended
-    assert store.stats().extensions == 1
-
-
-def test_extension_fault_degrades_to_rebuild(base_catalog):
-    catalog = fresh_catalog(base_catalog)
-    store = FilterCache(max_bytes=1 << 20)
-    old_version = catalog.data_version("orders")
-    old_table = catalog.get("orders")
-    qc_old = QueryCache(
-        store, {"o": AliasKey("orders", old_version, "", expr=None, base=old_table)}
-    )
-    old_keys = bloom_keys([old_table.column("o_custkey")])
-    cached = BloomFilter(capacity=len(old_keys), fpp=0.01)
-    cached.add_hashes(old_keys)
-    qc_old.put_filter("o", ("o.o_custkey",), "bloom", "fpp=0.01", cached)
-    batch = catalog.begin_ingest()
-    batch.stage("orders", make_deltas(base_catalog, 0)["orders"])
-    batch.commit()
-    qc_new = QueryCache(
-        store,
-        {
-            "o": AliasKey(
-                "orders",
-                catalog.data_version("orders"),
-                "",
-                expr=None,
-                base=catalog.get("orders"),
-            )
-        },
-    )
-    with inject(FaultPlan([FaultRule("cache.extend", "raise")])):
-        assert qc_new.get_filter("o", ("o.o_custkey",), "bloom", "fpp=0.01") is None
-    assert store.stats().extension_rebuilds == 1
-    assert store.stats().extensions == 0
-
-
-# ----------------------------------------------------------------------
-# Engine-level extension: warm re-query after an append is correct
+# Engine-level rebuild: warm re-query after an append is correct
 # ----------------------------------------------------------------------
 def test_warm_requery_after_ingest_matches_oracle(base_catalog):
     spec = get_query(3, sf=SF)
-    catalog = fresh_catalog(base_catalog)
-    with Engine(catalog) as engine:
-        engine.execute(spec)  # warm the cache at delta 0
-        engine.ingest(make_deltas(base_catalog, 0))
-        result = engine.execute(spec)
-        cs = engine.cache_stats()
-        assert cs.extensions > 0
-
+    deltas = make_deltas(base_catalog, 0)
     oracle_catalog = fresh_catalog(base_catalog)
     batch = oracle_catalog.begin_ingest()
-    for name, delta in make_deltas(base_catalog, 0).items():
+    for name, delta in deltas.items():
         batch.stage(name, delta)
     batch.commit()
-    oracle = run_query(
-        spec,
-        oracle_catalog,
-        config=RunConfig(strategy="predtrans", materialize="eager"),
-    )
-    assert result_digest(result.table) == result_digest(oracle.table)
+    for strategy in STRATEGIES:
+        config = RunConfig(strategy=strategy)
+        with Engine(fresh_catalog(base_catalog)) as engine:
+            engine.execute(spec, config)  # warm the cache at delta 0
+            warm = engine.cache_stats()
+            engine.ingest(deltas)
+            result = engine.execute(spec, config)
+            cs = engine.cache_stats()
+        # Every entry the commit staled missed, was rebuilt, and replaced
+        # its delta-0 twin of the same lineage: the cache stays flat.
+        assert result.stats.total("filter_cache_misses") > 0, strategy
+        assert cs.insertions > warm.insertions, strategy
+        assert (
+            cs.insertions - warm.insertions == cs.invalidations - warm.invalidations
+        ), strategy
+        assert cs.entries == warm.entries, strategy
+        oracle = run_query(
+            spec,
+            oracle_catalog,
+            config=RunConfig(strategy=strategy, materialize="eager"),
+        )
+        assert result_digest(result.table) == result_digest(oracle.table), strategy
 
 
 def test_engine_releases_superseded_tables(base_catalog):
@@ -526,6 +452,45 @@ def test_inflight_gauge_counts_an_ingest():
     finally:
         engine.shutdown(wait=True, cancel=True)
     assert frames and frames[0]["type"] == "INGESTED"
+
+
+def test_ingest_decodes_off_the_event_loop(monkeypatch):
+    """An INGEST frame is decoded in the executor job that commits it,
+    never on the event-loop thread that every connection shares."""
+    import asyncio
+
+    from repro.service import server as server_module
+
+    decode = server_module.decode_wire_table
+    decoded_on: list[int] = []
+
+    def recording(*args):
+        decoded_on.append(threading.get_ident())
+        return decode(*args)
+
+    async def loop_thread() -> int:
+        return threading.get_ident()
+
+    monkeypatch.setattr(server_module, "decode_wire_table", recording)
+    catalog, specs = build_default_registry(SF, SEED)
+    engine = Engine(catalog, workers=1)
+    try:
+        with ServerThread(engine, specs) as st:
+            with ReproClient(st.host, st.port) as client:
+                frame = client.ingest(
+                    {
+                        "orders": wire_rows(catalog.get("orders"), 2),
+                        "lineitem": wire_rows(catalog.get("lineitem"), 2),
+                    }
+                )
+            on_loop = asyncio.run_coroutine_threadsafe(
+                loop_thread(), st._loop
+            ).result(timeout=30)
+    finally:
+        engine.shutdown(wait=True, cancel=True)
+    assert frame["type"] == "INGESTED" and frame["rows"] == 4
+    assert len(decoded_on) == 2
+    assert on_loop not in decoded_on
 
 
 # ----------------------------------------------------------------------

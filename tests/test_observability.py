@@ -365,13 +365,6 @@ PINNED_FAMILIES = {
     "repro_filter_cache_corruptions_total": (
         "Checksum failures handled as misses", "counter", {(): 0},
     ),
-    "repro_filter_cache_extensions_total": (
-        "Older-version entries extended over delta rows", "counter", {(): 0},
-    ),
-    "repro_filter_cache_extension_rebuilds_total": (
-        "Extension attempts that degraded to a full rebuild", "counter",
-        {(): 0},
-    ),
     "repro_filter_cache_entries": (
         "Cached filter payloads resident", "gauge", {(): 5},
     ),
@@ -532,7 +525,7 @@ def test_disabled_cache_exports_its_families_as_zeros(catalog, specs):
     finally:
         engine.shutdown(wait=True, cancel=True)
     cache = {n: v for n, v in families.items() if "_filter_cache_" in n}
-    assert len(cache) == 13
+    assert len(cache) == 11
     assert all(samples == {(): 0} for samples in cache.values())
 
 

@@ -138,9 +138,7 @@ def test_map_counts_dispatched_tasks_and_preserves_order(small_catalog):
 # Kernel-level equivalence
 # ----------------------------------------------------------------------
 def test_parallel_bloom_build_is_bit_identical(monkeypatch):
-    """The build's morsel loop sets the same bits at any morsel size,
-    and so does OR-merging filters built over two parts of the keys —
-    how cache extension grows a filter."""
+    """The build's morsel loop sets the same bits at any morsel size."""
     rng = np.random.default_rng(1)
     n = 50_000
     table = Table("t", {"t.k": Column.from_ints(rng.integers(0, 2**40, size=n))})
@@ -150,21 +148,8 @@ def test_parallel_bloom_build_is_bit_identical(monkeypatch):
         edge = EdgeStat(0, "t", "u", ("t.k",))
         built = build_filter(ExecContext(), edge, None, table, None, "bloom", 0.01)
         words.append(built._words)
-    hashes = bloom_keys([table.column("t.k")])
-    merged = BloomFilter(capacity=n, fpp=0.01)
-    merged.add_hashes(hashes[: n // 3])
-    rest = BloomFilter(capacity=n, fpp=0.01)
-    rest.add_hashes(hashes[n // 3 :])
-    merged.merge_words(rest)
-    for got in words[1:] + [merged._words]:
+    for got in words[1:]:
         assert np.array_equal(got, words[0])
-
-
-def test_bloom_merge_rejects_geometry_mismatch():
-    a = BloomFilter(capacity=1000, fpp=0.01)
-    b = BloomFilter(capacity=100_000, fpp=0.01)
-    with pytest.raises(FilterError):
-        a.merge_words(b)
 
 
 @pytest.mark.parametrize("kind", ["bloom", "exact"])

@@ -30,6 +30,22 @@ SF, SEED = 0.01, 1
 
 #: TPC-H query text by query number, parameters as in the engine's spec.
 QUERIES: dict[int | str, str] = {
+    1: """
+        SELECT l_returnflag, l_linestatus,
+               SUM(l_quantity) AS sum_qty,
+               SUM(l_extendedprice) AS sum_base_price,
+               SUM(l_extendedprice * (1 - l_discount)) AS sum_disc_price,
+               SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax))
+                 AS sum_charge,
+               AVG(l_quantity) AS avg_qty,
+               AVG(l_extendedprice) AS avg_price,
+               AVG(l_discount) AS avg_disc,
+               COUNT(*) AS count_order
+        FROM lineitem
+        WHERE l_shipdate <= '1998-09-02'
+        GROUP BY l_returnflag, l_linestatus
+        ORDER BY l_returnflag, l_linestatus
+    """,
     2: """
         SELECT s_acctbal, s_name, n_name, p_partkey, p_mfgr, s_address,
                s_phone, s_comment
@@ -92,6 +108,14 @@ QUERIES: dict[int | str, str] = {
         GROUP BY n_name
         ORDER BY revenue DESC
     """,
+    6: """
+        SELECT SUM(l_extendedprice * l_discount) AS revenue
+        FROM lineitem
+        WHERE l_shipdate >= '1994-01-01'
+          AND l_shipdate < '1995-01-01'
+          AND l_discount BETWEEN 0.05 AND 0.07
+          AND l_quantity < 24
+    """,
     7: """
         SELECT supp_nation, cust_nation, l_year, SUM(volume) AS revenue
         FROM (
@@ -134,6 +158,25 @@ QUERIES: dict[int | str, str] = {
         ) AS all_nations
         GROUP BY o_year
         ORDER BY o_year
+    """,
+    9: """
+        SELECT nation, o_year, SUM(amount) AS sum_profit
+        FROM (
+            SELECT n_name AS nation,
+                   CAST(strftime('%Y', o_orderdate) AS INTEGER) AS o_year,
+                   l_extendedprice * (1 - l_discount)
+                     - ps_supplycost * l_quantity AS amount
+            FROM part, supplier, lineitem, partsupp, orders, nation
+            WHERE s_suppkey = l_suppkey
+              AND ps_suppkey = l_suppkey
+              AND ps_partkey = l_partkey
+              AND p_partkey = l_partkey
+              AND o_orderkey = l_orderkey
+              AND s_nationkey = n_nationkey
+              AND p_name LIKE '%green%'
+        ) AS profit
+        GROUP BY nation, o_year
+        ORDER BY nation, o_year DESC
     """,
     10: """
         SELECT c_custkey, c_name, c_acctbal, c_phone, n_name, c_address,
@@ -196,6 +239,16 @@ QUERIES: dict[int | str, str] = {
         GROUP BY c_count
         ORDER BY custdist DESC, c_count DESC
     """,
+    14: """
+        SELECT 100.0 * SUM(CASE WHEN p_type LIKE 'PROMO%'
+                                THEN l_extendedprice * (1 - l_discount)
+                                ELSE 0 END)
+                 / SUM(l_extendedprice * (1 - l_discount)) AS promo_revenue
+        FROM lineitem, part
+        WHERE l_partkey = p_partkey
+          AND l_shipdate >= '1995-09-01'
+          AND l_shipdate < '1995-10-01'
+    """,
     15: """
         WITH revenue AS (
             SELECT l_suppkey AS supplier_no,
@@ -246,6 +299,31 @@ QUERIES: dict[int | str, str] = {
         GROUP BY c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice
         ORDER BY o_totalprice DESC, o_orderdate
         LIMIT 100
+    """,
+    19: """
+        SELECT SUM(l_extendedprice * (1 - l_discount)) AS revenue
+        FROM lineitem, part
+        WHERE (p_partkey = l_partkey
+               AND p_brand = 'Brand#12'
+               AND p_container IN ('SM CASE', 'SM BOX', 'SM PACK', 'SM PKG')
+               AND l_quantity >= 1 AND l_quantity <= 1 + 10
+               AND p_size BETWEEN 1 AND 5
+               AND l_shipmode IN ('AIR', 'AIR REG')
+               AND l_shipinstruct = 'DELIVER IN PERSON')
+           OR (p_partkey = l_partkey
+               AND p_brand = 'Brand#23'
+               AND p_container IN ('MED BAG', 'MED BOX', 'MED PKG', 'MED PACK')
+               AND l_quantity >= 10 AND l_quantity <= 10 + 10
+               AND p_size BETWEEN 1 AND 10
+               AND l_shipmode IN ('AIR', 'AIR REG')
+               AND l_shipinstruct = 'DELIVER IN PERSON')
+           OR (p_partkey = l_partkey
+               AND p_brand = 'Brand#34'
+               AND p_container IN ('LG CASE', 'LG BOX', 'LG PACK', 'LG PKG')
+               AND l_quantity >= 20 AND l_quantity <= 20 + 10
+               AND p_size BETWEEN 1 AND 15
+               AND l_shipmode IN ('AIR', 'AIR REG')
+               AND l_shipinstruct = 'DELIVER IN PERSON')
     """,
     20: """
         SELECT s_name, s_address
