@@ -18,7 +18,6 @@ import time
 import pytest
 
 from repro.bench.harness import time_query
-from repro.bench.report import format_table
 from repro.core.ptgraph import build_pt_graph
 from repro.core.runner import RunConfig, _scan  # noqa: SLF001 - the scan alone
 from repro.core.transfer import (
@@ -27,6 +26,7 @@ from repro.core.transfer import (
     proven_cover,
     run_pass,
 )
+from repro.engine.stats import format_table
 from repro.plan.joingraph import build_join_graph
 from repro.tpch.queries import get_query
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.harness import time_query
-from repro.bench.report import format_table
 from repro.core.costmodel import CostParams, cost_from_stats
 from repro.core.runner import STRATEGIES
+from repro.engine.stats import format_table
 from repro.tpch.queries import get_query
 
 from .conftest import SF_LARGE

@@ -14,8 +14,8 @@ import os
 import pytest
 
 from repro.bench.harness import time_query
-from repro.bench.report import format_table
 from repro.core.runner import STRATEGIES
+from repro.engine.stats import format_table
 from repro.ssb import ALL_SSB_QUERY_IDS, generate_ssb, get_ssb_query
 
 SSB_SF = float(os.environ.get("REPRO_SSB_SF", "0.05"))

@@ -18,7 +18,6 @@ import sys
 from repro.bench.harness import (
     breakdown,
     format_breakdown,
-    format_edges,
     format_join_orders,
     format_join_sizes,
     join_order_runtimes,
@@ -32,6 +31,7 @@ from repro.core.runner import (
     run_query,
 )
 from repro.core.transfer import ExecContext
+from repro.engine.stats import format_edges
 from repro.plan.joingraph import build_join_graph
 from repro.tpch import generate_tpch
 from repro.tpch.queries import Q5_JOIN_ORDERS, get_query

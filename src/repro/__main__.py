@@ -79,11 +79,9 @@ import sys
 from .bench.harness import (
     breakdown,
     format_breakdown,
-    format_edges,
     format_fig4,
     format_join_orders,
     format_join_sizes,
-    format_joins,
     Measurement,
     join_order_runtimes,
     join_size_table,
@@ -93,6 +91,7 @@ from .bench.harness import (
 )
 from .cache import default_filter_cache
 from .core.runner import STRATEGIES, RunConfig
+from .engine.stats import format_edges, format_joins
 from .errors import QueryAborted
 from .ssb import ALL_SSB_QUERY_IDS, generate_ssb, get_ssb_query
 from .tpch import generate_tpch

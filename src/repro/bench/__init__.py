@@ -17,7 +17,7 @@ from .harness import (
     total_join_input_reduction,
     variance_ratio,
 )
-from .report import format_bar_chart, format_ratio, format_table
+from .report import format_bar_chart, format_ratio
 
 __all__ = [
     "Measurement",
@@ -29,7 +29,6 @@ __all__ = [
     "format_join_orders",
     "format_join_sizes",
     "format_ratio",
-    "format_table",
     "join_order_runtimes",
     "join_size_table",
     "normalized_runtimes",

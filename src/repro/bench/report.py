@@ -5,27 +5,6 @@ from __future__ import annotations
 from typing import Sequence
 
 
-def format_table(
-    headers: Sequence[str], rows: Sequence[Sequence[object]], title: str = ""
-) -> str:
-    """Render a simple aligned ASCII table."""
-    cells = [[str(v) for v in row] for row in rows]
-    widths = [
-        max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-        for i, h in enumerate(headers)
-    ]
-    head = " | ".join(h.ljust(w) for h, w in zip(headers, widths))
-    sep = "-+-".join("-" * w for w in widths)
-    body = "\n".join(
-        " | ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells
-    )
-    parts = []
-    if title:
-        parts.append(title)
-    parts.extend([head, sep, body])
-    return "\n".join(parts)
-
-
 def format_ratio(value: float) -> str:
     """Format a normalized runtime (two decimals, paper-style)."""
     return f"{value:.2f}"

@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..plan.query import QuerySpec
     from ..storage.catalog import Catalog, DataVersion
 
-from ..errors import CacheCorruption, QueryAborted, ReproError
+from ..errors import QueryAborted, ReproError
 from .fingerprint import (
     canonical_expr,
     filter_fingerprint,
@@ -61,8 +61,7 @@ class QueryCache:
     degrades to a miss on reads and a no-op on writes (counted in
     :attr:`errors`), so a broken cache backend costs rebuild time, not
     query results.  Abort signals (:class:`~repro.errors.QueryAborted`)
-    and strict-mode :class:`~repro.errors.CacheCorruption` still
-    propagate — those are the caller's to handle.
+    still propagate — those are the caller's to handle.
     """
 
     __slots__ = ("cache", "aliases", "hits", "misses", "errors")
@@ -87,7 +86,7 @@ class QueryCache:
     def _get(self, fp: str) -> object | None:
         try:
             payload = self.cache.get(fp)
-        except (QueryAborted, CacheCorruption):
+        except QueryAborted:
             raise
         except ReproError:
             self.errors += 1
@@ -103,7 +102,7 @@ class QueryCache:
     ) -> None:
         try:
             self.cache.put(fp, payload, tables=tables, lineage=lineage)
-        except (QueryAborted, CacheCorruption):
+        except QueryAborted:
             raise
         except ReproError:
             self.errors += 1

@@ -42,7 +42,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..engine.stats import metric_field
-from ..errors import CacheCorruption
 from ..testing.faults import _payload_arrays, fault_point
 
 
@@ -156,18 +155,10 @@ class FilterCache:
 
     DEFAULT_MAX_BYTES = 256 << 20  # 256 MiB
 
-    def __init__(
-        self,
-        max_bytes: int = DEFAULT_MAX_BYTES,
-        *,
-        validate: bool = True,
-        strict_corruption: bool = False,
-    ) -> None:
+    def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES) -> None:
         if max_bytes <= 0:
             raise ValueError("max_bytes must be positive")
         self.max_bytes = max_bytes
-        self.validate = validate
-        self.strict_corruption = strict_corruption
         self._lock = threading.RLock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._by_table: dict[str, set[str]] = {}
@@ -181,9 +172,7 @@ class FilterCache:
         Checksum-validated: an entry whose payload no longer matches
         the CRC recorded at insertion is dropped and reported as a
         miss — the caller rebuilds, so corruption degrades to a cache
-        miss, never to a wrong answer.  ``strict_corruption=True``
-        raises :class:`~repro.errors.CacheCorruption` instead (for
-        diagnostics and the chaos harness's assertions).
+        miss, never to a wrong answer.
         """
         with self._lock:
             entry = self._entries.get(fp)
@@ -191,18 +180,10 @@ class FilterCache:
                 self._stats.misses += 1
                 return None
             fault_point("cache.get", entry.payload)
-            if (
-                self.validate
-                and entry.crc is not None
-                and payload_checksum(entry.payload) != entry.crc
-            ):
+            if entry.crc is not None and payload_checksum(entry.payload) != entry.crc:
                 self._remove(fp)
                 self._stats.corruptions += 1
                 self._stats.misses += 1
-                if self.strict_corruption:
-                    raise CacheCorruption(
-                        f"cache entry {fp!r} failed checksum validation"
-                    )
                 return None
             self._entries.move_to_end(fp)
             self._stats.hits += 1
@@ -228,7 +209,7 @@ class FilterCache:
         if nbytes is None:
             nbytes = payload_nbytes(payload)
         fault_point("cache.put", payload)
-        crc = payload_checksum(payload) if self.validate else None
+        crc = payload_checksum(payload)
         with self._lock:
             if nbytes > self.max_bytes:
                 self._stats.rejected += 1

@@ -11,8 +11,8 @@ from .costmodel import (
 )
 from .ptgraph import PTEdge, PTGraph, allowed_directions, build_pt_graph
 from .runner import STRATEGIES, QueryResult, RunConfig, run_query
-from .transfer import TransferConfig, run_transfer
-from .yannakakis import JoinTree, build_join_tree, run_semi_join_phase
+from .transfer import TransferConfig, run_transfer_rows
+from .yannakakis import JoinTree, build_join_tree, run_semi_join_rows
 
 __all__ = [
     "CostParams",
@@ -33,6 +33,6 @@ __all__ = [
     "build_join_tree",
     "build_pt_graph",
     "run_query",
-    "run_semi_join_phase",
-    "run_transfer",
+    "run_semi_join_rows",
+    "run_transfer_rows",
 ]

@@ -99,11 +99,6 @@ def predtrans_cost(
     return transfer + join
 
 
-def nopredtrans_cost(join_input_rows: int) -> float:
-    """Plain hash joins: one insert or probe per join-input row."""
-    return float(join_input_rows)
-
-
 def cost_from_stats(stats: QueryStats, params: CostParams | None = None) -> float:
     """Instantiate the model from measured operation counts.
 

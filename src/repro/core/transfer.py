@@ -141,7 +141,7 @@ import numpy as np
 from ..cache.context import QueryCache
 from ..cache.store import FilterCache
 from ..context import QueryContext
-from ..engine.stats import SKIPPED_COVERED, EdgeStat, QueryStats, TransferStats
+from ..engine.stats import SKIPPED_COVERED, EdgeStat, QueryStats
 from ..errors import FilterError
 from ..filters.bitmap import BitmapFilter, plan
 from ..filters.bloom import BloomFilter, morsels
@@ -202,30 +202,6 @@ def identity_rows(n: int) -> np.ndarray:
     return identity[:n]
 
 
-def masks_to_rows(masks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Boolean survivor masks -> sorted row-index vectors.
-
-    All-true masks (predicate-less scans) take the shared identity
-    vector, which skips the flatnonzero scan over the largest tables.
-    """
-    return {
-        a: identity_rows(len(m)) if m.all() else np.flatnonzero(m)
-        for a, m in masks.items()
-    }
-
-
-def rows_to_masks(
-    rows: dict[str, np.ndarray], lengths: dict[str, int]
-) -> dict[str, np.ndarray]:
-    """Sorted row-index vectors -> boolean masks of the given lengths."""
-    out: dict[str, np.ndarray] = {}
-    for alias, selected in rows.items():
-        mask = np.zeros(lengths[alias], dtype=np.bool_)
-        mask[selected] = True
-        out[alias] = mask
-    return out
-
-
 @dataclass
 class _IncomingFilter:
     """A filter parked at a vertex, waiting to be applied."""
@@ -240,9 +216,9 @@ class _IncomingFilter:
 class ExecContext:
     """Everything the phases of one query execution share.
 
-    Created once per query by the runner (or with all defaults by the
-    mask-form wrappers: uncached, no deadline, no budget) and
-    handed to every phase, which reads its inputs from it and leaves
+    Created once per query by the runner (or by a test, with all
+    defaults: uncached, no deadline, no budget) and handed to every
+    phase, which reads its inputs from it and leaves
     its outputs on it: the scan fills ``tables`` and ``rows``, a
     pre-filter schedule shrinks ``rows``, every phase accounts into
     ``stats``.
@@ -252,8 +228,7 @@ class ExecContext:
     (hash gathers, filter builds), and index vectors shrink with the
     survivors while masks would keep costing O(base rows) to scan, sum
     and rebuild on every touch.  The join phase consumes the vectors
-    directly as selection vectors; masks exist only behind the
-    mask-form wrappers.
+    directly as selection vectors.
     """
 
     stats: QueryStats = field(default_factory=QueryStats)
@@ -352,40 +327,6 @@ def run_transfer_rows(
     order = ptgraph.topological_order()
     run_pass(state, order, ptgraph.forward_edges(), config, proven_cover)
     run_pass(state, order[::-1], ptgraph.backward_edges(), config, proven_cover)
-
-
-def run_on_masks(
-    schedule: Callable[[ExecContext], None],
-    tables: dict[str, AnyTable],
-    masks: dict[str, np.ndarray],
-) -> tuple[dict[str, np.ndarray], TransferStats]:
-    """Run a pre-filter schedule on boolean survivor masks.
-
-    The body of the mask-form wrappers, kept for callers (and tests)
-    that think in masks; the runner itself uses the row-vector form.
-    The schedule runs under a default context — uncached, no
-    deadline, no budget.  ``masks`` (local predicates pre-applied) is
-    not mutated; reduced copies come back with the phase statistics.
-    """
-    state = ExecContext(tables=tables, rows=masks_to_rows(masks))
-    stats = state.stats.transfer
-    stats.rows_before = state.row_counts()
-    schedule(state)
-    stats.rows_after = state.row_counts()
-    lengths = {a: len(m) for a, m in masks.items()}
-    return rows_to_masks(state.rows, lengths), stats
-
-
-def run_transfer(
-    ptgraph: PTGraph,
-    tables: dict[str, AnyTable],
-    masks: dict[str, np.ndarray],
-    config: TransferConfig = TransferConfig(),
-) -> tuple[dict[str, np.ndarray], TransferStats]:
-    """Boolean-mask wrapper around :func:`run_transfer_rows`."""
-    return run_on_masks(
-        lambda state: run_transfer_rows(state, ptgraph, config), tables, masks
-    )
 
 
 #: Decides, before the build, that an edge's filter need not be shipped.

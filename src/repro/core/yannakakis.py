@@ -40,13 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import networkx as nx
-import numpy as np
 
-from ..engine.stats import TransferStats
 from ..plan.joingraph import edge_keys_for
-from ..storage.view import AnyTable
 from .ptgraph import PTEdge, allowed_directions
-from .transfer import ExecContext, TransferConfig, run_on_masks, run_pass
+from .transfer import ExecContext, TransferConfig, run_pass
 
 #: Semi-joins are transfers with exact key-set filters.
 SEMI_JOIN = TransferConfig(filter_type="exact")
@@ -127,15 +124,3 @@ def run_semi_join_rows(
                 for e in _allowed_edge(join_graph, src, dst):
                     run_pass(state, [src, dst], [e], SEMI_JOIN)
                     state.stats.transfer.edges_verified += 1
-
-
-def run_semi_join_phase(
-    join_graph: nx.Graph,
-    tables: dict[str, AnyTable],
-    masks: dict[str, np.ndarray],
-    root: str | None = None,
-) -> tuple[dict[str, np.ndarray], TransferStats]:
-    """Boolean-mask wrapper around :func:`run_semi_join_rows`."""
-    return run_on_masks(
-        lambda state: run_semi_join_rows(state, join_graph, root), tables, masks
-    )

@@ -3,7 +3,7 @@
 from .aggregate import AggSpec, GroupKey, distinct, group_aggregate
 from .hashjoin import hash_join, join_indices
 from .keys import normalize_join_keys, single_key_i64
-from .sort import limit, sort_table, top_k
+from .sort import limit, sort_table
 from .stats import JoinStat, QueryStats, TransferStats
 
 __all__ = [
@@ -20,5 +20,4 @@ __all__ = [
     "normalize_join_keys",
     "single_key_i64",
     "sort_table",
-    "top_k",
 ]

@@ -101,11 +101,6 @@ def sort_table(
     return table.take(order if rows is None else rows[order])
 
 
-def top_k(table: Table, by: list[tuple[str, str]], k: int) -> Table:
-    """Sort and keep the first ``k`` rows (SQL ORDER BY ... LIMIT k)."""
-    return sort_table(table, by, k)
-
-
 def limit(table: Table, k: int) -> Table:
     """Keep the first ``k`` rows in current order."""
     return table.head(k)

@@ -21,12 +21,15 @@ them, so each query-level total has one definition.
 The serving layer's aggregate stats objects ("books": ``EngineStats``,
 ``CacheStats``, ``ServerStats``) declare each exported counter and
 gauge once, with :func:`metric_field`.
+
+:func:`format_edges` and :func:`format_joins` render a query's edges
+and joins as the ``--analyze`` tables, with :func:`format_table`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Literal, get_args, overload
+from typing import Any, Iterator, Literal, Sequence, get_args, overload
 
 
 @dataclass
@@ -373,3 +376,92 @@ def metric_field(
         return field(default=default, init=init, metadata=metadata)
     metadata["by"] = by
     return field(default_factory=dict, metadata=metadata)
+
+
+# ----------------------------------------------------------------------
+# Rendering (``--analyze``)
+# ----------------------------------------------------------------------
+def format_table(
+    headers: Sequence[str], rows: Sequence[Sequence[object]], title: str = ""
+) -> str:
+    """Render a simple aligned ASCII table."""
+    cells = [[str(v) for v in row] for row in rows]
+    widths = [
+        max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
+        for i, h in enumerate(headers)
+    ]
+    head = " | ".join(h.ljust(w) for h, w in zip(headers, widths))
+    sep = "-+-".join("-" * w for w in widths)
+    body = "\n".join(
+        " | ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells
+    )
+    parts = []
+    if title:
+        parts.append(title)
+    parts.extend([head, sep, body])
+    return "\n".join(parts)
+
+
+def format_edges(stats: QueryStats, title: str) -> str:
+    """Render what each transfer edge did, pass by pass, pre-stages
+    first (``--analyze``): the mechanism behind Figure 5's pre-filter
+    bar and Tables 1–2's reduced join inputs.  A seed edge names the
+    deferred stage it pre-filters, e.g. ``l1 -> a (seeds q21_nsupp)``;
+    its probe counts are the stage's group-key rows.  ``build_ns/key``
+    and ``probe_ns/row`` divide the edge's seconds by its keys in and
+    rows probed (``-`` when there were none), so filter kinds compare
+    per key."""
+    headers = [
+        "stage", "pass", "edge", "keys", "decision", "filter", "keys_in",
+        "probed", "pass_rate", "KiB", "build_ms", "probe_ms", "build_ns/key",
+        "probe_ns/row",
+    ]
+    rows: list[list[object]] = []
+
+    def per(seconds: float, count: int) -> str:
+        return f"{seconds * 1e9 / count:.1f}" if count else "-"
+
+    for block in stats.blocks():
+        for e in block.transfer.edges:
+            seeds = f" (seeds {e.seeds})" if e.seeds else ""
+            row: list[object] = [
+                block.query, e.pass_index, f"{e.src} -> {e.dst}{seeds}",
+                ",".join(e.key_columns), e.decision,
+            ]
+            if e.shipped:
+                row += [
+                    f"{e.kind} ({e.provenance})", e.keys_inserted, e.rows_probed,
+                    f"{e.pass_rate:.3f}", f"{e.filter_bytes / 1024:.1f}",
+                    f"{e.build_seconds * 1e3:.2f}", f"{e.probe_seconds * 1e3:.2f}",
+                    per(e.build_seconds, e.keys_inserted),
+                    per(e.probe_seconds, e.rows_probed),
+                ]
+            else:
+                row += ["-"] * 9
+            rows.append(row)
+    return format_table(headers, rows, title=title)
+
+
+def format_joins(stats: QueryStats, title: str) -> str:
+    """Render each join's estimated against actual output rows,
+    pre-stages first, then each block's join order (``--analyze``).
+    ``est_rows`` is the optimizer's step estimate of the relation the
+    join brought in (``-`` for a cross join); ``out/est`` above or below
+    1 is a misestimate the order was chosen by.  ``kept`` marks a join
+    that left its probe side in place (every probe row had one
+    partner)."""
+    headers = ["stage", "join", "HT", "PR", "est_rows", "out_rows", "out/est", "kept"]
+    rows: list[list[object]] = []
+    orders: list[str] = []
+
+    for block in stats.blocks():
+        orders.append(f"  join order of {block.query}: {' '.join(block.join_order)}")
+        for j in block.joins:
+            est = j.est_rows
+            rows.append([
+                block.query, j.label, j.ht_rows, j.pr_rows,
+                "-" if est is None else f"{est:.1f}", j.out_rows,
+                f"{j.out_rows / est:.2f}" if est else "-",
+                "yes" if j.probe_kept else "",
+            ])
+    return "\n".join([format_table(headers, rows, title=title), *orders])

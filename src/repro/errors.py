@@ -54,8 +54,8 @@ class FilterError(ReproError):
 # the serial eager oracle or raises exactly one of these — never a
 # wrong answer, a deadlock, or a leaked worker slot.  They are raised
 # at cooperative checkpoints, preserved across service futures, and
-# counted in ``EngineStats``, replay records and chaos cells under
-# their ``outcome`` label.
+# counted in ``EngineStats`` and chaos cells under their ``outcome``
+# label.
 
 
 class QueryAborted(ReproError):
@@ -92,13 +92,13 @@ class QueryCancelled(QueryAborted):
     outcome = "cancelled"
 
 
-#: Hard floor (seconds) on every ``retry_after`` hint.  The Engine's
-#: load-derived estimate can race to ~0 when the recorded average query
-#: time is tiny; a zero hint turns every retrying client into a
-#: hot-spin loop against an already-saturated engine.  The engine's own
-#: (configurable) floor is higher; this constant only guards direct
-#: constructions that pass a degenerate value.
-MIN_RETRY_AFTER = 0.001
+#: Floor (seconds) on every ``retry_after`` hint, applied where
+#: :class:`EngineSaturated` is built: by the engine and by the client
+#: decoding a ``RETRY`` frame.  The engine's load-derived estimate can
+#: race to ~0 when the recorded average query time is tiny; a zero hint
+#: turns every retrying client into a hot-spin loop against an
+#: already-saturated engine.
+MIN_RETRY_AFTER = 0.05
 
 
 class EngineSaturated(QueryAborted):
@@ -108,9 +108,8 @@ class EngineSaturated(QueryAborted):
     ``retry_after`` is the server's backoff hint in seconds (an
     estimate of when a slot should free up), clamped to at least
     :data:`MIN_RETRY_AFTER` so a degenerate ~0 hint can never drive a
-    hot-spin retry loop; the retry loop
-    (:meth:`repro.service.engine.RetryPolicy.run`, which the network
-    client's ``query`` uses) honours it.
+    hot-spin retry loop; the network client's retry loop
+    (:meth:`repro.service.client.RetryPolicy.run`) honours it.
     """
 
     outcome = "rejected"
@@ -127,18 +126,6 @@ class MemoryBudgetExceeded(QueryAborted):
     degradation (exact-set filters already fell back to Bloom)."""
 
     outcome = "budget"
-
-
-class CacheCorruption(ReproError):
-    """A checksum-validated cache entry failed verification.
-
-    The shared :class:`~repro.cache.store.FilterCache` never lets a
-    corrupt payload reach a query — a failed checksum is handled as a
-    miss (drop + rebuild) and counted in
-    :class:`~repro.cache.store.CacheStats`.  This error is raised only
-    by ``FilterCache(strict_corruption=True)`` diagnostics runs and by
-    the fault-injection harness's assertions.
-    """
 
 
 # ----------------------------------------------------------------------

@@ -59,7 +59,7 @@ DENSE_TYPES = (DType.INT64, DType.DATE)
 
 #: A span every bitmap may take, however few keys it holds: 128 KiB
 #: packed, a 1 MiB probe table, within a 2 MiB-per-core L2.  Chosen from
-#: the span sweep of ``benchmarks/filter_kernels.py`` (3 M probe keys,
+#: the span sweep of ``benchmarks/kernels.py`` (3 M probe keys,
 #: 2-vCPU Xeon): the byte-table probe, unpack included, costs
 #: 1.7–2.7 ns/key up to 2²⁰ bits, then 3.8 at 2²¹ and 7.7 at 2²³ as the
 #: table leaves L2 (the packed-bit gather it replaced: 3.8–5.4; hashing

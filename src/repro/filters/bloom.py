@@ -35,7 +35,7 @@ together and stay cache-resident.  4 096² pattern pairs are far more
 distinct masks than a 64-bit word can tell apart at these fill levels:
 the measured false-positive rate is 0.0362 / 0.0116 / 0.0015 at
 targets 0.05 / 0.01 / 0.001, against 0.0359 / 0.0114 / 0.0015 for
-arithmetic positions (``benchmarks/filter_kernels.py`` prints them).
+arithmetic positions (``benchmarks/kernels.py`` prints them).
 Sizing (geometry, ``size_bytes``) does not depend on the derivation.
 
 Probe and insert
@@ -63,7 +63,7 @@ whole 3 M-key column each pass streams 24 MB temporaries through
 memory, over a 32 K-key morsel (256 KB per temporary) they all stay in
 L2.  Measured at 3 M keys against a 750 K-key filter: hash 3.0 → 1.6,
 probe 9.7 → 6.3, hash + probe 12.0 → 7.6 ns/key, whole-array call →
-morsel loop (``benchmarks/filter_kernels.py``).  Single-threaded,
+morsel loop (``benchmarks/kernels.py``).  Single-threaded,
 hash + probe is flat from 8 K to 32 K keys (7.4 / 7.1 / 7.6 ns/key at
 8 K / 16 K / 32 K); below 8 K the fixed cost per NumPy call (~1 µs ×
 ~20 calls per morsel) shows (9.3 at 4 K), above 64 K the temporaries
@@ -269,10 +269,6 @@ class BloomFilter(TransferableFilter):
     def saturation(self) -> float:
         """Fraction of bits set; >0.5 signals an undersized filter."""
         return self.bits_set() / self.num_bits
-
-    def estimated_fpp(self) -> float:
-        """Current false-positive probability estimate from saturation."""
-        return self.saturation() ** self.num_hashes
 
     def size_bytes(self) -> int:
         """Memory footprint of the packed word array."""

@@ -13,7 +13,7 @@ are batch loops: each round resolves one probe step for every key still
 unresolved, so the number of vectorized passes is the maximum probe
 chain length (a small constant at this load factor).
 
-What a unit costs here (``benchmarks/filter_kernels.py``, 3 M probe
+What a unit costs here (``benchmarks/kernels.py``, 3 M probe
 keys, 2-vCPU Xeon host): an insert ≈ 80–120 ns/key for sets of
 27 000–750 000 keys, their dedup by sort included; a probe ≈ 85–95
 ns/key.  A Bloom probe with its hashing costs ≈ 13–15 ns/key in the
@@ -69,11 +69,6 @@ class VectorHashSet:
 
     def __len__(self) -> int:
         return self._count
-
-    @property
-    def load_factor(self) -> float:
-        """Occupied fraction of the slot array."""
-        return self._count / self._size
 
     def _grow(self, needed_capacity: int) -> None:
         """Rehash into a table sized for ``needed_capacity`` keys."""

@@ -117,10 +117,6 @@ class ReferenceBloomFilter(TransferableFilter):
         """Fraction of bits set; >0.5 signals an undersized filter."""
         return self.bits_set() / self.num_bits
 
-    def estimated_fpp(self) -> float:
-        """Current false-positive probability estimate from saturation."""
-        return self.saturation() ** self.num_hashes
-
     def size_bytes(self) -> int:
         """Memory footprint of the (byte-per-bit) array."""
         return self._bits.nbytes

@@ -43,8 +43,7 @@ __all__ = [
 
 #: Shared log-scale latency bucket upper bounds, in seconds.  A fixed
 #: 1–2.5–5 ladder from 100 µs to 60 s: wide enough for SF 0.001 unit
-#: tests and SF ≥ 1 runs alike, and *identical for every histogram* so
-#: snapshots merge by element-wise bucket addition.
+#: tests and SF ≥ 1 runs alike, and *identical for every histogram*.
 LATENCY_BUCKETS: tuple[float, ...] = (
     0.0001, 0.00025, 0.0005,
     0.001, 0.0025, 0.005,
@@ -122,18 +121,6 @@ class HistogramSnapshot:
             out.append((bound, running))
         out.append((float("inf"), running + self.counts[-1]))
         return out
-
-    def merge(self, other: "HistogramSnapshot") -> "HistogramSnapshot":
-        """Element-wise merge — valid because the ladder is shared."""
-        if self.buckets != other.buckets:
-            raise ValueError("cannot merge histograms with different buckets")
-        return HistogramSnapshot(
-            buckets=self.buckets,
-            counts=tuple(a + b for a, b in zip(self.counts, other.counts)),
-            sum=self.sum + other.sum,
-            count=self.count + other.count,
-            max=max(self.max, other.max),
-        )
 
     def percentile(self, pct: float) -> float:
         """Estimate the ``pct``-th percentile (0 < pct <= 100).

@@ -1,12 +1,6 @@
 """Query representation: specs, join graphs, scalar-subquery rewriting."""
 
-from .joingraph import (
-    build_join_graph,
-    connected_components,
-    edge_keys_for,
-    is_acyclic_graph,
-    validate_connected,
-)
+from .joingraph import build_join_graph, edge_keys_for
 from .pruning import live_columns
 from .query import (
     Aggregate,
@@ -33,11 +27,8 @@ __all__ = [
     "Sort",
     "Stage",
     "build_join_graph",
-    "connected_components",
     "edge",
     "edge_keys_for",
-    "is_acyclic_graph",
     "live_columns",
     "resolve_scalars",
-    "validate_connected",
 ]

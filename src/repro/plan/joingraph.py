@@ -112,35 +112,3 @@ def edge_keys_for(graph: nx.Graph, a: str, b: str) -> list[tuple[str, str]]:
     if data["u_of_keys"] == a:
         return list(pairs)
     return [(q, p) for p, q in pairs]
-
-
-def is_acyclic_graph(graph: nx.Graph) -> bool:
-    """True when the join graph (ignoring kinds) is a forest.
-
-    This is *graph* acyclicity, which for the binary equi-join graphs
-    used here coincides with the query shapes the Yannakakis baseline
-    needs a spanning tree for.  (Full α-acyclicity of hypergraphs is not
-    needed: every edge is binary.)
-    """
-    return nx.is_forest(graph)
-
-
-def connected_components(graph: nx.Graph) -> list[set[str]]:
-    """Connected components of the join graph (cross products split)."""
-    return [set(c) for c in nx.connected_components(graph)]
-
-
-def validate_connected(graph: nx.Graph, query_name: str) -> None:
-    """Raise when the join graph would force a cross product.
-
-    Advisory since PR 4: the executor runs disconnected graphs by
-    executing each connected component independently and cross-joining
-    the results (see :mod:`repro.core.runner`).  Callers that want to
-    *refuse* cartesian products — e.g. a serving layer guarding against
-    accidental blow-ups — can still enforce connectivity with this.
-    """
-    if graph.number_of_nodes() and not nx.is_connected(graph):
-        raise PlanError(
-            f"join graph of {query_name!r} is disconnected (cross product); "
-            "add an edge or split the query"
-        )

@@ -1,12 +1,12 @@
-"""Concurrent query service: Engine serving + workload replay.
+"""Concurrent query service: the Engine and its network front end.
 
 The serving layer grown on top of the single-query executor:
 
 * :mod:`.engine` — :class:`Engine` (one shared catalog + filter cache
-  + worker pool; thread-safe execution and catalog mutation) and
-  :class:`RetryPolicy` (seeded-jitter backoff, :meth:`RetryPolicy.run`);
-* :mod:`.workload` — mixed TPC-H/SSB stream construction (repeated,
-  shuffled, parameter-varied), in-order replay and the result digest;
+  + worker pool; thread-safe execution and catalog mutation);
+* :mod:`.workload` — the merged TPC-H/SSB catalog, the spec rewrites
+  the serving benchmark issues (SSB table prefixes, date-shifted
+  variants) and the result digest;
 * :mod:`.protocol` — the length-prefixed JSON wire protocol (frame
   codecs, request/response constructors, error-code ↔ exception
   mapping);
@@ -19,8 +19,8 @@ The serving layer grown on top of the single-query executor:
 
 from __future__ import annotations
 
-from .client import ReproClient
-from .engine import Engine, EngineStats, RetryPolicy
+from .client import ReproClient, RetryPolicy
+from .engine import Engine, EngineStats
 from .server import (
     QueryServer,
     ServerConfig,
@@ -28,27 +28,18 @@ from .server import (
     build_default_registry,
     run_server,
 )
-from .workload import (
-    ReplayResult,
-    build_catalog,
-    build_stream,
-    replay,
-    vary_spec,
-)
+from .workload import build_catalog, vary_spec
 
 __all__ = [
     "Engine",
     "EngineStats",
     "QueryServer",
-    "ReplayResult",
     "ReproClient",
     "RetryPolicy",
     "ServerConfig",
     "ServerThread",
     "build_catalog",
     "build_default_registry",
-    "build_stream",
-    "replay",
     "run_server",
     "vary_spec",
 ]

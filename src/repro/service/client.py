@@ -12,8 +12,8 @@ mirrors the server's:
   :class:`~repro.errors.ConnectionLost`;
 * ``RETRY`` frames (admission control) are honoured by
   :meth:`ReproClient.query` with the seeded-jitter exponential backoff
-  of :meth:`~repro.service.engine.RetryPolicy.run`, waiting at least
-  the server's ``retry_after`` hint between attempts;
+  of :meth:`RetryPolicy.run`, waiting at least the server's
+  ``retry_after`` hint between attempts;
 * the client never hangs: every socket operation is bounded by
   ``io_timeout``.
 
@@ -28,11 +28,14 @@ correctly.
 from __future__ import annotations
 
 import itertools
+import random
 import socket
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
+from typing import TypeVar
 
-from ..errors import ConnectionLost, ProtocolError
-from .engine import RetryPolicy
+from ..errors import ConnectionLost, EngineSaturated, ProtocolError
 from .protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     exception_for_response,
@@ -44,6 +47,63 @@ from .protocol import (
     send_frame,
     stats_request,
 )
+
+T = TypeVar("T")
+
+#: Backoff growth per attempt, the cap on one pre-hint wait (seconds)
+#: and the half-width of the uniform jitter around each wait.
+BACKOFF_MULTIPLIER = 2.0
+MAX_BACKOFF = 2.0
+JITTER = 0.5
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Client-side jittered exponential backoff for admission rejections.
+
+    ``attempts`` bounds total tries; delay ``k`` is ``base_delay *
+    BACKOFF_MULTIPLIER**k`` capped at ``MAX_BACKOFF``, scaled by a
+    uniform jitter in ``[1-JITTER, 1+JITTER]`` drawn from a
+    ``seed``-able RNG (so tests are deterministic), and floored by the
+    server's ``retry_after`` hint when the error carries one.  Only
+    :class:`~repro.errors.EngineSaturated` is retried; timeouts and
+    budget errors would fail identically on a plain retry.
+    """
+
+    attempts: int = 4
+    base_delay: float = 0.05
+    seed: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.attempts < 1:
+            raise ValueError("attempts must be >= 1")
+
+    def delays(self) -> list[float]:
+        """The deterministic pre-hint backoff schedule (attempts-1 waits)."""
+        rng = random.Random(self.seed)
+        out = []
+        delay = self.base_delay
+        for _ in range(self.attempts - 1):
+            scale = 1.0 + JITTER * (2.0 * rng.random() - 1.0)
+            out.append(min(delay, MAX_BACKOFF) * scale)
+            delay *= BACKOFF_MULTIPLIER
+        return out
+
+    def run(self, call: Callable[[], T], sleep=time.sleep) -> T:
+        """``call()`` with jittered exponential backoff.
+
+        Retries only :class:`~repro.errors.EngineSaturated`, waiting the
+        larger of the seeded-jitter schedule and the error's
+        ``retry_after`` hint between attempts; after ``attempts`` tries
+        the last typed error is re-raised.  ``sleep`` is injectable for
+        deterministic tests.
+        """
+        for delay in self.delays():
+            try:
+                return call()
+            except EngineSaturated as exc:
+                sleep(max(delay, exc.retry_after))
+        return call()
 
 
 class ReproClient:

@@ -23,10 +23,9 @@ of threads concurrently:
   hit can be shared by any number of in-flight queries;
 * the cache's byte budget is enforced under that same lock: the store
   never exceeds ``max_bytes`` after a ``put`` returns, evicting
-  least-recently-used entries first.  Eviction (or a full
-  :meth:`clear_cache`) is always safe mid-flight — queries holding a
-  reference to an evicted filter simply finish with it while new
-  lookups rebuild;
+  least-recently-used entries first.  Eviction is always safe
+  mid-flight — queries holding a reference to an evicted filter simply
+  finish with it while new lookups rebuild;
 * :meth:`register` serializes catalog mutations under the engine lock,
   bumps the table's monotonic data version (orphaning every stale
   fingerprint), eagerly drops the table's cache entries, and swaps in
@@ -50,14 +49,12 @@ function of base-table contents and predicate shape.
 from __future__ import annotations
 
 import contextlib
-import random
 import threading
 import time
 from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import TypeVar
 
 from ..analysis import validate as _validate_plan
 from ..cache.store import CacheStats, FilterCache
@@ -74,8 +71,6 @@ from ..storage.catalog import Catalog
 from ..storage.table import Table
 from ..testing.faults import fault_point
 
-
-T = TypeVar("T")
 
 #: One ``repro_queries_total`` sample per outcome field.
 _outcome = partial(
@@ -239,62 +234,6 @@ class EngineSnapshot:
         )
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Client-side jittered exponential backoff for retryable errors.
-
-    ``attempts`` bounds total tries; delay ``k`` is ``base_delay *
-    multiplier**k`` capped at ``max_delay``, scaled by a uniform jitter
-    in ``[1-jitter, 1+jitter]`` drawn from a ``seed``-able RNG (so
-    tests are deterministic), and floored by the server's
-    ``retry_after`` hint when the error carries one.  Only error types
-    in ``retry_on`` are retried — by default just
-    :class:`~repro.errors.EngineSaturated`; timeouts and budget errors
-    would fail identically on a plain retry.
-    """
-
-    attempts: int = 4
-    base_delay: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 2.0
-    jitter: float = 0.5
-    seed: int | None = None
-    retry_on: tuple = (EngineSaturated,)
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValueError("attempts must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-
-    def delays(self) -> list[float]:
-        """The deterministic pre-hint backoff schedule (attempts-1 waits)."""
-        rng = random.Random(self.seed)
-        out = []
-        delay = self.base_delay
-        for _ in range(self.attempts - 1):
-            scale = 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-            out.append(min(delay, self.max_delay) * scale)
-            delay *= self.multiplier
-        return out
-
-    def run(self, call: Callable[[], T], sleep=time.sleep) -> T:
-        """``call()`` with jittered exponential backoff.
-
-        Retries only the types in ``retry_on``, waiting the larger of
-        the seeded-jitter schedule and the error's ``retry_after`` hint
-        between attempts; after ``attempts`` tries the last typed error
-        is re-raised.  ``sleep`` is injectable for deterministic tests.
-        """
-        for delay in self.delays():
-            try:
-                return call()
-            except self.retry_on as exc:
-                hint = float(getattr(exc, "retry_after", 0.0) or 0.0)
-                sleep(max(delay, hint))
-        return call()
-
-
 class _Job:
     """An admitted query: its outer future + resilience context.
 
@@ -335,13 +274,6 @@ class Engine:
         unfinished queries, :meth:`submit` raises
         :class:`~repro.errors.EngineSaturated` (with a ``retry_after``
         hint) instead of queueing unboundedly.
-    retry_after_floor:
-        Lower bound (seconds) on the load-derived ``retry_after``
-        hint.  The estimate is ``avg_query_seconds × queue_depth /
-        workers``; under races (e.g. the recorded average collapsing
-        towards zero) it can be ~0, which would turn every retrying
-        client into a hot-spin loop against an already-saturated
-        engine.  Must be positive.
     registry:
         Optional per-engine :class:`~repro.obs.metrics.MetricsRegistry`.
         When set, each completed query is observed into the shared
@@ -357,9 +289,6 @@ class Engine:
         query's span tree is exported as JSON-lines.
     """
 
-    #: Default lower bound on admission-control backoff hints.
-    RETRY_AFTER_FLOOR = 0.05
-
     def __init__(
         self,
         catalog: Catalog,
@@ -368,7 +297,6 @@ class Engine:
         cache_bytes: int | None = FilterCache.DEFAULT_MAX_BYTES,
         workers: int = 4,
         max_pending: int = 256,
-        retry_after_floor: float = RETRY_AFTER_FLOOR,
         registry: MetricsRegistry | None = None,
         slow_log: SlowQueryLog | None = None,
         trace_sink: TraceSink | None = None,
@@ -381,9 +309,6 @@ class Engine:
         self._workers = max(1, workers)
         if max_pending < 0:
             raise ValueError("max_pending must be >= 0")
-        if retry_after_floor <= 0:
-            raise ValueError("retry_after_floor must be positive")
-        self._retry_after_floor = retry_after_floor
         self._admission_limit = self._workers + max_pending
         self._pool = ThreadPoolExecutor(
             max_workers=self._workers, thread_name_prefix="repro-engine"
@@ -448,14 +373,14 @@ class Engine:
     def _retry_hint_locked(self) -> float:
         """Seconds until a slot should free up (call under the lock).
 
-        Clamped to ``[retry_after_floor, 5.0]``: the load-derived
-        estimate can race towards zero (tiny recorded average query
-        time), and a ~0 hint would make retrying clients hot-spin.
+        The estimate is ``avg_query_seconds × queue_depth / workers``,
+        capped at 5 s; :class:`~repro.errors.EngineSaturated` floors it
+        at :data:`~repro.errors.MIN_RETRY_AFTER`.
         """
         stats = self._stats  # lint: unguarded — only called under the lock
         avg = stats.seconds / stats.queries if stats.queries else 0.05
         queued = max(1, self._pending - self._workers + 1)  # lint: unguarded
-        return min(5.0, max(self._retry_after_floor, avg * queued / self._workers))
+        return min(5.0, avg * queued / self._workers)
 
     def _resolve(
         self,
@@ -670,8 +595,9 @@ class Engine:
         minted against the old contents is orphaned) and eagerly drops
         the table's cache entries.  In-flight queries keep their
         immutable snapshot.
-        Appends should use :meth:`ingest` instead, which keeps cached
-        artifacts extendable rather than wiping them.
+        Appends should use :meth:`ingest` instead: it invalidates
+        nothing, and each cached artifact of the table misses once and
+        is rebuilt in place under its lineage.
         """
         key = name or table.name
         with self._lock:
@@ -717,11 +643,6 @@ class Engine:
     def cache_stats(self) -> CacheStats | None:
         """Filter-cache snapshot (``None`` when caching is disabled)."""
         return None if self.filter_cache is None else self.filter_cache.stats()
-
-    def clear_cache(self) -> None:
-        """Drop every cached artifact (correctness-neutral)."""
-        if self.filter_cache is not None:
-            self.filter_cache.clear()
 
     def stats(self) -> EngineStats:
         """Aggregate serving statistics snapshot."""

@@ -107,6 +107,10 @@ from .protocol import (
     result_response,
 )
 
+#: Seconds :meth:`QueryServer.drain` gives in-flight queries to finish
+#: before cancelling them, when its caller names no grace.
+DRAIN_GRACE = 10.0
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -115,9 +119,8 @@ class ServerConfig:
     ``port=0`` binds an ephemeral port (read it back from
     :attr:`QueryServer.port` after :meth:`~QueryServer.start`).
     ``read_timeout`` guards *mid-frame* stalls (a slow client that
-    started a frame must finish it); waiting for the *next* frame is
-    governed by ``idle_timeout`` (``None`` = a quiet connection may
-    stay open forever).
+    started a frame must finish it); a quiet connection waiting to
+    send its *next* frame may stay open forever.
     """
 
     host: str = "127.0.0.1"
@@ -129,8 +132,6 @@ class ServerConfig:
     default_timeout_ms: float | None = None
     read_timeout: float = 10.0
     write_timeout: float = 10.0
-    idle_timeout: float | None = None
-    drain_grace: float = 10.0
     #: Cap on inline result rows shipped when a client asks for data.
     max_result_rows: int = 10_000
 
@@ -426,7 +427,7 @@ class QueryServer:
             await self._drained.wait()
             return
         self._draining = True
-        grace = self.config.drain_grace if grace is None else grace
+        grace = DRAIN_GRACE if grace is None else grace
         if self._server is not None:
             self._server.close()
             with contextlib.suppress(Exception):
@@ -476,9 +477,7 @@ class QueryServer:
         # TCP reset would; "delay" models a slow network; "raise" an
         # unexpected transport bug.
         fault_point("net.read")
-        header = await self._read_exactly(
-            reader, HEADER.size, self.config.idle_timeout
-        )
+        header = await self._read_exactly(reader, HEADER.size, None)
         (length,) = HEADER.unpack(header)
         if length > self.config.max_frame_bytes:
             # Drain the declared body in bounded chunks so framing

@@ -1,21 +1,15 @@
-"""Workload plumbing: mixed query streams replayed against an Engine.
+"""Serving-workload plumbing: the merged catalog, spec rewrites and
+the result digest.
 
-Models the serving scenario — many clients repeatedly issuing a mix of
-TPC-H and SSB queries — to exercise the cross-query filter cache's
-warm-path behavior.  Timed serving runs are the benchmark's
-``serve_mixed``/``serve_ingest`` workloads; this module supplies their
-pieces and the tests' oracles:
+Timed serving runs are the benchmark's ``serve_mixed``/``serve_ingest``
+workloads; this module supplies their pieces and the tests' oracles:
 
 * :func:`build_catalog` merges a TPC-H and an SSB instance into one
   catalog (SSB tables registered under ``ssb.<name>`` to avoid the
-  ``part``/``supplier``/``customer`` name clashes);
-* :func:`build_stream` produces a deterministic stream of query specs:
-  every query repeated, optionally **parameter-varied** (date literals
-  shifted by per-variant offsets, changing cache fingerprints exactly
-  the way distinct user parameters would, see :func:`vary_spec`), then
-  shuffled;
-* :func:`replay` runs a stream through an :class:`Engine` in order,
-  recording per-item stats, the typed outcome and a result digest;
+  ``part``/``supplier``/``customer`` name clashes), and
+  :func:`prefix_tables` re-points an SSB spec at them;
+* :func:`vary_spec` shifts a spec's date literals, changing cache
+  fingerprints exactly the way distinct user parameters would;
 * :func:`result_digest` is the value-level identity handle every result
   comparison uses.
 """
@@ -23,23 +17,18 @@ pieces and the tests' oracles:
 from __future__ import annotations
 
 import hashlib
-import random
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import replace as dc_replace
 
 import numpy as np
 
-from ..core.runner import RunConfig
-from ..errors import QueryAborted
 from ..expr.nodes import DateLiteral, Expr
 from ..plan.query import QuerySpec
-from ..ssb import ALL_SSB_QUERY_IDS, generate_ssb, get_ssb_query
+from ..ssb import generate_ssb
 from ..storage.catalog import Catalog
 from ..storage.column import Column
 from ..storage.dates import date_to_days, days_to_date
 from ..storage.table import Table
 from ..tpch import generate_tpch
-from ..tpch.queries import get_query
-from .engine import Engine
 
 #: SSB tables are registered under this prefix in the merged catalog.
 SSB_PREFIX = "ssb."
@@ -104,47 +93,7 @@ def vary_spec(spec: QuerySpec, delta_days: int, tag: str) -> QuerySpec | None:
 
 
 # ----------------------------------------------------------------------
-# Stream construction
-# ----------------------------------------------------------------------
-def build_stream(
-    sf: float,
-    tpch_ids: tuple[int | str, ...],
-    ssb_ids: tuple[str, ...],
-    *,
-    repeats: int = 2,
-    variants: int = 1,
-    seed: int = 0,
-) -> list[QuerySpec]:
-    """A deterministic repeated/shuffled/parameter-varied query stream.
-
-    Every base query appears ``repeats`` times; each also contributes
-    up to ``variants`` date-shifted copies (one occurrence each), so a
-    warm replay sees a mix of exact repeats (whole-prefilter hits) and
-    near misses (per-table filter/scan hits only).
-    """
-    rng = random.Random(seed)
-    # get_query rejects an unknown TPC-H id itself.
-    base: list[QuerySpec] = [get_query(qid, sf=sf) for qid in tpch_ids]
-    bad = [q for q in ssb_ids if q not in ALL_SSB_QUERY_IDS]
-    if bad:
-        raise ValueError(
-            f"no SSB query {bad[0]!r}; valid: {', '.join(ALL_SSB_QUERY_IDS)}"
-        )
-    base += [prefix_tables(get_ssb_query(qid), SSB_PREFIX) for qid in ssb_ids]
-    stream: list[QuerySpec] = []
-    for spec in base:
-        stream.extend([spec] * max(1, repeats))
-        for v in range(variants):
-            delta = rng.randrange(-60, 61)
-            varied = vary_spec(spec, delta, f"#v{v + 1}")
-            if varied is not None:
-                stream.append(varied)
-    rng.shuffle(stream)
-    return stream
-
-
-# ----------------------------------------------------------------------
-# Replay
+# Result identity
 # ----------------------------------------------------------------------
 def result_digest(table: Table) -> str:
     """A value-level digest of a result table (order-sensitive).
@@ -203,66 +152,3 @@ def _ranked_values(col: Column) -> tuple[bytes, np.ndarray]:
     encoded = [v.encode("utf-8", "surrogatepass") for v in distinct]
     lengths = np.array([len(encoded), *map(len, encoded)], dtype=np.int64)
     return lengths.tobytes() + b"".join(encoded), ranks
-
-
-@dataclass
-class ReplayResult:
-    """One pass over a stream: one record per item, in stream order."""
-
-    items: list[dict]
-
-
-def replay(
-    engine: Engine,
-    stream: list[QuerySpec],
-    *,
-    config: RunConfig | None = None,
-) -> ReplayResult:
-    """Run a stream through the engine, one query after another.
-
-    Per-item records keep stats-attributed seconds, cache counters,
-    the typed ``outcome`` label and a result digest for identity
-    checks.
-
-    A per-query :class:`~repro.errors.QueryAborted` (timeout,
-    cancellation, admission rejection, memory budget) is a clean,
-    recorded outcome — the replay keeps going and the item carries the
-    error's ``outcome``/message instead of stats.  Anything else
-    (a genuine execution bug) still propagates.
-    """
-    outcomes: list[object] = []
-    for spec in stream:
-        try:
-            outcomes.append(engine.execute(spec, config))
-        except QueryAborted as exc:
-            outcomes.append(exc)
-    items = []
-    for spec, result in zip(stream, outcomes):
-        if isinstance(result, QueryAborted):
-            items.append(
-                {
-                    "query": spec.name,
-                    "strategy": None,
-                    "outcome": result.outcome,
-                    "error": str(result),
-                    "seconds": 0.0,
-                    "output_rows": 0,
-                    "filter_cache_hits": 0,
-                    "filter_cache_misses": 0,
-                    "digest": None,
-                }
-            )
-            continue
-        items.append(
-            {
-                "query": spec.name,
-                "strategy": result.stats.strategy,
-                "outcome": result.stats.outcome,
-                "seconds": result.stats.total_seconds,
-                "output_rows": result.table.num_rows,
-                "filter_cache_hits": result.stats.total("filter_cache_hits"),
-                "filter_cache_misses": result.stats.total("filter_cache_misses"),
-                "digest": result_digest(result.table),
-            }
-        )
-    return ReplayResult(items=items)

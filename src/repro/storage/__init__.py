@@ -16,14 +16,7 @@ from .partition import (
     get_layout,
     slice_table,
 )
-from .dates import (
-    add_days,
-    add_months,
-    date_range_days,
-    date_to_days,
-    days_to_date,
-    years_of,
-)
+from .dates import date_to_days, days_to_date, years_of
 from .table import Table
 from .view import TableView, as_view, join_views, materialize
 
@@ -45,9 +38,6 @@ __all__ = [
     "as_view",
     "join_views",
     "materialize",
-    "add_days",
-    "add_months",
-    "date_range_days",
     "date_to_days",
     "days_to_date",
     "years_of",

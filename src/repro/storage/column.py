@@ -319,11 +319,6 @@ class Column:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Column({self.dtype.value}, n={len(self)})"
 
-    @property
-    def is_string(self) -> bool:
-        """True when this column is dictionary-encoded text."""
-        return self.dtype is DType.STRING
-
     def validity(self) -> np.ndarray:
         """Return the validity mask, materializing all-true if absent."""
         if self.valid is None:
@@ -521,21 +516,6 @@ class Column:
         buf.write(0, head, self.valid)
         buf.write(len(head), tail, valid)
         return buf.column(buf.length, self.dtype)
-
-    def compact_dictionary(self) -> "Column":
-        """Drop unused dictionary entries (after heavy filtering).
-
-        Purely an optimization — logical contents are unchanged.
-        """
-        if self.dictionary is None or len(self.data) == 0:
-            return self
-        used, new_codes = np.unique(self.data, return_inverse=True)
-        return Column(
-            new_codes.astype(np.int32),
-            DType.STRING,
-            dictionary=self.dictionary[used],
-            valid=self.valid,
-        )
 
     def equals(self, other: "Column") -> bool:
         """Logical equality (decoded values and nulls), for tests."""

@@ -29,28 +29,6 @@ def days_to_date(days: int) -> str:
     return _dt.date.fromordinal(int(days) + _EPOCH).isoformat()
 
 
-def date_range_days(start: str, end: str) -> tuple[int, int]:
-    """Return ``(start_days, end_days)`` for two ISO date strings."""
-    return date_to_days(start), date_to_days(end)
-
-
-def add_months(days: int, months: int) -> int:
-    """Add a number of calendar months to a day count (SQL interval math).
-
-    The day-of-month is preserved; this is sufficient for TPC-H where the
-    anchor dates are always the first of a month.
-    """
-    date = _dt.date.fromordinal(int(days) + _EPOCH)
-    month_index = date.year * 12 + (date.month - 1) + months
-    year, month = divmod(month_index, 12)
-    return _dt.date(year, month + 1, date.day).toordinal() - _EPOCH
-
-
-def add_days(days: int, delta: int) -> int:
-    """Add a number of days to a day count."""
-    return int(days) + int(delta)
-
-
 def years_of(days: np.ndarray) -> np.ndarray:
     """Vectorized extraction of the calendar year from day counts.
 

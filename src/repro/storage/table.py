@@ -196,10 +196,6 @@ class Table:
     # ------------------------------------------------------------------
     # Interop / debugging
     # ------------------------------------------------------------------
-    def to_pydict(self) -> dict[str, list]:
-        """Materialize all columns as Python lists (tests & examples)."""
-        return {name: col.to_pylist() for name, col in self.columns.items()}
-
     def to_rows(self) -> list[tuple]:
         """Materialize as a list of row tuples (order-sensitive tests)."""
         lists = [col.to_pylist() for col in self.columns.values()]

@@ -12,7 +12,6 @@ from .faults import (
     FAULT_POINTS,
     FaultPlan,
     FaultRule,
-    active_plan,
     fault_point,
     inject,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "FAULT_POINTS",
     "FaultPlan",
     "FaultRule",
-    "active_plan",
     "fault_point",
     "inject",
 ]

@@ -50,7 +50,7 @@ from ..plan.query import QuerySpec
 from ..service.client import ReproClient
 from ..service.engine import Engine, EngineSnapshot
 from ..service.server import ServerConfig, ServerThread
-from ..service.workload import result_digest
+from ..service.workload import INGEST_TABLES, result_digest
 from ..storage.catalog import Catalog
 from ..storage.table import Table
 from ..tpch import generate_tpch
@@ -317,7 +317,7 @@ def _admit(engine: Engine, spec: QuerySpec) -> Future:
 def concurrency_block(
     catalog: Catalog, oracle_by_query: dict[str, str], seed: int
 ) -> dict:
-    """Digest-identity of a 4-worker replay, clean and under faults.
+    """Digest-identity of a 4-worker query stream, clean and under faults.
 
     The whole stream is admitted at once, so the 4 workers run it
     concurrently.  Every item must individually be byte-identical to
@@ -329,7 +329,7 @@ def concurrency_block(
     ]
     config = _config()
 
-    def replay(plan: FaultPlan) -> tuple[list[str], bool]:
+    def run_stream(plan: FaultPlan) -> tuple[list[str], bool]:
         with Engine(catalog, config=config, workers=4) as engine:
             with inject(plan):
                 futures = [_admit(engine, spec) for spec in specs]
@@ -339,11 +339,11 @@ def concurrency_block(
                 ]
             return outcomes, engine.pending == 0
 
-    clean, clean_slots = replay(FaultPlan([], seed=seed))
+    clean, clean_slots = run_stream(FaultPlan([], seed=seed))
     plan = FaultPlan(
         [FaultRule("chunk.kernel", "raise", nth=3, count=2)], seed=seed
     )
-    faulted, faulted_slots = replay(plan)
+    faulted, faulted_slots = run_stream(plan)
     ok = (
         all(o == "identical" for o in clean)
         and all(_clean(o) for o in faulted)
@@ -753,9 +753,6 @@ INGEST_CASES: tuple[ChaosCase, ...] = (
 #: Delta batches the appender commits per case; valid snapshots are the
 #: strict prefixes ``base + batches[:k]`` for ``k`` in 0..INGEST_BATCHES.
 INGEST_BATCHES = 3
-#: Tables receiving delta rows (both staged in every batch, so each
-#: commit is a genuinely multi-table transaction).
-INGEST_TABLES = ("orders", "lineitem")
 #: Fraction of each ingest table's rows held back as delta batches.
 INGEST_HOLDBACK = 0.10
 #: Queries each reader thread issues during the storm.

@@ -250,11 +250,6 @@ _ACTIVE: FaultPlan | None = None
 _ACTIVATION_LOCK = threading.Lock()
 
 
-def active_plan() -> FaultPlan | None:
-    """The currently-injected plan, if any."""
-    return _ACTIVE
-
-
 def fault_point(point: str, payload: object = None) -> str | None:
     """Production-side hook: apply the active plan's rules, if any.
 

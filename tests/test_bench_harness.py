@@ -6,10 +6,8 @@ from repro.bench.harness import (
     SuiteResult,
     breakdown,
     format_breakdown,
-    format_edges,
     format_fig4,
     format_join_orders,
-    format_joins,
     format_join_sizes,
     join_order_runtimes,
     join_size_table,
@@ -20,8 +18,15 @@ from repro.bench.harness import (
     total_join_input_reduction,
     variance_ratio,
 )
-from repro.bench.report import format_bar_chart, format_table
-from repro.engine.stats import SKIPPED_COVERED, JoinStat, QueryStats
+from repro.bench.report import format_bar_chart
+from repro.engine.stats import (
+    SKIPPED_COVERED,
+    JoinStat,
+    QueryStats,
+    format_edges,
+    format_joins,
+    format_table,
+)
 from repro.tpch.queries import Q5_JOIN_ORDERS, get_query
 
 from .conftest import TINY_SF

@@ -354,15 +354,6 @@ def test_value_at_date():
     assert col.value_at(0) == "1994-05-05"
 
 
-def test_compact_dictionary():
-    col = Column.from_strings(["a", "b", "c"]).filter(
-        np.array([True, False, True])
-    )
-    compact = col.compact_dictionary()
-    assert len(compact.dictionary) == 2
-    assert compact.to_pylist() == ["a", "c"]
-
-
 def test_equals_logical():
     a = Column.from_strings(["x", "y"])
     b = Column.from_strings(["x", "y", "y"]).take(np.array([0, 1]))

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.storage.dates import (
-    add_days,
-    add_months,
-    date_range_days,
-    date_to_days,
-    days_to_date,
-    years_of,
-)
+from repro.storage.dates import date_to_days, days_to_date, years_of
 
 
 def test_epoch_is_zero():
@@ -37,26 +30,6 @@ def test_roundtrip_property(days):
 def test_ordering_matches_calendar():
     assert date_to_days("1994-01-01") < date_to_days("1994-01-02")
     assert date_to_days("1993-12-31") < date_to_days("1994-01-01")
-
-
-def test_date_range_days():
-    lo, hi = date_range_days("1994-01-01", "1995-01-01")
-    assert hi - lo == 365
-
-
-def test_add_months_simple():
-    start = date_to_days("1993-07-01")
-    assert days_to_date(add_months(start, 3)) == "1993-10-01"
-
-
-def test_add_months_year_wrap():
-    start = date_to_days("1993-11-01")
-    assert days_to_date(add_months(start, 3)) == "1994-02-01"
-
-
-def test_add_days():
-    start = date_to_days("1998-12-01")
-    assert days_to_date(add_days(start, -90)) == "1998-09-02"
 
 
 def test_years_of_vectorized():

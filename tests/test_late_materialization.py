@@ -19,6 +19,7 @@ from repro.plan.pruning import live_columns
 from repro.plan.query import Project, QuerySpec, Relation, edge
 from repro.ssb import ALL_SSB_QUERY_IDS, generate_ssb, get_ssb_query
 from repro.storage.catalog import Catalog
+from repro.storage.column import DType
 from repro.storage.table import Table
 from repro.tpch.queries import BENCH_QUERY_IDS, get_query
 
@@ -35,7 +36,7 @@ def assert_tables_identical(lazy: Table, eager: Table, label: str) -> None:
         assert np.array_equal(
             a.validity(), b.validity()
         ), f"{label}.{name}: null masks"
-        if a.is_string:
+        if a.dtype is DType.STRING:
             # Dictionaries may differ in unused entries; decoded values
             # must match exactly (nulls already checked above).
             ok = a.validity()

@@ -101,19 +101,6 @@ def test_percentile_interpolates_and_caps_at_max():
     assert Histogram().snapshot().percentile(50) == 0.0
 
 
-def test_snapshot_merge_requires_identical_buckets():
-    a = Histogram()
-    b = Histogram()
-    a.observe(0.003)
-    b.observe(0.003)
-    merged = a.snapshot().merge(b.snapshot())
-    assert merged.count == 2
-    assert merged.sum == pytest.approx(0.006)
-    odd = Histogram(buckets=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        a.snapshot().merge(odd.snapshot())
-
-
 # ----------------------------------------------------------------------
 # Families and registry
 # ----------------------------------------------------------------------

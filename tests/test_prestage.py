@@ -14,12 +14,12 @@ import time
 
 import pytest
 
-from repro.bench.harness import format_edges
 from repro.cache.store import FilterCache
 from repro.core import runner
 from repro.core.prestage import plan_deferrals
 from repro.core.runner import STRATEGIES, RunConfig, run_query
 from repro.engine.aggregate import AggSpec, GroupKey
+from repro.engine.stats import format_edges
 from repro.expr.nodes import ScalarRef, col, lit
 from repro.obs.trace import spans_from_stats
 from repro.plan.query import (

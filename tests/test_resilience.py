@@ -28,7 +28,7 @@ from repro.filters.bitmap import BitmapFilter
 from repro.filters.exact import ExactFilter
 from repro.plan.joingraph import build_join_graph, edge_keys_for
 from repro.service import Engine, RetryPolicy
-from repro.service.workload import replay, result_digest
+from repro.service.workload import result_digest
 from repro.storage.catalog import Catalog
 from repro.testing import FaultPlan, FaultRule, inject
 from repro.tpch import generate_tpch
@@ -403,17 +403,18 @@ def test_append_during_execute_does_not_poison_cache(catalog, q3):
 
 
 # ----------------------------------------------------------------------
-# Workload replay records typed outcomes
+# A stream of queries records typed outcomes
 # ----------------------------------------------------------------------
 def test_replay_records_timeouts_as_outcomes(catalog, q3, q5):
+    """Queries run one after another through one engine: each timed-out
+    one is a typed outcome, and the engine serves the next query."""
     with Engine(catalog) as engine:
-        out = replay(
-            engine,
-            [q3, q5],
-            config=RunConfig(timeout=1e-9),
-        )
-        ok = replay(engine, [q3])
-    assert [i["outcome"] for i in out.items] == ["timeout", "timeout"]
-    assert all(i["digest"] is None for i in out.items)
-    assert ok.items[0]["outcome"] == "ok"
-    assert ok.items[0]["digest"] is not None
+        outcomes = []
+        for spec in (q3, q5):
+            with pytest.raises(QueryTimeout) as err:
+                engine.execute(spec, RunConfig(timeout=1e-9))
+            outcomes.append(err.value.outcome)
+        ok = engine.execute(q3)
+    assert outcomes == ["timeout", "timeout"]
+    assert ok.stats.outcome == "ok"
+    assert result_digest(ok.table) == result_digest(run_query(q3, catalog).table)

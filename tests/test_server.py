@@ -223,11 +223,12 @@ def test_saturation_surfaces_retry_with_floored_hint(catalog, specs):
             with _client(st) as client:
                 with pytest.raises(EngineSaturated) as err:
                     client.query_once("q3")
-            assert err.value.retry_after >= Engine.RETRY_AFTER_FLOOR
+            assert err.value.retry_after >= MIN_RETRY_AFTER
             release.set()
             for f in fillers:
                 f.result(timeout=30)
     finally:
+        release.set()  # a failed assertion must not leave the pool blocked
         engine.shutdown(wait=True, cancel=True)
 
 
@@ -255,8 +256,9 @@ def test_client_backoff_waits_at_least_server_hint(catalog, specs):
             for f in fillers:
                 f.result(timeout=30)
     finally:
+        release.set()  # a failed assertion must not leave the pool blocked
         engine.shutdown(wait=True, cancel=True)
-    assert slept and min(slept) >= Engine.RETRY_AFTER_FLOOR
+    assert slept and min(slept) >= MIN_RETRY_AFTER
 
 
 def test_engine_saturated_retry_after_never_zero():
@@ -266,26 +268,23 @@ def test_engine_saturated_retry_after_never_zero():
 
 
 def test_engine_retry_hint_honours_configured_floor(catalog, specs):
+    # Four workers, nothing finished yet: the load estimate is
+    # 0.05 s (default average) x 2 queued / 4 workers = 0.025 s, below
+    # the floor, so the floor decides the hint.
     release = threading.Event()
-    engine = Engine(
-        catalog, workers=1, max_pending=1, retry_after_floor=0.2
-    )
+    engine = Engine(catalog, workers=4, max_pending=1)
     try:
         _saturate(engine, release)
-        fillers = [engine.submit(specs["q3"]), engine.submit(specs["q3"])]
+        fillers = [engine.submit(specs["q3"]) for _ in range(5)]
         with pytest.raises(EngineSaturated) as err:
             engine.submit(specs["q3"])
-        assert err.value.retry_after >= 0.2
+        assert err.value.retry_after == MIN_RETRY_AFTER
         release.set()
         for f in fillers:
             f.result(timeout=30)
     finally:
+        release.set()  # a failed assertion must not leave the pool blocked
         engine.shutdown(wait=True, cancel=True)
-
-
-def test_retry_after_floor_must_be_positive(catalog):
-    with pytest.raises(ValueError):
-        Engine(catalog, retry_after_floor=0.0)
 
 
 # ----------------------------------------------------------------------

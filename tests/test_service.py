@@ -1,4 +1,4 @@
-"""Service-layer tests: Engine concurrency, workload driver, CLI."""
+"""Service-layer tests: Engine concurrency, workload plumbing, CLI."""
 
 from __future__ import annotations
 
@@ -11,13 +11,7 @@ import pytest
 from repro.__main__ import main
 from repro.cache import default_filter_cache
 from repro.core.runner import RunConfig, run_query
-from repro.service import (
-    Engine,
-    build_catalog,
-    build_stream,
-    replay,
-    vary_spec,
-)
+from repro.service import Engine, build_catalog, vary_spec
 from repro.service.engine import EngineStats
 from repro.service.workload import SSB_PREFIX, prefix_tables, result_digest
 from repro.ssb import get_ssb_query
@@ -84,17 +78,6 @@ def test_engine_without_cache(serving_catalog):
         assert result.stats.filter_cache_misses == 0
 
 
-def test_engine_clear_cache(serving_catalog):
-    with Engine(serving_catalog) as engine:
-        engine.execute(get_query(5, sf=SF))
-        assert engine.cache_stats().entries > 0
-        engine.clear_cache()
-        assert engine.cache_stats().entries == 0
-        # Still serves correctly after a clear.
-        result = engine.execute(get_query(5, sf=SF))
-        assert result.table.num_rows >= 0
-
-
 def test_engine_rejects_after_close(serving_catalog):
     engine = Engine(serving_catalog)
     engine.close()
@@ -105,14 +88,23 @@ def test_engine_rejects_after_close(serving_catalog):
 # ----------------------------------------------------------------------
 # Concurrency stress: N threads x repeated query mix == oracle
 # ----------------------------------------------------------------------
+def _mixed_stream(tpch_ids, ssb_ids, repeats):
+    """Each TPC-H and SSB query ``repeats`` times, then each query that
+    has dates to shift once more, shifted by 30 days."""
+    base = [get_query(qid, sf=SF) for qid in tpch_ids] + [
+        prefix_tables(get_ssb_query(qid), SSB_PREFIX) for qid in ssb_ids
+    ]
+    varied = [v for spec in base if (v := vary_spec(spec, 30, "#v1")) is not None]
+    return base * repeats + varied
+
+
 def test_concurrent_mixed_stream_matches_single_threaded_oracle(
     serving_catalog,
 ):
     """The CI stress scenario: a repeated TPC-H+SSB mix executed on a
     multi-worker engine from multiple client threads must produce
     byte-identical results to a fresh single-threaded uncached run."""
-    stream = build_stream(SF, (3, 5, 10), ("1.1", "2.1"), repeats=3, variants=1,
-                          seed=9)
+    stream = _mixed_stream((3, 5, 10), ("1.1", "2.1"), repeats=3)
     oracle = {}
     for spec in stream:
         if spec.name not in oracle:
@@ -150,7 +142,7 @@ def test_concurrent_mixed_stream_matches_single_threaded_oracle(
 
 
 # ----------------------------------------------------------------------
-# Workload driver
+# Workload plumbing
 # ----------------------------------------------------------------------
 def test_build_catalog_merges_both_benchmarks(serving_catalog):
     assert "lineitem" in serving_catalog  # TPC-H
@@ -198,22 +190,6 @@ def test_prefix_tables_keeps_enclosing_stage_outputs(qid):
     )
 
 
-def test_build_stream_is_deterministic():
-    a = build_stream(SF, (3, 5), ("1.1",), repeats=2, variants=1, seed=4)
-    b = build_stream(SF, (3, 5), ("1.1",), repeats=2, variants=1, seed=4)
-    assert [s.name for s in a] == [s.name for s in b]
-    assert len(a) >= 2 * 3  # every query at least `repeats` times
-    c = build_stream(SF, (3, 5), ("1.1",), repeats=2, variants=1, seed=5)
-    assert [s.name for s in a] != [s.name for s in c]  # seed matters
-
-
-def test_build_stream_validates_ids():
-    with pytest.raises(ValueError):
-        build_stream(SF, (99,), ())
-    with pytest.raises(ValueError):
-        build_stream(SF, (), ("9.9",))
-
-
 def test_vary_spec_shifts_dates_or_declines():
     q3 = get_query(3, sf=SF)
     varied = vary_spec(q3, 30, "#v1")
@@ -226,22 +202,23 @@ def test_vary_spec_shifts_dates_or_declines():
 
 
 def test_replay_and_cold_warm_payload(serving_catalog):
-    """One stream with date-shifted variants, replayed cold then warm
+    """One stream with date-shifted variants, run cold then warm
     through one Engine: every warm result equals the cold one at the
     same position, and the warm pass hits the cache more."""
-    stream = build_stream(SF, (3, 5), ("1.1",), repeats=2, variants=1, seed=1)
+    stream = _mixed_stream((3, 5), ("1.1",), repeats=2)
     assert any("#v1" in spec.name for spec in stream)
     with Engine(serving_catalog) as engine:
-        cold = replay(engine, stream)
-        warm = replay(engine, stream)
-    assert len(cold.items) == len(warm.items) == len(stream)
-    assert [i["digest"] for i in cold.items] == [i["digest"] for i in warm.items]
-    assert all(i["digest"] is not None for i in cold.items)
+        cold = [engine.execute(spec) for spec in stream]
+        warm = [engine.execute(spec) for spec in stream]
 
-    def hits(items: list[dict]) -> int:
-        return sum(i["filter_cache_hits"] for i in items)
+    def digests(results):
+        return [result_digest(r.table) for r in results]
 
-    assert hits(warm.items) > hits(cold.items)
+    def hits(results) -> int:
+        return sum(r.stats.total("filter_cache_hits") for r in results)
+
+    assert digests(cold) == digests(warm)
+    assert hits(warm) > hits(cold)
 
 
 def test_warm_cache_equivalence_all_tpch_queries(serving_catalog):

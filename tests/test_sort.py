@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.hashjoin import hash_join
-from repro.engine.sort import limit, sort_table, top_k
+from repro.engine.sort import limit, sort_table
 from repro.engine.stats import QueryStats
 from repro.storage.column import Column, DType
 from repro.storage.table import Table
@@ -83,7 +83,7 @@ def test_nulls_sort_last_both_directions():
 
 def test_top_k():
     t = _t(a=[5, 3, 9, 1])
-    assert [r[0] for r in top_k(t, [("a", "desc")], 2).to_rows()] == [9, 5]
+    assert [r[0] for r in sort_table(t, [("a", "desc")], 2).to_rows()] == [9, 5]
 
 
 def test_limit():
@@ -202,7 +202,6 @@ def test_top_k_equals_sort_then_head(case):
     # Compared by row id: NaN != NaN would fail a comparison of values.
     got = sort_table(table, by, k).column("rid").to_pylist()
     assert got == sort_table(table, by).head(k).column("rid").to_pylist()
-    assert top_k(table, by, k).column("rid").to_pylist() == got
 
 
 def test_top_k_with_a_nan_or_null_at_the_kth_place():

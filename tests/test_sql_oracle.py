@@ -3,9 +3,11 @@
 The oracle shares no code with the engine: the catalog is loaded into
 stdlib ``sqlite3`` (values from :meth:`Column.to_pylist`, dates as ISO
 strings, which compare in date order), and each query runs from its
-TPC-H text with the parameters of the engine's spec.  Results are
-compared as multisets of rows, floats at a relative 1e-9, under every
-strategy.  A query joins the check by adding its text to ``QUERIES``.
+TPC-H text with the parameters of the engine's spec; ``c1``–``c3``, the
+cyclic and cross-product shapes, run from SQL written for their specs.
+Results are compared as multisets of rows, floats at a relative 1e-9,
+under every strategy.  A query joins the check by adding its text to
+``QUERIES``.
 
 A ``"stripped-<id>"`` key is query ``<id>`` with every local predicate
 of its relations dropped: the benchmark's transfer-adverse join graphs,
@@ -456,6 +458,39 @@ QUERIES: dict[int | str, str] = {
         GROUP BY n_name
         ORDER BY n_name
     """,
+    # The cyclic and disconnected shapes of tpch/queries/extra.py.
+    "c1": """
+        SELECT n_name, COUNT(n_nationkey) AS pairs,
+               SUM(s_acctbal) AS supplier_acctbal
+        FROM supplier, customer, nation
+        WHERE s_nationkey = n_nationkey
+          AND c_nationkey = n_nationkey
+          AND s_nationkey = c_nationkey
+          AND s_acctbal > 0.0
+          AND c_mktsegment = 'BUILDING'
+        GROUP BY n_name
+        ORDER BY n_name
+    """,
+    "c2": """
+        SELECT r_name, COUNT(r_regionkey) AS nation_pairs
+        FROM nation n1, nation n2, region
+        WHERE n1.n_regionkey = r_regionkey
+          AND n2.n_regionkey = r_regionkey
+          AND n1.n_regionkey = n2.n_regionkey
+          AND n1.n_nationkey < n2.n_nationkey
+          AND r_name IN ('ASIA', 'EUROPE')
+        GROUP BY r_name
+        ORDER BY r_name
+    """,
+    "c3": """
+        SELECT n_name, COUNT(s_suppkey) AS suppliers, SUM(s_acctbal) AS acctbal
+        FROM nation, region, supplier
+        WHERE n_regionkey = r_regionkey
+          AND r_name = 'AFRICA'
+          AND s_acctbal > 9000.0
+        GROUP BY n_name
+        ORDER BY n_name
+    """,
 }
 
 _SQL_TYPES = {
@@ -477,7 +512,7 @@ _INDEXES = (
 
 def spec_of(query: int | str) -> QuerySpec:
     """The engine's spec of a ``QUERIES`` key."""
-    if isinstance(query, int):
+    if isinstance(query, int) or not query.startswith("stripped-"):
         return get_query(query, sf=SF)
     base = query.removeprefix("stripped-")
     spec = get_query(int(base) if base.isdigit() else base, sf=SF)

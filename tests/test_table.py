@@ -57,7 +57,7 @@ def test_missing_column_error_mentions_candidates(table):
 def test_take_and_filter(table):
     assert table.take(np.array([2, 0])).column("a").to_pylist() == [3, 1]
     filtered = table.filter(np.array([False, True, False]))
-    assert filtered.to_pydict() == {"a": [2], "b": [2.0], "c": ["y"]}
+    assert filtered.to_rows() == [(2, 2.0, "y")]
 
 
 def test_select_projects_in_order(table):

@@ -13,10 +13,9 @@ from repro.core.transfer import (
     ExecContext,
     TransferConfig,
     identity_rows,
-    masks_to_rows,
     proven_cover,
     run_pass,
-    run_transfer,
+    run_transfer_rows,
 )
 from repro.errors import FilterError
 from repro.filters.bitmap import CACHE_BITS
@@ -27,7 +26,8 @@ from repro.storage.table import Table
 
 
 def _setup(tables, edges, predicates=None):
-    """Build scanned tables (prefixed) + all-true masks + a PT graph."""
+    """A PT graph and an uncached context over scanned (prefixed)
+    tables, every row alive unless ``predicates`` masks some out."""
     spec = QuerySpec(
         "q",
         relations=[Relation(a, a) for a in tables],
@@ -35,12 +35,11 @@ def _setup(tables, edges, predicates=None):
     )
     jg = build_join_graph(spec)
     scanned = {a: t.prefixed(a) for a, t in tables.items()}
-    masks = {a: np.ones(t.num_rows, dtype=np.bool_) for a, t in tables.items()}
-    if predicates:
-        for alias, mask in predicates.items():
-            masks[alias] = np.asarray(mask, dtype=np.bool_)
-    sizes = {a: int(m.sum()) for a, m in masks.items()}
-    return build_pt_graph(jg, sizes), scanned, masks
+    rows = {a: np.arange(t.num_rows) for a, t in tables.items()}
+    for alias, mask in (predicates or {}).items():
+        rows[alias] = np.flatnonzero(mask)
+    pt = build_pt_graph(jg, {a: len(r) for a, r in rows.items()})
+    return pt, ExecContext(tables=scanned, rows=rows)
 
 
 def _fig3_setup(**overrides):
@@ -63,22 +62,28 @@ def _fig3_setup(**overrides):
     return _setup(tables, edges, **overrides)
 
 
+def _survivors(state):
+    """Surviving row ids per alias, as lists."""
+    return {alias: rows.tolist() for alias, rows in state.rows.items()}
+
+
 @pytest.mark.parametrize("filter_type", ["bloom", "exact"])
 def test_fig3_chain_reduction(filter_type):
-    pt, scanned, masks = _fig3_setup()
+    pt, state = _fig3_setup()
     config = TransferConfig(filter_type=filter_type, fpp=0.001)
-    reduced, stats = run_transfer(pt, scanned, masks, config)
+    run_transfer_rows(state, pt, config)
+    reduced, stats = _survivors(state), state.stats.transfer
     # Forward: R keys {1,2,3} reach S -> S rows with b in {1,2,3};
     # surviving S has c in {100,300,500} -> T keeps {100,300}.
     # Backward: T keys {100,300} -> S keeps b in {1,2} -> R keeps {1,2}.
-    assert reduced["t"].tolist() == [True, True, False, False, False, False]
+    assert reduced["t"] == [0, 1]
     if filter_type == "exact":  # bloom may keep false positives
-        assert reduced["s"].tolist() == [True, False, True, False, False]
-        assert reduced["r"].tolist() == [True, True, False]
+        assert reduced["s"] == [0, 2]
+        assert reduced["r"] == [0, 1]
     else:
         # No false negatives ever: the truly-joining rows survive.
-        assert reduced["s"][0] and reduced["s"][2]
-        assert reduced["r"][0] and reduced["r"][1]
+        assert {0, 2} <= set(reduced["s"])
+        assert {0, 1} <= set(reduced["r"])
     # Two per pass on a 2-edge chain; the gate skips none: S holds keys
     # R lacks and T keys S lacks, and the backward sources lost rows.
     assert (stats.edges_traversed, stats.edges_pruned) == (4, 0), [
@@ -87,37 +92,25 @@ def test_fig3_chain_reduction(filter_type):
 
 
 def test_transfer_never_drops_contributing_rows():
-    pt, scanned, masks = _fig3_setup()
-    reduced, _ = run_transfer(pt, scanned, masks, TransferConfig(fpp=0.25))
+    pt, state = _fig3_setup()
+    run_transfer_rows(state, pt, TransferConfig(fpp=0.25))
+    reduced = _survivors(state)
     # Rows participating in the full join: r.b in {1,2} etc.
-    assert reduced["r"][0] and reduced["r"][1]
-    assert reduced["s"][0] and reduced["s"][2]
-    assert reduced["t"][0] and reduced["t"][1]
+    assert {0, 1} <= set(reduced["r"])
+    assert {0, 2} <= set(reduced["s"])
+    assert {0, 1} <= set(reduced["t"])
 
 
 def test_local_predicates_respected():
     # Pre-filter R to b=1 only; transfer must narrow S and T accordingly.
-    pt, scanned, masks = _fig3_setup(
-        predicates={"r": [True, False, False]}
-    )
-    reduced, stats = run_transfer(
-        pt, scanned, masks, TransferConfig(filter_type="exact")
-    )
-    assert reduced["s"].tolist() == [True, False, False, False, False]
-    assert reduced["t"].tolist() == [True, False, False, False, False, False]
-    assert stats.rows_before["r"] == 1
-    assert stats.rows_after["s"] == 1
-
-
-def _fig3_state():
-    """Figure 3's PT graph and an uncached context over its tables."""
-    pt, scanned, masks = _fig3_setup()
-    return pt, ExecContext(tables=scanned, rows=masks_to_rows(masks))
+    pt, state = _fig3_setup(predicates={"r": [True, False, False]})
+    run_transfer_rows(state, pt, TransferConfig(filter_type="exact"))
+    assert _survivors(state) == {"r": [0], "s": [0], "t": [0]}
 
 
 def test_forward_only_pass():
     # One pass of the schedule alone is a composition over run_pass.
-    pt, state = _fig3_state()
+    pt, state = _fig3_setup()
     order = pt.topological_order()
     run_pass(
         state, order, pt.forward_edges(), TransferConfig("exact"), proven_cover
@@ -128,7 +121,7 @@ def test_forward_only_pass():
 
 
 def test_backward_only_pass():
-    pt, state = _fig3_state()
+    pt, state = _fig3_setup()
     order = pt.topological_order()[::-1]
     run_pass(
         state, order, pt.backward_edges(), TransferConfig("exact"), proven_cover
@@ -141,32 +134,31 @@ def test_backward_only_pass():
 
 
 def test_exact_mode_is_subset_of_bloom_mode():
-    pt, scanned, masks = _fig3_setup()
-    bloom, _ = run_transfer(
-        pt, scanned, {k: m.copy() for k, m in masks.items()},
-        TransferConfig(filter_type="bloom", fpp=0.3),
-    )
-    exact, _ = run_transfer(
-        pt, scanned, masks, TransferConfig(filter_type="exact")
-    )
-    for alias in bloom:
-        assert (bloom[alias] | ~exact[alias]).all()  # exact ⊆ bloom
+    pt, bloom = _fig3_setup()
+    run_transfer_rows(bloom, pt, TransferConfig(filter_type="bloom", fpp=0.3))
+    pt, exact = _fig3_setup()
+    run_transfer_rows(exact, pt, TransferConfig(filter_type="exact"))
+    for alias in bloom.rows:
+        assert set(exact.rows[alias]) <= set(bloom.rows[alias])
 
 
 def test_input_masks_not_mutated():
-    pt, scanned, masks = _fig3_setup()
-    before = {a: m.copy() for a, m in masks.items()}
-    run_transfer(pt, scanned, masks, TransferConfig(filter_type="exact"))
-    for alias in masks:
-        assert np.array_equal(masks[alias], before[alias])
+    """The survivor vectors bound on entry are rebound, never written."""
+    pt, state = _fig3_setup()
+    inputs = dict(state.rows)
+    before = {a: r.copy() for a, r in inputs.items()}
+    run_transfer_rows(state, pt, TransferConfig(filter_type="exact"))
+    for alias in inputs:
+        assert np.array_equal(inputs[alias], before[alias])
+    assert state.rows["s"].tolist() == [0, 2]  # rebound, not written through
 
 
 def _rekeyed_fig3_setup(rekey):
     """Figure 3's chain with its join keys ``b`` and ``c`` mapped
     through ``rekey(column, keys)``, injective so every join matches as
     before."""
-    pt, scanned, masks = _fig3_setup()
-    rekeyed = {
+    pt, state = _fig3_setup()
+    state.tables = {
         alias: Table(
             table.name,
             {
@@ -176,9 +168,9 @@ def _rekeyed_fig3_setup(rekey):
                 for name in table.columns
             },
         )
-        for alias, table in scanned.items()
+        for alias, table in state.tables.items()
     }
-    return pt, rekeyed, masks
+    return pt, state
 
 
 def _sparse_fig3_setup():
@@ -195,25 +187,22 @@ def _dense_fig3_setup():
 
 
 def test_stats_op_counts_populated():
-    pt, scanned, masks = _sparse_fig3_setup()
-    _, bloom_stats = run_transfer(pt, scanned, masks, TransferConfig())
-    assert bloom_stats.inserted("bloom") > 0 and bloom_stats.probed("bloom") > 0
-    assert bloom_stats.inserted("exact") == bloom_stats.inserted("bitmap") == 0
-    _, exact_stats = run_transfer(
-        pt, scanned, masks, TransferConfig(filter_type="exact")
-    )
-    assert exact_stats.inserted("exact") > 0 and exact_stats.probed("exact") > 0
-    assert exact_stats.inserted("bloom") == exact_stats.inserted("bitmap") == 0
+    for filter_type, kind in (("bloom", "bloom"), ("exact", "exact")):
+        pt, state = _sparse_fig3_setup()
+        run_transfer_rows(state, pt, TransferConfig(filter_type=filter_type))
+        stats = state.stats.transfer
+        assert stats.inserted(kind) > 0 and stats.probed(kind) > 0
+        others = {"bloom", "exact", "bitmap"} - {kind}
+        assert all(stats.inserted(o) == stats.probed(o) == 0 for o in others)
 
 
 @pytest.mark.parametrize("filter_type", ["bloom", "exact"])
 def test_stats_op_counts_populated_bitmap(filter_type):
     # Dense keys ship bitmaps whichever kind was asked for, and count
     # as bitmap operations only.
-    pt, scanned, masks = _dense_fig3_setup()
-    _, stats = run_transfer(
-        pt, scanned, masks, TransferConfig(filter_type=filter_type)
-    )
+    pt, state = _dense_fig3_setup()
+    run_transfer_rows(state, pt, TransferConfig(filter_type=filter_type))
+    stats = state.stats.transfer
     assert {e.kind for e in stats.shipped()} == {"bitmap"}
     assert stats.inserted("bitmap") > 0 and stats.probed("bitmap") > 0
     assert stats.inserted("bloom") == stats.probed("bloom") == 0
@@ -223,17 +212,18 @@ def test_stats_op_counts_populated_bitmap(filter_type):
 def test_sparse_fig3_chain_reduction_matches_dense():
     # Same chain, same survivors: only the filter representation moved.
     for setup in (_fig3_setup, _sparse_fig3_setup, _dense_fig3_setup):
-        pt, scanned, masks = setup()
-        reduced, _ = run_transfer(
-            pt, scanned, masks, TransferConfig(filter_type="exact")
-        )
-        assert reduced["s"].tolist() == [True, False, True, False, False]
-        assert reduced["r"].tolist() == [True, True, False]
+        pt, state = setup()
+        run_transfer_rows(state, pt, TransferConfig(filter_type="exact"))
+        assert state.rows["s"].tolist() == [0, 2]
+        assert state.rows["r"].tolist() == [0, 1]
 
 
 def test_reduction_metric():
-    pt, scanned, masks = _fig3_setup(predicates={"r": [True, False, False]})
-    _, stats = run_transfer(pt, scanned, masks, TransferConfig(filter_type="exact"))
+    pt, state = _fig3_setup(predicates={"r": [True, False, False]})
+    stats = state.stats.transfer
+    stats.rows_before = state.row_counts()
+    run_transfer_rows(state, pt, TransferConfig(filter_type="exact"))
+    stats.rows_after = state.row_counts()
     assert 0.0 < stats.reduction() < 1.0
     assert stats.total_rows_after() < stats.total_rows_before()
 
@@ -255,20 +245,19 @@ def test_lip_probes_most_selective_filter_first():
             "c", {"x": [1, 2, 3, 4, 1, 2, 3, 4], "y": [1, 1, 2, 2, 3, 3, 4, 4]}
         ),
     }
-    pt, scanned, masks = _setup(
+    pt, state = _setup(
         tables,
         [edge("a", "c", ("x", "x")), edge("b", "c", ("y", "y"))],
         predicates={"a": [True, True, True, False], "b": [True, False, False, False]},
     )
-    reduced, stats = run_transfer(pt, scanned, masks, TransferConfig("exact"))
+    run_transfer_rows(state, pt, TransferConfig("exact"))
     first, second = (
-        next(e for e in stats.edges if (e.src, e.dst) == (src, "c"))
+        next(e for e in state.stats.transfer.edges if (e.src, e.dst) == (src, "c"))
         for src in ("b", "a")
     )
     assert first.rows_probed == 8 and first.rows_passed == 2
     assert second.rows_probed == first.rows_passed
-    assert reduced["c"].tolist() == [True, True] + [False] * 6
-
+    assert state.rows["c"].tolist() == [0, 1]
 
 
 def test_identity_rows_are_read_only_slices_of_one_vector():
@@ -281,10 +270,6 @@ def test_identity_rows_are_read_only_slices_of_one_vector():
     bigger = identity_rows(1000)
     assert np.array_equal(bigger, np.arange(1000)) and not bigger.flags.writeable
     assert np.shares_memory(identity_rows(10), bigger)
-    scanned = masks_to_rows({"a": np.ones(7, dtype=np.bool_)})["a"]
-    assert scanned.tolist() == list(range(7))
-    with pytest.raises(ValueError):
-        scanned[1:] = 0
 
 
 def test_identity_rows_under_racing_growth(monkeypatch):

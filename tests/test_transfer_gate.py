@@ -123,7 +123,7 @@ def test_gated_and_ungated_passes_leave_the_same_rows(graph, filter_type):
     tables, edges, masks = graph
     spec = QuerySpec("g", [Relation(a, a) for a in tables], edges)
     scanned = {a: t.prefixed(a) for a, t in tables.items()}
-    rows = transfer.masks_to_rows(masks)
+    rows = {alias: np.flatnonzero(mask) for alias, mask in masks.items()}
     ptgraph = build_pt_graph(
         build_join_graph(spec), {a: len(r) for a, r in rows.items()}
     )

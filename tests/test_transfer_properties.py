@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ptgraph import build_pt_graph
-from repro.core.transfer import TransferConfig, run_transfer
-from repro.core.yannakakis import run_semi_join_phase
+from repro.core.transfer import ExecContext, TransferConfig, run_transfer_rows
+from repro.core.yannakakis import run_semi_join_rows
 from repro.plan.joingraph import build_join_graph
 from repro.plan.query import QuerySpec, Relation, edge
 from repro.storage.table import Table
@@ -65,11 +65,21 @@ def _participating_rows(key_lists):
     return participating
 
 
-def _run(spec, tables, runner):
-    jg = build_join_graph(spec)
-    scanned = {a: t.prefixed(a) for a, t in tables.items()}
-    masks = {a: np.ones(t.num_rows, dtype=np.bool_) for a, t in tables.items()}
-    return runner(jg, scanned, masks)
+def _state(tables):
+    """An uncached context over the scanned (prefixed) tables, every
+    row alive."""
+    return ExecContext(
+        tables={a: t.prefixed(a) for a, t in tables.items()},
+        rows={a: np.arange(t.num_rows) for a, t in tables.items()},
+    )
+
+
+def _ptgraph(spec, state):
+    return build_pt_graph(build_join_graph(spec), state.row_counts())
+
+
+def _alive(state, alias):
+    return set(state.rows[alias].tolist())
 
 
 @settings(max_examples=40, deadline=None)
@@ -77,16 +87,12 @@ def _run(spec, tables, runner):
 def test_transfer_soundness_bloom(key_lists):
     spec, tables = _build_chain(key_lists)
     participating = _participating_rows(key_lists)
-
-    def runner(jg, scanned, masks):
-        sizes = {a: int(m.sum()) for a, m in masks.items()}
-        pt = build_pt_graph(jg, sizes)
-        return run_transfer(pt, scanned, masks, TransferConfig(fpp=0.05))
-
-    reduced, _ = _run(spec, tables, runner)
+    state = _state(tables)
+    run_transfer_rows(state, _ptgraph(spec, state), TransferConfig(fpp=0.05))
     for i in range(len(key_lists)):
-        for row in participating[i]:
-            assert reduced[f"t{i}"][row], "transfer dropped a contributing row"
+        assert participating[i] <= _alive(state, f"t{i}"), (
+            "transfer dropped a contributing row"
+        )
 
 
 def _pad_increasing(key_lists):
@@ -116,17 +122,10 @@ def test_transfer_exact_equals_participation(key_lists):
     spec, tables = _build_chain(key_lists)
     participating = _participating_rows(key_lists)
 
-    def runner(jg, scanned, masks):
-        sizes = {a: int(m.sum()) for a, m in masks.items()}
-        pt = build_pt_graph(jg, sizes)
-        return run_transfer(
-            pt, scanned, masks, TransferConfig(filter_type="exact")
-        )
-
-    reduced, _ = _run(spec, tables, runner)
+    state = _state(tables)
+    run_transfer_rows(state, _ptgraph(spec, state), TransferConfig("exact"))
     for i in range(len(key_lists)):
-        survivors = set(np.flatnonzero(reduced[f"t{i}"]).tolist())
-        assert survivors == participating[i]
+        assert _alive(state, f"t{i}") == participating[i]
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,10 +133,10 @@ def test_transfer_exact_equals_participation(key_lists):
 def test_yannakakis_exact_on_chains(key_lists):
     spec, tables = _build_chain(key_lists)
     participating = _participating_rows(key_lists)
-    reduced, _ = _run(spec, tables, run_semi_join_phase)
+    state = _state(tables)
+    run_semi_join_rows(state, build_join_graph(spec))
     for i in range(len(key_lists)):
-        survivors = set(np.flatnonzero(reduced[f"t{i}"]).tolist())
-        assert survivors == participating[i]
+        assert _alive(state, f"t{i}") == participating[i]
 
 
 @settings(max_examples=25, deadline=None)
@@ -145,19 +144,8 @@ def test_yannakakis_exact_on_chains(key_lists):
 def test_bloom_survivors_superset_of_exact(key_lists, fpp):
     spec, tables = _build_chain(key_lists)
 
-    def bloom_runner(jg, scanned, masks):
-        sizes = {a: int(m.sum()) for a, m in masks.items()}
-        pt = build_pt_graph(jg, sizes)
-        return run_transfer(pt, scanned, masks, TransferConfig(fpp=fpp))
-
-    def exact_runner(jg, scanned, masks):
-        sizes = {a: int(m.sum()) for a, m in masks.items()}
-        pt = build_pt_graph(jg, sizes)
-        return run_transfer(
-            pt, scanned, masks, TransferConfig(filter_type="exact")
-        )
-
-    bloom, _ = _run(spec, tables, bloom_runner)
-    exact, _ = _run(spec, tables, exact_runner)
-    for alias in bloom:
-        assert (bloom[alias] | ~exact[alias]).all()
+    bloom, exact = _state(tables), _state(tables)
+    run_transfer_rows(bloom, _ptgraph(spec, bloom), TransferConfig(fpp=fpp))
+    run_transfer_rows(exact, _ptgraph(spec, exact), TransferConfig("exact"))
+    for alias in tables:
+        assert _alive(exact, alias) <= _alive(bloom, alias)

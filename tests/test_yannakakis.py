@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from repro.core.runner import RunConfig, _scan, run_query
-from repro.core.transfer import ExecContext, rows_to_masks
-from repro.core.yannakakis import build_join_tree, run_semi_join_phase
+from repro.core.transfer import ExecContext
+from repro.core.yannakakis import build_join_tree, run_semi_join_rows
 from repro.engine.hashjoin import hash_join
 from repro.plan.joingraph import build_join_graph
 from repro.plan.query import QuerySpec, Relation, edge
@@ -20,13 +20,20 @@ from repro.tpch.queries import get_query
 
 
 def _setup(tables, edges):
+    """The join graph and an uncached context over scanned (prefixed)
+    tables, every row alive."""
     spec = QuerySpec(
         "q", relations=[Relation(a, a) for a in tables], edges=edges
     )
     jg = build_join_graph(spec)
     scanned = {a: t.prefixed(a) for a, t in tables.items()}
-    masks = {a: np.ones(t.num_rows, dtype=np.bool_) for a, t in tables.items()}
-    return jg, scanned, masks
+    rows = {a: np.arange(t.num_rows) for a, t in tables.items()}
+    return jg, ExecContext(tables=scanned, rows=rows)
+
+
+def _survivors(state):
+    """Surviving row ids per alias, as lists."""
+    return {alias: rows.tolist() for alias, rows in state.rows.items()}
 
 
 def _chain():
@@ -40,7 +47,7 @@ def _chain():
 
 
 def test_join_tree_bfs_and_dropped_edges():
-    jg, _, _ = _chain()
+    jg, _ = _chain()
     jtree = build_join_tree(jg, root="s")
     assert jtree.root == "s"
     assert set(jtree.tree.edges) == {("s", "r"), ("s", "t")}
@@ -49,7 +56,7 @@ def test_join_tree_bfs_and_dropped_edges():
 
 def test_join_tree_drops_cycle_edges():
     a = Table.from_pydict("a", {"k": [1]})
-    jg, _, _ = _setup(
+    jg, _ = _setup(
         {"a": a, "b": a, "c": a},
         [
             edge("a", "b", ("k", "k")),
@@ -65,59 +72,56 @@ def test_semi_join_phase_exact_on_acyclic_query():
     """On an acyclic query, every surviving row must participate in the
     full join result, and every participating row must survive — the
     Yannakakis guarantee."""
-    jg, scanned, masks = _chain()
-    reduced, stats = run_semi_join_phase(jg, scanned, masks)
-    assert reduced["r"].tolist() == [True, True, False]
-    assert reduced["s"].tolist() == [True, False, True, False, False]
-    assert reduced["t"].tolist() == [True, True, False, False]
+    jg, state = _chain()
+    run_semi_join_rows(state, jg)
+    stats = state.stats.transfer
+    assert _survivors(state) == {"r": [0, 1], "s": [0, 2], "t": [0, 1]}
     # Semi-joins ship exact filters: on these dense keys, bitmaps.
     assert stats.inserted("bitmap") > 0 and stats.probed("bitmap") > 0
     assert stats.inserted("bloom") == stats.probed("bloom") == 0
 
 
 def test_semi_join_phase_respects_root_choice():
-    jg, scanned, masks = _chain()
     for root in ("r", "s", "t"):
-        reduced, _ = run_semi_join_phase(
-            jg, scanned, {a: m.copy() for a, m in masks.items()}, root=root
-        )
+        jg, state = _chain()
+        run_semi_join_rows(state, jg, root=root)
         # The reduction itself is root-independent on acyclic queries.
-        assert reduced["s"].tolist() == [True, False, True, False, False]
+        assert state.rows["s"].tolist() == [0, 2]
 
 
 def test_left_join_direction_blocked():
     c = Table.from_pydict("c", {"k": [1, 2, 3]})
     o = Table.from_pydict("o", {"k": [1, 1]})
-    jg, scanned, masks = _setup(
+    jg, state = _setup(
         {"c": c, "o": o}, [edge("c", "o", ("k", "k"), how="left")]
     )
-    reduced, _ = run_semi_join_phase(jg, scanned, masks)
+    run_semi_join_rows(state, jg)
     # customers (preserved side) must never be reduced
-    assert reduced["c"].all()
+    assert state.rows["c"].tolist() == [0, 1, 2]
     # orders may be reduced by the allowed c->o direction
-    assert reduced["o"].all()  # all orders match a customer here
+    assert state.rows["o"].tolist() == [0, 1]  # all orders match a customer here
 
 
 def test_anti_edge_never_filters_left_side():
     ps = Table.from_pydict("ps", {"k": [1, 2, 3]})
     sc = Table.from_pydict("sc", {"k": [2]})
-    jg, scanned, masks = _setup(
+    jg, state = _setup(
         {"ps": ps, "sc": sc}, [edge("ps", "sc", ("k", "k"), how="anti")]
     )
-    reduced, _ = run_semi_join_phase(jg, scanned, masks)
-    assert reduced["ps"].all()  # anti-join left side untouched
+    run_semi_join_rows(state, jg)
+    assert state.rows["ps"].tolist() == [0, 1, 2]  # anti-join left side untouched
 
 
 def test_disconnected_components_handled():
     a = Table.from_pydict("a", {"k": [1, 2]})
     b = Table.from_pydict("b", {"k": [2, 3]})
     c = Table.from_pydict("c", {"x": [9]})
-    jg, scanned, masks = _setup(
+    jg, state = _setup(
         {"a": a, "b": b, "c": c}, [edge("a", "b", ("k", "k"))]
     )
-    reduced, _ = run_semi_join_phase(jg, scanned, masks)
-    assert reduced["a"].tolist() == [False, True]
-    assert reduced["c"].all()
+    run_semi_join_rows(state, jg)
+    assert state.rows["a"].tolist() == [1]
+    assert state.rows["c"].tolist() == [0]
 
 
 def test_yannakakis_result_equals_full_join_participation():
@@ -128,11 +132,13 @@ def test_yannakakis_result_equals_full_join_participation():
         "s", {"b": rng.integers(0, 10, 40), "c": rng.integers(0, 10, 40)}
     )
     t = Table.from_pydict("t", {"c": rng.integers(0, 10, 40)})
-    jg, scanned, masks = _setup(
+    jg, state = _setup(
         {"r": r, "s": s, "t": t},
         [edge("r", "s", ("b", "b")), edge("s", "t", ("c", "c"))],
     )
-    reduced, _ = run_semi_join_phase(jg, scanned, masks)
+    scanned = state.tables
+    run_semi_join_rows(state, jg)
+    surviving_s = set(state.rows["s"].tolist())
     # Brute force: which s rows appear in r ⋈ s ⋈ t?
     rs, _ = hash_join(
         scanned["s"].filter(np.ones(40, bool)), scanned["r"], ["s.b"], ["r.b"]
@@ -146,7 +152,7 @@ def test_yannakakis_result_equals_full_join_participation():
     }
     for i in range(40):
         key = (int(s.column("b").data[i]), int(s.column("c").data[i]))
-        assert reduced["s"][i] == (key in surviving_s_b_c)
+        assert (i in surviving_s) == (key in surviving_s_b_c)
 
 
 def test_cycle_edge_post_verification_recovers_filtering():
@@ -157,7 +163,7 @@ def test_cycle_edge_post_verification_recovers_filtering():
     a = Table.from_pydict("a", {"k": [1, 2], "m": [1, 2]})
     b = Table.from_pydict("b", {"k": [1, 2]})
     c = Table.from_pydict("c", {"k": [1, 2], "m": [1, 9]})
-    jg, scanned, masks = _setup(
+    jg, state = _setup(
         {"a": a, "b": b, "c": c},
         [
             edge("a", "b", ("k", "k")),
@@ -165,16 +171,16 @@ def test_cycle_edge_post_verification_recovers_filtering():
             edge("a", "c", ("m", "m")),
         ],
     )
-    reduced, stats = run_semi_join_phase(jg, scanned, masks)
-    assert stats.edges_verified > 0
-    assert reduced["a"].tolist() == [True, False]
-    assert reduced["c"].tolist() == [True, False]
+    run_semi_join_rows(state, jg)
+    assert state.stats.transfer.edges_verified > 0
+    assert state.rows["a"].tolist() == [0]
+    assert state.rows["c"].tolist() == [0]
 
 
 def test_acyclic_query_has_no_verified_edges():
-    jg, scanned, masks = _chain()
-    _, stats = run_semi_join_phase(jg, scanned, masks)
-    assert stats.edges_verified == 0
+    jg, state = _chain()
+    run_semi_join_rows(state, jg)
+    assert state.stats.transfer.edges_verified == 0
 
 
 @pytest.mark.parametrize("root", ["c", "o"])
@@ -184,19 +190,19 @@ def test_blocked_direction_ships_nothing(how, root):
     direction's filter is never built, whichever side is the root."""
     c = Table.from_pydict("c", {"k": [1, 2, 3]})
     o = Table.from_pydict("o", {"k": [1, 1, 4]})
-    jg, scanned, masks = _setup(
+    jg, state = _setup(
         {"c": c, "o": o}, [edge("c", "o", ("k", "k"), how=how)]
     )
-    reduced, stats = run_semi_join_phase(jg, scanned, masks, root=root)
+    run_semi_join_rows(state, jg, root=root)
+    stats = state.stats.transfer
     # Only c -> o shipped: c's three keys inserted, o's three rows probed.
     assert stats.edges_traversed == 1
     assert (stats.inserted("bitmap"), stats.probed("bitmap")) == (3, 3)
-    assert reduced["c"].all()
-    assert reduced["o"].tolist() == [True, True, False]
+    assert _survivors(state) == {"c": [0, 1, 2], "o": [0, 1]}
     # The same edge as an inner join ships in both directions.
-    jg, scanned, masks = _setup({"c": c, "o": o}, [edge("c", "o", ("k", "k"))])
-    _, stats = run_semi_join_phase(jg, scanned, masks, root=root)
-    assert stats.edges_traversed == 2
+    jg, state = _setup({"c": c, "o": o}, [edge("c", "o", ("k", "k"))])
+    run_semi_join_rows(state, jg, root=root)
+    assert state.stats.transfer.edges_traversed == 2
 
 
 # ----------------------------------------------------------------------
@@ -250,10 +256,7 @@ def test_full_reducer_on_acyclic_tpch(rid_catalog, query_id):
 
     ctx = ExecContext()
     _scan(ctx, spec, rid_catalog, config)
-    lengths = {a: t.num_rows for a, t in ctx.tables.items()}
-    reduced, _ = run_semi_join_phase(
-        build_join_graph(spec), ctx.tables, rows_to_masks(ctx.rows, lengths)
-    )
-    for alias, mask in reduced.items():
+    run_semi_join_rows(ctx, build_join_graph(spec))
+    for alias, rows in ctx.rows.items():
         participating = np.unique(joined.column(f"{alias}.rid").data)
-        assert np.array_equal(np.flatnonzero(mask), participating), alias
+        assert np.array_equal(rows, participating), alias
