@@ -3,8 +3,10 @@
 Public surface:
 
 - :func:`analyze` / :func:`validate` — schema-inference pass over a
-  :class:`~repro.plan.query.QuerySpec` (``repro check``, engine
-  pre-flight, server pre-admission gate all route through these);
+  :class:`~repro.plan.query.QuerySpec` (``repro check`` routes through
+  the first; the server's pre-admission verdict is the second).  Its
+  ``REP112`` emptiness check reads value ranges the way zone-map
+  pruning does, through :func:`repro.storage.partition.empty_operand`;
 - :class:`Diagnostic` and the :data:`CODES` catalogue of stable
   ``REPxxx`` diagnostic codes;
 - :mod:`repro.analysis.lint` — the AST invariant linter, run as

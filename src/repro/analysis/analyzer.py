@@ -18,11 +18,13 @@ throws on the first error.  The walk mirrors the execution pipeline:
 5. the **post pipeline** threads the schema through
    aggregate/filter/project/sort/limit stages, so a sort key referring
    to a column the aggregate just replaced is caught;
-6. every checked predicate additionally runs the interval-based
-   unsatisfiability analysis (:mod:`repro.analysis.unsat`).
+6. every checked predicate is intersected, per operand, over the value
+   ranges its conjuncts admit — the zone-map pruner's reading
+   (:func:`repro.storage.partition.empty_operand`); an empty
+   intersection is the ``REP112`` warning.
 
-:func:`validate` is the raising wrapper used by
-``Engine.execute(validate=True)`` and the server's pre-admission gate.
+:func:`validate` is the raising wrapper, and the verdict of the
+server's pre-admission gate.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ from ..plan.query import (
 )
 from ..storage.catalog import Catalog
 from ..storage.column import DType
+from ..storage.partition import empty_operand
 from .diagnostics import ERROR, Diagnostic, diag
 from .typecheck import ExprChecker, alias_env
-from .unsat import unsat_reason
 
 
 class _ScalarTables:
@@ -411,6 +413,13 @@ def _check_agg(
 def _check_unsat(
     predicate: N.Expr, diags: list[Diagnostic], path: str
 ) -> None:
-    reason = unsat_reason(predicate)
-    if reason is not None:
-        diags.append(diag("REP112", reason, path))
+    operand = empty_operand(predicate)
+    if operand is not None:
+        diags.append(
+            diag(
+                "REP112",
+                f"constraints on {operand!r} intersect to an empty domain; "
+                f"the predicate can never select a row",
+                path,
+            )
+        )

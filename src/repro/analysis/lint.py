@@ -42,12 +42,13 @@ declared once, as a field of the stats book that owns it
 (``metric_field``), and only the walk in ``obs`` registers families.
 
 **expr-walker** — a function that checks ``isinstance`` against four or
-more expression node classes, outside the four modules that give each
-node its meaning (``expr/eval.py``, ``analysis/typecheck.py``,
-``cache/fingerprint.py``, ``storage/partition.py``).  The tree's shape
-is declared once, by the node dataclasses: walk it with
-``Expr.children()``/``walk()``/``map()`` and a spec's slots with
-``QuerySpec.expressions()``/``map_expressions()``.
+more expression node classes, outside the three modules that give each
+node its meaning: ``expr/eval.py`` (its value), ``analysis/typecheck.py``
+(its type) and ``storage/partition.py`` (the value range it admits).
+The tree's shape is declared once, by the node dataclasses: walk it
+with ``Expr.children()``/``walk()``/``map()``, a spec's slots with
+``QuerySpec.expressions()``/``map_expressions()``, and serialize it
+from its fields (``cache/fingerprint.py::canonical_expr``).
 """
 
 from __future__ import annotations
@@ -500,8 +501,7 @@ def check_metric_declaration(
 # ----------------------------------------------------------------------
 #: Modules whose per-node dispatch is the node's semantics.
 EXPR_SEMANTICS: frozenset[tuple[str, ...]] = frozenset(
-    {("expr", "eval"), ("analysis", "typecheck"), ("cache", "fingerprint"),
-     ("storage", "partition")}
+    {("expr", "eval"), ("analysis", "typecheck"), ("storage", "partition")}
 )
 
 #: A function naming this many node classes in ``isinstance`` checks

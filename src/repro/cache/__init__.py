@@ -29,6 +29,7 @@ from .fingerprint import (
     canonical_expr,
     filter_fingerprint,
     fingerprint,
+    plan_fingerprint,
     prefilter_fingerprint,
     scan_fingerprint,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "default_filter_cache",
     "filter_fingerprint",
     "fingerprint",
+    "plan_fingerprint",
     "prefilter_fingerprint",
     "scan_fingerprint",
 ]

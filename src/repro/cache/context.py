@@ -30,15 +30,15 @@ from typing import TYPE_CHECKING, cast
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from typing import Iterable
+    from typing import Iterable, Sequence
 
     from ..plan.query import QuerySpec
     from ..storage.catalog import Catalog, DataVersion
 
 from ..errors import QueryAborted, ReproError
 from .fingerprint import (
-    canonical_expr,
     filter_fingerprint,
+    plan_parts,
     prefilter_fingerprint,
     scan_fingerprint,
     strip_alias,
@@ -50,7 +50,7 @@ class AliasKey:
     """Cache identity of one aliased base relation."""
 
     table: str
-    version: "int | DataVersion"
+    version: "DataVersion"
     predicate: str  # canonical, alias-stripped local-predicate form
 
 
@@ -64,11 +64,17 @@ class QueryCache:
     still propagate — those are the caller's to handle.
     """
 
-    __slots__ = ("cache", "aliases", "hits", "misses", "errors")
+    __slots__ = ("cache", "aliases", "edges", "hits", "misses", "errors")
 
-    def __init__(self, cache: FilterCache, aliases: dict[str, AliasKey]) -> None:
+    def __init__(
+        self,
+        cache: FilterCache,
+        aliases: dict[str, AliasKey],
+        edges: "Sequence[str]" = (),
+    ) -> None:
         self.cache = cache
         self.aliases = aliases
+        self.edges = edges  # the plan's canonical join-edge forms
         self.hits = 0
         self.misses = 0
         self.errors = 0
@@ -169,18 +175,13 @@ class QueryCache:
     # Whole-query pre-filter results
     # ------------------------------------------------------------------
     def prefilter_fp(
-        self,
-        edges: list[str],
-        strategy: str,
-        config_form: str,
-        *,
-        lineage: bool = False,
+        self, strategy: str, transfer: object, *, lineage: bool = False
     ) -> str:
         relation_keys = [
             (alias, key.table, _version(key, lineage), key.predicate)
             for alias, key in self.aliases.items()
         ]
-        return prefilter_fingerprint(relation_keys, edges, strategy, config_form)
+        return prefilter_fingerprint(relation_keys, self.edges, strategy, transfer)
 
     def get_prefilter(self, fp: str) -> dict[str, np.ndarray] | None:
         """Cached pre-filter phase output (alias → row vector).  An
@@ -198,11 +199,7 @@ class QueryCache:
         }
 
     def put_prefilter(
-        self,
-        edges: list[str],
-        strategy: str,
-        config_form: str,
-        rows: dict[str, np.ndarray],
+        self, strategy: str, transfer: object, rows: dict[str, np.ndarray]
     ) -> None:
         """Store the pre-filter phase output.  An alias whose survivors
         are every row is stored as its row count: survivor vectors are
@@ -210,10 +207,10 @@ class QueryCache:
         n - 1``, and nothing is copied, checksummed or charged for it."""
         tables = tuple(sorted({k.table for k in self.aliases.values()}))
         self._put(
-            self.prefilter_fp(edges, strategy, config_form),
+            self.prefilter_fp(strategy, transfer),
             {alias: _count_if_all_rows(r) for alias, r in rows.items()},
             tables,
-            self.prefilter_fp(edges, strategy, config_form, lineage=True),
+            self.prefilter_fp(strategy, transfer, lineage=True),
         )
 
 
@@ -225,12 +222,10 @@ def _count_if_all_rows(rows: np.ndarray) -> "np.ndarray | int":
     return rows
 
 
-def _version(key: AliasKey, lineage: bool) -> "int | DataVersion":
+def _version(key: AliasKey, lineage: bool) -> "DataVersion | int":
     """The version a fingerprint embeds: the key's own, or for a
     lineage its ``base`` alone, which every delta of it shares."""
-    if lineage and not isinstance(key.version, int):
-        return key.version.base
-    return key.version
+    return key.version.base if lineage else key.version
 
 
 def build_query_cache(
@@ -244,14 +239,10 @@ def build_query_cache(
     ``catalog`` is the query's pinned snapshot, whose versions name the
     contents the query reads.
     """
+    relations, edges = plan_parts(spec)
     aliases: dict[str, AliasKey] = {}
-    for relation in spec.relations:
-        version = catalog.data_version(relation.table)
-        if version is None:
-            continue
-        aliases[relation.alias] = AliasKey(
-            table=relation.table,
-            version=version,
-            predicate=canonical_expr(relation.predicate, relation.alias),
-        )
-    return QueryCache(cache, aliases)
+    for alias, (table, predicate) in relations.items():
+        version = catalog.data_version(table)
+        if version is not None:
+            aliases[alias] = AliasKey(table, version, predicate)
+    return QueryCache(cache, aliases, edges)

@@ -144,7 +144,6 @@ import networkx as nx
 import numpy as np
 
 from ..cache.context import build_query_cache
-from ..cache.fingerprint import canonical_expr
 from ..cache.store import FilterCache
 from ..context import QueryContext
 from ..engine.aggregate import group_aggregate
@@ -344,10 +343,7 @@ def run_query(
     if config.strategy in ("yannakakis", "predtrans") and ctx.cache.covers(
         r.alias for r in resolved.relations
     ):
-        prefilter_args = (
-            _edge_forms(resolved), config.strategy, _prefilter_config_form(config)
-        )
-        prefilter_fp = ctx.cache.prefilter_fp(*prefilter_args)
+        prefilter_fp = ctx.cache.prefilter_fp(config.strategy, config.transfer)
         cached_rows = ctx.cache.get_prefilter(prefilter_fp)
 
     if cached_rows is not None:
@@ -357,7 +353,7 @@ def run_query(
         scanned = graph.subgraph(ctx.rows) if held else graph
         _schedule(ctx, scanned, local_sizes, config)
     if prefilter_fp is not None and cached_rows is None:
-        ctx.cache.put_prefilter(*prefilter_args, ctx.rows)
+        ctx.cache.put_prefilter(config.strategy, config.transfer, ctx.rows)
 
     if deferrals:
         # Seed filters from the survivors, then the deferred stages (on
@@ -455,29 +451,6 @@ def _schedule(
         run_semi_join_rows(ctx, graph)
     elif config.strategy == "predtrans":
         run_transfer_rows(ctx, build_pt_graph(graph, sizes), config.transfer)
-
-
-def _edge_forms(spec: QuerySpec) -> list[str]:
-    """Canonical join-edge serializations for prefilter fingerprints."""
-    return [
-        f"{e.left}~{e.right}:{','.join(e.left_keys)}~{','.join(e.right_keys)}"
-        f":{e.how}:{canonical_expr(e.residual)}"
-        for e in spec.edges
-    ]
-
-
-def _prefilter_config_form(config: RunConfig) -> str:
-    """The strategy-config part of a prefilter fingerprint.
-
-    ``TransferConfig`` is a frozen dataclass of scalars, so its repr is
-    a deterministic serialization of every transfer knob.
-    """
-    if config.strategy == "predtrans":
-        return repr(config.transfer)
-    # ``verify-residual`` marks the cyclic fallback plan (spanning tree
-    # + off-tree edge post-verification) so its prefilter results never
-    # collide with entries from a plain-spanning-tree build.
-    return "verify-residual"
 
 
 # ----------------------------------------------------------------------

@@ -22,10 +22,11 @@ class PlanError(ReproError):
 class PlanValidationError(PlanError):
     """A plan failed static semantic analysis before execution.
 
-    Raised by ``Engine.execute(validate=True)`` and the server's
-    pre-admission gate.  ``diagnostics`` carries the analyzer findings
-    — objects (or plain dicts, when rebuilt from a wire frame) exposing
-    ``code`` / ``severity`` / ``message`` / ``path``.
+    Raised by :func:`repro.analysis.validate`, which the server's
+    pre-admission gate calls.  ``diagnostics`` carries every analyzer
+    finding, warnings too — objects (or plain dicts, when rebuilt from
+    a wire frame) exposing ``code`` / ``severity`` / ``message`` /
+    ``path``.
     """
 
     def __init__(

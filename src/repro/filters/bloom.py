@@ -263,12 +263,8 @@ class BloomFilter(TransferableFilter):
         return False
 
     def bits_set(self) -> int:
-        """Number of set bits (saturation diagnostics)."""
+        """Number of set bits."""
         return int(np.bitwise_count(self._words).sum())
-
-    def saturation(self) -> float:
-        """Fraction of bits set; >0.5 signals an undersized filter."""
-        return self.bits_set() / self.num_bits
 
     def size_bytes(self) -> int:
         """Memory footprint of the packed word array."""

@@ -110,12 +110,8 @@ class ReferenceBloomFilter(TransferableFilter):
         return False
 
     def bits_set(self) -> int:
-        """Number of set bits (saturation diagnostics)."""
+        """Number of set bits."""
         return int(self._bits.sum())
-
-    def saturation(self) -> float:
-        """Fraction of bits set; >0.5 signals an undersized filter."""
-        return self.bits_set() / self.num_bits
 
     def size_bytes(self) -> int:
         """Memory footprint of the (byte-per-bit) array."""

@@ -31,7 +31,7 @@ from .metrics import (
     MetricFamily,
     MetricsRegistry,
 )
-from .slowlog import SlowQueryLog, plan_fingerprint
+from .slowlog import SlowQueryLog
 from .trace import (
     Span,
     TraceSink,
@@ -60,7 +60,6 @@ __all__ = [
     "mint_span_id",
     "mint_trace_id",
     "parse_prometheus_text",
-    "plan_fingerprint",
     "render_prometheus",
     "render_varz",
     "spans_from_stats",

@@ -5,8 +5,9 @@ trace id, plan fingerprint, strategy, the Figure-5 phase breakdown
 (prefilter vs join-phase seconds plus the per-phase split), cache
 traffic, and outcome.  An operator correlates a slow line with its
 full span tree via ``trace_id`` and with recurring plan shapes via
-``plan_fp`` — the fingerprint is stable across runs for the same plan
-structure, unlike the query's display name.
+``plan_fp`` (:func:`repro.cache.fingerprint.plan_fingerprint`) — the
+fingerprint is stable across runs for the same plan structure, unlike
+the query's display name.
 
 Rate limiting is a token bucket (``max_per_minute``): a storm of slow
 queries — the exact situation that makes a slow log interesting —
@@ -17,47 +18,15 @@ nothing disappears silently.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 import time
 from dataclasses import asdict
 from typing import IO, Callable
 
-from ..cache.fingerprint import canonical_expr
 from ..engine.stats import QueryStats
-from ..plan.query import QuerySpec
 
-__all__ = ["SlowQueryLog", "plan_fingerprint"]
-
-_SEP = "\x1f"
-
-
-def plan_fingerprint(spec: QuerySpec) -> str:
-    """A 16-hex-char structural fingerprint of a query plan.
-
-    SHA-256 over the canonical plan shape: sorted relation entries
-    (alias, table, canonical local predicate), sorted join edges
-    (endpoints, keys, kind), and recursively the pre-stages.  Stable
-    across processes and runs — ``repr``-based hashing would leak
-    object ids — and insensitive to declaration order.
-    """
-    parts: list[str] = []
-    for r in sorted(spec.relations, key=lambda r: r.alias):
-        parts.append(
-            f"rel:{r.alias}={r.table}:{canonical_expr(r.predicate, r.alias)}"
-        )
-    for e in sorted(spec.edges, key=lambda e: (e.left, e.right, e.left_keys)):
-        parts.append(
-            f"edge:{e.left}[{','.join(e.left_keys)}]"
-            f"={e.right}[{','.join(e.right_keys)}]:{e.how}"
-            f":{canonical_expr(e.residual)}"
-        )
-    parts.append(f"post:{len(spec.post)}")
-    for stage in spec.pre_stages:
-        parts.append(f"stage:{stage.output}:{plan_fingerprint(stage.spec)}")
-    digest = hashlib.sha256(_SEP.join(parts).encode("utf-8")).hexdigest()
-    return digest[:16]
+__all__ = ["SlowQueryLog"]
 
 
 class SlowQueryLog:

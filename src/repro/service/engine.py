@@ -56,7 +56,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
-from ..analysis import validate as _validate_plan
+from ..cache.fingerprint import plan_fingerprint
 from ..cache.store import CacheStats, FilterCache
 from ..context import CancelToken, QueryContext
 from ..core.runner import QueryResult, RunConfig, run_query
@@ -64,7 +64,7 @@ from ..engine.stats import QueryStats, metric_field
 from ..errors import EngineSaturated, QueryCancelled
 from ..obs.adapters import EngineObserver
 from ..obs.metrics import MetricsRegistry
-from ..obs.slowlog import SlowQueryLog, plan_fingerprint
+from ..obs.slowlog import SlowQueryLog
 from ..obs.trace import TraceSink, mint_trace_id, spans_from_stats
 from ..plan.query import QuerySpec
 from ..storage.catalog import Catalog
@@ -99,11 +99,10 @@ class EngineStats:
     :meth:`Engine.snapshot` exposes and the observability hammer test
     asserts under concurrent load).
 
-    ``rejected_invalid`` counts queries the static analyzer refused
-    *before* admission (``Engine.execute(validate=True)`` pre-flight
-    or the server's pre-admission gate).  Such queries never reach
-    ``submit``, so they are deliberately outside ``submitted`` and the
-    reconciliation invariant above is unchanged.
+    ``rejected_invalid`` counts queries the server's pre-admission gate
+    refused.  Such queries never reach ``submit``, so they are
+    deliberately outside ``submitted`` and the reconciliation invariant
+    above is unchanged.
 
     ``ingests`` / ``ingest_failures`` / ``rows_ingested`` count
     :meth:`Engine.ingest` batches (committed / aborted) and the delta
@@ -537,28 +536,14 @@ class Engine:
     def count_invalid(self) -> None:
         """Count one statically-rejected plan (pre-admission).
 
-        Called by :meth:`validate_spec` and the server's pre-admission
-        gate when the analyzer refuses a plan.  The rejection happens
-        *before* :meth:`submit`, so ``rejected_invalid`` is outside the
-        ``submitted == rejected + resolved + pending`` reconciliation
-        invariant — no worker slot was ever consumed.
+        Called by the server's pre-admission gate when
+        :func:`repro.analysis.validate` refuses a plan.  The rejection
+        happens *before* :meth:`submit`, so ``rejected_invalid`` is
+        outside the ``submitted == rejected + resolved + pending``
+        reconciliation invariant — no worker slot was ever consumed.
         """
         with self._lock:
             self._stats.rejected_invalid += 1
-
-    def validate_spec(self, spec: QuerySpec) -> None:
-        """Run the static plan analyzer against this engine's catalog.
-
-        Raises :class:`~repro.errors.PlanValidationError` (carrying the
-        full diagnostic list) when the analyzer finds any
-        error-severity diagnostic, counting the rejection under
-        ``rejected_invalid``.  Warnings alone do not reject.
-        """
-        try:
-            _validate_plan(spec, self.catalog)
-        except Exception:
-            self.count_invalid()
-            raise
 
     def execute(
         self,
@@ -567,22 +552,12 @@ class Engine:
         *,
         timeout: float | None = None,
         token: CancelToken | None = None,
-        validate: bool = False,
     ) -> QueryResult:
         """Run a query through the worker pool and wait for its result.
 
-        With ``validate=True`` the static plan analyzer
-        (:func:`repro.analysis.validate`) runs as a pre-flight check
-        against the engine's catalog *before* admission: an invalid
-        plan raises :class:`~repro.errors.PlanValidationError` carrying
-        the structured diagnostic list (stable ``REPxxx`` codes), no
-        worker slot is consumed, and the rejection is counted under
-        ``EngineStats.rejected_invalid``.  The default (``False``) is
-        the zero-overhead path — execution-time errors still surface as
-        typed :class:`~repro.errors.ReproError` subclasses.
+        Execution-time errors surface as typed
+        :class:`~repro.errors.ReproError` subclasses.
         """
-        if validate:
-            self.validate_spec(spec)
         return self.submit(spec, config, timeout=timeout, token=token).result()
 
     # ------------------------------------------------------------------

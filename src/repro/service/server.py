@@ -19,11 +19,12 @@ a typed, recoverable outcome:
   is cancelled through its :class:`~repro.context.CancelToken`; the
   engine reclaims the worker slot and counts the cancellation.  An
   abandoned query never holds a worker.
-* **Pre-admission plan validation** — every ``QUERY`` frame's resolved
-  spec is checked by the static analyzer (:mod:`repro.analysis`,
-  memoized per query name) *before* ``Engine.submit``: an invalid plan
-  is answered with ``ERROR code=invalid_plan`` carrying the structured
-  diagnostic list, consumes no worker slot, and is counted under
+* **Pre-admission plan validation** — every ``QUERY`` frame's spec is
+  judged by :func:`repro.analysis.validate` (memoized per query name)
+  *before* ``Engine.submit``: an invalid plan is answered with ``ERROR
+  code=invalid_plan`` carrying exactly the diagnostics the in-process
+  :class:`~repro.errors.PlanValidationError` carries (warnings
+  included), consumes no worker slot, and is counted under
   ``EngineStats.rejected_invalid``.
 * **Transactional ingest** — ``INGEST`` frames decode and
   schema-validate their delta tables *before* anything is staged, then
@@ -69,8 +70,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
-from ..analysis import ERROR as DIAG_ERROR
-from ..analysis import analyze
+from ..analysis import validate
 from ..core.runner import RunConfig
 from ..context import CancelToken
 from ..engine.stats import metric_field
@@ -382,10 +382,9 @@ class QueryServer:
         self._drained = asyncio.Event()
         self.port: int | None = None
         self._stats = ServerStats()
-        # Pre-admission static analysis verdicts, memoized by query
-        # name (specs are immutable once registered): () = clean,
-        # a non-empty tuple = the error diagnostics that reject it.
-        self._analysis_memo: dict[str, tuple] = {}
+        # Pre-admission verdicts, memoized by query name (specs are
+        # immutable once registered): None = valid, else the rejection.
+        self._verdicts: dict[str, PlanValidationError | None] = {}
 
     def stats(self) -> ServerStats:
         """The counters, with the gauges read now."""
@@ -683,29 +682,26 @@ class QueryServer:
         return spec
 
     def _precheck(self, spec: QuerySpec) -> None:
-        """Pre-admission static analysis: reject invalid plans before
-        they reach :meth:`Engine.submit`.
+        """Pre-admission gate: :func:`repro.analysis.validate` against
+        the engine's catalog, before :meth:`Engine.submit`.
 
         A rejected request is answered with ``ERROR code=invalid_plan``
-        carrying the full diagnostic list, consumes no worker slot, and
-        is counted under ``EngineStats.rejected_invalid`` (once per
-        request; the analysis itself is memoized per query name, since
-        registered specs are immutable).
+        carrying the diagnostics :class:`PlanValidationError` carries
+        in-process (warnings too), consumes no worker slot, and is
+        counted under ``EngineStats.rejected_invalid`` (once per
+        request; the verdict is memoized per query name).
         """
-        errors = self._analysis_memo.get(spec.name)
-        if errors is None:
-            errors = tuple(
-                d
-                for d in analyze(spec, self.engine.catalog)
-                if d.severity == DIAG_ERROR
-            )
-            self._analysis_memo[spec.name] = errors
-        if errors:
+        if spec.name not in self._verdicts:
+            try:
+                validate(spec, self.engine.catalog)
+                self._verdicts[spec.name] = None
+            except PlanValidationError as exc:
+                self._verdicts[spec.name] = exc.with_traceback(None)
+        rejected = self._verdicts[spec.name]
+        if rejected is not None:
             self.engine.count_invalid()
             raise PlanValidationError(
-                f"plan {spec.name!r} failed validation with "
-                f"{len(errors)} error(s); first: {errors[0]}",
-                diagnostics=errors,
+                str(rejected), diagnostics=rejected.diagnostics
             )
 
     async def _await_job(self, future):

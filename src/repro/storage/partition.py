@@ -5,9 +5,17 @@ sequence of fixed-size row chunks (**partitions**).  The layout carries
 one **zone map** per numeric/date column: the per-partition minimum,
 maximum, null count and valid-row count.  Scans consult the zone maps
 to skip entire partitions whose value range provably cannot satisfy a
-local predicate (range, equality, ``BETWEEN``, ``IN``, ``IS [NOT]
-NULL`` and ``YEAR()`` comparisons) and evaluate the rest one partition
-at a time (:func:`repro.core.runner._scan_selection`).
+local predicate and evaluate the rest one partition at a time
+(:func:`repro.core.runner._scan_selection`).
+
+This module also owns the **value ranges** a predicate admits.
+:func:`read_leaf` turns a leaf — a comparison, ``BETWEEN`` or ``IN`` of
+a column or ``YEAR(column)`` against numbers or dates, in either
+operand order — into :class:`Admits`: bounds with open or closed ends,
+a point set, or an excluded point (``!=``).  :meth:`PartitionLayout.prune`
+tests them against each partition's min/max (and ``IS [NOT] NULL``
+against its null counts); the analyzer's ``REP112`` warning intersects
+them per operand across a conjunction (:func:`empty_operand`).
 
 Beside the zone maps the layout keeps **column statistics**.  Every
 column has a distinct count (:meth:`PartitionLayout.distinct_count`,
@@ -71,6 +79,7 @@ Determinism and invalidation guarantees
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
@@ -392,29 +401,6 @@ class PartitionLayout:
             if left is None or right is None:
                 return None
             return left | right
-        if isinstance(expr, N.Comparison):
-            return self._prune_comparison(expr, columns)
-        if isinstance(expr, N.Between):
-            zone, to_years = self._operand_zone(expr.operand, columns)
-            low = const_value(expr.low)
-            high = const_value(expr.high)
-            if zone is None or low is None or high is None:
-                return None
-            mins, maxs = _zone_bounds(zone, to_years)
-            return (maxs >= low) & (mins <= high) & (zone.valid_counts > 0)
-        if isinstance(expr, N.InSet):
-            zone, to_years = self._operand_zone(expr.operand, columns)
-            if zone is None:
-                return None
-            values = [_literal_value(v) for v in expr.values]
-            points = [v for v in values if v is not None]
-            if len(points) != len(values):
-                return None
-            mins, maxs = _zone_bounds(zone, to_years)
-            keep = np.zeros(self.num_partitions, dtype=np.bool_)
-            for value in points:
-                keep |= (mins <= value) & (value <= maxs)
-            return keep & (zone.valid_counts > 0)
         if isinstance(expr, N.IsNull):
             if not isinstance(expr.operand, N.ColumnRef):
                 return None
@@ -424,56 +410,21 @@ class PartitionLayout:
             if expr.negate:
                 return zone.valid_counts > 0
             return zone.null_counts > 0
-        return None
-
-    def _operand_zone(
-        self, operand: N.Expr, columns: Mapping[str, str]
-    ) -> tuple[ZoneMap | None, bool]:
-        """Zone map of a comparable operand; second item flags YEAR()."""
-        if isinstance(operand, N.ColumnRef):
-            return self._resolve(operand.name, columns), False
-        if isinstance(operand, N.Year) and isinstance(operand.operand, N.ColumnRef):
-            zone = self._resolve(operand.operand.name, columns)
-            if zone is not None and zone.mins.dtype != np.int32:
-                return None, False  # YEAR() only prunes DATE columns
-            return zone, True
-        return None, False
-
-    def _prune_comparison(
-        self, expr: N.Comparison, columns: Mapping[str, str]
-    ) -> np.ndarray | None:
-        op = expr.op
-        zone, to_years = self._operand_zone(expr.left, columns)
-        value = const_value(expr.right)
-        if zone is None or value is None:
-            # Try the mirrored form (constant op column).
-            zone, to_years = self._operand_zone(expr.right, columns)
-            value = const_value(expr.left)
-            if zone is None or value is None:
-                return None
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-        mins, maxs = _zone_bounds(zone, to_years)
-        if op == "==":
-            keep = (mins <= value) & (value <= maxs)
-        elif op == "!=":
-            if zone.mins.dtype.kind == "f":
-                # A NaN row *satisfies* ``!=`` under the evaluator's
-                # NumPy semantics, but NaN-skipping fmin/fmax would
-                # report mins == maxs == value for a [value, NaN]
-                # partition — pruning it would drop the NaN survivor.
-                return None
-            keep = ~((mins == value) & (maxs == value))
-        elif op == "<":
-            keep = mins < value
-        elif op == "<=":
-            keep = mins <= value
-        elif op == ">":
-            keep = maxs > value
-        elif op == ">=":
-            keep = maxs >= value
-        else:  # pragma: no cover - defensive
+        leaf = read_leaf(expr)
+        if leaf is None:
             return None
-        return keep & (zone.valid_counts > 0)
+        (name, to_years), admits = leaf
+        zone = self._resolve(name, columns)
+        if zone is None or (to_years and zone.mins.dtype != np.int32):
+            return None  # YEAR() only prunes DATE columns
+        if admits.excluded and zone.mins.dtype.kind == "f":
+            # A NaN row *satisfies* ``!=`` under the evaluator's NumPy
+            # semantics, but NaN-skipping fmin/fmax would report
+            # mins == maxs == value for a [value, NaN] partition —
+            # pruning it would drop the NaN survivor.
+            return None
+        mins, maxs = _zone_bounds(zone, to_years)
+        return admits.keep(mins, maxs) & (zone.valid_counts > 0)
 
 
 def _valid_values(col: Column, start: int) -> np.ndarray:
@@ -496,8 +447,155 @@ def _zone_bounds(zone: ZoneMap, to_years: bool) -> tuple[np.ndarray, np.ndarray]
     return years_of(zone.mins.astype(np.int64)), years_of(zone.maxs.astype(np.int64))
 
 
-def _literal_value(value: object) -> int | float | None:
-    """A comparable numeric constant, or ``None`` when not prunable."""
+# ----------------------------------------------------------------------
+# Value ranges: what a local predicate's leaves admit
+# ----------------------------------------------------------------------
+#: An operand a leaf constrains: a column name, and whether the leaf
+#: reads ``YEAR(column)`` rather than the column itself.
+Operand = tuple[str, bool]
+
+#: The comparison that holds with its operands swapped.
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+@dataclass(frozen=True)
+class Admits:
+    """The values a leaf (or a conjunction of leaves) admits of one
+    operand: those between ``low`` and ``high`` (an ``*_open`` end
+    excludes the bound itself), within ``points`` when that is a set,
+    other than ``excluded``.
+
+    A leaf fills one part: a range comparison or ``BETWEEN`` the
+    bounds, ``=`` or ``IN`` the points, ``!=`` the excluded point.  No
+    NULL satisfies any leaf, and no NaN any leaf but ``!=``.
+    """
+
+    low: float = -math.inf
+    low_open: bool = False
+    high: float = math.inf
+    high_open: bool = False
+    points: frozenset | None = None
+    excluded: frozenset = frozenset()
+
+    def keep(self, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
+        """Which ``[mins[i], maxs[i]]`` ranges may hold an admitted value."""
+        keep = (maxs > self.low) if self.low_open else (maxs >= self.low)
+        keep &= (mins < self.high) if self.high_open else (mins <= self.high)
+        if self.points is not None:
+            hit = np.zeros(len(mins), dtype=np.bool_)
+            for value in self.points:
+                hit |= (mins <= value) & (value <= maxs)
+            keep &= hit
+        for value in self.excluded:
+            keep &= ~((mins == value) & (maxs == value))
+        return keep
+
+    def __and__(self, other: "Admits") -> "Admits":
+        """The values both admit."""
+        # At an equal bound the open end is the tighter one.
+        low = max((self.low, self.low_open), (other.low, other.low_open))
+        high = min((self.high, not self.high_open), (other.high, not other.high_open))
+        points = self.points
+        if other.points is not None:
+            points = other.points if points is None else points & other.points
+        return Admits(
+            low[0], low[1], high[0], not high[1], points, self.excluded | other.excluded
+        )
+
+    def _within(self, value: float) -> bool:
+        """Is ``value`` within the bounds and not excluded?"""
+        above = self.low < value or (value == self.low and not self.low_open)
+        below = value < self.high or (value == self.high and not self.high_open)
+        return above and below and value not in self.excluded
+
+    def empty(self) -> bool:
+        """Is no value admitted?  ``False`` unless provable: an
+        excluded point is not known to empty a range wider than it."""
+        if self.points is not None:
+            return not any(self._within(value) for value in self.points)
+        return self.low > self.high or (
+            self.low == self.high and not self._within(self.low)
+        )
+
+
+def read_leaf(expr: N.Expr) -> tuple[Operand, Admits] | None:
+    """The operand a leaf constrains and the values it admits; ``None``
+    for any other node.
+
+    A leaf is a comparison, ``BETWEEN`` or ``IN`` over a column or
+    ``YEAR(column)`` against constants (:func:`const_value`: numbers
+    and dates; a string constant is not ordered here), in either
+    operand order.  A ``BETWEEN`` with one constant bound admits the
+    one-sided range that bound gives; an ``IN`` list needs every value
+    to be a number.
+    """
+    if isinstance(expr, N.Comparison):
+        operand, op, value = _operand(expr.left), expr.op, const_value(expr.right)
+        if operand is None or value is None:
+            operand, value = _operand(expr.right), const_value(expr.left)
+            op = _MIRRORED.get(op, op)
+            if operand is None or value is None:
+                return None
+        if op == "==":
+            return operand, Admits(points=frozenset((value,)))
+        if op == "!=":
+            return operand, Admits(excluded=frozenset((value,)))
+        if op in ("<", "<="):
+            return operand, Admits(high=value, high_open=op == "<")
+        if op in (">", ">="):
+            return operand, Admits(low=value, low_open=op == ">")
+        return None
+    if isinstance(expr, N.Between):
+        operand = _operand(expr.operand)
+        low, high = const_value(expr.low), const_value(expr.high)
+        if operand is None or (low is None and high is None):
+            return None
+        return operand, Admits(
+            low=-math.inf if low is None else low,
+            high=math.inf if high is None else high,
+        )
+    if isinstance(expr, N.InSet):
+        operand = _operand(expr.operand)
+        values = [_number(v) for v in expr.values]
+        if operand is None or None in values:
+            return None
+        return operand, Admits(points=frozenset(values))
+    return None
+
+
+def empty_operand(predicate: N.Expr) -> str | None:
+    """An operand whose admitted values intersect to nothing across
+    ``predicate``'s AND-conjuncts (``"col"`` or ``"year(col)"``), so the
+    predicate selects no row; ``None`` when no emptiness is provable
+    (OR-branches and other shapes constrain nothing)."""
+    admitted: dict[Operand, Admits] = {}
+    stack = [predicate]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, N.And):
+            stack += (node.right, node.left)
+            continue
+        leaf = read_leaf(node)
+        if leaf is not None:
+            operand, admits = leaf
+            seen = admitted.get(operand)
+            admitted[operand] = admits if seen is None else seen & admits
+    for (name, year), admits in admitted.items():
+        if admits.empty():
+            return f"year({name})" if year else name
+    return None
+
+
+def _operand(expr: N.Expr) -> Operand | None:
+    if isinstance(expr, N.ColumnRef):
+        return expr.name, False
+    if isinstance(expr, N.Year) and isinstance(expr.operand, N.ColumnRef):
+        return expr.operand.name, True
+    return None
+
+
+def _number(value: object) -> int | float | None:
+    """A comparable numeric constant, or ``None`` (bools excluded)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
     return value
@@ -508,7 +606,7 @@ def const_value(expr: N.Expr) -> int | float | None:
     excluded) or a date literal as epoch days; ``None`` otherwise, and
     for a malformed date, which the type checker reports."""
     if isinstance(expr, N.Literal):
-        return _literal_value(expr.value)
+        return _number(expr.value)
     if isinstance(expr, N.DateLiteral):
         try:
             return date_to_days(expr.iso)

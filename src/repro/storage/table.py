@@ -135,13 +135,6 @@ class Table:
         """Project to the given columns (in the given order)."""
         return Table(self.name, {name: self.column(name) for name in names})
 
-    def rename(self, mapping: Mapping[str, str]) -> "Table":
-        """Rename columns; names absent from ``mapping`` are kept."""
-        return Table(
-            self.name,
-            {mapping.get(name, name): col for name, col in self.columns.items()},
-        )
-
     def prefixed(self, alias: str) -> "Table":
         """Qualify every column name as ``"<alias>.<name>"``.
 
@@ -153,16 +146,6 @@ class Table:
             base = name.split(".", 1)[1] if "." in name else name
             renamed[f"{alias}.{base}"] = col
         return Table(alias, renamed)
-
-    def with_column(self, name: str, column: Column) -> "Table":
-        """Return a copy with one column added or replaced."""
-        if len(column) != self._num_rows and self._num_rows > 0:
-            raise SchemaError(
-                f"column {name!r} has {len(column)} rows, table has {self._num_rows}"
-            )
-        columns = dict(self.columns)
-        columns[name] = column
-        return Table(self.name, columns)
 
     def head(self, n: int) -> "Table":
         """First ``n`` rows."""

@@ -24,7 +24,6 @@ from repro.plan.query import (
     Stage,
     edge,
 )
-from repro.service import Engine
 from repro.service.server import build_default_registry
 
 SF = 0.003
@@ -337,35 +336,6 @@ def test_pre_stage_diagnostics_carry_stage_path(registry):
     assert diags[0].path == (
         "pre_stages[0].spec.relations[0].predicate.left"
     )
-
-
-# ----------------------------------------------------------------------
-# Engine integration: execute(validate=True) + rejected_invalid counter
-# ----------------------------------------------------------------------
-def test_engine_execute_validate_rejects_and_counts(registry):
-    catalog, _ = registry
-    engine = Engine(catalog, workers=1)
-    try:
-        with pytest.raises(PlanValidationError) as excinfo:
-            engine.execute(_rep104(), validate=True)
-        assert excinfo.value.diagnostics[0].code == "REP104"
-        snap = engine.snapshot()
-        assert snap.stats.rejected_invalid == 1
-        assert snap.stats.submitted == 0  # never consumed a slot
-        assert snap.consistent
-    finally:
-        engine.close()
-
-
-def test_engine_execute_validate_passes_clean_plans(registry):
-    catalog, specs = registry
-    engine = Engine(catalog, workers=1)
-    try:
-        result = engine.execute(specs["q1"], validate=True)
-        assert result.table.num_rows > 0
-        assert engine.snapshot().stats.rejected_invalid == 0
-    finally:
-        engine.close()
 
 
 # ----------------------------------------------------------------------

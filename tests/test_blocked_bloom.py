@@ -98,9 +98,9 @@ def test_probe_touches_one_cache_line():
 
 def test_saturation_tracks_inserts():
     bloom = BloomFilter(capacity=10_000, fpp=0.01)
-    assert bloom.saturation() == 0.0
+    assert bloom.bits_set() == 0
     bloom.add_keys(np.arange(10_000, dtype=np.uint64))
-    assert 0.15 < bloom.saturation() < 0.6
+    assert 0.15 < bloom.bits_set() / bloom.num_bits < 0.6
     assert bloom.bits_set() == int(
         sum(bin(int(w)).count("1") for w in bloom._words)
     )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import runner
-from repro.core.runner import STRATEGIES, RunConfig, run_query
+from repro.core.runner import STRATEGIES, run_query
 from repro.engine.aggregate import AggSpec, GroupKey
 from repro.expr.nodes import col, lit
 from repro.plan.query import Aggregate, QuerySpec, Relation, Sort, edge

@@ -4,8 +4,6 @@ import pathlib
 import runpy
 import sys
 
-import pytest
-
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
 

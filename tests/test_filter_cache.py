@@ -12,9 +12,10 @@ import pytest
 from repro.cache.context import AliasKey, QueryCache
 from repro.cache.store import FilterCache, payload_checksum, payload_nbytes
 from repro.core.runner import RunConfig, run_query
-from repro.core.transfer import identity_rows
+from repro.core.transfer import TransferConfig, identity_rows
 from repro.filters.bloom import BloomFilter
 from repro.service.workload import result_digest
+from repro.storage.catalog import DataVersion
 from repro.testing.faults import FaultPlan, FaultRule, inject
 from repro.tpch import get_query
 
@@ -188,15 +189,15 @@ def test_payload_checksum_reads_arrays_in_place():
 
 def test_prefilter_entry_stores_exactly_the_all_rows_aliases_as_counts():
     cache = FilterCache()
-    query = QueryCache(cache, {a: AliasKey("t", 1, "") for a in "abcd"})
+    query = QueryCache(cache, {a: AliasKey("t", DataVersion(1), "") for a in "abcd"})
     rows = {
         "a": np.arange(5),
         "b": np.array([0, 2, 4]),  # starts at 0, but is not every row
         "c": np.array([1, 2]),
         "d": np.arange(0),
     }
-    query.put_prefilter([], "predtrans", "", rows)
-    fp = query.prefilter_fp([], "predtrans", "")
+    query.put_prefilter("predtrans", TransferConfig(), rows)
+    fp = query.prefilter_fp("predtrans", TransferConfig())
     stored = cache.get(fp)
     assert stored["a"] == 5 and stored["d"] == 0
     assert stored["b"] is rows["b"] and stored["c"] is rows["c"]

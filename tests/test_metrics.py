@@ -24,17 +24,16 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     SlowQueryLog,
-    Span,
     TraceSink,
     format_span_tree,
     mint_span_id,
     mint_trace_id,
     parse_prometheus_text,
-    plan_fingerprint,
     render_prometheus,
     render_varz,
     spans_from_stats,
 )
+from repro.cache.fingerprint import plan_fingerprint
 from repro.engine.stats import SKIPPED_COVERED, QueryStats
 from repro.tpch.queries import get_query
 

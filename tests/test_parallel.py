@@ -26,12 +26,11 @@ from repro.core.runner import STRATEGIES, RunConfig, _scan_selection, run_query
 from repro.core.transfer import ExecContext, TransferConfig, build_filter
 from repro.engine.hashjoin import hash_join
 from repro.engine.stats import EdgeStat, QueryStats
-from repro.errors import FilterError, PlanError
+from repro.errors import PlanError
 from repro.expr.eval import evaluate_mask
 from repro.expr.nodes import col, date
 from repro.filters import bloom
-from repro.filters.bloom import MORSEL_KEYS, BloomFilter, morsels
-from repro.filters.hashing import bloom_keys
+from repro.filters.bloom import MORSEL_KEYS, morsels
 from repro.service import engine as engine_module
 from repro.service.engine import Engine
 from repro.service.workload import result_digest

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.runner import _scan_selection
 from repro.core.transfer import ExecContext
 from repro.engine.stats import QueryStats
 from repro.expr.eval import evaluate_mask
-from repro.expr.nodes import col, date, lit, year
+from repro.expr.nodes import And, Or, col, date, lit, year
 from repro.storage import (
     Catalog,
     Column,
@@ -27,6 +29,7 @@ from repro.storage import (
     get_layout,
     slice_table,
 )
+from repro.storage.partition import empty_operand
 def make_table(n: int = 1000, seed: int = 0, clustered: bool = True) -> Table:
     rng = np.random.default_rng(seed)
     days = rng.integers(8000, 10500, size=n)
@@ -99,6 +102,101 @@ def test_prune_mask_is_conservative(table, predicate):
         start, stop = layout.bounds(i)
         if mask[start:stop].any():
             assert keep[i], f"partition {i} pruned despite qualifying rows"
+
+
+# ----------------------------------------------------------------------
+# Drawn range predicates: the pruner's and the emptiness check's reading
+# ----------------------------------------------------------------------
+def make_drawn_table() -> Table:
+    """``make_table`` plus an INT64 column with NULLs (``n``) and a
+    FLOAT64 column with NULLs and NaNs (``f``), clustered by row."""
+    base = make_table()
+    n = base.num_rows
+    rng = np.random.default_rng(5)
+    nulls = rng.random(n) < 0.2
+    nulls[300:400] = True  # whole partitions without a valid row
+    floats = np.sort(rng.random(n) * 10.0)
+    floats[rng.random(n) < 0.1] = np.nan
+    return Table("t", {
+        **base.columns,
+        "n": Column(np.arange(n, dtype=np.int64) % 97, DType.INT64, valid=~nulls),
+        "f": Column(floats, DType.FLOAT64, valid=rng.random(n) > 0.1),
+    })
+
+
+#: Each drawn operand with constants around its values.
+_OPERANDS = [
+    (col("t.v"), st.integers(-52, 52).map(lit)),
+    (col("t.n"), st.integers(-1, 98).map(lit)),
+    (col("t.x"), st.sampled_from([0.0, 2.5, 9.99, 10.0]).map(lit)),
+    (col("t.f"), st.sampled_from([0.0, 1.0, 5.0, 9.5]).map(lit)),
+    (col("t.d"), st.sampled_from(
+        ["1991-12-01", "1994-01-01", "1995-07-15", "1998-09-01"]
+    ).map(date)),
+    (year(col("t.d")), st.integers(1991, 1999).map(lit)),
+]
+
+
+@st.composite
+def _range_leaf(draw, operands=_OPERANDS):
+    operand, constants = draw(st.sampled_from(operands))
+    kind = draw(st.sampled_from(["cmp", "mirrored", "between", "half", "in"]))
+    if kind == "between":
+        return operand.between(draw(constants), draw(constants))
+    if kind == "half":  # BETWEEN with one constant bound
+        if draw(st.booleans()):
+            return operand.between(draw(constants), col("t.k"))
+        return operand.between(col("t.k"), draw(constants))
+    if kind == "in":
+        values = draw(st.lists(constants, max_size=3))
+        # A DATE column's IN list spells its dates as ISO strings.
+        return operand.isin([getattr(v, "value", getattr(v, "iso", None)) for v in values])
+    op = draw(st.sampled_from(["eq", "ne", "lt", "le", "gt", "ge"]))
+    if kind == "mirrored":
+        return getattr(draw(constants), op)(operand)
+    return getattr(operand, op)(draw(constants))
+
+
+@st.composite
+def _conjoined_leaves(draw):
+    """Two leaves over one operand, ANDed: the shape whose admitted
+    values may intersect to nothing."""
+    operand = [draw(st.sampled_from(_OPERANDS))]
+    return And(draw(_range_leaf(operand)), draw(_range_leaf(operand)))
+
+
+#: PREDICATES seed the draw, beside drawn leaves, under And/Or.
+_DRAWN_PREDICATES = st.recursive(
+    st.one_of(st.sampled_from(PREDICATES), _range_leaf(), _conjoined_leaves()),
+    lambda kids: st.one_of(st.builds(And, kids, kids), st.builds(Or, kids, kids)),
+    max_leaves=4,
+)
+
+
+@pytest.fixture(scope="module")
+def drawn_table():
+    return make_drawn_table()
+
+
+@settings(max_examples=300, deadline=None)
+@given(predicate=_DRAWN_PREDICATES, partition_rows=st.sampled_from([64, 100, 256]))
+def test_drawn_predicates_prune_soundly_and_empty_means_no_row(
+    drawn_table, predicate, partition_rows
+):
+    """The pruned scan equals the full scan, and an emptiness verdict
+    means the predicate selects no row."""
+    view = drawn_table.prefixed("t")
+    mask = evaluate_mask(predicate, view)
+    got = _scan_selection(
+        ExecContext(stats=QueryStats(), partition_rows=partition_rows),
+        drawn_table,
+        "t",
+        predicate,
+        view,
+    )
+    assert np.array_equal(got, np.flatnonzero(mask))
+    if empty_operand(predicate) is not None:
+        assert not mask.any()
 
 
 def test_pruning_actually_skips_partitions(table):
@@ -348,12 +446,15 @@ def test_inherited_distinct_counts_equal_a_recount_after_appends():
         orders, lineitem = catalog.get("orders"), catalog.get("lineitem")
         top = int(orders.column("o_orderkey").data.max())
         new_keys = top + 1 + np.arange(64)
-        new_orders = orders.take(rng.integers(0, orders.num_rows, 64)).with_column(
-            "o_orderkey", Column.from_ints(new_keys)
-        )
-        new_items = lineitem.take(rng.integers(0, lineitem.num_rows, 448)).with_column(
-            "l_orderkey", Column.from_ints(rng.choice(new_keys, 448))
-        )
+        new_orders = orders.take(rng.integers(0, orders.num_rows, 64))
+        new_orders = Table("orders", {
+            **new_orders.columns, "o_orderkey": Column.from_ints(new_keys)
+        })
+        new_items = lineitem.take(rng.integers(0, lineitem.num_rows, 448))
+        new_items = Table("lineitem", {
+            **new_items.columns,
+            "l_orderkey": Column.from_ints(rng.choice(new_keys, 448)),
+        })
         _commit(catalog, orders=new_orders, lineitem=new_items)
         for name, columns in keys.items():
             table = catalog.get(name)

@@ -60,7 +60,7 @@ def test_date_scalar_resolves_to_a_date_literal():
     resolved = resolve_scalars(col("o.o_orderdate").lt(ScalarRef("first", "d")), cat)
     assert resolved.right == DateLiteral("1992-01-04")
     assert const_value(resolved.right) == date_to_days("1992-01-04")
-    assert canonical_expr(resolved.right) == "date:1992-01-04"
+    assert canonical_expr(resolved.right) == "DateLiteral(str:'1992-01-04')"
 
 
 def test_resolves_inside_arithmetic(catalog):

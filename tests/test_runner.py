@@ -1,6 +1,5 @@
 """Unit tests for the query runner across all four strategies."""
 
-import numpy as np
 import pytest
 
 from repro.core.runner import STRATEGIES, RunConfig, run_query

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import validate
 from repro.core.runner import RunConfig
 from repro.errors import PlanValidationError
 from repro.expr.nodes import col, lit
 from repro.obs import parse_prometheus_text
 from repro.obs.adapters import ObsCollector
 from repro.obs.metrics import MetricsRegistry
-from repro.plan.query import QuerySpec, Relation
+from repro.plan.query import QuerySpec, Relation, edge
 from repro.service import Engine, ReproClient, ServerThread
 from repro.tpch import generate_tpch
 from repro.tpch.queries import get_query
@@ -39,6 +40,27 @@ def _invalid_spec() -> QuerySpec:
     )
 
 
+def _invalid_with_warning_spec() -> QuerySpec:
+    """An error (REP104) beside a warning (REP112, an empty range)."""
+    quantity = col("l.l_quantity")
+    return QuerySpec(
+        name="bad-plan-warned",
+        relations=[
+            Relation(
+                alias="l",
+                table="lineitem",
+                predicate=quantity.gt(lit(10)) & quantity.lt(lit(5)),
+            ),
+            Relation(
+                alias="o",
+                table="orders",
+                predicate=col("o.no_such_column").eq(lit(1)),
+            ),
+        ],
+        edges=[edge("l", "o", ("l_orderkey", "o_orderkey"))],
+    )
+
+
 @pytest.fixture(scope="module")
 def served():
     catalog = generate_tpch(sf=SF, seed=0)
@@ -50,7 +72,9 @@ def served():
         registry=registry,
     )
     good = get_query(3, sf=SF)
-    specs = {good.name: good, "bad-plan": _invalid_spec()}
+    specs = {good.name: good}
+    for spec in (_invalid_spec(), _invalid_with_warning_spec()):
+        specs[spec.name] = spec
     try:
         with ServerThread(engine, specs, meta={"sf": SF, "seed": 0}) as st:
             collector = ObsCollector(registry, engine=engine, server=st.server)
@@ -79,6 +103,21 @@ def test_invalid_plan_rejected_with_diagnostics(served):
     assert after.stats.submitted == before.submitted
     assert after.pending == 0
     assert after.consistent
+
+
+def test_wire_frame_carries_the_diagnostics_of_validate(served):
+    """The rejected frame carries exactly what ``analysis.validate``
+    raises in-process: every diagnostic, the warning too."""
+    st, engine, _, _ = served
+    with pytest.raises(PlanValidationError) as local:
+        validate(_invalid_with_warning_spec(), engine.catalog)
+    want = [d.as_dict() for d in local.value.diagnostics]
+    assert {d["code"] for d in want} == {"REP104", "REP112"}
+    with ReproClient(st.host, st.port, io_timeout=30.0) as client:
+        with pytest.raises(PlanValidationError) as remote:
+            client.query_once("bad-plan-warned")
+    assert [dict(d) for d in remote.value.diagnostics] == want
+    assert str(remote.value) == str(local.value)
 
 
 def test_rejection_does_not_poison_the_connection(served):

@@ -64,11 +64,6 @@ def test_select_projects_in_order(table):
     assert table.select(["c", "a"]).column_names == ["c", "a"]
 
 
-def test_rename(table):
-    renamed = table.rename({"a": "alpha"})
-    assert renamed.column_names == ["alpha", "b", "c"]
-
-
 def test_prefixed(table):
     pre = table.prefixed("t1")
     assert pre.column_names == ["t1.a", "t1.b", "t1.c"]
@@ -77,18 +72,6 @@ def test_prefixed(table):
 def test_prefixed_requalifies(table):
     double = table.prefixed("t1").prefixed("t2")
     assert double.column_names == ["t2.a", "t2.b", "t2.c"]
-
-
-def test_with_column(table):
-    out = table.with_column("d", Column.from_ints([7, 8, 9]))
-    assert out.column("d").to_pylist() == [7, 8, 9]
-    # original untouched
-    assert "d" not in table
-
-
-def test_with_column_length_checked(table):
-    with pytest.raises(SchemaError):
-        table.with_column("d", Column.from_ints([1]))
 
 
 def test_head(table):

@@ -236,7 +236,7 @@ def rid_catalog():
     for name in base.names():
         table = base.get(name)
         rid = Column.from_ints(np.arange(table.num_rows))
-        catalog.register(table.with_column("rid", rid))
+        catalog.register(Table(name, {**table.columns, "rid": rid}))
     return catalog
 
 
