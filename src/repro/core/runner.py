@@ -158,7 +158,7 @@ from ..optimizer.joinorder import greedy_join_order, step_estimates
 from ..plan.joingraph import build_join_graph, edge_keys_for
 from ..plan.pruning import live_columns
 from ..plan.query import Aggregate, Filter, Limit, Project, QuerySpec, Sort, Stage
-from ..plan.rewrite import eager_counts, fold_self_edges, resolve_scalars
+from ..plan.rewrite import eager_aggregation, fold_self_edges, resolve_scalars
 from ..storage.catalog import Catalog
 from ..storage.partition import DEFAULT_PARTITION_ROWS, get_layout, slice_table
 from ..storage.table import Table
@@ -458,7 +458,7 @@ def _schedule(
 # ----------------------------------------------------------------------
 def _resolve_spec(spec: QuerySpec, catalog: Catalog) -> QuerySpec:
     """Resolve scalar-subquery references to literals everywhere, then
-    apply :func:`~repro.plan.rewrite.eager_counts`.
+    apply :func:`~repro.plan.rewrite.eager_aggregation`.
 
     The spec's own stages have run; the result's ``pre_stages`` are
     the ones the rewrite adds, for the caller to run before the scan.
@@ -467,7 +467,7 @@ def _resolve_spec(spec: QuerySpec, catalog: Catalog) -> QuerySpec:
         spec.map_expressions(lambda expr: resolve_scalars(expr, catalog)),
         pre_stages=[],
     )
-    return eager_counts(resolved, catalog)
+    return eager_aggregation(resolved, catalog)
 
 
 def _scan(

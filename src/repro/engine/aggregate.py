@@ -74,8 +74,9 @@ _AGG_FUNCS = ("sum", "count", "count_star", "avg", "min", "max", "count_distinct
 #: Aggregates only plan rewrites produce; no query spells them, and the
 #: analyzer, which accepts ``_AGG_FUNCS``, rejects them.  ``sum_counts``
 #: adds up partial counts, a NULL one (an outer join's missing partner)
-#: adding 0: the upper half of an eager ``COUNT``
-#: (:func:`repro.plan.rewrite.eager_counts`).
+#: adding 0, into an INT64 count: the upper half of an eager ``COUNT``
+#: or ``COUNT(*)`` (:func:`repro.plan.rewrite.eager_aggregation`; its
+#: partial sums add up under plain ``sum``).
 _INTERNAL_FUNCS = ("sum_counts",)
 
 
