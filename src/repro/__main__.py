@@ -443,7 +443,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         f"submitted={engine.get('submitted', '?')} ok={engine['queries']} "
         f"degraded={engine['degraded']} timeouts={engine['timeouts']} "
         f"cancelled={engine['cancellations']} rejected={engine['rejected']} "
-        f"invalid={engine.get('rejected_invalid', 0)} "
         f"budget={engine['budget_exceeded']} failures={engine['failures']}"
     )
     print(

@@ -23,8 +23,8 @@ throws on the first error.  The walk mirrors the execution pipeline:
    (:func:`repro.storage.partition.empty_operand`); an empty
    intersection is the ``REP112`` warning.
 
-:func:`validate` is the raising wrapper, and the verdict of the
-server's pre-admission gate.
+:func:`validate` is the raising wrapper; a server runs it over every
+registered plan when it is built.
 """
 
 from __future__ import annotations

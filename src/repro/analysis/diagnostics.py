@@ -1,15 +1,15 @@
 """Structured diagnostics for the plan semantic analyzer.
 
 Every problem the analyzer can report has a **stable code** (``REPxxx``)
-so that tooling — the ``repro check`` CLI, the pre-admission validator in
-the network server, CI gates, and tests — can match on the code instead
+so that tooling — the ``repro check`` CLI, the network server's
+registration check, CI gates, and tests — can match on the code instead
 of the human message.  The runtime error paths that overlap with static
 checks (``expr/eval.py``, ``plan/joingraph.py``) embed the same codes in
 their :class:`~repro.errors.PlanError` messages, so a plan that slips
 past static analysis and fails at execution time reports identically.
 
 Severities: ``error`` diagnostics make a plan invalid (``validate``
-raises, the server rejects pre-admission); ``warning`` diagnostics are
+raises, a server refuses to start); ``warning`` diagnostics are
 advisory (e.g. a statically-unsatisfiable predicate is *legal*, it just
 provably returns zero rows).
 """

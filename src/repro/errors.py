@@ -22,11 +22,10 @@ class PlanError(ReproError):
 class PlanValidationError(PlanError):
     """A plan failed static semantic analysis before execution.
 
-    Raised by :func:`repro.analysis.validate`, which the server's
-    pre-admission gate calls.  ``diagnostics`` carries every analyzer
-    finding, warnings too — objects (or plain dicts, when rebuilt from
-    a wire frame) exposing ``code`` / ``severity`` / ``message`` /
-    ``path``.
+    Raised by :func:`repro.analysis.validate`, which a server runs
+    over its registry once, when it is built.  ``diagnostics`` carries
+    every analyzer finding, warnings too, as
+    :class:`~repro.analysis.Diagnostic` objects.
     """
 
     def __init__(

@@ -37,8 +37,8 @@ __all__ = ["EngineObserver", "ObsCollector", "export_stats"]
 #: and ``degraded`` partition successful queries; the rest mirror the
 #: typed-error taxonomy of :mod:`repro.errors`.
 OUTCOME_LABELS = (
-    "ok", "degraded", "timeout", "cancelled", "rejected",
-    "rejected_invalid", "budget", "failure",
+    "ok", "degraded", "timeout", "cancelled", "rejected", "budget",
+    "failure",
 )
 
 

@@ -99,11 +99,6 @@ class EngineStats:
     :meth:`Engine.snapshot` exposes and the observability hammer test
     asserts under concurrent load).
 
-    ``rejected_invalid`` counts queries the server's pre-admission gate
-    refused.  Such queries never reach ``submit``, so they are
-    deliberately outside ``submitted`` and the reconciliation invariant
-    above is unchanged.
-
     ``ingests`` / ``ingest_failures`` / ``rows_ingested`` count
     :meth:`Engine.ingest` batches (committed / aborted) and the delta
     rows committed.  Ingests never consume a worker slot, so these sit
@@ -118,7 +113,6 @@ class EngineStats:
     timeouts: int = _outcome(outcome="timeout")
     cancellations: int = _outcome(outcome="cancelled")
     rejected: int = _outcome(outcome="rejected")
-    rejected_invalid: int = _outcome(outcome="rejected_invalid")
     budget_exceeded: int = _outcome(outcome="budget")
     failures: int = _outcome(outcome="failure")
     by_strategy: dict[str, int] = metric_field(
@@ -532,18 +526,6 @@ class Engine:
                 self._stats.submitted -= 1
             raise
         return job.future
-
-    def count_invalid(self) -> None:
-        """Count one statically-rejected plan (pre-admission).
-
-        Called by the server's pre-admission gate when
-        :func:`repro.analysis.validate` refuses a plan.  The rejection
-        happens *before* :meth:`submit`, so ``rejected_invalid`` is
-        outside the ``submitted == rejected + resolved + pending``
-        reconciliation invariant — no worker slot was ever consumed.
-        """
-        with self._lock:
-            self._stats.rejected_invalid += 1
 
     def execute(
         self,

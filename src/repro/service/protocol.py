@@ -47,9 +47,6 @@ code                exception (both directions)
 ``unavailable``     :class:`~repro.errors.ServiceUnavailable`
 ``bad_request``     :class:`~repro.errors.PlanError` (a server-side
                     :class:`~repro.errors.SchemaError` is sent under it)
-``invalid_plan``    :class:`~repro.errors.PlanValidationError`
-                    (pre-admission static analysis; the frame carries
-                    the structured ``diagnostics`` list)
 ``protocol``        :class:`~repro.errors.ProtocolError`
 ``frame_too_large`` :class:`~repro.errors.FrameTooLarge` (rebuilt as
                     its base :class:`~repro.errors.ProtocolError`)
@@ -76,7 +73,6 @@ from ..errors import (
     FrameTooLarge,
     MemoryBudgetExceeded,
     PlanError,
-    PlanValidationError,
     ProtocolError,
     QueryCancelled,
     QueryTimeout,
@@ -294,15 +290,8 @@ def error_response(
     message: str,
     *,
     error_type: str | None = None,
-    diagnostics: list[dict] | None = None,
 ) -> dict:
-    """An ``ERROR`` frame with a stable taxonomy ``code``.
-
-    ``diagnostics`` (only on ``code=invalid_plan``) is the static
-    analyzer's finding list — plain dicts with ``code`` / ``severity``
-    / ``message`` / ``path`` — so the client can rebuild the same
-    :class:`~repro.errors.PlanValidationError` the engine raises.
-    """
+    """An ``ERROR`` frame with a stable taxonomy ``code``."""
     body = {
         "type": "ERROR",
         "id": request_id,
@@ -311,8 +300,6 @@ def error_response(
     }
     if error_type is not None:
         body["error_type"] = error_type
-    if diagnostics is not None:
-        body["diagnostics"] = diagnostics
     return body
 
 
@@ -345,7 +332,6 @@ _CODE_BY_TYPE: tuple[tuple[type, str, type], ...] = (
     (FrameTooLarge, "frame_too_large", ProtocolError),
     (ProtocolError, "protocol", ProtocolError),
     (SchemaError, "bad_request", PlanError),
-    (PlanValidationError, "invalid_plan", PlanValidationError),
     (PlanError, "bad_request", PlanError),
 )
 
@@ -367,18 +353,11 @@ def error_frame_for(request_id, exc: BaseException) -> dict:
     """The ``ERROR``/``RETRY`` frame answering a server-side failure."""
     if isinstance(exc, EngineSaturated):
         return retry_response(request_id, exc.retry_after)
-    diagnostics = None
-    if isinstance(exc, PlanValidationError):
-        diagnostics = [
-            d.as_dict() if hasattr(d, "as_dict") else dict(d)
-            for d in exc.diagnostics
-        ]
     return error_response(
         request_id,
         code_for_exception(exc),
         str(exc),
         error_type=type(exc).__name__,
-        diagnostics=diagnostics,
     )
 
 
@@ -404,10 +383,6 @@ def exception_for_response(body: dict) -> ReproError:
         return RemoteError(
             message, code=str(code), remote_type=body.get("error_type")
         )
-    if cls is PlanValidationError:
-        raw = body.get("diagnostics")
-        diags = raw if isinstance(raw, list) else ()
-        return cls(message, diagnostics=[d for d in diags if isinstance(d, dict)])
     return cls(message)
 
 

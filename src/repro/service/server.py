@@ -19,13 +19,6 @@ a typed, recoverable outcome:
   is cancelled through its :class:`~repro.context.CancelToken`; the
   engine reclaims the worker slot and counts the cancellation.  An
   abandoned query never holds a worker.
-* **Pre-admission plan validation** — every ``QUERY`` frame's spec is
-  judged by :func:`repro.analysis.validate` (memoized per query name)
-  *before* ``Engine.submit``: an invalid plan is answered with ``ERROR
-  code=invalid_plan`` carrying exactly the diagnostics the in-process
-  :class:`~repro.errors.PlanValidationError` carries (warnings
-  included), consumes no worker slot, and is counted under
-  ``EngineStats.rejected_invalid``.
 * **Transactional ingest** — ``INGEST`` frames decode and
   schema-validate their delta tables *before* anything is staged, then
   commit through :meth:`Engine.ingest`'s all-or-nothing catalog
@@ -63,6 +56,7 @@ import asyncio
 import contextlib
 import threading
 import time
+from types import NoneType
 
 import numpy as np
 from collections.abc import Awaitable, Callable, Mapping
@@ -78,7 +72,6 @@ from ..errors import (
     FaultInjected,
     FrameTooLarge,
     PlanError,
-    PlanValidationError,
     ProtocolError,
     ReproError,
     SchemaError,
@@ -220,35 +213,23 @@ class _WireType(NamedTuple):
     """How one logical type travels in an ``INGEST`` frame."""
 
     want: str  # the wire form, for error messages
-    accepts: Callable[[object], bool]
+    types: frozenset[type]  # the exact JSON value types it accepts
     null: object  # stands in for a JSON null under the validity mask
     build: Callable[[list], Column]
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
+# ``type(True) is bool``, so exact types keep booleans out of the
+# numeric columns and integers out of BOOL.
 _WIRE_TYPES: dict[DType, _WireType] = {
-    DType.INT64: _WireType("an integer", _is_int, 0, Column.from_ints),
+    DType.INT64: _WireType("an integer", frozenset({int}), 0, Column.from_ints),
     DType.FLOAT64: _WireType(
-        "a number",
-        lambda x: _is_int(x) or isinstance(x, float),
-        0.0,
-        Column.from_floats,
+        "a number", frozenset({int, float}), 0.0, Column.from_floats
     ),
     DType.DATE: _WireType(
-        "a 'YYYY-MM-DD' string",
-        lambda x: isinstance(x, str),
-        "1970-01-01",
-        Column.from_dates,
+        "a 'YYYY-MM-DD' string", frozenset({str}), "1970-01-01", Column.from_dates
     ),
-    DType.STRING: _WireType(
-        "a string", lambda x: isinstance(x, str), "", Column.from_strings
-    ),
-    DType.BOOL: _WireType(
-        "a boolean", lambda x: isinstance(x, bool), False, Column.from_bools
-    ),
+    DType.STRING: _WireType("a string", frozenset({str}), "", Column.from_strings),
+    DType.BOOL: _WireType("a boolean", frozenset({bool}), False, Column.from_bools),
 }
 
 
@@ -262,12 +243,14 @@ def _wire_column(table: str, name: str, dtype: DType, values: list) -> Column:
     date — is a :class:`~repro.errors.SchemaError` too.
     """
     wire = _WIRE_TYPES[dtype]
-    for value in values:
-        if value is not None and not wire.accepts(value):
-            raise SchemaError(
-                f"column {table}.{name} ({dtype.value}) expects {wire.want}, "
-                f"got {value!r}"
-            )
+    if not set(map(type, values)) - {NoneType} <= wire.types:
+        bad = next(
+            v for v in values if v is not None and type(v) not in wire.types
+        )
+        raise SchemaError(
+            f"column {table}.{name} ({dtype.value}) expects {wire.want}, "
+            f"got {bad!r}"
+        )
     valid = [v is not None for v in values]
     try:
         column = wire.build(
@@ -342,6 +325,9 @@ class QueryServer:
         The query registry: request ``query`` names → prepared
         :class:`~repro.plan.query.QuerySpec` objects (the wire cannot
         ship arbitrary plan objects; clients name registered queries).
+        Every plan is validated here, once: the first invalid one
+        raises :class:`~repro.errors.PlanValidationError`, with its
+        diagnostics, before any port is bound.
     config:
         Wire/robustness tunables (:class:`ServerConfig`).
     meta:
@@ -371,6 +357,11 @@ class QueryServer:
     ) -> None:
         self.engine = engine
         self.specs = dict(specs)
+        # A commit never changes a schema (decode_wire_table requires
+        # the base table's exact columns), so one verdict per plan
+        # holds for every snapshot this server serves.
+        for spec in self.specs.values():
+            validate(spec, engine.catalog)
         self.config = config or ServerConfig()
         self.meta = dict(meta or {})
         self.collector = collector
@@ -382,9 +373,6 @@ class QueryServer:
         self._drained = asyncio.Event()
         self.port: int | None = None
         self._stats = ServerStats()
-        # Pre-admission verdicts, memoized by query name (specs are
-        # immutable once registered): None = valid, else the rejection.
-        self._verdicts: dict[str, PlanValidationError | None] = {}
 
     def stats(self) -> ServerStats:
         """The counters, with the gauges read now."""
@@ -681,29 +669,6 @@ class QueryServer:
             )
         return spec
 
-    def _precheck(self, spec: QuerySpec) -> None:
-        """Pre-admission gate: :func:`repro.analysis.validate` against
-        the engine's catalog, before :meth:`Engine.submit`.
-
-        A rejected request is answered with ``ERROR code=invalid_plan``
-        carrying the diagnostics :class:`PlanValidationError` carries
-        in-process (warnings too), consumes no worker slot, and is
-        counted under ``EngineStats.rejected_invalid`` (once per
-        request; the verdict is memoized per query name).
-        """
-        if spec.name not in self._verdicts:
-            try:
-                validate(spec, self.engine.catalog)
-                self._verdicts[spec.name] = None
-            except PlanValidationError as exc:
-                self._verdicts[spec.name] = exc.with_traceback(None)
-        rejected = self._verdicts[spec.name]
-        if rejected is not None:
-            self.engine.count_invalid()
-            raise PlanValidationError(
-                str(rejected), diagnostics=rejected.diagnostics
-            )
-
     async def _await_job(self, future):
         """Await an engine future without cancellation back-propagation.
 
@@ -768,7 +733,6 @@ class QueryServer:
             nonlocal trace_id
             trace_id = self._request_trace_id(msg)
             spec = self._resolve_spec(msg)
-            self._precheck(spec)
             config = self._request_config(msg)
             timeout_s = self._clamp_timeout(msg)
             conn.tokens.add(token)

@@ -21,7 +21,7 @@ exits non-zero iff any cell or block failed, writing the record anyway.
   oracle-identical run; plus a 4-worker concurrency block;
 * network (``--network``, :func:`run_network_sweep`): the same grid
   over ``NETWORK_CASES`` wire and engine faults against one in-process
-  asyncio server; plus invalid-plan, metrics and drain blocks;
+  asyncio server; plus metrics and drain blocks;
 * ingest (``--ingest``, :func:`run_ingest_sweep`): readers race
   transactional appends under each ``INGEST_CASES`` fault; every read
   must match the oracle of some committed prefix snapshot.
@@ -45,7 +45,7 @@ from functools import partial
 import numpy as np
 
 from ..core.runner import MATERIALIZE_MODES, STRATEGIES, RunConfig
-from ..errors import PlanValidationError, ReproError
+from ..errors import ReproError
 from ..plan.query import QuerySpec
 from ..service.client import ReproClient
 from ..service.engine import Engine, EngineSnapshot
@@ -428,80 +428,6 @@ def _net_digest(
         return client.query_once(query, timeout_ms=30_000, **options)["digest"]
 
 
-#: Registered name of the deliberately-malformed plan the network sweep
-#: serves (unknown column), exercising the pre-admission analyzer gate.
-INVALID_QUERY_NAME = "chaos-invalid-plan"
-
-
-def _invalid_spec() -> QuerySpec:
-    """A statically-invalid plan (unknown column ``l.nonexistent``)."""
-    from ..expr.nodes import col, lit
-    from ..plan.query import Relation
-
-    return QuerySpec(
-        name=INVALID_QUERY_NAME,
-        relations=[
-            Relation(
-                alias="l",
-                table="lineitem",
-                predicate=col("l.nonexistent").gt(lit(1)),
-            )
-        ],
-    )
-
-
-def invalid_plan_block(
-    host: str, port: int, engine: Engine, good_query: str, oracle: str,
-    attempts: int = 3,
-) -> dict:
-    """Malformed-plan frames over the wire: the pre-admission gate.
-
-    Each attempt queries the registered-but-invalid plan and must come
-    back as a typed :class:`~repro.errors.PlanValidationError` carrying
-    a non-empty diagnostics list — rejected by the server's static
-    analyzer *before* admission, so no worker slot is ever consumed,
-    every rejection lands in ``EngineStats.rejected_invalid``, and the
-    engine's reconciliation invariant is untouched.  No digest is a
-    right answer here, so an accepted plan classifies as
-    ``WRONG_ANSWER``.  A recovery probe then proves the same
-    connection path still serves valid plans.
-    """
-    before = engine.snapshot().stats.rejected_invalid
-    diagnostics: list[int] = []
-
-    def attempt() -> str:
-        try:
-            return _net_digest(host, port, INVALID_QUERY_NAME)
-        except PlanValidationError as exc:
-            diagnostics.append(len(exc.diagnostics))
-            raise
-
-    outcomes = [classify(attempt, ()) for _ in range(attempts)]
-    slots_clean = _settle_pending(engine)
-    snap = engine.snapshot()
-    counted = snap.stats.rejected_invalid - before
-    probe = partial(_net_digest, host, port, good_query)
-    recovered = classify(probe, oracle) == "identical"
-    ok = (
-        all(o == "error:PlanValidationError" for o in outcomes)
-        and all(diagnostics)
-        and counted == attempts
-        and slots_clean
-        and snap.consistent
-        and recovered
-    )
-    return {
-        "attempts": attempts,
-        "outcomes": outcomes,
-        "diagnostics_present": all(diagnostics),
-        "rejected_invalid_counted": counted,
-        "slots_clean": slots_clean,
-        "snapshot_consistent": snap.consistent,
-        "recovered": recovered,
-        "ok": ok,
-    }
-
-
 def _settle_pending(engine: Engine, deadline: float = 10.0) -> bool:
     """Wait for the engine to drain to zero admitted-but-unfinished
     queries (disconnect cancellations resolve asynchronously)."""
@@ -630,9 +556,7 @@ def _reconcile(
     """The scraped metrics against the engine's own bookkeeping.
 
     After every fault has fired, the ``repro_queries_total`` outcome
-    counters must sum to the engine's resolved + rejected +
-    rejected_invalid total (pre-admission rejections are outside
-    ``submitted`` but *are* an exported outcome label), the
+    counters must sum to the engine's resolved + rejected total, the
     latency-histogram count must equal its query count, the client-side
     byte-identical verdicts must not exceed the engine's successes, and
     the atomic snapshot must satisfy its own admission invariant.  A
@@ -649,9 +573,8 @@ def _reconcile(
     hist_count = int(sum(families.get("repro_query_seconds_count", {}).values()))
     ok_plus_degraded = int(by_outcome["ok"] + by_outcome["degraded"])
     client_identical = sum(c["outcome"] == "identical" for c in cases)
-    metric_rejected_invalid = int(by_outcome["rejected_invalid"])
     stats = snap.stats
-    expected = stats.resolved + stats.rejected + stats.rejected_invalid
+    expected = stats.resolved + stats.rejected
     return {
         "outcome_total": outcome_total,
         "resolved_plus_rejected": expected,
@@ -659,22 +582,19 @@ def _reconcile(
         "engine_queries": stats.queries,
         "client_identical": client_identical,
         "ok_plus_degraded": ok_plus_degraded,
-        "rejected_invalid": stats.rejected_invalid,
-        "metric_rejected_invalid": metric_rejected_invalid,
         "snapshot_consistent": snap.consistent,
         "ok": (
             outcome_total == expected
             and hist_count == stats.queries
             and client_identical <= ok_plus_degraded
-            and metric_rejected_invalid == stats.rejected_invalid
             and snap.consistent
         ),
     }
 
 
 def run_network_sweep(sf: float = CHAOS_SF, seed: int = 0) -> dict:
-    """The network chaos record: wire cells + invalid-plan, metrics
-    reconciliation and drain blocks.
+    """The network chaos record: wire cells + metrics reconciliation
+    and drain blocks.
 
     One engine + server pair serves every cell — surviving them all
     *and* the recovery probes in the same process is itself part of
@@ -694,10 +614,7 @@ def run_network_sweep(sf: float = CHAOS_SF, seed: int = 0) -> dict:
     try:
         with ServerThread(
             engine,
-            # The invalid plan is registered alongside the real one:
-            # requesting it by name exercises the server's
-            # pre-admission static-analysis gate.
-            {spec.name: spec, INVALID_QUERY_NAME: _invalid_spec()},
+            {spec.name: spec},
             config=ServerConfig(read_timeout=2.0, write_timeout=2.0),
             meta={"sf": sf, "seed": seed},
         ) as st:
@@ -709,9 +626,6 @@ def run_network_sweep(sf: float = CHAOS_SF, seed: int = 0) -> dict:
                     oracles[strategy], strategy, materialize, seed,
                 ),
             )
-            invalid = invalid_plan_block(
-                st.host, st.port, engine, spec.name, oracles["predtrans"]
-            )
             metrics_text = collector.prometheus()
         snap = engine.snapshot()
     finally:
@@ -721,7 +635,6 @@ def run_network_sweep(sf: float = CHAOS_SF, seed: int = 0) -> dict:
         {"sf": sf, "seed": seed, "oracle_digests": oracles},
         cases,
         _outcome_totals(cases),
-        invalid_plan=invalid,
         metrics_reconciliation=_reconcile(metrics_text, snap, cases),
         drain_under_load=network_drain_block(catalog, spec, oracles["predtrans"], seed),
     )

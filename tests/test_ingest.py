@@ -362,8 +362,11 @@ def test_decode_rejects_schema_violations():
 
 
 def test_date_error_frames_are_pinned():
-    """DATE wire values are parsed once per distinct string; the error
-    frame still names the first bad value in row order, byte for byte."""
+    """Type errors of wire values are pinned byte for byte.  DATE
+    values are parsed once per distinct string, and booleans and
+    integers never cross (``True`` is no INT64 value, ``False`` no
+    FLOAT64 value, ``1`` no BOOL value); the frame still names the
+    first bad value in row order, past any null."""
     from repro.service.protocol import encode_frame, error_frame_for
     from repro.service.server import decode_wire_table
 
@@ -372,30 +375,74 @@ def test_date_error_frames_are_pinned():
         {
             "k": Column.from_ints(np.arange(2, dtype=np.int64)),
             "d": Column.from_dates(["1996-01-02", "1996-01-03"]),
+            "f": Column.from_floats([0.5, 1.5]),
+            "b": Column.from_bools([True, False]),
         },
     )
     cases = [
         (
-            ["1996-01-02", "1996-02-30", "1996-13-01", "1996-02-30"],
+            "d", ["1996-01-02", "1996-02-30", "1996-13-01", "1996-02-30"],
             b'\x00\x00\x00\x84{"type":"ERROR","id":7,"code":"bad_request",'
             b'"message":"column t.d (date): day is out of range for month",'
             b'"error_type":"SchemaError"}',
         ),
         (
-            ["1996-01-02", None, 19960102, "x"],
+            "d", ["1996-01-02", None, 19960102, "x"],
             b'\x00\x00\x00\x91{"type":"ERROR","id":7,"code":"bad_request",'
             b'"message":"column t.d (date) expects a \'YYYY-MM-DD\' string, '
             b'got 19960102","error_type":"SchemaError"}',
         ),
+        (
+            "k", [1, True, 3],
+            b'\x00\x00\x00\x83{"type":"ERROR","id":7,"code":"bad_request",'
+            b'"message":"column t.k (int64) expects an integer, got True",'
+            b'"error_type":"SchemaError"}',
+        ),
+        (
+            "f", [0.5, False, 2],
+            b'\x00\x00\x00\x84{"type":"ERROR","id":7,"code":"bad_request",'
+            b'"message":"column t.f (float64) expects a number, got False",'
+            b'"error_type":"SchemaError"}',
+        ),
+        (
+            "b", [True, 1, False],
+            b'\x00\x00\x00~{"type":"ERROR","id":7,"code":"bad_request",'
+            b'"message":"column t.b (bool) expects a boolean, got 1",'
+            b'"error_type":"SchemaError"}',
+        ),
+        (
+            "k", [None, 2, 2.5, "x"],
+            b'\x00\x00\x00\x82{"type":"ERROR","id":7,"code":"bad_request",'
+            b'"message":"column t.k (int64) expects an integer, got 2.5",'
+            b'"error_type":"SchemaError"}',
+        ),
+        (
+            "b", [None, False, 0, "x"],
+            b'\x00\x00\x00~{"type":"ERROR","id":7,"code":"bad_request",'
+            b'"message":"column t.b (bool) expects a boolean, got 0",'
+            b'"error_type":"SchemaError"}',
+        ),
     ]
-    for dates, frame in cases:
+    for column, values, frame in cases:
+        n = len(values)
+        payload = {
+            "k": list(range(n)), "d": ["1996-01-02"] * n,
+            "f": [0.5] * n, "b": [True] * n, column: values,
+        }
         with pytest.raises(SchemaError) as caught:
-            decode_wire_table("t", base, {"k": list(range(len(dates))), "d": dates})
-        assert encode_frame(error_frame_for(7, caught.value)) == frame
+            decode_wire_table("t", base, payload)
+        assert encode_frame(error_frame_for(7, caught.value)) == frame, values
     good = decode_wire_table(
-        "t", base, {"k": [1, 2, 3], "d": ["1996-01-03", None, "1996-01-03"]}
+        "t", base, {
+            "k": [1, 2, 3], "d": ["1996-01-03", None, "1996-01-03"],
+            "f": [0.5, 1, None], "b": [True, None, False],
+        },
     )
-    assert good.column("d").to_pylist() == ["1996-01-03", None, "1996-01-03"]
+    assert [good.column(c).to_pylist() for c in "dfb"] == [
+        ["1996-01-03", None, "1996-01-03"],
+        [0.5, 1.0, None],
+        [True, None, False],
+    ]
 
 
 def test_out_of_range_integer_is_a_bad_request():

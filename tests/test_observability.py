@@ -21,8 +21,7 @@ import urllib.request
 import pytest
 
 from repro.core.runner import RunConfig, run_query
-from repro.errors import PlanError, PlanValidationError, ReproError
-from repro.expr.nodes import col, lit
+from repro.errors import PlanError, ReproError
 from repro.obs.adapters import OUTCOME_LABELS
 from repro.obs import (
     MetricsRegistry,
@@ -31,7 +30,6 @@ from repro.obs import (
     TraceSink,
     parse_prometheus_text,
 )
-from repro.plan.query import QuerySpec, Relation
 from repro.service import Engine, ReproClient, ServerThread
 from repro.service.engine import EngineStats
 from repro.service.protocol import HEADER, query_request, recv_frame
@@ -302,7 +300,6 @@ PINNED_FAMILIES = {
             (("outcome", "ok"),): 2, (("outcome", "degraded"),): 0,
             (("outcome", "timeout"),): 0, (("outcome", "cancelled"),): 0,
             (("outcome", "rejected"),): 0,
-            (("outcome", "rejected_invalid"),): 1,
             (("outcome", "budget"),): 0, (("outcome", "failure"),): 0,
         },
     ),
@@ -381,7 +378,7 @@ PINNED_FAMILIES = {
         "Connections accepted", "counter", {(): 1},
     ),
     "repro_server_wire_queries_total": (
-        "QUERY frames dispatched", "counter", {(): 3},
+        "QUERY frames dispatched", "counter", {(): 2},
     ),
     "repro_server_wire_ingests_total": (
         "INGEST frames dispatched", "counter", {(): 1},
@@ -416,8 +413,7 @@ PINNED_HISTOGRAMS = {
 PINNED_STATS_KEYS = {
     "engine": {
         "queries", "seconds", "rows_returned", "by_strategy", "submitted",
-        "rejected",
-        "rejected_invalid", "timeouts", "cancellations", "budget_exceeded",
+        "rejected", "timeouts", "cancellations", "budget_exceeded",
         "failures", "degraded", "filters_degraded", "partitions_total",
         "partitions_pruned", "ingests", "ingest_failures", "rows_ingested",
     },
@@ -435,20 +431,11 @@ PINNED_STATS_KEYS = {
 
 
 def test_exposition_and_stats_frame_are_pinned():
-    """q3 twice, one INGEST, one invalid-plan rejection and one garbage
-    frame, serially on one connection; then the exposition and the
-    ``STATS`` sections are compared family by family and key by key."""
+    """q3 twice, one INGEST and one garbage frame, serially on one
+    connection; then the exposition and the ``STATS`` sections are
+    compared family by family and key by key."""
     catalog = generate_tpch(sf=SF, seed=0)  # private: the INGEST appends
-    invalid = QuerySpec(
-        name="invalid",
-        relations=[
-            Relation(
-                alias="l", table="lineitem",
-                predicate=col("l.nonexistent").gt(lit(1)),
-            )
-        ],
-    )
-    specs = {"q3": get_query(3, sf=SF), "invalid": invalid}
+    specs = {"q3": get_query(3, sf=SF)}
     registry = MetricsRegistry()
     engine = _engine(catalog, registry=registry)
     try:
@@ -462,8 +449,6 @@ def test_exposition_and_stats_frame_are_pinned():
                     name: orders.column(name).to_pylist()
                     for name in orders.column_names
                 }})
-                with pytest.raises(PlanValidationError):
-                    client.query_once("invalid")
                 garbage = b"\xffnot json"
                 client._sock.sendall(HEADER.pack(len(garbage)) + garbage)
                 assert recv_frame(client._sock)["code"] == "protocol"

@@ -9,6 +9,7 @@ The contract under test: every well-framed abuse gets a typed
 
 from __future__ import annotations
 
+import re
 import socket
 import time
 
@@ -27,7 +28,7 @@ from repro.errors import (
     RemoteError,
     ServiceUnavailable,
 )
-from repro.service import Engine, ServerConfig, ServerThread
+from repro.service import Engine, ServerConfig, ServerThread, protocol
 from repro.service.protocol import (
     HEADER,
     code_for_exception,
@@ -148,6 +149,19 @@ def test_exception_for_response(code, cls):
         {"type": "ERROR", "id": 1, "code": code, "message": "m"}
     )
     assert isinstance(exc, cls)
+
+
+def test_docstring_code_table_is_the_mapping():
+    """The module docstring's code column names each code of
+    ``_CODE_BY_TYPE`` once, plus the ``internal`` fallback."""
+    lines = protocol.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("====")]
+    table = lines[rules[1] + 1 : rules[2]]
+    documented = [
+        m.group(1) for m in map(re.compile(r"``(\w+)``").match, table) if m
+    ]
+    mapped = {code for _, code, _ in protocol._CODE_BY_TYPE} | {"internal"}
+    assert sorted(documented) == sorted(mapped)
 
 
 def test_saturation_maps_to_retry_frame_and_back():
